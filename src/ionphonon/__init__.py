@@ -26,13 +26,11 @@ from .symplectic import (
     BogoliubovMode,
     NormalForm,
     QuadraticForm,
-    Stability,
     ZeroModePair,
     assemble_W,
     build_quadratic_form,
     completeness_residual,
     symplectic_diagonalize,
-    zero_point_shift,
 )
 from .bloch import (
     BlochBlock,

@@ -20,12 +20,14 @@ from scipy.optimize import brentq
 from scipy.special import bernoulli
 
 from .chain import (
-    BULK_OFFSET_CUTOFF,
+    SUBLATTICE_MIRROR,
     ZETA3,
     Boundary,
     ChainConfig,
     Equilibrium,
+    pair_dy,
     pair_dyadic,
+    pair_offsets,
     solve_delta0,
 )
 from .errors import (
@@ -215,77 +217,57 @@ class BlochBlock:
 class CellCouplings:
     """Lattice-summed couplings between two-ion unit cells.
 
-    Precomputes, for every cell separation p, the raw 6 x 6 Hessian coupling
-    ``F[p][(s,nu),(s',nu')]`` between cell p and cell 0 (units m_I omega_I^2)
-    together with the on-site blocks, sharing the pair set (and hence the
-    truncation) with the equilibrium condition so that the translational and
+    Precomputes, for every cell separation p in ``p_vals``, the raw 6 x 6
+    Hessian coupling ``F[p][(s,nu),(s',nu')]`` between cell p and cell 0
+    (units m_I omega_I^2, stored in ``f_table``) together with the on-site
+    blocks.  Both sum the pair set of :func:`~ionphonon.chain.pair_offsets`,
+    which the equilibrium condition also sums, so the translational and
     helical zero modes of the k = 0 block vanish at machine precision.
     """
 
     def __init__(self, config: ChainConfig, eq: Equilibrium):
         self.config = config
         self.eq = eq
-        n = config.n_ions
-        self.n_cells = n // 2
+        self.n_cells = config.n_ions // 2
         self.cell_length = 2.0  # in units of d
-        delta0 = eq.delta0
         kappa = config.kappa
-
-        if config.boundary is Boundary.RING:
-            p_vals = np.arange(self.n_cells)
-        else:
-            # certified truncation: neglected couplings beyond the cutoff sum
-            # to at most ~2 kappa / R^2 per element
-            tail_bound = 2.0 * kappa / BULK_OFFSET_CUTOFF**2
+        m, w = pair_offsets(config)
+        if config.boundary is Boundary.BULK:
+            # certified truncation: neglected couplings beyond the largest
+            # offset R sum to at most ~2 kappa / R^2 per element
+            cutoff = int(np.max(np.abs(m)))
+            tail_bound = 2.0 * kappa / cutoff**2
             if tail_bound > 1e-9:
                 raise ConvergenceError(
                     f"lattice-sum tail bound {tail_bound:.2e} exceeds 1e-9 at "
-                    f"offset cutoff {BULK_OFFSET_CUTOFF}; kappa = {kappa} is too "
+                    f"offset cutoff {cutoff}; kappa = {kappa} is too "
                     f"large for the bulk coupling tables"
                 )
-            half = BULK_OFFSET_CUTOFF // 2 + 1
-            p_vals = np.arange(-half, half + 1)
-        self.p_vals = p_vals
-        f_table = np.zeros((len(p_vals), 6, 6))
-        onsite = {0: np.diag([0.0, 1.0, config.alpha]), 1: np.diag([0.0, 1.0, config.alpha])}
-
-        for s in (0, 1):
-            for sp in (0, 1):
-                dx_raw = self.cell_length * p_vals + (s - sp)
-                if config.boundary is Boundary.RING:
-                    dx = (dx_raw + n // 2) % n - n // 2
-                    keep = np.abs(dx) > 0.5
-                else:
-                    dx = dx_raw
-                    keep = (np.abs(dx) > 0.5) & (np.abs(dx) <= BULK_OFFSET_CUTOFF)
-                dy = delta0 * ((-1.0) ** s - (-1.0) ** sp)
-                blocks = pair_dyadic(dx[keep], dy, kappa)
-                if config.boundary is Boundary.RING:
-                    anti = np.abs(dx[keep]) == n // 2
-                    blocks[anti, 0, 1] = 0.0  # antipodal direction ambiguity
-                    blocks[anti, 1, 0] = 0.0
-                rows = [_cell_index(s, a) for a in range(3)]
-                cols = [_cell_index(sp, a) for a in range(3)]
-                f_table[np.ix_(np.where(keep)[0], rows, cols)] += blocks
-                # on-site curvature of the column ion accumulates -sum(pairs)
-                onsite[sp] = onsite[sp] - blocks.sum(axis=0)
-
-        self.f_table = f_table
-        self.onsite = onsite
-        omega_sq = np.zeros(6)
-        raw_onsite = np.zeros((6, 6))
+        blocks = pair_dyadic(m, pair_dy(m, eq.delta0), kappa * w)
+        # the partner at offset m of ion s' (cell 0) is ion s' + m = 2p + s
+        self.p_vals = np.arange(m.min() // 2, (m.max() + 1) // 2 + 1)
+        self.f_table = np.zeros((len(self.p_vals), 6, 6))
+        onsite = np.zeros((6, 6))
+        # views indexed [p, axis, s, axis', s'], the layout of _cell_index
+        cells = self.f_table.reshape(-1, 3, 2, 3, 2)
+        site = onsite.reshape(3, 2, 3, 2)
         for sp in (0, 1):
-            for a in range(3):
-                omega_sq[_cell_index(sp, a)] = onsite[sp][a, a]
-                for b in range(3):
-                    if a != b:
-                        raw_onsite[_cell_index(sp, a), _cell_index(sp, b)] = onsite[sp][a, b]
+            if sp:
+                blocks *= SUBLATTICE_MIRROR  # as seen from an odd ion
+            s = (sp + m) % 2
+            p = (sp + m - s) // 2
+            cells[p - self.p_vals[0], :, s, :, sp] = blocks
+            # on-site curvature of the column ion accumulates -sum(pairs)
+            site[:, sp, :, sp] = np.diag([0.0, 1.0, config.alpha]) - blocks.sum(axis=0)
+
+        omega_sq = np.diag(onsite).copy()
         if np.any(omega_sq <= 0.0):
             raise BareInstabilityError(
                 f"cell on-site curvature not positive definite: {omega_sq}"
             )
         self.omega_bare = np.sqrt(omega_sq)
-        self.raw_onsite_offdiag = raw_onsite
+        np.fill_diagonal(onsite, 0.0)
+        self.raw_onsite_offdiag = onsite
 
     def raw_coupling(self, k: float | np.ndarray) -> np.ndarray:
         """sum_p F[p] e^{-i a k p} plus on-site cross terms; shape (..., 6, 6)."""
@@ -301,10 +283,7 @@ class CellCouplings:
 
     def allowed_momenta(self) -> np.ndarray:
         """Sorted discrete momenta of the finite ring, in [-pi/2d, pi/2d)."""
-        n = self.config.n_ions
-        k = (2.0 * np.pi * np.arange(self.n_cells) / n + np.pi / 2.0) % np.pi \
-            - np.pi / 2.0
-        return np.sort(k)
+        return ring_momenta(self.config.n_ions)
 
     def block(self, k: float) -> BlochBlock:
         if self.config.boundary is Boundary.RING:
@@ -343,6 +322,12 @@ def build_bloch_block_zigzag(k: float, config: ChainConfig,
     if eq is None:
         eq = solve_delta0(config)
     return CellCouplings(config, eq).block(k)
+
+
+def ring_momenta(n_ions: int) -> np.ndarray:
+    """Sorted discrete momenta of an n_ions ring, in [-pi/2d, pi/2d)."""
+    k = 2.0 * np.pi * np.arange(n_ions // 2) / n_ions
+    return np.sort((k + np.pi / 2.0) % np.pi - np.pi / 2.0)
 
 
 def reduced_zone_grid(n_k: int, include_edge: bool = True) -> np.ndarray:

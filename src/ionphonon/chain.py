@@ -6,17 +6,23 @@ frequencies in ``omega_I``, Hessian elements in ``m_I omega_I**2``, and the
 classical potential per ion in ``E_d = lambda**2 omega_I / 2``.
 
 Two boundary conventions are supported.  ``Boundary.RING`` is a physical
-N-ion ring where every pair interacts once through the shorter of the two
-paths around the ring.  ``Boundary.BULK`` is the infinite chain sampled with
-N sites: couplings are image sums over the infinite lattice (exact Hurwitz
-zeta folding in the linear phase, certified truncation in the zigzag phase),
-so Bloch frequencies at the discrete quasi-momenta coincide with the
+N-ion ring; ``Boundary.BULK`` is the infinite chain sampled with N sites, so
+Bloch frequencies at the discrete quasi-momenta coincide with the
 thermodynamic-limit dispersion.
+
+Pair rule.  :func:`pair_offsets` alone decides which ion pairs interact, and
+every lattice sum (equilibrium condition, Hessian, Bloch couplings) reads it,
+so the Goldstone modes are exact zeros.  RING: the minimal image, with the
+antipodal partner (equally far both ways round) split evenly over the two
+directions, weight 1/2 at m = +N/2 and at m = -N/2.  BULK: every offset
+0 < |m| <= ``BULK_OFFSET_CUTOFF``, weight 1 (a certified truncation; the
+linear-phase Hessian folds the images exactly with Hurwitz zeta instead).
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,10 +38,11 @@ from .errors import (
 
 ZETA3 = float(zeta(3.0))
 
-# Maximum |axial offset| kept in bulk-mode lattice sums.  The equilibrium
-# condition and the Hessian must share this truncation: the staggered
-# rotational pattern is an exact zero mode only if both use the same pair set.
+# Maximum |axial offset| of a bulk interaction partner (see pair_offsets).
 BULK_OFFSET_CUTOFF = 100_000
+
+# Signs of conjugation by diag(1, -1, 1): odd-ion pair blocks mirror even ones.
+SUBLATTICE_MIRROR = np.outer([1.0, -1.0, 1.0], [1.0, -1.0, 1.0])
 
 
 class Boundary(enum.Enum):
@@ -134,12 +141,13 @@ def equilibrium_positions(config: ChainConfig, delta0: float) -> np.ndarray:
 # pair geometry
 
 
-def pair_dyadic(dx: np.ndarray, dy: np.ndarray, kappa: float) -> np.ndarray:
+def pair_dyadic(dx: np.ndarray, dy: np.ndarray,
+                kappa: float | np.ndarray) -> np.ndarray:
     """Off-diagonal 3x3 Coulomb Hessian blocks for separations (dx, dy, 0).
 
-    Returns ``d^2 phi / dR_l dR_l'`` for the pair potential
-    ``phi = kappa / (2 r)``, shape (n, 3, 3), units m_I omega_I^2.  The
-    same-site contribution of each pair is the negative of this block.
+    Returns ``d^2 phi / dR_l dR_l'`` for the pair potential ``phi = kappa /
+    (2 r)`` (kappa may be per pair), shape (n, 3, 3), units m_I omega_I^2.
+    The same-site contribution of each pair is the negative of this block.
     """
     dx = np.asarray(dx, dtype=float)
     dy = np.broadcast_to(np.asarray(dy, dtype=float), dx.shape)
@@ -157,33 +165,25 @@ def pair_dyadic(dx: np.ndarray, dy: np.ndarray, kappa: float) -> np.ndarray:
     return blocks
 
 
-def _flip_y(blocks: np.ndarray) -> np.ndarray:
-    """Conjugate blocks by diag(1, -1, 1): sublattice mirror y -> -y."""
-    out = blocks.copy()
-    out[..., 0, 1] *= -1.0
-    out[..., 1, 0] *= -1.0
-    out[..., 1, 2] *= -1.0
-    out[..., 2, 1] *= -1.0
-    return out
+def pair_offsets(config: ChainConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Signed axial offsets m of one ion's interaction partners, and weights w.
 
-
-def _signed_min_image(offsets: np.ndarray, n: int) -> np.ndarray:
-    """Map integer offsets to the signed minimal-image representative."""
-    return (offsets + n // 2) % n - n // 2
-
-
-def _bulk_images(n: int, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
-    """All nonzero lattice offsets |m| <= cutoff that are not multiples of N.
-
-    Returns (m, base) with base = m mod N in 1..N-1.  Self-image offsets
-    (multiples of N) cancel identically out of the folded matrix and are
-    dropped.
+    Implements the pair rule of the module docstring; m is ascending.  The
+    partner of ion l is ion l + m (mod N on a ring), displaced transversely
+    by :func:`pair_dy`.
     """
-    m = np.arange(-cutoff, cutoff + 1)
-    m = m[m != 0]
-    base = np.mod(m, n)
-    keep = base != 0
-    return m[keep], base[keep]
+    ring = config.boundary is Boundary.RING
+    half = config.n_ions // 2 if ring else BULK_OFFSET_CUTOFF
+    m = np.concatenate([np.arange(-half, 0), np.arange(1, half + 1)])
+    w = np.ones(len(m))
+    if ring:
+        w[[0, -1]] = 0.5
+    return m, w
+
+
+def pair_dy(m: np.ndarray, delta0: float) -> np.ndarray:
+    """Transverse offset from an even ion to its partner at offset m."""
+    return np.where(m % 2 != 0, -2.0 * delta0, 0.0)
 
 
 def _hurwitz_folded_coeff(n: int) -> np.ndarray:
@@ -193,82 +193,70 @@ def _hurwitz_folded_coeff(n: int) -> np.ndarray:
     return (zeta(3.0, q) + zeta(3.0, 1.0 - q)) / n**3
 
 
-def _offset_blocks(config: ChainConfig, delta0: float) -> np.ndarray:
+def _site_blocks(config: ChainConfig, delta0: float) -> np.ndarray:
     """Coupling blocks B[o, c] between ions (l + o) and l, c = parity of l.
 
-    o runs over 1..N-1.  RING: minimal-image pair, once.  BULK: image-folded
-    over the infinite chain.  Shape (N-1, 2, 3, 3).
+    o runs over 0..N-1: the partners of :func:`pair_offsets` folded by
+    m mod N, self-images (m = 0 mod N) dropped, and at o = 0 the on-site
+    block, assembled as trap - sum(pair blocks) so that rigid translations
+    cost exactly zero.  Shape (N, 2, 3, 3).
     """
     n, kappa = config.n_ions, config.kappa
-    out = np.zeros((n - 1, 2, 3, 3))
-    if config.boundary is Boundary.RING:
-        o = np.arange(1, n)
-        dx = _signed_min_image(o, n).astype(float)
-        dy0 = np.where(o % 2 == 1, -2.0 * delta0, 0.0)
-        out[:, 0] = pair_dyadic(dx, dy0, kappa)
-        # the antipodal separation direction is ambiguous on a ring; average
-        # both branches, which cancels the odd-in-dx (xy) element
-        out[n // 2 - 1, 0, 0, 1] = 0.0
-        out[n // 2 - 1, 0, 1, 0] = 0.0
-    elif delta0 == 0.0:
+    out = np.zeros((n, 2, 3, 3))
+    if config.boundary is Boundary.BULK and delta0 == 0.0:
         # linear bulk: pure power law, exact Hurwitz-zeta folding
         coeff = _hurwitz_folded_coeff(n)
-        out[:, 0, 0, 0] = -kappa * coeff
-        out[:, 0, 1, 1] = 0.5 * kappa * coeff
-        out[:, 0, 2, 2] = 0.5 * kappa * coeff
+        out[1:, 0, 0, 0] = -kappa * coeff
+        out[1:, 0, 1, 1] = 0.5 * kappa * coeff
+        out[1:, 0, 2, 2] = 0.5 * kappa * coeff
     else:
-        m, base = _bulk_images(n, BULK_OFFSET_CUTOFF)
-        dy0 = np.where(m % 2 != 0, -2.0 * delta0, 0.0)
-        blocks = pair_dyadic(m.astype(float), dy0, kappa)
-        np.add.at(out[:, 0], base - 1, blocks)
-    out[:, 1] = _flip_y(out[:, 0])
+        m, w = pair_offsets(config)
+        base = np.mod(m, n)
+        keep = base != 0
+        blocks = pair_dyadic(m[keep], pair_dy(m[keep], delta0), kappa * w[keep])
+        np.add.at(out[:, 0], base[keep], blocks)
+    out[0, 0] = np.diag([0.0, 1.0, config.alpha]) - out[1:, 0].sum(axis=0)
+    out[:, 1] = out[:, 0] * SUBLATTICE_MIRROR
     return out
-
-
-def _onsite_diagonal(config: ChainConfig, delta0: float) -> np.ndarray:
-    """On-site 3x3 curvature block (parity independent), units m_I omega_I^2.
-
-    Assembled as trap - sum(pair blocks) so that rigid translations cost
-    exactly zero at any truncation.
-    """
-    blocks = _offset_blocks(config, delta0)
-    trap = np.diag([0.0, 1.0, config.alpha])
-    return trap - blocks[:, 0].sum(axis=0)
 
 
 # ---------------------------------------------------------------------------
 # classical potential and equilibrium
 
 
-def _odd_neighbor_sum(delta: float, config: ChainConfig, power: float) -> float:
-    """sum over odd axial offsets o of (o^2 + 4 delta^2)^(-power/2), one term
-    per ordered neighbor of a fixed ion."""
-    if config.boundary is Boundary.RING:
-        o = np.arange(1, config.n_ions)
-        o = o[o % 2 == 1]
-        m = np.minimum(o, config.n_ions - o).astype(float)
-        return float(np.sum((m * m + 4.0 * delta * delta) ** (-0.5 * power)))
-    o = np.arange(1, BULK_OFFSET_CUTOFF + 1, 2, dtype=float)
-    return 2.0 * float(np.sum((o * o + 4.0 * delta * delta) ** (-0.5 * power)))
+@functools.lru_cache(maxsize=1)
+def _odd_partners(config: ChainConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only m^2 and w of the odd-offset partners (cached for root search)."""
+    m, w = pair_offsets(config)
+    odd = m % 2 != 0
+    m2, w = (m[odd] ** 2).astype(float), w[odd]
+    m2.flags.writeable = w.flags.writeable = False
+    return m2, w
+
+
+def _odd_neighbor_sum(delta: float, config: ChainConfig) -> float:
+    """sum over the odd partner offsets m of w (m^2 + 4 delta^2)^(-3/2)."""
+    m2, w = _odd_partners(config)
+    return float(np.sum(w * (m2 + 4.0 * delta * delta) ** -1.5))
 
 
 def zigzag_root_gap(delta: float, config: ChainConfig) -> float:
     """G(delta) with dV/d(delta) = 2 delta G(delta); the zigzag root solves G=0.
 
-    Differentiating the classical potential gives
-    ``G = 1 - 2 kappa sum_j (4 delta^2 + (2j-1)^2)^(-3/2)`` (the factor 2 is
-    fixed by consistency with kappa_c = 4 / (7 zeta(3)) and with transverse
-    mode softening at the zone edge).
+    Differentiating the classical potential over the pair set gives
+    ``G = 1 - kappa sum_m w (m^2 + 4 delta^2)^(-3/2)`` over the odd offsets m,
+    the pairs the zigzag stretches; in bulk G(0) = 0 at kappa_c =
+    4 / (7 zeta(3)), where the transverse zone-edge mode softens.
     """
-    return 1.0 - config.kappa * _odd_neighbor_sum(delta, config, 3.0)
+    return 1.0 - config.kappa * _odd_neighbor_sum(delta, config)
 
 
 def classical_potential(delta_tilde: float, config: ChainConfig) -> float:
     """Classical potential per ion, in units of E_d.
 
-    RING: the full trap + Coulomb energy per ion of the N-ion ring
-    (each unordered pair counted once, minimal-image distances; the
-    antipodal pair therefore enters with weight 1/2 per ion).
+    RING: the full trap + Coulomb energy per ion of the N-ion ring, summed
+    over the pair set of :func:`pair_offsets` (each pair is shared by its
+    two ions).
 
     BULK: the Coulomb energy per ion diverges in the thermodynamic limit, so
     the finite, delta-dependent difference ``V(delta) - V(0)`` per ion is
@@ -278,11 +266,9 @@ def classical_potential(delta_tilde: float, config: ChainConfig) -> float:
         raise ValueError("delta_tilde must be non-negative")
     d2 = delta_tilde * delta_tilde
     if config.boundary is Boundary.RING:
-        n = config.n_ions
-        o = np.arange(1, n)
-        m = np.minimum(o, n - o).astype(float)
-        r = np.where(o % 2 == 1, np.sqrt(m * m + 4.0 * d2), m)
-        return d2 + 0.5 * config.kappa * float(np.sum(1.0 / r))
+        m, w = pair_offsets(config)
+        r = np.sqrt(m * m + pair_dy(m, delta_tilde) ** 2)
+        return d2 + 0.5 * config.kappa * float(np.sum(w / r))
     if delta_tilde == 0.0:
         return 0.0
     tol = 1e-12
@@ -327,7 +313,7 @@ def solve_delta0(config: ChainConfig, tol: float = 1e-12) -> Equilibrium:
 
 def critical_kappa_classical(config: ChainConfig) -> float:
     """kappa at which the zigzag root first appears, for this boundary."""
-    return 1.0 / _odd_neighbor_sum(0.0, config, 3.0)
+    return 1.0 / _odd_neighbor_sum(0.0, config)
 
 
 # ---------------------------------------------------------------------------
@@ -350,7 +336,7 @@ def bare_frequencies(config: ChainConfig, eq: Equilibrium) -> np.ndarray:
             ]
         )
     else:
-        arg = np.diag(_onsite_diagonal(config, eq.delta0)).copy()
+        arg = np.diag(_site_blocks(config, eq.delta0)[0, 0]).copy()
     if np.any(arg <= 0.0):
         bad = "xyz"[int(np.argmin(arg))]
         raise BareInstabilityError(
@@ -369,25 +355,11 @@ def build_hessian(config: ChainConfig, eq: Equilibrium) -> Hessian:
     translations are exact zero modes at machine precision.
     """
     n = config.n_ions
-    blocks = _offset_blocks(config, eq.delta0)
-    trap = np.diag([0.0, 1.0, config.alpha])
-    mat = np.zeros((3 * n, 3 * n))
-    cols = np.arange(n)
-    parity = cols % 2
-    for o in range(1, n):
-        rows = (cols + o) % n
-        for c in (0, 1):
-            sel = parity == c
-            b = blocks[o - 1, c]
-            for a in range(3):
-                for bax in range(3):
-                    mat[3 * rows[sel] + a, 3 * cols[sel] + bax] += b[a, bax]
-    onsite = {c: trap - blocks[:, c].sum(axis=0) for c in (0, 1)}
-    for c in (0, 1):
-        sel = np.where(parity == c)[0]
-        for a in range(3):
-            for bax in range(3):
-                mat[3 * sel + a, 3 * sel + bax] += onsite[c][a, bax]
+    blocks = _site_blocks(config, eq.delta0)
+    ion = np.arange(n)
+    # block (row l, column l') couples ion l = l' + o to ion l' of parity c
+    mat = blocks[(ion[:, None] - ion[None, :]) % n, ion % 2]
+    mat = mat.transpose(0, 2, 1, 3).reshape(3 * n, 3 * n)
     mat = 0.5 * (mat + mat.T)
     return Hessian(mat, n)
 
@@ -396,28 +368,17 @@ def equilibrium_residual(config: ChainConfig, eq: Equilibrium) -> float:
     """Max-norm of the classical gradient at ``eq`` (units m_I omega_I^2 d).
 
     Used as a gate before Hessian construction: the harmonic expansion is
-    only valid where the first-order term vanishes.
+    only valid where the first-order term vanishes.  The two sublattices are
+    mirror images (y -> -y), so the even-parity ion stands for all.
     """
-    n, kappa = config.n_ions, config.kappa
-    delta0 = eq.delta0
-    grad = np.zeros((n, 2))  # x and y components; z vanishes identically
-    if config.boundary is Boundary.RING:
-        offsets = _signed_min_image(np.arange(1, n), n)
-        bases = np.arange(1, n)
-    else:
-        offsets, bases = _bulk_images(n, BULK_OFFSET_CUTOFF)
-    for c in (0, 1):
-        # (dx, dy) points from the reference ion (parity c) to each neighbor;
-        # the Coulomb gradient at the reference ion is +(kappa/2) (dx,dy)/r^3
-        dy = np.where(bases % 2 != 0, -2.0 * delta0 * (-1.0) ** c, 0.0)
-        dx = offsets.astype(float)
-        if config.boundary is Boundary.RING:
-            dx = np.where(np.abs(offsets) == n // 2, 0.0, dx)  # antipodal split
-        r2 = offsets.astype(float) ** 2 + dy * dy
-        r3 = r2**1.5
-        grad[c::2, 0] = 0.5 * kappa * np.sum(dx / r3)
-        grad[c::2, 1] = 0.5 * kappa * np.sum(dy / r3) + delta0 * (-1.0) ** c
-    return float(np.max(np.abs(grad)))
+    m, w = pair_offsets(config)
+    dy = pair_dy(m, eq.delta0)
+    # (m, dy) points from the reference ion to each partner; the Coulomb
+    # gradient at the reference ion is +(kappa/2) (m, dy) / r^3
+    scale = 0.5 * config.kappa * w / (m * m + dy * dy) ** 1.5
+    grad_x = np.sum(scale * m)
+    grad_y = np.sum(scale * dy) + eq.delta0
+    return float(max(abs(grad_x), abs(grad_y)))
 
 
 def omega_from_hessian(hess: Hessian) -> np.ndarray:

@@ -17,7 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import __version__
-from .bloch import mixing_angle, collectivity, dispersion_zigzag, reduced_zone_grid
+from .bloch import (
+    collectivity,
+    dispersion_zigzag,
+    mixing_angle,
+    reduced_zone_grid,
+    ring_momenta,
+)
 from .chain import (
     Boundary,
     ChainConfig,
@@ -263,9 +269,7 @@ def _run_equilibrium(rc: RunConfig):
 def _run_dispersion(rc: RunConfig):
     eq = solve_delta0(rc.chain)
     if rc.chain.boundary is Boundary.RING:
-        # finite rings only support their discrete momenta
-        from .bloch import CellCouplings
-        grid = CellCouplings(rc.chain, eq).allowed_momenta()
+        grid = ring_momenta(rc.chain.n_ions)  # finite rings have only these
     else:
         grid = reduced_zone_grid(rc.k_points)
     table = dispersion_zigzag(grid, rc.chain, eq)
@@ -287,7 +291,7 @@ def _run_dispersion(rc: RunConfig):
 def _run_modes(rc: RunConfig):
     eq = solve_delta0(rc.chain)
     nf = zero_mode_normal_form(rc.chain, eq)
-    sectors = build_sectors(rc.chain, eq, nf0=nf)
+    sectors = build_sectors(rc.chain, eq, nf.zero_pairs, nf.form.omega_bare)
     w, w_inv = assemble_W(nf)
     w_residual = float(np.max(np.abs(w @ w_inv - np.eye(2 * nf.dimension))))
     header = ["kind", "label", "omega[omega_I]", "m_tilde[1/omega_I]",
@@ -309,6 +313,11 @@ def _run_modes(rc: RunConfig):
         for s in sectors
     }
     return meta, header, rows
+
+
+def _field_k_points(rc: RunConfig) -> int | None:
+    """Bulk phonon-field grid size; None keeps a ring's own momenta."""
+    return None if rc.chain.boundary is Boundary.RING else max(rc.k_points, 64)
 
 
 def _run_correlations(rc: RunConfig):
@@ -334,16 +343,14 @@ def _run_correlations(rc: RunConfig):
                 include_longitudinal_zero_mode=rc.include_longitudinal_zero_mode,
             )
             value = spatial_correlator(req, rc.chain, eq, field=field,
-                                       n_k=max(rc.k_points, 64))
+                                       n_k=_field_k_points(rc))
             rows.append((dj, s, s, nu, nup, temperature, value))
     return _meta(rc), header, rows
 
 
 def _run_heat_capacity(rc: RunConfig):
     eq = solve_delta0(rc.chain)
-    field = PhononField(rc.chain, eq,
-                        n_k=None if rc.chain.boundary is Boundary.RING
-                        else max(rc.k_points, 64))
+    field = PhononField(rc.chain, eq, n_k=_field_k_points(rc))
     if rc.temperature is not None:
         temps = [rc.temperature]
     else:
@@ -355,9 +362,7 @@ def _run_heat_capacity(rc: RunConfig):
 
 def _run_susceptibility(rc: RunConfig):
     eq = solve_delta0(rc.chain)
-    field = PhononField(rc.chain, eq,
-                        n_k=None if rc.chain.boundary is Boundary.RING
-                        else max(rc.k_points, 64))
+    field = PhononField(rc.chain, eq, n_k=_field_k_points(rc))
     grid = np.linspace(rc.omega_min, rc.omega_max, rc.omega_steps)
     component = rc.component or "y"
     results = susceptibility(grid, (component, rc.sublattice), rc.chain, eq,
@@ -370,9 +375,7 @@ def _run_susceptibility(rc: RunConfig):
 
 def _run_energy_reduction(rc: RunConfig):
     eq = solve_delta0(rc.chain)
-    field = PhononField(rc.chain, eq,
-                        n_k=None if rc.chain.boundary is Boundary.RING
-                        else max(rc.k_points, 64))
+    field = PhononField(rc.chain, eq, n_k=_field_k_points(rc))
     header = ["kappa[1]", "delta0[d]", "dE0_per_ion[omega_I]"]
     rows = [(rc.chain.kappa, eq.delta0,
              correlation_energy(rc.chain, eq, field=field))]

@@ -78,25 +78,24 @@ def effective_masses(config: ChainConfig, eq: Equilibrium | None = None,
 
 
 def build_sectors(config: ChainConfig, eq: Equilibrium | None = None,
-                  nf0: NormalForm | None = None,
+                  zero_pairs: list[ZeroModePair] | None = None,
                   omega_bare: np.ndarray | None = None) -> list[FreeParticleSector]:
     """Free-particle sectors present for this configuration.
 
     The longitudinal sector (chain sliding around the ring) exists only with
     periodic-ring boundaries; the radial sector (zigzag plane rotation)
-    exists for delta0 > 0 at alpha = 1 in either convention.
+    exists for delta0 > 0 at alpha = 1 in either convention.  ``zero_pairs``
+    and ``omega_bare`` of the k = 0 cell block go together; if omitted, they
+    are computed here.
     """
     if eq is None:
         eq = solve_delta0(config)
-    if nf0 is None:
+    if zero_pairs is None:
         nf0 = zero_mode_normal_form(config, eq)
-    if omega_bare is None:
-        form = getattr(nf0, "form", None)
-        omega_bare = (form.omega_bare if form is not None
-                      else CellCouplings(config, eq).omega_bare)
+        zero_pairs, omega_bare = nf0.zero_pairs, nf0.form.omega_bare
     omega_x = omega_bare[_cell_index(0, 0)]
     omega_z = omega_bare[_cell_index(0, 2)]
-    masses = {zp.label: zp for zp in nf0.zero_pairs}
+    masses = {zp.label: zp for zp in zero_pairs}
     sectors: list[FreeParticleSector] = []
     if config.boundary is Boundary.RING and "longitudinal" in masses:
         zp = masses["longitudinal"]

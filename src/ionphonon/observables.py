@@ -22,7 +22,14 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bloch import CELL_AXIS_MAP, CellCouplings, _cell_index
+from .bloch import (
+    AXES,
+    CELL_AXIS_MAP,
+    CellCouplings,
+    _cell_index,
+    reduced_zone_grid,
+    ring_momenta,
+)
 from .chain import Boundary, ChainConfig, Equilibrium, solve_delta0
 from .errors import (
     DivergenceError,
@@ -32,14 +39,13 @@ from .errors import (
 )
 from .freeparticle import (
     FreeParticleSector,
+    adaptive_m_cut,
     build_sectors,
     q_variance,
     thermal_energy_and_heat,
     thermal_p_squared,
 )
-from .symplectic import symplectic_diagonalize
-
-AXES = {"x": 0, "y": 1, "z": 2}
+from .symplectic import NormalForm, symplectic_diagonalize
 
 
 def _bose(omega: np.ndarray, temperature: float) -> np.ndarray:
@@ -59,22 +65,14 @@ class PhononField:
             eq = solve_delta0(config)
         self.config = config
         self.eq = eq
+        self.tol_zero = tol_zero
         self.couplings = CellCouplings(config, eq)
-        n_cells = config.n_ions // 2
         if config.boundary is Boundary.RING:
-            k = (2.0 * np.pi * np.arange(n_cells) / config.n_ions + np.pi / 2.0) \
-                % np.pi - np.pi / 2.0
-            self.weights = np.full(n_cells, 1.0 / n_cells)
+            self.k = ring_momenta(config.n_ions)
         else:
-            if n_k is None:
-                n_k = 512
-            step = np.pi / n_k
-            k = -np.pi / 2.0 + (np.arange(n_k) + 0.5) * step
-            self.weights = np.full(n_k, 1.0 / n_k)
-        order = np.argsort(k)
-        self.k = k[order]
-        self.weights = self.weights[order]
+            self.k = reduced_zone_grid(512 if n_k is None else n_k, include_edge=False)
         n_pts = len(self.k)
+        self.weights = np.full(n_pts, 1.0 / n_pts)
 
         self.omega = np.zeros((n_pts, 6))
         self.mask = np.zeros((n_pts, 6), dtype=bool)
@@ -94,10 +92,7 @@ class PhononField:
         for i, kv in enumerate(self.k):
             if i in mirror:
                 continue
-            nf = symplectic_diagonalize(
-                self.couplings.block(float(kv)).form, tol_zero=tol_zero,
-                axis_map=CELL_AXIS_MAP, p_norm=config.n_ions,
-            )
+            nf = self._normal_form(float(kv))
             for g, mode in enumerate(nf.modes):
                 self.omega[i, g] = mode.omega
                 self.u[i, g] = mode.u
@@ -113,15 +108,22 @@ class PhononField:
 
         self._sectors: list[FreeParticleSector] | None = None
 
+    def _normal_form(self, k: float) -> NormalForm:
+        return symplectic_diagonalize(
+            self.couplings.block(k).form, tol_zero=self.tol_zero,
+            axis_map=CELL_AXIS_MAP, p_norm=self.config.n_ions,
+        )
+
     @property
     def n_cells(self) -> int:
         return self.config.n_ions // 2
 
     def sectors(self) -> list[FreeParticleSector]:
         if self._sectors is None:
-            nf0 = _NFShim(self.zero_pairs) if self.zero_pairs else None
-            self._sectors = build_sectors(self.config, self.eq, nf0=nf0,
-                                          omega_bare=self.couplings.omega_bare)
+            # bulk grids have no k = 0 point, where the zero pairs live
+            zero_pairs = self.zero_pairs or self._normal_form(0.0).zero_pairs
+            self._sectors = build_sectors(self.config, self.eq, zero_pairs,
+                                          self.couplings.omega_bare)
         return self._sectors
 
     def mode_count(self) -> int:
@@ -129,13 +131,6 @@ class PhononField:
 
     def min_gap(self) -> float:
         return float(self.omega[self.mask].min()) if self.mask.any() else 0.0
-
-
-class _NFShim:
-    """Minimal zero-pair carrier for build_sectors."""
-
-    def __init__(self, zero_pairs):
-        self.zero_pairs = zero_pairs
 
 
 @dataclass
@@ -207,19 +202,13 @@ def pair_correlators_k(field: PhononField, k: float, kp: float, s: int, sp: int,
             v0_i, v0_j = zp.v0[i], zp.v0[j]
             q2 = q_variance(sector)
             p2 = thermal_p_squared(sector, temperature,
-                                   m_cut=max(400, _p2_cut(sector, temperature)))
+                                   m_cut=adaptive_m_cut(sector, temperature))
             ada += np.conj(u0_i) * u0_j * q2 + np.conj(v0_i) * v0_j * p2
             aad += u0_i * np.conj(u0_j) * q2 + v0_i * np.conj(v0_j) * p2
             adad += -np.conj(u0_i) * np.conj(u0_j) * q2 \
                 + np.conj(v0_i) * np.conj(v0_j) * p2
             aa += -u0_i * u0_j * q2 + v0_i * v0_j * p2
     return complex(ada), complex(aad), complex(adad), complex(aa)
-
-
-def _p2_cut(sector: FreeParticleSector, temperature: float) -> int:
-    if temperature <= 0.0:
-        return 400
-    return int(np.ceil(np.sqrt(36.0 * temperature / sector.level_unit))) + 1
 
 
 def _enabled_sectors(field: PhononField, radial: bool, longitudinal: bool):

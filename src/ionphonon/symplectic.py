@@ -18,7 +18,6 @@ Hermitian eigenbasis is orthonormal.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -92,15 +91,6 @@ def build_quadratic_form(hessian: Hessian | np.ndarray, omega_bare: np.ndarray,
     return QuadraticForm(h, g, omega_bare, e0)
 
 
-class Stability(enum.Enum):
-    STABLE = "stable"
-    # A positive-norm eigenvector with negative real eigenvalue cannot occur
-    # while h - g = diag(Omega) > 0 holds, but the classification is kept for
-    # forms flagged by callers.
-    THERMO_UNSTABLE = "thermo-unstable"
-    DYN_UNSTABLE = "dyn-unstable"
-
-
 @dataclass
 class BogoliubovMode:
     """One phonon mode: frequency and Sigma-normalized (u, v) amplitudes."""
@@ -152,11 +142,11 @@ class NormalForm:
     modes: list[BogoliubovMode]
     zero_pairs: list[ZeroModePair]
     dimension: int
-    stability: Stability
     form: QuadraticForm = field(repr=False)
 
     @property
     def zero_point_shift(self) -> float:
+        """Zero-point energy shift (1/2) sum_m omega_m, in omega_I."""
         return 0.5 * sum(m.omega for m in self.modes)
 
     def frequencies(self) -> np.ndarray:
@@ -303,7 +293,7 @@ def symplectic_diagonalize(form: QuadraticForm, tol: float = 1e-10,
             zero_pairs.append(ZeroModePair(p, q, mu, _zero_label(w, axis_map)))
 
     modes.sort(key=lambda m: m.omega)
-    return NormalForm(modes, zero_pairs, dim, Stability.STABLE, form)
+    return NormalForm(modes, zero_pairs, dim, form)
 
 
 def sigma_apply(vec: np.ndarray) -> np.ndarray:
@@ -373,8 +363,3 @@ def assemble_W(nf: NormalForm, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarr
     if residual > tol:
         raise InternalConsistencyError(f"||W W^-1 - 1|| = {residual:.3e} > {tol:.1e}")
     return w, w_inv
-
-
-def zero_point_shift(nf: NormalForm) -> float:
-    """Zero-point energy shift (1/2) sum_m omega_m, in omega_I."""
-    return nf.zero_point_shift

@@ -7,6 +7,7 @@ from scipy.special import zeta
 from ionphonon.bloch import (
     CELL_AXIS_MAP,
     CellCouplings,
+    _cell_index,
     build_bloch_block_zigzag,
     collectivity,
     coupling_f,
@@ -25,6 +26,7 @@ from ionphonon.bloch import (
 from ionphonon.chain import (
     Boundary,
     ChainConfig,
+    bare_frequencies,
     build_hessian,
     omega_from_hessian,
     solve_delta0,
@@ -404,6 +406,19 @@ def test_bulk_lattice_sums_certify_their_tail():
     eq = solve_delta0(cfg)
     with pytest.raises(ConvergenceError):
         CellCouplings(cfg, eq)
+
+
+@pytest.mark.xfail(strict=True, reason=(
+    "known defect: the folded on-site sum behind bare_frequencies drops the "
+    "m = 0 (mod N) self-images that CellCouplings keeps, so bulk zigzag "
+    "Omega depends on N (1.6e-4 at N = 16, 2.5e-6 at N = 64); the fix must "
+    "re-record the benchmark's bulk reference outputs"))
+def test_bulk_bare_frequencies_match_cell_onsite():
+    for n in (16, 64):
+        cfg = ChainConfig(kappa=0.55, n_ions=n, boundary=Boundary.BULK)
+        eq = solve_delta0(cfg)
+        cell = CellCouplings(cfg, eq).omega_bare[[_cell_index(0, a) for a in range(3)]]
+        assert np.max(np.abs(bare_frequencies(cfg, eq) - cell)) < 1e-9
 
 
 def test_anisotropic_out_of_plane_dispersion():

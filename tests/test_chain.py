@@ -16,7 +16,9 @@ from ionphonon.chain import (
     equilibrium_positions,
     equilibrium_residual,
     omega_from_hessian,
+    pair_offsets,
     solve_delta0,
+    zigzag_root_gap,
 )
 from ionphonon.errors import BareInstabilityError, BracketingError
 
@@ -81,6 +83,19 @@ class TestClassicalPotential:
     def test_rejects_negative_displacement(self):
         with pytest.raises(ValueError):
             classical_potential(-0.1, bulk(0.5))
+
+    @pytest.mark.parametrize("cfg", [ring(0.6, 10), ring(0.6, 16), bulk(0.6)],
+                             ids=["ring10", "ring16", "bulk"])
+    def test_slope_matches_zigzag_root_gap(self, cfg):
+        # dV/d(delta) = 2 delta G(delta) holds only if the potential and the
+        # equilibrium condition sum over the same pairs; the central
+        # difference is good to ~2e-10 at this step
+        h = 1e-5
+        for delta in (0.1, 0.3):
+            slope = (classical_potential(delta + h, cfg)
+                     - classical_potential(delta - h, cfg)) / (2.0 * h)
+            assert slope == pytest.approx(2.0 * delta * zigzag_root_gap(delta, cfg),
+                                          abs=1e-9)
 
 
 class TestSolveDelta0:
@@ -231,7 +246,8 @@ class TestEquilibriumResidual:
         assert equilibrium_residual(cfg, eq) < 1e-14
 
     def test_solved_zigzag_below_tolerance(self):
-        for cfg in (ring(0.6, 16), bulk(0.6)):
+        # N = 10 has odd N/2: the antipodal partner is displaced, dy != 0
+        for cfg in (ring(0.6, 16), ring(0.6, 10), bulk(0.6)):
             eq = solve_delta0(cfg, tol=1e-12)
             assert equilibrium_residual(cfg, eq) < 1e-8
 
@@ -261,6 +277,19 @@ def test_bulk_truncation_is_shared_with_equilibrium():
     pattern[2::3] = (-1.0) ** np.arange(cfg.n_ions)
     assert np.max(np.abs(hess.matrix @ pattern)) < 1e-12
     assert BULK_OFFSET_CUTOFF >= 100_000
+
+
+def test_pair_offsets_count_every_partner_once():
+    # folded mod N, every other ring ion is one partner (the antipode split
+    # over m = +-N/2); bulk keeps each offset up to the cutoff once
+    for n in (10, 16):
+        m, w = pair_offsets(ring(0.6, n))
+        per_ion = np.bincount(m % n, weights=w, minlength=n)
+        assert np.array_equal(per_ion, [0.0] + [1.0] * (n - 1))
+    m, w = pair_offsets(bulk(0.6))
+    expected = np.repeat(np.arange(1, BULK_OFFSET_CUTOFF + 1), 2)
+    assert np.array_equal(np.sort(np.abs(m)), expected)
+    assert np.all(w == 1.0)
 
 
 def test_bulk_potential_tail_cap_is_certified():

@@ -17,7 +17,6 @@ from ionphonon.errors import BareInstabilityError, DynamicalInstabilityError
 from ionphonon.symplectic import (
     NormalForm,
     QuadraticForm,
-    Stability,
     assemble_W,
     build_quadratic_form,
     completeness_residual,
@@ -25,7 +24,6 @@ from ionphonon.symplectic import (
     sigma_apply,
     sigma_matrix,
     symplectic_diagonalize,
-    zero_point_shift,
 )
 
 
@@ -60,7 +58,6 @@ class TestSmallBlocks:
         assert mode.omega == pytest.approx(1.3)
         assert mode.u[0] == pytest.approx(1.0)
         assert mode.v[0] == pytest.approx(0.0, abs=1e-14)
-        assert nf.stability is Stability.STABLE
 
     @pytest.mark.parametrize("f", [0.3, -0.3])
     def test_paired_block_closed_form(self, f):
@@ -228,16 +225,16 @@ class TestAssembleW:
 class TestZeroPointShift:
     def test_single_oscillator(self):
         form = QuadraticForm(np.array([[0.7]]), np.zeros((1, 1)), np.array([0.7]))
-        assert zero_point_shift(symplectic_diagonalize(form)) == pytest.approx(0.35)
+        assert symplectic_diagonalize(form).zero_point_shift == pytest.approx(0.35)
 
     def test_equals_half_spectral_sum(self):
         nf, _ = chain_normal_form(0.3, 16)
-        assert zero_point_shift(nf) == pytest.approx(0.5 * nf.frequencies().sum())
+        assert nf.zero_point_shift == pytest.approx(0.5 * nf.frequencies().sum())
 
     def test_empty_spectrum(self):
         form = QuadraticForm(np.array([[1.0]]), np.zeros((1, 1)), np.array([1.0]))
-        empty = NormalForm([], [], 0, Stability.STABLE, form)
-        assert zero_point_shift(empty) == 0.0
+        empty = NormalForm([], [], 0, form)
+        assert empty.zero_point_shift == 0.0
 
 
 class TestBuildQuadraticForm:
@@ -281,8 +278,7 @@ def test_assemble_w_rejects_inconsistent_mode_count():
     from ionphonon.errors import InternalConsistencyError
 
     nf, _ = chain_normal_form(0.6, 8)
-    broken = NormalForm(nf.modes[:-1], nf.zero_pairs, nf.dimension,
-                        nf.stability, nf.form)
+    broken = NormalForm(nf.modes[:-1], nf.zero_pairs, nf.dimension, nf.form)
     with pytest.raises(InternalConsistencyError):
         assemble_W(broken)
 
