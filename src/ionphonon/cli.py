@@ -10,6 +10,7 @@ double as numeric regressions.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from dataclasses import dataclass
@@ -412,11 +413,10 @@ def _fmt_value(value) -> str:
     return str(value)
 
 
-def _render_csv(header: list[str], rows: list[tuple]) -> str:
-    lines = [",".join(header)]
+def _write_csv(fh, header: list[str], rows: list[tuple]) -> None:
+    fh.write(",".join(header) + "\n")
     for row in rows:
-        lines.append(",".join(_fmt_value(v) for v in row))
-    return "\n".join(lines) + "\n"
+        fh.write(",".join(_fmt_value(v) for v in row) + "\n")
 
 
 def _json_safe(value):
@@ -433,7 +433,7 @@ def _json_safe(value):
     return value
 
 
-def _render_json(meta: dict, header: list[str], rows: list[tuple]) -> str:
+def _write_json(fh, meta: dict, header: list[str], rows: list[tuple]) -> None:
     records = []
     for row in rows:
         rec = {}
@@ -444,7 +444,8 @@ def _render_json(meta: dict, header: list[str], rows: list[tuple]) -> str:
             rec[key] = val
         records.append(rec)
     doc = {"meta": _json_safe(meta), "rows": records}
-    return json.dumps(doc, sort_keys=True, indent=1, allow_nan=False) + "\n"
+    json.dump(doc, fh, sort_keys=True, indent=1, allow_nan=False)
+    fh.write("\n")
 
 
 def run(rc: RunConfig) -> int:
@@ -462,17 +463,18 @@ def run(rc: RunConfig) -> int:
                 sys.stderr.write(f"i/o error writing sidecar: {io_exc}\n")
                 return 4
         return 3
-    text = (_render_csv(header, rows) if rc.fmt == "csv"
-            else _render_json(meta, header, rows))
-    if rc.output:
-        try:
-            with open(rc.output, "w", encoding="utf-8", newline="") as fh:
-                fh.write(text)
-        except OSError as exc:
-            sys.stderr.write(f"i/o error: {exc}\n")
-            return 4
-    else:
-        sys.stdout.write(text)
+    # the table is streamed to its destination: no copy of the whole text
+    # (0.6 MB for a 1024-ion JSON dispersion) is built first
+    try:
+        with (open(rc.output, "w", encoding="utf-8", newline="") if rc.output
+              else contextlib.nullcontext(sys.stdout)) as fh:
+            if rc.fmt == "csv":
+                _write_csv(fh, header, rows)
+            else:
+                _write_json(fh, meta, header, rows)
+    except OSError as exc:
+        sys.stderr.write(f"i/o error: {exc}\n")
+        return 4
     return 0
 
 

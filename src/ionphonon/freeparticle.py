@@ -8,6 +8,12 @@ on a truncated winding-number space.
 
 Level energies are E_m = m^2 / (2 m_tilde c0^2) with m the winding number;
 the spatial variance <Q^2> = c0^2 pi^2 / 3 is m- and temperature-independent.
+
+Thermal moments are exact moments of the Gaussian lattice sum
+Z(a) = sum_m exp(-a m^2), a = E_1 / T, summed directly for a >= pi and
+through the Poisson identity Z(a) = sqrt(pi / a) sum_n exp(-pi^2 n^2 / a)
+below.  A dozen terms reach double precision on either side, so no
+winding-number truncation remains, although E_1 falls as N^-3 on a ring.
 """
 
 from __future__ import annotations
@@ -111,54 +117,87 @@ def build_sectors(config: ChainConfig, eq: Equilibrium | None = None,
 
 
 def thermal_p_squared(sector: FreeParticleSector, temperature: float,
-                      m_cut: int = 400) -> float:
-    """Thermal expectation <P^2> over the winding-number spectrum.
+                      m_cut: int | None = None) -> float:
+    """Thermal expectation <P^2> = <m^2> / c0^2 over the winding numbers.
 
-    Boltzmann average of (m / c0)^2 with weights exp(-E_m / T); requires the
-    truncation weight exp(-E_cut / T) < 1e-15, otherwise the tail is not
-    certified and an error is raised.
+    Boltzmann average of (m / c0)^2 with weights exp(-E_m / T), taken from
+    the exact moments of ``_winding_moments`` (Poisson dual series below
+    E_1 / T = pi), so no winding-number truncation remains.  A caller that
+    passes ``m_cut`` asks for a certified truncated sum: it is refused with a
+    ConvergenceError unless the tail weight exp(-E_cut / T) < 1e-15, and is
+    then answered with the exact value, which differs by less than that.
     """
     if temperature < 0.0:
         raise ValueError("temperature must be non-negative")
     if temperature == 0.0:
         return 0.0
     e1 = sector.level_unit
-    cut_weight = np.exp(-e1 * m_cut**2 / temperature)
-    if cut_weight >= 1e-15:
-        needed = int(np.ceil(np.sqrt(34.6 * temperature / e1))) + 1
-        raise ConvergenceError(
-            f"m_cut = {m_cut} leaves tail weight {cut_weight:.2e} >= 1e-15; "
-            f"need m_cut >= {needed}"
-        )
-    m = np.arange(-m_cut, m_cut + 1, dtype=float)
-    w = np.exp(-e1 * m * m / temperature)
-    return float(np.sum((m / sector.c0) ** 2 * w) / np.sum(w))
+    if m_cut is not None:
+        cut_weight = np.exp(-e1 * m_cut**2 / temperature)
+        if cut_weight >= 1e-15:
+            needed = int(np.ceil(np.sqrt(34.6 * temperature / e1))) + 1
+            raise ConvergenceError(
+                f"m_cut = {m_cut} leaves tail weight {cut_weight:.2e} >= 1e-15; "
+                f"need m_cut >= {needed}"
+            )
+    m2_mean, _ = _winding_moments(e1 / temperature)
+    return m2_mean / sector.c0**2
 
 
 def adaptive_m_cut(sector: FreeParticleSector, temperature: float) -> int:
-    """Smallest truncation with certified tail for thermal sums."""
+    """Smallest truncation a direct winding sum would need for a certified tail.
+
+    No thermal moment sums to this cut; it sizes the direct sum that
+    ``_winding_moments`` avoids.
+    """
     if temperature <= 0.0:
         return 1
     return max(400, int(np.ceil(np.sqrt(36.0 * temperature / sector.level_unit))) + 1)
+
+
+# n^2 for n = 1..12: the first dropped weight, exp(-pi 13^2) ~ e^-531 against
+# the n = 0 weight 1, lies far below double precision for any x >= pi
+_SQUARES = np.arange(1.0, 13.0) ** 2
+
+
+def _winding_moments(a: float) -> tuple[float, float]:
+    """Exact <m^2> and Var(m^2) under weights exp(-a m^2), m in Z, a > 0.
+
+    With Z(a) = sum_m exp(-a m^2), <m^2> = -(ln Z)' and Var(m^2) = (ln Z)''.
+    For a >= pi the direct series converges within a dozen terms.  Below pi
+    the Poisson (Jacobi theta) identity Z(a) = sqrt(pi / a) sum_n
+    exp(-pi^2 n^2 / a) turns it into a series in b = pi^2 / a > pi, whose
+    moments give
+        <m^2>    = (1/2 - b <n^2>_b) / a,
+        Var(m^2) = (1/2 - 2 b <n^2>_b + b^2 Var_b(n^2)) / a^2.
+    Time and memory do not depend on a.
+    """
+    x = a if a >= np.pi else np.pi**2 / a
+    w = 2.0 * np.exp(-x * _SQUARES)
+    z = 1.0 + float(w.sum())
+    mean = float((_SQUARES * w).sum()) / z
+    var = (float(((_SQUARES - mean) ** 2 * w).sum()) + mean**2) / z
+    if a >= np.pi:
+        return mean, var
+    return (0.5 - x * mean) / a, (0.5 - 2.0 * x * mean + x * x * var) / a / a
 
 
 def thermal_energy_and_heat(sector: FreeParticleSector,
                             temperature: float) -> tuple[float, float]:
     """Mean energy and heat capacity of one sector at temperature T.
 
-    The heat capacity is the exact T-derivative of the mean energy via the
-    canonical fluctuation identity C = Var(E) / T^2.
+    E = E_1 <m^2> and C = E_1^2 Var(m^2) / T^2; the heat capacity is the
+    exact T-derivative of E via the canonical fluctuation identity
+    C = Var(E) / T^2.  The moments come from ``_winding_moments`` at
+    a = E_1 / T: the direct series for a >= pi, its Poisson dual below.  No
+    winding-number truncation remains, and the cost depends on neither N
+    nor T.
     """
     if temperature <= 0.0:
         return 0.0, 0.0
-    m_cut = adaptive_m_cut(sector, temperature)
-    m = np.arange(-m_cut, m_cut + 1, dtype=float)
-    e = sector.level_energies(m)
-    w = np.exp(-e / temperature)
-    z = np.sum(w)
-    e_mean = float(np.sum(e * w) / z)
-    e2_mean = float(np.sum(e * e * w) / z)
-    return e_mean, (e2_mean - e_mean**2) / temperature**2
+    a = sector.level_unit / temperature
+    m2_mean, m2_var = _winding_moments(a)
+    return sector.level_unit * m2_mean, a * a * m2_var
 
 
 def q_variance(sector: FreeParticleSector) -> float:

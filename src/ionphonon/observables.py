@@ -39,7 +39,6 @@ from .errors import (
 )
 from .freeparticle import (
     FreeParticleSector,
-    adaptive_m_cut,
     build_sectors,
     q_variance,
     thermal_energy_and_heat,
@@ -201,8 +200,7 @@ def pair_correlators_k(field: PhononField, k: float, kp: float, s: int, sp: int,
             u0_i, u0_j = zp.u0[i], zp.u0[j]
             v0_i, v0_j = zp.v0[i], zp.v0[j]
             q2 = q_variance(sector)
-            p2 = thermal_p_squared(sector, temperature,
-                                   m_cut=adaptive_m_cut(sector, temperature))
+            p2 = thermal_p_squared(sector, temperature)
             ada += np.conj(u0_i) * u0_j * q2 + np.conj(v0_i) * v0_j * p2
             aad += u0_i * np.conj(u0_j) * q2 + v0_i * np.conj(v0_j) * p2
             adad += -np.conj(u0_i) * np.conj(u0_j) * q2 \

@@ -175,6 +175,25 @@ class TestExitCodesAndFiles:
             paths.append(path.read_bytes())
         assert paths[0] == paths[1]
 
+    def test_csv_table_is_streamed(self, tmp_path):
+        # a 1024-ion dispersion has 3072 rows; writing them must not build
+        # the whole text (~0.3 MB) before it reaches the file
+        import tracemalloc
+
+        from ionphonon.cli import _write_csv
+
+        rows = [(0.001 * i, i % 6, 0.1234567890123 * i, 0.3, 0.9, 0)
+                for i in range(3072)]
+        path = tmp_path / "big.csv"
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            tracemalloc.start()
+            _write_csv(fh, ["k", "branch", "omega", "theta", "coll", "zero"], rows)
+            _, peak = tracemalloc.get_traced_memory()
+            tracemalloc.stop()
+        size = path.stat().st_size
+        assert size > 200_000
+        assert peak < size / 4
+
     def test_csv_round_trip_full_precision(self, tmp_path):
         path = tmp_path / "eq.csv"
         assert main(["equilibrium", "--kappa", "0.6", "--n-ions", "16",

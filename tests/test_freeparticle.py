@@ -1,13 +1,20 @@
 """Zero-mode sector: effective masses, phase operator, thermal moments."""
 
+import math
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ionphonon.bloch import CellCouplings, _cell_index
 from ionphonon.chain import Boundary, ChainConfig, solve_delta0
 from ionphonon.errors import ConvergenceError
 from ionphonon.freeparticle import (
     FreeParticleSector,
+    _winding_moments,
     adaptive_m_cut,
     build_sectors,
     effective_masses,
@@ -141,6 +148,75 @@ class TestThermalMoments:
         e_hi, _ = thermal_energy_and_heat(sector, t + h)
         e_lo, _ = thermal_energy_and_heat(sector, t - h)
         assert heat == pytest.approx((e_hi - e_lo) / (2.0 * h), rel=1e-6)
+
+
+def _direct_moments(a):
+    """<m^2> and Var(m^2) under exp(-a m^2) by the plain sum over |m| <= M.
+
+    M puts the first dropped weight below e^-40; each weight carries the
+    rounding of its exponent a m^2 <= 40, about 1e-15 relative on Var(m^2).
+    """
+    cut = math.ceil(math.sqrt(40.0 / a)) + 1
+    m2 = np.arange(-cut, cut + 1, dtype=float) ** 2
+    w = np.exp(-a * m2)
+    z = math.fsum(w)
+    mean = math.fsum(m2 * w) / z
+    return mean, math.fsum((m2 - mean) ** 2 * w) / z
+
+
+def _unit_sector():
+    # level_unit = 1 / (2 m_tilde c0^2) = 1, so a = 1 / T
+    return FreeParticleSector("radial", 0.5, 1.0, 2.0 * np.pi)
+
+
+class TestWindingMoments:
+    @pytest.mark.parametrize("a", [
+        np.pi * (1.0 - 1e-3), np.pi * (1.0 + 1e-3), 1e-3, 0.5, 2.0, 5.0, 30.0,
+    ])
+    def test_matches_direct_sum(self, a):
+        # both sides of the switch between dual (a < pi) and direct series
+        assert _winding_moments(a) == pytest.approx(_direct_moments(a), rel=1e-14)
+
+    @settings(deadline=None, max_examples=60)
+    @given(st.floats(min_value=-6.0, max_value=2.0))
+    def test_matches_direct_sum_over_decades(self, log10_a):
+        a = 10.0**log10_a
+        assert _winding_moments(a) == pytest.approx(_direct_moments(a), rel=1e-14)
+
+    def test_classical_limit_is_equipartition(self):
+        t = 1e12  # a = 1e-12
+        energy, heat = thermal_energy_and_heat(_unit_sector(), t)
+        assert energy == pytest.approx(t / 2.0, rel=1e-15)
+        assert heat == pytest.approx(0.5, rel=1e-15)
+
+    def test_frozen_limit_is_exactly_zero(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            energy, heat = thermal_energy_and_heat(_unit_sector(), 1e-3)
+            p2 = thermal_p_squared(_unit_sector(), 1e-3)
+        assert (energy, heat, p2) == (0.0, 0.0, 0.0)
+
+
+@pytest.fixture(scope="module")
+def ring1024_longitudinal():
+    cfg = ChainConfig(kappa=0.65, n_ions=1024, boundary=Boundary.RING)
+    return [s for s in build_sectors(cfg) if s.label == "longitudinal"][0]
+
+
+def test_ring_sector_memory_does_not_grow_with_windings(ring1024_longitudinal):
+    # E_1 ~ 7e-12 here: a direct sum at T = 50 would need ~3e7 winding numbers
+    tracemalloc.start()
+    try:
+        thermal_energy_and_heat(ring1024_longitudinal, 50.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+
+
+def test_ring_sector_heat_is_equipartition_at_high_temperature(ring1024_longitudinal):
+    _, heat = thermal_energy_and_heat(ring1024_longitudinal, 50.0)
+    assert heat == pytest.approx(0.5, rel=1e-15)
 
 
 class TestQVariance:
