@@ -5,6 +5,11 @@ on Li3(e^{-ik d}); zigzag phase: two-ion unit cells with 6 x 6 (h, g)
 blocks per k in the reduced Brillouin zone ``[-pi/2d, pi/2d)``, which
 decouple into an in-plane (x, y) and an out-of-plane (z) sector.
 
+Band core: :meth:`CellCouplings.normal_form` is the only diagonalization of
+a cell block and :meth:`CellCouplings.bands` the only loop over momenta (one
+per +-k pair); ``observables.PhononField`` and :func:`dispersion_zigzag`
+both read its :class:`Bands`.
+
 Axis convention (fixed throughout the package): the zigzag displacement is
 along y, so the in-plane sector is {x, y} and the gapless helical motion is
 along z.  Block basis ordering: (s=0,x), (s=1,x), (s=0,y), (s=1,y),
@@ -36,13 +41,16 @@ from .errors import (
     DynamicalInstabilityError,
     PhysicsError,
 )
-from .symplectic import BogoliubovMode, QuadraticForm, symplectic_diagonalize
+from .symplectic import BogoliubovMode, NormalForm, QuadraticForm, symplectic_diagonalize
 
 AXES = {"x": 0, "y": 1, "z": 2}
 AXIS_NAMES = "xyz"
 
 # axis label of each entry in the 6-dimensional cell basis
 CELL_AXIS_MAP = np.array([0, 0, 1, 1, 2, 2])
+
+# cell-block frequencies below ZERO_MODE_TOL * max(Omega) are zero modes
+ZERO_MODE_TOL = 1e-8
 
 
 def _cell_index(s: int, axis: int) -> int:
@@ -281,17 +289,13 @@ class CellCouplings:
         out += self.raw_onsite_offdiag[None, :, :]
         return out
 
-    def allowed_momenta(self) -> np.ndarray:
-        """Sorted discrete momenta of the finite ring, in [-pi/2d, pi/2d)."""
-        return ring_momenta(self.config.n_ions)
-
     def block(self, k: float) -> BlochBlock:
         if self.config.boundary is Boundary.RING:
-            allowed = self.allowed_momenta()
-            if np.min(np.abs(allowed - k)) > 1e-9:
+            n = self.config.n_ions
+            if np.min(np.abs(ring_momenta(n) - k)) > 1e-9:
                 raise ValueError(
-                    f"k = {k} is not an allowed momentum of the {self.config.n_ions}-ion "
-                    f"ring; use CellCouplings.allowed_momenta() or bulk boundaries"
+                    f"k = {k} is not an allowed momentum of the {n}-ion ring; "
+                    f"use ring_momenta({n}) or bulk boundaries"
                 )
         raw = self.raw_coupling(k)[0]
         denom = 2.0 * np.sqrt(np.outer(self.omega_bare, self.omega_bare))
@@ -310,6 +314,54 @@ class CellCouplings:
         if cross > 1e-10 * max(1.0, np.max(np.abs(g))):
             raise PhysicsError(f"z sector couples to the zigzag plane ({cross:.2e})")
         return BlochBlock(k, form)
+
+    def normal_form(self, k: float) -> NormalForm:
+        """Normal form of the block at k; zero pairs carry p^dag p = N."""
+        return symplectic_diagonalize(
+            self.block(k).form, tol_zero=ZERO_MODE_TOL, axis_map=CELL_AXIS_MAP,
+            p_norm=self.config.n_ions,
+        )
+
+    def bands(self, k_grid: np.ndarray) -> Bands:
+        """Normal modes of every block on a momentum grid."""
+        k = np.asarray(k_grid, dtype=float)
+        omega = np.zeros((len(k), 6))
+        mask = np.zeros((len(k), 6), dtype=bool)
+        u = np.zeros((len(k), 6, 6), dtype=complex)
+        v = np.zeros((len(k), 6, 6), dtype=complex)
+        zero_pairs: list = []
+        # diagonalize k >= 0 (and the self-paired edge) first and mirror to
+        # -k by conjugation, so that u(-k) = u(k)* holds across the grid
+        for i in np.argsort(-k, kind="stable"):
+            j = int(np.argmin(np.abs(k + k[i])))
+            if k[i] < -1e-12 and abs(k[i] + np.pi / 2.0) >= 1e-12 \
+                    and abs(k[j] + k[i]) < 1e-9:
+                omega[i], mask[i] = omega[j], mask[j]
+                u[i], v[i] = u[j].conj(), v[j].conj()
+                continue
+            nf = self.normal_form(float(k[i]))
+            for g, mode in enumerate(nf.modes):
+                omega[i, g], u[i, g], v[i, g] = mode.omega, mode.u, mode.v
+                mask[i, g] = True
+            zero_pairs.extend(nf.zero_pairs)
+        return Bands(k, omega, mask, u, v, zero_pairs)
+
+
+@dataclass
+class Bands:
+    """Normal modes of the cell blocks on a momentum grid.
+
+    Row i holds the modes of block k[i] in ascending omega where ``mask`` is
+    set, then zeroed slots for its zero pairs (listed in ``zero_pairs``; only
+    k = 0 has any); ``u[i, g]``, ``v[i, g]`` are mode g's cell amplitudes.
+    """
+
+    k: np.ndarray
+    omega: np.ndarray   # (n_k, 6)
+    mask: np.ndarray    # (n_k, 6) bool
+    u: np.ndarray       # (n_k, 6, 6)
+    v: np.ndarray       # (n_k, 6, 6)
+    zero_pairs: list
 
 
 def build_bloch_block_zigzag(k: float, config: ChainConfig,
@@ -353,11 +405,17 @@ class DispersionTable:
     theta_xy: np.ndarray       # (n_k, 6) spatial mixing angle
     collectivity: np.ndarray   # (n_k, 6)
     is_zero: np.ndarray        # (n_k, 6) bool
-    modes: list                # per k: list of BogoliubovMode in branch order (None at zero slots)
     zero_pairs: list           # ZeroModePair objects found on the grid (k = 0)
     config: ChainConfig = None
     delta0: float = 0.0
     warnings: list = field(default_factory=list)
+
+
+def _mixing_angles(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    w = np.abs(u) ** 2 - np.abs(v) ** 2
+    w_x = w[..., 0] + w[..., 1]
+    w_y = w[..., 2] + w[..., 3]
+    return np.where(w_x + w_y < 1e-14, np.nan, np.arctan2(w_y, w_x))
 
 
 def mixing_angle(mode: BogoliubovMode) -> float:
@@ -370,28 +428,53 @@ def mixing_angle(mode: BogoliubovMode) -> float:
     paired modes is exact; the naive particle-plus-hole weight violates it
     at the percent level.  NaN for pure out-of-plane modes.
     """
-    w = np.abs(mode.u) ** 2 - np.abs(mode.v) ** 2
-    w_x = float(w[0] + w[1])
-    w_y = float(w[2] + w[3])
-    if w_x + w_y < 1e-14:
-        return float("nan")
-    return float(np.arctan2(w_y, w_x))
+    return float(_mixing_angles(mode.u, mode.v))
+
+
+def _collectivities(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    with np.errstate(invalid="ignore"):  # NaN for an empty (zero-pair) slot
+        return np.linalg.norm(v, axis=-1) / np.linalg.norm(u, axis=-1)
 
 
 def collectivity(mode: BogoliubovMode) -> float:
     """|v| / |u|: particle-hole hybridization weight, in [0, 1) when stable."""
-    return float(np.linalg.norm(mode.v) / np.linalg.norm(mode.u))
+    return float(_collectivities(mode.u, mode.v))
 
 
-def _sigma_overlap(x_a: np.ndarray, x_b: np.ndarray) -> float:
-    dim = len(x_a) // 2
-    prod = np.vdot(x_a[:dim], x_b[:dim]) - np.vdot(x_a[dim:], x_b[dim:])
-    return abs(prod)
+def _track_branches(bands: Bands) -> tuple[np.ndarray, list]:
+    """Band slot that continues each of the six branches, per momentum.
+
+    Each branch takes, greedily in descending overlap, the mode with the
+    largest Sigma-overlap |U_prev* U^T - V_prev* V^T| with the branch's last
+    mode; overlaps below 0.5 are recorded as warnings.  The modes left over
+    (at the first momentum, all of them, in ascending omega), then the
+    zero-pair slots, fill the remaining branches in order.
+    """
+    slots = np.zeros((len(bands.k), 6), dtype=int)
+    prev_u = np.zeros((6, 6), dtype=complex)
+    prev_v = np.zeros((6, 6), dtype=complex)
+    seen = np.zeros(6, dtype=bool)
+    warn_records: list = []
+    for i, k in enumerate(bands.k):
+        overlap = np.abs(prev_u.conj() @ bands.u[i].T - prev_v.conj() @ bands.v[i].T)
+        row = np.full(6, -1)
+        for neg, b, j in sorted((-overlap[b, j], b, j) for b in np.flatnonzero(seen)
+                                for j in np.flatnonzero(bands.mask[i])):
+            if row[b] < 0 and j not in row:
+                row[b] = j
+                if -neg < 0.5:
+                    warn_records.append((float(k), int(b), float(-neg)))
+        row[row < 0] = [j for j in range(6) if j not in row]
+        tracked = bands.mask[i, row]
+        prev_u[tracked] = bands.u[i, row[tracked]]
+        prev_v[tracked] = bands.v[i, row[tracked]]
+        seen |= tracked
+        slots[i] = row
+    return slots, warn_records
 
 
 def dispersion_zigzag(k_grid: np.ndarray, config: ChainConfig,
-                      eq: Equilibrium | None = None,
-                      tol_zero: float = 1e-8) -> DispersionTable:
+                      eq: Equilibrium | None = None) -> DispersionTable:
     """Diagonalize the cell blocks on a momentum grid and track branches.
 
     Branches are continued in k by greedy maximal Sigma-overlap of the
@@ -402,76 +485,15 @@ def dispersion_zigzag(k_grid: np.ndarray, config: ChainConfig,
     """
     if eq is None:
         eq = solve_delta0(config)
-    couplings = CellCouplings(config, eq)
-    n_k = len(k_grid)
-    omega = np.zeros((n_k, 6))
-    theta = np.full((n_k, 6), np.nan)
-    coll = np.full((n_k, 6), np.nan)
-    is_zero = np.zeros((n_k, 6), dtype=bool)
-    mode_rows: list[list] = []
-    zero_pairs: list = []
-    warn_records: list = []
-
-    prev_vectors: list[np.ndarray | None] = [None] * 6
-    for i, k in enumerate(k_grid):
-        block = couplings.block(float(k))
-        nf = symplectic_diagonalize(
-            block.form, tol_zero=tol_zero, axis_map=CELL_AXIS_MAP,
-            p_norm=config.n_ions,
-        )
-        slots: list = [None] * 6
-        entries = list(nf.modes)
-        if nf.zero_pairs:
-            zero_pairs.extend(nf.zero_pairs)
-        if prev_vectors[0] is None:
-            for rank, idx in enumerate(np.argsort([m.omega for m in entries])):
-                slots[rank] = entries[idx]
-        else:
-            available = list(range(len(entries)))
-            overlaps = np.zeros((6, len(entries)))
-            for b in range(6):
-                if prev_vectors[b] is None:
-                    continue
-                for j, m in enumerate(entries):
-                    overlaps[b, j] = _sigma_overlap(prev_vectors[b], m.x_vector())
-            assigned_modes: set = set()
-            pairs = []
-            flat = [(-overlaps[b, j], b, j) for b in range(6) for j in available
-                    if prev_vectors[b] is not None]
-            flat.sort()
-            used_b: set = set()
-            for neg, b, j in flat:
-                if b in used_b or j in assigned_modes:
-                    continue
-                used_b.add(b)
-                assigned_modes.add(j)
-                pairs.append((b, j, -neg))
-                if len(assigned_modes) == len(entries):
-                    break
-            for b, j, ov in pairs:
-                slots[b] = entries[j]
-                if ov < 0.5:
-                    warn_records.append((float(k), b, ov))
-            remaining = [j for j in range(len(entries)) if j not in assigned_modes]
-            empty = [b for b in range(6) if slots[b] is None]
-            for b, j in zip(empty, remaining):
-                slots[b] = entries[j]
-        zero_slots = [b for b in range(6) if slots[b] is None]
-        for b in zero_slots:
-            is_zero[i, b] = True
-        for b in range(6):
-            m = slots[b]
-            if m is None:
-                continue
-            omega[i, b] = m.omega
-            theta[i, b] = mixing_angle(m)
-            coll[i, b] = collectivity(m)
-            prev_vectors[b] = m.x_vector()
-        mode_rows.append(slots)
-
+    bands = CellCouplings(config, eq).bands(k_grid)
+    slots, warn_records = _track_branches(bands)
+    rows = np.arange(len(bands.k))[:, None]
+    # zero-pair slots hold u = v = 0: NaN angle and collectivity
+    u, v = bands.u[rows, slots], bands.v[rows, slots]
     return DispersionTable(
-        np.asarray(k_grid, dtype=float), omega, theta, coll, is_zero,
-        mode_rows, zero_pairs, config, eq.delta0, warn_records,
+        bands.k, bands.omega[rows, slots], _mixing_angles(u, v),
+        _collectivities(u, v), ~bands.mask[rows, slots], bands.zero_pairs,
+        config, eq.delta0, warn_records,
     )
 
 

@@ -33,6 +33,7 @@ from .errors import (
     BareInstabilityError,
     BracketingError,
     ConvergenceError,
+    DynamicalInstabilityError,
     PhysicsError,
 )
 
@@ -291,10 +292,21 @@ def solve_delta0(config: ChainConfig, tol: float = 1e-12) -> Equilibrium:
     below the classical transition) and otherwise the largest root of
     dV/d(delta) = 0, which is the global minimizer.  The residual
     |dV/d(delta)| at the returned point is below ``tol``.
+
+    With alpha < 1 the chain buckles along z first, when the linear chain's
+    z zone-edge mode softens at kappa = alpha * kappa_c; past that point a
+    DynamicalInstabilityError carries the mode's imaginary frequency.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     gap0 = zigzag_root_gap(0.0, config)
+    z_edge = gap0 - (1.0 - config.alpha)  # G(0) with trap alpha: omega_z(pi)^2
+    if config.alpha < 1.0 and z_edge < 0.0:
+        raise DynamicalInstabilityError(
+            f"the chain buckles along z first: alpha = {config.alpha} < 1 and "
+            f"kappa = {config.kappa} > alpha * kappa_c = "
+            f"{config.alpha * critical_kappa_classical(config):.6g}",
+            frequencies=[1j * np.sqrt(-z_edge)])
     if gap0 >= 0.0:
         return Equilibrium(0.0, equilibrium_positions(config, 0.0))
     lo, hi = 0.0, 1.0

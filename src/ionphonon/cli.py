@@ -1,10 +1,12 @@
 """Command-line front end: parse, dispatch, write tables.
 
 Exit codes: 0 success, 2 usage error, 3 physics error (instability,
-divergence; the error is also serialized next to the requested output file),
-4 I/O failure.  Outputs are deterministic: identical configurations produce
-byte-identical files, with floats at full double precision so golden files
-double as numeric regressions.
+divergence; the error is also serialized next to the requested output file,
+with the imaginary parts of a dynamical instability's frequencies or the
+interval a failed root bracketing scanned), 4 I/O failure.  Outputs are
+deterministic: identical configurations produce byte-identical files, with
+floats at full double precision so golden files double as numeric
+regressions.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from .chain import (
     equilibrium_residual,
     solve_delta0,
 )
-from .errors import PhysicsError
+from .errors import BracketingError, DynamicalInstabilityError, PhysicsError
 from .freeparticle import build_sectors, zero_mode_normal_form
 from .observables import (
     CorrelatorRequest,
@@ -454,6 +456,10 @@ def run(rc: RunConfig) -> int:
         meta, header, rows = _RUNNERS[rc.command](rc)
     except PhysicsError as exc:
         record = {"error": type(exc).__name__, "message": str(exc)}
+        if isinstance(exc, DynamicalInstabilityError):
+            record["frequencies"] = [float(np.imag(f)) for f in exc.frequencies]
+        elif isinstance(exc, BracketingError) and exc.interval is not None:
+            record["interval"] = [float(x) for x in exc.interval]
         sys.stderr.write(f"physics error: {exc}\n")
         if rc.output:
             try:

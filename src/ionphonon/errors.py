@@ -50,7 +50,7 @@ class BracketingError(PhysicsError):
 
 
 class ZeroModeToleranceError(PhysicsError):
-    """Zero-pair extraction failed; tol_zero likely needs adjusting."""
+    """Zero-pair extraction failed: zero and soft modes could not be separated."""
 
 
 class InternalConsistencyError(IonPhononError):

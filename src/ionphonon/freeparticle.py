@@ -22,10 +22,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import CELL_AXIS_MAP, CellCouplings, _cell_index
+from .bloch import CellCouplings, _cell_index
 from .chain import Boundary, ChainConfig, Equilibrium, solve_delta0
 from .errors import ConvergenceError, ZeroModeToleranceError
-from .symplectic import NormalForm, ZeroModePair, symplectic_diagonalize
+from .symplectic import NormalForm, ZeroModePair
 
 
 @dataclass
@@ -51,19 +51,16 @@ class FreeParticleSector:
         return self.level_unit * np.asarray(m, dtype=float) ** 2
 
 
-def zero_mode_normal_form(config: ChainConfig, eq: Equilibrium | None = None,
-                          tol_zero: float = 1e-8) -> NormalForm:
+def zero_mode_normal_form(config: ChainConfig,
+                          eq: Equilibrium | None = None) -> NormalForm:
     """Normal form of the k = 0 cell block, where all zero pairs live."""
     if eq is None:
         eq = solve_delta0(config)
-    block = CellCouplings(config, eq).block(0.0)
-    return symplectic_diagonalize(
-        block.form, tol_zero=tol_zero, axis_map=CELL_AXIS_MAP, p_norm=config.n_ions
-    )
+    return CellCouplings(config, eq).normal_form(0.0)
 
 
-def effective_masses(config: ChainConfig, eq: Equilibrium | None = None,
-                     tol_zero: float = 1e-8) -> dict[str, float]:
+def effective_masses(config: ChainConfig,
+                     eq: Equilibrium | None = None) -> dict[str, float]:
     """Effective mass-like constants per zero pair, in 1/omega_I.
 
     Returns {'longitudinal': ...} below the transition and additionally
@@ -71,14 +68,14 @@ def effective_masses(config: ChainConfig, eq: Equilibrium | None = None,
     """
     if eq is None:
         eq = solve_delta0(config)
-    nf = zero_mode_normal_form(config, eq, tol_zero)
+    nf = zero_mode_normal_form(config, eq)
     expected = 1 + (1 if eq.is_zigzag and abs(config.alpha - 1.0) < 1e-12 else 0)
     masses = {zp.label: zp.m_tilde for zp in nf.zero_pairs}
     if len(masses) != expected:
         raise ZeroModeToleranceError(
             f"extracted {len(masses)} zero pairs, expected {expected} at "
-            f"kappa = {config.kappa}; near the transition try tightening "
-            f"tol_zero (currently {tol_zero})"
+            f"kappa = {config.kappa}: a soft mode near the transition is not "
+            f"separable from the zero modes at this precision"
         )
     return masses
 

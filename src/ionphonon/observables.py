@@ -5,14 +5,15 @@ All position correlators and susceptibilities are reported in units of d^2
 ``delta R / d = (b + b^dag) / (lambda sqrt(2 Omega/omega_I))``.  Energies and
 frequencies stay in omega_I with k_B = 1.
 
-Mode data comes from the two-ion-cell Bloch description on a momentum grid:
-the exact discrete ring momenta for ``Boundary.RING`` and a midpoint
-quadrature of the reduced zone (k = 0 excluded) for ``Boundary.BULK``, where
-gapless branches are integrable or detectably divergent.  All ladder
-averages close over each block's own amplitudes (the negative-norm
-directions of block k are exactly the -k creation operators), so every sum
-is invariant under the arbitrary per-mode phases; time reversal is used only
-to fill the -k grid points by conjugation instead of re-diagonalizing.
+Mode data comes from the band core of ``bloch`` (``CellCouplings.bands``,
+held by ``PhononField``) on a momentum grid: the exact discrete ring momenta
+for ``Boundary.RING`` and a midpoint quadrature of the reduced zone (k = 0
+excluded) for ``Boundary.BULK``, where gapless branches are integrable or
+detectably divergent.  All ladder averages close over each block's own
+amplitudes (the negative-norm directions of block k are exactly the -k
+creation operators), so every sum is invariant under the arbitrary per-mode
+phases; the band core uses time reversal only to fill the -k grid points by
+conjugation instead of re-diagonalizing.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import numpy as np
 
 from .bloch import (
     AXES,
-    CELL_AXIS_MAP,
     CellCouplings,
     _cell_index,
     reduced_zone_grid,
@@ -44,7 +44,6 @@ from .freeparticle import (
     thermal_energy_and_heat,
     thermal_p_squared,
 )
-from .symplectic import NormalForm, symplectic_diagonalize
 
 
 def _bose(omega: np.ndarray, temperature: float) -> np.ndarray:
@@ -56,62 +55,24 @@ def _bose(omega: np.ndarray, temperature: float) -> np.ndarray:
 
 
 class PhononField:
-    """Modes of the cell description on a momentum grid, ready for k sums."""
+    """The cell bands (``CellCouplings.bands``) of a grid, ready for k sums."""
 
     def __init__(self, config: ChainConfig, eq: Equilibrium | None = None,
-                 n_k: int | None = None, tol_zero: float = 1e-8):
+                 n_k: int | None = None):
         if eq is None:
             eq = solve_delta0(config)
         self.config = config
         self.eq = eq
-        self.tol_zero = tol_zero
         self.couplings = CellCouplings(config, eq)
         if config.boundary is Boundary.RING:
-            self.k = ring_momenta(config.n_ions)
+            grid = ring_momenta(config.n_ions)
         else:
-            self.k = reduced_zone_grid(512 if n_k is None else n_k, include_edge=False)
-        n_pts = len(self.k)
-        self.weights = np.full(n_pts, 1.0 / n_pts)
-
-        self.omega = np.zeros((n_pts, 6))
-        self.mask = np.zeros((n_pts, 6), dtype=bool)
-        self.u = np.zeros((n_pts, 6, 6), dtype=complex)
-        self.v = np.zeros((n_pts, 6, 6), dtype=complex)
-        self.zero_pairs = []
-
-        # diagonalize k >= 0 (and the self-paired edge), mirror to -k by
-        # conjugation so that u(-k) = u(k)* holds across the grid
-        mirror: dict[int, int] = {}
-        for i, kv in enumerate(self.k):
-            if kv >= -1e-12 or abs(kv + np.pi / 2.0) < 1e-12:
-                continue
-            j = int(np.argmin(np.abs(self.k + kv)))
-            if abs(self.k[j] + kv) < 1e-9:
-                mirror[i] = j
-        for i, kv in enumerate(self.k):
-            if i in mirror:
-                continue
-            nf = self._normal_form(float(kv))
-            for g, mode in enumerate(nf.modes):
-                self.omega[i, g] = mode.omega
-                self.u[i, g] = mode.u
-                self.v[i, g] = mode.v
-                self.mask[i, g] = True
-            if nf.zero_pairs:
-                self.zero_pairs = list(nf.zero_pairs)
-        for i, j in mirror.items():
-            self.omega[i] = self.omega[j]
-            self.mask[i] = self.mask[j]
-            self.u[i] = self.u[j].conj()
-            self.v[i] = self.v[j].conj()
-
+            grid = reduced_zone_grid(512 if n_k is None else n_k, include_edge=False)
+        bands = self.couplings.bands(grid)
+        self.k, self.omega, self.mask = bands.k, bands.omega, bands.mask
+        self.u, self.v, self.zero_pairs = bands.u, bands.v, bands.zero_pairs
+        self.weights = np.full(len(self.k), 1.0 / len(self.k))
         self._sectors: list[FreeParticleSector] | None = None
-
-    def _normal_form(self, k: float) -> NormalForm:
-        return symplectic_diagonalize(
-            self.couplings.block(k).form, tol_zero=self.tol_zero,
-            axis_map=CELL_AXIS_MAP, p_norm=self.config.n_ions,
-        )
 
     @property
     def n_cells(self) -> int:
@@ -120,7 +81,7 @@ class PhononField:
     def sectors(self) -> list[FreeParticleSector]:
         if self._sectors is None:
             # bulk grids have no k = 0 point, where the zero pairs live
-            zero_pairs = self.zero_pairs or self._normal_form(0.0).zero_pairs
+            zero_pairs = self.zero_pairs or self.couplings.normal_form(0.0).zero_pairs
             self._sectors = build_sectors(self.config, self.eq, zero_pairs,
                                           self.couplings.omega_bare)
         return self._sectors

@@ -154,7 +154,7 @@ def test_criterion_06_zero_mode_count_scan():
     for kappa in np.linspace(0.1, 1.0, 50):
         cfg = ChainConfig(kappa=float(kappa), n_ions=32, boundary=Boundary.BULK)
         eq = solve_delta0(cfg)
-        nf = zero_mode_normal_form(cfg, eq, tol_zero=1e-8)
+        nf = zero_mode_normal_form(cfg, eq)
         expected = 2 if eq.delta0 > 0.0 else 1
         if len(nf.zero_pairs) != expected:
             miscount += 1

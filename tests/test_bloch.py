@@ -20,6 +20,7 @@ from ionphonon.bloch import (
     mode_vectors_linear,
     polylog3,
     reduced_zone_grid,
+    ring_momenta,
     softening_kappa_c,
     verify_f_diagonality,
 )
@@ -32,6 +33,7 @@ from ionphonon.chain import (
     solve_delta0,
 )
 from ionphonon.errors import DynamicalInstabilityError, PhysicsError
+from ionphonon.observables import PhononField
 from ionphonon.symplectic import QuadraticForm, build_quadratic_form, symplectic_diagonalize
 
 ZETA3 = float(zeta(3.0))
@@ -223,7 +225,7 @@ class TestZigzagBlocks:
                                        np.zeros(len(nf_full.zero_pairs))]))
         couplings = CellCouplings(cfg, eq)
         freqs = []
-        for k in couplings.allowed_momenta():
+        for k in ring_momenta(cfg.n_ions):
             nf = symplectic_diagonalize(couplings.block(float(k)).form,
                                         axis_map=CELL_AXIS_MAP, p_norm=16)
             freqs.extend([m.omega for m in nf.modes])
@@ -278,11 +280,35 @@ class TestDispersionZigzag:
     def test_zero_slots_at_k0(self):
         cfg = ChainConfig(kappa=0.6, n_ions=32, boundary=Boundary.RING)
         eq = solve_delta0(cfg)
-        couplings = CellCouplings(cfg, eq)
-        table = dispersion_zigzag(couplings.allowed_momenta(), cfg, eq)
+        table = dispersion_zigzag(ring_momenta(cfg.n_ions), cfg, eq)
         i0 = int(np.argmin(np.abs(table.k)))
         assert table.is_zero[i0].sum() == 2
         assert len(table.zero_pairs) == 2
+
+    @pytest.mark.parametrize("kappa", [0.3, 0.6])
+    def test_same_band_core_as_phonon_field(self, kappa):
+        # the dispersion tracks branches over the very modes the observables
+        # sum over: identical frequencies and zero slots, not merely close
+        cfg = ChainConfig(kappa=kappa, n_ions=64, boundary=Boundary.RING)
+        table = dispersion_zigzag(ring_momenta(cfg.n_ions), cfg)
+        field = PhononField(cfg)
+        assert np.array_equal(np.sort(table.omega, axis=1),
+                              np.sort(field.omega, axis=1))
+        assert np.array_equal(table.is_zero.sum(axis=1), (~field.mask).sum(axis=1))
+
+    @pytest.mark.parametrize("boundary", [Boundary.RING, Boundary.BULK])
+    def test_minus_k_is_the_mirror_of_plus_k(self, boundary):
+        # time reversal: one diagonalization per +-k pair, so the -k
+        # spectrum equals the +k one exactly
+        cfg = ChainConfig(kappa=0.6, alpha=1.5, n_ions=64, boundary=boundary)
+        grid = ring_momenta(64) if boundary is Boundary.RING else reduced_zone_grid(33)
+        table = dispersion_zigzag(grid, cfg)
+        pairs = [(i, int(np.argmin(np.abs(grid + k)))) for i, k in enumerate(grid)
+                 if 1e-12 < k < np.pi / 2.0]
+        assert pairs
+        for i, j in pairs:
+            assert grid[j] == pytest.approx(-grid[i], abs=1e-12)
+            assert np.array_equal(np.sort(table.omega[i]), np.sort(table.omega[j]))
 
 
 class TestModeDescriptors:
@@ -461,7 +487,7 @@ def test_antipodal_parity_rings_consistent(n):
                                    np.zeros(len(nf.zero_pairs))]))
     couplings = CellCouplings(cfg, eq)
     freqs = []
-    for k in couplings.allowed_momenta():
+    for k in ring_momenta(cfg.n_ions):
         nfk = symplectic_diagonalize(couplings.block(float(k)).form,
                                      axis_map=CELL_AXIS_MAP, p_norm=n)
         freqs.extend([m.omega for m in nfk.modes])

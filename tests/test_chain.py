@@ -20,7 +20,12 @@ from ionphonon.chain import (
     solve_delta0,
     zigzag_root_gap,
 )
-from ionphonon.errors import BareInstabilityError, BracketingError
+from ionphonon.bloch import dispersion_zigzag
+from ionphonon.errors import (
+    BareInstabilityError,
+    BracketingError,
+    DynamicalInstabilityError,
+)
 
 ZETA3 = float(zeta(3.0))
 KAPPA_C = 4.0 / (7.0 * ZETA3)
@@ -150,6 +155,24 @@ class TestSolveDelta0:
     def test_ring_critical_coupling_approaches_bulk(self):
         kc_ring = critical_kappa_classical(ring(0.3, 64))
         assert kc_ring == pytest.approx(KAPPA_C, abs=2e-4)
+
+    @pytest.mark.parametrize("make", [lambda k: ring(k, 64, alpha=0.5),
+                                      lambda k: bulk(k, n_ions=64, alpha=0.5)],
+                             ids=["ring", "bulk"])
+    def test_z_buckling_below_alpha_one_is_named(self, make):
+        # alpha < 1 softens the z zone-edge mode (folded to k = 0 of the
+        # cell) at alpha * kappa_c, before the y zigzag forms
+        threshold = 0.5 * critical_kappa_classical(make(0.3))
+        below = make(0.99 * threshold)
+        assert solve_delta0(below).delta0 == 0.0
+        table = dispersion_zigzag(np.array([0.0]), below)
+        soft = np.sqrt(0.5 * 0.01)
+        assert np.min(np.abs(table.omega[0] - soft)) < 1e-8 * soft
+        with pytest.raises(DynamicalInstabilityError, match="buckles along z") as err:
+            solve_delta0(make(1.01 * threshold))
+        assert f"{threshold:.6g}" in str(err.value)
+        (freq,) = err.value.frequencies
+        assert freq.real == 0.0 and freq.imag == pytest.approx(soft, rel=1e-8)
 
 
 class TestBareFrequencies:

@@ -7,7 +7,9 @@ from pathlib import Path
 
 import pytest
 
+from ionphonon import cli
 from ionphonon.cli import main, parse_config
+from ionphonon.errors import BracketingError, DynamicalInstabilityError
 
 
 def run_cli(argv, capsys):
@@ -154,6 +156,26 @@ class TestExitCodesAndFiles:
         sidecar = json.loads((tmp_path / "corr.csv.error.json").read_text())
         assert sidecar["error"] == "DivergenceError"
         assert not out_path.exists()
+
+    @pytest.mark.parametrize("exc, field, value", [
+        (DynamicalInstabilityError("unstable", frequencies=[0.5j, 0.25j]),
+         "frequencies", [0.5, 0.25]),
+        (BracketingError("no sign change", interval=(0.0, 128.0)),
+         "interval", [0.0, 128.0]),
+    ], ids=["instability", "bracketing"])
+    def test_sidecar_keeps_error_payload(self, exc, field, value, tmp_path,
+                                         capsys, monkeypatch):
+        def fail(rc):
+            raise exc
+
+        monkeypatch.setitem(cli._RUNNERS, "equilibrium", fail)
+        out_path = tmp_path / "eq.csv"
+        code, _, _ = run_cli(["equilibrium", "--kappa", "0.3",
+                              "--output", str(out_path)], capsys)
+        assert code == 3
+        sidecar = json.loads((tmp_path / "eq.csv.error.json").read_text())
+        assert sidecar["error"] == type(exc).__name__
+        assert sidecar[field] == value
 
     def test_io_error_exits_4(self, capsys):
         code, _, err = run_cli(
