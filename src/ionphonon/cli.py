@@ -40,6 +40,7 @@ from .freeparticle import build_sectors, zero_mode_normal_form
 from .observables import (
     CorrelatorRequest,
     PhononField,
+    check_convergent,
     correlation_energy,
     ginzburg_parameter,
     heat_capacity,
@@ -318,36 +319,32 @@ def _run_modes(rc: RunConfig):
     return meta, header, rows
 
 
-def _field_k_points(rc: RunConfig) -> int | None:
-    """Bulk phonon-field grid size; None keeps a ring's own momenta."""
-    return None if rc.chain.boundary is Boundary.RING else max(rc.k_points, 64)
+def _field_k_points(rc: RunConfig) -> int:
+    """Bulk phonon-field grid size (rings keep their own momenta)."""
+    return max(rc.k_points, 64)
 
 
 def _run_correlations(rc: RunConfig):
     eq = solve_delta0(rc.chain)
     temperature = rc.temperature if rc.temperature is not None else 0.0
-    field = None
-    if rc.chain.boundary is Boundary.RING:
-        field = PhononField(rc.chain, eq)
     if rc.component:
         pairs = [(rc.component, rc.component)]
     else:
         pairs = [("x", "x"), ("y", "y"), ("z", "z"),
                  ("x", "y"), ("x", "z"), ("y", "z")]
+    s = rc.sublattice
+    requests = [CorrelatorRequest(dj, s, s, nu, nup, temperature,
+                                  rc.include_radial_zero_mode,
+                                  rc.include_longitudinal_zero_mode)
+                for dj in range(rc.max_separation + 1) for nu, nup in pairs]
+    for req in requests:  # a divergent request fails before any band is built
+        check_convergent(req, rc.chain, eq)
+    field = PhononField(rc.chain, eq, n_k=2 * _field_k_points(rc))
     header = ["delta_j[cells]", "s", "s_prime", "nu", "nu_prime", "T[omega_I]",
               "value[d^2]"]
-    rows = []
-    s = rc.sublattice
-    for dj in range(rc.max_separation + 1):
-        for nu, nup in pairs:
-            req = CorrelatorRequest(
-                dj, s, s, nu, nup, temperature,
-                include_radial_zero_mode=rc.include_radial_zero_mode,
-                include_longitudinal_zero_mode=rc.include_longitudinal_zero_mode,
-            )
-            value = spatial_correlator(req, rc.chain, eq, field=field,
-                                       n_k=_field_k_points(rc))
-            rows.append((dj, s, s, nu, nup, temperature, value))
+    rows = [(req.delta_j, s, s, req.nu, req.nup, temperature,
+             spatial_correlator(req, rc.chain, eq, field=field))
+            for req in requests]
     return _meta(rc), header, rows
 
 

@@ -51,6 +51,17 @@ class FreeParticleSector:
         return self.level_unit * np.asarray(m, dtype=float) ** 2
 
 
+def goldstone_branches(config: ChainConfig, eq: Equilibrium) -> dict[str, str]:
+    """Axis -> gapless branch of each broken symmetry, one k = 0 zero pair each.
+
+    Axial sound carries x; at alpha = 1 the zigzag's helical branch carries z.
+    """
+    branches = {"x": "axial sound"}
+    if eq.is_zigzag and abs(config.alpha - 1.0) < 1e-12:
+        branches["z"] = "helical"
+    return branches
+
+
 def zero_mode_normal_form(config: ChainConfig,
                           eq: Equilibrium | None = None) -> NormalForm:
     """Normal form of the k = 0 cell block, where all zero pairs live."""
@@ -69,7 +80,7 @@ def effective_masses(config: ChainConfig,
     if eq is None:
         eq = solve_delta0(config)
     nf = zero_mode_normal_form(config, eq)
-    expected = 1 + (1 if eq.is_zigzag and abs(config.alpha - 1.0) < 1e-12 else 0)
+    expected = len(goldstone_branches(config, eq))
     masses = {zp.label: zp.m_tilde for zp in nf.zero_pairs}
     if len(masses) != expected:
         raise ZeroModeToleranceError(

@@ -8,12 +8,13 @@ frequencies stay in omega_I with k_B = 1.
 Mode data comes from the band core of ``bloch`` (``CellCouplings.bands``,
 held by ``PhononField``) on a momentum grid: the exact discrete ring momenta
 for ``Boundary.RING`` and a midpoint quadrature of the reduced zone (k = 0
-excluded) for ``Boundary.BULK``, where gapless branches are integrable or
-detectably divergent.  All ladder averages close over each block's own
-amplitudes (the negative-norm directions of block k are exactly the -k
-creation operators), so every sum is invariant under the arbitrary per-mode
-phases; the band core uses time reversal only to fill the -k grid points by
-conjugation instead of re-diagonalizing.
+excluded) for ``Boundary.BULK``, where a correlator diverges exactly when a
+Goldstone branch carries both of its components (``check_convergent``).
+All ladder averages close over each block's own amplitudes (the
+negative-norm directions of block k are exactly the -k creation operators),
+so every sum is invariant under the arbitrary per-mode phases; the band core
+uses time reversal only to fill the -k grid points by conjugation instead of
+re-diagonalizing.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from .errors import (
 from .freeparticle import (
     FreeParticleSector,
     build_sectors,
+    goldstone_branches,
     q_variance,
     thermal_energy_and_heat,
     thermal_p_squared,
@@ -85,9 +87,6 @@ class PhononField:
             self._sectors = build_sectors(self.config, self.eq, zero_pairs,
                                           self.couplings.omega_bare)
         return self._sectors
-
-    def mode_count(self) -> int:
-        return int(self.mask.sum())
 
     def min_gap(self) -> float:
         return float(self.omega[self.mask].min()) if self.mask.any() else 0.0
@@ -171,18 +170,10 @@ def pair_correlators_k(field: PhononField, k: float, kp: float, s: int, sp: int,
 
 
 def _enabled_sectors(field: PhononField, radial: bool, longitudinal: bool):
-    out = []
-    for sector in field.sectors():
-        if sector.label == "radial" and radial:
-            out.append(sector)
-        elif sector.label == "longitudinal" and longitudinal:
-            if field.config.boundary is Boundary.BULK:
-                raise DivergenceError(
-                    "the longitudinal zero-mode offset diverges with N in the "
-                    "thermodynamic limit; use a finite ring"
-                )
-            out.append(sector)
-    return out
+    # bulk fields have no longitudinal sector (build_sectors), and its
+    # divergent offset only reaches xx requests, which check_convergent stops
+    wanted = {"radial": radial, "longitudinal": longitudinal}
+    return [sector for sector in field.sectors() if wanted[sector.label]]
 
 
 def _correlator_from_field(field: PhononField, req: CorrelatorRequest) -> float:
@@ -221,43 +212,47 @@ def _correlator_from_field(field: PhononField, req: CorrelatorRequest) -> float:
     return float(value.real)
 
 
+def check_convergent(req: CorrelatorRequest, config: ChainConfig,
+                     eq: Equilibrium) -> None:
+    """Raise DivergenceError if a Goldstone branch makes ``req`` infinite in bulk.
+
+    Such a branch (``goldstone_branches``) is pure motion along its axis at
+    k -> 0 with position weight ~ 1/omega_k ~ 1/|k|, so same-axis requests
+    (nu = nu') on that axis diverge, as ln k_min at T = 0 and 1/k_min above.
+    """
+    if config.boundary is not Boundary.BULK or req.nu != req.nup:
+        return
+    branch = goldstone_branches(config, eq).get(req.nu)
+    if branch is not None:
+        raise DivergenceError(
+            f"the {req.nu}{req.nup} correlator diverges in the thermodynamic "
+            f"limit: the gapless {branch} branch carries {req.nu} at k -> 0 "
+            f"-- use a finite ring instead"
+        )
+
+
 def spatial_correlator(req: CorrelatorRequest, config: ChainConfig,
                        eq: Equilibrium | None = None,
                        field: PhononField | None = None,
-                       n_k: int = 512) -> float:
+                       n_k: int = 1024) -> float:
     """Spatial correlator <dR_{j,s,nu} dR_{j+dj,s',nu'}> in units of d^2.
 
-    ``delta_j`` counts two-ion unit cells.  With ring boundaries the exact
-    discrete momentum sum is used (always finite); in bulk mode the zone
-    integral is checked against a doubled grid and raises DivergenceError
-    when a gapless branch makes the correlator log-divergent.
+    ``delta_j`` counts two-ion unit cells.  Rings use the exact momentum sum.
+    In bulk, nu = nu' on a Goldstone axis (``check_convergent``) raises
+    DivergenceError before any band is built, even with ``field`` given; any
+    other request is one midpoint sum over ``n_k`` momenta of the reduced
+    zone (k = 0 excluded) or over ``field``.  Near kappa_c the grid, not an error, sets
+    the accuracy (bulk yy, dj = 1, kappa_c - 1e-4: 4.2893e-4, 4.3076e-4 and
+    4.3077e-4 on 64, 128 and 256 momenta).
     """
     if field is not None:
-        return _correlator_from_field(field, req)
-    if eq is None:
+        config, eq = field.config, field.eq
+    elif eq is None:
         eq = solve_delta0(config)
-    if config.boundary is Boundary.RING:
-        return _correlator_from_field(PhononField(config, eq), req)
-    coarse = _correlator_from_field(PhononField(config, eq, n_k=n_k), req)
-    fine = _correlator_from_field(PhononField(config, eq, n_k=2 * n_k), req)
-    # convergent integrands settle to <~1e-9 under grid doubling while a
-    # log-divergent one keeps absorbing ~ln(2) x (branch weight) per doubling
-    if abs(fine - coarse) > max(1e-7, 1e-4 * abs(fine)):
-        branch = _gapless_branch_name(config, eq)
-        raise DivergenceError(
-            f"thermodynamic-limit correlator does not converge "
-            f"(grid doubling moved it by {abs(fine - coarse):.3e}); the "
-            f"gapless {branch} branch makes it log-divergent -- use a finite "
-            f"ring (PeriodicRing) instead"
-        )
-    return fine
-
-
-def _gapless_branch_name(config: ChainConfig, eq: Equilibrium) -> str:
-    names = ["axial sound"]
-    if eq.is_zigzag and abs(config.alpha - 1.0) < 1e-12:
-        names.append("helical")
-    return " / ".join(names)
+    check_convergent(req, config, eq)
+    if field is None:
+        field = PhononField(config, eq, n_k=n_k)
+    return _correlator_from_field(field, req)
 
 
 # ---------------------------------------------------------------------------

@@ -312,23 +312,33 @@ def eigen_residual(form: QuadraticForm, mode: BogoliubovMode) -> float:
     return float(np.max(np.abs(sx - mode.omega * x)))
 
 
+def _w_and_inverse(nf: NormalForm) -> tuple[np.ndarray, np.ndarray]:
+    """W = [x.., i p.., y.., i q..] and Sigma_tilde W^dag Sigma, W^-1 if complete.
+
+    ``Sigma_tilde = W^dag Sigma W`` pairs each x with +1, each y with -1 and
+    each i p with its i q, so ``W Sigma_tilde = [x.., -q.., -y.., p..]``.
+    """
+    def columns(vectors: list[np.ndarray]) -> np.ndarray:
+        return np.array(vectors, dtype=complex).reshape(-1, 2 * nf.dimension).T
+
+    x = columns([m.x_vector() for m in nf.modes])
+    y = columns([m.y_vector() for m in nf.modes])
+    p = columns([zp.p for zp in nf.zero_pairs])
+    q = columns([zp.q for zp in nf.zero_pairs])
+    w_inv = np.hstack([x, -q, -y, p]).conj().T
+    w_inv[:, nf.dimension:] *= -1.0  # right-multiply by Sigma
+    return np.hstack([x, 1j * p, y, 1j * q]), w_inv
+
+
 def completeness_residual(nf: NormalForm) -> float:
     """Max-norm deviation of the resolved identity on the doubled space.
 
     Checks ``sum_m (x x^dag - y y^dag) Sigma + i sum_n (q p^dag - p q^dag)
-    Sigma = 1``; a small residual certifies that modes plus zero pairs span
-    all degrees of freedom.
+    Sigma = W Sigma_tilde W^dag Sigma = 1``; a small residual certifies that
+    modes plus zero pairs span all degrees of freedom.
     """
-    dim = nf.dimension
-    total = np.zeros((2 * dim, 2 * dim), dtype=complex)
-    for m in nf.modes:
-        x = m.x_vector()
-        y = m.y_vector()
-        total += np.outer(x, x.conj()) - np.outer(y, y.conj())
-    for zp in nf.zero_pairs:
-        total += 1j * (np.outer(zp.q, zp.p.conj()) - np.outer(zp.p, zp.q.conj()))
-    total[:, dim:] *= -1.0  # right-multiply by Sigma
-    return float(np.max(np.abs(total - np.eye(2 * dim))))
+    w, w_inv = _w_and_inverse(nf)
+    return float(np.max(np.abs(w @ w_inv - np.eye(2 * nf.dimension))))
 
 
 def assemble_W(nf: NormalForm, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
@@ -344,21 +354,7 @@ def assemble_W(nf: NormalForm, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarr
         raise InternalConsistencyError(
             f"mode count {n_m} + zero pairs {n_z} != dimension {dim}"
         )
-    cols = (
-        [m.x_vector() for m in nf.modes]
-        + [1j * zp.p for zp in nf.zero_pairs]
-        + [m.y_vector() for m in nf.modes]
-        + [1j * zp.q for zp in nf.zero_pairs]
-    )
-    w = np.column_stack(cols)
-    sigma_tilde = np.zeros((2 * dim, 2 * dim), dtype=complex)
-    sigma_tilde[:n_m, :n_m] = np.eye(n_m)
-    sigma_tilde[dim : dim + n_m, dim : dim + n_m] = -np.eye(n_m)
-    sigma_tilde[n_m : n_m + n_z, dim + n_m :] = -1j * np.eye(n_z)
-    sigma_tilde[dim + n_m :, n_m : n_m + n_z] = 1j * np.eye(n_z)
-    w_dag_sigma = w.conj().T.copy()
-    w_dag_sigma[:, dim:] *= -1.0
-    w_inv = sigma_tilde @ w_dag_sigma
+    w, w_inv = _w_and_inverse(nf)
     residual = float(np.max(np.abs(w @ w_inv - np.eye(2 * dim))))
     if residual > tol:
         raise InternalConsistencyError(f"||W W^-1 - 1|| = {residual:.3e} > {tol:.1e}")

@@ -10,12 +10,26 @@ import pytest
 from ionphonon import cli
 from ionphonon.cli import main, parse_config
 from ionphonon.errors import BracketingError, DynamicalInstabilityError
+from ionphonon.observables import PhononField
 
 
 def run_cli(argv, capsys):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def count_field_builds(monkeypatch):
+    """Record every PhononField construction; returns the growing list."""
+    builds = []
+    original = PhononField.__init__
+
+    def counting(self, *args, **kwargs):
+        builds.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(PhononField, "__init__", counting)
+    return builds
 
 
 class TestParsing:
@@ -157,6 +171,15 @@ class TestExitCodesAndFiles:
         assert sidecar["error"] == "DivergenceError"
         assert not out_path.exists()
 
+    def test_divergent_bulk_correlator_builds_no_field(self, tmp_path, capsys,
+                                                       monkeypatch):
+        builds = count_field_builds(monkeypatch)
+        code, _, _ = run_cli(
+            ["correlations", "--kappa", "0.3", "--boundary", "bulk",
+             "--component", "x", "--output", str(tmp_path / "x.csv")], capsys)
+        assert code == 3
+        assert builds == []
+
     @pytest.mark.parametrize("exc, field, value", [
         (DynamicalInstabilityError("unstable", frequencies=[0.5j, 0.25j]),
          "frequencies", [0.5, 0.25]),
@@ -256,6 +279,17 @@ def test_correlations_default_emits_all_pairs(capsys):
     assert len(lines) == 3 * 6  # three separations x six independent pairs
     pairs = {(l.split(",")[3], l.split(",")[4]) for l in lines}
     assert ("x", "y") in pairs and ("y", "z") in pairs
+
+
+def test_bulk_correlations_build_one_field(capsys, monkeypatch):
+    builds = count_field_builds(monkeypatch)
+    code, out, _ = run_cli(
+        ["correlations", "--kappa", "0.3", "--boundary", "bulk",
+         "--component", "y", "--max-separation", "3", "--k-points", "32"],
+        capsys)
+    assert code == 0
+    assert len(out.strip().split("\n")) == 1 + 4
+    assert len(builds) == 1
 
 
 GOLDEN = Path(__file__).parent / "golden"

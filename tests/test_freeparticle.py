@@ -18,6 +18,7 @@ from ionphonon.freeparticle import (
     adaptive_m_cut,
     build_sectors,
     effective_masses,
+    goldstone_branches,
     phase_operator,
     q_variance,
     thermal_energy_and_heat,
@@ -70,6 +71,19 @@ class TestEffectiveMasses:
         weak = effective_masses(bulk(1e-4))["longitudinal"]
         strong = effective_masses(bulk(0.4))["longitudinal"]
         assert weak > 10.0 * strong
+
+
+@pytest.mark.parametrize("alpha", [1.0, 1.5])
+@pytest.mark.parametrize("kappa", [0.3, 0.5, 0.6])
+def test_goldstone_axes_are_the_zero_pair_axes(kappa, alpha):
+    cfg = bulk(kappa, alpha=alpha)
+    eq = solve_delta0(cfg)
+    zero_pairs = CellCouplings(cfg, eq).normal_form(0.0).zero_pairs
+    carried = {axis for zp in zero_pairs for a, axis in enumerate("xyz")
+               if any(abs(zp.u0[_cell_index(s, a)]) > 1e-8 for s in (0, 1))}
+    branches = goldstone_branches(cfg, eq)
+    assert set(branches) == carried
+    assert len(branches) == len(zero_pairs)
 
 
 class TestSectors:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
+from ionphonon.bloch import critical_kappa
 from ionphonon.chain import (
     Boundary,
     ChainConfig,
@@ -24,6 +25,7 @@ from ionphonon.observables import (
     phase_shift,
     spatial_correlator,
     susceptibility,
+    _correlator_from_field,
     _einstein_heat,
 )
 from ionphonon.symplectic import build_quadratic_form, symplectic_diagonalize
@@ -209,6 +211,25 @@ class TestSpatialCorrelator:
         with pytest.raises(DivergenceError) as err:
             spatial_correlator(CorrelatorRequest(0, 0, 0, "x", "x"), cfg, eq)
         assert "axial" in str(err.value)
+
+    def test_bulk_divergence_is_checked_on_a_given_field(self):
+        cfg = bulk(0.3)
+        eq = solve_delta0(cfg)
+        field = PhononField(cfg, eq, n_k=64)
+        with pytest.raises(DivergenceError) as err:
+            spatial_correlator(CorrelatorRequest(2, 0, 1, "x", "x"), cfg, eq,
+                               field=field)
+        assert "axial sound" in str(err.value)
+
+    def test_bulk_near_critical_correlator_is_finite(self):
+        # the soft zone-edge mode sharpens the integrand, so the grid sets
+        # the accuracy here, but no Goldstone branch carries y
+        cfg = bulk(critical_kappa() - 1e-4)
+        eq = solve_delta0(cfg)
+        req = CorrelatorRequest(1, 0, 0, "y", "y")
+        value = spatial_correlator(req, cfg, eq, n_k=64)
+        assert value == _correlator_from_field(PhononField(cfg, eq, n_k=64), req)
+        assert value == pytest.approx(4.2893e-4, rel=1e-4)
 
     def test_bulk_helical_correlator_raises(self):
         cfg = bulk(0.6)

@@ -283,6 +283,12 @@ def test_assemble_w_rejects_inconsistent_mode_count():
         assemble_W(broken)
 
 
+def test_completeness_flags_a_missing_mode():
+    nf, _ = chain_normal_form(0.6, 8)
+    broken = NormalForm(nf.modes[1:], nf.zero_pairs, nf.dimension, nf.form)
+    assert completeness_residual(broken) > 0.1
+
+
 def test_single_site_quadratic_form_has_no_coupling():
     form = build_quadratic_form(np.array([[1.69]]), np.array([1.3]))
     assert form.h == pytest.approx(np.array([[1.3]]))
