@@ -187,13 +187,6 @@ def pair_dy(m: np.ndarray, delta0: float) -> np.ndarray:
     return np.where(m % 2 != 0, -2.0 * delta0, 0.0)
 
 
-def _hurwitz_folded_coeff(n: int) -> np.ndarray:
-    """Exact image sums sum_i |o + i N|^-3 for o = 1..N-1 (linear phase)."""
-    o = np.arange(1, n)
-    q = o / n
-    return (zeta(3.0, q) + zeta(3.0, 1.0 - q)) / n**3
-
-
 def _site_blocks(config: ChainConfig, delta0: float) -> np.ndarray:
     """Coupling blocks B[o, c] between ions (l + o) and l, c = parity of l.
 
@@ -205,17 +198,24 @@ def _site_blocks(config: ChainConfig, delta0: float) -> np.ndarray:
     n, kappa = config.n_ions, config.kappa
     out = np.zeros((n, 2, 3, 3))
     if config.boundary is Boundary.BULK and delta0 == 0.0:
-        # linear bulk: pure power law, exact Hurwitz-zeta folding
-        coeff = _hurwitz_folded_coeff(n)
+        # linear bulk: pure power law; the image sums sum_i |o + i N|^-3 over
+        # o = 1..N-1 fold exactly into Hurwitz zeta functions
+        q = np.arange(1, n) / n
+        coeff = (zeta(3.0, q) + zeta(3.0, 1.0 - q)) / n**3
         out[1:, 0, 0, 0] = -kappa * coeff
         out[1:, 0, 1, 1] = 0.5 * kappa * coeff
         out[1:, 0, 2, 2] = 0.5 * kappa * coeff
     else:
         m, w = pair_offsets(config)
+        # the partner at -m mirrors the one at +m (xy odd in m, the rest even)
+        half = len(m) // 2
+        blocks = pair_dyadic(m[half:], pair_dy(m[half:], delta0), kappa * w[half:])
         base = np.mod(m, n)
-        keep = base != 0
-        blocks = pair_dyadic(m[keep], pair_dy(m[keep], delta0), kappa * w[keep])
-        np.add.at(out[:, 0], base[keep], blocks)
+        for i, j, parity in ((0, 0, 1.0), (1, 1, 1.0), (2, 2, 1.0), (0, 1, -1.0)):
+            both = np.concatenate([parity * blocks[::-1, i, j], blocks[:, i, j]])
+            # bincount adds each offset class in ascending m, the pair set's order
+            folded = np.bincount(base, both, minlength=n)
+            out[1:, 0, i, j] = out[1:, 0, j, i] = folded[1:]
     out[0, 0] = np.diag([0.0, 1.0, config.alpha]) - out[1:, 0].sum(axis=0)
     out[:, 1] = out[:, 0] * SUBLATTICE_MIRROR
     return out

@@ -256,6 +256,26 @@ class TestHessian:
             hess = build_hessian(cfg, solve_delta0(cfg))
             assert np.max(np.abs(hess.matrix - hess.matrix.T)) < 1e-12
 
+    @pytest.mark.parametrize("cfg", [bulk(0.6, n_ions=32),
+                                     bulk(0.75, alpha=1.5, n_ions=6),
+                                     ring(0.6, 12), ring(0.3, 10)])
+    def test_blocks_equal_direct_fold_of_every_partner(self, cfg):
+        # the mirrored half-sum must add every partner, in the pair set's
+        # order, exactly as a plain np.add.at over all offsets does
+        from ionphonon.chain import SUBLATTICE_MIRROR, pair_dy, pair_dyadic
+
+        eq = solve_delta0(cfg)
+        n = cfg.n_ions
+        m, w = pair_offsets(cfg)
+        folded = np.zeros((n, 3, 3))
+        np.add.at(folded, m % n, pair_dyadic(m, pair_dy(m, eq.delta0), cfg.kappa * w))
+        folded[0] = np.diag([0.0, 1.0, cfg.alpha]) - folded[1:].sum(axis=0)
+        ion = np.arange(n)
+        blocks = np.stack([folded, folded * SUBLATTICE_MIRROR], axis=1)
+        direct = blocks[(ion[:, None] - ion[None, :]) % n, ion % 2]
+        direct = direct.transpose(0, 2, 1, 3).reshape(3 * n, 3 * n)
+        assert np.array_equal(build_hessian(cfg, eq).matrix, 0.5 * (direct + direct.T))
+
     def test_flat_index_map(self):
         hess = build_hessian(ring(0.3, 8), solve_delta0(ring(0.3, 8)))
         assert hess.flat_index(2, 1) == 7
