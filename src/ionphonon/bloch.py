@@ -5,10 +5,13 @@ on Li3(e^{-ik d}); zigzag phase: two-ion unit cells with 6 x 6 (h, g)
 blocks per k in the reduced Brillouin zone ``[-pi/2d, pi/2d)``, which
 decouple into an in-plane (x, y) and an out-of-plane (z) sector.
 
-Band core: :meth:`CellCouplings.normal_form` is the only diagonalization of
-a cell block and :meth:`CellCouplings.bands` the only loop over momenta (one
-per +-k pair); ``observables.PhononField`` and :func:`dispersion_zigzag`
-both read its :class:`Bands`.
+Band core: :meth:`CellCouplings.raw_coupling` gives the cell blocks of a
+whole uniform momentum grid from one fold of the pair set (shared with the
+full-space Hessian, ``chain.fold_pair_blocks``) and one FFT;
+``CellCouplings._normal_form`` is the only diagonalization of a cell block
+and :meth:`CellCouplings.bands` the only loop over momenta (one per
++-k pair); ``observables.PhononField`` and :func:`dispersion_zigzag` both
+read its :class:`Bands`.
 
 Axis convention (fixed throughout the package): the zigzag displacement is
 along y, so the in-plane sector is {x, y} and the gapless helical motion is
@@ -30,9 +33,8 @@ from .chain import (
     Boundary,
     ChainConfig,
     Equilibrium,
-    pair_dy,
-    pair_dyadic,
-    pair_offsets,
+    fold_pair_blocks,
+    half_pair_blocks,
     solve_delta0,
 )
 from .errors import (
@@ -44,7 +46,6 @@ from .errors import (
 from .symplectic import BogoliubovMode, NormalForm, QuadraticForm, symplectic_diagonalize
 
 AXES = {"x": 0, "y": 1, "z": 2}
-AXIS_NAMES = "xyz"
 
 # axis label of each entry in the 6-dimensional cell basis
 CELL_AXIS_MAP = np.array([0, 0, 1, 1, 2, 2])
@@ -225,81 +226,87 @@ class BlochBlock:
 class CellCouplings:
     """Lattice-summed couplings between two-ion unit cells.
 
-    Precomputes, for every cell separation p in ``p_vals``, the raw 6 x 6
-    Hessian coupling ``F[p][(s,nu),(s',nu')]`` between cell p and cell 0
-    (units m_I omega_I^2, stored in ``f_table``) together with the on-site
-    blocks.  Both sum the pair set of :func:`~ionphonon.chain.pair_offsets`,
-    which the equilibrium condition also sums, so the translational and
-    helical zero modes of the k = 0 block vanish at machine precision.
+    Holds the pair blocks of the m > 0 half of the pair set
+    (:func:`~ionphonon.chain.half_pair_blocks`, units m_I omega_I^2) and the
+    bare frequencies of the on-site blocks.  :meth:`raw_coupling` folds the
+    pair blocks into the cell sums ``sum_p F[p] e^{-2ikp}`` of the 6 x 6
+    couplings F[p] between cell p and cell 0.  The on-site blocks, the cell
+    sums and the equilibrium condition all sum the pair set of
+    :func:`~ionphonon.chain.pair_offsets`, so the translational and helical
+    zero modes of the k = 0 block vanish at machine precision.
     """
 
     def __init__(self, config: ChainConfig, eq: Equilibrium):
         self.config = config
-        self.eq = eq
-        self.n_cells = config.n_ions // 2
         self.cell_length = 2.0  # in units of d
-        kappa = config.kappa
-        m, w = pair_offsets(config)
+        self._m, self._blocks = half_pair_blocks(config, eq.delta0)
         if config.boundary is Boundary.BULK:
             # certified truncation: neglected couplings beyond the largest
             # offset R sum to at most ~2 kappa / R^2 per element
-            cutoff = int(np.max(np.abs(m)))
-            tail_bound = 2.0 * kappa / cutoff**2
+            cutoff = int(self._m[-1])
+            tail_bound = 2.0 * config.kappa / cutoff**2
             if tail_bound > 1e-9:
                 raise ConvergenceError(
                     f"lattice-sum tail bound {tail_bound:.2e} exceeds 1e-9 at "
-                    f"offset cutoff {cutoff}; kappa = {kappa} is too "
+                    f"offset cutoff {cutoff}; kappa = {config.kappa} is too "
                     f"large for the bulk coupling tables"
                 )
-        blocks = pair_dyadic(m, pair_dy(m, eq.delta0), kappa * w)
-        # the partner at offset m of ion s' (cell 0) is ion s' + m = 2p + s
-        self.p_vals = np.arange(m.min() // 2, (m.max() + 1) // 2 + 1)
-        self.f_table = np.zeros((len(self.p_vals), 6, 6))
-        onsite = np.zeros((6, 6))
-        # views indexed [p, axis, s, axis', s'], the layout of _cell_index
-        cells = self.f_table.reshape(-1, 3, 2, 3, 2)
-        site = onsite.reshape(3, 2, 3, 2)
-        for sp in (0, 1):
-            if sp:
-                blocks *= SUBLATTICE_MIRROR  # as seen from an odd ion
-            s = (sp + m) % 2
-            p = (sp + m - s) // 2
-            cells[p - self.p_vals[0], :, s, :, sp] = blocks
-            # on-site curvature of the column ion accumulates -sum(pairs)
-            site[:, sp, :, sp] = np.diag([0.0, 1.0, config.alpha]) - blocks.sum(axis=0)
-
-        omega_sq = np.diag(onsite).copy()
+        # on-site curvature trap - sum(pairs), the same on both sublattices and
+        # summed as the k = 0 block sums them, so its zero modes are exact; the
+        # mirrored +-m partners cancel its cross terms
+        pairs = fold_pair_blocks(self._m, self._blocks, 2).sum(axis=0)
+        omega_sq = np.repeat(np.array([0.0, 1.0, config.alpha]) - np.diag(pairs), 2)
         if np.any(omega_sq <= 0.0):
             raise BareInstabilityError(
                 f"cell on-site curvature not positive definite: {omega_sq}"
             )
         self.omega_bare = np.sqrt(omega_sq)
-        np.fill_diagonal(onsite, 0.0)
-        self.raw_onsite_offdiag = onsite
 
     def raw_coupling(self, k: float | np.ndarray) -> np.ndarray:
-        """sum_p F[p] e^{-i a k p} plus on-site cross terms; shape (..., 6, 6)."""
-        k_arr = np.atleast_1d(np.asarray(k, dtype=float))
-        out = np.zeros((len(k_arr), 6, 6), dtype=complex)
-        chunk = 4096
-        for start in range(0, len(self.p_vals), chunk):
-            p_chunk = self.p_vals[start : start + chunk]
-            phases = np.exp(-1j * self.cell_length * np.outer(k_arr, p_chunk))
-            out += np.tensordot(phases, self.f_table[start : start + chunk], axes=(1, 0))
-        out += self.raw_onsite_offdiag[None, :, :]
-        return out
+        """sum_p F[p] e^{-2ikp} at each k; shape (n_k, 6, 6).
 
-    def block(self, k: float) -> BlochBlock:
+        A uniform zone grid, k_j = k_0 + j pi / n for j < n (``ring_momenta``
+        and ``reduced_zone_grid``), is one fold of the pair set over 2n sites
+        and one FFT; any other k is evaluated point by point as a grid of one.
+        """
+        k_arr = np.atleast_1d(np.asarray(k, dtype=float))
         if self.config.boundary is Boundary.RING:
             n = self.config.n_ions
-            if np.min(np.abs(ring_momenta(n) - k)) > 1e-9:
+            steps = k_arr * n / (2.0 * np.pi)  # ring momenta: multiples of 2 pi / N
+            if np.any(np.abs(steps - np.round(steps)) > 1e-9):
                 raise ValueError(
-                    f"k = {k} is not an allowed momentum of the {n}-ion ring; "
-                    f"use ring_momenta({n}) or bulk boundaries"
+                    f"k = {k} holds a momentum that the {n}-ion ring does not "
+                    f"allow; use ring_momenta({n}) or bulk boundaries"
                 )
-        raw = self.raw_coupling(k)[0]
-        denom = 2.0 * np.sqrt(np.outer(self.omega_bare, self.omega_bare))
-        g = raw / denom
+        step = 2.0 * np.pi / (self.cell_length * len(k_arr))
+        if np.max(np.abs(k_arr - k_arr[0] - step * np.arange(len(k_arr)))) < 1e-12:
+            return self._zone_table(k_arr[0], len(k_arr))
+        return np.concatenate([self._zone_table(kk, 1) for kk in k_arr])
+
+    def _zone_table(self, k0: float, n: int) -> np.ndarray:
+        """Raw couplings on k_j = k0 + j pi / n, j < n: one twisted fold, one FFT.
+
+        The partner at offset m of column ion s' is ion s of cell p with
+        2p = m + s' - s, so e^{-2i k0 p} = e^{-i k0 m} e^{-i k0 (s' - s)}:
+        the pair set folded over 2n sites with twist k0 gives the cells
+        p mod n, and the DFT over them gives every k_j.
+        """
+        sites = fold_pair_blocks(self._m, self._blocks, 2 * n, twist=k0)
+        # indexed [p mod n, axis, s, axis', s'], the layout of _cell_index;
+        # an odd column ion sees the mirrored blocks
+        cells = np.empty((n, 3, 2, 3, 2), dtype=complex)
+        cells[:, :, 0, :, 0] = sites[0::2]
+        cells[:, :, 1, :, 0] = sites[1::2] * np.exp(1j * k0)
+        cells[:, :, 1, :, 1] = sites[0::2] * SUBLATTICE_MIRROR
+        cells[:, :, 0, :, 1] = np.roll(sites[1::2], 1, axis=0) \
+            * (SUBLATTICE_MIRROR * np.exp(-1j * k0))
+        return np.fft.fft(cells.reshape(n, 6, 6), axis=0)
+
+    def block(self, k: float) -> BlochBlock:
+        return self._block(k, self.raw_coupling(k)[0])
+
+    def _block(self, k: float, raw: np.ndarray) -> BlochBlock:
+        g = raw / (2.0 * np.sqrt(np.outer(self.omega_bare, self.omega_bare)))
         if abs(k) < 1e-12 or abs(abs(k) - np.pi / self.cell_length) < 1e-12:
             g = g.real.astype(float)  # self-paired momenta have real blocks
         h = g + np.diag(self.omega_bare)
@@ -317,14 +324,18 @@ class CellCouplings:
 
     def normal_form(self, k: float) -> NormalForm:
         """Normal form of the block at k; zero pairs carry p^dag p = N."""
+        return self._normal_form(self.block(k))
+
+    def _normal_form(self, block: BlochBlock) -> NormalForm:
         return symplectic_diagonalize(
-            self.block(k).form, tol_zero=ZERO_MODE_TOL, axis_map=CELL_AXIS_MAP,
+            block.form, tol_zero=ZERO_MODE_TOL, axis_map=CELL_AXIS_MAP,
             p_norm=self.config.n_ions,
         )
 
     def bands(self, k_grid: np.ndarray) -> Bands:
-        """Normal modes of every block on a momentum grid."""
+        """Normal modes of every block on a momentum grid (one raw table)."""
         k = np.asarray(k_grid, dtype=float)
+        raw = self.raw_coupling(k)
         omega = np.zeros((len(k), 6))
         mask = np.zeros((len(k), 6), dtype=bool)
         u = np.zeros((len(k), 6, 6), dtype=complex)
@@ -339,7 +350,7 @@ class CellCouplings:
                 omega[i], mask[i] = omega[j], mask[j]
                 u[i], v[i] = u[j].conj(), v[j].conj()
                 continue
-            nf = self.normal_form(float(k[i]))
+            nf = self._normal_form(self._block(float(k[i]), raw[i]))
             for g, mode in enumerate(nf.modes):
                 omega[i, g], u[i, g], v[i, g] = mode.omega, mode.u, mode.v
                 mask[i, g] = True
@@ -501,6 +512,24 @@ def dispersion_zigzag(k_grid: np.ndarray, config: ChainConfig,
 # Fourier diagonality of distance kernels
 
 
+def _kernel_array(n: int, f) -> np.ndarray:
+    """Kernel f[p], p < n, from a callable on PBC separations or an array.
+
+    Rejects odd n and arrays without f[0] = 0 and f[p] = f[n-p], on which
+    the transform is not diagonal.
+    """
+    if n % 2 != 0:
+        raise ValueError("n must be even")
+    p = np.arange(n)
+    if callable(f):
+        dist = np.minimum(p, n - p)
+        return np.array([f(int(d)) if d > 0 else 0.0 for d in dist])
+    f_arr = np.asarray(f, dtype=float)
+    if f_arr.shape != (n,) or f_arr[0] != 0.0 or not np.allclose(f_arr, f_arr[-p]):
+        raise ValueError("kernel must have length n, f(0) = 0 and f(p) = f(N-p)")
+    return f_arr
+
+
 def verify_f_diagonality(n: int, f) -> float:
     """Max |f_{m,m'}|, m != m', of the Fourier-transformed distance kernel.
 
@@ -508,16 +537,7 @@ def verify_f_diagonality(n: int, f) -> float:
     f[0] = 0 and f[p] = f[n-p]; translational symmetry makes the transform
     exactly diagonal, which this evaluates numerically.
     """
-    if n % 2 != 0:
-        raise ValueError("n must be even")
-    p = np.arange(n)
-    if callable(f):
-        dist = np.minimum(p, n - p)
-        f_arr = np.array([f(int(d)) if d > 0 else 0.0 for d in dist])
-    else:
-        f_arr = np.asarray(f, dtype=float)
-        if abs(f_arr[0]) > 0 or not np.allclose(f_arr[1:], f_arr[1:][::-1]):
-            raise ValueError("kernel must satisfy f(0) = 0 and f(p) = f(N-p)")
+    f_arr = _kernel_array(n, f)
     l_idx = np.arange(n)
     kernel = f_arr[(l_idx[:, None] - l_idx[None, :]) % n]
     kernel = kernel * np.exp(1j * np.pi * (l_idx[:, None] - l_idx[None, :]))
@@ -529,12 +549,7 @@ def verify_f_diagonality(n: int, f) -> float:
 
 def f_diagonal(n: int, f) -> np.ndarray:
     """Diagonal entries f_m of the same transform (single-sum form)."""
-    p = np.arange(n)
-    if callable(f):
-        dist = np.minimum(p, n - p)
-        f_arr = np.array([f(int(d)) if d > 0 else 0.0 for d in dist])
-    else:
-        f_arr = np.asarray(f, dtype=float)
-    m = np.arange(n)
+    f_arr = _kernel_array(n, f)
+    p = m = np.arange(n)
     phases = np.exp(1j * np.pi * p[None, :] - 2j * np.pi * np.outer(m, p) / n)
     return (phases * f_arr[None, :]).sum(axis=1)

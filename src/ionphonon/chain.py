@@ -171,20 +171,75 @@ def pair_offsets(config: ChainConfig) -> tuple[np.ndarray, np.ndarray]:
 
     Implements the pair rule of the module docstring; m is ascending.  The
     partner of ion l is ion l + m (mod N on a ring), displaced transversely
-    by :func:`pair_dy`.
+    by :func:`pair_dy`.  The arrays are shared and read-only.
     """
+    return _pair_set(*_pair_rule(config))[:2]
+
+
+def _pair_rule(config: ChainConfig) -> tuple[int, bool]:
+    """All the pair set depends on: its largest |m|, and whether it is a ring."""
     ring = config.boundary is Boundary.RING
-    half = config.n_ions // 2 if ring else BULK_OFFSET_CUTOFF
+    return (config.n_ions // 2 if ring else BULK_OFFSET_CUTOFF), ring
+
+
+@functools.lru_cache(maxsize=8)
+def _pair_set(half: int, ring: bool) -> tuple[np.ndarray, ...]:
+    """Read-only m and w of a pair set, then m^2 and w of its odd offsets.
+
+    Cached on the pair rule, not the config: every bulk config shares one set.
+    """
     m = np.concatenate([np.arange(-half, 0), np.arange(1, half + 1)])
     w = np.ones(len(m))
     if ring:
         w[[0, -1]] = 0.5
-    return m, w
+    odd = m % 2 != 0
+    out = (m, w, (m[odd] ** 2).astype(float), w[odd])
+    for arr in out:
+        arr.flags.writeable = False
+    return out
 
 
 def pair_dy(m: np.ndarray, delta0: float) -> np.ndarray:
     """Transverse offset from an even ion to its partner at offset m."""
     return np.where(m % 2 != 0, -2.0 * delta0, 0.0)
+
+
+def half_pair_blocks(config: ChainConfig, delta0: float) -> tuple[np.ndarray, np.ndarray]:
+    """Offsets m > 0 of the pair set and their pair blocks, shape (n, 3, 3).
+
+    The partner at -m mirrors the one at +m (xy odd in m, the rest even), so
+    this half stands for the whole pair set in :func:`fold_pair_blocks`.
+    """
+    m, w = pair_offsets(config)
+    half = len(m) // 2
+    m, w = m[half:], w[half:]
+    return m, pair_dyadic(m, pair_dy(m, delta0), config.kappa * w)
+
+
+def fold_pair_blocks(m: np.ndarray, blocks: np.ndarray, n_sites: int,
+                     twist: float = 0.0) -> np.ndarray:
+    """sum_m B(m) e^{-i twist m} over each offset class m mod n_sites.
+
+    ``(m, blocks)`` is the m > 0 half of :func:`half_pair_blocks`, mirrored
+    here to -m.  The sum runs over the pair blocks seen from an even ion;
+    shape (n_sites, 3, 3), complex when twisted.
+    """
+    signed = np.concatenate([-m[::-1], m])
+    rows, cols = [0, 1, 2, 0], [0, 1, 2, 1]  # xx, yy, zz, xy; xy is odd in m
+    entries = blocks[:, rows, cols].T
+    both = np.concatenate([entries[:, ::-1] * [[1], [1], [1], [-1]], entries], axis=1)
+    if twist:
+        phase = np.exp(-1j * twist * signed)
+        both = np.concatenate([both * phase.real, both * phase.imag])
+    # one bin per (entry, class); bincount adds each bin's terms in ascending
+    # m, the pair set's order
+    bins = np.mod(signed, n_sites) + n_sites * np.arange(len(both))[:, None]
+    sums = np.bincount(bins.ravel(), both.ravel(), minlength=len(both) * n_sites)
+    sums = sums.reshape(-1, n_sites)
+    sums = sums[:4] + 1j * sums[4:] if twist else sums
+    out = np.zeros((n_sites, 3, 3), dtype=sums.dtype)
+    out[:, rows, cols] = out[:, cols, rows] = sums.T
+    return out
 
 
 def _site_blocks(config: ChainConfig, delta0: float) -> np.ndarray:
@@ -206,16 +261,7 @@ def _site_blocks(config: ChainConfig, delta0: float) -> np.ndarray:
         out[1:, 0, 1, 1] = 0.5 * kappa * coeff
         out[1:, 0, 2, 2] = 0.5 * kappa * coeff
     else:
-        m, w = pair_offsets(config)
-        # the partner at -m mirrors the one at +m (xy odd in m, the rest even)
-        half = len(m) // 2
-        blocks = pair_dyadic(m[half:], pair_dy(m[half:], delta0), kappa * w[half:])
-        base = np.mod(m, n)
-        for i, j, parity in ((0, 0, 1.0), (1, 1, 1.0), (2, 2, 1.0), (0, 1, -1.0)):
-            both = np.concatenate([parity * blocks[::-1, i, j], blocks[:, i, j]])
-            # bincount adds each offset class in ascending m, the pair set's order
-            folded = np.bincount(base, both, minlength=n)
-            out[1:, 0, i, j] = out[1:, 0, j, i] = folded[1:]
+        out[1:, 0] = fold_pair_blocks(*half_pair_blocks(config, delta0), n)[1:]
     out[0, 0] = np.diag([0.0, 1.0, config.alpha]) - out[1:, 0].sum(axis=0)
     out[:, 1] = out[:, 0] * SUBLATTICE_MIRROR
     return out
@@ -225,19 +271,9 @@ def _site_blocks(config: ChainConfig, delta0: float) -> np.ndarray:
 # classical potential and equilibrium
 
 
-@functools.lru_cache(maxsize=1)
-def _odd_partners(config: ChainConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only m^2 and w of the odd-offset partners (cached for root search)."""
-    m, w = pair_offsets(config)
-    odd = m % 2 != 0
-    m2, w = (m[odd] ** 2).astype(float), w[odd]
-    m2.flags.writeable = w.flags.writeable = False
-    return m2, w
-
-
 def _odd_neighbor_sum(delta: float, config: ChainConfig) -> float:
     """sum over the odd partner offsets m of w (m^2 + 4 delta^2)^(-3/2)."""
-    m2, w = _odd_partners(config)
+    m2, w = _pair_set(*_pair_rule(config))[2:]
     return float(np.sum(w * (m2 + 4.0 * delta * delta) ** -1.5))
 
 

@@ -48,7 +48,7 @@ from .observables import (
     spatial_correlator,
     susceptibility,
 )
-from .symplectic import assemble_W, completeness_residual
+from .symplectic import completeness_residual
 
 COMMANDS = (
     "dispersion",
@@ -296,8 +296,6 @@ def _run_modes(rc: RunConfig):
     eq = solve_delta0(rc.chain)
     nf = zero_mode_normal_form(rc.chain, eq)
     sectors = build_sectors(rc.chain, eq, nf.zero_pairs, nf.form.omega_bare)
-    w, w_inv = assemble_W(nf)
-    w_residual = float(np.max(np.abs(w @ w_inv - np.eye(2 * nf.dimension))))
     header = ["kind", "label", "omega[omega_I]", "m_tilde[1/omega_I]",
               "theta_xy[rad]", "collectivity[1]"]
     rows = []
@@ -310,7 +308,6 @@ def _run_modes(rc: RunConfig):
     meta = _meta(rc)
     meta["delta0"] = eq.delta0
     meta["completeness_residual"] = completeness_residual(nf)
-    meta["w_inverse_residual"] = w_residual
     meta["zero_point_shift_k0"] = nf.zero_point_shift
     meta["sectors"] = {
         s.label: {"m_tilde": s.m_tilde, "c0": s.c0, "circumference": s.circumference}

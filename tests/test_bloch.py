@@ -25,11 +25,15 @@ from ionphonon.bloch import (
     verify_f_diagonality,
 )
 from ionphonon.chain import (
+    SUBLATTICE_MIRROR,
     Boundary,
     ChainConfig,
     bare_frequencies,
     build_hessian,
     omega_from_hessian,
+    pair_dy,
+    pair_dyadic,
+    pair_offsets,
     solve_delta0,
 )
 from ionphonon.errors import DynamicalInstabilityError, PhysicsError
@@ -37,6 +41,7 @@ from ionphonon.observables import PhononField
 from ionphonon.symplectic import QuadraticForm, build_quadratic_form, symplectic_diagonalize
 
 ZETA3 = float(zeta(3.0))
+BULK_ZIGZAG = ChainConfig(kappa=0.6, n_ions=32, boundary=Boundary.BULK)
 
 
 class TestPolylog3:
@@ -237,6 +242,37 @@ class TestZigzagBlocks:
         with pytest.raises(ValueError):
             build_bloch_block_zigzag(0.123, cfg)
 
+    @pytest.mark.parametrize("cfg, k", [
+        (ChainConfig(kappa=0.62, n_ions=10), ring_momenta(10)),
+        (ChainConfig(kappa=0.6, n_ions=64), ring_momenta(64)),
+        (BULK_ZIGZAG, reduced_zone_grid(7, include_edge=True)),
+        (BULK_ZIGZAG, reduced_zone_grid(8, include_edge=True)),
+        (BULK_ZIGZAG, reduced_zone_grid(7, include_edge=False)),
+        (BULK_ZIGZAG, reduced_zone_grid(8, include_edge=False)),
+        (BULK_ZIGZAG, 0.123),
+        (BULK_ZIGZAG, -1.4),
+    ])
+    def test_raw_coupling_matches_direct_sum_over_every_partner(self, cfg, k):
+        # oracle without any fold: the partner at offset m of column ion s'
+        # is ion s of cell p, 2p = m + s' - s, and adds F e^{-2ikp}
+        eq = solve_delta0(cfg)
+        m, w = pair_offsets(cfg)
+        blocks = pair_dyadic(m, pair_dy(m, eq.delta0), cfg.kappa * w)
+        k = np.atleast_1d(k)
+        direct = np.zeros((len(k), 3, 2, 3, 2), dtype=complex)
+        for sp in (0, 1):
+            seen = blocks * SUBLATTICE_MIRROR if sp else blocks
+            s = (m + sp) % 2
+            p = (m + sp - s) // 2
+            for i in range(len(k)):
+                phase = np.exp(-2j * k[i] * p)
+                for row in (0, 1):
+                    sel = s == row
+                    direct[i, :, row, :, sp] = np.tensordot(phase[sel], seen[sel], axes=1)
+        raw = CellCouplings(cfg, eq).raw_coupling(k if len(k) > 1 else k[0])
+        assert raw.shape == (len(k), 6, 6)
+        assert np.max(np.abs(raw - direct.reshape(-1, 6, 6))) < 1e-13
+
 
 class TestDispersionZigzag:
     def test_linear_side_pairwise_degenerate_at_edge(self):
@@ -423,6 +459,10 @@ class TestFDiagonality:
             verify_f_diagonality(7, lambda p: 1.0 / p)
         with pytest.raises(ValueError):
             verify_f_diagonality(8, np.arange(8.0))
+        with pytest.raises(ValueError):
+            f_diagonal(7, lambda p: p**-3)
+        with pytest.raises(ValueError):
+            f_diagonal(8, np.arange(8.0))
 
 
 def test_bulk_lattice_sums_certify_their_tail():

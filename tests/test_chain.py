@@ -335,6 +335,18 @@ def test_pair_offsets_count_every_partner_once():
     assert np.all(w == 1.0)
 
 
+def test_bulk_configs_share_one_odd_partner_set():
+    # the bulk pair set depends on neither kappa, alpha nor N, so the root
+    # search of a new bulk config must not rebuild its 10^5 odd partners
+    from ionphonon import chain
+
+    chain._pair_set.cache_clear()
+    for cfg in (bulk(0.55, n_ions=16), bulk(0.7, alpha=1.5, n_ions=64)):
+        zigzag_root_gap(0.1, cfg)
+    info = chain._pair_set.cache_info()
+    assert (info.misses, info.hits) == (1, 1)
+
+
 def test_bulk_potential_tail_cap_is_certified():
     # pathological displacement pushes the certified truncation past its cap
     from ionphonon.errors import ConvergenceError

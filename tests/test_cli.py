@@ -142,6 +142,9 @@ class TestCommands:
         doc = json.loads(out)
         kinds = [row["kind"] for row in doc["rows"]]
         assert kinds.count("zero-pair") == 2
+        # one certificate of W W^-1 = 1: completeness, not a second product
+        assert "completeness_residual" in doc["meta"]
+        assert "w_inverse_residual" not in doc["meta"]
         assert doc["meta"]["completeness_residual"] < 1e-10
 
     def test_ginzburg_rows(self, capsys):
