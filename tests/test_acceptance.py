@@ -61,7 +61,7 @@ def full_space_normal_form(kappa, n, boundary=Boundary.RING):
 
 def test_criterion_01_critical_coupling_by_softening():
     start = time.perf_counter()
-    kappa_c = softening_kappa_c(tol=1e-12)
+    kappa_c = softening_kappa_c()
     elapsed = time.perf_counter() - start
     exact = 4.0 / (7.0 * ZETA3)
     assert abs(kappa_c - exact) < 1e-8

@@ -71,6 +71,13 @@ class TestPolylog3:
             ref = complex(mpmath.polylog(3, mpmath.exp(-1j * theta)))
             assert abs(polylog3(float(theta)) - ref) < 1e-12
 
+    def test_zone_grid_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        theta = np.linspace(-np.pi, np.pi, 801)
+        ref = np.array([complex(mpmath.polylog(3, mpmath.exp(-1j * mpmath.mpf(t))))
+                        for t in theta])
+        assert np.max(np.abs(polylog3(theta) - ref)) < 4e-15
+
     def test_imaginary_part_bernoulli_closed_form(self):
         rng = np.random.default_rng(11)
         for theta in rng.uniform(0.0, np.pi, size=25):
@@ -176,7 +183,7 @@ class TestCriticalKappa:
         assert 1.0 - kc * gap == pytest.approx(0.0, abs=1e-14)
 
     def test_softening_scan_agrees(self):
-        assert softening_kappa_c() == pytest.approx(critical_kappa(), abs=1e-8)
+        assert softening_kappa_c() == pytest.approx(critical_kappa(), rel=1e-14)
 
     def test_bare_bound_ratio(self):
         assert critical_kappa() / bare_critical_kappa() == pytest.approx(4.0 / 7.0, abs=1e-15)

@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize_scalar
+from scipy.optimize import brentq, minimize_scalar
 from scipy.special import zeta
 
+from ionphonon import chain
 from ionphonon.chain import (
     BULK_OFFSET_CUTOFF,
     Boundary,
@@ -15,6 +16,8 @@ from ionphonon.chain import (
     critical_kappa_classical,
     equilibrium_positions,
     equilibrium_residual,
+    even_bernoulli,
+    hurwitz_zeta3,
     omega_from_hessian,
     pair_offsets,
     solve_delta0,
@@ -24,11 +27,16 @@ from ionphonon.bloch import dispersion_zigzag
 from ionphonon.errors import (
     BareInstabilityError,
     BracketingError,
+    ConvergenceError,
     DynamicalInstabilityError,
 )
 
 ZETA3 = float(zeta(3.0))
 KAPPA_C = 4.0 / (7.0 * ZETA3)
+
+# couplings and anisotropies of the benchmark's ring and bulk catalogues
+CATALOGUE_KAPPAS = (0.25, 0.35, 0.45, 0.5, 0.55, 0.65, 0.75)
+CATALOGUE_ALPHAS = (1.0, 1.5)
 
 
 def bulk(kappa, **kw):
@@ -151,6 +159,66 @@ class TestSolveDelta0:
         with pytest.raises(BracketingError) as err:
             solve_delta0(bulk(25000.0))
         assert err.value.interval is not None
+
+    @pytest.mark.parametrize("alpha", CATALOGUE_ALPHAS)
+    @pytest.mark.parametrize("kappa", CATALOGUE_KAPPAS)
+    @pytest.mark.parametrize("n", [64, 256, 1024, "bulk"])
+    def test_root_is_scipy_brentq_to_the_bit(self, n, kappa, alpha):
+        cfg = bulk(kappa, alpha=alpha) if n == "bulk" else ring(kappa, n, alpha=alpha)
+        delta0 = solve_delta0(cfg).delta0
+        if zigzag_root_gap(0.0, cfg) >= 0.0:
+            assert delta0 == 0.0
+            return
+        lo, hi = 0.0, 1.0  # the bracket solve_delta0 grows
+        while zigzag_root_gap(hi, cfg) <= 0.0:
+            lo, hi = hi, 2.0 * hi
+        assert delta0 == brentq(zigzag_root_gap, lo, hi, args=(cfg,),
+                                xtol=1e-15, rtol=8.9e-16)
+
+    @pytest.mark.parametrize("f, lo, hi", [
+        (lambda x: np.cos(x) - x, 0.0, 1.0),
+        (lambda x: x**3 - 2.0 * x - 5.0, 2.0, 3.0),
+        (lambda x: np.tanh(40.0 * (x - 0.3)) + 1e-3, -1.0, 2.0),
+        (lambda x: x * x - 2.0, 0.0, 1e3),
+        # near-triple roots: steps rejected for bisection
+        (lambda x: (x - 0.3) ** 3 + 1e-6 * (x - 0.3), -1.0, 4.0),
+        (lambda x: (x - 0.3) ** 3 + 1e-8 * (x - 0.3), -1.0, 4.0),
+        (lambda x: np.arctan(x - 0.3) ** 3 + 1e-6 * (x - 0.3), -10.0, 20.0),
+    ], ids=["cos", "cubic", "steep", "wide", "triple-6", "triple-8", "arctan"])
+    def test_brent_port_takes_brentq_steps(self, f, lo, hi):
+        ref = brentq(f, lo, hi, xtol=1e-15, rtol=8.9e-16)
+        assert chain._brent_root(f, lo, hi) == ref
+
+    def test_brent_port_takes_brentq_steps_on_random_cubics(self):
+        rng = np.random.default_rng(0)
+        compared = 0
+        for c in rng.normal(size=(400, 4)):
+            def f(x, c=c):
+                return ((c[0] * x + c[1]) * x + c[2]) * x + c[3]
+
+            if f(-2.0) * f(2.0) < 0.0:
+                ref = brentq(f, -2.0, 2.0, xtol=1e-15, rtol=8.9e-16)
+                assert chain._brent_root(f, -2.0, 2.0) == ref
+                compared += 1
+        assert compared > 100
+
+    @pytest.mark.parametrize("shift", [0.0, 0.3])
+    def test_brent_port_fails_where_brentq_fails(self, shift):
+        # an exact triple root exhausts the 100 steps in both
+        def f(x):
+            return (x - shift) ** 3
+
+        last, info = brentq(f, -1.0, 2.0, xtol=1e-15, rtol=8.9e-16,
+                            full_output=True, disp=False)
+        assert not info.converged
+        with pytest.raises(ConvergenceError, match=f"last iterate {last!r}$"):
+            chain._brent_root(f, -1.0, 2.0)
+
+    def test_brent_port_needs_a_sign_change(self):
+        with pytest.raises(BracketingError) as err:
+            chain._brent_root(lambda x: x * x + 1.0, -1.0, 1.0)
+        assert err.value.interval == (-1.0, 1.0)
+        assert chain._brent_root(lambda x: x - 1.0, 0.0, 1.0) == 1.0
 
     def test_ring_critical_coupling_approaches_bulk(self):
         kc_ring = critical_kappa_classical(ring(0.3, 64))
@@ -361,3 +429,33 @@ def test_overlapping_geometry_is_singular():
 
     with pytest.raises(PhysicsError):
         pair_dyadic(np.array([0.0]), np.array([0.0]), 0.5)
+
+
+class TestSpecialValues:
+    def test_bernoulli_numbers_are_exact(self):
+        mpmath = pytest.importorskip("mpmath")
+        for k, b in enumerate(even_bernoulli(34), 1):
+            num, den = mpmath.bernfrac(2 * k)
+            assert (b.numerator, b.denominator) == (int(num), int(den))
+
+    def test_zeta3_literal_is_correctly_rounded(self):
+        mpmath = pytest.importorskip("mpmath")
+        assert chain.ZETA3 == float(mpmath.zeta(3)) == ZETA3
+
+    def test_hurwitz_zeta3_against_mpmath(self):
+        mpmath = pytest.importorskip("mpmath")
+        q = np.concatenate([np.geomspace(1e-3, 1.0, 200), np.arange(1, 257) / 256])
+        with mpmath.workdps(30):
+            ref = np.array([float(mpmath.zeta(3, mpmath.mpf(float(x)))) for x in q])
+        assert np.max(np.abs(hurwitz_zeta3(q) / ref - 1.0)) < 1e-15
+
+    @pytest.mark.parametrize("n", [16, 64, 256])
+    def test_linear_bulk_hessian_matches_scipy_zeta_fold(self, n, monkeypatch):
+        cfg = bulk(0.25, n_ions=n, alpha=1.5)
+        eq = solve_delta0(cfg)
+        assert eq.delta0 == 0.0
+        hess = build_hessian(cfg, eq).matrix
+        monkeypatch.setattr(chain, "hurwitz_zeta3", lambda q: zeta(3.0, q))
+        ref = build_hessian(cfg, eq).matrix
+        assert np.array_equal(hess != 0.0, ref != 0.0)
+        assert np.max(np.abs(hess - ref)) <= 4.4e-16 * np.max(np.abs(ref))

@@ -1,6 +1,7 @@
 """Command-line interface: parsing, schemas, exit codes, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -271,6 +272,19 @@ def test_console_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("kappa[1]")
+
+
+def test_cli_import_leaves_scipy_unloaded():
+    """The runtime needs numpy alone; scipy is a test-only oracle."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, ionphonon.cli; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, timeout=600,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_correlations_default_emits_all_pairs(capsys):
