@@ -8,9 +8,12 @@ decouple into an in-plane (x, y) and an out-of-plane (z) sector.
 Band core: :meth:`CellCouplings.raw_coupling` gives the cell blocks of a
 whole uniform momentum grid from one fold of the pair set (shared with the
 full-space Hessian, ``chain.fold_pair_blocks``) and one FFT;
-``CellCouplings._normal_form`` is the only diagonalization of a cell block
-and :meth:`CellCouplings.bands` the only loop over momenta (one per
-+-k pair); ``observables.PhononField`` and :func:`dispersion_zigzag` both
+:meth:`CellCouplings.bands` diagonalizes the regular +k blocks of a grid in
+one stacked ``symplectic.bogoliubov_stack`` (the Bogoliubov step that
+``symplectic_diagonalize`` runs on a stack of one), sends the self-paired
+k = 0 and zone-edge blocks, and any block with a zero or unstable mode,
+through ``CellCouplings.normal_form`` one by one, and fills each -k row by
+conjugation; ``observables.PhononField`` and :func:`dispersion_zigzag` both
 read its :class:`Bands`.
 
 Axis convention (fixed throughout the package): the zigzag displacement is
@@ -43,7 +46,14 @@ from .errors import (
     DynamicalInstabilityError,
     PhysicsError,
 )
-from .symplectic import BogoliubovMode, NormalForm, QuadraticForm, symplectic_diagonalize
+from .symplectic import (
+    BogoliubovMode,
+    NormalForm,
+    QuadraticForm,
+    bogoliubov_stack,
+    form_faults,
+    symplectic_diagonalize,
+)
 
 AXES = {"x": 0, "y": 1, "z": 2}
 
@@ -308,20 +318,17 @@ class CellCouplings:
 
     def _block(self, k: float, raw: np.ndarray) -> BlochBlock:
         g = raw / (2.0 * np.sqrt(np.outer(self.omega_bare, self.omega_bare)))
-        if abs(k) < 1e-12 or abs(abs(k) - np.pi / self.cell_length) < 1e-12:
+        if self._self_paired(k):
             g = g.real.astype(float)  # self-paired momenta have real blocks
-        h = g + np.diag(self.omega_bare)
-        form = QuadraticForm(h, g, self.omega_bare)
-        herm = np.max(np.abs(g - g.conj().T))
-        if herm > 1e-9 * max(1.0, np.max(np.abs(g))):
-            raise PhysicsError(f"Bloch block at k={k} not Hermitian ({herm:.2e})")
-        # out-of-plane sector must decouple exactly
-        z_rows = [_cell_index(s, 2) for s in (0, 1)]
-        xy_rows = [_cell_index(s, a) for a in range(2) for s in (0, 1)]
-        cross = np.max(np.abs(g[np.ix_(z_rows, xy_rows)]))
-        if cross > 1e-10 * max(1.0, np.max(np.abs(g))):
-            raise PhysicsError(f"z sector couples to the zigzag plane ({cross:.2e})")
-        return BlochBlock(k, form)
+        fault = _cell_faults(np.array([k]), g[None])[0]
+        if fault:
+            raise PhysicsError(fault)
+        return BlochBlock(k, QuadraticForm(g + np.diag(self.omega_bare), g, self.omega_bare))
+
+    def _self_paired(self, k):
+        """k = 0 and the zone edge, the momenta that are their own -k."""
+        edge = np.pi / self.cell_length
+        return (np.abs(k) < 1e-12) | (np.abs(np.abs(k) - edge) < 1e-12)
 
     def normal_form(self, k: float) -> NormalForm:
         """Normal form of the block at k; zero pairs carry p^dag p = N."""
@@ -334,29 +341,79 @@ class CellCouplings:
         )
 
     def bands(self, k_grid: np.ndarray) -> Bands:
-        """Normal modes of every block on a momentum grid (one raw table)."""
+        """Normal modes of every block on a momentum grid (one raw table).
+
+        The +k blocks are diagonalized together, by one stacked
+        ``bogoliubov_stack``, after the checks of :meth:`normal_form` have
+        run on the whole stack.  The self-paired blocks (k = 0 and the zone
+        edge, which are real and hold the zero pairs) and any block with a
+        zero or unstable mode or a failed check go through
+        :meth:`normal_form`'s path one by one in descending k, so errors
+        name the first failing block in that order.  Each -k row is the
+        conjugate of its +k partner, so that u(-k) = u(k)* across the grid.
+        """
         k = np.asarray(k_grid, dtype=float)
         raw = self.raw_coupling(k)
-        omega = np.zeros((len(k), 6))
-        mask = np.zeros((len(k), 6), dtype=bool)
-        u = np.zeros((len(k), 6, 6), dtype=complex)
-        v = np.zeros((len(k), 6, 6), dtype=complex)
+        n_k = len(k)
+        omega = np.zeros((n_k, 6))
+        mask = np.zeros((n_k, 6), dtype=bool)
+        u = np.zeros((n_k, 6, 6), dtype=complex)
+        v = np.zeros((n_k, 6, 6), dtype=complex)
+        self_paired = self._self_paired(k)
+        partner = _mirror_partners(k)
+        mirrored = (k < -1e-12) & ~self_paired & (np.abs(k[partner] + k) < 1e-9)
+        rows = np.flatnonzero(~mirrored & ~self_paired)
+        g = raw[rows] / (2.0 * np.sqrt(np.outer(self.omega_bare, self.omega_bare)))
+        h = g + np.diag(self.omega_bare)
+        sound = np.equal(_cell_faults(k[rows], g), None) \
+            & (form_faults(h, g, self.omega_bare) == 0)
+        rows, h, g = rows[sound], h[sound], g[sound]
+        lam, _, lam_tol, omega_s, u_s, v_s = bogoliubov_stack(h + g, self.omega_bare,
+                                                              ZERO_MODE_TOL)
+        gapped = lam[:, 0] > lam_tol
+        rows = rows[gapped]
+        omega[rows], u[rows], v[rows] = omega_s[gapped], u_s[gapped], v_s[gapped]
+        mask[rows] = True
         zero_pairs: list = []
-        # diagonalize k >= 0 (and the self-paired edge) first and mirror to
-        # -k by conjugation, so that u(-k) = u(k)* holds across the grid
-        for i in np.argsort(-k, kind="stable"):
-            j = int(np.argmin(np.abs(k + k[i])))
-            if k[i] < -1e-12 and abs(k[i] + np.pi / 2.0) >= 1e-12 \
-                    and abs(k[j] + k[i]) < 1e-9:
-                omega[i], mask[i] = omega[j], mask[j]
-                u[i], v[i] = u[j].conj(), v[j].conj()
-                continue
+        one_by_one = ~mirrored
+        one_by_one[rows] = False
+        descending = np.argsort(-k, kind="stable")
+        for i in descending[one_by_one[descending]]:
             nf = self._normal_form(self._block(float(k[i]), raw[i]))
-            for g, mode in enumerate(nf.modes):
-                omega[i, g], u[i, g], v[i, g] = mode.omega, mode.u, mode.v
-                mask[i, g] = True
+            for slot, mode in enumerate(nf.modes):
+                omega[i, slot], u[i, slot], v[i, slot] = mode.omega, mode.u, mode.v
+                mask[i, slot] = True
             zero_pairs.extend(nf.zero_pairs)
+        mirror = partner[mirrored]
+        omega[mirrored], mask[mirrored] = omega[mirror], mask[mirror]
+        u[mirrored], v[mirrored] = u[mirror].conj(), v[mirror].conj()
         return Bands(k, omega, mask, u, v, zero_pairs)
+
+
+def _cell_faults(k: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Per cell block g of a stack, why it is unphysical, or None.
+
+    The blocks must be Hermitian and their out-of-plane (z) sector must
+    decouple from the zigzag plane, both relative to max(1, max|g|).
+    """
+    scale = np.maximum(1.0, np.max(np.abs(g), axis=(1, 2)))
+    herm = np.max(np.abs(g - np.swapaxes(g, 1, 2).conj()), axis=(1, 2))
+    # rows (s, z) against columns (s, x), (s, y) in the _cell_index layout
+    cross = np.max(np.abs(g[:, 4:, :4]), axis=(1, 2))
+    faults = np.full(len(k), None, dtype=object)
+    for i in np.flatnonzero(cross > 1e-10 * scale):
+        faults[i] = f"z sector couples to the zigzag plane ({cross[i]:.2e})"
+    for i in np.flatnonzero(herm > 1e-9 * scale):
+        faults[i] = f"Bloch block at k={k[i]} not Hermitian ({herm[i]:.2e})"
+    return faults
+
+
+def _mirror_partners(k: np.ndarray) -> np.ndarray:
+    """Index of the grid point nearest to -k, for every k of the grid."""
+    order = np.argsort(k, kind="stable")
+    pos = np.searchsorted(k[order], -k)
+    below, above = order[np.maximum(pos - 1, 0)], order[np.minimum(pos, len(k) - 1)]
+    return np.where(np.abs(k[below] + k) <= np.abs(k[above] + k), below, above)
 
 
 @dataclass
@@ -458,9 +515,10 @@ def _track_branches(bands: Bands) -> tuple[np.ndarray, list]:
 
     Each branch takes, greedily in descending overlap, the mode with the
     largest Sigma-overlap |U_prev* U^T - V_prev* V^T| with the branch's last
-    mode; overlaps below 0.5 are recorded as warnings.  The modes left over
-    (at the first momentum, all of them, in ascending omega), then the
-    zero-pair slots, fill the remaining branches in order.
+    mode; overlaps below 0.5 are recorded as warnings.  Ties go to the lower
+    branch, then the lower slot (the first maximum in row-major order).  The
+    modes left over (at the first momentum, all of them, in ascending omega),
+    then the zero-pair slots, fill the remaining branches in order.
     """
     slots = np.zeros((len(bands.k), 6), dtype=int)
     prev_u = np.zeros((6, 6), dtype=complex)
@@ -469,14 +527,17 @@ def _track_branches(bands: Bands) -> tuple[np.ndarray, list]:
     warn_records: list = []
     for i, k in enumerate(bands.k):
         overlap = np.abs(prev_u.conj() @ bands.u[i].T - prev_v.conj() @ bands.v[i].T)
+        # overlaps are >= 0, so -1 marks a branch or slot already taken
+        open_pairs = np.where(seen[:, None] & bands.mask[i][None, :], overlap, -1.0)
         row = np.full(6, -1)
-        for neg, b, j in sorted((-overlap[b, j], b, j) for b in np.flatnonzero(seen)
-                                for j in np.flatnonzero(bands.mask[i])):
-            if row[b] < 0 and j not in row:
-                row[b] = j
-                if -neg < 0.5:
-                    warn_records.append((float(k), int(b), float(-neg)))
-        row[row < 0] = [j for j in range(6) if j not in row]
+        free = np.ones(6, dtype=bool)
+        for _ in range(min(int(seen.sum()), int(bands.mask[i].sum()))):
+            b, j = divmod(int(open_pairs.argmax()), 6)
+            row[b], free[j] = j, False
+            if open_pairs[b, j] < 0.5:
+                warn_records.append((float(k), b, float(open_pairs[b, j])))
+            open_pairs[b, :] = open_pairs[:, j] = -1.0
+        row[row < 0] = np.flatnonzero(free)
         tracked = bands.mask[i, row]
         prev_u[tracked] = bands.u[i, row[tracked]]
         prev_v[tracked] = bands.v[i, row[tracked]]

@@ -56,13 +56,32 @@ class QuadraticForm:
         return np.block([[self.h, self.g], [self.g, self.h]])
 
     def validate(self, tol: float = 1e-10) -> None:
-        scale = max(1.0, float(np.max(np.abs(self.h))))
-        if np.max(np.abs(self.h - self.h.conj().T)) > tol * scale:
-            raise ValueError("h is not Hermitian")
-        if np.max(np.abs(self.g - self.g.conj().T)) > tol * scale:
-            raise ValueError("g is not Hermitian")
-        if np.max(np.abs(self.h - self.g - np.diag(self.omega_bare))) > tol * scale:
-            raise ValueError("h - g does not equal diag(omega_bare)")
+        fault = form_faults(self.h[None], self.g[None], self.omega_bare, tol)[0]
+        if fault:
+            raise ValueError(FORM_FAULTS[fault - 1])
+
+
+FORM_FAULTS = ("h is not Hermitian", "g is not Hermitian",
+               "h - g does not equal diag(omega_bare)")
+
+
+def form_faults(h: np.ndarray, g: np.ndarray, omega_bare: np.ndarray,
+                tol: float = 1e-10) -> np.ndarray:
+    """Per form of a stack, 1 + the index in ``FORM_FAULTS`` of the first
+    type invariant it breaks, or 0 (``QuadraticForm.validate`` on each).
+
+    Entries are compared with ``tol * max(1, max|h|)``.
+    """
+    def defect(a: np.ndarray) -> np.ndarray:
+        return np.max(np.abs(a), axis=(-2, -1))
+
+    bound = tol * np.maximum(1.0, defect(h))
+    broken = np.stack([
+        defect(h - np.swapaxes(h, -2, -1).conj()) > bound,
+        defect(g - np.swapaxes(g, -2, -1).conj()) > bound,
+        defect(h - g - np.diag(omega_bare)) > bound,
+    ])
+    return np.where(broken.any(axis=0), np.argmax(broken, axis=0) + 1, 0)
 
 
 def sigma_matrix(dim: int) -> np.ndarray:
@@ -209,6 +228,52 @@ def _zero_label(w: np.ndarray, axis_map: np.ndarray | None) -> str:
     return "longitudinal" if int(np.argmax(weights)) == 0 else "radial"
 
 
+def bogoliubov_stack(k_mat: np.ndarray, omega_bare: np.ndarray,
+                     tol_zero: float) -> tuple[np.ndarray, ...]:
+    """Bogoliubov step of a stack of forms that share ``h - g = diag(omega_bare)``.
+
+    ``k_mat`` holds ``K = h + g`` per form, shape (n, D, D).  One stacked
+    ``eigh`` of ``Omega^(1/2) K Omega^(1/2)`` gives per form the ascending
+    ``lam = omega^2``, the eigenvectors ``phi`` (columns) and the zero
+    threshold ``lam_tol`` (see ``symplectic_diagonalize``).  Every column
+    with ``lam > lam_tol`` is a mode: ``omega[i, m] = sqrt(lam[i, m])`` and
+    Sigma-normalized amplitudes ``u[i, m]``, ``v[i, m]``, phased so that the
+    largest entry of u is real and positive.  Zero and unstable columns hold
+    omega = 0 and u = v = 0.
+
+    Returns ``lam, phi, lam_tol, omega, u, v``.
+    """
+    s = np.sqrt(omega_bare)
+    lam, phi = np.linalg.eigh(s[:, None] * k_mat * s[None, :])
+    omega_scale = float(np.max(omega_bare))
+    # a defective zero pair splits as sqrt(roundoff) under assembly noise, so
+    # the omega^2 threshold needs a generous machine floor; it stays several
+    # orders below any physical soft mode
+    lam_floor = 4096.0 * _EPS * np.maximum(np.max(np.abs(lam), axis=-1), omega_scale**2)
+    lam_tol = np.maximum((tol_zero * omega_scale) ** 2, lam_floor)
+    is_mode = lam > lam_tol[:, None]
+    # zero and unstable columns get a placeholder omega = 1, cleared below
+    omega = np.sqrt(np.where(is_mode, lam, 1.0))[..., None]
+    phi_hat = np.swapaxes(phi, -2, -1)  # [form, mode, component]
+    # u = (x + p) / 2 sqrt(omega), v = (p - x) / 2 sqrt(omega) with x = s phi
+    # and p = omega phi / s, in place: full-space forms are 3N x 3N
+    x_part = s * phi_hat
+    u = omega * phi_hat
+    u /= s
+    v = u - x_part
+    u += x_part
+    del x_part
+    u /= 2.0 * np.sqrt(omega)
+    v /= 2.0 * np.sqrt(omega)
+    u_max = np.take_along_axis(u, np.argmax(np.abs(u), axis=-1)[..., None], axis=-1)
+    phase = np.conj(u_max / np.abs(u_max))
+    u *= phase
+    v *= phase
+    u[~is_mode] = 0.0
+    v[~is_mode] = 0.0
+    return lam, phi, lam_tol, np.where(is_mode, omega[..., 0], 0.0), u, v
+
+
 def symplectic_diagonalize(form: QuadraticForm, tol: float = 1e-10,
                            tol_zero: float = 1e-8,
                            axis_map: np.ndarray | None = None,
@@ -242,17 +307,9 @@ def symplectic_diagonalize(form: QuadraticForm, tol: float = 1e-10,
     form.validate(tol)
     omega_bare = form.omega_bare
     dim = form.dimension
-    s = np.sqrt(omega_bare)
     k_mat = form.h + form.g
-    m_mat = s[:, None] * k_mat * s[None, :]
-    lam, phi = np.linalg.eigh(m_mat)
-
-    omega_scale = float(np.max(omega_bare))
-    # a defective zero pair splits as sqrt(roundoff) under assembly noise, so
-    # the omega^2 threshold needs a generous machine floor; it stays several
-    # orders below any physical soft mode
-    lam_floor = 4096.0 * _EPS * max(float(np.max(np.abs(lam))), omega_scale**2)
-    lam_tol = max((tol_zero * omega_scale) ** 2, lam_floor)
+    lam, phi, lam_tol, omega, u, v = (
+        a[0] for a in bogoliubov_stack(k_mat[None], omega_bare, tol_zero))
     if lam[0] < -lam_tol:
         bad = np.sqrt(-lam[lam < -lam_tol])
         raise DynamicalInstabilityError(
@@ -262,23 +319,17 @@ def symplectic_diagonalize(form: QuadraticForm, tol: float = 1e-10,
         )
 
     zero_sel = np.abs(lam) <= lam_tol
-    modes: list[BogoliubovMode] = []
-    for i in np.where(~zero_sel)[0]:
-        omega = float(np.sqrt(lam[i]))
-        phi_hat = phi[:, i]
-        u = (s * phi_hat + omega * phi_hat / s) / (2.0 * np.sqrt(omega))
-        v = (omega * phi_hat / s - s * phi_hat) / (2.0 * np.sqrt(omega))
-        j = int(np.argmax(np.abs(u)))
-        phase = u[j] / abs(u[j])
-        u = u * np.conj(phase)
-        v = v * np.conj(phase)
-        modes.append(BogoliubovMode(omega, u, v))
+    # eigh sorts lam ascending, so the modes come out in ascending omega; each
+    # mode owns its amplitudes rather than pinning the stacked arrays
+    modes = [BogoliubovMode(float(omega[m]), u[m].copy(), v[m].copy())
+             for m in np.flatnonzero(~zero_sel)]
 
     zero_pairs: list[ZeroModePair] = []
     n_zero = int(np.sum(zero_sel))
     if n_zero:
         target = float(p_norm) if p_norm is not None else float(dim)
         c = np.sqrt(target / 2.0)
+        s = np.sqrt(omega_bare)
         for w in _kernel_vectors(k_mat, phi[:, zero_sel], s, axis_map):
             u0 = 1j * c * w
             p = np.concatenate([u0, u0])  # (u0, -u0*) with u0 purely imaginary
@@ -292,7 +343,6 @@ def symplectic_diagonalize(form: QuadraticForm, tol: float = 1e-10,
                 )
             zero_pairs.append(ZeroModePair(p, q, mu, _zero_label(w, axis_map)))
 
-    modes.sort(key=lambda m: m.omega)
     return NormalForm(modes, zero_pairs, dim, form)
 
 
