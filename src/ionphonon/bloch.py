@@ -60,9 +60,6 @@ AXES = {"x": 0, "y": 1, "z": 2}
 # axis label of each entry in the 6-dimensional cell basis
 CELL_AXIS_MAP = np.array([0, 0, 1, 1, 2, 2])
 
-# cell-block frequencies below ZERO_MODE_TOL * max(Omega) are zero modes
-ZERO_MODE_TOL = 1e-8
-
 
 def _cell_index(s: int, axis: int) -> int:
     return 2 * axis + s
@@ -262,10 +259,12 @@ class CellCouplings:
                     f"offset cutoff {cutoff}; kappa = {config.kappa} is too "
                     f"large for the bulk coupling tables"
                 )
-        # on-site curvature trap - sum(pairs), the same on both sublattices and
-        # summed as the k = 0 block sums them, so its zero modes are exact; the
-        # mirrored +-m partners cancel its cross terms
-        pairs = fold_pair_blocks(self._m, self._blocks, 2).sum(axis=0)
+        # the untwisted fold over two sites, kept as the k = 0 cell table
+        # (_zone_table); the on-site curvature trap - sum(pairs) sums it as
+        # the k = 0 block does, the same on both sublattices, so its zero
+        # modes are exact; the mirrored +-m partners cancel its cross terms
+        self._sites_k0 = fold_pair_blocks(self._m, self._blocks, 2)
+        pairs = self._sites_k0.sum(axis=0)
         omega_sq = np.repeat(np.array([0.0, 1.0, config.alpha]) - np.diag(pairs), 2)
         if np.any(omega_sq <= 0.0):
             raise BareInstabilityError(
@@ -302,7 +301,10 @@ class CellCouplings:
         the pair set folded over 2n sites with twist k0 gives the cells
         p mod n, and the DFT over them gives every k_j.
         """
-        sites = fold_pair_blocks(self._m, self._blocks, 2 * n, twist=k0)
+        if n == 1 and k0 == 0.0:
+            sites = self._sites_k0
+        else:
+            sites = fold_pair_blocks(self._m, self._blocks, 2 * n, twist=k0)
         # indexed [p mod n, axis, s, axis', s'], the layout of _cell_index;
         # an odd column ion sees the mirrored blocks
         cells = np.empty((n, 3, 2, 3, 2), dtype=complex)
@@ -335,10 +337,8 @@ class CellCouplings:
         return self._normal_form(self.block(k))
 
     def _normal_form(self, block: BlochBlock) -> NormalForm:
-        return symplectic_diagonalize(
-            block.form, tol_zero=ZERO_MODE_TOL, axis_map=CELL_AXIS_MAP,
-            p_norm=self.config.n_ions,
-        )
+        return symplectic_diagonalize(block.form, axis_map=CELL_AXIS_MAP,
+                                      p_norm=self.config.n_ions)
 
     def bands(self, k_grid: np.ndarray) -> Bands:
         """Normal modes of every block on a momentum grid (one raw table).
@@ -368,8 +368,7 @@ class CellCouplings:
         sound = np.equal(_cell_faults(k[rows], g), None) \
             & (form_faults(h, g, self.omega_bare) == 0)
         rows, h, g = rows[sound], h[sound], g[sound]
-        lam, _, lam_tol, omega_s, u_s, v_s = bogoliubov_stack(h + g, self.omega_bare,
-                                                              ZERO_MODE_TOL)
+        lam, _, lam_tol, omega_s, u_s, v_s = bogoliubov_stack(h + g, self.omega_bare)
         gapped = lam[:, 0] > lam_tol
         rows = rows[gapped]
         omega[rows], u[rows], v[rows] = omega_s[gapped], u_s[gapped], v_s[gapped]

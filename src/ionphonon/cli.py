@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -340,30 +341,27 @@ def _run_correlations(rc: RunConfig):
     header = ["delta_j[cells]", "s", "s_prime", "nu", "nu_prime", "T[omega_I]",
               "value[d^2]"]
     rows = [(req.delta_j, s, s, req.nu, req.nup, temperature,
-             spatial_correlator(req, rc.chain, eq, field=field))
+             spatial_correlator(req, field))
             for req in requests]
     return _meta(rc), header, rows
 
 
 def _run_heat_capacity(rc: RunConfig):
-    eq = solve_delta0(rc.chain)
-    field = PhononField(rc.chain, eq, n_k=_field_k_points(rc))
+    field = PhononField(rc.chain, n_k=_field_k_points(rc))
     if rc.temperature is not None:
         temps = [rc.temperature]
     else:
         temps = list(np.geomspace(rc.t_min, rc.t_max, rc.t_steps))
     header = ["T[omega_I]", "c[k_B]"]
-    rows = [(t, heat_capacity(float(t), rc.chain, eq, field=field)) for t in temps]
+    rows = [(t, heat_capacity(float(t), field)) for t in temps]
     return _meta(rc), header, rows
 
 
 def _run_susceptibility(rc: RunConfig):
-    eq = solve_delta0(rc.chain)
-    field = PhononField(rc.chain, eq, n_k=_field_k_points(rc))
+    field = PhononField(rc.chain, n_k=_field_k_points(rc))
     grid = np.linspace(rc.omega_min, rc.omega_max, rc.omega_steps)
     component = rc.component or "y"
-    results = susceptibility(grid, (component, rc.sublattice), rc.chain, eq,
-                             eta=rc.eta, field=field)
+    results = susceptibility(grid, (component, rc.sublattice), field, eta=rc.eta)
     header = ["omega[omega_I]", "chi_re[d^2/omega_I]", "chi_im[d^2/omega_I]",
               "phase[rad]"]
     rows = [(r.omega, r.chi.real, r.chi.imag, phase_shift(r)) for r in results]
@@ -371,11 +369,9 @@ def _run_susceptibility(rc: RunConfig):
 
 
 def _run_energy_reduction(rc: RunConfig):
-    eq = solve_delta0(rc.chain)
-    field = PhononField(rc.chain, eq, n_k=_field_k_points(rc))
+    field = PhononField(rc.chain, n_k=_field_k_points(rc))
     header = ["kappa[1]", "delta0[d]", "dE0_per_ion[omega_I]"]
-    rows = [(rc.chain.kappa, eq.delta0,
-             correlation_energy(rc.chain, eq, field=field))]
+    rows = [(rc.chain.kappa, field.eq.delta0, correlation_energy(field))]
     return _meta(rc), header, rows
 
 
@@ -416,29 +412,23 @@ def _write_csv(fh, header: list[str], rows: list[tuple]) -> None:
 
 
 def _json_safe(value):
-    if isinstance(value, (np.integer,)):
+    """Plain JSON value: numpy scalars as Python numbers, NaN and inf as None."""
+    if isinstance(value, np.integer):
         return int(value)
-    if isinstance(value, (np.floating,)):
-        return float(value)
+    if isinstance(value, np.floating):
+        value = float(value)
     if isinstance(value, dict):
         return {k: _json_safe(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_json_safe(v) for v in value]
-    if isinstance(value, float) and (np.isnan(value) or np.isinf(value)):
+    if isinstance(value, float) and not math.isfinite(value):
         return None
     return value
 
 
 def _write_json(fh, meta: dict, header: list[str], rows: list[tuple]) -> None:
-    records = []
-    for row in rows:
-        rec = {}
-        for key, value in zip(header, row):
-            val = _json_safe(value)
-            if isinstance(val, float) and (np.isnan(val) or np.isinf(val)):
-                val = None
-            rec[key] = val
-        records.append(rec)
+    records = [{key: _json_safe(value) for key, value in zip(header, row)}
+               for row in rows]
     doc = {"meta": _json_safe(meta), "rows": records}
     json.dump(doc, fh, sort_keys=True, indent=1, allow_nan=False)
     fh.write("\n")

@@ -24,7 +24,7 @@ import numpy as np
 
 from .bloch import CellCouplings, _cell_index
 from .chain import Boundary, ChainConfig, Equilibrium, solve_delta0
-from .errors import ConvergenceError, ZeroModeToleranceError
+from .errors import ZeroModeToleranceError
 from .symplectic import NormalForm, ZeroModePair
 
 
@@ -124,31 +124,18 @@ def build_sectors(config: ChainConfig, eq: Equilibrium | None = None,
     return sectors
 
 
-def thermal_p_squared(sector: FreeParticleSector, temperature: float,
-                      m_cut: int | None = None) -> float:
+def thermal_p_squared(sector: FreeParticleSector, temperature: float) -> float:
     """Thermal expectation <P^2> = <m^2> / c0^2 over the winding numbers.
 
     Boltzmann average of (m / c0)^2 with weights exp(-E_m / T), taken from
     the exact moments of ``_winding_moments`` (Poisson dual series below
-    E_1 / T = pi), so no winding-number truncation remains.  A caller that
-    passes ``m_cut`` asks for a certified truncated sum: it is refused with a
-    ConvergenceError unless the tail weight exp(-E_cut / T) < 1e-15, and is
-    then answered with the exact value, which differs by less than that.
+    E_1 / T = pi), so no winding-number truncation remains.
     """
     if temperature < 0.0:
         raise ValueError("temperature must be non-negative")
     if temperature == 0.0:
         return 0.0
-    e1 = sector.level_unit
-    if m_cut is not None:
-        cut_weight = np.exp(-e1 * m_cut**2 / temperature)
-        if cut_weight >= 1e-15:
-            needed = int(np.ceil(np.sqrt(34.6 * temperature / e1))) + 1
-            raise ConvergenceError(
-                f"m_cut = {m_cut} leaves tail weight {cut_weight:.2e} >= 1e-15; "
-                f"need m_cut >= {needed}"
-            )
-    m2_mean, _ = _winding_moments(e1 / temperature)
+    m2_mean, _ = _winding_moments(sector.level_unit / temperature)
     return m2_mean / sector.c0**2
 
 

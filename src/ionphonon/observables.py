@@ -57,10 +57,14 @@ def _bose(omega: np.ndarray, temperature: float) -> np.ndarray:
 
 
 class PhononField:
-    """The cell bands (``CellCouplings.bands``) of a grid, ready for k sums."""
+    """The cell bands (``CellCouplings.bands``) of a grid, ready for k sums.
+
+    A ring's grid is its own momenta; bulk takes a midpoint grid of ``n_k``
+    momenta.  Every observable reads its config and equilibrium from here.
+    """
 
     def __init__(self, config: ChainConfig, eq: Equilibrium | None = None,
-                 n_k: int | None = None):
+                 n_k: int = 512):
         if eq is None:
             eq = solve_delta0(config)
         self.config = config
@@ -69,7 +73,7 @@ class PhononField:
         if config.boundary is Boundary.RING:
             grid = ring_momenta(config.n_ions)
         else:
-            grid = reduced_zone_grid(512 if n_k is None else n_k, include_edge=False)
+            grid = reduced_zone_grid(n_k, include_edge=False)
         bands = self.couplings.bands(grid)
         self.k, self.omega, self.mask = bands.k, bands.omega, bands.mask
         self.u, self.v, self.zero_pairs = bands.u, bands.v, bands.zero_pairs
@@ -176,7 +180,17 @@ def _enabled_sectors(field: PhononField, radial: bool, longitudinal: bool):
     return [sector for sector in field.sectors() if wanted[sector.label]]
 
 
-def _correlator_from_field(field: PhononField, req: CorrelatorRequest) -> float:
+def spatial_correlator(req: CorrelatorRequest, field: PhononField) -> float:
+    """Spatial correlator <dR_{j,s,nu} dR_{j+dj,s',nu'}> in units of d^2.
+
+    ``delta_j`` counts two-ion unit cells.  Rings use the exact momentum sum.
+    In bulk, nu = nu' on a Goldstone axis (``check_convergent``) raises
+    DivergenceError; any other request is one midpoint sum over the reduced
+    zone (k = 0 excluded) of ``field``.  Near kappa_c the grid, not an error,
+    sets the accuracy (bulk yy, dj = 1, kappa_c - 1e-4: 4.2893e-4, 4.3076e-4
+    and 4.3077e-4 on 64, 128 and 256 momenta).
+    """
+    check_convergent(req, field.config, field.eq)
     i = _cell_index(req.s, AXES[req.nu])
     j = _cell_index(req.sp, AXES[req.nup])
     omega_i = field.couplings.omega_bare[i]
@@ -231,30 +245,6 @@ def check_convergent(req: CorrelatorRequest, config: ChainConfig,
         )
 
 
-def spatial_correlator(req: CorrelatorRequest, config: ChainConfig,
-                       eq: Equilibrium | None = None,
-                       field: PhononField | None = None,
-                       n_k: int = 1024) -> float:
-    """Spatial correlator <dR_{j,s,nu} dR_{j+dj,s',nu'}> in units of d^2.
-
-    ``delta_j`` counts two-ion unit cells.  Rings use the exact momentum sum.
-    In bulk, nu = nu' on a Goldstone axis (``check_convergent``) raises
-    DivergenceError before any band is built, even with ``field`` given; any
-    other request is one midpoint sum over ``n_k`` momenta of the reduced
-    zone (k = 0 excluded) or over ``field``.  Near kappa_c the grid, not an error, sets
-    the accuracy (bulk yy, dj = 1, kappa_c - 1e-4: 4.2893e-4, 4.3076e-4 and
-    4.3077e-4 on 64, 128 and 256 momenta).
-    """
-    if field is not None:
-        config, eq = field.config, field.eq
-    elif eq is None:
-        eq = solve_delta0(config)
-    check_convergent(req, config, eq)
-    if field is None:
-        field = PhononField(config, eq, n_k=n_k)
-    return _correlator_from_field(field, req)
-
-
 # ---------------------------------------------------------------------------
 # thermodynamics and response
 
@@ -270,9 +260,7 @@ def _einstein_heat(omega: np.ndarray, temperature: float) -> np.ndarray:
     return out
 
 
-def heat_capacity(temperature: float, config: ChainConfig,
-                  eq: Equilibrium | None = None,
-                  field: PhononField | None = None) -> float:
+def heat_capacity(temperature: float, field: PhononField) -> float:
     """Specific heat capacity c = C/N per ion (k_B = 1).
 
     Sum of Einstein terms (omega/T)^2 e^{omega/T} / (e^{omega/T} - 1)^2 over
@@ -283,21 +271,20 @@ def heat_capacity(temperature: float, config: ChainConfig,
     """
     if temperature <= 0.0:
         raise ValueError("temperature must be positive")
-    if field is None:
-        field = PhononField(config, eq)
+    ring = field.config.boundary is Boundary.RING
     gap = field.min_gap()
-    if config.boundary is Boundary.RING and temperature < gap / 50.0:
+    if ring and temperature < gap / 50.0:
         warnings.warn(
             f"T = {temperature} is far below the smallest resolvable mode "
             f"({gap:.3g}) on this k grid",
             ResolutionWarning,
         )
     per_mode = _einstein_heat(field.omega[field.mask], temperature)
-    if config.boundary is Boundary.RING:
+    if ring:
         c = float(per_mode.sum())
         for sector in field.sectors():
             c += thermal_energy_and_heat(sector, temperature)[1]
-        return c / config.n_ions
+        return c / field.config.n_ions
     # bulk: intensive zone average, free-particle weight vanishes
     weights = np.repeat(field.weights[:, None], 6, axis=1)[field.mask]
     return 0.5 * float(np.sum(weights * per_mode))
@@ -314,9 +301,7 @@ class SusceptibilityResult:
 
 
 def susceptibility(omega_grid: np.ndarray, component: tuple[str, int],
-                   config: ChainConfig, eq: Equilibrium | None = None,
-                   eta: float = 1e-2,
-                   field: PhononField | None = None) -> list[SusceptibilityResult]:
+                   field: PhononField, eta: float = 1e-2) -> list[SusceptibilityResult]:
     """Local dynamical susceptibility chi(omega) at T = 0, units d^2/omega_I.
 
     chi(omega) = (1 / (2 lam^2 Omega_nu N_c)) sum_{k,gamma} |u - v|^2
@@ -333,8 +318,6 @@ def susceptibility(omega_grid: np.ndarray, component: tuple[str, int],
         raise ValueError(f"component must be (x|y|z, 0|1), got {component}")
     if not eta > 0.0:
         raise ValueError("eta must be positive")
-    if field is None:
-        field = PhononField(config, eq)
     i = _cell_index(s, AXES[nu])
     weight = np.abs(field.u[:, :, i] - field.v[:, :, i]) ** 2 * field.mask
     pref = field.weights[:, None] * weight / (
@@ -355,8 +338,7 @@ def phase_shift(result: SusceptibilityResult) -> float:
     return float(np.angle(result.chi))
 
 
-def correlation_energy(config: ChainConfig, eq: Equilibrium | None = None,
-                       field: PhononField | None = None) -> float:
+def correlation_energy(field: PhononField) -> float:
     """Ground-state correlation energy reduction per ion, in omega_I.
 
     dE0/N = (1/2N) (sum_m omega_m - sum_{l,nu} Omega_{l,nu}): the optimal
@@ -366,12 +348,10 @@ def correlation_energy(config: ChainConfig, eq: Equilibrium | None = None,
     contributing nothing.  Always <= 0 (Schur-Horn majorization of omega^2
     against the bare diagonal), with a kink at the structural transition.
     """
-    if field is None:
-        field = PhononField(config, eq)
     bare = float(np.sum(field.couplings.omega_bare))
-    if config.boundary is Boundary.RING:
+    if field.config.boundary is Boundary.RING:
         total = float(field.omega[field.mask].sum())
-        return 0.5 * (total - field.n_cells * bare) / config.n_ions
+        return 0.5 * (total - field.n_cells * bare) / field.config.n_ions
     weights = np.repeat(field.weights[:, None], 6, axis=1)[field.mask]
     avg_modes = float(np.sum(weights * field.omega[field.mask]))
     return 0.25 * (avg_modes - bare)
@@ -397,6 +377,6 @@ def ginzburg_parameter(config: ChainConfig, eq: Equilibrium | None = None,
         cfg_n = replace(config, n_ions=int(n), boundary=Boundary.RING)
         eq_n = solve_delta0(cfg_n)
         req = CorrelatorRequest(0, 0, 0, "z", "z", 0.0)
-        value = spatial_correlator(req, cfg_n, eq_n)
+        value = spatial_correlator(req, PhononField(cfg_n, eq_n))
         out.append((int(n), value / (2.0 * np.pi * eq_n.delta0) ** 2))
     return out

@@ -32,6 +32,12 @@ from .errors import (
 
 _EPS = np.finfo(float).eps
 
+# frequencies below ZERO_MODE_TOL * max(omega_bare) are zero modes
+ZERO_MODE_TOL = 1e-8
+
+# largest entry of W W^-1 - 1 that assemble_W certifies
+W_RESIDUAL_TOL = 1e-10
+
 
 @dataclass
 class QuadraticForm:
@@ -216,7 +222,7 @@ def _kernel_vectors(k_mat: np.ndarray, phi_cols: np.ndarray, s: np.ndarray,
     if len(basis) != raw.shape[1]:
         raise ZeroModeToleranceError(
             f"found {len(basis)} independent kernel vectors for "
-            f"{raw.shape[1]} zero eigenvalues; adjust tol_zero"
+            f"{raw.shape[1]} zero eigenvalues at ZERO_MODE_TOL = {ZERO_MODE_TOL:g}"
         )
     return basis
 
@@ -228,14 +234,15 @@ def _zero_label(w: np.ndarray, axis_map: np.ndarray | None) -> str:
     return "longitudinal" if int(np.argmax(weights)) == 0 else "radial"
 
 
-def bogoliubov_stack(k_mat: np.ndarray, omega_bare: np.ndarray,
-                     tol_zero: float) -> tuple[np.ndarray, ...]:
+def bogoliubov_stack(k_mat: np.ndarray,
+                     omega_bare: np.ndarray) -> tuple[np.ndarray, ...]:
     """Bogoliubov step of a stack of forms that share ``h - g = diag(omega_bare)``.
 
     ``k_mat`` holds ``K = h + g`` per form, shape (n, D, D).  One stacked
     ``eigh`` of ``Omega^(1/2) K Omega^(1/2)`` gives per form the ascending
     ``lam = omega^2``, the eigenvectors ``phi`` (columns) and the zero
-    threshold ``lam_tol`` (see ``symplectic_diagonalize``).  Every column
+    threshold ``lam_tol = (ZERO_MODE_TOL max(omega_bare))^2`` with a
+    machine-precision floor.  Every column
     with ``lam > lam_tol`` is a mode: ``omega[i, m] = sqrt(lam[i, m])`` and
     Sigma-normalized amplitudes ``u[i, m]``, ``v[i, m]``, phased so that the
     largest entry of u is real and positive.  Zero and unstable columns hold
@@ -250,7 +257,7 @@ def bogoliubov_stack(k_mat: np.ndarray, omega_bare: np.ndarray,
     # the omega^2 threshold needs a generous machine floor; it stays several
     # orders below any physical soft mode
     lam_floor = 4096.0 * _EPS * np.maximum(np.max(np.abs(lam), axis=-1), omega_scale**2)
-    lam_tol = np.maximum((tol_zero * omega_scale) ** 2, lam_floor)
+    lam_tol = np.maximum((ZERO_MODE_TOL * omega_scale) ** 2, lam_floor)
     is_mode = lam > lam_tol[:, None]
     # zero and unstable columns get a placeholder omega = 1, cleared below
     omega = np.sqrt(np.where(is_mode, lam, 1.0))[..., None]
@@ -274,8 +281,7 @@ def bogoliubov_stack(k_mat: np.ndarray, omega_bare: np.ndarray,
     return lam, phi, lam_tol, np.where(is_mode, omega[..., 0], 0.0), u, v
 
 
-def symplectic_diagonalize(form: QuadraticForm, tol: float = 1e-10,
-                           tol_zero: float = 1e-8,
+def symplectic_diagonalize(form: QuadraticForm,
                            axis_map: np.ndarray | None = None,
                            p_norm: float | None = None) -> NormalForm:
     """Full normal form of a quadratic bosonic coupling matrix.
@@ -284,13 +290,6 @@ def symplectic_diagonalize(form: QuadraticForm, tol: float = 1e-10,
     ----------
     form : QuadraticForm
         Must satisfy the type invariants (``form.validate``).
-    tol : float
-        Certification tolerance for internal identities.
-    tol_zero : float
-        Frequencies below ``tol_zero * max(omega_bare)`` classify as zero
-        modes.  Detection happens on omega^2 with a machine-epsilon floor:
-        a defective zero pair splits as sqrt(perturbation) under roundoff,
-        so the floor guards against misclassifying exact Goldstone modes.
     axis_map : ndarray, optional
         Axis label (0, 1, 2) per flat index; enables symmetry separation and
         longitudinal/radial labelling of degenerate zero pairs.
@@ -304,12 +303,12 @@ def symplectic_diagonalize(form: QuadraticForm, tol: float = 1e-10,
         If any squared frequency is negative beyond tolerance; the error
         carries the offending imaginary frequencies.
     """
-    form.validate(tol)
+    form.validate()
     omega_bare = form.omega_bare
     dim = form.dimension
     k_mat = form.h + form.g
     lam, phi, lam_tol, omega, u, v = (
-        a[0] for a in bogoliubov_stack(k_mat[None], omega_bare, tol_zero))
+        a[0] for a in bogoliubov_stack(k_mat[None], omega_bare))
     if lam[0] < -lam_tol:
         bad = np.sqrt(-lam[lam < -lam_tol])
         raise DynamicalInstabilityError(
@@ -391,7 +390,7 @@ def completeness_residual(nf: NormalForm) -> float:
     return float(np.max(np.abs(w @ w_inv - np.eye(2 * nf.dimension))))
 
 
-def assemble_W(nf: NormalForm, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarray]:
+def assemble_W(nf: NormalForm) -> tuple[np.ndarray, np.ndarray]:
     """Transformation matrix W = [x.., i p.., y.., i q..] and its inverse.
 
     The inverse is obtained without numerical inversion as
@@ -406,6 +405,7 @@ def assemble_W(nf: NormalForm, tol: float = 1e-10) -> tuple[np.ndarray, np.ndarr
         )
     w, w_inv = _w_and_inverse(nf)
     residual = float(np.max(np.abs(w @ w_inv - np.eye(2 * dim))))
-    if residual > tol:
-        raise InternalConsistencyError(f"||W W^-1 - 1|| = {residual:.3e} > {tol:.1e}")
+    if residual > W_RESIDUAL_TOL:
+        raise InternalConsistencyError(
+            f"||W W^-1 - 1|| = {residual:.3e} > {W_RESIDUAL_TOL:.1e}")
     return w, w_inv

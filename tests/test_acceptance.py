@@ -160,7 +160,7 @@ def test_criterion_06_zero_mode_count_scan():
             miscount += 1
     assert miscount == 0
     passline(6, "one zero pair below / two above the transition on all "
-                "50 scan points (tol_zero = 1e-8)")
+                "50 scan points (ZERO_MODE_TOL = 1e-8)")
 
 
 def test_criterion_07_dulong_petit_and_low_t_enhancement():
@@ -168,13 +168,13 @@ def test_criterion_07_dulong_petit_and_low_t_enhancement():
     for kappa in (0.2, 0.6):
         cfg = ChainConfig(kappa=kappa, n_ions=64, boundary=Boundary.RING)
         eq = solve_delta0(cfg)
-        values[kappa] = heat_capacity(50.0, cfg, eq)
+        values[kappa] = heat_capacity(50.0, PhononField(cfg, eq))
         assert values[kappa] == pytest.approx(3.0, rel=0.01)
     kappa_c = critical_kappa()
     low = {}
     for kappa in (kappa_c - 0.05, kappa_c + 0.05):
         cfg = ChainConfig(kappa=kappa, n_ions=64, boundary=Boundary.RING)
-        low[kappa] = heat_capacity(0.1, cfg, solve_delta0(cfg))
+        low[kappa] = heat_capacity(0.1, PhononField(cfg))
     assert low[kappa_c + 0.05] > low[kappa_c - 0.05]
     passline(7, f"c(T=50) = {values[0.2]:.4f} / {values[0.6]:.4f} "
                 f"(Dulong-Petit within 1%); c(0.1) zigzag "
@@ -219,18 +219,17 @@ def test_criterion_10_susceptibility_structure():
     band_min, band_max = field.omega[y_sel].min(), field.omega[y_sel].max()
 
     below = np.linspace(0.05, 0.9 * band_min, 12)
-    res_below = susceptibility(below, ("y", 0), cfg, eq, eta=eta, field=field)
+    res_below = susceptibility(below, ("y", 0), field, eta=eta)
     for r in res_below:
         assert abs(r.chi.imag) < 12.0 * eta * abs(r.chi)  # eta-limited floor
         assert r.chi.real > 0.0 and abs(np.angle(r.chi)) < 0.15
-    above = susceptibility([1.4 * band_max], ("y", 0), cfg, eq, eta=eta,
-                           field=field)[0]
+    above = susceptibility([1.4 * band_max], ("y", 0), field, eta=eta)[0]
     assert abs(abs(np.angle(above.chi)) - np.pi) < 0.05
 
     # Kramers-Kronig with the singular part subtracted analytically
     grid = np.linspace(1e-4, 20.0, 20001)
     chi = np.array([r.chi for r in
-                    susceptibility(grid, ("y", 0), cfg, eq, eta=eta, field=field)])
+                    susceptibility(grid, ("y", 0), field, eta=eta)])
     worst = 0.0
     for w0 in (0.3, 0.8, 1.3):
         i0 = int(np.argmin(np.abs(grid - w0)))
@@ -254,12 +253,12 @@ def test_criterion_11_correlation_energy_kink():
     values = []
     for kappa in kappas:
         cfg = ChainConfig(kappa=float(kappa), n_ions=64, boundary=Boundary.RING)
-        values.append(correlation_energy(cfg, solve_delta0(cfg)))
+        values.append(correlation_energy(PhononField(cfg)))
     values = np.array(values)
     assert np.all(values <= 0.0)
     # decay towards zero coupling
-    tiny = [abs(correlation_energy(
-        ChainConfig(kappa=k, n_ions=64, boundary=Boundary.RING)))
+    tiny = [abs(correlation_energy(PhononField(
+        ChainConfig(kappa=k, n_ions=64, boundary=Boundary.RING))))
         for k in (1e-2, 1e-3, 1e-4)]
     assert tiny[0] > tiny[1] > tiny[2] and tiny[2] < 1e-3
     lo = (kappas > kappa_c - 0.12) & (kappas < kappa_c)
@@ -295,20 +294,16 @@ def test_criterion_13_correlator_symmetries():
     field = PhononField(cfg, eq)
     worst = 0.0
     for dj in range(11):
-        yy = spatial_correlator(CorrelatorRequest(dj, 0, 0, "y", "y"),
-                                cfg, eq, field=field)
-        zz = spatial_correlator(CorrelatorRequest(dj, 0, 0, "z", "z"),
-                                cfg, eq, field=field)
-        xy = spatial_correlator(CorrelatorRequest(dj, 0, 0, "x", "y"),
-                                cfg, eq, field=field)
+        yy = spatial_correlator(CorrelatorRequest(dj, 0, 0, "y", "y"), field)
+        zz = spatial_correlator(CorrelatorRequest(dj, 0, 0, "z", "z"), field)
+        xy = spatial_correlator(CorrelatorRequest(dj, 0, 0, "x", "y"), field)
         worst = max(worst, abs(yy - zz))
         assert xy == 0.0
     assert worst < 1e-12
     cfg6 = ChainConfig(kappa=0.6, n_ions=64, boundary=Boundary.RING)
     eq6 = solve_delta0(cfg6)
     field6 = PhononField(cfg6, eq6)
-    xy6 = spatial_correlator(CorrelatorRequest(2, 0, 0, "x", "y"),
-                             cfg6, eq6, field=field6)
+    xy6 = spatial_correlator(CorrelatorRequest(2, 0, 0, "x", "y"), field6)
     assert abs(xy6) > 1e-8
     passline(13, f"linear yy == zz to {worst:.1e} over separations 0..10; "
                  f"cross xy = 0 linear, {xy6:.2e} in zigzag")

@@ -170,6 +170,24 @@ class TestDiagonalizationCount:
         assert len(count) == 0
 
 
+def test_k0_block_reads_the_fold_made_at_construction(monkeypatch):
+    # the on-site sums fold the pair set over two sites once; the untwisted
+    # k = 0 block is that same fold, so it is not folded again
+    calls = []
+    original = bloch.fold_pair_blocks
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(bloch, "fold_pair_blocks", counted)
+    cc = couplings(0.6, n=32, boundary=Boundary.BULK)
+    assert calls == [2]
+    nf = cc.normal_form(0.0)
+    assert calls == [2]
+    assert len(nf.zero_pairs) == 2
+
+
 def sorted_tracker(bands):
     """Reference branch tracker: one sorted() of the candidate pairs per k."""
     slots = np.zeros((len(bands.k), 6), dtype=int)

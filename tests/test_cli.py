@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ionphonon import cli
@@ -262,6 +263,11 @@ class TestExitCodesAndFiles:
         doc = json.loads(out)
         assert doc["meta"]["kappa"] == 0.3
         assert len(doc["rows"]) == 1
+
+
+def test_json_safe_maps_numpy_nan_and_inf_to_null():
+    doc = cli._json_safe({"a": np.float64("nan"), "b": [np.float32("inf")]})
+    assert doc == {"a": None, "b": [None]}
 
 
 def test_console_entry_point_runs():

@@ -11,11 +11,9 @@ from hypothesis import strategies as st
 
 from ionphonon.bloch import CellCouplings, _cell_index
 from ionphonon.chain import Boundary, ChainConfig, solve_delta0
-from ionphonon.errors import ConvergenceError
 from ionphonon.freeparticle import (
     FreeParticleSector,
     _winding_moments,
-    adaptive_m_cut,
     build_sectors,
     effective_masses,
     goldstone_branches,
@@ -123,8 +121,7 @@ class TestThermalMoments:
     def test_monotone_in_temperature(self):
         sector = build_sectors(bulk(0.6))[0]
         temps = [0.05, 0.1, 0.3, 0.6]
-        cuts = [adaptive_m_cut(sector, t) for t in temps]
-        values = [thermal_p_squared(sector, t, m_cut=c) for t, c in zip(temps, cuts)]
+        values = [thermal_p_squared(sector, t) for t in temps]
         assert all(b > a for a, b in zip(values, values[1:]))
 
     def test_against_high_precision_partition_sum(self):
@@ -138,7 +135,7 @@ class TestThermalMoments:
         cfg = ChainConfig(kappa=0.6, n_ions=32, lam=float(lam), boundary=Boundary.BULK)
         sector = [s for s in build_sectors(cfg, eq) if s.label == "radial"][0]
         t = 0.5
-        value = thermal_p_squared(sector, t, m_cut=400)
+        value = thermal_p_squared(sector, t)
         with mpmath.workdps(50):
             e1 = mpmath.mpf(sector.level_unit)
             c0 = mpmath.mpf(sector.c0)
@@ -149,11 +146,6 @@ class TestThermalMoments:
                 den += w
             oracle = float(num / den)
         assert value == pytest.approx(oracle, abs=1e-12)
-
-    def test_insufficient_cut_raises(self):
-        sector = build_sectors(bulk(0.6))[0]
-        with pytest.raises(ConvergenceError):
-            thermal_p_squared(sector, 50.0, m_cut=40)
 
     def test_heat_matches_finite_difference_oracle(self):
         sector = build_sectors(bulk(0.6))[0]

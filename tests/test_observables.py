@@ -18,6 +18,7 @@ from ionphonon.observables import (
     AXES,
     CorrelatorRequest,
     PhononField,
+    check_convergent,
     correlation_energy,
     ginzburg_parameter,
     heat_capacity,
@@ -25,7 +26,6 @@ from ionphonon.observables import (
     phase_shift,
     spatial_correlator,
     susceptibility,
-    _correlator_from_field,
     _einstein_heat,
 )
 from ionphonon.symplectic import build_quadratic_form, symplectic_diagonalize
@@ -130,7 +130,7 @@ class TestSpatialCorrelator:
                     for s in (0, 1):
                         for sp in (0, 1):
                             req = CorrelatorRequest(dj, s, sp, nu, nup)
-                            mine = spatial_correlator(req, cfg, eq, field=field)
+                            mine = spatial_correlator(req, field)
                             a = 3 * (2 * dj + s) + AXES[nu]
                             b = 3 * sp + AXES[nup]
                             errs.append(abs(mine - oracle[a, b]))
@@ -139,26 +139,27 @@ class TestSpatialCorrelator:
     def test_decoupled_same_site_variance(self):
         cfg = ring(1e-8, 16, lam=50.0)
         eq = solve_delta0(cfg)
-        value = spatial_correlator(CorrelatorRequest(0, 0, 0, "y", "y"), cfg, eq)
+        value = spatial_correlator(CorrelatorRequest(0, 0, 0, "y", "y"),
+                                   PhononField(cfg, eq))
         assert value == pytest.approx(1.0 / (2.0 * cfg.lam**2), rel=1e-7)
 
     def test_linear_phase_cross_correlator_vanishes(self, linear_field):
         cfg, eq, field = linear_field
         for dj in range(5):
             req = CorrelatorRequest(dj, 0, 0, "x", "y")
-            assert spatial_correlator(req, cfg, eq, field=field) == 0.0
+            assert spatial_correlator(req, field) == 0.0
 
     def test_linear_phase_rotational_symmetry(self, linear_field):
         cfg, eq, field = linear_field
         for dj in range(11):
-            yy = spatial_correlator(CorrelatorRequest(dj, 0, 0, "y", "y"), cfg, eq, field=field)
-            zz = spatial_correlator(CorrelatorRequest(dj, 0, 0, "z", "z"), cfg, eq, field=field)
+            yy = spatial_correlator(CorrelatorRequest(dj, 0, 0, "y", "y"), field)
+            zz = spatial_correlator(CorrelatorRequest(dj, 0, 0, "z", "z"), field)
             assert abs(yy - zz) < 1e-12
 
     def test_zigzag_cross_correlator_nonzero(self, zigzag_field):
         cfg, eq, field = zigzag_field
         req = CorrelatorRequest(2, 0, 0, "x", "y")
-        assert abs(spatial_correlator(req, cfg, eq, field=field)) > 1e-8
+        assert abs(spatial_correlator(req, field)) > 1e-8
 
     def test_radial_zero_mode_offset(self, zigzag_field):
         # closed form: (-1)^(s-s') pi^2 delta0^2 / 3 in units d^2
@@ -166,11 +167,10 @@ class TestSpatialCorrelator:
         expected = np.pi**2 * eq.delta0**2 / 3.0
         for dj, s, sp in ((0, 0, 0), (3, 0, 1), (5, 1, 1)):
             on = spatial_correlator(
-                CorrelatorRequest(dj, s, sp, "z", "z"), cfg, eq, field=field)
+                CorrelatorRequest(dj, s, sp, "z", "z"), field)
             off = spatial_correlator(
                 CorrelatorRequest(dj, s, sp, "z", "z",
-                                  include_radial_zero_mode=False),
-                cfg, eq, field=field)
+                                  include_radial_zero_mode=False), field)
             assert on - off == pytest.approx((-1.0) ** (s - sp) * expected, rel=1e-12)
 
     def test_swap_symmetry(self, zigzag_field):
@@ -178,23 +178,19 @@ class TestSpatialCorrelator:
         # operators maps (delta_j, s, nu | s', nu') to (-delta_j, s', nu' | s, nu),
         # which is how negative separations are covered by the request API
         cfg, eq, field = zigzag_field
-        from ionphonon.observables import _correlator_from_field
-
         for dj, s, sp, nu, nup in ((2, 0, 1, "x", "y"), (4, 1, 0, "y", "z"),
                                    (3, 0, 0, "x", "x")):
-            a = spatial_correlator(CorrelatorRequest(dj, s, sp, nu, nup),
-                                   cfg, eq, field=field)
+            a = spatial_correlator(CorrelatorRequest(dj, s, sp, nu, nup), field)
             swapped = CorrelatorRequest(dj, sp, s, nup, nu)
             swapped.delta_j = -dj  # bypasses validation; internal sums accept it
-            b = _correlator_from_field(field, swapped)
+            b = spatial_correlator(swapped, field)
             assert a == pytest.approx(b, abs=1e-13)
 
     def test_temperature_monotonicity(self, linear_field):
         cfg, eq, field = linear_field
         temps = [0.0, 0.05, 0.1, 0.2, 0.5]
         values = [
-            spatial_correlator(CorrelatorRequest(0, 0, 0, "y", "y", temperature=t),
-                               cfg, eq, field=field)
+            spatial_correlator(CorrelatorRequest(0, 0, 0, "y", "y", temperature=t), field)
             for t in temps
         ]
         assert all(b >= a for a, b in zip(values, values[1:]))
@@ -202,14 +198,15 @@ class TestSpatialCorrelator:
     def test_bulk_gapped_correlator_converges(self):
         cfg = bulk(0.3)
         eq = solve_delta0(cfg)
-        value = spatial_correlator(CorrelatorRequest(1, 0, 0, "y", "y"), cfg, eq)
+        value = spatial_correlator(CorrelatorRequest(1, 0, 0, "y", "y"),
+                                   PhononField(cfg, eq, n_k=1024))
         assert np.isfinite(value)
 
     def test_bulk_gapless_correlator_raises(self):
         cfg = bulk(0.3)
         eq = solve_delta0(cfg)
         with pytest.raises(DivergenceError) as err:
-            spatial_correlator(CorrelatorRequest(0, 0, 0, "x", "x"), cfg, eq)
+            check_convergent(CorrelatorRequest(0, 0, 0, "x", "x"), cfg, eq)
         assert "axial" in str(err.value)
 
     def test_bulk_divergence_is_checked_on_a_given_field(self):
@@ -217,8 +214,7 @@ class TestSpatialCorrelator:
         eq = solve_delta0(cfg)
         field = PhononField(cfg, eq, n_k=64)
         with pytest.raises(DivergenceError) as err:
-            spatial_correlator(CorrelatorRequest(2, 0, 1, "x", "x"), cfg, eq,
-                               field=field)
+            spatial_correlator(CorrelatorRequest(2, 0, 1, "x", "x"), field)
         assert "axial sound" in str(err.value)
 
     def test_bulk_near_critical_correlator_is_finite(self):
@@ -227,15 +223,14 @@ class TestSpatialCorrelator:
         cfg = bulk(critical_kappa() - 1e-4)
         eq = solve_delta0(cfg)
         req = CorrelatorRequest(1, 0, 0, "y", "y")
-        value = spatial_correlator(req, cfg, eq, n_k=64)
-        assert value == _correlator_from_field(PhononField(cfg, eq, n_k=64), req)
+        value = spatial_correlator(req, PhononField(cfg, eq, n_k=64))
         assert value == pytest.approx(4.2893e-4, rel=1e-4)
 
     def test_bulk_helical_correlator_raises(self):
         cfg = bulk(0.6)
         eq = solve_delta0(cfg)
         with pytest.raises(DivergenceError):
-            spatial_correlator(
+            check_convergent(
                 CorrelatorRequest(0, 0, 0, "z", "z", include_radial_zero_mode=False),
                 cfg, eq)
 
@@ -243,7 +238,7 @@ class TestSpatialCorrelator:
         cfg = bulk(0.3)
         eq = solve_delta0(cfg)
         with pytest.raises(DivergenceError):
-            spatial_correlator(
+            check_convergent(
                 CorrelatorRequest(0, 0, 0, "x", "x",
                                   include_longitudinal_zero_mode=True),
                 cfg, eq)
@@ -271,21 +266,21 @@ class TestHeatCapacity:
 
     def test_dulong_petit_limit(self, linear_field, zigzag_field):
         for cfg, eq, field in (linear_field, zigzag_field):
-            c = heat_capacity(50.0, cfg, eq, field=field)
+            c = heat_capacity(50.0, field)
             assert c == pytest.approx(3.0, rel=0.01)
 
     def test_vanishes_at_low_temperature_bulk(self):
         cfg = bulk(0.3)
         eq = solve_delta0(cfg)
         field = PhononField(cfg, eq, n_k=64)
-        assert heat_capacity(1e-4, cfg, eq, field=field) < 1e-10
+        assert heat_capacity(1e-4, field) < 1e-10
 
     def test_free_particle_classical_plateau(self, linear_field):
         # at T far below the phonon gap but far above the sector's level
         # spacing, only the sliding mode holds heat: c = (1/2) / N
         cfg, eq, field = linear_field
         with pytest.warns(ResolutionWarning):
-            c = heat_capacity(1e-3, cfg, eq, field=field)
+            c = heat_capacity(1e-3, field)
         assert c == pytest.approx(0.5 / cfg.n_ions, rel=1e-3)
 
     def test_zigzag_exceeds_linear_at_matched_distance(self):
@@ -294,18 +289,18 @@ class TestHeatCapacity:
         for kappa in (kc - 0.05, kc + 0.05):
             cfg = ring(kappa, 64)
             eq = solve_delta0(cfg)
-            values[kappa] = heat_capacity(0.1, cfg, eq)
+            values[kappa] = heat_capacity(0.1, PhononField(cfg, eq))
         assert values[kc + 0.05] > values[kc - 0.05]
 
     def test_resolution_warning(self, linear_field):
         cfg, eq, field = linear_field
         with pytest.warns(ResolutionWarning):
-            heat_capacity(1e-9, cfg, eq, field=field)
+            heat_capacity(1e-9, field)
 
     def test_rejects_nonpositive_temperature(self, linear_field):
         cfg, eq, field = linear_field
         with pytest.raises(ValueError):
-            heat_capacity(0.0, cfg, eq, field=field)
+            heat_capacity(0.0, field)
 
     def test_sector_heat_is_exact_derivative(self):
         sector = build_sectors(bulk(0.6, n=32))[0]
@@ -319,13 +314,13 @@ class TestHeatCapacity:
 class TestSusceptibility:
     def test_vanishes_at_high_frequency(self, linear_field):
         cfg, eq, field = linear_field
-        results = susceptibility([0.5, 50.0, 500.0], ("y", 0), cfg, eq, field=field)
+        results = susceptibility([0.5, 50.0, 500.0], ("y", 0), field)
         assert abs(results[2].chi) < abs(results[1].chi) < abs(results[0].chi)
         assert abs(results[2].chi) < 1e-7
 
     def test_static_response_is_real_and_positive(self, linear_field):
         cfg, eq, field = linear_field
-        res = susceptibility([0.0], ("y", 0), cfg, eq, field=field)[0]
+        res = susceptibility([0.0], ("y", 0), field)[0]
         assert res.chi.imag == 0.0
         assert res.chi.real > 0.0
 
@@ -336,7 +331,7 @@ class TestSusceptibility:
         hess = build_hessian(cfg, eq)
         y_block = hess.matrix[1::3, 1::3]
         compliance = np.linalg.inv(y_block)[0, 0] / cfg.lam**2
-        res = susceptibility([0.0], ("y", 0), cfg, eq, eta=1e-7, field=field)[0]
+        res = susceptibility([0.0], ("y", 0), field, eta=1e-7)[0]
         assert res.chi.real == pytest.approx(compliance, rel=1e-6)
 
     def test_below_band_in_phase_above_band_antiphase(self, linear_field):
@@ -345,11 +340,11 @@ class TestSusceptibility:
                                          + np.abs(field.u[:, :, 3]) ** 2 > 1e-6)]
         below = 0.9 * band.min()
         above = 1.5 * band.max()
-        res = susceptibility([below, above], ("y", 0), cfg, eq, field=field)
+        res = susceptibility([below, above], ("y", 0), field)
         assert abs(phase_shift(res[0])) < 0.1
         assert abs(abs(phase_shift(res[1])) - np.pi) < 0.05
         # the residual below-band phase is an eta-floor: linear in eta
-        res3 = susceptibility([below], ("y", 0), cfg, eq, eta=1e-3, field=field)[0]
+        res3 = susceptibility([below], ("y", 0), field, eta=1e-3)[0]
         assert abs(phase_shift(res3)) < 0.012
         assert abs(phase_shift(res3)) == pytest.approx(
             0.1 * abs(phase_shift(res[0])), rel=0.15)
@@ -362,21 +357,21 @@ class TestSusceptibility:
         field = PhononField(cfg, eq)
         y_weight = np.abs(field.u[:, :, 2]) ** 2 > 0.1
         centroid = float(np.mean(field.omega[field.mask & y_weight]))
-        res = susceptibility([centroid], ("y", 0), cfg, eq, eta=1e-3, field=field)[0]
+        res = susceptibility([centroid], ("y", 0), field, eta=1e-3)[0]
         assert phase_shift(res) == pytest.approx(np.pi / 2.0, abs=1e-3)
 
     def test_reality_structure_away_from_resonances(self, linear_field):
         cfg, eq, field = linear_field
         omega = 0.3  # below the transverse band
-        chis = [susceptibility([omega], ("y", 0), cfg, eq, eta=eta, field=field)[0].chi
+        chis = [susceptibility([omega], ("y", 0), field, eta=eta)[0].chi
                 for eta in (1e-2, 1e-4, 1e-6)]
         assert abs(chis[-1].imag) < 1e-8
         assert abs(chis[0].imag) > abs(chis[1].imag) > abs(chis[2].imag)
 
     def test_conjugation_symmetry(self, linear_field):
         cfg, eq, field = linear_field
-        plus = susceptibility([0.7], ("y", 0), cfg, eq, field=field)[0].chi
-        minus = susceptibility([-0.7], ("y", 0), cfg, eq, field=field)[0].chi
+        plus = susceptibility([0.7], ("y", 0), field)[0].chi
+        minus = susceptibility([-0.7], ("y", 0), field)[0].chi
         assert minus == pytest.approx(np.conj(plus), rel=1e-12)
 
     def test_kramers_kronig_reconstruction(self, linear_field):
@@ -385,7 +380,7 @@ class TestSusceptibility:
         cfg, eq, field = linear_field
         grid = np.linspace(1e-4, 20.0, 20001)
         chi = np.array([r.chi for r in
-                        susceptibility(grid, ("y", 0), cfg, eq, field=field)])
+                        susceptibility(grid, ("y", 0), field)])
         for w0 in (0.3, 0.8, 1.2):
             i0 = int(np.argmin(np.abs(grid - w0)))
             w0g, im0 = grid[i0], chi.imag[i0]
@@ -400,11 +395,11 @@ class TestSusceptibility:
     def test_component_validation(self, linear_field):
         cfg, eq, field = linear_field
         with pytest.raises(ValueError):
-            susceptibility([0.1], ("w", 0), cfg, eq, field=field)
+            susceptibility([0.1], ("w", 0), field)
         with pytest.raises(ValueError):
-            susceptibility([0.1], ("y", 2), cfg, eq, field=field)
+            susceptibility([0.1], ("y", 2), field)
         with pytest.raises(ValueError):
-            susceptibility([0.1], ("y", 0), cfg, eq, eta=0.0, field=field)
+            susceptibility([0.1], ("y", 0), field, eta=0.0)
 
 
 class TestCorrelationEnergy:
@@ -412,14 +407,14 @@ class TestCorrelationEnergy:
         values = []
         for kappa in (1e-2, 1e-3, 1e-4):
             cfg = ring(kappa, 32)
-            values.append(abs(correlation_energy(cfg, solve_delta0(cfg))))
+            values.append(abs(correlation_energy(PhononField(cfg))))
         assert values[0] > values[1] > values[2]
         assert values[2] < 1e-3
 
     def test_never_positive(self):
         for kappa in (0.1, 0.3, 0.5, 0.7, 0.9):
             cfg = ring(kappa, 32)
-            assert correlation_energy(cfg, solve_delta0(cfg)) <= 0.0
+            assert correlation_energy(PhononField(cfg)) <= 0.0
 
     def test_uncorrelated_reference_is_variational_optimum(self):
         # one-time verification: minimize <H_ph> over zero-mean per-site
@@ -451,7 +446,7 @@ class TestCorrelationEnergy:
         nf = symplectic_diagonalize(build_quadratic_form(hess, omegas),
                                     axis_map=hess.axis_map, p_norm=16)
         expected = 0.5 * (nf.frequencies().sum() - omegas.sum()) / cfg.n_ions
-        assert correlation_energy(cfg, eq) == pytest.approx(expected, rel=1e-10)
+        assert correlation_energy(PhononField(cfg, eq)) == pytest.approx(expected, rel=1e-10)
 
 
 class TestGinzburg:
@@ -495,13 +490,13 @@ class TestFullSpaceOracles:
         for sector in build_sectors(cfg, eq):
             oracle += thermal_energy_and_heat(sector, t)[1]
         oracle /= cfg.n_ions
-        assert heat_capacity(t, cfg, eq) == pytest.approx(oracle, rel=1e-10)
+        assert heat_capacity(t, PhononField(cfg, eq)) == pytest.approx(oracle, rel=1e-10)
 
     def test_susceptibility(self, small_zigzag):
         cfg, eq, nf, omegas = small_zigzag
         eta, grid = 1e-2, np.array([0.0, 0.4, 0.9, 1.6])
         a = 1  # ion 0, axis y  <->  component (y, sublattice 0)
-        results = susceptibility(grid, ("y", 0), cfg, eq, eta=eta)
+        results = susceptibility(grid, ("y", 0), PhononField(cfg, eq), eta=eta)
         for res in results:
             oracle = 0.0 + 0.0j
             for mode in nf.modes:
@@ -532,7 +527,7 @@ class TestFullSpaceOracles:
         for dj, s, sp, nu, nup in ((0, 0, 0, "y", "y"), (1, 0, 1, "x", "x"),
                                    (2, 1, 1, "z", "z"), (1, 0, 1, "x", "y")):
             req = CorrelatorRequest(dj, s, sp, nu, nup, temperature=t)
-            mine = spatial_correlator(req, cfg, eq, field=field)
+            mine = spatial_correlator(req, field)
             a = 3 * (2 * dj + s) + AXES[nu]
             b = 3 * sp + AXES[nup]
             assert mine == pytest.approx(oracle[a, b], abs=1e-12)
@@ -542,20 +537,17 @@ def test_longitudinal_offset_closed_form(linear_field):
     # delocalizing the chain over the ring adds the uniform-distribution
     # variance N^2/12 to every same-axis axial correlator
     cfg, eq, field = linear_field
-    base = spatial_correlator(CorrelatorRequest(3, 0, 0, "x", "x"),
-                              cfg, eq, field=field)
+    base = spatial_correlator(CorrelatorRequest(3, 0, 0, "x", "x"), field)
     shifted = spatial_correlator(
         CorrelatorRequest(3, 0, 0, "x", "x",
-                          include_longitudinal_zero_mode=True),
-        cfg, eq, field=field)
+                          include_longitudinal_zero_mode=True), field)
     assert shifted - base == pytest.approx(cfg.n_ions**2 / 12.0, rel=1e-12)
 
 
 def test_transverse_correlations_oscillate_and_decay(linear_field):
     cfg, eq, field = linear_field
     values = [
-        spatial_correlator(CorrelatorRequest(dj, 0, 0, "y", "y"),
-                           cfg, eq, field=field)
+        spatial_correlator(CorrelatorRequest(dj, 0, 0, "y", "y"), field)
         for dj in range(1, 7)
     ]
     assert values[0] * values[1] < 0.0  # initial sign oscillation
@@ -569,7 +561,7 @@ def test_out_of_plane_fluctuations_enhanced_by_soft_helical_mode():
         cfg = ring(kappa, 64)
         eq = solve_delta0(cfg)
         req = CorrelatorRequest(0, 0, 0, "z", "z", include_radial_zero_mode=False)
-        results[kappa] = spatial_correlator(req, cfg, eq)
+        results[kappa] = spatial_correlator(req, PhononField(cfg, eq))
     assert results[kc + 0.05] > 1.5 * results[kc - 0.05]
 
 
@@ -595,7 +587,7 @@ def test_thermal_correlators_match_textbook_coth_formula():
             for nup in AXES:
                 req = CorrelatorRequest(dj, 0, 1, nu, nup, temperature=t,
                                         include_radial_zero_mode=False)
-                mine = spatial_correlator(req, cfg, eq, field=field)
+                mine = spatial_correlator(req, field)
                 a = 3 * (2 * dj + 0) + AXES[nu]
                 b = 3 * 1 + AXES[nup]
                 assert mine == pytest.approx(oracle[a, b], abs=1e-14)
@@ -616,9 +608,9 @@ def test_correlators_invariant_under_mode_phase_rotations(zigzag_field):
                                   (2, 0, 1, "x", "y", 0.3),
                                   (4, 1, 1, "y", "y", 0.1)):
         req = CorrelatorRequest(dj, s, sp, nu, nup, temperature=t)
-        a = spatial_correlator(req, cfg, eq, field=field)
-        b = spatial_correlator(req, cfg, eq, field=rotated)
+        a = spatial_correlator(req, field)
+        b = spatial_correlator(req, rotated)
         assert a == pytest.approx(b, abs=1e-13)
-    chi_a = susceptibility([0.5], ("y", 0), cfg, eq, field=field)[0].chi
-    chi_b = susceptibility([0.5], ("y", 0), cfg, eq, field=rotated)[0].chi
+    chi_a = susceptibility([0.5], ("y", 0), field)[0].chi
+    chi_b = susceptibility([0.5], ("y", 0), rotated)[0].chi
     assert chi_a == pytest.approx(chi_b, rel=1e-12)
