@@ -13,10 +13,11 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import replace
 
 import numpy as np
 
@@ -67,158 +68,152 @@ class UsageError(Exception):
     pass
 
 
-@dataclass
-class RunConfig:
-    """Fully resolved run request: command, chain parameters, grids, output."""
+def _int_list(text: str) -> tuple[int, ...]:
+    """``50,100,200``; argparse turns a ValueError into a usage error."""
+    return tuple(int(tok) for tok in text.split(",") if tok)
 
-    command: str
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The one owner of every option's flag, type, default and choices.
+
+    Config files are read through it too (``_file_tokens``); it is never
+    changed after it is built, so one per process serves every request.
+    """
+    parser = argparse.ArgumentParser(
+        prog="ionphonon",
+        description="Phonon normal form and observables of a trapped-ion chain",
+    )
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--kappa", type=float, help="Coulomb coupling (required)")
+    parser.add_argument("--alpha", type=float, default=1.0)
+    parser.add_argument("--lambda", dest="lam", type=float, default=50.0)
+    parser.add_argument("--n-ions", type=int, default=64)
+    parser.add_argument("--boundary", choices=["ring", "bulk"], default="ring")
+    parser.add_argument("--temperature", type=float)
+    parser.add_argument("--t-min", type=float, default=0.01)
+    parser.add_argument("--t-max", type=float, default=50.0)
+    parser.add_argument("--t-steps", type=int, default=50)
+    parser.add_argument("--k-points", type=int, default=401)
+    parser.add_argument("--eta", type=float, default=1e-2)
+    parser.add_argument("--component", choices=["x", "y", "z"], default="",
+                        help="default: all pairs (correlations), y (susceptibility)")
+    parser.add_argument("--sublattice", type=int, choices=[0, 1], default=0)
+    parser.add_argument("--include-longitudinal-zero-mode", action="store_true")
+    parser.add_argument("--exclude-radial-zero-mode", action="store_false",
+                        dest="include_radial_zero_mode")
+    parser.add_argument("--max-separation", type=int, default=10)
+    parser.add_argument("--n-list", type=_int_list, default=(50, 100, 200, 400))
+    parser.add_argument("--omega-min", type=float, default=0.0)
+    parser.add_argument("--omega-max", type=float, default=3.0)
+    parser.add_argument("--omega-steps", type=int, default=601)
+    parser.add_argument("--format", dest="fmt", choices=["csv", "json"], default="csv")
+    parser.add_argument("--output")
+    parser.add_argument("--config", help="`key = value` file of flags, overridden by them")
+    return parser
+
+
+class RunConfig(argparse.Namespace):
+    """Fully resolved run request: one attribute per dest of ``_parser``,
+    plus the ``chain`` that ``validate`` builds from them."""
+
     chain: ChainConfig
-    temperature: float | None = None
-    t_min: float = 0.01
-    t_max: float = 50.0
-    t_steps: int = 50
-    k_points: int = 401
-    eta: float = 1e-2
-    component: str = "y"
-    sublattice: int = 0
-    include_longitudinal_zero_mode: bool = False
-    include_radial_zero_mode: bool = True
-    max_separation: int = 10
-    n_list: tuple[int, ...] = (50, 100, 200, 400)
-    omega_min: float = 0.0
-    omega_max: float = 3.0
-    omega_steps: int = 601
-    fmt: str = "csv"
-    output: str | None = None
 
     def validate(self) -> None:
+        """Resolve ``chain``; raise UsageError for any value the parser's
+        types and choices let through but the command cannot take."""
+        for dest, value in vars(self).items():
+            if isinstance(value, float) and not math.isfinite(value):
+                raise UsageError(f"{dest} must be finite, got {value}")
+        try:
+            self.chain = ChainConfig(
+                kappa=self.kappa, alpha=self.alpha, lam=self.lam,
+                n_ions=self.n_ions, boundary=Boundary(self.boundary),
+            )
+        except ValueError as exc:
+            raise UsageError(str(exc)) from exc
+        if self.command == "ginzburg":
+            for n in self.n_list:  # each size is a ring of its own
+                try:
+                    replace(self.chain, n_ions=n)
+                except ValueError as exc:
+                    raise UsageError(f"--n-list: {exc}") from exc
+        if self.temperature is not None:
+            if not self.temperature >= 0.0:
+                raise UsageError("--temperature must be non-negative")
+            if self.command == "heat-capacity" and self.temperature == 0.0:
+                raise UsageError("heat-capacity needs --temperature > 0")
+        if not self.t_min > 0.0:
+            raise UsageError("--t-min must be positive")
+        if self.t_steps < 1:
+            raise UsageError("--t-steps must be at least 1")
         if self.t_steps >= 2 and not self.t_min < self.t_max:
             raise UsageError("temperature grid must be strictly increasing")
+        if self.omega_steps < 1:
+            raise UsageError("--omega-steps must be at least 1")
         if self.omega_steps >= 2 and not self.omega_min < self.omega_max:
             raise UsageError("omega grid must be strictly increasing")
         if self.k_points < 2:
             raise UsageError("--k-points must be at least 2")
         if self.max_separation < 0:
             raise UsageError("--max-separation must be non-negative")
-        if self.eta <= 0.0:
+        if not self.eta > 0.0:
             raise UsageError("--eta must be positive")
 
 
-def _read_config_file(path: str) -> dict[str, str]:
-    """Flat key-value file, one `key = value` per line, # comments."""
-    values: dict[str, str] = {}
+def _file_tokens(path: str) -> list[str]:
+    """The command-line tokens of a flat config file.
+
+    One `key = value` (or `key: value`) per line, # comments.  A key is the
+    flag of the same name: `--key=value`, or for a switch the bare flag
+    (true, 1, yes) or nothing (false, 0, no).
+    """
     try:
         with open(path, encoding="utf-8") as handle:
-            for lineno, line in enumerate(handle, 1):
-                stripped = line.strip()
-                if not stripped or stripped.startswith("#"):
-                    continue
-                for sep in ("=", ":"):
-                    if sep in stripped:
-                        key, _, val = stripped.partition(sep)
-                        break
-                else:
-                    raise UsageError(
-                        f"{path}:{lineno}: expected 'key = value', got {stripped!r}"
-                    )
-                values[key.strip().replace("-", "_")] = val.strip()
-    except OSError as exc:
+            lines = handle.read().splitlines()
+    except (OSError, UnicodeDecodeError) as exc:
         raise UsageError(f"cannot read config file {path}: {exc}") from exc
-    return values
-
-
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ionphonon",
-        description="Phonon normal form and observables of a trapped-ion chain",
-    )
-    parser.add_argument("command", choices=COMMANDS)
-    parser.add_argument("--kappa", type=float, default=None,
-                        help="Coulomb coupling (required)")
-    parser.add_argument("--alpha", type=float, default=1.0)
-    parser.add_argument("--lambda", dest="lam", type=float, default=50.0)
-    parser.add_argument("--n-ions", type=int, default=64)
-    parser.add_argument("--boundary", choices=["ring", "bulk"], default="ring")
-    parser.add_argument("--temperature", type=float, default=None)
-    parser.add_argument("--t-min", type=float, default=0.01)
-    parser.add_argument("--t-max", type=float, default=50.0)
-    parser.add_argument("--t-steps", type=int, default=50)
-    parser.add_argument("--k-points", type=int, default=401)
-    parser.add_argument("--eta", type=float, default=1e-2)
-    parser.add_argument("--component", choices=["x", "y", "z"], default=None)
-    parser.add_argument("--sublattice", type=int, choices=[0, 1], default=0)
-    parser.add_argument("--include-longitudinal-zero-mode", action="store_true")
-    parser.add_argument("--exclude-radial-zero-mode", action="store_true")
-    parser.add_argument("--max-separation", type=int, default=10)
-    parser.add_argument("--n-list", type=str, default="50,100,200,400")
-    parser.add_argument("--omega-min", type=float, default=0.0)
-    parser.add_argument("--omega-max", type=float, default=3.0)
-    parser.add_argument("--omega-steps", type=int, default=601)
-    parser.add_argument("--format", dest="fmt", choices=["csv", "json"],
-                        default="csv")
-    parser.add_argument("--output", type=str, default=None)
-    parser.add_argument("--config", type=str, default=None)
-    return parser
-
-
-_FILE_CASTS = {
-    "kappa": float, "alpha": float, "lam": float, "lambda": float,
-    "n_ions": int, "boundary": str, "temperature": float,
-    "t_min": float, "t_max": float, "t_steps": int, "k_points": int,
-    "eta": float, "component": str, "sublattice": int,
-    "include_longitudinal_zero_mode": lambda v: v.lower() in ("1", "true", "yes"),
-    "exclude_radial_zero_mode": lambda v: v.lower() in ("1", "true", "yes"),
-    "max_separation": int, "n_list": str, "omega_min": float,
-    "omega_max": float, "omega_steps": int, "format": str, "output": str,
-}
+    actions = _parser()._option_string_actions
+    tokens = []
+    for lineno, line in enumerate(lines, 1):
+        stripped = line.strip()
+        if not stripped or stripped.startswith("#"):
+            continue
+        for sep in ("=", ":"):
+            if sep in stripped:
+                key, _, value = stripped.partition(sep)
+                break
+        else:
+            raise UsageError(
+                f"{path}:{lineno}: expected 'key = value', got {stripped!r}"
+            )
+        key, value = key.strip().replace("_", "-"), value.strip()
+        action = actions.get("--" + key)
+        if action is None or action.dest in ("help", "config"):
+            raise UsageError(f"unknown key {key!r} in config file")
+        if action.nargs != 0:
+            tokens.append(f"--{key}={value}")
+        elif value.lower() in ("1", "true", "yes"):
+            tokens.append("--" + key)
+        elif value.lower() not in ("0", "false", "no"):
+            raise UsageError(f"config key {key!r} takes true or false, got {value!r}")
+    return tokens
 
 
 def parse_config(argv: list[str]) -> RunConfig:
     """Resolve flags and optional config file into a RunConfig.
 
-    Flags override file values, which override defaults.  Raises UsageError
-    (or SystemExit(2) from argparse) on malformed input.
+    The file's tokens go in front of the flags, so one parser checks both
+    and flags override file values, which override defaults.  Raises
+    UsageError (or SystemExit(2) from argparse) on malformed input.
     """
-    parser = _build_parser()
-    pre, _ = parser.parse_known_args(argv)
-    if pre.config:
-        file_values = _read_config_file(pre.config)
-        defaults = {}
-        for key, raw in file_values.items():
-            dest = {"lambda": "lam", "format": "fmt"}.get(key, key)
-            cast = _FILE_CASTS.get(key)
-            if cast is None:
-                raise UsageError(f"unknown key {key!r} in config file")
-            try:
-                defaults[dest] = cast(raw)
-            except ValueError as exc:
-                raise UsageError(f"bad value for {key!r}: {raw!r}") from exc
-        parser.set_defaults(**defaults)
-    args = parser.parse_args(argv)
-    if args.kappa is None:
+    parser = _parser()
+    config = parser.parse_known_args(argv)[0].config
+    if config:
+        argv = _file_tokens(config) + argv
+    rc = parser.parse_args(argv, namespace=RunConfig())
+    if rc.kappa is None:
         parser.error("--kappa is required (set it on the command line or in the config file)")
-    try:
-        chain = ChainConfig(
-            kappa=args.kappa, alpha=args.alpha, lam=args.lam,
-            n_ions=args.n_ions, boundary=Boundary(args.boundary),
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
-    try:
-        n_list = tuple(int(tok) for tok in str(args.n_list).split(",") if tok)
-    except ValueError as exc:
-        raise UsageError(f"bad --n-list: {args.n_list!r}") from exc
-    rc = RunConfig(
-        command=args.command, chain=chain, temperature=args.temperature,
-        t_min=args.t_min, t_max=args.t_max, t_steps=args.t_steps,
-        k_points=args.k_points, eta=args.eta, component=args.component,
-        sublattice=args.sublattice,
-        include_longitudinal_zero_mode=args.include_longitudinal_zero_mode,
-        include_radial_zero_mode=not args.exclude_radial_zero_mode,
-        max_separation=args.max_separation, n_list=n_list,
-        omega_min=args.omega_min, omega_max=args.omega_max,
-        omega_steps=args.omega_steps, fmt=args.fmt, output=args.output,
-    )
     rc.validate()
     return rc
 
@@ -226,34 +221,17 @@ def parse_config(argv: list[str]) -> RunConfig:
 # ---------------------------------------------------------------------------
 # command implementations: each returns (meta, header, rows)
 
+# the JSON keys of the two dests that are not named after their flag
+_META_KEYS = {"lam": "lambda", "fmt": "format"}
+
 
 def _meta(rc: RunConfig) -> dict:
-    """Full run-configuration echo for reproducibility."""
-    return {
-        "version": __version__,
-        "command": rc.command,
-        "kappa": rc.chain.kappa,
-        "alpha": rc.chain.alpha,
-        "lambda": rc.chain.lam,
-        "n_ions": rc.chain.n_ions,
-        "boundary": rc.chain.boundary.value,
-        "temperature": rc.temperature,
-        "t_min": rc.t_min,
-        "t_max": rc.t_max,
-        "t_steps": rc.t_steps,
-        "k_points": rc.k_points,
-        "eta": rc.eta,
-        "component": rc.component or "",
-        "sublattice": rc.sublattice,
-        "include_longitudinal_zero_mode": rc.include_longitudinal_zero_mode,
-        "include_radial_zero_mode": rc.include_radial_zero_mode,
-        "max_separation": rc.max_separation,
-        "n_list": list(rc.n_list),
-        "omega_min": rc.omega_min,
-        "omega_max": rc.omega_max,
-        "omega_steps": rc.omega_steps,
-        "format": rc.fmt,
-    }
+    """Full run-configuration echo for reproducibility: every parsed option
+    but the file names."""
+    meta = {_META_KEYS.get(dest, dest): value for dest, value in vars(rc).items()
+            if dest not in ("chain", "output", "config")}
+    meta["version"] = __version__
+    return meta
 
 
 def _run_equilibrium(rc: RunConfig):
@@ -395,20 +373,24 @@ _RUNNERS = {
 }
 
 
-def _fmt_value(value) -> str:
-    if isinstance(value, (bool, np.bool_)):
-        return str(int(value))
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
+def _cell_format(value) -> str:
+    """printf conversion of one CSV cell: integers (and flags) as digits,
+    floats at full double precision, anything else as its text."""
+    if isinstance(value, (bool, int, np.bool_, np.integer)):
+        return "%d"
     if isinstance(value, (float, np.floating)):
-        return f"{float(value):.17g}"
-    return str(value)
+        return "%.17g"
+    return "%s"
 
 
 def _write_csv(fh, header: list[str], rows: list[tuple]) -> None:
+    """Header and rows, one line at a time; every runner keeps one type per
+    column, so the first row fixes the format of all of them."""
     fh.write(",".join(header) + "\n")
-    for row in rows:
-        fh.write(",".join(_fmt_value(v) for v in row) + "\n")
+    if rows:
+        line = ",".join(_cell_format(v) for v in rows[0]) + "\n"
+        for row in rows:
+            fh.write(line % row)
 
 
 def _json_safe(value):

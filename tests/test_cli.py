@@ -1,5 +1,6 @@
 """Command-line interface: parsing, schemas, exit codes, determinism."""
 
+import argparse
 import json
 import os
 import subprocess
@@ -74,6 +75,78 @@ class TestParsing:
         bad.write_text("not_a_known_key = 1\n", encoding="utf-8")
         code, _, _ = run_cli(["equilibrium", "--config", str(bad)], capsys)
         assert code == 2
+        bad.write_text(f"kappa = 0.3\nconfig = {bad}\n", encoding="utf-8")
+        code, _, err = run_cli(["equilibrium", "--config", str(bad)], capsys)
+        assert code == 2 and "'config'" in err
+
+    @pytest.mark.parametrize("key, value", [
+        ("component", "w"), ("sublattice", "5"), ("format", "xml"),
+        ("boundary", "sideways"),
+    ])
+    def test_config_file_value_checked_like_its_flag(self, key, value,
+                                                     tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {value}\n", encoding="utf-8")
+        base = ["correlations", "--kappa", "0.3", "--n-ions", "8"]
+        errors = []
+        for argv in (base + ["--config", str(cfg)], base + [f"--{key}", value]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            errors.append(capsys.readouterr().err)
+        assert f"argument --{key}: invalid choice" in errors[0]
+        assert errors[0] == errors[1]
+
+    def test_config_file_switches(self, tmp_path, capsys):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("kappa = 0.3\ninclude_longitudinal_zero_mode = yes\n"
+                       "exclude-radial-zero-mode = true\n", encoding="utf-8")
+        rc = parse_config(["correlations", "--config", str(cfg)])
+        assert rc.include_longitudinal_zero_mode is True
+        assert rc.include_radial_zero_mode is False
+        cfg.write_text("kappa = 0.3\nexclude-radial-zero-mode = false\n",
+                       encoding="utf-8")
+        assert parse_config(["correlations", "--config", str(cfg)]
+                            ).include_radial_zero_mode is True
+        cfg.write_text("kappa = 0.3\nexclude-radial-zero-mode = maybe\n",
+                       encoding="utf-8")
+        code, _, err = run_cli(["correlations", "--config", str(cfg)], capsys)
+        assert code == 2 and "true or false" in err
+
+    def test_two_runs_build_one_parser(self, monkeypatch, capsys):
+        builds = []
+        original = argparse.ArgumentParser.__init__
+
+        def counting(self, *args, **kwargs):
+            builds.append(kwargs.get("prog"))
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+        cli._parser.cache_clear()
+        try:
+            for n_ions in ("8", "16"):
+                code, _, _ = run_cli(["equilibrium", "--kappa", "0.3",
+                                      "--n-ions", n_ions], capsys)
+                assert code == 0
+        finally:
+            cli._parser.cache_clear()
+        assert builds == ["ionphonon"]
+
+    @pytest.mark.parametrize("argv", [
+        ["heat-capacity", "--t-steps", "-1"],
+        ["susceptibility", "--omega-steps", "-3"],
+        ["heat-capacity", "--temperature", "0"],
+        ["heat-capacity", "--temperature", "-1"],
+        ["heat-capacity", "--t-min", "-1"],
+        ["correlations", "--temperature", "-1"],
+        ["ginzburg", "--n-list", "2,50"],
+        ["heat-capacity", "--temperature", "inf"],
+        ["susceptibility", "--omega-max", "inf"],
+    ])
+    def test_out_of_range_flag_is_a_usage_error(self, argv, capsys):
+        code, _, err = run_cli(argv + ["--kappa", "0.6", "--n-ions", "8"], capsys)
+        assert code == 2
+        assert err.startswith("usage error: ")
 
     def test_grid_validation(self, capsys):
         code, _, err = run_cli(
@@ -243,6 +316,22 @@ class TestExitCodesAndFiles:
         size = path.stat().st_size
         assert size > 200_000
         assert peak < size / 4
+
+    @pytest.mark.parametrize("argv", [
+        ["equilibrium"], ["dispersion"], ["modes"],
+        ["correlations", "--max-separation", "2"],
+        ["heat-capacity", "--t-steps", "4"],
+        ["susceptibility", "--omega-steps", "4"], ["energy-reduction"],
+        ["ginzburg", "--n-list", "16,32"],
+    ], ids=lambda argv: argv[0])
+    def test_csv_columns_keep_one_type(self, argv):
+        # _write_csv formats every row like the first: an int in a float
+        # column would print it with %d
+        rc = parse_config(argv + ["--kappa", "0.6", "--n-ions", "16"])
+        _, header, rows = cli._RUNNERS[rc.command](rc)
+        assert rows
+        for column in zip(*rows):
+            assert len({cli._cell_format(v) for v in column}) == 1
 
     def test_csv_round_trip_full_precision(self, tmp_path):
         path = tmp_path / "eq.csv"

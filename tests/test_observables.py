@@ -392,6 +392,16 @@ class TestSusceptibility:
             recon = 2.0 / np.pi * (np.trapezoid(integrand, grid) + w0g * im0 * pv_tail)
             assert recon == pytest.approx(chi.real[i0], rel=0.01)
 
+    def test_chunked_grid_is_bitwise_one_omega_at_a_time(self, linear_field):
+        # a grid spans several chunks with a ragged last one; each row is
+        # summed as if its omega were evaluated alone
+        cfg, eq, field = linear_field
+        grid = np.linspace(0.0, 3.0, 301)
+        results = susceptibility(grid, ("z", 1), field)
+        assert [r.omega for r in results] == grid.tolist()
+        assert [r.chi for r in results] == [
+            susceptibility([om], ("z", 1), field)[0].chi for om in grid]
+
     def test_component_validation(self, linear_field):
         cfg, eq, field = linear_field
         with pytest.raises(ValueError):

@@ -1,4 +1,4 @@
-"""The README's library quickstart runs against the current API."""
+"""The README's quickstart runs and its CLI synopsis matches the parser."""
 
 import re
 from pathlib import Path
@@ -11,3 +11,13 @@ def test_library_quickstart_runs(capsys):
     code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     exec(compile(code, "README.md (Library quickstart)", "exec"), {})
     assert "modes," in capsys.readouterr().out
+
+
+def test_cli_usage_block_lists_every_flag():
+    from ionphonon.cli import _parser
+
+    section = README.read_text(encoding="utf-8").split("## Command-line interface", 1)[1]
+    usage = re.search(r"```\n(.*?)```", section, re.S).group(1)
+    documented = set(re.findall(r"--[a-z][a-z-]*", usage))
+    defined = set(_parser()._option_string_actions) - {"-h", "--help"}
+    assert documented == defined
