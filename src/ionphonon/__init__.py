@@ -20,6 +20,7 @@ from .chain import (
     classical_potential,
     equilibrium_residual,
     omega_from_hessian,
+    polylog,
     solve_delta0,
 )
 from .symplectic import (
@@ -43,7 +44,6 @@ from .bloch import (
     dispersion_zigzag,
     mixing_angle,
     mode_vectors_linear,
-    polylog3,
     verify_f_diagonality,
 )
 from .freeparticle import (

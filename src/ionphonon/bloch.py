@@ -6,8 +6,9 @@ blocks per k in the reduced Brillouin zone ``[-pi/2d, pi/2d)``, which
 decouple into an in-plane (x, y) and an out-of-plane (z) sector.
 
 Band core: :meth:`CellCouplings.raw_coupling` gives the cell blocks of a
-whole uniform momentum grid from one fold of the pair set (shared with the
-full-space Hessian, ``chain.fold_pair_blocks``) and one FFT;
+whole uniform momentum grid from one fold of the pair blocks summed directly
+(shared with the full-space Hessian, ``chain.fold_pair_blocks``) and one FFT,
+plus in bulk the closed-form sums of ``chain.power_law_sums`` at each k;
 :meth:`CellCouplings.bands` diagonalizes the regular +k blocks of a grid in
 one stacked ``symplectic.bogoliubov_stack`` (the Bogoliubov step that
 ``symplectic_diagonalize`` runs on a stack of one), sends the self-paired
@@ -24,7 +25,6 @@ along z.  Block basis ordering: (s=0,x), (s=1,x), (s=0,y), (s=1,y),
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,9 +35,13 @@ from .chain import (
     Boundary,
     ChainConfig,
     Equilibrium,
-    even_bernoulli,
+    BULK_SUM_BUDGET,
+    bulk_sum_bound,
     fold_pair_blocks,
     half_pair_blocks,
+    k0_pair_sums,
+    polylog,
+    power_law_sums,
     solve_delta0,
 )
 from .errors import (
@@ -63,62 +67,6 @@ CELL_AXIS_MAP = np.array([0, 0, 1, 1, 2, 2])
 
 def _cell_index(s: int, axis: int) -> int:
     return 2 * axis + s
-
-
-# ---------------------------------------------------------------------------
-# polylogarithm
-
-
-def _li3_series_coefficients(n_terms: int = 72) -> np.ndarray:
-    """Coefficients zeta(3 - j) / j! of the expansion of Li3(e^mu) around mu=0.
-
-    j = 2 is excluded (it carries the logarithmic term).  Negative-argument
-    zeta values come from the exact Bernoulli numbers,
-    zeta(1 - 2k) = -B_2k / (2k) at j = 2k + 2, and zero at the other j > 3;
-    each coefficient is rounded once, from its exact rational value.
-    """
-    coeff = np.zeros(n_terms)
-    coeff[0] = ZETA3
-    coeff[1] = np.pi**2 / 6.0
-    coeff[3] = -1.0 / 12.0  # zeta(0) / 3! = -1/2 / 6
-    for k, b in enumerate(even_bernoulli((n_terms - 3) // 2), 1):
-        coeff[2 * k + 2] = float(-b / (2 * k) / math.factorial(2 * k + 2))
-    return coeff
-
-
-_LI3_COEFF = _li3_series_coefficients()
-
-
-def polylog3(theta):
-    """Li3(e^{-i theta}) for theta in [-pi, pi], within 1.6e-15 of mpmath.
-
-    The bound is the largest absolute error on 801 evenly spaced angles
-    across the zone.
-
-    Uses the expansion of Li3(e^mu) in mu = -i*theta, whose only non-analytic
-    piece is the explicit (3/2 - ln(-mu)) mu^2 / 2 term; the remaining series
-    converges geometrically on the closed zone.  The imaginary part equals
-    the Bernoulli-polynomial closed form -(pi^2 th/6 - pi th^2/4 + th^3/12)
-    (odd-extended), which is exercised by the test suite.
-    """
-    theta_arr = np.asarray(theta, dtype=float)
-    if np.any(np.abs(theta_arr) > np.pi + 1e-12):
-        raise ValueError("theta must lie in [-pi, pi]")
-    scalar = theta_arr.ndim == 0
-    th = np.atleast_1d(theta_arr).astype(float)
-    mu = -1j * th
-    out = np.zeros(th.shape, dtype=complex)
-    power = np.ones_like(mu)
-    for c in _LI3_COEFF:
-        if c != 0.0:
-            out += c * power
-        power = power * mu
-    nonzero = th != 0.0
-    log_term = np.zeros_like(mu)
-    # ln(-mu) = ln(i theta) = ln|theta| + i (pi/2) sign(theta)
-    log_term[nonzero] = np.log(np.abs(th[nonzero])) + 0.5j * np.pi * np.sign(th[nonzero])
-    out[nonzero] += (1.5 - log_term[nonzero]) * mu[nonzero] ** 2 / 2.0
-    return out[0] if scalar else out
 
 
 def critical_kappa() -> float:
@@ -156,7 +104,7 @@ def coupling_f(k, nu: str, kappa: float, omega_bare: float):
     pinned by the finite-N lattice-sum oracle; at k = 0 they reduce to
     f_x = -Omega_x / 2 (the translational sum rule).
     """
-    re_li3 = np.real(polylog3(np.asarray(k, dtype=float)))
+    re_li3 = np.real(polylog(3, np.asarray(k, dtype=float)))
     if nu == "x":
         return -kappa * re_li3 / omega_bare
     if nu in ("y", "z"):
@@ -171,7 +119,7 @@ def dispersion_linear(k, nu: str, kappa: float, alpha: float = 1.0):
     omega_y/z = sqrt(alpha_y/z - kappa [zeta(3) - Re Li3]).
     """
     k_arr = np.asarray(k, dtype=float)
-    re_li3 = np.real(polylog3(k_arr))
+    re_li3 = np.real(polylog(3, k_arr))
     gap = ZETA3 - re_li3
     if nu == "x":
         arg = 2.0 * kappa * gap
@@ -216,7 +164,7 @@ def softening_kappa_c() -> float:
     its root is 1 / (zeta(3) - Re Li3(-1)); it checks :func:`critical_kappa`
     through the polylogarithm rather than the eta(3) identity.
     """
-    return 1.0 / (ZETA3 - float(np.real(polylog3(np.pi))))
+    return 1.0 / (ZETA3 - float(np.real(polylog(3, np.pi))))
 
 
 # ---------------------------------------------------------------------------
@@ -234,36 +182,32 @@ class BlochBlock:
 class CellCouplings:
     """Lattice-summed couplings between two-ion unit cells.
 
-    Holds the pair blocks of the m > 0 half of the pair set
-    (:func:`~ionphonon.chain.half_pair_blocks`, units m_I omega_I^2) and the
-    bare frequencies of the on-site blocks.  :meth:`raw_coupling` folds the
-    pair blocks into the cell sums ``sum_p F[p] e^{-2ikp}`` of the 6 x 6
-    couplings F[p] between cell p and cell 0.  The on-site blocks, the cell
-    sums and the equilibrium condition all sum the pair set of
-    :func:`~ionphonon.chain.pair_offsets`, so the translational and helical
+    Holds the pair blocks summed directly (:func:`~ionphonon.chain.half_pair_blocks`,
+    units m_I omega_I^2) and the bare frequencies of the on-site blocks.
+    :meth:`raw_coupling` folds the pair blocks into the cell sums
+    ``sum_p F[p] e^{-2ikp}`` of the 6 x 6 couplings F[p] between cell p and
+    cell 0, plus in bulk the closed-form power laws.  The on-site blocks, the
+    k = 0 block and the equilibrium condition all read
+    :func:`~ionphonon.chain.k0_pair_sums`, so the translational and helical
     zero modes of the k = 0 block vanish at machine precision.
     """
 
     def __init__(self, config: ChainConfig, eq: Equilibrium):
         self.config = config
         self.cell_length = 2.0  # in units of d
+        self._delta0 = eq.delta0
         self._m, self._blocks = half_pair_blocks(config, eq.delta0)
-        if config.boundary is Boundary.BULK:
-            # certified truncation: neglected couplings beyond the largest
-            # offset R sum to at most ~2 kappa / R^2 per element
-            cutoff = int(self._m[-1])
-            tail_bound = 2.0 * config.kappa / cutoff**2
-            if tail_bound > 1e-9:
-                raise ConvergenceError(
-                    f"lattice-sum tail bound {tail_bound:.2e} exceeds 1e-9 at "
-                    f"offset cutoff {cutoff}; kappa = {config.kappa} is too "
-                    f"large for the bulk coupling tables"
-                )
-        # the untwisted fold over two sites, kept as the k = 0 cell table
-        # (_zone_table); the on-site curvature trap - sum(pairs) sums it as
-        # the k = 0 block does, the same on both sublattices, so its zero
-        # modes are exact; the mirrored +-m partners cancel its cross terms
-        self._sites_k0 = fold_pair_blocks(self._m, self._blocks, 2)
+        bound = bulk_sum_bound(config, eq.delta0)
+        if bound > BULK_SUM_BUDGET:
+            raise ConvergenceError(
+                f"bulk lattice sums certified to {bound:.2e} only, above "
+                f"{BULK_SUM_BUDGET:.0e}; kappa = {config.kappa} is too large")
+        # the sums over two sites, kept as the k = 0 cell table (_zone_table);
+        # the on-site curvature trap - sum(pairs) sums them as the k = 0
+        # block does, the same on both sublattices, so its zero modes are
+        # exact; the mirrored +-m partners cancel its cross terms
+        self._sites_k0 = k0_pair_sums(config, eq.delta0,
+                                      fold_pair_blocks(self._m, self._blocks, 2))
         pairs = self._sites_k0.sum(axis=0)
         omega_sq = np.repeat(np.array([0.0, 1.0, config.alpha]) - np.diag(pairs), 2)
         if np.any(omega_sq <= 0.0):
@@ -276,8 +220,9 @@ class CellCouplings:
         """sum_p F[p] e^{-2ikp} at each k; shape (n_k, 6, 6).
 
         A uniform zone grid, k_j = k_0 + j pi / n for j < n (``ring_momenta``
-        and ``reduced_zone_grid``), is one fold of the pair set over 2n sites
-        and one FFT; any other k is evaluated point by point as a grid of one.
+        and ``reduced_zone_grid``), is one fold of the pair blocks over 2n
+        sites and one FFT (plus, in bulk, the closed-form sums at each k_j);
+        any other k is evaluated point by point as a grid of one.
         """
         k_arr = np.atleast_1d(np.asarray(k, dtype=float))
         if self.config.boundary is Boundary.RING:
@@ -298,22 +243,20 @@ class CellCouplings:
 
         The partner at offset m of column ion s' is ion s of cell p with
         2p = m + s' - s, so e^{-2i k0 p} = e^{-i k0 m} e^{-i k0 (s' - s)}:
-        the pair set folded over 2n sites with twist k0 gives the cells
-        p mod n, and the DFT over them gives every k_j.
+        the pair blocks folded over 2n sites with twist k0 give the cells
+        p mod n, and the DFT over them gives every k_j.  In bulk the
+        closed-form even- and odd-offset sums at each k_j are added after.
         """
         if n == 1 and k0 == 0.0:
-            sites = self._sites_k0
-        else:
-            sites = fold_pair_blocks(self._m, self._blocks, 2 * n, twist=k0)
-        # indexed [p mod n, axis, s, axis', s'], the layout of _cell_index;
-        # an odd column ion sees the mirrored blocks
-        cells = np.empty((n, 3, 2, 3, 2), dtype=complex)
-        cells[:, :, 0, :, 0] = sites[0::2]
-        cells[:, :, 1, :, 0] = sites[1::2] * np.exp(1j * k0)
-        cells[:, :, 1, :, 1] = sites[0::2] * SUBLATTICE_MIRROR
-        cells[:, :, 0, :, 1] = np.roll(sites[1::2], 1, axis=0) \
-            * (SUBLATTICE_MIRROR * np.exp(-1j * k0))
-        return np.fft.fft(cells.reshape(n, 6, 6), axis=0)
+            return _cells(self._sites_k0[:1], self._sites_k0[1:], self._sites_k0[1:], k0)
+        sites = fold_pair_blocks(self._m, self._blocks, 2 * n, twist=k0)
+        odd = sites[1::2]
+        table = np.fft.fft(_cells(sites[0::2], odd, np.roll(odd, 1, axis=0), k0), axis=0)
+        if self.config.boundary is Boundary.BULK:
+            k = k0 + np.pi * np.arange(n) / n
+            sums = power_law_sums(self.config, self._delta0, k)
+            table += _cells(sums[:, 0], sums[:, 1], sums[:, 1], k[:, None, None])
+        return table
 
     def block(self, k: float) -> BlochBlock:
         return self._block(k, self.raw_coupling(k)[0])
@@ -387,6 +330,21 @@ class CellCouplings:
         omega[mirrored], mask[mirrored] = omega[mirror], mask[mirror]
         u[mirrored], v[mirrored] = u[mirror].conj(), v[mirror].conj()
         return Bands(k, omega, mask, u, v, zero_pairs)
+
+
+def _cells(even, odd, odd_prev, k) -> np.ndarray:
+    """Cell couplings from pair sums, shape (n, 6, 6) in the _cell_index layout.
+
+    ``even`` and ``odd`` are an even ion's sums over the even and the odd
+    offsets (twisted by k), ``odd_prev`` the odd ones of the cell before; an
+    odd column ion sees the mirrored blocks.
+    """
+    cells = np.empty((len(even), 3, 2, 3, 2), dtype=complex)
+    cells[:, :, 0, :, 0] = even
+    cells[:, :, 1, :, 0] = odd * np.exp(1j * k)
+    cells[:, :, 1, :, 1] = even * SUBLATTICE_MIRROR
+    cells[:, :, 0, :, 1] = odd_prev * (SUBLATTICE_MIRROR * np.exp(-1j * k))
+    return cells.reshape(-1, 6, 6)
 
 
 def _cell_faults(k: np.ndarray, g: np.ndarray) -> np.ndarray:

@@ -1,5 +1,7 @@
 """Polylogarithm, analytic dispersions, zigzag blocks and mode descriptors."""
 
+import functools
+
 import numpy as np
 import pytest
 from scipy.special import zeta
@@ -18,7 +20,6 @@ from ionphonon.bloch import (
     f_diagonal,
     mixing_angle,
     mode_vectors_linear,
-    polylog3,
     reduced_zone_grid,
     ring_momenta,
     softening_kappa_c,
@@ -34,6 +35,7 @@ from ionphonon.chain import (
     pair_dy,
     pair_dyadic,
     pair_offsets,
+    polylog,
     solve_delta0,
 )
 from ionphonon.errors import DynamicalInstabilityError, PhysicsError
@@ -46,11 +48,11 @@ BULK_ZIGZAG = ChainConfig(kappa=0.6, n_ions=32, boundary=Boundary.BULK)
 
 class TestPolylog3:
     def test_zeta3_at_origin(self):
-        assert polylog3(0.0) == ZETA3
-        assert abs(polylog3(0.0) - 1.2020569) < 1e-7
+        assert polylog(3, 0.0) == ZETA3
+        assert abs(polylog(3, 0.0) - 1.2020569) < 1e-7
 
     def test_alternating_value_at_pi(self):
-        value = polylog3(np.pi)
+        value = polylog(3, np.pi)
         assert value.imag == pytest.approx(0.0, abs=1e-13)
         assert value.real == pytest.approx(-0.90154, abs=5e-6)
         # eta(3) identity: Li3(-1) = -(3/4) zeta(3)
@@ -62,32 +64,36 @@ class TestPolylog3:
         k = np.arange(1, 10_000_001, dtype=float)
         oracle = np.sum(np.exp(-1j * k * theta) / k**3)
         assert abs(np.sum(1.0 / k[-1] ** 2) / 2.0) < 1e-13
-        assert abs(polylog3(theta) - oracle) < 1e-10
+        assert abs(polylog(3, theta) - oracle) < 1e-10
 
-    def test_random_angles_against_mpmath(self):
+    @pytest.mark.parametrize("s", range(3, 8))
+    def test_random_angles_against_mpmath(self, s):
         mpmath = pytest.importorskip("mpmath")
         rng = np.random.default_rng(7)
         for theta in rng.uniform(-np.pi, np.pi, size=100):
-            ref = complex(mpmath.polylog(3, mpmath.exp(-1j * theta)))
-            assert abs(polylog3(float(theta)) - ref) < 1e-12
+            ref = complex(mpmath.polylog(s, mpmath.exp(-1j * theta)))
+            assert abs(polylog(s, float(theta)) - ref) < 1e-12
 
-    def test_zone_grid_against_mpmath(self):
+    @pytest.mark.parametrize("s", range(3, 8))
+    def test_zone_grid_against_mpmath(self, s):
         mpmath = pytest.importorskip("mpmath")
         theta = np.linspace(-np.pi, np.pi, 801)
-        ref = np.array([complex(mpmath.polylog(3, mpmath.exp(-1j * mpmath.mpf(t))))
+        ref = np.array([complex(mpmath.polylog(s, mpmath.exp(-1j * mpmath.mpf(t))))
                         for t in theta])
-        assert np.max(np.abs(polylog3(theta) - ref)) < 4e-15
+        assert np.max(np.abs(polylog(s, theta) - ref)) < 4e-15
 
     def test_imaginary_part_bernoulli_closed_form(self):
         rng = np.random.default_rng(11)
         for theta in rng.uniform(0.0, np.pi, size=25):
             closed = -(np.pi**2 * theta / 6.0 - np.pi * theta**2 / 4.0 + theta**3 / 12.0)
-            assert polylog3(theta).imag == pytest.approx(closed, abs=1e-12)
-            assert polylog3(-theta).imag == pytest.approx(-closed, abs=1e-12)
+            assert polylog(3, theta).imag == pytest.approx(closed, abs=1e-12)
+            assert polylog(3, -theta).imag == pytest.approx(-closed, abs=1e-12)
 
     def test_rejects_angles_outside_zone(self):
         with pytest.raises(ValueError):
-            polylog3(3.5)
+            polylog(3, 3.5)
+        with pytest.raises(ValueError):
+            polylog(8, 0.5)
 
 
 class TestCouplingF:
@@ -179,7 +185,7 @@ class TestCriticalKappa:
 
     def test_equals_root_of_band_bottom(self):
         kc = critical_kappa()
-        gap = ZETA3 - polylog3(np.pi).real
+        gap = ZETA3 - polylog(3, np.pi).real
         assert 1.0 - kc * gap == pytest.approx(0.0, abs=1e-14)
 
     def test_softening_scan_agrees(self):
@@ -261,24 +267,59 @@ class TestZigzagBlocks:
     ])
     def test_raw_coupling_matches_direct_sum_over_every_partner(self, cfg, k):
         # oracle without any fold: the partner at offset m of column ion s'
-        # is ion s of cell p, 2p = m + s' - s, and adds F e^{-2ikp}
+        # is ion s of cell p, 2p = m + s' - s, and adds F e^{-2ikp}; in bulk
+        # every partner, as mpmath_bloch_sums adds them
         eq = solve_delta0(cfg)
-        m, w = pair_offsets(cfg)
-        blocks = pair_dyadic(m, pair_dy(m, eq.delta0), cfg.kappa * w)
         k = np.atleast_1d(k)
         direct = np.zeros((len(k), 3, 2, 3, 2), dtype=complex)
-        for sp in (0, 1):
-            seen = blocks * SUBLATTICE_MIRROR if sp else blocks
-            s = (m + sp) % 2
-            p = (m + sp - s) // 2
+        if cfg.boundary is Boundary.BULK:
             for i in range(len(k)):
-                phase = np.exp(-2j * k[i] * p)
-                for row in (0, 1):
-                    sel = s == row
-                    direct[i, :, row, :, sp] = np.tensordot(phase[sel], seen[sel], axes=1)
+                even, odd = mpmath_bloch_sums(cfg.kappa, eq.delta0, float(k[i]))
+                direct[i, :, 0, :, 0] = even
+                direct[i, :, 1, :, 0] = odd * np.exp(1j * k[i])
+                direct[i, :, 1, :, 1] = even * SUBLATTICE_MIRROR
+                direct[i, :, 0, :, 1] = odd * SUBLATTICE_MIRROR * np.exp(-1j * k[i])
+        else:
+            m, w = pair_offsets(cfg)
+            blocks = pair_dyadic(m, pair_dy(m, eq.delta0), cfg.kappa * w)
+            for sp in (0, 1):
+                seen = blocks * SUBLATTICE_MIRROR if sp else blocks
+                s = (m + sp) % 2
+                p = (m + sp - s) // 2
+                for i in range(len(k)):
+                    phase = np.exp(-2j * k[i] * p)
+                    for row in (0, 1):
+                        sel = s == row
+                        direct[i, :, row, :, sp] = np.tensordot(phase[sel], seen[sel], axes=1)
         raw = CellCouplings(cfg, eq).raw_coupling(k if len(k) > 1 else k[0])
         assert raw.shape == (len(k), 6, 6)
         assert np.max(np.abs(raw - direct.reshape(-1, 6, 6))) < 1e-13
+
+
+@functools.cache
+def mpmath_bloch_sums(kappa, delta0, k):
+    """sum_m B(m) e^{-ikm} of the bulk pair blocks over the even and the odd m.
+
+    Every m carries the power law kappa diag(-1, 1/2, 1/2) |m|^-3, whose
+    sums are mpmath polylogarithms: Re Li3(e^{-2ik}) / 4 over the even m,
+    2 Re Li3(e^{-ik}) less that over the odd m.  The rest of each odd-m
+    block, below 3 kappa c |m|^-5 (c = 4 delta0^2), is summed directly over
+    the pairs at +-m up to the |m| past which it adds below 1e-18.
+    (mpmath's nsum of these slowly oscillating sums stops early at 20
+    digits: off by 5.6e-11 at k = 0.224.)
+    """
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(20):
+        even = float(mpmath.re(mpmath.polylog(3, mpmath.exp(-2j * k))) / 4)
+        odd = float(2 * mpmath.re(mpmath.polylog(3, mpmath.exp(-1j * k)))) - even
+    power = np.diag([-1.0, 0.5, 0.5]) * kappa
+    top = (0.75 * kappa * 4.0 * delta0**2 / 1e-18) ** 0.25
+    m = np.arange(1.0, max(top, 9.0) + 2.0, 2.0)
+    rest = pair_dyadic(m, pair_dy(m, delta0), kappa) - power / m[:, None, None] ** 3
+    diag = np.eye(3)
+    rest = np.tensordot(2.0 * np.cos(k * m), rest * diag, axes=1) \
+        + np.tensordot(-2j * np.sin(k * m), rest * (1.0 - diag), axes=1)
+    return power * even, power * odd + rest
 
 
 class TestDispersionZigzag:
@@ -473,11 +514,26 @@ class TestFDiagonality:
 
 
 def test_bulk_lattice_sums_certify_their_tail():
+    # the certificate is the remainder's tail past M plus the rounding of the
+    # split into power laws and remainder, which grows as delta0^4: it holds
+    # the cell sums' true error at kappa = 20 (delta0 = 2.24) and passes the
+    # budget there; at kappa = 80 (delta0 = 4.47) it exceeds the budget
+    from ionphonon.chain import (
+        BULK_SUM_BUDGET, bulk_sum_bound, fold_pair_blocks, half_pair_blocks, power_law_sums)
     from ionphonon.errors import ConvergenceError
 
+    cfg = ChainConfig(kappa=20.0, n_ions=8, boundary=Boundary.BULK)
+    delta0 = solve_delta0(cfg).delta0
+    bound = bulk_sum_bound(cfg, delta0)
+    assert bound < BULK_SUM_BUDGET
+    for k in (0.0, 0.7):
+        sums = fold_pair_blocks(*half_pair_blocks(cfg, delta0), 2, twist=k) \
+            + power_law_sums(cfg, delta0, k)[0]
+        assert np.max(np.abs(sums - mpmath_bloch_sums(cfg.kappa, delta0, k))) <= bound
     cfg = ChainConfig(kappa=80.0, n_ions=8, boundary=Boundary.BULK)
     eq = solve_delta0(cfg)
-    with pytest.raises(ConvergenceError):
+    assert bulk_sum_bound(cfg, eq.delta0) > BULK_SUM_BUDGET
+    with pytest.raises(ConvergenceError, match="certified to 2.48e-08"):
         CellCouplings(cfg, eq)
 
 
