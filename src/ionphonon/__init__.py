@@ -34,7 +34,6 @@ from .symplectic import (
     symplectic_diagonalize,
 )
 from .bloch import (
-    BlochBlock,
     DispersionTable,
     build_bloch_block_zigzag,
     collectivity,

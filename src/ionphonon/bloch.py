@@ -171,14 +171,6 @@ def softening_kappa_c() -> float:
 # zigzag unit-cell couplings
 
 
-@dataclass
-class BlochBlock:
-    """Per-k coupling block of the two-ion-cell description."""
-
-    k: float
-    form: QuadraticForm
-
-
 class CellCouplings:
     """Lattice-summed couplings between two-ion unit cells.
 
@@ -258,17 +250,18 @@ class CellCouplings:
             table += _cells(sums[:, 0], sums[:, 1], sums[:, 1], k[:, None, None])
         return table
 
-    def block(self, k: float) -> BlochBlock:
+    def block(self, k: float) -> QuadraticForm:
+        """The 6 x 6 cell coupling form at quasi-momentum k."""
         return self._block(k, self.raw_coupling(k)[0])
 
-    def _block(self, k: float, raw: np.ndarray) -> BlochBlock:
+    def _block(self, k: float, raw: np.ndarray) -> QuadraticForm:
         g = raw / (2.0 * np.sqrt(np.outer(self.omega_bare, self.omega_bare)))
         if self._self_paired(k):
             g = g.real.astype(float)  # self-paired momenta have real blocks
         fault = _cell_faults(np.array([k]), g[None])[0]
         if fault:
             raise PhysicsError(fault)
-        return BlochBlock(k, QuadraticForm(g + np.diag(self.omega_bare), g, self.omega_bare))
+        return QuadraticForm(g + np.diag(self.omega_bare), g, self.omega_bare)
 
     def _self_paired(self, k):
         """k = 0 and the zone edge, the momenta that are their own -k."""
@@ -279,8 +272,8 @@ class CellCouplings:
         """Normal form of the block at k; zero pairs carry p^dag p = N."""
         return self._normal_form(self.block(k))
 
-    def _normal_form(self, block: BlochBlock) -> NormalForm:
-        return symplectic_diagonalize(block.form, axis_map=CELL_AXIS_MAP,
+    def _normal_form(self, form: QuadraticForm) -> NormalForm:
+        return symplectic_diagonalize(form, axis_map=CELL_AXIS_MAP,
                                       p_norm=self.config.n_ions)
 
     def bands(self, k_grid: np.ndarray) -> Bands:
@@ -322,9 +315,8 @@ class CellCouplings:
         descending = np.argsort(-k, kind="stable")
         for i in descending[one_by_one[descending]]:
             nf = self._normal_form(self._block(float(k[i]), raw[i]))
-            for slot, mode in enumerate(nf.modes):
-                omega[i, slot], u[i, slot], v[i, slot] = mode.omega, mode.u, mode.v
-                mask[i, slot] = True
+            n = len(nf.omega)
+            omega[i, :n], u[i, :n], v[i, :n], mask[i, :n] = nf.omega, nf.u, nf.v, True
             zero_pairs.extend(nf.zero_pairs)
         mirror = partner[mirrored]
         omega[mirrored], mask[mirrored] = omega[mirror], mask[mirror]
@@ -391,7 +383,7 @@ class Bands:
 
 
 def build_bloch_block_zigzag(k: float, config: ChainConfig,
-                             eq: Equilibrium | None = None) -> BlochBlock:
+                             eq: Equilibrium | None = None) -> QuadraticForm:
     """One 6 x 6 (h, g) coupling block at quasi-momentum k (units 1/d).
 
     Works for any equilibrium, including delta0 = 0, where it describes the

@@ -426,22 +426,37 @@ def power_law_sums(config: ChainConfig, delta: float, k) -> np.ndarray:
     Over the even and over the odd m: with L_s = Li_s(e^{-ik}) and
     L2_s = Li_s(e^{-2ik}), sum_{m even} |m|^-s e^{-ikm} = 2^(1-s) Re L2_s,
     sum_{m odd} |m|^-s e^{-ikm} = 2 Re L_s - 2^(1-s) Re L2_s and
-    sum_{m odd} sign(m) |m|^-s e^{-ikm} = 2i Im(L_s - 2^-s L2_s).
+    sum_{m odd} sign(m) |m|^-s e^{-ikm} = 2i Im(L_s - 2^-s L2_s).  These do
+    not depend on delta; at k = 0, which every step of the bulk root search
+    reads, they are made once.
     """
+    even, odd, odd_signed = _k0_lattice_sums() if np.ndim(k) == 0 and k == 0.0 \
+        else _lattice_sums(k)
+    c = (4.0 * delta * delta) ** np.arange(3)[:, None]
+    out = np.zeros((len(even), 2, 3, 3), dtype=complex)
+    out[:, 0, [0, 1, 2], [0, 1, 2]] = even[:, :1] * _SERIES[0]
+    out[:, 1, [0, 1, 2], [0, 1, 2]] = odd[:, 0::2] @ (c * _SERIES)
+    out[:, 1, 0, 1] = out[:, 1, 1, 0] = delta * (odd_signed[:, 1::2] @ (c[:2, 0] * _SERIES_XY))
+    return config.kappa * out
+
+
+def _lattice_sums(k) -> tuple[np.ndarray, ...]:
+    """The even, odd and signed odd sums of :func:`power_law_sums`, each (n_k, 5)."""
     k = np.atleast_1d(np.asarray(k, dtype=float))
     turns = np.stack([k, 2.0 * k])
     turns = np.where(np.abs(turns) > np.pi, (turns + np.pi) % (2.0 * np.pi) - np.pi, turns)
     s = np.array(POLYLOG_ORDERS)
     li, li2 = polylog(s, turns)
     even = 2.0 ** (1 - s) * li2.real
-    odd = 2.0 * li.real - even
-    odd_signed = 2j * (li.imag - 2.0**-s * li2.imag)
-    c = (4.0 * delta * delta) ** np.arange(3)[:, None]
-    out = np.zeros((len(k), 2, 3, 3), dtype=complex)
-    out[:, 0, [0, 1, 2], [0, 1, 2]] = even[:, :1] * _SERIES[0]
-    out[:, 1, [0, 1, 2], [0, 1, 2]] = odd[:, 0::2] @ (c * _SERIES)
-    out[:, 1, 0, 1] = out[:, 1, 1, 0] = delta * (odd_signed[:, 1::2] @ (c[:2, 0] * _SERIES_XY))
-    return config.kappa * out
+    return even, 2.0 * li.real - even, 2j * (li.imag - 2.0**-s * li2.imag)
+
+
+@functools.cache
+def _k0_lattice_sums() -> tuple[np.ndarray, ...]:
+    sums = _lattice_sums(0.0)
+    for arr in sums:
+        arr.flags.writeable = False
+    return sums
 
 
 def k0_pair_sums(config: ChainConfig, delta: float, sites: np.ndarray | None = None) -> np.ndarray:

@@ -23,9 +23,9 @@ import numpy as np
 
 from . import __version__
 from .bloch import (
-    collectivity,
+    _collectivities,
+    _mixing_angles,
     dispersion_zigzag,
-    mixing_angle,
     reduced_zone_grid,
     ring_momenta,
 )
@@ -278,16 +278,17 @@ def _run_modes(rc: RunConfig):
     header = ["kind", "label", "omega[omega_I]", "m_tilde[1/omega_I]",
               "theta_xy[rad]", "collectivity[1]"]
     rows = []
-    for i, mode in enumerate(nf.modes):
-        rows.append(("phonon", f"k0-{i}", mode.omega, float("nan"),
-                     mixing_angle(mode), collectivity(mode)))
+    angles = _mixing_angles(nf.u, nf.v).tolist()
+    colls = _collectivities(nf.u, nf.v).tolist()
+    for i, (omega, angle, coll) in enumerate(zip(nf.omega.tolist(), angles, colls)):
+        rows.append(("phonon", f"k0-{i}", omega, float("nan"), angle, coll))
     for zp in nf.zero_pairs:
         rows.append(("zero-pair", zp.label, 0.0, zp.m_tilde,
                      float("nan"), float("nan")))
     meta = _meta(rc)
     meta["delta0"] = eq.delta0
     meta["completeness_residual"] = completeness_residual(nf)
-    meta["zero_point_shift_k0"] = nf.zero_point_shift
+    meta["zero_point_shift_k0"] = 0.5 * sum(nf.omega.tolist())
     meta["sectors"] = {
         s.label: {"m_tilde": s.m_tilde, "c0": s.c0, "circumference": s.circumference}
         for s in sectors

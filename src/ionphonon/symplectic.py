@@ -18,6 +18,7 @@ Hermitian eigenbasis is orthonormal.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -45,13 +46,12 @@ class QuadraticForm:
 
     ``h`` and ``g`` are D x D Hermitian (real symmetric for real-space
     forms); ``h - g`` must equal ``diag(omega_bare)`` exactly, which encodes
-    h = delta*Omega + g.  ``e0`` is the scalar classical offset.
+    h = delta*Omega + g.
     """
 
     h: np.ndarray
     g: np.ndarray
     omega_bare: np.ndarray
-    e0: float = 0.0
 
     @property
     def dimension(self) -> int:
@@ -95,8 +95,8 @@ def sigma_matrix(dim: int) -> np.ndarray:
     return np.diag(np.concatenate([np.ones(dim), -np.ones(dim)]))
 
 
-def build_quadratic_form(hessian: Hessian | np.ndarray, omega_bare: np.ndarray,
-                         e0: float = 0.0) -> QuadraticForm:
+def build_quadratic_form(hessian: Hessian | np.ndarray,
+                         omega_bare: np.ndarray) -> QuadraticForm:
     """Quadratic form of a Hessian in the local-oscillator ladder basis.
 
     ``g = (1 - delta) V / (2 sqrt(Omega Omega'))`` and ``h = diag(Omega) + g``
@@ -113,17 +113,17 @@ def build_quadratic_form(hessian: Hessian | np.ndarray, omega_bare: np.ndarray,
     g = mat / denom
     np.fill_diagonal(g, 0.0)
     h = g + np.diag(omega_bare)
-    return QuadraticForm(h, g, omega_bare, e0)
+    return QuadraticForm(h, g, omega_bare)
 
 
 @dataclass
 class BogoliubovMode:
-    """One phonon mode: frequency and Sigma-normalized (u, v) amplitudes."""
+    """One phonon mode (a row of a :class:`NormalForm`): frequency and
+    Sigma-normalized (u, v) amplitudes."""
 
     omega: float
     u: np.ndarray
     v: np.ndarray
-    label: object = None
 
     def x_vector(self) -> np.ndarray:
         return np.concatenate([self.u, -self.v])
@@ -136,7 +136,7 @@ class BogoliubovMode:
         return float(np.vdot(self.u, self.u).real - np.vdot(self.v, self.v).real)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ZeroModePair:
     """Conjugate (p, q) completion of one defective zero eigenvalue.
 
@@ -160,22 +160,59 @@ class ZeroModePair:
         return 1j * self.q[: len(self.q) // 2]
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class NormalForm:
-    """Result of a symplectic diagonalization."""
+    """Result of a symplectic diagonalization: the modes at ``omega``
+    (ascending) with amplitudes ``u[m]``, ``v[m]`` (shape (M, D)), and the
+    zero pairs.  Read-only, so the cached certificate cannot go stale.
+    """
 
-    modes: list[BogoliubovMode]
-    zero_pairs: list[ZeroModePair]
-    dimension: int
+    omega: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+    zero_pairs: tuple[ZeroModePair, ...]
     form: QuadraticForm = field(repr=False)
 
+    def __post_init__(self):
+        object.__setattr__(self, "zero_pairs", tuple(self.zero_pairs))
+        for arr in (self.omega, self.u, self.v,
+                    *(a for zp in self.zero_pairs for a in (zp.p, zp.q))):
+            arr.flags.writeable = False
+
     @property
-    def zero_point_shift(self) -> float:
-        """Zero-point energy shift (1/2) sum_m omega_m, in omega_I."""
-        return 0.5 * sum(m.omega for m in self.modes)
+    def dimension(self) -> int:
+        return self.form.dimension
+
+    @property
+    def modes(self) -> list[BogoliubovMode]:
+        """One :class:`BogoliubovMode` per row, built on each access."""
+        return [BogoliubovMode(float(w), u, v) for w, u, v in zip(self.omega, self.u, self.v)]
 
     def frequencies(self) -> np.ndarray:
-        return np.array([m.omega for m in self.modes])
+        return self.omega.copy()
+
+    @functools.cached_property
+    def _residual(self) -> float:
+        """max |W Sigma_tilde W^dag Sigma - 1| from D x D blocks.
+
+        With x = (u, -v), y = (-v, u) the modes add [[P, Q], [Q, P]], P =
+        sum u u^dag - v v^dag, Q = sum u v^dag - v u^dag; a zero pair p =
+        (i a, i a), q = (b, -b) (a, b real) adds X + X^T to P and X - X^T to
+        Q, X = a b^T.  The residual is max(|P - 1|, |Q|), real on real forms.
+        """
+        dim = self.dimension
+        u, v = self.u, self.v
+        p_blk = u.T @ u.conj() - v.T @ v.conj()
+        x = u.T @ v.conj()
+        if self.zero_pairs:
+            a = np.array([zp.p[:dim].imag for zp in self.zero_pairs])
+            b = np.array([zp.q[:dim].real for zp in self.zero_pairs])
+            pairs = a.T @ b
+            p_blk += pairs + pairs.T
+            x += pairs
+        p_blk[np.diag_indices(dim)] -= 1.0
+        q_blk = x - x.conj().T
+        return float(max(np.max(np.abs(p_blk)), np.max(np.abs(q_blk))))
 
 
 def _kernel_vectors(k_mat: np.ndarray, phi_cols: np.ndarray, s: np.ndarray,
@@ -318,11 +355,6 @@ def symplectic_diagonalize(form: QuadraticForm,
         )
 
     zero_sel = np.abs(lam) <= lam_tol
-    # eigh sorts lam ascending, so the modes come out in ascending omega; each
-    # mode owns its amplitudes rather than pinning the stacked arrays
-    modes = [BogoliubovMode(float(omega[m]), u[m].copy(), v[m].copy())
-             for m in np.flatnonzero(~zero_sel)]
-
     zero_pairs: list[ZeroModePair] = []
     n_zero = int(np.sum(zero_sel))
     if n_zero:
@@ -342,7 +374,8 @@ def symplectic_diagonalize(form: QuadraticForm,
                 )
             zero_pairs.append(ZeroModePair(p, q, mu, _zero_label(w, axis_map)))
 
-    return NormalForm(modes, zero_pairs, dim, form)
+    # lam ascends from above -lam_tol: zero columns first, then the modes
+    return NormalForm(omega[n_zero:], u[n_zero:], v[n_zero:], zero_pairs, form)
 
 
 def sigma_apply(vec: np.ndarray) -> np.ndarray:
@@ -361,33 +394,15 @@ def eigen_residual(form: QuadraticForm, mode: BogoliubovMode) -> float:
     return float(np.max(np.abs(sx - mode.omega * x)))
 
 
-def _w_and_inverse(nf: NormalForm) -> tuple[np.ndarray, np.ndarray]:
-    """W = [x.., i p.., y.., i q..] and Sigma_tilde W^dag Sigma, W^-1 if complete.
-
-    ``Sigma_tilde = W^dag Sigma W`` pairs each x with +1, each y with -1 and
-    each i p with its i q, so ``W Sigma_tilde = [x.., -q.., -y.., p..]``.
-    """
-    def columns(vectors: list[np.ndarray]) -> np.ndarray:
-        return np.array(vectors, dtype=complex).reshape(-1, 2 * nf.dimension).T
-
-    x = columns([m.x_vector() for m in nf.modes])
-    y = columns([m.y_vector() for m in nf.modes])
-    p = columns([zp.p for zp in nf.zero_pairs])
-    q = columns([zp.q for zp in nf.zero_pairs])
-    w_inv = np.hstack([x, -q, -y, p]).conj().T
-    w_inv[:, nf.dimension:] *= -1.0  # right-multiply by Sigma
-    return np.hstack([x, 1j * p, y, 1j * q]), w_inv
-
-
 def completeness_residual(nf: NormalForm) -> float:
     """Max-norm deviation of the resolved identity on the doubled space.
 
     Checks ``sum_m (x x^dag - y y^dag) Sigma + i sum_n (q p^dag - p q^dag)
     Sigma = W Sigma_tilde W^dag Sigma = 1``; a small residual certifies that
-    modes plus zero pairs span all degrees of freedom.
+    modes plus zero pairs span all degrees of freedom.  Evaluated once per
+    normal form, from D x D blocks (``NormalForm._residual``).
     """
-    w, w_inv = _w_and_inverse(nf)
-    return float(np.max(np.abs(w @ w_inv - np.eye(2 * nf.dimension))))
+    return nf._residual
 
 
 def assemble_W(nf: NormalForm) -> tuple[np.ndarray, np.ndarray]:
@@ -395,17 +410,31 @@ def assemble_W(nf: NormalForm) -> tuple[np.ndarray, np.ndarray]:
 
     The inverse is obtained without numerical inversion as
     ``W^-1 = Sigma_tilde W^dag Sigma`` where ``Sigma_tilde = W^dag Sigma W``
-    is Hermitian and unitary (squares to the identity).
+    is Hermitian and unitary (squares to the identity); W W^-1 = 1 is
+    certified by the completeness certificate, up to ``W_RESIDUAL_TOL``.
     """
     dim = nf.dimension
-    n_m, n_z = len(nf.modes), len(nf.zero_pairs)
+    n_m, n_z = len(nf.omega), len(nf.zero_pairs)
     if n_m + n_z != dim:
         raise InternalConsistencyError(
             f"mode count {n_m} + zero pairs {n_z} != dimension {dim}"
         )
-    w, w_inv = _w_and_inverse(nf)
-    residual = float(np.max(np.abs(w @ w_inv - np.eye(2 * dim))))
+    residual = nf._residual
     if residual > W_RESIDUAL_TOL:
         raise InternalConsistencyError(
             f"||W W^-1 - 1|| = {residual:.3e} > {W_RESIDUAL_TOL:.1e}")
+    p = np.array([zp.p for zp in nf.zero_pairs], dtype=complex).reshape(-1, 2 * dim)
+    q = np.array([zp.q for zp in nf.zero_pairs], dtype=complex).reshape(-1, 2 * dim)
+    x, ip, y, iq = (slice(0, n_m), slice(n_m, dim),
+                    slice(dim, dim + n_m), slice(dim + n_m, 2 * dim))
+    top, bottom = slice(0, dim), slice(dim, 2 * dim)
+    w = np.empty((2 * dim, 2 * dim), dtype=complex)
+    w[top, x], w[bottom, x], w[:, ip] = nf.u.T, -nf.v.T, 1j * p.T
+    w[top, y], w[bottom, y], w[:, iq] = -nf.v.T, nf.u.T, 1j * q.T
+    # rows x^dag, -q^dag, -y^dag, p^dag, each right-multiplied by Sigma
+    w_inv = np.empty_like(w)
+    w_inv[x, top], w_inv[x, bottom] = nf.u.conj(), nf.v.conj()
+    w_inv[ip, top], w_inv[ip, bottom] = -q[:, top].conj(), q[:, bottom].conj()
+    w_inv[y, top], w_inv[y, bottom] = nf.v.conj(), nf.u.conj()
+    w_inv[iq, top], w_inv[iq, bottom] = p[:, top].conj(), -p[:, bottom].conj()
     return w, w_inv

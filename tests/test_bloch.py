@@ -205,7 +205,7 @@ class TestZigzagBlocks:
         assert eq.delta0 == 0.0
         for k in (0.31, 0.9, 1.4):
             block = build_bloch_block_zigzag(k, cfg, eq)
-            nf = symplectic_diagonalize(block.form, axis_map=CELL_AXIS_MAP,
+            nf = symplectic_diagonalize(block, axis_map=CELL_AXIS_MAP,
                                         p_norm=cfg.n_ions)
             got = np.sort(nf.frequencies())
             folded = sorted(
@@ -217,7 +217,7 @@ class TestZigzagBlocks:
     def test_two_zero_pairs_at_k0_in_zigzag(self):
         cfg = ChainConfig(kappa=0.6, n_ions=32, boundary=Boundary.BULK)
         block = build_bloch_block_zigzag(0.0, cfg)
-        nf = symplectic_diagonalize(block.form, axis_map=CELL_AXIS_MAP, p_norm=32)
+        nf = symplectic_diagonalize(block, axis_map=CELL_AXIS_MAP, p_norm=32)
         assert len(nf.modes) == 4
         assert sorted(zp.label for zp in nf.zero_pairs) == ["longitudinal", "radial"]
 
@@ -225,7 +225,7 @@ class TestZigzagBlocks:
         cfg = ChainConfig(kappa=0.6, n_ions=32, boundary=Boundary.BULK)
         eq = solve_delta0(cfg)
         for k in (0.0, 0.7, -1.2):
-            form = build_bloch_block_zigzag(k, cfg, eq).form
+            form = build_bloch_block_zigzag(k, cfg, eq)
             form.validate(1e-12)
             g = form.g
             z_rows, xy_rows = [4, 5], [0, 1, 2, 3]
@@ -244,7 +244,7 @@ class TestZigzagBlocks:
         couplings = CellCouplings(cfg, eq)
         freqs = []
         for k in ring_momenta(cfg.n_ions):
-            nf = symplectic_diagonalize(couplings.block(float(k)).form,
+            nf = symplectic_diagonalize(couplings.block(float(k)),
                                         axis_map=CELL_AXIS_MAP, p_norm=16)
             freqs.extend([m.omega for m in nf.modes])
             freqs.extend([0.0] * len(nf.zero_pairs))
@@ -348,7 +348,7 @@ class TestDispersionZigzag:
         )
         full = np.sort(nf_full.frequencies())
         block = build_bloch_block_zigzag(0.0, cfg, eq)
-        nf0 = symplectic_diagonalize(block.form, axis_map=CELL_AXIS_MAP, p_norm=32)
+        nf0 = symplectic_diagonalize(block, axis_map=CELL_AXIS_MAP, p_norm=32)
         got = np.sort(nf0.frequencies())
         # the four k=0 nonzero modes are a subset of the full spectrum
         for omega in got:
@@ -399,7 +399,7 @@ class TestModeDescriptors:
     def test_mixing_angle_pinned_in_linear_phase(self):
         cfg = ChainConfig(kappa=0.3, n_ions=64, boundary=Boundary.BULK)
         block = build_bloch_block_zigzag(0.9, cfg)
-        nf = symplectic_diagonalize(block.form, axis_map=CELL_AXIS_MAP, p_norm=64)
+        nf = symplectic_diagonalize(block, axis_map=CELL_AXIS_MAP, p_norm=64)
         angles = sorted(mixing_angle(m) for m in nf.modes if not np.isnan(mixing_angle(m)))
         # two x-branches pinned to 0, two y-branches pinned to pi/2
         assert np.allclose(angles[:2], 0.0, atol=1e-12)
@@ -408,7 +408,7 @@ class TestModeDescriptors:
     def test_out_of_plane_sentinel(self):
         cfg = ChainConfig(kappa=0.3, n_ions=64, boundary=Boundary.BULK)
         block = build_bloch_block_zigzag(0.9, cfg)
-        nf = symplectic_diagonalize(block.form, axis_map=CELL_AXIS_MAP, p_norm=64)
+        nf = symplectic_diagonalize(block, axis_map=CELL_AXIS_MAP, p_norm=64)
         nan_count = sum(np.isnan(mixing_angle(m)) for m in nf.modes)
         assert nan_count == 2  # the two pure-z branches
 
@@ -417,7 +417,7 @@ class TestModeDescriptors:
         eq = solve_delta0(cfg)
         for k in (0.35, 0.9, 1.3):
             block = build_bloch_block_zigzag(k, cfg, eq)
-            nf = symplectic_diagonalize(block.form, axis_map=CELL_AXIS_MAP, p_norm=64)
+            nf = symplectic_diagonalize(block, axis_map=CELL_AXIS_MAP, p_norm=64)
             angles = sorted(
                 mixing_angle(m) for m in nf.modes if not np.isnan(mixing_angle(m))
             )
@@ -431,7 +431,7 @@ class TestModeDescriptors:
         # (its bare frequency collapses with the coupling)
         cfg = ChainConfig(kappa=1e-10, n_ions=64, boundary=Boundary.BULK)
         block = build_bloch_block_zigzag(0.9, cfg)
-        nf = symplectic_diagonalize(block.form, axis_map=CELL_AXIS_MAP, p_norm=64)
+        nf = symplectic_diagonalize(block, axis_map=CELL_AXIS_MAP, p_norm=64)
         gapped = [m for m in nf.modes if m.omega > 0.5]
         assert len(gapped) == 4
         assert all(collectivity(m) < 1e-5 for m in gapped)
@@ -440,14 +440,14 @@ class TestModeDescriptors:
         cfg = ChainConfig(kappa=0.6, n_ions=64, boundary=Boundary.BULK)
         eq = solve_delta0(cfg)
         block = build_bloch_block_zigzag(2e-3, cfg, eq)
-        nf = symplectic_diagonalize(block.form, axis_map=CELL_AXIS_MAP, p_norm=64)
+        nf = symplectic_diagonalize(block, axis_map=CELL_AXIS_MAP, p_norm=64)
         lowest = min(nf.modes, key=lambda m: m.omega)
         assert collectivity(lowest) > 0.95
 
     def test_norm_identity(self):
         cfg = ChainConfig(kappa=0.6, n_ions=64, boundary=Boundary.BULK)
         block = build_bloch_block_zigzag(0.5, cfg)
-        nf = symplectic_diagonalize(block.form, axis_map=CELL_AXIS_MAP, p_norm=64)
+        nf = symplectic_diagonalize(block, axis_map=CELL_AXIS_MAP, p_norm=64)
         for m in nf.modes:
             c = collectivity(m)
             norm_u = float(np.linalg.norm(m.u) ** 2)
@@ -460,7 +460,7 @@ class TestZoneEdgeLoops:
         eq = solve_delta0(cfg)
         couplings = CellCouplings(cfg, eq)
         edge = -np.pi / 2.0
-        nf = symplectic_diagonalize(couplings.block(edge).form,
+        nf = symplectic_diagonalize(couplings.block(edge),
                                     axis_map=CELL_AXIS_MAP, p_norm=64)
         omegas = np.sort([m.omega for m in nf.modes])
         assert np.max(np.abs(omegas[0::2] - omegas[1::2])) < 1e-8
@@ -566,7 +566,7 @@ def test_mixing_angles_pinned_at_zone_center_in_zigzag():
     cfg = ChainConfig(kappa=0.55, n_ions=32, boundary=Boundary.BULK)
     eq = solve_delta0(cfg)
     block = build_bloch_block_zigzag(0.0, cfg, eq)
-    nf = symplectic_diagonalize(block.form, axis_map=CELL_AXIS_MAP, p_norm=32)
+    nf = symplectic_diagonalize(block, axis_map=CELL_AXIS_MAP, p_norm=32)
     for m in nf.modes:
         theta = mixing_angle(m)
         if np.isnan(theta):
@@ -591,7 +591,7 @@ def test_antipodal_parity_rings_consistent(n):
     couplings = CellCouplings(cfg, eq)
     freqs = []
     for k in ring_momenta(cfg.n_ions):
-        nfk = symplectic_diagonalize(couplings.block(float(k)).form,
+        nfk = symplectic_diagonalize(couplings.block(float(k)),
                                      axis_map=CELL_AXIS_MAP, p_norm=n)
         freqs.extend([m.omega for m in nfk.modes])
         freqs.extend([0.0] * len(nfk.zero_pairs))

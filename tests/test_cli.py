@@ -222,6 +222,16 @@ class TestCommands:
         assert "w_inverse_residual" not in doc["meta"]
         assert doc["meta"]["completeness_residual"] < 1e-10
 
+    def test_modes_zero_point_shift_is_half_the_phonon_sum(self, capsys):
+        code, out, _ = run_cli(
+            ["modes", "--kappa", "0.6", "--n-ions", "16", "--format", "json"],
+            capsys)
+        assert code == 0
+        doc = json.loads(out)
+        omegas = [row["omega[omega_I]"] for row in doc["rows"] if row["kind"] == "phonon"]
+        assert len(omegas) == 4
+        assert doc["meta"]["zero_point_shift_k0"] == pytest.approx(0.5 * sum(omegas), rel=1e-15)
+
     def test_ginzburg_rows(self, capsys):
         code, out, _ = run_cli(
             ["ginzburg", "--kappa", "0.6", "--n-list", "50,100"], capsys)

@@ -1,20 +1,29 @@
 """Symplectic diagonalization, zero-mode completion, certificates."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from ionphonon.chain import (
     Boundary,
     ChainConfig,
     build_hessian,
+    critical_kappa_classical,
     omega_from_hessian,
     solve_delta0,
 )
-from ionphonon.errors import BareInstabilityError, DynamicalInstabilityError
+from ionphonon.errors import (
+    BareInstabilityError,
+    DynamicalInstabilityError,
+    InternalConsistencyError,
+    PhysicsError,
+)
 from ionphonon.symplectic import (
+    W_RESIDUAL_TOL,
     NormalForm,
     QuadraticForm,
     assemble_W,
@@ -27,8 +36,8 @@ from ionphonon.symplectic import (
 )
 
 
-def chain_normal_form(kappa, n, boundary=Boundary.RING):
-    cfg = ChainConfig(kappa=kappa, n_ions=n, boundary=boundary)
+def chain_normal_form(kappa, n, boundary=Boundary.RING, alpha=1.0):
+    cfg = ChainConfig(kappa=kappa, alpha=alpha, n_ions=n, boundary=boundary)
     eq = solve_delta0(cfg)
     hess = build_hessian(cfg, eq)
     form = build_quadratic_form(hess, omega_from_hessian(hess))
@@ -183,7 +192,7 @@ class TestChainCertificates:
         for n in (16, 32):
             cfg = ChainConfig(kappa=0.3, n_ions=n, boundary=Boundary.BULK)
             block = CellCouplings(cfg, solve_delta0(cfg)).block(0.0)
-            nf = symplectic_diagonalize(block.form, axis_map=CELL_AXIS_MAP, p_norm=n)
+            nf = symplectic_diagonalize(block, axis_map=CELL_AXIS_MAP, p_norm=n)
             masses[n] = nf.zero_pairs[0].m_tilde
         assert masses[32] / masses[16] == pytest.approx(2.0, abs=1e-6)
 
@@ -220,21 +229,6 @@ class TestAssembleW:
         sigma = sigma_matrix(nf.dimension)
         sigma_tilde = w.conj().T @ sigma @ w
         assert np.max(np.abs(sigma_tilde @ sigma_tilde - np.eye(2 * nf.dimension))) < 1e-10
-
-
-class TestZeroPointShift:
-    def test_single_oscillator(self):
-        form = QuadraticForm(np.array([[0.7]]), np.zeros((1, 1)), np.array([0.7]))
-        assert symplectic_diagonalize(form).zero_point_shift == pytest.approx(0.35)
-
-    def test_equals_half_spectral_sum(self):
-        nf, _ = chain_normal_form(0.3, 16)
-        assert nf.zero_point_shift == pytest.approx(0.5 * nf.frequencies().sum())
-
-    def test_empty_spectrum(self):
-        form = QuadraticForm(np.array([[1.0]]), np.zeros((1, 1)), np.array([1.0]))
-        empty = NormalForm([], [], 0, form)
-        assert empty.zero_point_shift == 0.0
 
 
 class TestBuildQuadraticForm:
@@ -274,19 +268,20 @@ def test_dynamical_instability_reports_imaginary_frequencies():
     assert all(abs(f.real) < 1e-12 and f.imag > 0 for f in err.value.frequencies)
 
 
-def test_assemble_w_rejects_inconsistent_mode_count():
-    from ionphonon.errors import InternalConsistencyError
+def without_rows(nf, rows):
+    """The normal form with the modes at ``rows`` left out."""
+    return NormalForm(nf.omega[rows], nf.u[rows], nf.v[rows], nf.zero_pairs, nf.form)
 
+
+def test_assemble_w_rejects_inconsistent_mode_count():
     nf, _ = chain_normal_form(0.6, 8)
-    broken = NormalForm(nf.modes[:-1], nf.zero_pairs, nf.dimension, nf.form)
     with pytest.raises(InternalConsistencyError):
-        assemble_W(broken)
+        assemble_W(without_rows(nf, slice(None, -1)))
 
 
 def test_completeness_flags_a_missing_mode():
     nf, _ = chain_normal_form(0.6, 8)
-    broken = NormalForm(nf.modes[1:], nf.zero_pairs, nf.dimension, nf.form)
-    assert completeness_residual(broken) > 0.1
+    assert completeness_residual(without_rows(nf, slice(1, None))) > 0.1
 
 
 def test_single_site_quadratic_form_has_no_coupling():
@@ -298,3 +293,101 @@ def test_single_site_quadratic_form_has_no_coupling():
 def test_completeness_trivial_oscillator():
     form = QuadraticForm(np.array([[1.0]]), np.zeros((1, 1)), np.array([1.0]))
     assert completeness_residual(symplectic_diagonalize(form)) < 1e-14
+
+
+class TestBlockCertificate:
+    """The completeness certificate, from D x D blocks, against the dense
+    max |W W^-1 - 1| of the assembled 2D x 2D matrices."""
+
+    @staticmethod
+    def dense_residual(nf):
+        w, w_inv = assemble_W(nf)
+        return float(np.max(np.abs(w @ w_inv - np.eye(2 * nf.dimension))))
+
+    @pytest.mark.parametrize("boundary, kappa, alpha, n, pairs", [
+        (Boundary.RING, 0.3, 1.0, 32, 1),
+        (Boundary.RING, 0.6, 1.0, 64, 2),
+        (Boundary.RING, 0.6, 1.5, 16, 1),
+        (Boundary.BULK, 0.3, 1.5, 64, 1),
+        (Boundary.BULK, 0.6, 1.0, 32, 2),
+        (Boundary.BULK, 0.75, 1.0, 64, 2),
+    ])
+    def test_full_space_equals_dense_product(self, boundary, kappa, alpha, n, pairs):
+        nf, _ = chain_normal_form(kappa, n, boundary, alpha)
+        assert len(nf.zero_pairs) == pairs
+        assert np.isrealobj(nf.u) and np.isrealobj(nf.v)
+        dense = self.dense_residual(nf)
+        assert abs(completeness_residual(nf) - dense) <= 8 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("boundary", [Boundary.RING, Boundary.BULK])
+    def test_complex_bloch_form_equals_dense_product(self, boundary):
+        from ionphonon.bloch import CellCouplings, ring_momenta
+
+        cfg = ChainConfig(kappa=0.6, n_ions=16, boundary=boundary)
+        k = float(ring_momenta(16)[-3])
+        nf = CellCouplings(cfg, solve_delta0(cfg)).normal_form(k)
+        assert k != 0.0 and np.iscomplexobj(nf.u)
+        dense = self.dense_residual(nf)
+        assert abs(completeness_residual(nf) - dense) <= 8 * np.finfo(float).eps
+
+    def test_computed_once_per_normal_form(self, monkeypatch):
+        cached = NormalForm.__dict__["_residual"]
+        blocks, calls = cached.func, []
+
+        def counted(nf):
+            calls.append(nf)
+            return blocks(nf)
+
+        monkeypatch.setattr(cached, "func", counted)
+        nf, _ = chain_normal_form(0.6, 16)
+        residual = completeness_residual(nf)
+        assemble_W(nf)
+        assert completeness_residual(nf) == residual
+        assert calls == [nf]
+
+    def test_assemble_w_reads_the_cached_certificate(self):
+        nf, _ = chain_normal_form(0.3, 8)
+        completeness_residual(nf)
+        vars(nf)["_residual"] = 2.0 * W_RESIDUAL_TOL
+        with pytest.raises(InternalConsistencyError):
+            assemble_W(nf)
+
+    def test_cached_form_rejects_writes(self):
+        nf, _ = chain_normal_form(0.6, 8)
+        completeness_residual(nf)
+        zp = nf.zero_pairs[0]
+        for arr in (nf.omega, nf.u, nf.v, zp.p, zp.q):
+            with pytest.raises(ValueError):
+                arr[0] = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            nf.omega = np.zeros_like(nf.omega)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            zp.p = np.zeros_like(zp.p)
+
+
+@settings(deadline=None, max_examples=50)
+@given(kappa=st.floats(min_value=0.2, max_value=0.9),
+       alpha=st.sampled_from([1.0, 1.5]), n=st.integers(2, 32).map(lambda h: 2 * h))
+def test_ring_full_space_invariants(kappa, alpha, n):
+    """The full-space normal form is complete, holds one zero pair per broken
+    symmetry, and has the Bloch bands' spectrum."""
+    from ionphonon.bloch import CellCouplings, ring_momenta
+    from ionphonon.freeparticle import goldstone_branches
+
+    cfg = ChainConfig(kappa=kappa, alpha=alpha, n_ions=n, boundary=Boundary.RING)
+    # at the ring's own transition (kappa = 1/2 for four ions) the soft
+    # zone-edge modes are exact zero modes beside the Goldstone ones
+    assume(abs(kappa - critical_kappa_classical(cfg)) > 1e-3)
+    try:
+        eq = solve_delta0(cfg)
+        hess = build_hessian(cfg, eq)
+        form = build_quadratic_form(hess, omega_from_hessian(hess))
+        nf = symplectic_diagonalize(form, axis_map=hess.axis_map, p_norm=n)
+        bands = CellCouplings(cfg, eq).bands(ring_momenta(n))
+    except PhysicsError:
+        return
+    assert completeness_residual(nf) <= 1e-12
+    assert len(nf.omega) + len(nf.zero_pairs) == 3 * n
+    assert len(nf.zero_pairs) == len(goldstone_branches(cfg, eq))
+    full = np.sort(np.concatenate([nf.omega, np.zeros(len(nf.zero_pairs))]))
+    assert np.max(np.abs(full - np.sort(bands.omega.ravel()))) <= 1e-10
