@@ -46,7 +46,6 @@ from .observables import (
     correlation_energy,
     ginzburg_parameter,
     heat_capacity,
-    phase_shift,
     spatial_correlator,
     susceptibility,
 )
@@ -258,13 +257,12 @@ def _run_dispersion(rc: RunConfig):
     table = dispersion_zigzag(grid, rc.chain, eq)
     header = ["k[1/d]", "branch", "omega[omega_I]", "theta_xy[rad]",
               "collectivity[1]", "is_zero_mode"]
-    rows = []
-    for i, k in enumerate(table.k):
-        for b in range(6):
-            rows.append((
-                float(k), b, table.omega[i, b], table.theta_xy[i, b],
-                table.collectivity[i, b], int(table.is_zero[i, b]),
-            ))
+    rows = list(zip(
+        np.repeat(table.k, 6).tolist(), list(range(6)) * len(table.k),
+        table.omega.ravel().tolist(), table.theta_xy.ravel().tolist(),
+        table.collectivity.ravel().tolist(),
+        table.is_zero.ravel().astype(int).tolist(),
+    ))
     meta = _meta(rc)
     meta["delta0"] = table.delta0
     meta["tracking_warnings"] = len(table.warnings)
@@ -343,7 +341,9 @@ def _run_susceptibility(rc: RunConfig):
     results = susceptibility(grid, (component, rc.sublattice), field, eta=rc.eta)
     header = ["omega[omega_I]", "chi_re[d^2/omega_I]", "chi_im[d^2/omega_I]",
               "phase[rad]"]
-    rows = [(r.omega, r.chi.real, r.chi.imag, phase_shift(r)) for r in results]
+    chi = np.array([r.chi for r in results])
+    rows = list(zip(grid.tolist(), chi.real.tolist(), chi.imag.tolist(),
+                    np.angle(chi).tolist()))
     return _meta(rc), header, rows
 
 
@@ -409,12 +409,70 @@ def _json_safe(value):
     return value
 
 
+# rows per write: a block's text (~50 KB for six columns) and its column
+# lists stay below glibc's 128 KiB mmap threshold, so freeing them never
+# raises that threshold for the rest of the process
+_JSON_BLOCK_ROWS = 256
+_NON_FINITE = ("nan", "inf", "-inf")
+
+
+def _json_bools(values) -> list[str]:
+    return ["true" if v else "false" for v in values]
+
+
+def _json_ints(values) -> list[str]:
+    return [str(int(v)) for v in values]
+
+
+def _json_floats(values) -> list[str]:
+    texts = list(map(float.__repr__, map(float, values)))
+    if any(text in texts for text in _NON_FINITE):
+        texts = ["null" if text in _NON_FINITE else text for text in texts]
+    return texts
+
+
+def _json_texts(values) -> list[str]:
+    return list(map(json.dumps, values))
+
+
+def _json_column(value):
+    """Formatter of a JSON column whose cells are of ``value``'s kind: the
+    text ``json.dump`` gives each cell after ``_json_safe``."""
+    if isinstance(value, bool):
+        return _json_bools
+    if isinstance(value, (int, np.integer)):
+        return _json_ints
+    if isinstance(value, (float, np.floating)):
+        return _json_floats
+    return _json_texts
+
+
 def _write_json(fh, meta: dict, header: list[str], rows: list[tuple]) -> None:
-    records = [{key: _json_safe(value) for key, value in zip(header, row)}
-               for row in rows]
-    doc = {"meta": _json_safe(meta), "rows": records}
-    json.dump(doc, fh, sort_keys=True, indent=1, allow_nan=False)
-    fh.write("\n")
+    """The bytes of ``json.dump({"meta": meta, "rows": [one dict per row]},
+    sort_keys=True, indent=1, allow_nan=False)`` plus a newline, with numpy
+    scalars as Python numbers and NaN and inf as null.
+
+    ``meta`` goes through ``json.dumps``; the rows fill one template of the
+    sorted keys, formatted a column at a time (like ``_write_csv``, the
+    first row fixes each column's kind) and written in blocks.
+    """
+    doc = json.dumps({"meta": _json_safe(meta), "rows": []},
+                     sort_keys=True, indent=1, allow_nan=False)
+    if not rows:
+        fh.write(doc + "\n")
+        return
+    order = sorted(range(len(header)), key=header.__getitem__)
+    template = "  {\n" + ",\n".join(
+        "   " + json.dumps(header[j]).replace("%", "%%") + ": %s" for j in order
+    ) + "\n  }"
+    formats = [_json_column(rows[0][j]) for j in order]
+    fh.write(doc[:-len("[]\n}")] + "[\n")  # the doc ends '"rows": []\n}'
+    for start in range(0, len(rows), _JSON_BLOCK_ROWS):
+        columns = list(zip(*rows[start:start + _JSON_BLOCK_ROWS]))
+        cells = zip(*[fmt(columns[j]) for fmt, j in zip(formats, order)])
+        fh.write((",\n" if start else "")
+                 + ",\n".join([template % row for row in cells]))
+    fh.write("\n ]\n}\n")
 
 
 def run(rc: RunConfig) -> int:
@@ -436,8 +494,8 @@ def run(rc: RunConfig) -> int:
                 sys.stderr.write(f"i/o error writing sidecar: {io_exc}\n")
                 return 4
         return 3
-    # the table is streamed to its destination: no copy of the whole text
-    # (0.6 MB for a 1024-ion JSON dispersion) is built first
+    # the table is streamed to its destination in blocks of rows: no copy of
+    # the whole text (0.6 MB for a 1024-ion JSON dispersion) is built first
     try:
         with (open(rc.output, "w", encoding="utf-8", newline="") if rc.output
               else contextlib.nullcontext(sys.stdout)) as fh:

@@ -79,16 +79,27 @@ def effective_masses(config: ChainConfig,
     """
     if eq is None:
         eq = solve_delta0(config)
-    nf = zero_mode_normal_form(config, eq)
+    zero_pairs = zero_mode_normal_form(config, eq).zero_pairs
+    _check_zero_pair_count(config, eq, zero_pairs)
+    return {zp.label: zp.m_tilde for zp in zero_pairs}
+
+
+def _check_zero_pair_count(config: ChainConfig, eq: Equilibrium,
+                          zero_pairs: list[ZeroModePair]) -> None:
+    """Raise ZeroModeToleranceError unless there is one zero pair per broken
+    symmetry (``goldstone_branches``).
+
+    An extra pair is a soft mode at the transition (on a ring at its own
+    kappa_c the zone-edge y and z modes are exact zeros), which no free
+    particle describes.
+    """
     expected = len(goldstone_branches(config, eq))
-    masses = {zp.label: zp.m_tilde for zp in nf.zero_pairs}
-    if len(masses) != expected:
+    if len(zero_pairs) != expected:
         raise ZeroModeToleranceError(
-            f"extracted {len(masses)} zero pairs, expected {expected} at "
+            f"extracted {len(zero_pairs)} zero pairs, expected {expected} at "
             f"kappa = {config.kappa}: a soft mode near the transition is not "
             f"separable from the zero modes at this precision"
         )
-    return masses
 
 
 def build_sectors(config: ChainConfig, eq: Equilibrium | None = None,
@@ -100,13 +111,15 @@ def build_sectors(config: ChainConfig, eq: Equilibrium | None = None,
     periodic-ring boundaries; the radial sector (zigzag plane rotation)
     exists for delta0 > 0 at alpha = 1 in either convention.  ``zero_pairs``
     and ``omega_bare`` of the k = 0 cell block go together; if omitted, they
-    are computed here.
+    are computed here.  Raises ZeroModeToleranceError when the zero pairs
+    are not one per broken symmetry.
     """
     if eq is None:
         eq = solve_delta0(config)
     if zero_pairs is None:
         nf0 = zero_mode_normal_form(config, eq)
         zero_pairs, omega_bare = nf0.zero_pairs, nf0.form.omega_bare
+    _check_zero_pair_count(config, eq, zero_pairs)
     omega_x = omega_bare[_cell_index(0, 0)]
     omega_z = omega_bare[_cell_index(0, 2)]
     masses = {zp.label: zp for zp in zero_pairs}

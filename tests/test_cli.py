@@ -1,7 +1,9 @@
 """Command-line interface: parsing, schemas, exit codes, determinism."""
 
 import argparse
+import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,11 +11,23 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ionphonon import cli
 from ionphonon.cli import main, parse_config
 from ionphonon.errors import BracketingError, DynamicalInstabilityError
 from ionphonon.observables import PhononField
+
+
+# every command at small sizes, without --kappa and --n-ions
+SMALL_RUNS = [
+    ["equilibrium"], ["dispersion"], ["modes"],
+    ["correlations", "--max-separation", "2"],
+    ["heat-capacity", "--t-steps", "4"],
+    ["susceptibility", "--omega-steps", "4"], ["energy-reduction"],
+    ["ginzburg", "--n-list", "16,32"],
+]
 
 
 def run_cli(argv, capsys):
@@ -327,13 +341,7 @@ class TestExitCodesAndFiles:
         assert size > 200_000
         assert peak < size / 4
 
-    @pytest.mark.parametrize("argv", [
-        ["equilibrium"], ["dispersion"], ["modes"],
-        ["correlations", "--max-separation", "2"],
-        ["heat-capacity", "--t-steps", "4"],
-        ["susceptibility", "--omega-steps", "4"], ["energy-reduction"],
-        ["ginzburg", "--n-list", "16,32"],
-    ], ids=lambda argv: argv[0])
+    @pytest.mark.parametrize("argv", SMALL_RUNS, ids=lambda argv: argv[0])
     def test_csv_columns_keep_one_type(self, argv):
         # _write_csv formats every row like the first: an int in a float
         # column would print it with %d
@@ -342,6 +350,17 @@ class TestExitCodesAndFiles:
         assert rows
         for column in zip(*rows):
             assert len({cli._cell_format(v) for v in column}) == 1
+
+    @pytest.mark.parametrize("argv", SMALL_RUNS, ids=lambda argv: argv[0])
+    def test_json_columns_keep_one_kind(self, argv):
+        # _write_json formats every column by its first row's kind: an int
+        # in a float column would print 1 as 1.0 (float and np.float64 are
+        # one kind)
+        rc = parse_config(argv + ["--kappa", "0.6", "--n-ions", "16"])
+        _, header, rows = cli._RUNNERS[rc.command](rc)
+        assert rows
+        for column in zip(*rows):
+            assert len({cli._json_column(v) for v in column}) == 1
 
     def test_csv_round_trip_full_precision(self, tmp_path):
         path = tmp_path / "eq.csv"
@@ -465,3 +484,120 @@ def test_single_temperature_heat_capacity(capsys):
     assert code == 0
     lines = out.strip().split("\n")
     assert len(lines) == 2 and float(lines[1].split(",")[0]) == 1.0
+
+
+def test_modes_at_a_rings_own_transition_exits_3(tmp_path, capsys):
+    # at kappa_c of a 4-ion ring (0.5) the soft zone-edge y and z modes are
+    # exact zeros: 3 zero pairs where one symmetry is broken, which no
+    # free-particle sector describes
+    out_path = tmp_path / "modes.json"
+    code, _, err = run_cli(["modes", "--kappa", "0.5", "--n-ions", "4",
+                            "--format", "json", "--output", str(out_path)], capsys)
+    assert code == 3
+    assert "extracted 3 zero pairs, expected 1" in err
+    sidecar = json.loads((tmp_path / "modes.json.error.json").read_text())
+    assert sidecar["error"] == "ZeroModeToleranceError"
+    assert not out_path.exists()
+
+
+# ---------------------------------------------------------------------------
+# JSON writer against the stdlib encoder
+
+
+def stdlib_json(meta, header, rows):
+    """The document the JSON writer must reproduce byte for byte."""
+    sink = io.StringIO()
+    json.dump({"meta": cli._json_safe(meta),
+               "rows": [cli._json_safe(dict(zip(header, row))) for row in rows]},
+              sink, sort_keys=True, indent=1, allow_nan=False)
+    sink.write("\n")
+    return sink.getvalue()
+
+
+def written_json(meta, header, rows):
+    sink = io.StringIO()
+    cli._write_json(sink, meta, header, rows)
+    return sink.getvalue()
+
+
+def assert_same_text(got, want):
+    # pytest's own diff of two long documents takes minutes
+    if got != want:
+        at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+                  min(len(got), len(want)))
+        pytest.fail(f"differs at {at}: {got[at - 60:at + 60]!r} "
+                    f"!= {want[at - 60:at + 60]!r}")
+
+
+SPECIAL_FLOATS = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 2.2e-308,
+                  1e16, 1e-7, 0.1, np.float64(math.nan), np.float64(-1e16)]
+CELLS = {
+    "bool": st.booleans(),
+    "int": st.one_of(st.integers(-2**70, 2**70),
+                     st.integers(-2**63, 2**63 - 1).map(np.int64)),
+    "float": st.one_of(st.floats(), st.sampled_from(SPECIAL_FLOATS),
+                       st.floats().map(np.float64)),
+    "other": st.one_of(st.text(max_size=8), st.none()),
+}
+KEYS = st.one_of(st.text(max_size=8),
+                 st.sampled_from(["%", "%s", "%%d", '"', "\\", "a\"b\\c", "é",
+                                  "ω[ω_I]", " ", "\x00"]))
+
+
+@st.composite
+def json_tables(draw, n_rows):
+    """A header in any order and n_rows rows of one kind per column, cycled
+    from a few drawn values per column."""
+    header = draw(st.lists(KEYS, min_size=1, max_size=6, unique=True))
+    pools = [draw(st.lists(CELLS[draw(st.sampled_from(sorted(CELLS)))],
+                           min_size=1, max_size=4))
+             for _ in header]
+    rows = [tuple(pool[i % len(pool)] for pool in pools) for i in range(n_rows)]
+    return header, rows
+
+
+BLOCK = cli._JSON_BLOCK_ROWS
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
+@settings(deadline=None, max_examples=15)
+@given(data=st.data())
+def test_json_writer_matches_stdlib_encoder(n_rows, data):
+    header, rows = data.draw(json_tables(n_rows))
+    meta = {"kappa": 0.6, "sectors": {"radial": {"c0": np.float64(math.inf)}},
+            "n_list": [np.int64(50), 100], "label": "%s é"}
+    assert_same_text(written_json(meta, header, rows), stdlib_json(meta, header, rows))
+
+
+def test_json_writer_writes_in_blocks():
+    # one write per block of rows, each under 128 KiB: freeing a larger
+    # temporary would raise glibc's mmap threshold for the whole process
+    writes = []
+
+    class Sink(io.StringIO):
+        def write(self, text):
+            writes.append(len(text))
+            return super().write(text)
+
+    rows = [(0.001 * i, i % 6, 0.1234567890123 * i, math.nan, 0.9, 0)
+            for i in range(3072)]
+    header = ["k", "branch", "omega", "theta", "coll", "zero"]
+    sink = Sink()
+    cli._write_json(sink, {}, header, rows)
+    assert_same_text(sink.getvalue(), stdlib_json({}, header, rows))
+    assert len(writes) == 2 + 3072 // BLOCK
+    assert max(writes) < 128 * 1024
+
+
+@pytest.mark.parametrize("argv", SMALL_RUNS + [
+    ["dispersion", "--boundary", "bulk", "--k-points", "8"],
+    ["heat-capacity", "--boundary", "bulk", "--k-points", "8", "--t-steps", "3"],
+], ids=lambda argv: argv[0] + ("-bulk" if "bulk" in argv else ""))
+def test_every_command_writes_the_stdlib_json(argv, tmp_path):
+    argv = argv + ["--kappa", "0.6", "--n-ions", "16", "--format", "json"]
+    path = tmp_path / "out.json"
+    assert main(argv + ["--output", str(path)]) == 0
+    rc = parse_config(argv)
+    meta, header, rows = cli._RUNNERS[rc.command](rc)
+    assert_same_text(path.read_text(encoding="utf-8"),
+                     stdlib_json(meta, header, rows))
