@@ -17,7 +17,6 @@ from .chain import (
     Hessian,
     bare_frequencies,
     build_hessian,
-    classical_potential,
     equilibrium_residual,
     omega_from_hessian,
     polylog,
@@ -35,13 +34,12 @@ from .symplectic import (
 )
 from .bloch import (
     DispersionTable,
-    build_bloch_block_zigzag,
-    collectivity,
+    collectivities,
     coupling_f,
     critical_kappa,
     dispersion_linear,
     dispersion_zigzag,
-    mixing_angle,
+    mixing_angles,
     mode_vectors_linear,
     verify_f_diagonality,
 )
@@ -60,7 +58,6 @@ from .observables import (
     correlation_energy,
     ginzburg_parameter,
     heat_capacity,
-    pair_correlators_k,
     phase_shift,
     spatial_correlator,
     susceptibility,

@@ -25,7 +25,7 @@ along z.  Block basis ordering: (s=0,x), (s=1,x), (s=0,y), (s=1,y),
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -51,7 +51,6 @@ from .errors import (
     PhysicsError,
 )
 from .symplectic import (
-    BogoliubovMode,
     NormalForm,
     QuadraticForm,
     bogoliubov_stack,
@@ -382,18 +381,6 @@ class Bands:
     zero_pairs: list
 
 
-def build_bloch_block_zigzag(k: float, config: ChainConfig,
-                             eq: Equilibrium | None = None) -> QuadraticForm:
-    """One 6 x 6 (h, g) coupling block at quasi-momentum k (units 1/d).
-
-    Works for any equilibrium, including delta0 = 0, where it describes the
-    linear chain folded into the reduced zone.
-    """
-    if eq is None:
-        eq = solve_delta0(config)
-    return CellCouplings(config, eq).block(k)
-
-
 def ring_momenta(n_ions: int) -> np.ndarray:
     """Sorted discrete momenta of an n_ions ring, in [-pi/2d, pi/2d)."""
     k = 2.0 * np.pi * np.arange(n_ions // 2) / n_ions
@@ -424,20 +411,13 @@ class DispersionTable:
     collectivity: np.ndarray   # (n_k, 6)
     is_zero: np.ndarray        # (n_k, 6) bool
     zero_pairs: list           # ZeroModePair objects found on the grid (k = 0)
-    config: ChainConfig = None
-    delta0: float = 0.0
-    warnings: list = field(default_factory=list)
+    config: ChainConfig
+    delta0: float
+    warnings: list             # (k, branch, overlap) of each overlap below 0.5
 
 
-def _mixing_angles(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    w = np.abs(u) ** 2 - np.abs(v) ** 2
-    w_x = w[..., 0] + w[..., 1]
-    w_y = w[..., 2] + w[..., 3]
-    return np.where(w_x + w_y < 1e-14, np.nan, np.arctan2(w_y, w_x))
-
-
-def mixing_angle(mode: BogoliubovMode) -> float:
-    """Spatial mixing angle in [0, pi/2] of a cell-basis mode.
+def mixing_angles(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Spatial mixing angle in [0, pi/2] of each cell-basis mode (rows of u, v).
 
     arctan of the y weight over the x weight summed over sublattices, using
     the Sigma-weights |u|^2 - |v|^2 (= the polarization weights of the
@@ -446,17 +426,17 @@ def mixing_angle(mode: BogoliubovMode) -> float:
     paired modes is exact; the naive particle-plus-hole weight violates it
     at the percent level.  NaN for pure out-of-plane modes.
     """
-    return float(_mixing_angles(mode.u, mode.v))
+    w = np.abs(u) ** 2 - np.abs(v) ** 2
+    w_x = w[..., 0] + w[..., 1]
+    w_y = w[..., 2] + w[..., 3]
+    return np.where(w_x + w_y < 1e-14, np.nan, np.arctan2(w_y, w_x))
 
 
-def _collectivities(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+def collectivities(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """|v| / |u| of each mode: particle-hole hybridization weight, in [0, 1)
+    when stable."""
     with np.errstate(invalid="ignore"):  # NaN for an empty (zero-pair) slot
         return np.linalg.norm(v, axis=-1) / np.linalg.norm(u, axis=-1)
-
-
-def collectivity(mode: BogoliubovMode) -> float:
-    """|v| / |u|: particle-hole hybridization weight, in [0, 1) when stable."""
-    return float(_collectivities(mode.u, mode.v))
 
 
 def _track_branches(bands: Bands) -> tuple[np.ndarray, list]:
@@ -513,8 +493,8 @@ def dispersion_zigzag(k_grid: np.ndarray, config: ChainConfig,
     # zero-pair slots hold u = v = 0: NaN angle and collectivity
     u, v = bands.u[rows, slots], bands.v[rows, slots]
     return DispersionTable(
-        bands.k, bands.omega[rows, slots], _mixing_angles(u, v),
-        _collectivities(u, v), ~bands.mask[rows, slots], bands.zero_pairs,
+        bands.k, bands.omega[rows, slots], mixing_angles(u, v),
+        collectivities(u, v), ~bands.mask[rows, slots], bands.zero_pairs,
         config, eq.delta0, warn_records,
     )
 
@@ -556,11 +536,3 @@ def verify_f_diagonality(n: int, f) -> float:
     f_mat = phase.conj().T @ kernel @ phase / n
     off = f_mat - np.diag(np.diag(f_mat))
     return float(np.max(np.abs(off)))
-
-
-def f_diagonal(n: int, f) -> np.ndarray:
-    """Diagonal entries f_m of the same transform (single-sum form)."""
-    f_arr = _kernel_array(n, f)
-    p = m = np.arange(n)
-    phases = np.exp(1j * np.pi * p[None, :] - 2j * np.pi * np.outer(m, p) / n)
-    return (phases * f_arr[None, :]).sum(axis=1)

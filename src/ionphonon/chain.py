@@ -2,8 +2,7 @@
 
 Units throughout: ``m_I = omega_I = d = 1`` (ion mass, transverse trap
 frequency along y, inter-ion spacing).  Lengths are in units of ``d``,
-frequencies in ``omega_I``, Hessian elements in ``m_I omega_I**2``, and the
-classical potential per ion in ``E_d = lambda**2 omega_I / 2``.
+frequencies in ``omega_I`` and Hessian elements in ``m_I omega_I**2``.
 
 Two boundary conventions are supported.  ``Boundary.RING`` is a physical
 N-ion ring; ``Boundary.BULK`` is the infinite chain sampled with N sites, so
@@ -224,11 +223,6 @@ class ChainConfig:
         if n < 4 or n % 2 != 0:
             raise ValueError(f"n_ions must be even and >= 4, got {n}")
 
-    @property
-    def e_d(self) -> float:
-        """Natural energy scale E_d in units of omega_I (= lambda^2 / 2)."""
-        return 0.5 * self.lam**2
-
 
 @dataclass
 class Equilibrium:
@@ -251,10 +245,6 @@ class Hessian:
 
     matrix: np.ndarray  # (3N, 3N) real symmetric
     n_ions: int
-
-    @staticmethod
-    def flat_index(l: int, nu: int) -> int:
-        return 3 * l + nu
 
     @property
     def axis_map(self) -> np.ndarray:
@@ -490,7 +480,7 @@ def bulk_sum_bound(config: ChainConfig, delta: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# classical potential and equilibrium
+# equilibrium
 
 
 def _odd_neighbor_sum(delta: float, config: ChainConfig) -> float:
@@ -511,44 +501,6 @@ def zigzag_root_gap(delta: float, config: ChainConfig) -> float:
     4 / (7 zeta(3)), where the transverse zone-edge mode softens.
     """
     return 1.0 - config.kappa * _odd_neighbor_sum(delta, config)
-
-
-def classical_potential(delta_tilde: float, config: ChainConfig) -> float:
-    """Classical potential per ion, in units of E_d.
-
-    RING: the full trap + Coulomb energy per ion of the N-ion ring, summed
-    over the pair set of :func:`pair_offsets` (each pair is shared by its
-    two ions).
-
-    BULK: the Coulomb energy per ion diverges in the thermodynamic limit, so
-    the finite, delta-dependent difference ``V(delta) - V(0)`` per ion is
-    returned: delta^2 + kappa sum over the odd m > 0 of (1/r - 1/m).  Its
-    leading power law -c/2 m^-3 (c = 4 delta^2) sums in closed form to
-    -(c/2)(7/8) zeta(3); the remainder is summed directly over the odd m
-    up to M, past which the first omitted term (3/8) c^2 m^-5 bounds its
-    tail.  The certified error, that tail plus the rounding of the split,
-    must stay below 1e-12, or a ConvergenceError is raised.
-    """
-    if delta_tilde < 0.0:
-        raise ValueError("delta_tilde must be non-negative")
-    d2 = delta_tilde * delta_tilde
-    if config.boundary is Boundary.RING:
-        m, w = pair_offsets(config)
-        r = np.sqrt(m * m + pair_dy(m, delta_tilde) ** 2)
-        return d2 + 0.5 * config.kappa * float(np.sum(w / r))
-    if delta_tilde == 0.0:
-        return 0.0
-    c = 4.0 * d2  # odd M >= 2 delta with the tail (3/64) c^2 M^-4 below _TAIL
-    top = max(2.0 * delta_tilde, (3 / 64 * c * c / _TAIL) ** 0.25)
-    top = 2 * math.ceil((top + 1.0) / 2.0) - 1
-    bound = config.kappa * (3 / 64 * c * c / top**4 + 16.0 * np.finfo(float).eps * c * ZETA3)
-    if bound > 1e-12:
-        raise ConvergenceError(
-            f"classical potential certified to {bound:.3e} only, above tol 1e-12 "
-            f"at delta = {delta_tilde}")
-    m = np.arange(1.0, top + 1.0, 2.0)
-    remainder = float(np.sum(1.0 / np.sqrt(m * m + c) - 1.0 / m + 0.5 * c / m**3))
-    return d2 + config.kappa * (remainder - 7 / 16 * c * ZETA3)
 
 
 def solve_delta0(config: ChainConfig, tol: float = 1e-12) -> Equilibrium:

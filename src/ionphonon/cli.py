@@ -23,9 +23,9 @@ import numpy as np
 
 from . import __version__
 from .bloch import (
-    _collectivities,
-    _mixing_angles,
+    collectivities,
     dispersion_zigzag,
+    mixing_angles,
     reduced_zone_grid,
     ring_momenta,
 )
@@ -276,8 +276,8 @@ def _run_modes(rc: RunConfig):
     header = ["kind", "label", "omega[omega_I]", "m_tilde[1/omega_I]",
               "theta_xy[rad]", "collectivity[1]"]
     rows = []
-    angles = _mixing_angles(nf.u, nf.v).tolist()
-    colls = _collectivities(nf.u, nf.v).tolist()
+    angles = mixing_angles(nf.u, nf.v).tolist()
+    colls = collectivities(nf.u, nf.v).tolist()
     for i, (omega, angle, coll) in enumerate(zip(nf.omega.tolist(), angles, colls)):
         rows.append(("phonon", f"k0-{i}", omega, float("nan"), angle, coll))
     for zp in nf.zero_pairs:

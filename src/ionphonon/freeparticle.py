@@ -47,9 +47,6 @@ class FreeParticleSector:
         """E_1 in omega_I; E_m = level_unit * m^2."""
         return 1.0 / (2.0 * self.m_tilde * self.c0**2)
 
-    def level_energies(self, m: np.ndarray) -> np.ndarray:
-        return self.level_unit * np.asarray(m, dtype=float) ** 2
-
 
 def goldstone_branches(config: ChainConfig, eq: Equilibrium) -> dict[str, str]:
     """Axis -> gapless branch of each broken symmetry, one k = 0 zero pair each.
@@ -102,23 +99,18 @@ def _check_zero_pair_count(config: ChainConfig, eq: Equilibrium,
         )
 
 
-def build_sectors(config: ChainConfig, eq: Equilibrium | None = None,
-                  zero_pairs: list[ZeroModePair] | None = None,
-                  omega_bare: np.ndarray | None = None) -> list[FreeParticleSector]:
+def build_sectors(config: ChainConfig, eq: Equilibrium,
+                  zero_pairs: list[ZeroModePair],
+                  omega_bare: np.ndarray) -> list[FreeParticleSector]:
     """Free-particle sectors present for this configuration.
 
     The longitudinal sector (chain sliding around the ring) exists only with
     periodic-ring boundaries; the radial sector (zigzag plane rotation)
     exists for delta0 > 0 at alpha = 1 in either convention.  ``zero_pairs``
-    and ``omega_bare`` of the k = 0 cell block go together; if omitted, they
-    are computed here.  Raises ZeroModeToleranceError when the zero pairs
-    are not one per broken symmetry.
+    and ``omega_bare`` are those of the k = 0 cell block.  Raises
+    ZeroModeToleranceError when the zero pairs are not one per broken
+    symmetry.
     """
-    if eq is None:
-        eq = solve_delta0(config)
-    if zero_pairs is None:
-        nf0 = zero_mode_normal_form(config, eq)
-        zero_pairs, omega_bare = nf0.zero_pairs, nf0.form.omega_bare
     _check_zero_pair_count(config, eq, zero_pairs)
     omega_x = omega_bare[_cell_index(0, 0)]
     omega_z = omega_bare[_cell_index(0, 2)]

@@ -44,7 +44,6 @@ from .freeparticle import (
     goldstone_branches,
     q_variance,
     thermal_energy_and_heat,
-    thermal_p_squared,
 )
 
 
@@ -120,59 +119,6 @@ class CorrelatorRequest:
             raise ValueError("temperature must be non-negative")
 
 
-def pair_correlators_k(field: PhononField, k: float, kp: float, s: int, sp: int,
-                       nu: str, nup: str, temperature: float,
-                       include_radial_zero_mode: bool = True,
-                       include_longitudinal_zero_mode: bool = False):
-    """The four ladder correlators <a^dag a>, <a a^dag>, <a^dag a^dag>, <a a>.
-
-    Normal terms require k' = k, anomalous ones k' = -k; all other pairings
-    vanish because thermal states are diagonal in the phonon numbers.  At
-    k = k' = 0 the enabled free-particle sectors contribute their <Q^2> and
-    <P^2> moments with the phase-fixed (p, q) sign structure.
-    """
-    if temperature < 0.0:
-        raise ValueError("temperature must be non-negative")
-    i = _cell_index(s, AXES[nu])
-    j = _cell_index(sp, AXES[nup])
-    ki = int(np.argmin(np.abs(field.k - k)))
-    kj = int(np.argmin(np.abs(field.k - kp)))
-    if abs(field.k[ki] - k) > 1e-9 or abs(field.k[kj] - kp) > 1e-9:
-        raise ValueError("momenta must lie on the field grid")
-    ada = aad = adad = aa = 0.0 + 0.0j
-    n = _bose(field.omega[ki], temperature) * field.mask[ki]
-    u_i, v_i = field.u[ki, :, i], field.v[ki, :, i]
-    if ki == kj:
-        u_j, v_j = field.u[kj, :, j], field.v[kj, :, j]
-        ada += np.sum(np.conj(u_i) * u_j * n + np.conj(v_i) * v_j * (n + 1.0))
-        aad += np.sum(u_i * np.conj(u_j) * (n + 1.0) + v_i * np.conj(v_j) * n)
-    # anomalous pairing: k' = -k modulo a reciprocal lattice vector, which
-    # also covers the self-paired zone edge.  Within block k the negative-norm
-    # (swap of x) directions are exactly the -k creation operators, so the
-    # anomalous averages close over block-k amplitudes alone and are
-    # invariant under each mode's arbitrary phase.
-    ksum = field.k[ki] + field.k[kj]
-    mirrored = abs((ksum + np.pi / 2.0) % np.pi - np.pi / 2.0) < 1e-9
-    if mirrored:
-        u_j, v_j = field.u[ki, :, j], field.v[ki, :, j]
-        adad += -np.sum(np.conj(u_i) * v_j * n + np.conj(v_i) * u_j * (n + 1.0))
-        aa += -np.sum(u_i * np.conj(v_j) * (n + 1.0) + v_i * np.conj(u_j) * n)
-    if abs(k) < 1e-12 and abs(kp) < 1e-12:
-        for sector in _enabled_sectors(field, include_radial_zero_mode,
-                                       include_longitudinal_zero_mode):
-            zp = sector.pair
-            u0_i, u0_j = zp.u0[i], zp.u0[j]
-            v0_i, v0_j = zp.v0[i], zp.v0[j]
-            q2 = q_variance(sector)
-            p2 = thermal_p_squared(sector, temperature)
-            ada += np.conj(u0_i) * u0_j * q2 + np.conj(v0_i) * v0_j * p2
-            aad += u0_i * np.conj(u0_j) * q2 + v0_i * np.conj(v0_j) * p2
-            adad += -np.conj(u0_i) * np.conj(u0_j) * q2 \
-                + np.conj(v0_i) * np.conj(v0_j) * p2
-            aa += -u0_i * u0_j * q2 + v0_i * v0_j * p2
-    return complex(ada), complex(aad), complex(adad), complex(aa)
-
-
 def _enabled_sectors(field: PhononField, radial: bool, longitudinal: bool):
     # bulk fields have no longitudinal sector (build_sectors), and its
     # divergent offset only reaches xx requests, which check_convergent stops
@@ -217,7 +163,8 @@ def spatial_correlator(req: CorrelatorRequest, field: PhononField) -> float:
                                    req.include_longitudinal_zero_mode):
         zp = sector.pair
         q2 = q_variance(sector)
-        # the <P^2> terms carry 4 Re(v0) Re(v0') = 0: positions decouple from P
+        # the <P^2> terms carry 4 Re(v0) Re(v0'), and v0 = i q[:D] is
+        # imaginary: positions decouple from P
         coeff = 4.0 * np.imag(zp.u0[i]) * np.imag(zp.u0[j])
         total += coeff * q2 / field.n_cells
     value = pref * total

@@ -57,10 +57,6 @@ class QuadraticForm:
     def dimension(self) -> int:
         return len(self.omega_bare)
 
-    def full_matrix(self) -> np.ndarray:
-        """The 2D x 2D coupling matrix [[h, g], [g, h]]."""
-        return np.block([[self.h, self.g], [self.g, self.h]])
-
     def validate(self, tol: float = 1e-10) -> None:
         fault = form_faults(self.h[None], self.g[None], self.omega_bare, tol)[0]
         if fault:
@@ -88,11 +84,6 @@ def form_faults(h: np.ndarray, g: np.ndarray, omega_bare: np.ndarray,
         defect(h - g - np.diag(omega_bare)) > bound,
     ])
     return np.where(broken.any(axis=0), np.argmax(broken, axis=0) + 1, 0)
-
-
-def sigma_matrix(dim: int) -> np.ndarray:
-    """Sigma = diag(1_D, -1_D) defining the symplectic pseudo-norm."""
-    return np.diag(np.concatenate([np.ones(dim), -np.ones(dim)]))
 
 
 def build_quadratic_form(hessian: Hessian | np.ndarray,
@@ -125,13 +116,6 @@ class BogoliubovMode:
     u: np.ndarray
     v: np.ndarray
 
-    def x_vector(self) -> np.ndarray:
-        return np.concatenate([self.u, -self.v])
-
-    def y_vector(self) -> np.ndarray:
-        """Negative-norm partner at -omega within the same block."""
-        return np.concatenate([-self.v, self.u])
-
     def sigma_norm(self) -> float:
         return float(np.vdot(self.u, self.u).real - np.vdot(self.v, self.v).real)
 
@@ -153,11 +137,6 @@ class ZeroModePair:
     @property
     def u0(self) -> np.ndarray:
         return self.p[: len(self.p) // 2]
-
-    @property
-    def v0(self) -> np.ndarray:
-        # q = -i (v0, v0*)
-        return 1j * self.q[: len(self.q) // 2]
 
 
 @dataclass(frozen=True, eq=False)
@@ -384,14 +363,6 @@ def sigma_apply(vec: np.ndarray) -> np.ndarray:
     out = vec.copy()
     out[dim:] *= -1.0
     return out
-
-
-def eigen_residual(form: QuadraticForm, mode: BogoliubovMode) -> float:
-    """|| Sigma H x - omega x ||_max for one mode."""
-    h_full = form.full_matrix()
-    x = mode.x_vector()
-    sx = sigma_apply(h_full @ x)
-    return float(np.max(np.abs(sx - mode.omega * x)))
 
 
 def completeness_residual(nf: NormalForm) -> float:

@@ -10,15 +10,13 @@ from ionphonon.bloch import (
     CELL_AXIS_MAP,
     CellCouplings,
     _cell_index,
-    build_bloch_block_zigzag,
-    collectivity,
+    collectivities,
     coupling_f,
     critical_kappa,
     bare_critical_kappa,
     dispersion_linear,
     dispersion_zigzag,
-    f_diagonal,
-    mixing_angle,
+    mixing_angles,
     mode_vectors_linear,
     reduced_zone_grid,
     ring_momenta,
@@ -204,7 +202,7 @@ class TestZigzagBlocks:
         eq = solve_delta0(cfg)
         assert eq.delta0 == 0.0
         for k in (0.31, 0.9, 1.4):
-            block = build_bloch_block_zigzag(k, cfg, eq)
+            block = CellCouplings(cfg, eq).block(k)
             nf = symplectic_diagonalize(block, axis_map=CELL_AXIS_MAP,
                                         p_norm=cfg.n_ions)
             got = np.sort(nf.frequencies())
@@ -216,7 +214,7 @@ class TestZigzagBlocks:
 
     def test_two_zero_pairs_at_k0_in_zigzag(self):
         cfg = ChainConfig(kappa=0.6, n_ions=32, boundary=Boundary.BULK)
-        block = build_bloch_block_zigzag(0.0, cfg)
+        block = CellCouplings(cfg, solve_delta0(cfg)).block(0.0)
         nf = symplectic_diagonalize(block, axis_map=CELL_AXIS_MAP, p_norm=32)
         assert len(nf.modes) == 4
         assert sorted(zp.label for zp in nf.zero_pairs) == ["longitudinal", "radial"]
@@ -225,7 +223,7 @@ class TestZigzagBlocks:
         cfg = ChainConfig(kappa=0.6, n_ions=32, boundary=Boundary.BULK)
         eq = solve_delta0(cfg)
         for k in (0.0, 0.7, -1.2):
-            form = build_bloch_block_zigzag(k, cfg, eq)
+            form = CellCouplings(cfg, eq).block(k)
             form.validate(1e-12)
             g = form.g
             z_rows, xy_rows = [4, 5], [0, 1, 2, 3]
@@ -252,8 +250,9 @@ class TestZigzagBlocks:
 
     def test_ring_rejects_off_grid_momentum(self):
         cfg = ChainConfig(kappa=0.6, n_ions=16, boundary=Boundary.RING)
+        couplings = CellCouplings(cfg, solve_delta0(cfg))
         with pytest.raises(ValueError):
-            build_bloch_block_zigzag(0.123, cfg)
+            couplings.block(0.123)
 
     @pytest.mark.parametrize("cfg, k", [
         (ChainConfig(kappa=0.62, n_ions=10), ring_momenta(10)),
@@ -347,7 +346,7 @@ class TestDispersionZigzag:
             axis_map=hess.axis_map, p_norm=32,
         )
         full = np.sort(nf_full.frequencies())
-        block = build_bloch_block_zigzag(0.0, cfg, eq)
+        block = CellCouplings(cfg, eq).block(0.0)
         nf0 = symplectic_diagonalize(block, axis_map=CELL_AXIS_MAP, p_norm=32)
         got = np.sort(nf0.frequencies())
         # the four k=0 nonzero modes are a subset of the full spectrum
@@ -398,29 +397,29 @@ class TestDispersionZigzag:
 class TestModeDescriptors:
     def test_mixing_angle_pinned_in_linear_phase(self):
         cfg = ChainConfig(kappa=0.3, n_ions=64, boundary=Boundary.BULK)
-        block = build_bloch_block_zigzag(0.9, cfg)
+        block = CellCouplings(cfg, solve_delta0(cfg)).block(0.9)
         nf = symplectic_diagonalize(block, axis_map=CELL_AXIS_MAP, p_norm=64)
-        angles = sorted(mixing_angle(m) for m in nf.modes if not np.isnan(mixing_angle(m)))
+        theta = mixing_angles(nf.u, nf.v)
+        angles = np.sort(theta[~np.isnan(theta)])
         # two x-branches pinned to 0, two y-branches pinned to pi/2
         assert np.allclose(angles[:2], 0.0, atol=1e-12)
         assert np.allclose(angles[2:], np.pi / 2.0, atol=1e-12)
 
     def test_out_of_plane_sentinel(self):
         cfg = ChainConfig(kappa=0.3, n_ions=64, boundary=Boundary.BULK)
-        block = build_bloch_block_zigzag(0.9, cfg)
+        block = CellCouplings(cfg, solve_delta0(cfg)).block(0.9)
         nf = symplectic_diagonalize(block, axis_map=CELL_AXIS_MAP, p_norm=64)
-        nan_count = sum(np.isnan(mixing_angle(m)) for m in nf.modes)
+        nan_count = np.count_nonzero(np.isnan(mixing_angles(nf.u, nf.v)))
         assert nan_count == 2  # the two pure-z branches
 
     def test_paired_in_plane_angles_sum_to_quarter_turn(self):
         cfg = ChainConfig(kappa=0.6, n_ions=64, boundary=Boundary.BULK)
         eq = solve_delta0(cfg)
         for k in (0.35, 0.9, 1.3):
-            block = build_bloch_block_zigzag(k, cfg, eq)
+            block = CellCouplings(cfg, eq).block(k)
             nf = symplectic_diagonalize(block, axis_map=CELL_AXIS_MAP, p_norm=64)
-            angles = sorted(
-                mixing_angle(m) for m in nf.modes if not np.isnan(mixing_angle(m))
-            )
+            theta = mixing_angles(nf.u, nf.v)
+            angles = np.sort(theta[~np.isnan(theta)])
             assert len(angles) == 4
             assert angles[0] + angles[3] == pytest.approx(np.pi / 2.0, abs=1e-9)
             assert angles[1] + angles[2] == pytest.approx(np.pi / 2.0, abs=1e-9)
@@ -430,26 +429,25 @@ class TestModeDescriptors:
         # particle excitations; the axial sector is singular as kappa -> 0
         # (its bare frequency collapses with the coupling)
         cfg = ChainConfig(kappa=1e-10, n_ions=64, boundary=Boundary.BULK)
-        block = build_bloch_block_zigzag(0.9, cfg)
+        block = CellCouplings(cfg, solve_delta0(cfg)).block(0.9)
         nf = symplectic_diagonalize(block, axis_map=CELL_AXIS_MAP, p_norm=64)
-        gapped = [m for m in nf.modes if m.omega > 0.5]
-        assert len(gapped) == 4
-        assert all(collectivity(m) < 1e-5 for m in gapped)
+        gapped = nf.omega > 0.5
+        assert np.count_nonzero(gapped) == 4
+        assert np.all(collectivities(nf.u, nf.v)[gapped] < 1e-5)
 
     def test_collectivity_approaches_one_on_gapless_branch(self):
         cfg = ChainConfig(kappa=0.6, n_ions=64, boundary=Boundary.BULK)
         eq = solve_delta0(cfg)
-        block = build_bloch_block_zigzag(2e-3, cfg, eq)
+        block = CellCouplings(cfg, eq).block(2e-3)
         nf = symplectic_diagonalize(block, axis_map=CELL_AXIS_MAP, p_norm=64)
-        lowest = min(nf.modes, key=lambda m: m.omega)
-        assert collectivity(lowest) > 0.95
+        lowest = np.argmin(nf.omega)
+        assert collectivities(nf.u, nf.v)[lowest] > 0.95
 
     def test_norm_identity(self):
         cfg = ChainConfig(kappa=0.6, n_ions=64, boundary=Boundary.BULK)
-        block = build_bloch_block_zigzag(0.5, cfg)
+        block = CellCouplings(cfg, solve_delta0(cfg)).block(0.5)
         nf = symplectic_diagonalize(block, axis_map=CELL_AXIS_MAP, p_norm=64)
-        for m in nf.modes:
-            c = collectivity(m)
+        for m, c in zip(nf.modes, collectivities(nf.u, nf.v)):
             norm_u = float(np.linalg.norm(m.u) ** 2)
             assert norm_u == pytest.approx(1.0 / (1.0 - c * c), rel=1e-10)
 
@@ -465,10 +463,11 @@ class TestZoneEdgeLoops:
         omegas = np.sort([m.omega for m in nf.modes])
         assert np.max(np.abs(omegas[0::2] - omegas[1::2])) < 1e-8
         # paired branches carry equal descriptors at the edge
-        modes = sorted(nf.modes, key=lambda m: m.omega)
-        for a, b in zip(modes[0::2], modes[1::2]):
-            assert collectivity(a) == pytest.approx(collectivity(b), abs=1e-8)
-            ta, tb = mixing_angle(a), mixing_angle(b)
+        order = np.argsort(nf.omega, kind="stable")
+        colls = collectivities(nf.u, nf.v)[order]
+        angles = mixing_angles(nf.u, nf.v)[order]
+        for ca, cb, ta, tb in zip(colls[0::2], colls[1::2], angles[0::2], angles[1::2]):
+            assert ca == pytest.approx(cb, abs=1e-8)
             if np.isnan(ta) or np.isnan(tb):
                 assert np.isnan(ta) and np.isnan(tb)
             else:
@@ -490,27 +489,11 @@ class TestFDiagonality:
             kernel[0] = 0.0
             assert verify_f_diagonality(n, kernel) < 1e-12
 
-    def test_diagonal_equals_single_sum(self):
-        n = 16
-        kernel = lambda p: 1.0 / p**3
-        p = np.arange(1, n)
-        dist = np.minimum(p, n - p).astype(float)
-        f_arr = 1.0 / dist**3
-        diag = f_diagonal(n, kernel)
-        for m in range(n):
-            k_m = -np.pi + 2.0 * np.pi * m / n
-            single = np.sum(np.exp(-1j * k_m * p) * f_arr)
-            assert diag[m] == pytest.approx(single, abs=1e-10)
-
     def test_rejects_odd_n_and_bad_kernel(self):
         with pytest.raises(ValueError):
             verify_f_diagonality(7, lambda p: 1.0 / p)
         with pytest.raises(ValueError):
             verify_f_diagonality(8, np.arange(8.0))
-        with pytest.raises(ValueError):
-            f_diagonal(7, lambda p: p**-3)
-        with pytest.raises(ValueError):
-            f_diagonal(8, np.arange(8.0))
 
 
 def test_bulk_lattice_sums_certify_their_tail():
@@ -565,10 +548,9 @@ def test_mixing_angles_pinned_at_zone_center_in_zigzag():
     # after the transition couples the in-plane motion at generic k
     cfg = ChainConfig(kappa=0.55, n_ions=32, boundary=Boundary.BULK)
     eq = solve_delta0(cfg)
-    block = build_bloch_block_zigzag(0.0, cfg, eq)
+    block = CellCouplings(cfg, eq).block(0.0)
     nf = symplectic_diagonalize(block, axis_map=CELL_AXIS_MAP, p_norm=32)
-    for m in nf.modes:
-        theta = mixing_angle(m)
+    for theta in mixing_angles(nf.u, nf.v):
         if np.isnan(theta):
             continue
         assert min(abs(theta), abs(theta - np.pi / 2.0)) < 1e-9

@@ -14,7 +14,6 @@ from ionphonon.chain import Boundary, ChainConfig, solve_delta0
 from ionphonon.freeparticle import (
     FreeParticleSector,
     _winding_moments,
-    build_sectors,
     effective_masses,
     goldstone_branches,
     phase_operator,
@@ -23,6 +22,7 @@ from ionphonon.freeparticle import (
     thermal_p_squared,
     zero_mode_normal_form,
 )
+from oracles import sectors
 
 
 def bulk(kappa, n=32, **kw):
@@ -87,24 +87,27 @@ def test_goldstone_axes_are_the_zero_pair_axes(kappa, alpha):
 class TestSectors:
     def test_ring_has_longitudinal_sector(self):
         cfg = ChainConfig(kappa=0.3, n_ions=16, boundary=Boundary.RING)
-        sectors = build_sectors(cfg)
-        assert [s.label for s in sectors] == ["longitudinal"]
-        s = sectors[0]
+        found = sectors(cfg)
+        assert [s.label for s in found] == ["longitudinal"]
+        s = found[0]
         assert s.circumference == 16.0
         assert s.c0 > 0.0
 
     def test_bulk_drops_longitudinal_keeps_radial(self):
-        sectors = build_sectors(bulk(0.6))
-        assert [s.label for s in sectors] == ["radial"]
+        found = sectors(bulk(0.6))
+        assert [s.label for s in found] == ["radial"]
         eq = solve_delta0(bulk(0.6))
-        assert sectors[0].circumference == pytest.approx(2.0 * np.pi * eq.delta0)
+        assert found[0].circumference == pytest.approx(2.0 * np.pi * eq.delta0)
 
     def test_level_spectrum_is_quadratic(self):
-        sector = build_sectors(bulk(0.6))[0]
-        m = np.arange(5)
-        e = sector.level_energies(m)
-        assert e[0] == 0.0
-        assert np.allclose(e / sector.level_unit, m**2)
+        # E_m = E_1 m^2: the sector energy is the Boltzmann average of that
+        # spectrum, summed directly over the winding numbers
+        sector = sectors(bulk(0.6))[0]
+        t = 3.0 * sector.level_unit
+        e_m = sector.level_unit * np.arange(-40, 41) ** 2.0
+        weights = np.exp(-e_m / t)
+        energy, _ = thermal_energy_and_heat(sector, t)
+        assert energy == pytest.approx(np.sum(e_m * weights) / np.sum(weights), rel=1e-12)
 
     def test_zero_pair_scalar_product(self):
         nf = zero_mode_normal_form(bulk(0.6))
@@ -115,11 +118,11 @@ class TestSectors:
 
 class TestThermalMoments:
     def test_zero_temperature(self):
-        sector = build_sectors(bulk(0.6))[0]
+        sector = sectors(bulk(0.6))[0]
         assert thermal_p_squared(sector, 0.0) == 0.0
 
     def test_monotone_in_temperature(self):
-        sector = build_sectors(bulk(0.6))[0]
+        sector = sectors(bulk(0.6))[0]
         temps = [0.05, 0.1, 0.3, 0.6]
         values = [thermal_p_squared(sector, t) for t in temps]
         assert all(b > a for a, b in zip(values, values[1:]))
@@ -133,7 +136,7 @@ class TestThermalMoments:
         omega_z = CellCouplings(cfg, eq).omega_bare[_cell_index(0, 2)]
         lam = 1.0 / np.sqrt(omega_z)
         cfg = ChainConfig(kappa=0.6, n_ions=32, lam=float(lam), boundary=Boundary.BULK)
-        sector = [s for s in build_sectors(cfg, eq) if s.label == "radial"][0]
+        sector = [s for s in sectors(cfg, eq) if s.label == "radial"][0]
         t = 0.5
         value = thermal_p_squared(sector, t)
         with mpmath.workdps(50):
@@ -148,7 +151,7 @@ class TestThermalMoments:
         assert value == pytest.approx(oracle, abs=1e-12)
 
     def test_heat_matches_finite_difference_oracle(self):
-        sector = build_sectors(bulk(0.6))[0]
+        sector = sectors(bulk(0.6))[0]
         t, h = 0.3, 1e-4
         _, heat = thermal_energy_and_heat(sector, t)
         e_hi, _ = thermal_energy_and_heat(sector, t + h)
@@ -206,7 +209,7 @@ class TestWindingMoments:
 @pytest.fixture(scope="module")
 def ring1024_longitudinal():
     cfg = ChainConfig(kappa=0.65, n_ions=1024, boundary=Boundary.RING)
-    return [s for s in build_sectors(cfg) if s.label == "longitudinal"][0]
+    return [s for s in sectors(cfg) if s.label == "longitudinal"][0]
 
 
 def test_ring_sector_memory_does_not_grow_with_windings(ring1024_longitudinal):
@@ -238,7 +241,7 @@ class TestQVariance:
         cfg = bulk(0.6, n=32)
         eq = solve_delta0(cfg)
         omega_z = CellCouplings(cfg, eq).omega_bare[_cell_index(0, 2)]
-        sector = [s for s in build_sectors(cfg, eq) if s.label == "radial"][0]
+        sector = [s for s in sectors(cfg, eq) if s.label == "radial"][0]
         expected = np.pi**2 * eq.delta0**2 * cfg.lam**2 * omega_z / 3.0
         assert q_variance(sector) == pytest.approx(expected, rel=1e-12)
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from ionphonon.bloch import critical_kappa
+from ionphonon.bloch import _cell_index, critical_kappa
 from ionphonon.chain import (
     Boundary,
     ChainConfig,
@@ -13,7 +13,7 @@ from ionphonon.chain import (
     solve_delta0,
 )
 from ionphonon.errors import DivergenceError, NoOrderParameterError, ResolutionWarning
-from ionphonon.freeparticle import build_sectors, thermal_energy_and_heat
+from ionphonon.freeparticle import thermal_energy_and_heat
 from ionphonon.observables import (
     AXES,
     CorrelatorRequest,
@@ -22,13 +22,13 @@ from ionphonon.observables import (
     correlation_energy,
     ginzburg_parameter,
     heat_capacity,
-    pair_correlators_k,
     phase_shift,
     spatial_correlator,
     susceptibility,
     _einstein_heat,
 )
 from ionphonon.symplectic import build_quadratic_form, symplectic_diagonalize
+from oracles import pair_correlators_k, sectors
 
 
 def ring(kappa, n=32, **kw):
@@ -69,7 +69,7 @@ def full_space_correlation_matrix(cfg, eq, include_radial=True):
         w = mode.u - np.conj(mode.v)  # real-space forms are real
         total += np.real(np.outer(w, np.conj(w)))
     if include_radial:
-        for sector in build_sectors(cfg, eq):
+        for sector in sectors(cfg, eq):
             if sector.label != "radial":
                 continue
             # full-space radial pair: p = i sqrt(N/2) w with w the unit
@@ -115,6 +115,36 @@ class TestPairCorrelators:
         _, _, field = linear_field
         with pytest.raises(ValueError):
             pair_correlators_k(field, 0.12345, 0.12345, 0, 0, "y", "y", 0.0)
+
+
+@pytest.mark.parametrize("temperature", [0.0, 0.3])
+@pytest.mark.parametrize("kappa", [0.3, 0.6])
+def test_spatial_correlator_matches_ladder_sums(kappa, temperature):
+    # spatial_correlator folds each block's four ladder averages into one sum
+    # and leaves out the zero pairs' <P^2> terms, which cancel in positions;
+    # the oracle keeps every term of
+    # pref sum_k w_k [e^{-2ik dj} (ada + adad) + e^{+2ik dj} (aad + aa)]
+    cfg = ring(kappa, 16)
+    field = PhononField(cfg, solve_delta0(cfg))
+    omega_bare = field.couplings.omega_bare
+    for nu, nup in (("x", "x"), ("y", "y"), ("z", "z"), ("x", "y"), ("y", "z")):
+        for s, sp in ((0, 0), (0, 1)):
+            i, j = _cell_index(s, AXES[nu]), _cell_index(sp, AXES[nup])
+            pref = 1.0 / (2.0 * cfg.lam**2 * np.sqrt(omega_bare[i] * omega_bare[j]))
+            for dj in (0, 1, 3):
+                total = 0.0
+                for k, w in zip(field.k, field.weights):
+                    minus_k = (np.pi / 2.0 - k) % np.pi - np.pi / 2.0  # in the reduced zone
+                    ada, aad, _, _ = pair_correlators_k(field, k, k, s, sp, nu, nup,
+                                                        temperature)
+                    _, _, adad, aa = pair_correlators_k(field, k, minus_k, s, sp, nu, nup,
+                                                        temperature)
+                    phase = np.exp(-2j * k * dj)
+                    total += w * (phase * (ada + adad) + np.conj(phase) * (aad + aa))
+                req = CorrelatorRequest(dj, s, sp, nu, nup, temperature)
+                assert spatial_correlator(req, field) == pytest.approx(
+                    (pref * total).real, rel=1e-10, abs=1e-14)
+                assert abs((pref * total).imag) < 1e-14
 
 
 class TestSpatialCorrelator:
@@ -303,7 +333,7 @@ class TestHeatCapacity:
             heat_capacity(0.0, field)
 
     def test_sector_heat_is_exact_derivative(self):
-        sector = build_sectors(bulk(0.6, n=32))[0]
+        sector = sectors(bulk(0.6, n=32))[0]
         t, h = 0.2, 1e-4
         _, c = thermal_energy_and_heat(sector, t)
         e_p, _ = thermal_energy_and_heat(sector, t + h)
@@ -497,7 +527,7 @@ class TestFullSpaceOracles:
         t = 0.7
         per_mode = _einstein_heat(nf.frequencies(), t)
         oracle = float(per_mode.sum())
-        for sector in build_sectors(cfg, eq):
+        for sector in sectors(cfg, eq):
             oracle += thermal_energy_and_heat(sector, t)[1]
         oracle /= cfg.n_ions
         assert heat_capacity(t, PhononField(cfg, eq)) == pytest.approx(oracle, rel=1e-10)
@@ -524,7 +554,7 @@ class TestFullSpaceOracles:
             n_b = 1.0 / np.expm1(mode.omega / t)
             w = np.real(mode.u - mode.v)
             total += (2.0 * n_b + 1.0) * np.outer(w, w)
-        for sector in build_sectors(cfg, eq):
+        for sector in sectors(cfg, eq):
             if sector.label != "radial":
                 continue
             pattern = np.zeros(24)

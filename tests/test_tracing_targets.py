@@ -1,17 +1,19 @@
-"""The benchmark tracer's hooks name code that exists.
+"""The benchmark's hooks and imports name code that exists.
 
 ``bench/tracing.py`` wraps the package's functions by name and reads
-attributes of their arguments.  A rename inside the package would leave a
-hook pointing at nothing and silently zero its per-layer metrics, so the
-names are read from the tracer's source (parsed, not imported) and looked
-up here.
+attributes of their arguments, and the other ``bench`` modules import
+package names.  A rename inside the package would leave a hook pointing at
+nothing and silently zero its per-layer metrics, or crash a benchmark run
+that tier-1 never makes, so the names are read from the benchmark's source
+(parsed, not imported) and looked up here.
 """
 
 import ast
 import importlib
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+TRACING = BENCH / "tracing.py"
 
 
 def _tracer_source() -> ast.Module:
@@ -50,3 +52,36 @@ def test_diagonalize_counter_reads_existing_form_attributes():
     assert "dimension" in read
     for attr in read:
         assert hasattr(QuadraticForm, attr), f"QuadraticForm.{attr}"
+
+
+def _resolve(module_name: str, name: str) -> None:
+    module = importlib.import_module(module_name)
+    if not hasattr(module, name):
+        importlib.import_module(f"{module_name}.{name}")  # a submodule
+
+
+def test_every_benchmark_import_resolves():
+    imported = []
+    for path in sorted(BENCH.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module \
+                    and node.module.split(".")[0] == "ionphonon":
+                imported += [(node.module, alias.name) for alias in node.names]
+    assert ("ionphonon.freeparticle", "adaptive_m_cut") in imported
+    for module_name, name in imported:
+        _resolve(module_name, name)
+
+
+def test_every_package_name_the_workloads_read_resolves():
+    import ionphonon
+    from ionphonon.symplectic import NormalForm
+
+    tree = ast.parse((BENCH / "workloads.py").read_text(encoding="utf-8"))
+    names = {node.attr for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute)
+             and isinstance(node.value, ast.Name) and node.value.id == "ip"}
+    assert "symplectic_diagonalize" in names
+    for name in names:
+        assert hasattr(ionphonon, name), f"ionphonon.{name}"
+    # the full-space workload reads the normal form's rows as modes
+    assert "modes" in vars(NormalForm)
