@@ -54,7 +54,6 @@ from .freeparticle import (
 from .observables import (
     CorrelatorRequest,
     PhononField,
-    SusceptibilityResult,
     correlation_energy,
     ginzburg_parameter,
     heat_capacity,

@@ -1,8 +1,8 @@
 """Quasi-momentum block structure of the chain.
 
 Linear phase: per-(k, axis) scalar blocks with closed-form couplings built
-on Li3(e^{-ik d}); zigzag phase: two-ion unit cells with 6 x 6 (h, g)
-blocks per k in the reduced Brillouin zone ``[-pi/2d, pi/2d)``, which
+on Li3(e^{-ik d}); zigzag phase: two-ion unit cells with 6 x 6 coupling
+blocks g per k in the reduced Brillouin zone ``[-pi/2d, pi/2d)``, which
 decouple into an in-plane (x, y) and an out-of-plane (z) sector.
 
 Band core: :meth:`CellCouplings.raw_coupling` gives the cell blocks of a
@@ -54,7 +54,8 @@ from .symplectic import (
     NormalForm,
     QuadraticForm,
     bogoliubov_stack,
-    form_faults,
+    is_hermitian,
+    k_matrix,
     symplectic_diagonalize,
 )
 
@@ -260,7 +261,7 @@ class CellCouplings:
         fault = _cell_faults(np.array([k]), g[None])[0]
         if fault:
             raise PhysicsError(fault)
-        return QuadraticForm(g + np.diag(self.omega_bare), g, self.omega_bare)
+        return QuadraticForm(g, self.omega_bare)
 
     def _self_paired(self, k):
         """k = 0 and the zone edge, the momenta that are their own -k."""
@@ -299,11 +300,10 @@ class CellCouplings:
         mirrored = (k < -1e-12) & ~self_paired & (np.abs(k[partner] + k) < 1e-9)
         rows = np.flatnonzero(~mirrored & ~self_paired)
         g = raw[rows] / (2.0 * np.sqrt(np.outer(self.omega_bare, self.omega_bare)))
-        h = g + np.diag(self.omega_bare)
-        sound = np.equal(_cell_faults(k[rows], g), None) \
-            & (form_faults(h, g, self.omega_bare) == 0)
-        rows, h, g = rows[sound], h[sound], g[sound]
-        lam, _, lam_tol, omega_s, u_s, v_s = bogoliubov_stack(h + g, self.omega_bare)
+        sound = np.equal(_cell_faults(k[rows], g), None)
+        rows, g = rows[sound], g[sound]
+        lam, _, lam_tol, omega_s, u_s, v_s = bogoliubov_stack(
+            k_matrix(g, self.omega_bare), self.omega_bare)
         gapped = lam[:, 0] > lam_tol
         rows = rows[gapped]
         omega[rows], u[rows], v[rows] = omega_s[gapped], u_s[gapped], v_s[gapped]
@@ -341,18 +341,19 @@ def _cells(even, odd, odd_prev, k) -> np.ndarray:
 def _cell_faults(k: np.ndarray, g: np.ndarray) -> np.ndarray:
     """Per cell block g of a stack, why it is unphysical, or None.
 
-    The blocks must be Hermitian and their out-of-plane (z) sector must
-    decouple from the zigzag plane, both relative to max(1, max|g|).
+    The blocks must be Hermitian (``symplectic.is_hermitian``) and their
+    out-of-plane (z) sector must decouple from the zigzag plane, relative
+    to max(1, max|g|).
     """
     scale = np.maximum(1.0, np.max(np.abs(g), axis=(1, 2)))
-    herm = np.max(np.abs(g - np.swapaxes(g, 1, 2).conj()), axis=(1, 2))
     # rows (s, z) against columns (s, x), (s, y) in the _cell_index layout
     cross = np.max(np.abs(g[:, 4:, :4]), axis=(1, 2))
     faults = np.full(len(k), None, dtype=object)
     for i in np.flatnonzero(cross > 1e-10 * scale):
         faults[i] = f"z sector couples to the zigzag plane ({cross[i]:.2e})"
-    for i in np.flatnonzero(herm > 1e-9 * scale):
-        faults[i] = f"Bloch block at k={k[i]} not Hermitian ({herm[i]:.2e})"
+    for i in np.flatnonzero(~is_hermitian(g)):
+        herm = np.max(np.abs(g[i] - g[i].conj().T))
+        faults[i] = f"Bloch block at k={k[i]} not Hermitian ({herm:.2e})"
     return faults
 
 

@@ -503,20 +503,22 @@ def zigzag_root_gap(delta: float, config: ChainConfig) -> float:
     return 1.0 - config.kappa * _odd_neighbor_sum(delta, config)
 
 
-def solve_delta0(config: ChainConfig, tol: float = 1e-12) -> Equilibrium:
+# largest |dV/d(delta)| that solve_delta0 accepts at its root
+EQUILIBRIUM_TOL = 1e-12
+
+
+def solve_delta0(config: ChainConfig) -> Equilibrium:
     """Solve the classical zigzag equilibrium.
 
     Returns delta0 = 0 when the derivative has no positive root (kappa at or
     below the classical transition) and otherwise the largest root of
     dV/d(delta) = 0, which is the global minimizer.  The residual
-    |dV/d(delta)| at the returned point is below ``tol``.
+    |dV/d(delta)| at the returned point is below ``EQUILIBRIUM_TOL``.
 
     With alpha < 1 the chain buckles along z first, when the linear chain's
     z zone-edge mode softens at kappa = alpha * kappa_c; past that point a
     DynamicalInstabilityError carries the mode's imaginary frequency.
     """
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
     gap0 = zigzag_root_gap(0.0, config)
     z_edge = gap0 - (1.0 - config.alpha)  # G(0) with trap alpha: omega_z(pi)^2
     if config.alpha < 1.0 and z_edge < 0.0:
@@ -536,8 +538,9 @@ def solve_delta0(config: ChainConfig, tol: float = 1e-12) -> Equilibrium:
             )
     delta0 = _brent_root(lambda d: zigzag_root_gap(d, config), lo, hi)
     residual = abs(2.0 * delta0 * zigzag_root_gap(delta0, config))
-    if residual >= tol:
-        raise ConvergenceError(f"equilibrium residual {residual:.3e} >= tol {tol:.1e}")
+    if residual >= EQUILIBRIUM_TOL:
+        raise ConvergenceError(
+            f"equilibrium residual {residual:.3e} >= tol {EQUILIBRIUM_TOL:.1e}")
     return Equilibrium(float(delta0), equilibrium_positions(config, float(delta0)))
 
 

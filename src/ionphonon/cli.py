@@ -338,10 +338,9 @@ def _run_susceptibility(rc: RunConfig):
     field = PhononField(rc.chain, n_k=_field_k_points(rc))
     grid = np.linspace(rc.omega_min, rc.omega_max, rc.omega_steps)
     component = rc.component or "y"
-    results = susceptibility(grid, (component, rc.sublattice), field, eta=rc.eta)
+    chi = susceptibility(grid, (component, rc.sublattice), field, eta=rc.eta).chi
     header = ["omega[omega_I]", "chi_re[d^2/omega_I]", "chi_im[d^2/omega_I]",
               "phase[rad]"]
-    chi = np.array([r.chi for r in results])
     rows = list(zip(grid.tolist(), chi.real.tolist(), chi.imag.tolist(),
                     np.angle(chi).tolist()))
     return _meta(rc), header, rows

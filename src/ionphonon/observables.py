@@ -242,19 +242,11 @@ def heat_capacity(temperature: float, field: PhononField) -> float:
 _CHUNK_ELEMENTS = 8000
 
 
-@dataclass
-class SusceptibilityResult:
-    """Local linear response chi(omega) of one ion coordinate, T = 0."""
-
-    omega: float
-    chi: complex
-    component: tuple[str, int]
-    eta: float
-
-
 def susceptibility(omega_grid: np.ndarray, component: tuple[str, int],
-                   field: PhononField, eta: float = 1e-2) -> list[SusceptibilityResult]:
+                   field: PhononField, eta: float = 1e-2) -> np.recarray:
     """Local dynamical susceptibility chi(omega) at T = 0, units d^2/omega_I.
+
+    Returns one record per grid point, fields ``omega`` and ``chi``.
 
     chi(omega) = (1 / (2 lam^2 Omega_nu N_c)) sum_{k,gamma} |u - v|^2
     [1/(omega + w + i eta) - 1/(omega - w + i eta)] evaluated at the driven
@@ -286,11 +278,10 @@ def susceptibility(omega_grid: np.ndarray, component: tuple[str, int],
         terms = 1.0 / (om + w + 1j * eta) - 1.0 / (om - w + 1j * eta)
         chi[start:start + step] = np.sum(
             (pref * terms * field.mask).reshape(len(om), -1), axis=1)
-    return [SusceptibilityResult(float(om), complex(c), (nu, s), eta)
-            for om, c in zip(omega_grid, chi)]
+    return np.rec.fromarrays([omega_grid, chi], names="omega,chi")
 
 
-def phase_shift(result: SusceptibilityResult) -> float:
+def phase_shift(result: np.record) -> float:
     """Phase lag arg chi between the driven coordinate and the force."""
     return float(np.angle(result.chi))
 

@@ -80,8 +80,10 @@ def classical_potential(delta_tilde, config):
 
 
 def full_matrix(form):
-    """The 2D x 2D coupling matrix [[h, g], [g, h]] of a ``QuadraticForm``."""
-    return np.block([[form.h, form.g], [form.g, form.h]])
+    """The 2D x 2D coupling matrix [[h, g], [g, h]] of a ``QuadraticForm``,
+    with h = g + diag(omega_bare)."""
+    h = form.g + np.diag(form.omega_bare)
+    return np.block([[h, form.g], [form.g, h]])
 
 
 def sigma_matrix(dim):

@@ -112,7 +112,7 @@ class TestFallback:
 
     @pytest.mark.parametrize("defects", [
         {40: ("herm", 1e-6)},                    # Bloch Hermiticity check
-        {40: ("herm", 1e-9)},                    # QuadraticForm.validate only
+        {40: ("herm", 1e-9)},                    # below the Bloch check's former 1e-9
         {40: ("z", 1e-6), 50: ("herm", 1e-6)},   # the larger k fails first
         {50: ("z", 1e-6), 40: ("herm", 1e-6)},
     ])

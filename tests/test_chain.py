@@ -413,7 +413,7 @@ class TestEquilibriumResidual:
     def test_solved_zigzag_below_tolerance(self):
         # N = 10 has odd N/2: the antipodal partner is displaced, dy != 0
         for cfg in (ring(0.6, 16), ring(0.6, 10), bulk(0.6)):
-            eq = solve_delta0(cfg, tol=1e-12)
+            eq = solve_delta0(cfg)
             assert equilibrium_residual(cfg, eq) < 1e-8
 
     def test_perturbed_equilibrium_has_residual(self):

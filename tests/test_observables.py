@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import minimize
 
 from ionphonon.bloch import _cell_index, critical_kappa
@@ -12,7 +14,12 @@ from ionphonon.chain import (
     omega_from_hessian,
     solve_delta0,
 )
-from ionphonon.errors import DivergenceError, NoOrderParameterError, ResolutionWarning
+from ionphonon.errors import (
+    DivergenceError,
+    NoOrderParameterError,
+    PhysicsError,
+    ResolutionWarning,
+)
 from ionphonon.freeparticle import thermal_energy_and_heat
 from ionphonon.observables import (
     AXES,
@@ -432,6 +439,15 @@ class TestSusceptibility:
         assert [r.chi for r in results] == [
             susceptibility([om], ("z", 1), field)[0].chi for om in grid]
 
+    def test_result_is_one_array(self, linear_field):
+        cfg, eq, field = linear_field
+        grid = np.linspace(0.0, 3.0, 31)
+        res = susceptibility(grid, ("y", 0), field)
+        assert type(res.chi) is np.ndarray and res.chi.shape == grid.shape
+        assert np.array_equal(res.omega, grid)
+        one_by_one = np.array([susceptibility([om], ("y", 0), field).chi[0] for om in grid])
+        assert res.chi.tobytes() == one_by_one.tobytes()
+
     def test_component_validation(self, linear_field):
         cfg, eq, field = linear_field
         with pytest.raises(ValueError):
@@ -654,3 +670,36 @@ def test_correlators_invariant_under_mode_phase_rotations(zigzag_field):
     chi_a = susceptibility([0.5], ("y", 0), field)[0].chi
     chi_b = susceptibility([0.5], ("y", 0), rotated)[0].chi
     assert chi_a == pytest.approx(chi_b, rel=1e-12)
+
+
+CONFIGS = st.builds(
+    ChainConfig,
+    kappa=st.floats(min_value=0.05, max_value=1.2),
+    alpha=st.sampled_from([1.0, 1.5, 2.0]),
+    n_ions=st.integers(2, 32).map(lambda h: 2 * h),
+    boundary=st.sampled_from([Boundary.RING, Boundary.BULK]),
+)
+
+
+@settings(deadline=None, max_examples=40)
+@given(config=CONFIGS)
+def test_correlation_energy_is_never_positive(config):
+    try:
+        value = correlation_energy(PhononField(config, n_k=64))
+    except PhysicsError:
+        return
+    assert value <= 0.0
+
+
+@settings(deadline=None, max_examples=40)
+@given(config=CONFIGS)
+def test_heat_capacity_reaches_the_classical_limit(config):
+    # each phonon mode gives 1 and each free-particle sector 1/2, so a ring
+    # tends to 3 - n_zero / 2N; a bulk grid holds no zero pair and gives 3
+    try:
+        field = PhononField(config, n_k=64)
+        value = heat_capacity(1e3, field)
+    except PhysicsError:
+        return
+    n_zero = len(field.zero_pairs)
+    assert value == pytest.approx(3.0 - n_zero / (2 * config.n_ions), rel=1e-6)
