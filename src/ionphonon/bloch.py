@@ -178,10 +178,11 @@ class CellCouplings:
     units m_I omega_I^2) and the bare frequencies of the on-site blocks.
     :meth:`raw_coupling` folds the pair blocks into the cell sums
     ``sum_p F[p] e^{-2ikp}`` of the 6 x 6 couplings F[p] between cell p and
-    cell 0, plus in bulk the closed-form power laws.  The on-site blocks, the
-    k = 0 block and the equilibrium condition all read
-    :func:`~ionphonon.chain.k0_pair_sums`, so the translational and helical
-    zero modes of the k = 0 block vanish at machine precision.
+    cell 0, plus in bulk the closed-form power laws.  The on-site blocks and
+    the equilibrium condition read :func:`~ionphonon.chain.k0_pair_sums`,
+    and the k = 0 block, a grid of one, equals the cell table of those sums
+    to the bit, so its translational and helical zero modes vanish at
+    machine precision.
     """
 
     def __init__(self, config: ChainConfig, eq: Equilibrium):
@@ -194,13 +195,13 @@ class CellCouplings:
             raise ConvergenceError(
                 f"bulk lattice sums certified to {bound:.2e} only, above "
                 f"{BULK_SUM_BUDGET:.0e}; kappa = {config.kappa} is too large")
-        # the sums over two sites, kept as the k = 0 cell table (_zone_table);
-        # the on-site curvature trap - sum(pairs) sums them as the k = 0
-        # block does, the same on both sublattices, so its zero modes are
-        # exact; the mirrored +-m partners cancel its cross terms
-        self._sites_k0 = k0_pair_sums(config, eq.delta0,
-                                      fold_pair_blocks(self._m, self._blocks, 2))
-        pairs = self._sites_k0.sum(axis=0)
+        # the on-site curvature trap - sum(pairs) sums the pairs over two
+        # sites as the k = 0 block does, the same on both sublattices, so
+        # its zero modes are exact; the mirrored +-m partners cancel its
+        # cross terms
+        sites_k0 = k0_pair_sums(config, eq.delta0,
+                                fold_pair_blocks(self._m, self._blocks, 2))
+        pairs = sites_k0.sum(axis=0)
         omega_sq = np.repeat(np.array([0.0, 1.0, config.alpha]) - np.diag(pairs), 2)
         if np.any(omega_sq <= 0.0):
             raise BareInstabilityError(
@@ -239,8 +240,6 @@ class CellCouplings:
         p mod n, and the DFT over them gives every k_j.  In bulk the
         closed-form even- and odd-offset sums at each k_j are added after.
         """
-        if n == 1 and k0 == 0.0:
-            return _cells(self._sites_k0[:1], self._sites_k0[1:], self._sites_k0[1:], k0)
         sites = fold_pair_blocks(self._m, self._blocks, 2 * n, twist=k0)
         odd = sites[1::2]
         table = np.fft.fft(_cells(sites[0::2], odd, np.roll(odd, 1, axis=0), k0), axis=0)

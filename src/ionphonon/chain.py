@@ -417,10 +417,10 @@ def power_law_sums(config: ChainConfig, delta: float, k) -> np.ndarray:
     L2_s = Li_s(e^{-2ik}), sum_{m even} |m|^-s e^{-ikm} = 2^(1-s) Re L2_s,
     sum_{m odd} |m|^-s e^{-ikm} = 2 Re L_s - 2^(1-s) Re L2_s and
     sum_{m odd} sign(m) |m|^-s e^{-ikm} = 2i Im(L_s - 2^-s L2_s).  These do
-    not depend on delta; at k = 0, which every step of the bulk root search
-    reads, they are made once.
+    not depend on delta; at k = 0 alone, which every step of the bulk root
+    search and every k = 0 cell block read, they are made once.
     """
-    even, odd, odd_signed = _k0_lattice_sums() if np.ndim(k) == 0 and k == 0.0 \
+    even, odd, odd_signed = _k0_lattice_sums() if np.size(k) == 1 and k == 0.0 \
         else _lattice_sums(k)
     c = (4.0 * delta * delta) ** np.arange(3)[:, None]
     out = np.zeros((len(even), 2, 3, 3), dtype=complex)
@@ -602,19 +602,11 @@ def equilibrium_residual(config: ChainConfig, eq: Equilibrium) -> float:
 
     Used as a gate before Hessian construction: the harmonic expansion is
     only valid where the first-order term vanishes.  The two sublattices are
-    mirror images (y -> -y), so the even-parity ion stands for all.
+    mirror images (y -> -y), so the even-parity ion stands for all: over the
+    mirrored pair set the pairs at +-m cancel along x, and along y the
+    gradient is delta G(delta) (:func:`zigzag_root_gap`).
     """
-    if config.boundary is Boundary.BULK:
-        # the pairs at +-m cancel along x; along y the gradient is delta G(delta)
-        return abs(eq.delta0 * zigzag_root_gap(eq.delta0, config))
-    m, w = pair_offsets(config)
-    dy = pair_dy(m, eq.delta0)
-    # (m, dy) points from the reference ion to each partner; the Coulomb
-    # gradient at the reference ion is +(kappa/2) (m, dy) / r^3
-    scale = 0.5 * config.kappa * w / (m * m + dy * dy) ** 1.5
-    grad_x = np.sum(scale * m)
-    grad_y = np.sum(scale * dy) + eq.delta0
-    return float(max(abs(grad_x), abs(grad_y)))
+    return abs(eq.delta0 * zigzag_root_gap(eq.delta0, config))
 
 
 def omega_from_hessian(hess: Hessian) -> np.ndarray:

@@ -107,6 +107,13 @@ def eigen_residual(form, mode):
     return float(np.max(np.abs(sigma_apply(full_matrix(form) @ x) - mode.omega * x)))
 
 
+def zero_pair_axis(zp, axis_map):
+    """The one axis class off which a zero pair's p[:D] is exactly 0.0, or
+    None when p has entries on more than one class."""
+    axes = np.unique(axis_map[zp.p[: len(axis_map)] != 0.0])
+    return int(axes[0]) if len(axes) == 1 else None
+
+
 # ---------------------------------------------------------------------------
 # ladder correlators
 

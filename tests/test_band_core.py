@@ -12,10 +12,12 @@ from ionphonon.bloch import (
     ring_momenta,
 )
 from ionphonon.chain import (
+    SUBLATTICE_MIRROR,
     Boundary,
     ChainConfig,
     Equilibrium,
     equilibrium_positions,
+    k0_pair_sums,
     solve_delta0,
 )
 from ionphonon.errors import DynamicalInstabilityError, PhysicsError
@@ -170,22 +172,26 @@ class TestDiagonalizationCount:
         assert len(count) == 0
 
 
-def test_k0_block_reads_the_fold_made_at_construction(monkeypatch):
-    # the on-site sums fold the pair set over two sites once; the untwisted
-    # k = 0 block is that same fold, so it is not folded again
-    calls = []
-    original = bloch.fold_pair_blocks
-
-    def counted(*args, **kwargs):
-        calls.append(args[2])
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(bloch, "fold_pair_blocks", counted)
-    cc = couplings(0.6, n=32, boundary=Boundary.BULK)
-    assert calls == [2]
-    nf = cc.normal_form(0.0)
-    assert calls == [2]
-    assert len(nf.zero_pairs) == 2
+@pytest.mark.parametrize("n, boundary", [
+    (16, Boundary.RING), (10, Boundary.RING), (32, Boundary.BULK),
+], ids=["ring16", "ring10", "bulk"])
+def test_k0_block_is_the_cell_table_of_k0_pair_sums(n, boundary):
+    # the on-site blocks and the equilibrium condition read these sums, so
+    # a k = 0 block (a grid of one) equal to their table has exact zero modes
+    cfg = ChainConfig(kappa=0.6, n_ions=n, boundary=boundary)
+    eq = solve_delta0(cfg)
+    cc = CellCouplings(cfg, eq)
+    even, odd = k0_pair_sums(cfg, eq.delta0)
+    cells = np.empty((3, 2, 3, 2), dtype=complex)  # as the raw table holds it
+    cells[:, 0, :, 0] = even
+    cells[:, 1, :, 0] = odd
+    cells[:, 1, :, 1] = even * SUBLATTICE_MIRROR
+    cells[:, 0, :, 1] = odd * SUBLATTICE_MIRROR
+    cells = cells.reshape(6, 6)
+    assert np.array_equal(cc.raw_coupling(0.0)[0], cells)
+    omega = cc.omega_bare
+    expected = (cells / (2.0 * np.sqrt(np.outer(omega, omega)))).real
+    assert np.array_equal(cc.block(0.0).g, expected)
 
 
 def sorted_tracker(bands):

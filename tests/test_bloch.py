@@ -39,6 +39,7 @@ from ionphonon.chain import (
 from ionphonon.errors import DynamicalInstabilityError, PhysicsError
 from ionphonon.observables import PhononField
 from ionphonon.symplectic import QuadraticForm, build_quadratic_form, symplectic_diagonalize
+from oracles import zero_pair_axis
 
 ZETA3 = float(zeta(3.0))
 BULK_ZIGZAG = ChainConfig(kappa=0.6, n_ions=32, boundary=Boundary.BULK)
@@ -217,6 +218,9 @@ class TestZigzagBlocks:
         nf = symplectic_diagonalize(block, axis_map=CELL_AXIS_MAP, p_norm=32)
         assert len(nf.modes) == 4
         assert sorted(zp.label for zp in nf.zero_pairs) == ["longitudinal", "radial"]
+        for zp in nf.zero_pairs:
+            axis = zero_pair_axis(zp, CELL_AXIS_MAP)
+            assert axis is not None and (zp.label == "longitudinal") == (axis == 0)
 
     def test_block_invariants(self):
         cfg = ChainConfig(kappa=0.6, n_ions=32, boundary=Boundary.BULK)

@@ -417,11 +417,11 @@ class TestEquilibriumResidual:
             assert equilibrium_residual(cfg, eq) < 1e-8
 
     def test_perturbed_equilibrium_has_residual(self):
-        cfg = bulk(0.6)
-        eq = solve_delta0(cfg)
-        eq.delta0 += 0.01
-        eq.positions[:, 1] = eq.delta0 * (-1.0) ** np.arange(cfg.n_ions)
-        assert equilibrium_residual(cfg, eq) > 1e-3
+        for cfg in (ring(0.6, 16), ring(0.6, 10), bulk(0.6)):
+            eq = solve_delta0(cfg)
+            eq.delta0 += 0.01
+            eq.positions[:, 1] = eq.delta0 * (-1.0) ** np.arange(cfg.n_ions)
+            assert equilibrium_residual(cfg, eq) > 1e-3
 
 
 def test_omega_from_hessian_rejects_unstable_diagonal():

@@ -10,7 +10,8 @@ def test_library_quickstart_runs(capsys):
     section = README.read_text(encoding="utf-8").split("## Library quickstart", 1)[1]
     code = re.search(r"```python\n(.*?)```", section, re.S).group(1)
     exec(compile(code, "README.md (Library quickstart)", "exec"), {})
-    assert "modes," in capsys.readouterr().out
+    lines = capsys.readouterr().out.splitlines()
+    assert "94 modes, ['longitudinal', 'radial']" in lines
 
 
 def test_cli_usage_block_lists_every_flag():

@@ -22,6 +22,7 @@ from ionphonon.errors import (
     DynamicalInstabilityError,
     InternalConsistencyError,
     PhysicsError,
+    ZeroModeToleranceError,
 )
 from ionphonon.symplectic import (
     W_RESIDUAL_TOL,
@@ -33,7 +34,14 @@ from ionphonon.symplectic import (
     sigma_apply,
     symplectic_diagonalize,
 )
-from oracles import eigen_residual, full_matrix, sigma_matrix, x_vector, y_vector
+from oracles import (
+    eigen_residual,
+    full_matrix,
+    sigma_matrix,
+    x_vector,
+    y_vector,
+    zero_pair_axis,
+)
 
 
 def chain_normal_form(kappa, n, boundary=Boundary.RING, alpha=1.0):
@@ -107,6 +115,16 @@ class TestSmallBlocks:
         lhs = sigma_apply(h_full @ zp.q)
         assert np.max(np.abs(lhs + 1j / zp.m_tilde * zp.p)) < 1e-12
         assert np.max(np.abs(sigma_apply(h_full @ zp.p))) < 1e-12
+
+    def test_mixed_kernel_is_not_an_axis_zero_pair(self):
+        # the same block with its two sites on two axis classes: the kernel
+        # (1, 1)/sqrt(2) moves both, so no broken symmetry of one axis
+        # accounts for it
+        w_bare = 0.8
+        g = np.array([[0.0, -w_bare / 2.0], [-w_bare / 2.0, 0.0]])
+        form = QuadraticForm(g, np.array([w_bare, w_bare]))
+        with pytest.raises(ZeroModeToleranceError):
+            symplectic_diagonalize(form, axis_map=np.array([0, 1]), p_norm=2.0)
 
 
 class TestRandomFormProperties:
@@ -415,5 +433,8 @@ def test_ring_full_space_invariants(kappa, alpha, n):
     assert completeness_residual(nf) <= 1e-12
     assert len(nf.omega) + len(nf.zero_pairs) == 3 * n
     assert len(nf.zero_pairs) == len(goldstone_branches(cfg, eq))
+    for zp in nf.zero_pairs:
+        axis = zero_pair_axis(zp, hess.axis_map)
+        assert axis is not None and (zp.label == "longitudinal") == (axis == 0)
     full = np.sort(np.concatenate([nf.omega, np.zeros(len(nf.zero_pairs))]))
     assert np.max(np.abs(full - np.sort(bands.omega.ravel()))) <= 1e-10
