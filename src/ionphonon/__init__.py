@@ -33,7 +33,7 @@ from .symplectic import (
     symplectic_diagonalize,
 )
 from .bloch import (
-    DispersionTable,
+    Bands,
     collectivities,
     coupling_f,
     critical_kappa,
@@ -57,7 +57,6 @@ from .observables import (
     correlation_energy,
     ginzburg_parameter,
     heat_capacity,
-    phase_shift,
     spatial_correlator,
     susceptibility,
 )

@@ -14,8 +14,8 @@ one stacked ``symplectic.bogoliubov_stack`` (the Bogoliubov step that
 ``symplectic_diagonalize`` runs on a stack of one), sends the self-paired
 k = 0 and zone-edge blocks, and any block with a zero or unstable mode,
 through ``CellCouplings.normal_form`` one by one, and fills each -k row by
-conjugation; ``observables.PhononField`` and :func:`dispersion_zigzag` both
-read its :class:`Bands`.
+conjugation; ``observables.PhononField`` reads its :class:`Bands`, and
+:func:`dispersion_zigzag` returns them in branch order.
 
 Axis convention (fixed throughout the package): the zigzag displacement is
 along y, so the in-plane sector is {x, y} and the gapless helical motion is
@@ -368,9 +368,12 @@ def _mirror_partners(k: np.ndarray) -> np.ndarray:
 class Bands:
     """Normal modes of the cell blocks on a momentum grid.
 
-    Row i holds the modes of block k[i] in ascending omega where ``mask`` is
-    set, then zeroed slots for its zero pairs (listed in ``zero_pairs``; only
-    k = 0 has any); ``u[i, g]``, ``v[i, g]`` are mode g's cell amplitudes.
+    Row i holds the modes of block k[i] where ``mask`` is set: in ascending
+    omega from :meth:`CellCouplings.bands`, in branch order (column b is
+    branch b) from :func:`dispersion_zigzag`.  Unset slots stand for the
+    zero pairs (listed in ``zero_pairs``; only k = 0 has any) and carry
+    omega = u = v = 0, so their mixing angle and collectivity are NaN.
+    ``u[i, g]``, ``v[i, g]`` are mode g's cell amplitudes.
     """
 
     k: np.ndarray
@@ -394,26 +397,6 @@ def reduced_zone_grid(n_k: int, include_edge: bool = True) -> np.ndarray:
         return np.linspace(-edge, edge, n_k, endpoint=False)
     step = 2.0 * edge / n_k
     return -edge + (np.arange(n_k) + 0.5) * step
-
-
-@dataclass
-class DispersionTable:
-    """Tracked mode branches over a momentum grid (six per k).
-
-    Zero-mode slots (gapless branches at k = 0 in the zigzag phase) carry
-    omega = 0 and NaN mixing angle / collectivity; their (p, q, m_tilde)
-    data lives in ``zero_pairs``.
-    """
-
-    k: np.ndarray
-    omega: np.ndarray          # (n_k, 6)
-    theta_xy: np.ndarray       # (n_k, 6) spatial mixing angle
-    collectivity: np.ndarray   # (n_k, 6)
-    is_zero: np.ndarray        # (n_k, 6) bool
-    zero_pairs: list           # ZeroModePair objects found on the grid (k = 0)
-    config: ChainConfig
-    delta0: float
-    warnings: list             # (k, branch, overlap) of each overlap below 0.5
 
 
 def mixing_angles(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -476,27 +459,25 @@ def _track_branches(bands: Bands) -> tuple[np.ndarray, list]:
 
 
 def dispersion_zigzag(k_grid: np.ndarray, config: ChainConfig,
-                      eq: Equilibrium | None = None) -> DispersionTable:
+                      eq: Equilibrium | None = None) -> tuple[Bands, list]:
     """Diagonalize the cell blocks on a momentum grid and track branches.
 
+    Returns the :class:`Bands` of the grid with column b of every row on
+    branch b, and the (k, branch, overlap) warnings of :func:`_track_branches`.
     Branches are continued in k by greedy maximal Sigma-overlap of the
     eigenvectors between neighboring grid points (ambiguous assignments with
     overlap below 0.5 are recorded as warnings).  At k = 0 in the zigzag
     phase the two gapless directions appear as zero pairs and fill the
-    remaining branch slots with omega = 0.
+    remaining branch slots, with ``mask`` unset and omega = 0.
     """
     if eq is None:
         eq = solve_delta0(config)
     bands = CellCouplings(config, eq).bands(k_grid)
     slots, warn_records = _track_branches(bands)
     rows = np.arange(len(bands.k))[:, None]
-    # zero-pair slots hold u = v = 0: NaN angle and collectivity
-    u, v = bands.u[rows, slots], bands.v[rows, slots]
-    return DispersionTable(
-        bands.k, bands.omega[rows, slots], mixing_angles(u, v),
-        collectivities(u, v), ~bands.mask[rows, slots], bands.zero_pairs,
-        config, eq.delta0, warn_records,
-    )
+    return Bands(bands.k, bands.omega[rows, slots], bands.mask[rows, slots],
+                 bands.u[rows, slots], bands.v[rows, slots],
+                 bands.zero_pairs), warn_records
 
 
 # ---------------------------------------------------------------------------

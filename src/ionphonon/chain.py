@@ -213,12 +213,10 @@ class ChainConfig:
     boundary: Boundary = Boundary.RING
 
     def __post_init__(self):
-        if not self.kappa > 0.0:
-            raise ValueError(f"kappa must be positive, got {self.kappa}")
-        if not self.alpha > 0.0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if not self.lam > 0.0:
-            raise ValueError(f"lambda must be positive, got {self.lam}")
+        for name, value in (("kappa", self.kappa), ("alpha", self.alpha),
+                            ("lambda", self.lam)):
+            if not 0.0 < value < math.inf:
+                raise ValueError(f"{name} must be positive, got {value}")
         n = self.n_ions
         if n < 4 or n % 2 != 0:
             raise ValueError(f"n_ions must be even and >= 4, got {n}")

@@ -51,18 +51,6 @@ from .observables import (
 )
 from .symplectic import completeness_residual
 
-COMMANDS = (
-    "dispersion",
-    "equilibrium",
-    "correlations",
-    "heat-capacity",
-    "susceptibility",
-    "energy-reduction",
-    "modes",
-    "ginzburg",
-)
-
-
 class UsageError(Exception):
     pass
 
@@ -83,7 +71,7 @@ def _parser() -> argparse.ArgumentParser:
         prog="ionphonon",
         description="Phonon normal form and observables of a trapped-ion chain",
     )
-    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("command", choices=_RUNNERS)
     parser.add_argument("--kappa", type=float, help="Coulomb coupling (required)")
     parser.add_argument("--alpha", type=float, default=1.0)
     parser.add_argument("--lambda", dest="lam", type=float, default=50.0)
@@ -254,18 +242,19 @@ def _run_dispersion(rc: RunConfig):
         grid = ring_momenta(rc.chain.n_ions)  # finite rings have only these
     else:
         grid = reduced_zone_grid(rc.k_points)
-    table = dispersion_zigzag(grid, rc.chain, eq)
+    bands, warnings = dispersion_zigzag(grid, rc.chain, eq)
     header = ["k[1/d]", "branch", "omega[omega_I]", "theta_xy[rad]",
               "collectivity[1]", "is_zero_mode"]
     rows = list(zip(
-        np.repeat(table.k, 6).tolist(), list(range(6)) * len(table.k),
-        table.omega.ravel().tolist(), table.theta_xy.ravel().tolist(),
-        table.collectivity.ravel().tolist(),
-        table.is_zero.ravel().astype(int).tolist(),
+        np.repeat(bands.k, 6).tolist(), list(range(6)) * len(bands.k),
+        bands.omega.ravel().tolist(),
+        mixing_angles(bands.u, bands.v).ravel().tolist(),
+        collectivities(bands.u, bands.v).ravel().tolist(),
+        (~bands.mask).ravel().astype(int).tolist(),
     ))
     meta = _meta(rc)
-    meta["delta0"] = table.delta0
-    meta["tracking_warnings"] = len(table.warnings)
+    meta["delta0"] = eq.delta0
+    meta["tracking_warnings"] = len(warnings)
     return meta, header, rows
 
 
@@ -362,13 +351,13 @@ def _run_ginzburg(rc: RunConfig):
 
 
 _RUNNERS = {
-    "equilibrium": _run_equilibrium,
     "dispersion": _run_dispersion,
-    "modes": _run_modes,
+    "equilibrium": _run_equilibrium,
     "correlations": _run_correlations,
     "heat-capacity": _run_heat_capacity,
     "susceptibility": _run_susceptibility,
     "energy-reduction": _run_energy_reduction,
+    "modes": _run_modes,
     "ginzburg": _run_ginzburg,
 }
 

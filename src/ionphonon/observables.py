@@ -59,7 +59,8 @@ class PhononField:
     """The cell bands (``CellCouplings.bands``) of a grid, ready for k sums.
 
     A ring's grid is its own momenta; bulk takes a midpoint grid of ``n_k``
-    momenta.  Every observable reads its config and equilibrium from here.
+    momenta.  Every k sum is the plain average over the grid (divided by
+    ``len(k)``).  Every observable reads its config and equilibrium from here.
     """
 
     def __init__(self, config: ChainConfig, eq: Equilibrium | None = None,
@@ -76,7 +77,6 @@ class PhononField:
         bands = self.couplings.bands(grid)
         self.k, self.omega, self.mask = bands.k, bands.omega, bands.mask
         self.u, self.v, self.zero_pairs = bands.u, bands.v, bands.zero_pairs
-        self.weights = np.full(len(self.k), 1.0 / len(self.k))
         self._sectors: list[FreeParticleSector] | None = None
 
     @property
@@ -115,8 +115,8 @@ class CorrelatorRequest:
             raise ValueError("sublattices must be 0 or 1")
         if self.nu not in AXES or self.nup not in AXES:
             raise ValueError("axes must be one of x, y, z")
-        if self.temperature < 0.0:
-            raise ValueError("temperature must be non-negative")
+        if not 0.0 <= self.temperature < np.inf:
+            raise ValueError("temperature must be non-negative and finite")
 
 
 def _enabled_sectors(field: PhononField, radial: bool, longitudinal: bool):
@@ -157,7 +157,7 @@ def spatial_correlator(req: CorrelatorRequest, field: PhononField) -> float:
     phase = np.exp(-1j * field.couplings.cell_length * field.k * req.delta_j)
     term_minus = np.sum(a_i * b_j, axis=1) * phase
     term_plus = np.sum(c_i * np.conj(b_j), axis=1) * np.conj(phase)
-    total = np.sum(field.weights * (term_minus + term_plus))
+    total = np.sum(term_minus + term_plus) / len(field.k)
 
     for sector in _enabled_sectors(field, req.include_radial_zero_mode,
                                    req.include_longitudinal_zero_mode):
@@ -210,14 +210,14 @@ def _einstein_heat(omega: np.ndarray, temperature: float) -> np.ndarray:
 def heat_capacity(temperature: float, field: PhononField) -> float:
     """Specific heat capacity c = C/N per ion (k_B = 1).
 
-    Sum of Einstein terms (omega/T)^2 e^{omega/T} / (e^{omega/T} - 1)^2 over
-    the mode grid, plus the free-particle sectors for a finite ring (their
-    term is the exact fluctuation form of dE/dT; the relative weight
-    vanishes as N grows).  Approaches the Dulong-Petit value c = 3 at high
-    temperature.
+    Half the zone average of the Einstein terms (omega/T)^2 e^{omega/T} /
+    (e^{omega/T} - 1)^2 of a cell's six modes (two ions per cell), plus for
+    a finite ring the free-particle sectors over N (their term is the exact
+    fluctuation form of dE/dT; the relative weight vanishes as N grows).
+    Approaches the Dulong-Petit value c = 3 at high temperature.
     """
-    if temperature <= 0.0:
-        raise ValueError("temperature must be positive")
+    if not 0.0 < temperature < np.inf:
+        raise ValueError("temperature must be positive and finite")
     ring = field.config.boundary is Boundary.RING
     gap = field.min_gap()
     if ring and temperature < gap / 50.0:
@@ -227,14 +227,12 @@ def heat_capacity(temperature: float, field: PhononField) -> float:
             ResolutionWarning,
         )
     per_mode = _einstein_heat(field.omega[field.mask], temperature)
+    # two ions per cell; in bulk the free-particle weight vanishes
+    c = 0.5 * float(per_mode.sum()) / len(field.k)
     if ring:
-        c = float(per_mode.sum())
-        for sector in field.sectors():
-            c += thermal_energy_and_heat(sector, temperature)[1]
-        return c / field.config.n_ions
-    # bulk: intensive zone average, free-particle weight vanishes
-    weights = np.repeat(field.weights[:, None], 6, axis=1)[field.mask]
-    return 0.5 * float(np.sum(weights * per_mode))
+        c += sum(thermal_energy_and_heat(sector, temperature)[1]
+                 for sector in field.sectors()) / field.config.n_ions
+    return c
 
 
 # (omega, k, mode) entries per susceptibility chunk: complex temporaries under
@@ -264,9 +262,9 @@ def susceptibility(omega_grid: np.ndarray, component: tuple[str, int],
         raise ValueError("eta must be positive")
     i = _cell_index(s, AXES[nu])
     weight = np.abs(field.u[:, :, i] - field.v[:, :, i]) ** 2 * field.mask
-    pref = field.weights[:, None] * weight / (
+    pref = weight / (
         2.0 * field.config.lam**2 * field.couplings.omega_bare[i]
-    )
+    ) / len(field.k)
     omega_grid = np.asarray(omega_grid, dtype=float)
     w = field.omega
     # omega chunks broadcast over (omega, k, mode) in a fixed element budget;
@@ -281,28 +279,19 @@ def susceptibility(omega_grid: np.ndarray, component: tuple[str, int],
     return np.rec.fromarrays([omega_grid, chi], names="omega,chi")
 
 
-def phase_shift(result: np.record) -> float:
-    """Phase lag arg chi between the driven coordinate and the force."""
-    return float(np.angle(result.chi))
-
-
 def correlation_energy(field: PhononField) -> float:
     """Ground-state correlation energy reduction per ion, in omega_I.
 
-    dE0/N = (1/2N) (sum_m omega_m - sum_{l,nu} Omega_{l,nu}): the optimal
+    dE0/N = (1/2N) (sum_m omega_m - sum_{l,nu} Omega_{l,nu}), i.e. a quarter
+    of the zone-averaged cell mode sum minus the cell's six Omega: the optimal
     zero-mean product state pays the sum of local ground-state energies
     (all inter-site quadratic cross terms average to zero there), while the
     correlated ground state pays the mode sum, with zero-mode directions
     contributing nothing.  Always <= 0 (Schur-Horn majorization of omega^2
     against the bare diagonal), with a kink at the structural transition.
     """
-    bare = float(np.sum(field.couplings.omega_bare))
-    if field.config.boundary is Boundary.RING:
-        total = float(field.omega[field.mask].sum())
-        return 0.5 * (total - field.n_cells * bare) / field.config.n_ions
-    weights = np.repeat(field.weights[:, None], 6, axis=1)[field.mask]
-    avg_modes = float(np.sum(weights * field.omega[field.mask]))
-    return 0.25 * (avg_modes - bare)
+    avg_modes = float(field.omega[field.mask].sum()) / len(field.k)
+    return 0.25 * (avg_modes - float(np.sum(field.couplings.omega_bare)))
 
 
 def ginzburg_parameter(config: ChainConfig, eq: Equilibrium | None = None,

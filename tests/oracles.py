@@ -2,9 +2,11 @@
 
 Each one reaches a number the package computes another way: the classical
 potential that the equilibrium condition differentiates, the dense
-2D x 2D form behind the Hermitian reduction of ``symplectic``, and the four
-ladder correlators that ``spatial_correlator`` combines in one sum.  The
-package itself never calls them.
+2D x 2D form behind the Hermitian reduction of ``symplectic``, the four
+ladder correlators that ``spatial_correlator`` combines in one sum, and the
+explicit per-ion sums of a ring that ``heat_capacity`` and
+``correlation_energy`` take as zone averages.  The package itself never
+calls them.
 """
 
 import math
@@ -17,10 +19,11 @@ from ionphonon.errors import ConvergenceError
 from ionphonon.freeparticle import (
     build_sectors,
     q_variance,
+    thermal_energy_and_heat,
     thermal_p_squared,
     zero_mode_normal_form,
 )
-from ionphonon.observables import _bose, _enabled_sectors
+from ionphonon.observables import _bose, _einstein_heat, _enabled_sectors
 from ionphonon.symplectic import sigma_apply
 
 
@@ -172,3 +175,22 @@ def pair_correlators_k(field, k, kp, s, sp, nu, nup, temperature,
                 + np.conj(v0_i) * np.conj(v0_j) * p2
             aa += -u0_i * u0_j * q2 + v0_i * v0_j * p2
     return complex(ada), complex(aad), complex(adad), complex(aa)
+
+
+# ---------------------------------------------------------------------------
+# per-ion sums of a ring
+
+
+def ring_heat_capacity(temperature, field):
+    """(sum over modes of the Einstein heat + sum over sectors of C) / N."""
+    c = float(_einstein_heat(field.omega[field.mask], temperature).sum())
+    for sector in field.sectors():
+        c += thermal_energy_and_heat(sector, temperature)[1]
+    return c / field.config.n_ions
+
+
+def ring_correlation_energy(field):
+    """(1/2N) (sum_m omega_m - (N/2) sum of a cell's six Omega)."""
+    bare = float(np.sum(field.couplings.omega_bare))
+    total = float(field.omega[field.mask].sum())
+    return 0.5 * (total - field.n_cells * bare) / field.config.n_ions

@@ -87,6 +87,12 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ChainConfig(kappa=0.3, n_ions=2)  # unit-cell logic needs N >= 4
 
+    @pytest.mark.parametrize("field", ["kappa", "alpha", "lam"])
+    def test_rejects_infinite_parameters(self, field):
+        name = "lambda" if field == "lam" else field
+        with pytest.raises(ValueError, match=f"{name} must be positive"):
+            ChainConfig(**{"kappa": 0.3, field: np.inf})
+
 
 class TestClassicalPotential:
     def test_bulk_matches_brute_force_pair_sum(self):
@@ -280,9 +286,9 @@ class TestSolveDelta0:
         threshold = 0.5 * critical_kappa_classical(make(0.3))
         below = make(0.99 * threshold)
         assert solve_delta0(below).delta0 == 0.0
-        table = dispersion_zigzag(np.array([0.0]), below)
+        bands, _ = dispersion_zigzag(np.array([0.0]), below)
         soft = np.sqrt(0.5 * 0.01)
-        assert np.min(np.abs(table.omega[0] - soft)) < 1e-8 * soft
+        assert np.min(np.abs(bands.omega[0] - soft)) < 1e-8 * soft
         with pytest.raises(DynamicalInstabilityError, match="buckles along z") as err:
             solve_delta0(make(1.01 * threshold))
         assert f"{threshold:.6g}" in str(err.value)

@@ -15,6 +15,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ionphonon import cli
+from ionphonon.bloch import (
+    collectivities,
+    dispersion_zigzag,
+    mixing_angles,
+    reduced_zone_grid,
+    ring_momenta,
+)
+from ionphonon.chain import Boundary, ChainConfig
 from ionphonon.cli import main, parse_config
 from ionphonon.errors import BracketingError, DynamicalInstabilityError
 from ionphonon.observables import PhononField
@@ -190,6 +198,23 @@ class TestCommands:
         assert len(lines) == 1 + 8 * 6  # ring momenta x six branches
         zero_rows = [l for l in lines[1:] if l.split(",")[5] == "1"]
         assert len(zero_rows) == 2
+
+    @pytest.mark.parametrize("boundary", ["ring", "bulk"])
+    def test_dispersion_columns_read_the_tracked_bands(self, boundary, capsys):
+        code, out, _ = run_cli(["dispersion", "--kappa", "0.6", "--n-ions", "16",
+                                "--boundary", boundary, "--k-points", "16"], capsys)
+        assert code == 0
+        header, rows = _parse_csv(out)
+        columns = dict(zip(header, np.array(rows).T))
+        cfg = ChainConfig(kappa=0.6, n_ions=16, boundary=Boundary(boundary))
+        grid = ring_momenta(16) if boundary == "ring" else reduced_zone_grid(16)
+        bands, _ = dispersion_zigzag(grid, cfg)
+        np.testing.assert_array_equal(columns["omega[omega_I]"], bands.omega.ravel())
+        np.testing.assert_array_equal(columns["theta_xy[rad]"],
+                                      mixing_angles(bands.u, bands.v).ravel())
+        np.testing.assert_array_equal(columns["collectivity[1]"],
+                                      collectivities(bands.u, bands.v).ravel())
+        np.testing.assert_array_equal(columns["is_zero_mode"], (~bands.mask).ravel())
 
     def test_correlations_component_selection(self, capsys):
         code, out, _ = run_cli(

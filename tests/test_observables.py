@@ -29,13 +29,17 @@ from ionphonon.observables import (
     correlation_energy,
     ginzburg_parameter,
     heat_capacity,
-    phase_shift,
     spatial_correlator,
     susceptibility,
     _einstein_heat,
 )
 from ionphonon.symplectic import build_quadratic_form, symplectic_diagonalize
-from oracles import pair_correlators_k, sectors
+from oracles import (
+    pair_correlators_k,
+    ring_correlation_energy,
+    ring_heat_capacity,
+    sectors,
+)
 
 
 def ring(kappa, n=32, **kw):
@@ -130,7 +134,7 @@ def test_spatial_correlator_matches_ladder_sums(kappa, temperature):
     # spatial_correlator folds each block's four ladder averages into one sum
     # and leaves out the zero pairs' <P^2> terms, which cancel in positions;
     # the oracle keeps every term of
-    # pref sum_k w_k [e^{-2ik dj} (ada + adad) + e^{+2ik dj} (aad + aa)]
+    # pref sum_k [e^{-2ik dj} (ada + adad) + e^{+2ik dj} (aad + aa)] / n_k
     cfg = ring(kappa, 16)
     field = PhononField(cfg, solve_delta0(cfg))
     omega_bare = field.couplings.omega_bare
@@ -140,14 +144,15 @@ def test_spatial_correlator_matches_ladder_sums(kappa, temperature):
             pref = 1.0 / (2.0 * cfg.lam**2 * np.sqrt(omega_bare[i] * omega_bare[j]))
             for dj in (0, 1, 3):
                 total = 0.0
-                for k, w in zip(field.k, field.weights):
+                for k in field.k:
                     minus_k = (np.pi / 2.0 - k) % np.pi - np.pi / 2.0  # in the reduced zone
                     ada, aad, _, _ = pair_correlators_k(field, k, k, s, sp, nu, nup,
                                                         temperature)
                     _, _, adad, aa = pair_correlators_k(field, k, minus_k, s, sp, nu, nup,
                                                         temperature)
                     phase = np.exp(-2j * k * dj)
-                    total += w * (phase * (ada + adad) + np.conj(phase) * (aad + aa))
+                    total += phase * (ada + adad) + np.conj(phase) * (aad + aa)
+                total /= len(field.k)
                 req = CorrelatorRequest(dj, s, sp, nu, nup, temperature)
                 assert spatial_correlator(req, field) == pytest.approx(
                     (pref * total).real, rel=1e-10, abs=1e-14)
@@ -290,6 +295,11 @@ class TestSpatialCorrelator:
         with pytest.raises(ValueError):
             CorrelatorRequest(0, temperature=-1.0)
 
+    @pytest.mark.parametrize("temperature", [np.nan, np.inf])
+    def test_request_rejects_non_finite_temperature(self, temperature):
+        with pytest.raises(ValueError, match="finite"):
+            CorrelatorRequest(0, temperature=temperature)
+
 
 class TestHeatCapacity:
     def test_einstein_term_against_finite_difference(self):
@@ -339,6 +349,12 @@ class TestHeatCapacity:
         with pytest.raises(ValueError):
             heat_capacity(0.0, field)
 
+    @pytest.mark.parametrize("temperature", [np.nan, np.inf])
+    def test_rejects_non_finite_temperature(self, linear_field, temperature):
+        cfg, eq, field = linear_field
+        with pytest.raises(ValueError, match="finite"):
+            heat_capacity(temperature, field)
+
     def test_sector_heat_is_exact_derivative(self):
         sector = sectors(bulk(0.6, n=32))[0]
         t, h = 0.2, 1e-4
@@ -378,13 +394,13 @@ class TestSusceptibility:
         below = 0.9 * band.min()
         above = 1.5 * band.max()
         res = susceptibility([below, above], ("y", 0), field)
-        assert abs(phase_shift(res[0])) < 0.1
-        assert abs(abs(phase_shift(res[1])) - np.pi) < 0.05
+        assert abs(np.angle(res[0].chi)) < 0.1
+        assert abs(abs(np.angle(res[1].chi)) - np.pi) < 0.05
         # the residual below-band phase is an eta-floor: linear in eta
         res3 = susceptibility([below], ("y", 0), field, eta=1e-3)[0]
-        assert abs(phase_shift(res3)) < 0.012
-        assert abs(phase_shift(res3)) == pytest.approx(
-            0.1 * abs(phase_shift(res[0])), rel=0.15)
+        assert abs(np.angle(res3.chi)) < 0.012
+        assert abs(np.angle(res3.chi)) == pytest.approx(
+            0.1 * abs(np.angle(res[0].chi)), rel=0.15)
 
     def test_on_resonance_quarter_turn(self):
         # nearly flat band at the trap frequency: driving at its centroid is
@@ -395,7 +411,7 @@ class TestSusceptibility:
         y_weight = np.abs(field.u[:, :, 2]) ** 2 > 0.1
         centroid = float(np.mean(field.omega[field.mask & y_weight]))
         res = susceptibility([centroid], ("y", 0), field, eta=1e-3)[0]
-        assert phase_shift(res) == pytest.approx(np.pi / 2.0, abs=1e-3)
+        assert np.angle(res.chi) == pytest.approx(np.pi / 2.0, abs=1e-3)
 
     def test_reality_structure_away_from_resonances(self, linear_field):
         cfg, eq, field = linear_field
@@ -703,3 +719,21 @@ def test_heat_capacity_reaches_the_classical_limit(config):
         return
     n_zero = len(field.zero_pairs)
     assert value == pytest.approx(3.0 - n_zero / (2 * config.n_ions), rel=1e-6)
+
+
+@settings(deadline=None, max_examples=20)
+@given(n_ions=st.integers(2, 32).map(lambda h: 2 * h),
+       kappa=st.floats(min_value=0.2, max_value=0.9),
+       alpha=st.sampled_from([1.0, 1.5]),
+       temperature=st.floats(min_value=0.05, max_value=20.0))
+def test_ring_zone_averages_are_the_per_ion_sums(n_ions, kappa, alpha, temperature):
+    # a ring's grid holds N/2 momenta, so half the zone average of the cell
+    # modes is their sum over N ions
+    try:
+        field = PhononField(ring(kappa, n_ions, alpha=alpha))
+    except PhysicsError:
+        return
+    assert heat_capacity(temperature, field) == pytest.approx(
+        ring_heat_capacity(temperature, field), rel=1e-14, abs=0.0)
+    assert correlation_energy(field) == pytest.approx(
+        ring_correlation_energy(field), rel=1e-14, abs=0.0)
