@@ -30,12 +30,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .chain import (
+    _SERIES,
     SUBLATTICE_MIRROR,
     ZETA3,
     Boundary,
     ChainConfig,
     Equilibrium,
     BULK_SUM_BUDGET,
+    bare_frequencies,
     bulk_sum_bound,
     fold_pair_blocks,
     half_pair_blocks,
@@ -83,51 +85,35 @@ def bare_critical_kappa() -> float:
     return 1.0 / ZETA3
 
 
-def _bare_omega_linear(nu: str, kappa: float, alpha: float = 1.0) -> float:
-    trap = {"x": None, "y": 1.0, "z": alpha}[nu]
-    if nu == "x":
-        return float(np.sqrt(2.0 * kappa * ZETA3))
-    arg = trap - kappa * ZETA3
-    if arg <= 0.0:
-        raise BareInstabilityError(
-            f"Omega_{nu} imaginary at kappa = {kappa} (bound 1/zeta(3) scaled)"
-        )
-    return float(np.sqrt(arg))
+def _coulomb_coefficient(nu: str) -> float:
+    """c_nu of the pair law c_nu kappa |m|^-3 (``chain._SERIES[0]``): -1 on x, 1/2 on y, z."""
+    if nu not in AXES:
+        raise ValueError(f"unknown axis {nu!r}")
+    return float(_SERIES[0][AXES[nu]])
 
 
 def coupling_f(k, nu: str, kappa: float, omega_bare: float):
-    """Linear-chain coupling f_nu(k) in omega_I, thermodynamic limit.
+    """Linear-chain coupling f_nu(k) = c_nu kappa Re Li3(e^{-ik d}) / Omega_nu in omega_I.
 
-    f_x = -(kappa / Omega_x) Re Li3(e^{-ik d}) and
-    f_{y/z} = +(kappa / 2 Omega_{y/z}) Re Li3(e^{-ik d}).  These follow from
-    summing the lattice couplings over both directions of the chain and are
-    pinned by the finite-N lattice-sum oracle; at k = 0 they reduce to
+    Thermodynamic limit, c = (-1, 1/2, 1/2) on (x, y, z).  This follows from
+    summing the lattice couplings over both directions of the chain and is
+    pinned by the finite-N lattice-sum oracle; at k = 0 it reduces to
     f_x = -Omega_x / 2 (the translational sum rule).
     """
     re_li3 = np.real(polylog(3, np.asarray(k, dtype=float)))
-    if nu == "x":
-        return -kappa * re_li3 / omega_bare
-    if nu in ("y", "z"):
-        return 0.5 * kappa * re_li3 / omega_bare
-    raise ValueError(f"unknown axis {nu!r}")
+    return _coulomb_coefficient(nu) * kappa * re_li3 / omega_bare
 
 
 def dispersion_linear(k, nu: str, kappa: float, alpha: float = 1.0):
     """Closed-form linear-chain dispersion omega_nu(k) in omega_I.
 
-    omega_x = sqrt(2 kappa [zeta(3) - Re Li3]) and
-    omega_y/z = sqrt(alpha_y/z - kappa [zeta(3) - Re Li3]).
+    omega_nu^2 = trap_nu - 2 c_nu kappa [zeta(3) - Re Li3], trap = (0, 1, alpha).
     """
+    c = _coulomb_coefficient(nu)
     k_arr = np.asarray(k, dtype=float)
     re_li3 = np.real(polylog(3, k_arr))
     gap = ZETA3 - re_li3
-    if nu == "x":
-        arg = 2.0 * kappa * gap
-    elif nu in ("y", "z"):
-        arg = (1.0 if nu == "y" else alpha) - kappa * gap
-    else:
-        raise ValueError(f"unknown axis {nu!r}")
-    arg = np.asarray(arg)
+    arg = np.asarray((0.0, 1.0, alpha)[AXES[nu]] - 2.0 * c * kappa * gap)
     if np.any(arg < -1e-14):
         bad = np.atleast_1d(k_arr)[np.atleast_1d(arg) < -1e-14]
         raise DynamicalInstabilityError(
@@ -143,8 +129,12 @@ def mode_vectors_linear(k: float, nu: str, kappa: float, alpha: float = 1.0):
 
     u = sqrt((Omega+f)/2w + 1/2), |v| = sqrt((Omega+f)/2w - 1/2); v carries
     the sign of f(k), the convention the generic diagonalizer produces.
+    Omega is the bulk linear chain's ``bare_frequencies``, so any axis with
+    Omega^2 <= 0 raises BareInstabilityError.
     """
-    omega_nu = _bare_omega_linear(nu, kappa, alpha)
+    _coulomb_coefficient(nu)  # an unknown axis raises ValueError here
+    config = ChainConfig(kappa, alpha, boundary=Boundary.BULK)
+    omega_nu = float(bare_frequencies(config, Equilibrium(0.0))[AXES[nu]])
     f = coupling_f(k, nu, kappa, omega_nu)
     omega = dispersion_linear(k, nu, kappa, alpha)
     if omega < 1e-12 * omega_nu:

@@ -224,10 +224,9 @@ class ChainConfig:
 
 @dataclass
 class Equilibrium:
-    """Classical equilibrium: zigzag amplitude and explicit ion positions."""
+    """Classical equilibrium: the zigzag amplitude (ions at :func:`equilibrium_positions`)."""
 
     delta0: float
-    positions: np.ndarray  # (N, 3), units of d
 
     @property
     def is_zigzag(self) -> bool:
@@ -526,7 +525,7 @@ def solve_delta0(config: ChainConfig) -> Equilibrium:
             f"{config.alpha * critical_kappa_classical(config):.6g}",
             frequencies=[1j * np.sqrt(-z_edge)])
     if gap0 >= 0.0:
-        return Equilibrium(0.0, equilibrium_positions(config, 0.0))
+        return Equilibrium(0.0)
     lo, hi = 0.0, 1.0
     while zigzag_root_gap(hi, config) <= 0.0:
         lo, hi = hi, 2.0 * hi
@@ -539,7 +538,7 @@ def solve_delta0(config: ChainConfig) -> Equilibrium:
     if residual >= EQUILIBRIUM_TOL:
         raise ConvergenceError(
             f"equilibrium residual {residual:.3e} >= tol {EQUILIBRIUM_TOL:.1e}")
-    return Equilibrium(float(delta0), equilibrium_positions(config, float(delta0)))
+    return Equilibrium(float(delta0))
 
 
 def critical_kappa_classical(config: ChainConfig) -> float:
@@ -555,17 +554,12 @@ def bare_frequencies(config: ChainConfig, eq: Equilibrium) -> np.ndarray:
     """Bare local oscillator frequencies (Omega_x, Omega_y, Omega_z) in omega_I.
 
     Translational symmetry makes these site independent.  In the linear bulk
-    limit the closed forms ``Omega_x = sqrt(2 kappa zeta(3))`` and
-    ``Omega_y/z = sqrt(alpha_y/z - kappa zeta(3))`` are returned exactly.
+    limit the closed form Omega^2 = trap - 2 c kappa zeta(3), with the
+    per-axis coefficient c = (-1, 1/2, 1/2) of the pair law c kappa |m|^-3
+    (``_SERIES[0]``), is returned exactly.
     """
     if config.boundary is Boundary.BULK and eq.delta0 == 0.0:
-        arg = np.array(
-            [
-                2.0 * config.kappa * ZETA3,
-                1.0 - config.kappa * ZETA3,
-                config.alpha - config.kappa * ZETA3,
-            ]
-        )
+        arg = np.array([0.0, 1.0, config.alpha]) - 2.0 * config.kappa * ZETA3 * _SERIES[0]
     else:
         arg = np.diag(_site_blocks(config, eq.delta0)[0, 0]).copy()
     if np.any(arg <= 0.0):

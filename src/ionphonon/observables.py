@@ -109,8 +109,9 @@ class CorrelatorRequest:
     include_longitudinal_zero_mode: bool = False
 
     def __post_init__(self):
-        if self.delta_j < 0:
-            raise ValueError("delta_j must be >= 0 (symmetry covers negatives)")
+        if not isinstance(self.delta_j, (int, np.integer)) or self.delta_j < 0:
+            raise ValueError(f"delta_j must be an integer >= 0 (symmetry covers "
+                             f"negatives), got {self.delta_j!r}")
         if self.s not in (0, 1) or self.sp not in (0, 1):
             raise ValueError("sublattices must be 0 or 1")
         if self.nu not in AXES or self.nup not in AXES:
@@ -258,8 +259,8 @@ def susceptibility(omega_grid: np.ndarray, component: tuple[str, int],
     nu, s = component
     if nu not in AXES or s not in (0, 1):
         raise ValueError(f"component must be (x|y|z, 0|1), got {component}")
-    if not eta > 0.0:
-        raise ValueError("eta must be positive")
+    if not 0.0 < eta < np.inf:
+        raise ValueError(f"eta must be positive and finite, got {eta}")
     i = _cell_index(s, AXES[nu])
     weight = np.abs(field.u[:, :, i] - field.v[:, :, i]) ** 2 * field.mask
     pref = weight / (

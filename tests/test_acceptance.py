@@ -76,7 +76,6 @@ def test_criterion_02_bare_instability_bound():
         cfg = ChainConfig(kappa=kappa, boundary=Boundary.BULK)
         eq = solve_delta0(cfg)
         eq.delta0 = 0.0
-        eq.positions[:, 1] = 0.0
         try:
             bare_frequencies(cfg, eq)
             return True

@@ -16,11 +16,10 @@ from ionphonon.chain import (
     Boundary,
     ChainConfig,
     Equilibrium,
-    equilibrium_positions,
     k0_pair_sums,
     solve_delta0,
 )
-from ionphonon.errors import DynamicalInstabilityError, PhysicsError
+from ionphonon.errors import BareInstabilityError, DynamicalInstabilityError, PhysicsError
 
 
 def couplings(kappa, alpha=1.0, n=64, boundary=Boundary.RING):
@@ -31,7 +30,13 @@ def couplings(kappa, alpha=1.0, n=64, boundary=Boundary.RING):
 def linear_couplings(kappa, n, boundary):
     """Couplings expanded around the linear chain, unstable past kappa_c."""
     cfg = ChainConfig(kappa=kappa, n_ions=n, boundary=boundary)
-    return CellCouplings(cfg, Equilibrium(0.0, equilibrium_positions(cfg, 0.0)))
+    return CellCouplings(cfg, Equilibrium(0.0))
+
+
+def test_negative_onsite_curvature_is_a_bare_instability():
+    # bulk linear chain past 1/zeta(3): Omega_y^2 = 1 - kappa zeta(3) < 0
+    with pytest.raises(BareInstabilityError, match="on-site curvature"):
+        linear_couplings(0.9, 64, Boundary.BULK)
 
 
 def assert_matches_per_k_oracle(cc, grid):

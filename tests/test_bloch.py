@@ -27,6 +27,7 @@ from ionphonon.chain import (
     SUBLATTICE_MIRROR,
     Boundary,
     ChainConfig,
+    Equilibrium,
     bare_frequencies,
     build_hessian,
     omega_from_hessian,
@@ -36,7 +37,7 @@ from ionphonon.chain import (
     polylog,
     solve_delta0,
 )
-from ionphonon.errors import DynamicalInstabilityError, PhysicsError
+from ionphonon.errors import BareInstabilityError, DynamicalInstabilityError, PhysicsError
 from ionphonon.observables import PhononField
 from ionphonon.symplectic import QuadraticForm, build_quadratic_form, symplectic_diagonalize
 from oracles import zero_pair_axis
@@ -174,6 +175,27 @@ class TestModeVectorsLinear:
     def test_zero_mode_rejected(self):
         with pytest.raises(PhysicsError):
             mode_vectors_linear(0.0, "x", 0.3)
+
+    @pytest.mark.parametrize("nu", "xyz")
+    @pytest.mark.parametrize("kappa, alpha", [(0.6, 0.7), (0.8, 0.7), (0.85, 1.5)])
+    def test_bare_instability_on_any_axis_is_raised(self, nu, kappa, alpha):
+        # Omega comes from the bulk linear bare_frequencies, which fail as a
+        # whole once kappa zeta(3) >= min(1, alpha)
+        cfg = ChainConfig(kappa=kappa, alpha=alpha, boundary=Boundary.BULK)
+        with pytest.raises(BareInstabilityError):
+            bare_frequencies(cfg, Equilibrium(0.0))
+        with pytest.raises(BareInstabilityError):
+            mode_vectors_linear(1.0, nu, kappa, alpha)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: coupling_f(1.0, "w", 0.3, 1.0),
+    lambda: dispersion_linear(1.0, "w", 0.3),
+    lambda: mode_vectors_linear(1.0, "w", 0.3),
+], ids=["coupling_f", "dispersion_linear", "mode_vectors_linear"])
+def test_linear_closed_forms_reject_an_unknown_axis(call):
+    with pytest.raises(ValueError, match="unknown axis"):
+        call()
 
 
 class TestCriticalKappa:

@@ -181,10 +181,11 @@ class TestSolveDelta0:
     def test_positions_follow_staggered_pattern(self):
         cfg = ring(0.6, 8)
         eq = solve_delta0(cfg)
-        expected = equilibrium_positions(cfg, eq.delta0)
-        assert np.array_equal(eq.positions, expected)
-        assert np.all(eq.positions[::2, 1] == eq.delta0)
-        assert np.all(eq.positions[1::2, 1] == -eq.delta0)
+        positions = equilibrium_positions(cfg, eq.delta0)
+        assert np.array_equal(positions[:, 0], np.arange(8))
+        assert np.all(positions[::2, 1] == eq.delta0)
+        assert np.all(positions[1::2, 1] == -eq.delta0)
+        assert np.all(positions[:, 2] == 0.0)
 
     def test_bracketing_failure_reports_interval(self):
         with pytest.raises(BracketingError) as err:
@@ -325,7 +326,6 @@ class TestBareFrequencies:
         cfg = bulk(1.0 / ZETA3 + 1e-6)
         eq = solve_delta0(cfg)
         eq.delta0 = 0.0  # force the (unstable) linear configuration
-        eq.positions[:, 1] = 0.0
         with pytest.raises(BareInstabilityError):
             bare_frequencies(cfg, eq)
 
@@ -426,7 +426,6 @@ class TestEquilibriumResidual:
         for cfg in (ring(0.6, 16), ring(0.6, 10), bulk(0.6)):
             eq = solve_delta0(cfg)
             eq.delta0 += 0.01
-            eq.positions[:, 1] = eq.delta0 * (-1.0) ** np.arange(cfg.n_ions)
             assert equilibrium_residual(cfg, eq) > 1e-3
 
 

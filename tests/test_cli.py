@@ -164,6 +164,9 @@ class TestParsing:
         ["ginzburg", "--n-list", "2,50"],
         ["heat-capacity", "--temperature", "inf"],
         ["susceptibility", "--omega-max", "inf"],
+        ["dispersion", "--boundary", "bulk", "--k-points", "1"],
+        ["correlations", "--max-separation", "-1"],
+        ["susceptibility", "--eta", "0"],
     ])
     def test_out_of_range_flag_is_a_usage_error(self, argv, capsys):
         code, _, err = run_cli(argv + ["--kappa", "0.6", "--n-ions", "8"], capsys)

@@ -257,6 +257,11 @@ class TestBuildQuadraticForm:
         # x-branch nearest neighbor: V = -kappa -> g = -kappa / (2 Omega_x)
         assert form.g[0, 3] == pytest.approx(-cfg.kappa / (2.0 * omega[0]), rel=1e-14)
 
+    def test_validate_rejects_non_hermitian_g(self):
+        form = QuadraticForm(np.array([[0.0, 0.1], [0.2, 0.0]]), np.array([1.0, 1.0]))
+        with pytest.raises(ValueError, match="Hermitian"):
+            form.validate()
+
     def test_h_minus_g_is_bare_diagonal(self):
         cfg = ChainConfig(kappa=0.5, n_ions=8, boundary=Boundary.RING)
         hess = build_hessian(cfg, solve_delta0(cfg))
@@ -299,7 +304,6 @@ def test_dynamical_instability_reports_imaginary_frequencies():
     cfg = ChainConfig(kappa=0.6, n_ions=32, boundary=Boundary.RING)
     eq = solve_delta0(cfg)
     eq.delta0 = 0.0
-    eq.positions[:, 1] = 0.0
     hess = build_hessian(cfg, eq)
     form = build_quadratic_form(hess, omega_from_hessian(hess))
     with pytest.raises(DynamicalInstabilityError) as err:
