@@ -55,6 +55,7 @@ from .observables import (
     CorrelatorRequest,
     PhononField,
     correlation_energy,
+    correlator_table,
     ginzburg_parameter,
     heat_capacity,
     spatial_correlator,

@@ -44,9 +44,9 @@ from .observables import (
     PhononField,
     check_convergent,
     correlation_energy,
+    correlator_table,
     ginzburg_parameter,
     heat_capacity,
-    spatial_correlator,
     susceptibility,
 )
 from .symplectic import completeness_residual
@@ -297,18 +297,19 @@ def _run_correlations(rc: RunConfig):
         pairs = [("x", "x"), ("y", "y"), ("z", "z"),
                  ("x", "y"), ("x", "z"), ("y", "z")]
     s = rc.sublattice
-    requests = [CorrelatorRequest(dj, s, s, nu, nup, temperature,
+    requests = [CorrelatorRequest(0, s, s, nu, nup, temperature,
                                   rc.include_radial_zero_mode,
                                   rc.include_longitudinal_zero_mode)
-                for dj in range(rc.max_separation + 1) for nu, nup in pairs]
-    for req in requests:  # a divergent request fails before any band is built
+                for nu, nup in pairs]
+    for req in requests:  # a divergent pair fails before any band is built
         check_convergent(req, rc.chain, eq)
     field = PhononField(rc.chain, eq, n_k=2 * _field_k_points(rc))
+    separations = range(rc.max_separation + 1)
+    tables = [correlator_table(req, field, separations).tolist() for req in requests]
     header = ["delta_j[cells]", "s", "s_prime", "nu", "nu_prime", "T[omega_I]",
               "value[d^2]"]
-    rows = [(req.delta_j, s, s, req.nu, req.nup, temperature,
-             spatial_correlator(req, field))
-            for req in requests]
+    rows = [(dj, s, s, nu, nup, temperature, table[dj])
+            for dj in separations for (nu, nup), table in zip(pairs, tables)]
     return _meta(rc), header, rows
 
 

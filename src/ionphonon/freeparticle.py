@@ -195,8 +195,12 @@ def thermal_energy_and_heat(sector: FreeParticleSector,
     """
     if temperature <= 0.0:
         return 0.0, 0.0
-    a = sector.level_unit / temperature
+    # Python floats: a turns inf (frozen) once T < E_1 * 5.6e-309, silently
+    a = float(sector.level_unit) / float(temperature)
     m2_mean, m2_var = _winding_moments(a)
+    if m2_var == 0.0:
+        # frozen (a > ~745): no winding is excited, and a * a may be inf
+        return sector.level_unit * m2_mean, 0.0
     return sector.level_unit * m2_mean, a * a * m2_var
 
 

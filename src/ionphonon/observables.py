@@ -47,11 +47,18 @@ from .freeparticle import (
 )
 
 
+# complex entries per chunk of a correlator table or susceptibility: their
+# temporaries stay under glibc's 128 KiB mmap threshold (16384 made a
+# 1024-ion ring's susceptibility 1.7x slower)
+_CHUNK_ELEMENTS = 8000
+
+
 def _bose(omega: np.ndarray, temperature: float) -> np.ndarray:
     """Bose-Einstein occupation, safe at T = 0 and for large omega/T."""
     if temperature <= 0.0:
         return np.zeros_like(omega)
-    x = np.clip(omega / temperature, 1e-12, 700.0)
+    with np.errstate(over="ignore"):  # inf once T < omega * 5.6e-309: frozen
+        x = np.clip(omega / temperature, 1e-12, 700.0)
     return 1.0 / np.expm1(x)
 
 
@@ -138,6 +145,25 @@ def spatial_correlator(req: CorrelatorRequest, field: PhononField) -> float:
     and 4.3077e-4 on 64, 128 and 256 momenta).
     """
     check_convergent(req, field.config, field.eq)
+    return float(correlator_table(req, field, [req.delta_j])[0])
+
+
+def correlator_table(req: CorrelatorRequest, field: PhononField,
+                     separations) -> np.ndarray:
+    """``spatial_correlator`` of ``req`` at every separation of ``separations``.
+
+    ``req`` fixes the axis pair, the sublattices, the temperature and the
+    zero-mode sectors; its ``delta_j`` is not read.  A negative separation
+    -dj gives the swapped request's value at dj (s <-> s', nu <-> nu').
+    The Bose factors, the two per-k mode sums and the sector terms are
+    built once, and all separations take one (n_dj, n_k) phase product, in
+    chunks of ``_CHUNK_ELEMENTS``; each value is bitwise the one-request
+    sum.  There is no divergence check: callers run ``check_convergent``
+    first.
+    """
+    dj = np.asarray(separations)
+    if dj.ndim != 1 or dj.dtype.kind not in "iu":
+        raise ValueError(f"separations must be a list of integers, got {separations!r}")
     i = _cell_index(req.s, AXES[req.nu])
     j = _cell_index(req.sp, AXES[req.nup])
     omega_i = field.couplings.omega_bare[i]
@@ -155,10 +181,16 @@ def spatial_correlator(req: CorrelatorRequest, field: PhononField) -> float:
     a_i = np.conj(n * u_i - (n + 1.0) * v_i)
     b_j = (u_j - v_j) * field.mask
     c_i = (n + 1.0) * u_i - n * v_i
-    phase = np.exp(-1j * field.couplings.cell_length * field.k * req.delta_j)
-    term_minus = np.sum(a_i * b_j, axis=1) * phase
-    term_plus = np.sum(c_i * np.conj(b_j), axis=1) * np.conj(phase)
-    total = np.sum(term_minus + term_plus) / len(field.k)
+    sum_minus = np.sum(a_i * b_j, axis=1)
+    sum_plus = np.sum(c_i * np.conj(b_j), axis=1)
+    k_phase = -1j * field.couplings.cell_length * field.k
+    total = np.empty(len(dj), dtype=complex)
+    step = max(1, _CHUNK_ELEMENTS // len(field.k))
+    for start in range(0, len(dj), step):
+        phase = np.exp(k_phase * dj[start:start + step, None])
+        total[start:start + step] = np.sum(
+            sum_minus * phase + sum_plus * np.conj(phase), axis=1)
+    total /= len(field.k)
 
     for sector in _enabled_sectors(field, req.include_radial_zero_mode,
                                    req.include_longitudinal_zero_mode):
@@ -168,10 +200,12 @@ def spatial_correlator(req: CorrelatorRequest, field: PhononField) -> float:
         # imaginary: positions decouple from P
         coeff = 4.0 * np.imag(zp.u0[i]) * np.imag(zp.u0[j])
         total += coeff * q2 / field.n_cells
-    value = pref * total
-    if abs(value.imag) > 1e-9 * max(1.0, abs(value.real)):
-        raise InternalConsistencyError(f"correlator not real: {value}")
-    return float(value.real)
+    values = pref * total
+    leaks = np.abs(values.imag) > 1e-9 * np.maximum(1.0, np.abs(values.real))
+    if leaks.any():
+        raise InternalConsistencyError(
+            f"correlator not real: {values[np.argmax(leaks)]}")
+    return values.real
 
 
 def check_convergent(req: CorrelatorRequest, config: ChainConfig,
@@ -198,7 +232,8 @@ def check_convergent(req: CorrelatorRequest, config: ChainConfig,
 
 
 def _einstein_heat(omega: np.ndarray, temperature: float) -> np.ndarray:
-    x = omega / temperature
+    with np.errstate(over="ignore"):  # inf once T < omega * 5.6e-309: frozen
+        x = omega / temperature
     out = np.zeros_like(omega)
     small = x < 40.0
     xs = x[small]
@@ -234,11 +269,6 @@ def heat_capacity(temperature: float, field: PhononField) -> float:
         c += sum(thermal_energy_and_heat(sector, temperature)[1]
                  for sector in field.sectors()) / field.config.n_ions
     return c
-
-
-# (omega, k, mode) entries per susceptibility chunk: complex temporaries under
-# glibc's 128 KiB mmap threshold (16384 made a 1024-ion ring 1.7x slower)
-_CHUNK_ELEMENTS = 8000
 
 
 def susceptibility(omega_grid: np.ndarray, component: tuple[str, int],

@@ -3,8 +3,9 @@
 Each one reaches a number the package computes another way: the classical
 potential that the equilibrium condition differentiates, the dense
 2D x 2D form behind the Hermitian reduction of ``symplectic``, the four
-ladder correlators that ``spatial_correlator`` combines in one sum, and the
-explicit per-ion sums of a ring that ``heat_capacity`` and
+ladder correlators that ``spatial_correlator`` combines in one sum, the
+one-request sum that ``correlator_table`` takes for many separations at
+once, and the explicit per-ion sums of a ring that ``heat_capacity`` and
 ``correlation_energy`` take as zone averages.  The package itself never
 calls them.
 """
@@ -15,7 +16,7 @@ import numpy as np
 
 from ionphonon.bloch import AXES, _cell_index
 from ionphonon.chain import ZETA3, _TAIL, Boundary, pair_dy, pair_offsets, solve_delta0
-from ionphonon.errors import ConvergenceError
+from ionphonon.errors import ConvergenceError, InternalConsistencyError
 from ionphonon.freeparticle import (
     build_sectors,
     q_variance,
@@ -175,6 +176,37 @@ def pair_correlators_k(field, k, kp, s, sp, nu, nup, temperature,
                 + np.conj(v0_i) * np.conj(v0_j) * p2
             aa += -u0_i * u0_j * q2 + v0_i * v0_j * p2
     return complex(ada), complex(aad), complex(adad), complex(aa)
+
+
+def one_correlator(req, field):
+    """One spatial correlator as its own sum over the field's momenta.
+
+    The same terms in the same order as ``correlator_table``, but with one
+    phase vector for ``req.delta_j`` alone; no divergence check.
+    """
+    i = _cell_index(req.s, AXES[req.nu])
+    j = _cell_index(req.sp, AXES[req.nup])
+    omega_i = field.couplings.omega_bare[i]
+    omega_j = field.couplings.omega_bare[j]
+    pref = 1.0 / (2.0 * field.config.lam**2 * np.sqrt(omega_i * omega_j))
+    n = _bose(field.omega, req.temperature) * field.mask
+    u_i, v_i = field.u[:, :, i], field.v[:, :, i]
+    u_j, v_j = field.u[:, :, j], field.v[:, :, j]
+    a_i = np.conj(n * u_i - (n + 1.0) * v_i)
+    b_j = (u_j - v_j) * field.mask
+    c_i = (n + 1.0) * u_i - n * v_i
+    phase = np.exp(-1j * field.couplings.cell_length * field.k * req.delta_j)
+    term_minus = np.sum(a_i * b_j, axis=1) * phase
+    term_plus = np.sum(c_i * np.conj(b_j), axis=1) * np.conj(phase)
+    total = np.sum(term_minus + term_plus) / len(field.k)
+    for sector in _enabled_sectors(field, req.include_radial_zero_mode,
+                                   req.include_longitudinal_zero_mode):
+        coeff = 4.0 * np.imag(sector.pair.u0[i]) * np.imag(sector.pair.u0[j])
+        total += coeff * q_variance(sector) / field.n_cells
+    value = pref * total
+    if abs(value.imag) > 1e-9 * max(1.0, abs(value.real)):
+        raise InternalConsistencyError(f"correlator not real: {value}")
+    return float(value.real)
 
 
 # ---------------------------------------------------------------------------

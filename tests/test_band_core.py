@@ -226,11 +226,12 @@ def sorted_tracker(bands):
 
 @pytest.mark.parametrize("kappa", [0.25, 0.5, 0.6, 0.75])
 @pytest.mark.parametrize("alpha", [1.0, 1.5])
-@pytest.mark.parametrize("case", ["ring64", "ring256", "ring1024", "bulk401"])
+@pytest.mark.parametrize("case", ["ring64", "ring256", "ring1024", "bulk401",
+                                  "bulk64", "bulk128"])
 def test_branch_tracker_matches_sorted_greedy(kappa, alpha, case):
-    if case == "bulk401":
+    if case.startswith("bulk"):
         cc = couplings(kappa, alpha, n=32, boundary=Boundary.BULK)
-        grid = reduced_zone_grid(401)
+        grid = reduced_zone_grid(int(case[4:]))
     else:
         n = int(case[4:])
         cc = couplings(kappa, alpha, n=n)
@@ -263,3 +264,77 @@ def test_branch_tracker_matches_sorted_greedy_on_scrambled_bands(seed):
     assert warn_records
     assert np.array_equal(slots, ref_slots)
     assert warn_records == ref_warnings
+
+
+def scrambled_bands(seed, n_k=12):
+    """Random unit-norm amplitudes with every slot set."""
+    rng = np.random.default_rng(seed)
+    u = rng.normal(size=(n_k, 6, 6)) + 1j * rng.normal(size=(n_k, 6, 6))
+    u /= np.linalg.norm(u, axis=-1, keepdims=True)
+    v = 0.3 * (rng.normal(size=(n_k, 6, 6)) + 1j * rng.normal(size=(n_k, 6, 6)))
+    return Bands(np.linspace(-1.5, 1.5, n_k), np.ones((n_k, 6)),
+                 np.ones((n_k, 6), dtype=bool), u, v, [])
+
+
+def unset(bands, row, slots):
+    bands.mask[row, slots] = False
+    bands.u[row, slots] = bands.v[row, slots] = 0.0
+
+
+def masked_middle(bands):
+    unset(bands, 5, [2, 3])
+    return [6]
+
+
+def masked_first_row(bands):
+    unset(bands, 0, [1, 4])
+    return [0, 1]
+
+
+def two_masked_rows(bands):
+    unset(bands, 4, [0, 5])
+    unset(bands, 5, [2])
+    return [5, 6]
+
+
+def competing_duplicates(bands):
+    # two equal modes in row 6 tie for whichever slot of row 7 is their best
+    bands.u[6, 3], bands.v[6, 3] = bands.u[6, 1], bands.v[6, 1]
+    return [7]
+
+
+def tied_low_overlaps(bands):
+    # row 8 holds row 7's modes, shuffled and at 0.4 times their norm: six
+    # tied picks below 0.5, warned in branch order
+    rng = np.random.default_rng(0)
+    order = rng.permutation(6)
+    bands.u[7] = np.eye(6)
+    bands.v[7] = 0.0
+    bands.u[8] = 0.4 * np.eye(6)[order]
+    bands.v[8] = 0.0
+    return [8]
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("case", [masked_middle, masked_first_row, two_masked_rows,
+                                  competing_duplicates, tied_low_overlaps])
+def test_branch_tracker_row_classes_match_sorted_greedy(monkeypatch, case, seed):
+    # each case makes rows that the tracker must take in branch order, one
+    # at a time; the others follow from the stacked slot overlaps
+    bands = scrambled_bands(seed)
+    rows_expected = case(bands)
+    by_row = []
+    greedy_row = bloch._greedy_row
+
+    def spy(bands, slots, warn_records):
+        by_row.append(len(slots))
+        return greedy_row(bands, slots, warn_records)
+
+    monkeypatch.setattr(bloch, "_greedy_row", spy)
+    slots, warn_records = _track_branches(bands)
+    ref_slots, ref_warnings = sorted_tracker(bands)
+    assert set(rows_expected) <= set(by_row)
+    assert np.array_equal(slots, ref_slots)
+    assert warn_records == ref_warnings
+    if case is tied_low_overlaps:
+        assert [w[0] for w in warn_records].count(float(bands.k[8])) == 6

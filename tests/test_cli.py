@@ -24,7 +24,7 @@ from ionphonon.bloch import (
 )
 from ionphonon.chain import Boundary, ChainConfig
 from ionphonon.cli import main, parse_config
-from ionphonon.errors import BracketingError, DynamicalInstabilityError
+from ionphonon.errors import BracketingError, DynamicalInstabilityError, ResolutionWarning
 from ionphonon.observables import PhononField
 
 
@@ -465,9 +465,20 @@ GOLDEN = Path(__file__).parent / "golden"
 
 
 def _parse_csv(text):
+    """Header and rows; a cell that is no number stays text."""
+    def cell(value):
+        try:
+            return float(value)
+        except ValueError:
+            return value
+
     lines = text.strip().split("\n")
     header = lines[0].split(",")
-    return header, [[float(v) for v in line.split(",")] for line in lines[1:]]
+    return header, [[cell(v) for v in line.split(",")] for line in lines[1:]]
+
+
+# integer columns: compared exactly, like text cells
+_EXACT_COLUMNS = {"branch", "is_zero_mode", "delta_j[cells]", "s", "s_prime"}
 
 
 @pytest.mark.parametrize("name, argv", [
@@ -476,10 +487,15 @@ def _parse_csv(text):
     ("heat_k0.3_n16.csv",
      ["heat-capacity", "--kappa", "0.3", "--n-ions", "16",
       "--t-min", "0.05", "--t-max", "50", "--t-steps", "6"]),
+    ("correlations_k0.6_n16.csv",
+     ["correlations", "--kappa", "0.6", "--n-ions", "16", "--temperature", "0.3"]),
+    ("dispersion_k0.6_n16.csv",
+     ["dispersion", "--kappa", "0.6", "--n-ions", "16"]),
 ])
 def test_golden_numeric_regression(name, argv, tmp_path):
     """Frozen full-precision tables double as numeric regressions; compared
-    numerically (1e-10 relative) to stay robust across BLAS builds."""
+    numerically (1e-10 relative) to stay robust across BLAS builds.  Text
+    and integer columns match exactly, NaN cells by position."""
     out = tmp_path / name
     assert main(argv + ["--output", str(out)]) == 0
     header, rows = _parse_csv(out.read_text(encoding="utf-8"))
@@ -487,8 +503,14 @@ def test_golden_numeric_regression(name, argv, tmp_path):
     assert header == gold_header
     assert len(rows) == len(gold_rows)
     for row, gold in zip(rows, gold_rows):
-        for value, expected in zip(row, gold):
-            assert value == pytest.approx(expected, rel=1e-10, abs=1e-12)
+        assert len(row) == len(gold)
+        for column, value, expected in zip(header, row, gold):
+            if isinstance(expected, str) or column in _EXACT_COLUMNS:
+                assert value == expected
+            elif np.isnan(expected):
+                assert np.isnan(value)
+            else:
+                assert value == pytest.approx(expected, rel=1e-10, abs=1e-12)
 
 
 def test_config_file_accepts_colon_separator(tmp_path):
@@ -512,6 +534,16 @@ def test_single_temperature_heat_capacity(capsys):
     assert code == 0
     lines = out.strip().split("\n")
     assert len(lines) == 2 and float(lines[1].split(",")[0]) == 1.0
+
+
+def test_heat_capacity_at_a_tiny_temperature_is_zero(capsys):
+    # E_1 / T overflows: the frozen limit, not inf * 0
+    with pytest.warns(ResolutionWarning):
+        code, out, _ = run_cli(
+            ["heat-capacity", "--kappa", "0.6", "--n-ions", "16",
+             "--temperature", "1e-160"], capsys)
+    assert code == 0
+    assert out.strip().split("\n")[1] == "9.9999999999999999e-161,0"
 
 
 def test_modes_at_a_rings_own_transition_exits_3(tmp_path, capsys):

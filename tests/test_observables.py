@@ -1,5 +1,8 @@
 """Correlators, heat capacity, susceptibility, energy reduction, Ginzburg."""
 
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -14,8 +17,10 @@ from ionphonon.chain import (
     omega_from_hessian,
     solve_delta0,
 )
+from ionphonon import observables
 from ionphonon.errors import (
     DivergenceError,
+    InternalConsistencyError,
     NoOrderParameterError,
     PhysicsError,
     ResolutionWarning,
@@ -27,6 +32,7 @@ from ionphonon.observables import (
     PhononField,
     check_convergent,
     correlation_energy,
+    correlator_table,
     ginzburg_parameter,
     heat_capacity,
     spatial_correlator,
@@ -35,6 +41,7 @@ from ionphonon.observables import (
 )
 from ionphonon.symplectic import build_quadratic_form, symplectic_diagonalize
 from oracles import (
+    one_correlator,
     pair_correlators_k,
     ring_correlation_energy,
     ring_heat_capacity,
@@ -304,6 +311,90 @@ class TestSpatialCorrelator:
     def test_request_rejects_non_finite_temperature(self, temperature):
         with pytest.raises(ValueError, match="finite"):
             CorrelatorRequest(0, temperature=temperature)
+
+
+AXIS_PAIRS = [("x", "x"), ("y", "y"), ("z", "z"), ("x", "y"), ("x", "z"), ("y", "z")]
+
+
+@pytest.fixture(scope="module")
+def table_fields():
+    """Zigzag fields (both zero-mode sectors on rings) for the table tests."""
+    fields = {}
+    for name, cfg, n_k in (("ring64", ring(0.6, 64), 512), ("ring256", ring(0.6, 256), 512),
+                           ("bulk128", bulk(0.6), 128)):
+        fields[name] = PhononField(cfg, solve_delta0(cfg), n_k=n_k)
+    return fields
+
+
+def assert_table_is_one_by_one(field, req, separations):
+    """correlator_table bitwise against one sum per separation."""
+    table = correlator_table(req, field, separations)
+    assert table.shape == (len(separations),)
+    for dj, value in zip(separations, table.tolist()):
+        expected = one_correlator(replace(req, delta_j=dj), field)
+        assert value.hex() == expected.hex(), (req, dj)
+
+
+class TestCorrelatorTable:
+    @pytest.mark.parametrize("name", ["ring64", "ring256", "bulk128"])
+    @pytest.mark.parametrize("temperature", [0.0, 0.7])
+    @pytest.mark.parametrize("radial, longitudinal", [(True, False), (False, True)])
+    def test_matches_one_request_sums(self, table_fields, name, temperature,
+                                      radial, longitudinal):
+        field = table_fields[name]
+        sp = 1 if name == "bulk128" else 0
+        for nu, nup in AXIS_PAIRS:
+            req = CorrelatorRequest(0, 0, sp, nu, nup, temperature, radial, longitudinal)
+            try:
+                check_convergent(req, field.config, field.eq)
+            except DivergenceError:
+                continue
+            assert_table_is_one_by_one(field, req, range(11))
+
+    def test_separations_beyond_one_chunk(self, table_fields):
+        field = table_fields["ring64"]
+        assert 400 > observables._CHUNK_ELEMENTS // len(field.k)
+        for nu, nup in AXIS_PAIRS:
+            req = CorrelatorRequest(0, 0, 0, nu, nup, 0.7)
+            assert_table_is_one_by_one(field, req, range(400))
+
+    def test_spatial_correlator_reads_the_table(self, table_fields):
+        field = table_fields["ring64"]
+        req = CorrelatorRequest(3, 0, 1, "y", "z", 0.2)
+        table = correlator_table(req, field, [0, 3])
+        assert spatial_correlator(req, field) == table[1]
+
+    def test_non_real_value_raises(self, table_fields, monkeypatch):
+        field = table_fields["ring64"]
+        monkeypatch.setattr(observables, "q_variance", lambda sector: 1j)
+        req = CorrelatorRequest(2, 0, 0, "z", "z")
+        with pytest.raises(InternalConsistencyError, match="correlator not real"):
+            correlator_table(req, field, range(5))
+        with pytest.raises(InternalConsistencyError, match="correlator not real"):
+            spatial_correlator(req, field)
+
+    @pytest.mark.parametrize("separations", [[1.5], [[0, 1]], 3])
+    def test_rejects_malformed_separations(self, table_fields, separations):
+        with pytest.raises(ValueError, match="separations"):
+            correlator_table(CorrelatorRequest(0), table_fields["ring64"], separations)
+
+
+@pytest.mark.parametrize("temperature", [1e-320, 1e-300, 1e-160])
+def test_tiny_temperatures_are_frozen(temperature):
+    # E_1 / T overflows: the winding sectors and every mode are frozen
+    cfg = ring(0.6, 16)
+    field = PhononField(cfg, solve_delta0(cfg))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        c = heat_capacity(temperature, field)
+        heats = [thermal_energy_and_heat(sector, temperature)[1]
+                 for sector in field.sectors()]
+        values = [correlator_table(CorrelatorRequest(0, 0, 0, nu, nup, temperature),
+                                   field, range(4)) for nu, nup in AXIS_PAIRS]
+    # the ring's own notice that T lies below its resolvable modes, nothing else
+    assert [w.category for w in caught] == [ResolutionWarning]
+    assert c == 0.0 and heats == [0.0, 0.0]
+    assert all(np.isfinite(v).all() for v in values)
 
 
 class TestHeatCapacity:
