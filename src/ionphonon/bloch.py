@@ -291,7 +291,7 @@ class CellCouplings:
         g = raw[rows] / (2.0 * np.sqrt(np.outer(self.omega_bare, self.omega_bare)))
         sound = np.equal(_cell_faults(k[rows], g), None)
         rows, g = rows[sound], g[sound]
-        lam, _, lam_tol, omega_s, u_s, v_s = bogoliubov_stack(
+        lam, lam_tol, omega_s, u_s, v_s = bogoliubov_stack(
             k_matrix(g, self.omega_bare), self.omega_bare)
         gapped = lam[:, 0] > lam_tol
         rows = rows[gapped]

@@ -119,6 +119,8 @@ class RunConfig(argparse.Namespace):
             )
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
+        if not self.n_list:
+            raise UsageError("--n-list needs at least one ring size")
         if self.command == "ginzburg":
             for n in self.n_list:  # each size is a ring of its own
                 try:

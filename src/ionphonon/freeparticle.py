@@ -86,9 +86,10 @@ def _check_zero_pair_count(config: ChainConfig, eq: Equilibrium,
     """Raise ZeroModeToleranceError unless there is one zero pair per broken
     symmetry (``goldstone_branches``).
 
-    An extra pair is a soft mode at the transition (on a ring at its own
-    kappa_c the zone-edge y and z modes are exact zeros), which no free
-    particle describes.
+    The form-level test keeps a generator whose s K s t is zero within the
+    zero threshold, so in the linear phase within ~1e-12 of a chain's own
+    kappa_c the soft zone-edge z mode passes as the rotation: an extra pair
+    that no free particle describes.
     """
     expected = len(goldstone_branches(config, eq))
     if len(zero_pairs) != expected:

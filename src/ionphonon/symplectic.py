@@ -16,6 +16,10 @@ eigenvalues are ``omega^2`` (Colpa, Physica A 93, 327 (1978)).  This
 sidesteps the numerically fragile general complex eigensolver.  The test
 suite keeps the general solver as a cross-check.  Degenerate modes come out
 Sigma-orthogonal, because the Hermitian eigenbasis is orthonormal.
+
+For a chain ``Omega^(1/2) K Omega^(1/2)`` is the Hessian, whose kernel the
+generators of the broken symmetries span in closed form; they give the zero
+pairs (:func:`symplectic_diagonalize`).
 """
 
 from __future__ import annotations
@@ -123,7 +127,7 @@ class ZeroModePair:
     p: np.ndarray
     q: np.ndarray
     m_tilde: float
-    label: str = "zero"
+    label: str
 
     @property
     def u0(self) -> np.ndarray:
@@ -185,53 +189,13 @@ class NormalForm:
         return float(max(np.max(np.abs(p_blk)), np.max(np.abs(q_blk))))
 
 
-def _kernel_vectors(k_mat: np.ndarray, phi_cols: np.ndarray, s: np.ndarray,
-                    axis_map: np.ndarray | None) -> list[tuple[np.ndarray, str]]:
-    """Orthonormal real kernel vectors of K = h + g, each with its label.
-
-    Each broken symmetry moves the ions along one axis class (rigid x
-    translation, staggered z rotation), so with an ``axis_map`` every
-    kernel vector lies on one class.  Per class, the SVD of the orthonormal
-    kernel basis restricted to its rows has singular values 1 (a kernel
-    vector on that class, kept) or 0; a kept vector is labelled by its
-    axis.  A kernel that is not axis-pure leaves fewer than one vector per
-    zero eigenvalue.  Without an ``axis_map`` the basis is kept as it is.
-    """
-    raw = s[:, None] * phi_cols  # kernel of K, unnormalized
-    if np.iscomplexobj(raw):
-        if np.max(np.abs(raw.imag)) > 1e-8 * np.max(np.abs(raw)):
-            raise ZeroModeToleranceError(
-                "zero modes of a genuinely complex block are unsupported; "
-                "they only arise in real (k = 0) blocks for this system"
-            )
-        raw = raw.real
-    basis = np.linalg.qr(raw)[0]
-    if axis_map is None:
-        vectors = [(w, "zero") for w in basis.T]
-    else:
-        vectors = []
-        # a set, not np.unique, whose first call in a process costs ~15 ms
-        # and 1.5 MB (numpy 2.4)
-        for axis in sorted(set(axis_map.tolist())):
-            rows = np.flatnonzero(axis_map == axis)
-            part = basis[rows]
-            if np.sum(part * part) <= 0.5:  # |part|^2 = sum sigma^2
-                continue
-            left, sigma, _ = np.linalg.svd(part, full_matrices=False)
-            for col in left[:, sigma**2 > 0.5].T:
-                w = np.zeros(len(s))
-                w[rows] = col
-                vectors.append((w, "longitudinal" if axis == 0 else "radial"))
-    k_scale = max(np.max(np.abs(k_mat)), 1.0)
-    vectors = [(w, label) for w, label in vectors
-               if np.linalg.norm(k_mat @ w) < 1e-7 * k_scale]
-    if len(vectors) != raw.shape[1]:
-        raise ZeroModeToleranceError(
-            f"found {len(vectors)} kernel vectors (each on one axis class, "
-            f"given an axis_map) for {raw.shape[1]} zero eigenvalues at "
-            f"ZERO_MODE_TOL = {ZERO_MODE_TOL:g}"
-        )
-    return vectors
+def _zero_threshold(lam_scale, omega_scale: float):
+    """``lam_tol`` of forms whose |lam| reach ``lam_scale``."""
+    # a defective zero pair splits as sqrt(roundoff) under assembly noise, so
+    # the omega^2 threshold needs a generous machine floor; it stays several
+    # orders below any physical soft mode
+    lam_floor = 4096.0 * _EPS * np.maximum(lam_scale, omega_scale**2)
+    return np.maximum((ZERO_MODE_TOL * omega_scale) ** 2, lam_floor)
 
 
 def bogoliubov_stack(k_mat: np.ndarray,
@@ -240,32 +204,30 @@ def bogoliubov_stack(k_mat: np.ndarray,
 
     ``k_mat`` holds ``K = k_matrix(g, omega_bare)`` per form, shape
     (n, D, D).  One stacked ``eigh`` of ``Omega^(1/2) K Omega^(1/2)`` gives
-    per form the ascending ``lam = omega^2``, the eigenvectors ``phi``
-    (columns) and the zero threshold ``lam_tol = (ZERO_MODE_TOL
-    max(omega_bare))^2`` with a machine-precision floor.  Every column
-    with ``lam > lam_tol`` is a mode: ``omega[i, m] = sqrt(lam[i, m])`` and
-    Sigma-normalized amplitudes ``u[i, m]``, ``v[i, m]``, phased so that the
-    largest entry of u is real and positive.  Zero and unstable columns hold
-    omega = 0 and u = v = 0.
+    per form the ascending ``lam = omega^2`` and the zero threshold
+    ``lam_tol = (ZERO_MODE_TOL max(omega_bare))^2`` with a machine-precision
+    floor.  Every column with ``lam > lam_tol`` is a mode: ``omega[i, m] =
+    sqrt(lam[i, m])`` and Sigma-normalized amplitudes ``u[i, m]``,
+    ``v[i, m]``, phased so that the largest entry of u is real and positive.
+    Columns with ``lam <= 0`` hold omega = 0 and u = v = 0.
 
-    Returns ``lam, phi, lam_tol, omega, u, v``.
+    Returns ``lam, lam_tol, omega, u, v``.
     """
     s = np.sqrt(omega_bare)
     lam, phi = np.linalg.eigh(s[:, None] * k_mat * s[None, :])
     omega_scale = float(np.max(omega_bare))
-    # a defective zero pair splits as sqrt(roundoff) under assembly noise, so
-    # the omega^2 threshold needs a generous machine floor; it stays several
-    # orders below any physical soft mode
-    lam_floor = 4096.0 * _EPS * np.maximum(np.max(np.abs(lam), axis=-1), omega_scale**2)
-    lam_tol = np.maximum((ZERO_MODE_TOL * omega_scale) ** 2, lam_floor)
-    is_mode = lam > lam_tol[:, None]
-    # zero and unstable columns get a placeholder omega = 1, cleared below
-    omega = np.sqrt(np.where(is_mode, lam, 1.0))[..., None]
+    lam_tol = _zero_threshold(np.max(np.abs(lam), axis=-1), omega_scale)
+    # amplitudes for every lam > 0, not only above lam_tol: a caller that
+    # shifted columns out takes lam_tol from the rest; lam <= 0 gets a
+    # placeholder omega = 1, cleared below
+    positive = lam > 0.0
+    omega = np.sqrt(np.where(positive, lam, 1.0))[..., None]
     phi_hat = np.swapaxes(phi, -2, -1)  # [form, mode, component]
     # u = (x + p) / 2 sqrt(omega), v = (p - x) / 2 sqrt(omega) with x = s phi
     # and p = omega phi / s, in place: full-space forms are 3N x 3N
     x_part = s * phi_hat
     u = omega * phi_hat
+    del phi, phi_hat
     u /= s
     v = u - x_part
     u += x_part
@@ -276,9 +238,9 @@ def bogoliubov_stack(k_mat: np.ndarray,
     phase = np.conj(u_max / np.abs(u_max))
     u *= phase
     v *= phase
-    u[~is_mode] = 0.0
-    v[~is_mode] = 0.0
-    return lam, phi, lam_tol, np.where(is_mode, omega[..., 0], 0.0), u, v
+    u[~positive] = 0.0
+    v[~positive] = 0.0
+    return lam, lam_tol, np.where(positive, omega[..., 0], 0.0), u, v
 
 
 def symplectic_diagonalize(form: QuadraticForm,
@@ -292,9 +254,11 @@ def symplectic_diagonalize(form: QuadraticForm,
         Its g must be Hermitian (``form.validate``); the diagonal block
         h = diag(omega_bare) + g is implied.
     axis_map : ndarray, optional
-        Axis label (0, 1, 2) per flat index.  Each zero pair then lies on
-        one axis class and is labelled by it: "longitudinal" on axis 0,
-        "radial" on the others; "zero" without an axis_map.
+        Axis label (0, 1, 2) per flat index.  It places the symmetry
+        generators: every generator t with s K s t = 0 (s = Omega^(1/2))
+        gives one zero pair, "longitudinal" for the x translation and
+        "radial" for the rotation about the trap axis.  Without an
+        axis_map a form has no zero pairs.
     p_norm : float, optional
         Target p^dag p for zero pairs (the ion number for chain problems).
         Defaults to the block dimension.
@@ -304,13 +268,52 @@ def symplectic_diagonalize(form: QuadraticForm,
     DynamicalInstabilityError
         If any squared frequency is negative beyond tolerance; the error
         carries the offending imaginary frequencies.
+    ZeroModeToleranceError
+        If a zero frequency remains that no symmetry generator explains.
     """
     form.validate()
     omega_bare = form.omega_bare
     dim = form.dimension
+    omega_scale = float(np.max(omega_bare))
+    s = np.sqrt(omega_bare)
     k_mat = k_matrix(form.g, omega_bare)
-    lam, phi, lam_tol, omega, u, v = (
-        a[0] for a in bogoliubov_stack(k_mat[None], omega_bare))
+    # Gershgorin bound on the spectrum of s K s
+    bound = float(np.max(s * (np.abs(k_mat) @ s)))
+    kernel_tol = _zero_threshold(bound, omega_scale)
+    c = np.sqrt((dim if p_norm is None else p_norm) / 2.0)
+    zero_pairs: list[ZeroModePair] = []
+    # the x translation moves every x entry by 1, the rotation about the trap
+    # axis ion l along z by its y offset delta0 (-1)^l
+    for axis, label in () if axis_map is None else ((0, "longitudinal"), (2, "radial")):
+        rows = np.flatnonzero(axis_map == axis)
+        if not len(rows):
+            continue
+        t = np.zeros(dim)
+        sign = 1.0 if axis == 0 else (-1.0) ** np.arange(len(rows))
+        t[rows] = sign / np.sqrt(len(rows))
+        if np.linalg.norm(s * (k_mat @ (s * t))) > kernel_tol:
+            continue
+        # s K s gains 2 bound t t^T, far above the spectrum; the axis classes
+        # are disjoint, so the next generator's test still sees K
+        shift = t[rows] / s[rows]
+        k_mat[np.ix_(rows, rows)] += 2.0 * bound * np.outer(shift, shift)
+        w = s * t / np.linalg.norm(s * t)  # a unit kernel vector of K
+        u0 = 1j * c * w
+        p = np.concatenate([u0, u0])  # (u0, -u0*) with u0 purely imaginary
+        mu = 2.0 * c * c * float(np.sum(w * w / omega_bare))
+        q_top = c * (w / omega_bare) / mu
+        q = np.concatenate([q_top, -q_top]).astype(complex)
+        overlap = np.vdot(q, sigma_apply(p))
+        if abs(overlap - 1j) > 1e-9:
+            raise InternalConsistencyError(
+                f"zero-pair scalar product (q|p) = {overlap}, expected i"
+            )
+        zero_pairs.append(ZeroModePair(p, q, mu, label))
+
+    lam, _, omega, u, v = (a[0] for a in bogoliubov_stack(k_mat[None], omega_bare))
+    n_modes = dim - len(zero_pairs)  # the shifted generators are the top columns
+    lam = lam[:n_modes]
+    lam_tol = _zero_threshold(np.max(np.abs(lam)), omega_scale)
     if lam[0] < -lam_tol:
         bad = np.sqrt(-lam[lam < -lam_tol])
         raise DynamicalInstabilityError(
@@ -318,29 +321,11 @@ def symplectic_diagonalize(form: QuadraticForm,
             f"(largest {bad.max():.6g} i)",
             frequencies=[1j * b for b in bad],
         )
-
-    zero_sel = np.abs(lam) <= lam_tol
-    zero_pairs: list[ZeroModePair] = []
-    n_zero = int(np.sum(zero_sel))
-    if n_zero:
-        target = float(p_norm) if p_norm is not None else float(dim)
-        c = np.sqrt(target / 2.0)
-        s = np.sqrt(omega_bare)
-        for w, label in _kernel_vectors(k_mat, phi[:, zero_sel], s, axis_map):
-            u0 = 1j * c * w
-            p = np.concatenate([u0, u0])  # (u0, -u0*) with u0 purely imaginary
-            mu = 2.0 * c * c * float(np.sum(w * w / omega_bare))
-            q_top = c * (w / omega_bare) / mu
-            q = np.concatenate([q_top, -q_top]).astype(complex)
-            overlap = np.vdot(q, sigma_apply(p))
-            if abs(overlap - 1j) > 1e-9:
-                raise InternalConsistencyError(
-                    f"zero-pair scalar product (q|p) = {overlap}, expected i"
-                )
-            zero_pairs.append(ZeroModePair(p, q, mu, label))
-
-    # lam ascends from above -lam_tol: zero columns first, then the modes
-    return NormalForm(omega[n_zero:], u[n_zero:], v[n_zero:], zero_pairs, form)
+    if lam[0] <= lam_tol:
+        raise ZeroModeToleranceError(
+            f"{np.sum(lam <= lam_tol)} zero mode(s) that no symmetry generator "
+            f"explains (ZERO_MODE_TOL = {ZERO_MODE_TOL:g}): a soft mode at a transition")
+    return NormalForm(omega[:n_modes], u[:n_modes], v[:n_modes], zero_pairs, form)
 
 
 def sigma_apply(vec: np.ndarray) -> np.ndarray:

@@ -167,6 +167,7 @@ class TestParsing:
         ["dispersion", "--boundary", "bulk", "--k-points", "1"],
         ["correlations", "--max-separation", "-1"],
         ["susceptibility", "--eta", "0"],
+        ["ginzburg", "--n-list", ","],
     ])
     def test_out_of_range_flag_is_a_usage_error(self, argv, capsys):
         code, _, err = run_cli(argv + ["--kappa", "0.6", "--n-ions", "8"], capsys)
@@ -548,13 +549,14 @@ def test_heat_capacity_at_a_tiny_temperature_is_zero(capsys):
 
 def test_modes_at_a_rings_own_transition_exits_3(tmp_path, capsys):
     # at kappa_c of a 4-ion ring (0.5) the soft zone-edge y and z modes are
-    # exact zeros: 3 zero pairs where one symmetry is broken, which no
-    # free-particle sector describes
+    # exact zeros: the z one has the rotation generator's pattern, but no
+    # broken symmetry explains the y one, and no free-particle sector
+    # describes it
     out_path = tmp_path / "modes.json"
     code, _, err = run_cli(["modes", "--kappa", "0.5", "--n-ions", "4",
                             "--format", "json", "--output", str(out_path)], capsys)
     assert code == 3
-    assert "extracted 3 zero pairs, expected 1" in err
+    assert "1 zero mode(s) that no symmetry generator explains" in err
     sidecar = json.loads((tmp_path / "modes.json.error.json").read_text())
     assert sidecar["error"] == "ZeroModeToleranceError"
     assert not out_path.exists()

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.linalg
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ionphonon.chain import (
@@ -31,6 +31,7 @@ from ionphonon.symplectic import (
     assemble_W,
     build_quadratic_form,
     completeness_residual,
+    k_matrix,
     sigma_apply,
     symplectic_diagonalize,
 )
@@ -58,11 +59,9 @@ def random_stable_form(rng, dim):
     g = rng.normal(size=(dim, dim))
     g = 0.05 * (g + g.T)
     np.fill_diagonal(g, 0.0)
-    k = g + np.diag(omega)
-    # shrink the coupling until h+g is safely positive definite
-    while np.linalg.eigvalsh(k).min() < 0.05:
+    # shrink the coupling until K = h+g is safely positive definite
+    while np.linalg.eigvalsh(k_matrix(g, omega)).min() < 0.05:
         g *= 0.5
-        k = g + np.diag(omega)
     return QuadraticForm(g, omega)
 
 
@@ -98,12 +97,13 @@ class TestSmallBlocks:
         # K = h+g = W [[1, -1], [-1, 1]] has kernel (1,1)/sqrt(2) and the
         # finite mode omega = sqrt(2) W.  Hand algebra for the pair with
         # p^dag p = 2: p = i (1,1,1,1)/sqrt(2), q = (1,1,-1,-1)/(2 sqrt(2)),
-        # Sigma H q = -(i/m) p with m = 2/W, and q^dag q = 1/2.
+        # Sigma H q = -(i/m) p with m = 2/W, and q^dag q = 1/2.  Both sites
+        # on axis 0 make (1, 1) the translation generator.
         w_bare = 0.8
         f = -w_bare / 2.0
         g = np.array([[0.0, f], [f, 0.0]])
         form = QuadraticForm(g, np.array([w_bare, w_bare]))
-        nf = symplectic_diagonalize(form, p_norm=2.0)
+        nf = symplectic_diagonalize(form, axis_map=np.array([0, 0]), p_norm=2.0)
         assert len(nf.modes) == 1 and len(nf.zero_pairs) == 1
         assert nf.modes[0].omega == pytest.approx(np.sqrt(2.0) * w_bare, rel=1e-13)
         zp = nf.zero_pairs[0]
@@ -130,6 +130,8 @@ class TestSmallBlocks:
 class TestRandomFormProperties:
     @settings(deadline=None, max_examples=20)
     @given(st.integers(min_value=2, max_value=6), st.integers(min_value=0, max_value=2**31))
+    # a draw whose h + diag(Omega) was positive definite but K = h + g not
+    @example(6, 155696)
     def test_pairing_against_general_eigensolver(self, dim, seed):
         """The stated +-omega pairing with swap-conjugated partners, checked
         with scipy's general complex eigensolver as the independent oracle."""
@@ -221,6 +223,29 @@ class TestChainCertificates:
             nf, _ = chain_normal_form(0.3, n, Boundary.BULK)
             masses[n] = nf.zero_pairs[0].m_tilde
         assert masses[32] / masses[16] == pytest.approx(2.0, abs=1e-3)
+
+
+@pytest.mark.parametrize("boundary", [Boundary.RING, Boundary.BULK])
+@pytest.mark.parametrize("n", [4, 16])
+@pytest.mark.parametrize("alpha", [1.0, 1.5])
+@pytest.mark.parametrize("offset", [-1e-10, 1e-10])
+def test_full_space_beside_own_transition(boundary, n, alpha, offset):
+    """1e-10 from a chain's own kappa_c the soft mode sits just above the zero
+    threshold; the zero pairs still come out exact and the form complete."""
+    from ionphonon.freeparticle import goldstone_branches
+
+    kappa = critical_kappa_classical(
+        ChainConfig(kappa=0.3, alpha=alpha, n_ions=n, boundary=boundary)) + offset
+    nf, cfg = chain_normal_form(kappa, n, boundary, alpha)
+    assert len(nf.zero_pairs) == len(goldstone_branches(cfg, solve_delta0(cfg)))
+    assert completeness_residual(nf) <= 1e-10
+    assemble_W(nf)
+    k_mat = k_matrix(nf.form.g, nf.form.omega_bare)
+    scale = max(1.0, np.max(np.abs(k_mat)))
+    for zp in nf.zero_pairs:
+        w = zp.p[: nf.dimension].imag  # p = i c (w, w)
+        w = w / np.linalg.norm(w)
+        assert np.max(np.abs(k_mat @ w)) <= 1e-14 * scale
 
 
 class TestAssembleW:
@@ -416,6 +441,12 @@ class TestBlockCertificate:
 # the kernel basis nearly along the axes: a 1e-6 projection once stood in
 # for the helical zero mode, and completeness read 4.4e-11
 @example(kappa=0.8633438409321761, alpha=1.0, n=4)
+# just above the 16-ion ring's own kappa_c the soft mode (omega 2e-5) once
+# mixed with the zero pairs, and completeness read 7.6e-8
+@example(kappa=0.47712086701022277, alpha=1.0, n=16)
+# at kappa_c itself the soft zone-edge modes are exact zeros beside the
+# Goldstone ones: a PhysicsError
+@example(kappa=0.47712086691022276, alpha=1.0, n=16)
 def test_ring_full_space_invariants(kappa, alpha, n):
     """The full-space normal form is complete, holds one zero pair per broken
     symmetry, and has the Bloch bands' spectrum."""
@@ -423,9 +454,6 @@ def test_ring_full_space_invariants(kappa, alpha, n):
     from ionphonon.freeparticle import goldstone_branches
 
     cfg = ChainConfig(kappa=kappa, alpha=alpha, n_ions=n, boundary=Boundary.RING)
-    # at the ring's own transition (kappa = 1/2 for four ions) the soft
-    # zone-edge modes are exact zero modes beside the Goldstone ones
-    assume(abs(kappa - critical_kappa_classical(cfg)) > 1e-3)
     try:
         eq = solve_delta0(cfg)
         hess = build_hessian(cfg, eq)

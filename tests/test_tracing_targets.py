@@ -9,7 +9,9 @@ that tier-1 never makes, so the names are read from the benchmark's source
 """
 
 import ast
+import dataclasses
 import importlib
+import inspect
 from pathlib import Path
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -72,12 +74,15 @@ def test_every_benchmark_import_resolves():
         _resolve(module_name, name)
 
 
+def _workloads_source() -> ast.Module:
+    return ast.parse((BENCH / "workloads.py").read_text(encoding="utf-8"))
+
+
 def test_every_package_name_the_workloads_read_resolves():
     import ionphonon
     from ionphonon.symplectic import NormalForm
 
-    tree = ast.parse((BENCH / "workloads.py").read_text(encoding="utf-8"))
-    names = {node.attr for node in ast.walk(tree)
+    names = {node.attr for node in ast.walk(_workloads_source())
              if isinstance(node, ast.Attribute)
              and isinstance(node.value, ast.Name) and node.value.id == "ip"}
     assert "symplectic_diagonalize" in names
@@ -85,3 +90,29 @@ def test_every_package_name_the_workloads_read_resolves():
         assert hasattr(ionphonon, name), f"ionphonon.{name}"
     # the full-space workload reads the normal form's rows as modes
     assert "modes" in vars(NormalForm)
+
+
+def test_every_keyword_the_workloads_pass_is_a_parameter():
+    import ionphonon
+
+    calls = [node for node in ast.walk(_workloads_source())
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and isinstance(node.func.value, ast.Name) and node.func.value.id == "ip"]
+    passed = {(call.func.attr, kw.arg) for call in calls for kw in call.keywords}
+    assert ("symplectic_diagonalize", "axis_map") in passed
+    assert ("symplectic_diagonalize", "p_norm") in passed
+    for name, keyword in passed:
+        params = inspect.signature(getattr(ionphonon, name)).parameters
+        assert keyword in params, f"ionphonon.{name}({keyword}=...)"
+
+
+def test_zero_pair_fields_the_full_space_workload_reads_exist():
+    from ionphonon.symplectic import ZeroModePair
+
+    read = {node.attr for node in ast.walk(_workloads_source())
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name) and node.value.id == "zp"}
+    assert {"label", "m_tilde"} <= read
+    fields = {f.name for f in dataclasses.fields(ZeroModePair)}
+    for attr in read:
+        assert attr in fields, f"ZeroModePair.{attr}"
