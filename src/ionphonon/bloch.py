@@ -165,7 +165,7 @@ class CellCouplings:
     """Lattice-summed couplings between two-ion unit cells.
 
     Holds the pair blocks summed directly (:func:`~ionphonon.chain.half_pair_blocks`,
-    units m_I omega_I^2) and the bare frequencies of the on-site blocks.
+    as entries xx, yy, zz, xy in m_I omega_I^2) and the on-site bare frequencies.
     :meth:`raw_coupling` folds the pair blocks into the cell sums
     ``sum_p F[p] e^{-2ikp}`` of the 6 x 6 couplings F[p] between cell p and
     cell 0, plus in bulk the closed-form power laws.  The on-site blocks and
@@ -179,7 +179,7 @@ class CellCouplings:
         self.config = config
         self.cell_length = 2.0  # in units of d
         self._delta0 = eq.delta0
-        self._m, self._blocks = half_pair_blocks(config, eq.delta0)
+        self._m, self._pairs = half_pair_blocks(config, eq.delta0)
         bound = bulk_sum_bound(config, eq.delta0)
         if bound > BULK_SUM_BUDGET:
             raise ConvergenceError(
@@ -190,7 +190,7 @@ class CellCouplings:
         # its zero modes are exact; the mirrored +-m partners cancel its
         # cross terms
         sites_k0 = k0_pair_sums(config, eq.delta0,
-                                fold_pair_blocks(self._m, self._blocks, 2))
+                                fold_pair_blocks(self._m, self._pairs, 2))
         pairs = sites_k0.sum(axis=0)
         omega_sq = np.repeat(np.array([0.0, 1.0, config.alpha]) - np.diag(pairs), 2)
         if np.any(omega_sq <= 0.0):
@@ -230,7 +230,7 @@ class CellCouplings:
         p mod n, and the DFT over them gives every k_j.  In bulk the
         closed-form even- and odd-offset sums at each k_j are added after.
         """
-        sites = fold_pair_blocks(self._m, self._blocks, 2 * n, twist=k0)
+        sites = fold_pair_blocks(self._m, self._pairs, 2 * n, twist=k0)
         odd = sites[1::2]
         table = np.fft.fft(_cells(sites[0::2], odd, np.roll(odd, 1, axis=0), k0), axis=0)
         if self.config.boundary is Boundary.BULK:

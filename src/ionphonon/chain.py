@@ -240,7 +240,7 @@ class Hessian:
     Flat index convention: ``(l, nu) -> 3 * l + nu`` with nu in (x, y, z).
     """
 
-    matrix: np.ndarray  # (3N, 3N) real symmetric
+    matrix: np.ndarray  # (3N, 3N) real symmetric (bulk: to rounding)
     n_ions: int
 
     @property
@@ -264,26 +264,20 @@ def equilibrium_positions(config: ChainConfig, delta0: float) -> np.ndarray:
 
 def pair_dyadic(dx: np.ndarray, dy: np.ndarray,
                 kappa: float | np.ndarray) -> np.ndarray:
-    """Off-diagonal 3x3 Coulomb Hessian blocks for separations (dx, dy, 0).
+    """Entries xx, yy, zz, xy of the off-diagonal Coulomb Hessian blocks.
 
-    Returns ``d^2 phi / dR_l dR_l'`` for the pair potential ``phi = kappa /
-    (2 r)`` (kappa may be per pair), shape (n, 3, 3), units m_I omega_I^2.
-    The same-site contribution of each pair is the negative of this block.
+    The block ``d^2 phi / dR_l dR_l'`` for the pair potential ``phi = kappa /
+    (2 r)`` at separation (dx, dy, 0) (kappa may be per pair) is symmetric
+    and has no xz or yz entry, so these four hold it; shape (4, n), units
+    m_I omega_I^2.  The same-site contribution of each pair is its negative.
     """
     dx = np.asarray(dx, dtype=float)
-    dy = np.broadcast_to(np.asarray(dy, dtype=float), dx.shape)
     r2 = dx * dx + dy * dy
     if np.any(r2 < 1e-18):
         raise PhysicsError("overlapping equilibrium positions: singular geometry")
-    inv_r5 = r2 ** -2.5
-    pref = -0.5 * kappa * inv_r5
-    blocks = np.zeros(dx.shape + (3, 3))
-    blocks[..., 0, 0] = pref * (3.0 * dx * dx - r2)
-    blocks[..., 1, 1] = pref * (3.0 * dy * dy - r2)
-    blocks[..., 2, 2] = pref * (-r2)
-    blocks[..., 0, 1] = pref * (3.0 * dx * dy)
-    blocks[..., 1, 0] = blocks[..., 0, 1]
-    return blocks
+    pref = -0.5 * kappa * r2 ** -2.5
+    return np.stack([pref * (3.0 * dx * dx - r2), pref * (3.0 * dy * dy - r2),
+                     pref * (-r2), pref * (3.0 * dx * dy)])
 
 
 def pair_offsets(config: ChainConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -319,7 +313,7 @@ def pair_dy(m: np.ndarray, delta0: float) -> np.ndarray:
 
 
 def half_pair_blocks(config: ChainConfig, delta0: float) -> tuple[np.ndarray, np.ndarray]:
-    """Offsets m > 0 summed directly and their pair blocks, shape (n, 3, 3).
+    """Offsets m > 0 summed directly and their pair blocks' entries, shape (4, n).
 
     RING: the pair set of :func:`pair_offsets`.  BULK: the odd m <= M, each
     block less the power laws that :func:`power_law_sums` adds in closed
@@ -331,30 +325,28 @@ def half_pair_blocks(config: ChainConfig, delta0: float) -> tuple[np.ndarray, np
         top = max(2.0 * delta0, (35 / 32 * c**3 / _TAIL) ** (1 / 8),
                   (15 / 8 * delta0 * c * c / _TAIL) ** (1 / 7))
         m = np.arange(1, 2 * math.ceil((top + 1.0) / 2.0) if delta0 else 1, 2)
-        blocks = pair_dyadic(m, pair_dy(m, delta0), config.kappa)
+        entries = pair_dyadic(m, pair_dy(m, delta0), config.kappa)
         inv = 1.0 / m
         laws = config.kappa * (c * inv * inv)[:, None] ** np.arange(3) * (inv**3)[:, None]
-        blocks[:, [0, 1, 2], [0, 1, 2]] -= laws @ _SERIES
-        blocks[:, 0, 1] -= delta0 * inv * (laws[:, :2] @ _SERIES_XY)
-        blocks[:, 1, 0] = blocks[:, 0, 1]
-        return m, blocks
+        entries[:3] -= (laws @ _SERIES).T
+        entries[3] -= delta0 * inv * (laws[:, :2] @ _SERIES_XY)
+        return m, entries
     m, w = pair_offsets(config)
     half = len(m) // 2
     m, w = m[half:], w[half:]
     return m, pair_dyadic(m, pair_dy(m, delta0), config.kappa * w)
 
 
-def fold_pair_blocks(m: np.ndarray, blocks: np.ndarray, n_sites: int,
+def fold_pair_blocks(m: np.ndarray, entries: np.ndarray, n_sites: int,
                      twist: float = 0.0) -> np.ndarray:
     """sum_m B(m) e^{-i twist m} over each offset class m mod n_sites.
 
-    ``(m, blocks)`` is the m > 0 half of :func:`half_pair_blocks`, mirrored
+    ``(m, entries)`` is the m > 0 half of :func:`half_pair_blocks`, mirrored
     here to -m.  The sum runs over the pair blocks seen from an even ion;
-    shape (n_sites, 3, 3), complex when twisted.
+    shape (n_sites, 3, 3), complex when twisted: the one place 3 x 3 pair
+    blocks are built.
     """
     signed = np.concatenate([-m[::-1], m])
-    rows, cols = [0, 1, 2, 0], [0, 1, 2, 1]  # xx, yy, zz, xy; xy is odd in m
-    entries = blocks[:, rows, cols].T
     both = np.concatenate([entries[:, ::-1] * [[1], [1], [1], [-1]], entries], axis=1)
     if twist:
         phase = np.exp(-1j * twist * signed)
@@ -366,6 +358,7 @@ def fold_pair_blocks(m: np.ndarray, blocks: np.ndarray, n_sites: int,
     sums = sums.reshape(-1, n_sites)
     sums = sums[:4] + 1j * sums[4:] if twist else sums
     out = np.zeros((n_sites, 3, 3), dtype=sums.dtype)
+    rows, cols = [0, 1, 2, 0], [0, 1, 2, 1]  # xx, yy, zz, xy; xy is odd in m
     out[:, rows, cols] = out[:, cols, rows] = sums.T
     return out
 
@@ -516,7 +509,9 @@ def solve_delta0(config: ChainConfig) -> Equilibrium:
     z zone-edge mode softens at kappa = alpha * kappa_c; past that point a
     DynamicalInstabilityError carries the mode's imaginary frequency.
     """
-    gap0 = zigzag_root_gap(0.0, config)
+    # one evaluation per point: Brent's two ends and its root are seen before
+    gap = functools.cache(lambda delta: zigzag_root_gap(delta, config))
+    gap0 = gap(0.0)
     z_edge = gap0 - (1.0 - config.alpha)  # G(0) with trap alpha: omega_z(pi)^2
     if config.alpha < 1.0 and z_edge < 0.0:
         raise DynamicalInstabilityError(
@@ -527,14 +522,14 @@ def solve_delta0(config: ChainConfig) -> Equilibrium:
     if gap0 >= 0.0:
         return Equilibrium(0.0)
     lo, hi = 0.0, 1.0
-    while zigzag_root_gap(hi, config) <= 0.0:
+    while gap(hi) <= 0.0:
         lo, hi = hi, 2.0 * hi
         if hi > 64.0:
             raise BracketingError(
                 f"no sign change of dV/d(delta) on (0, {hi}]", interval=(0.0, hi)
             )
-    delta0 = _brent_root(lambda d: zigzag_root_gap(d, config), lo, hi)
-    residual = abs(2.0 * delta0 * zigzag_root_gap(delta0, config))
+    delta0 = _brent_root(gap, lo, hi)
+    residual = abs(2.0 * delta0 * gap(delta0))
     if residual >= EQUILIBRIUM_TOL:
         raise ConvergenceError(
             f"equilibrium residual {residual:.3e} >= tol {EQUILIBRIUM_TOL:.1e}")
@@ -577,16 +572,15 @@ def build_hessian(config: ChainConfig, eq: Equilibrium) -> Hessian:
 
     Pairwise Coulomb dyadics plus diagonal trap curvature; on-site blocks are
     accumulated from the same pair set as the off-site blocks, so rigid
-    translations are exact zero modes at machine precision.
+    translations are exact zero modes at machine precision.  Not symmetrized:
+    ring Hessians are exactly symmetric, bulk ones to rounding.
     """
     n = config.n_ions
     blocks = _site_blocks(config, eq.delta0)
     ion = np.arange(n)
     # block (row l, column l') couples ion l = l' + o to ion l' of parity c
     mat = blocks[(ion[:, None] - ion[None, :]) % n, ion % 2]
-    mat = mat.transpose(0, 2, 1, 3).reshape(3 * n, 3 * n)
-    mat = 0.5 * (mat + mat.T)
-    return Hessian(mat, n)
+    return Hessian(mat.transpose(0, 2, 1, 3).reshape(3 * n, 3 * n), n)
 
 
 def equilibrium_residual(config: ChainConfig, eq: Equilibrium) -> float:

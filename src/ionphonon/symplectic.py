@@ -257,7 +257,8 @@ def symplectic_diagonalize(form: QuadraticForm,
         Axis label (0, 1, 2) per flat index.  It places the symmetry
         generators: every generator t with s K s t = 0 (s = Omega^(1/2))
         gives one zero pair, "longitudinal" for the x translation and
-        "radial" for the rotation about the trap axis.  Without an
+        "radial" for the rotation about the trap axis.  The rotation is a
+        candidate only when the y and z blocks of K differ.  Without an
         axis_map a form has no zero pairs.
     p_norm : float, optional
         Target p^dag p for zero pairs (the ion number for chain problems).
@@ -287,6 +288,10 @@ def symplectic_diagonalize(form: QuadraticForm,
     for axis, label in () if axis_map is None else ((0, "longitudinal"), (2, "radial")):
         rows = np.flatnonzero(axis_map == axis)
         if not len(rows):
+            continue
+        # y and z alike (linear chain, alpha = 1): the rotation moves no ion
+        y = np.flatnonzero(axis_map == 1)
+        if axis == 2 and np.array_equal(k_mat[np.ix_(rows, rows)], k_mat[np.ix_(y, y)]):
             continue
         t = np.zeros(dim)
         sign = 1.0 if axis == 0 else (-1.0) ** np.arange(len(rows))

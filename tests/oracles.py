@@ -1,7 +1,8 @@
 """Reference implementations that the tests check the package against.
 
 Each one reaches a number the package computes another way: the classical
-potential that the equilibrium condition differentiates, the dense
+potential that the equilibrium condition differentiates, the 3 x 3 pair
+blocks whose four entries ``pair_dyadic`` keeps, the dense
 2D x 2D form behind the Hermitian reduction of ``symplectic``, the four
 ladder correlators that ``spatial_correlator`` combines in one sum, the
 one-request sum that ``correlator_table`` takes for many separations at
@@ -35,6 +36,25 @@ def sectors(config, eq=None):
         eq = solve_delta0(config)
     nf0 = zero_mode_normal_form(config, eq)
     return build_sectors(config, eq, nf0.zero_pairs, nf0.form.omega_bare)
+
+
+# ---------------------------------------------------------------------------
+# pair blocks
+
+
+def pair_block(dx, dy, kappa):
+    """3 x 3 Coulomb Hessian blocks at separations (dx, dy, 0), shape (n, 3, 3).
+
+    d^2 phi / dR_l dR_l' of the pair potential phi = kappa / (2 r) (kappa
+    may be per pair) is -kappa (3 d d^T - r^2 1) / (2 r^5), d the separation;
+    ``chain.pair_dyadic`` keeps its xx, yy, zz and xy entries.  The lower
+    triangle mirrors the upper one, so each block is symmetric to the bit.
+    """
+    d = np.stack(np.broadcast_arrays(np.asarray(dx, dtype=float), dy, 0.0), axis=-1)
+    r2 = np.sum(d * d, axis=-1)
+    pref = -0.5 * np.asarray(kappa) * r2 ** -2.5
+    dyad = np.triu(3.0 * d[..., :, None] * d[..., None, :] - r2[..., None, None] * np.eye(3))
+    return pref[..., None, None] * (dyad + np.triu(dyad, 1).swapaxes(-1, -2))
 
 
 # ---------------------------------------------------------------------------

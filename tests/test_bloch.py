@@ -32,7 +32,6 @@ from ionphonon.chain import (
     build_hessian,
     omega_from_hessian,
     pair_dy,
-    pair_dyadic,
     pair_offsets,
     polylog,
     solve_delta0,
@@ -40,7 +39,7 @@ from ionphonon.chain import (
 from ionphonon.errors import BareInstabilityError, DynamicalInstabilityError, PhysicsError
 from ionphonon.observables import PhononField
 from ionphonon.symplectic import QuadraticForm, build_quadratic_form, symplectic_diagonalize
-from oracles import zero_pair_axis
+from oracles import pair_block, zero_pair_axis
 
 ZETA3 = float(zeta(3.0))
 BULK_ZIGZAG = ChainConfig(kappa=0.6, n_ions=32, boundary=Boundary.BULK)
@@ -304,7 +303,7 @@ class TestZigzagBlocks:
                 direct[i, :, 0, :, 1] = odd * SUBLATTICE_MIRROR * np.exp(-1j * k[i])
         else:
             m, w = pair_offsets(cfg)
-            blocks = pair_dyadic(m, pair_dy(m, eq.delta0), cfg.kappa * w)
+            blocks = pair_block(m, pair_dy(m, eq.delta0), cfg.kappa * w)
             for sp in (0, 1):
                 seen = blocks * SUBLATTICE_MIRROR if sp else blocks
                 s = (m + sp) % 2
@@ -338,7 +337,7 @@ def mpmath_bloch_sums(kappa, delta0, k):
     power = np.diag([-1.0, 0.5, 0.5]) * kappa
     top = (0.75 * kappa * 4.0 * delta0**2 / 1e-18) ** 0.25
     m = np.arange(1.0, max(top, 9.0) + 2.0, 2.0)
-    rest = pair_dyadic(m, pair_dy(m, delta0), kappa) - power / m[:, None, None] ** 3
+    rest = pair_block(m, pair_dy(m, delta0), kappa) - power / m[:, None, None] ** 3
     diag = np.eye(3)
     rest = np.tensordot(2.0 * np.cos(k * m), rest * diag, axes=1) \
         + np.tensordot(-2j * np.sin(k * m), rest * (1.0 - diag), axes=1)

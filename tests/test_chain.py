@@ -29,7 +29,7 @@ from ionphonon.errors import (
     ConvergenceError,
     DynamicalInstabilityError,
 )
-from oracles import classical_potential
+from oracles import classical_potential, pair_block
 
 ZETA3 = float(zeta(3.0))
 KAPPA_C = 4.0 / (7.0 * ZETA3)
@@ -163,6 +163,21 @@ class TestSolveDelta0:
         v_0 = classical_potential(res.x, cfg)
         v_plus = classical_potential(res.x + h, cfg)
         return res.x - 0.5 * h * (v_plus - v_minus) / (v_plus - 2 * v_0 + v_minus)
+
+    @pytest.mark.parametrize("cfg", [ring(0.6, 16), bulk(0.6), bulk(2.0, alpha=1.5)])
+    def test_each_root_gap_point_is_evaluated_once(self, cfg, monkeypatch):
+        # the bracket's ends and the root are among Brent's own points
+        points = []
+        gap = chain.zigzag_root_gap
+
+        def counted(delta, config):
+            points.append(delta)
+            return gap(delta, config)
+
+        monkeypatch.setattr(chain, "zigzag_root_gap", counted)
+        eq = solve_delta0(cfg)
+        assert eq.is_zigzag and eq.delta0 in points
+        assert len(points) == len(set(points)) > 5
 
     def test_agrees_with_scalar_minimization(self):
         cfg = bulk(0.6)
@@ -384,14 +399,14 @@ class TestHessian:
         # ring: the mirrored half-sum must add every partner, in the pair
         # set's order, exactly as a plain np.add.at over all offsets does;
         # bulk: every partner of each class m = o (mod N), summed by mpmath
-        from ionphonon.chain import SUBLATTICE_MIRROR, pair_dy, pair_dyadic
+        from ionphonon.chain import SUBLATTICE_MIRROR, pair_dy
 
         eq = solve_delta0(cfg)
         n = cfg.n_ions
         if cfg.boundary is Boundary.RING:
             m, w = pair_offsets(cfg)
             folded = np.zeros((n, 3, 3))
-            np.add.at(folded, m % n, pair_dyadic(m, pair_dy(m, eq.delta0), cfg.kappa * w))
+            np.add.at(folded, m % n, pair_block(m, pair_dy(m, eq.delta0), cfg.kappa * w))
         else:
             folded = mpmath_site_fold(cfg.kappa, eq.delta0, n)
         folded[0] = np.diag([0.0, 1.0, cfg.alpha]) - folded[1:].sum(axis=0)
@@ -522,6 +537,20 @@ def test_bulk_potential_tail_cap_is_certified():
 
     with pytest.raises(ConvergenceError):
         classical_potential(150.0, bulk(0.9))
+
+
+def test_pair_dyadic_holds_the_entries_of_the_pair_block():
+    # xx, yy, zz and xy of the 3 x 3 reference to the bit, at both signs of
+    # m and per-pair kappa; the reference's xz and yz entries are zero
+    from ionphonon.chain import pair_dy, pair_dyadic
+
+    m = np.concatenate([np.arange(-30, 0), np.arange(1, 31)])
+    for delta, kappa in ((0.0, 0.25), (0.37, 0.6), (1.3, np.linspace(0.5, 1.0, len(m)))):
+        entries = pair_dyadic(m, pair_dy(m, delta), kappa)
+        block = pair_block(m, pair_dy(m, delta), kappa)
+        assert entries.shape == (4, len(m))
+        assert np.array_equal(entries, block[:, [0, 1, 2, 0], [0, 1, 2, 1]].T)
+        assert not np.any(block[:, :2, 2]) and not np.any(block[:, 2, :2])
 
 
 def test_overlapping_geometry_is_singular():

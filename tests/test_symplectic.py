@@ -248,6 +248,23 @@ def test_full_space_beside_own_transition(boundary, n, alpha, offset):
         assert np.max(np.abs(k_mat @ w)) <= 1e-14 * scale
 
 
+@pytest.mark.parametrize("boundary", [Boundary.RING, Boundary.BULK])
+@pytest.mark.parametrize("n", [4, 8, 16, 32])
+def test_linear_chain_below_own_transition_has_no_radial_pair(boundary, n):
+    """Within 1e-12 below kappa_c at alpha = 1 the soft z zone-edge mode has
+    the rotation's pattern, but the linear chain breaks no rotation (its y
+    and z blocks are equal): the translation is the one zero pair, or the
+    soft y and z modes raise together."""
+    kappa_c = critical_kappa_classical(ChainConfig(kappa=0.3, n_ions=n, boundary=boundary))
+    for offset in np.linspace(2e-13, 1e-12, 9):
+        try:
+            nf, _ = chain_normal_form(kappa_c - offset, n, boundary)
+        except ZeroModeToleranceError as exc:
+            assert "2 zero mode(s)" in str(exc)
+            continue
+        assert [zp.label for zp in nf.zero_pairs] == ["longitudinal"]
+
+
 class TestAssembleW:
     def test_single_oscillator_identity(self):
         form = QuadraticForm(np.zeros((1, 1)), np.array([1.0]))
