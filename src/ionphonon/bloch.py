@@ -38,6 +38,7 @@ from .chain import (
     Equilibrium,
     BULK_SUM_BUDGET,
     bare_frequencies,
+    broken_symmetries,
     bulk_sum_bound,
     fold_pair_blocks,
     half_pair_blocks,
@@ -179,6 +180,7 @@ class CellCouplings:
         self.config = config
         self.cell_length = 2.0  # in units of d
         self._delta0 = eq.delta0
+        self._generators = broken_symmetries(config, eq)
         self._m, self._pairs = half_pair_blocks(config, eq.delta0)
         bound = bulk_sum_bound(config, eq.delta0)
         if bound > BULK_SUM_BUDGET:
@@ -250,7 +252,8 @@ class CellCouplings:
         fault = _cell_faults(np.array([k]), g[None])[0]
         if fault:
             raise PhysicsError(fault)
-        return QuadraticForm(g, self.omega_bare)
+        # the generators are uniform over the cells: zero pairs at k = 0 alone
+        return QuadraticForm(g, self.omega_bare, self._generators if abs(k) < 1e-12 else ())
 
     def _self_paired(self, k):
         """k = 0 and the zone edge, the momenta that are their own -k."""

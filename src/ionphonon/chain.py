@@ -233,6 +233,22 @@ class Equilibrium:
         return self.delta0 > 0.0
 
 
+# Generator of each symmetry a chain can break, by the axis it moves (the x
+# translation; the rotation about the trap axis moves ion l along z by its y
+# offset delta0 (-1)^l): the label of its zero pair, and its gapless branch.
+GENERATORS = {0: ("longitudinal", "axial sound"), 2: ("radial", "helical")}
+
+
+def broken_symmetries(config: ChainConfig, eq: Equilibrium) -> tuple[int, ...]:
+    """Axis of the generator (``GENERATORS``) of each broken symmetry.
+
+    The x translation always; the rotation about the trap axis only in the
+    zigzag of an O(2)-symmetric trap (alpha = 1): the linear chain is
+    invariant under it, and alpha != 1 breaks it explicitly.
+    """
+    return (0, 2) if eq.is_zigzag and abs(config.alpha - 1.0) < 1e-12 else (0,)
+
+
 @dataclass
 class Hessian:
     """Second derivatives of the potential at equilibrium, units m_I omega_I^2.
@@ -242,6 +258,7 @@ class Hessian:
 
     matrix: np.ndarray  # (3N, 3N) real symmetric (bulk: to rounding)
     n_ions: int
+    generators: tuple[int, ...]  # broken_symmetries of the equilibrium
 
     @property
     def axis_map(self) -> np.ndarray:
@@ -580,7 +597,8 @@ def build_hessian(config: ChainConfig, eq: Equilibrium) -> Hessian:
     ion = np.arange(n)
     # block (row l, column l') couples ion l = l' + o to ion l' of parity c
     mat = blocks[(ion[:, None] - ion[None, :]) % n, ion % 2]
-    return Hessian(mat.transpose(0, 2, 1, 3).reshape(3 * n, 3 * n), n)
+    return Hessian(mat.transpose(0, 2, 1, 3).reshape(3 * n, 3 * n), n,
+                   broken_symmetries(config, eq))
 
 
 def equilibrium_residual(config: ChainConfig, eq: Equilibrium) -> float:

@@ -1,10 +1,10 @@
 """Zero-mode sector: effective masses, PBC phase operator, thermal moments.
 
-Each spontaneously broken continuous symmetry (axial translation; zigzag
-plane rotation at alpha = 1) yields a conjugate pair (P, Q) instead of a
-bosonic mode.  Q lives on a circle: its global extension is a scaled phase
-operator Q = c0 * phi with phi built from maximally localized angular states
-on a truncated winding-number space.
+Each spontaneously broken continuous symmetry (``chain.broken_symmetries``:
+axial translation; zigzag plane rotation at alpha = 1) yields a conjugate
+pair (P, Q) instead of a bosonic mode.  Q lives on a circle: its global
+extension is a scaled phase operator Q = c0 * phi with phi built from
+maximally localized angular states on a truncated winding-number space.
 
 Level energies are E_m = m^2 / (2 m_tilde c0^2) with m the winding number;
 the spatial variance <Q^2> = c0^2 pi^2 / 3 is m- and temperature-independent.
@@ -23,8 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bloch import CellCouplings, _cell_index
-from .chain import Boundary, ChainConfig, Equilibrium, solve_delta0
-from .errors import ZeroModeToleranceError
+from .chain import GENERATORS, Boundary, ChainConfig, Equilibrium, broken_symmetries, solve_delta0
 from .symplectic import NormalForm, ZeroModePair
 
 
@@ -51,12 +50,10 @@ class FreeParticleSector:
 def goldstone_branches(config: ChainConfig, eq: Equilibrium) -> dict[str, str]:
     """Axis -> gapless branch of each broken symmetry, one k = 0 zero pair each.
 
-    Axial sound carries x; at alpha = 1 the zigzag's helical branch carries z.
+    Read from ``chain.broken_symmetries`` and ``chain.GENERATORS``: axial
+    sound carries x; at alpha = 1 the zigzag's helical branch carries z.
     """
-    branches = {"x": "axial sound"}
-    if eq.is_zigzag and abs(config.alpha - 1.0) < 1e-12:
-        branches["z"] = "helical"
-    return branches
+    return {"xyz"[axis]: GENERATORS[axis][1] for axis in broken_symmetries(config, eq)}
 
 
 def zero_mode_normal_form(config: ChainConfig,
@@ -71,33 +68,12 @@ def effective_masses(config: ChainConfig,
                      eq: Equilibrium | None = None) -> dict[str, float]:
     """Effective mass-like constants per zero pair, in 1/omega_I.
 
-    Returns {'longitudinal': ...} below the transition and additionally
-    {'radial': ...} in the zigzag phase with alpha = 1.
+    One per broken symmetry: {'longitudinal': ...}, and {'radial': ...} in
+    the zigzag phase with alpha = 1 (``chain.broken_symmetries``).
     """
     if eq is None:
         eq = solve_delta0(config)
-    zero_pairs = zero_mode_normal_form(config, eq).zero_pairs
-    _check_zero_pair_count(config, eq, zero_pairs)
-    return {zp.label: zp.m_tilde for zp in zero_pairs}
-
-
-def _check_zero_pair_count(config: ChainConfig, eq: Equilibrium,
-                          zero_pairs: list[ZeroModePair]) -> None:
-    """Raise ZeroModeToleranceError unless there is one zero pair per broken
-    symmetry (``goldstone_branches``).
-
-    The form-level test keeps a generator whose s K s t is zero within the
-    zero threshold, so in the linear phase within ~1e-12 of a chain's own
-    kappa_c the soft zone-edge z mode passes as the rotation: an extra pair
-    that no free particle describes.
-    """
-    expected = len(goldstone_branches(config, eq))
-    if len(zero_pairs) != expected:
-        raise ZeroModeToleranceError(
-            f"extracted {len(zero_pairs)} zero pairs, expected {expected} at "
-            f"kappa = {config.kappa}: a soft mode near the transition is not "
-            f"separable from the zero modes at this precision"
-        )
+    return {zp.label: zp.m_tilde for zp in zero_mode_normal_form(config, eq).zero_pairs}
 
 
 def build_sectors(config: ChainConfig, eq: Equilibrium,
@@ -105,14 +81,13 @@ def build_sectors(config: ChainConfig, eq: Equilibrium,
                   omega_bare: np.ndarray) -> list[FreeParticleSector]:
     """Free-particle sectors present for this configuration.
 
-    The longitudinal sector (chain sliding around the ring) exists only with
-    periodic-ring boundaries; the radial sector (zigzag plane rotation)
-    exists for delta0 > 0 at alpha = 1 in either convention.  ``zero_pairs``
-    and ``omega_bare`` are those of the k = 0 cell block.  Raises
-    ZeroModeToleranceError when the zero pairs are not one per broken
-    symmetry.
+    One sector per zero pair, except that the longitudinal sector (chain
+    sliding around the ring) exists only with periodic-ring boundaries; the
+    radial sector (zigzag plane rotation) exists wherever its pair does.
+    ``zero_pairs`` and ``omega_bare`` are those of the k = 0 cell block,
+    whose form holds one zero pair per broken symmetry
+    (``chain.broken_symmetries``) or raises ZeroModeToleranceError.
     """
-    _check_zero_pair_count(config, eq, zero_pairs)
     omega_x = omega_bare[_cell_index(0, 0)]
     omega_z = omega_bare[_cell_index(0, 2)]
     masses = {zp.label: zp for zp in zero_pairs}

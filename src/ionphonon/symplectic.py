@@ -18,8 +18,8 @@ suite keeps the general solver as a cross-check.  Degenerate modes come out
 Sigma-orthogonal, because the Hermitian eigenbasis is orthonormal.
 
 For a chain ``Omega^(1/2) K Omega^(1/2)`` is the Hessian, whose kernel the
-generators of the broken symmetries span in closed form; they give the zero
-pairs (:func:`symplectic_diagonalize`).
+generators of the broken symmetries span in closed form; the form names
+them (``chain.broken_symmetries``), and they give the zero pairs.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .chain import Hessian
+from .chain import GENERATORS, Hessian
 from .errors import (
     BareInstabilityError,
     DynamicalInstabilityError,
@@ -54,11 +54,13 @@ class QuadraticForm:
     """Coupling matrix g and bare frequencies Omega of a quadratic bosonic
     Hamiltonian; its diagonal block is h = diag(omega_bare) + g.
 
-    ``g`` is D x D Hermitian (real symmetric for real-space forms).
+    ``g`` is D x D Hermitian (real symmetric for real-space forms).  A
+    generic form has no ``generators`` (axes of ``chain.GENERATORS``).
     """
 
     g: np.ndarray
     omega_bare: np.ndarray
+    generators: tuple[int, ...] = ()
 
     @property
     def dimension(self) -> int:
@@ -88,9 +90,13 @@ def build_quadratic_form(hessian: Hessian | np.ndarray,
 
     ``g = (1 - delta) V / (2 sqrt(Omega Omega'))`` (units m_I = 1).
     ``omega_bare`` is per flat index; every entry must be positive,
-    otherwise the system is unstable at the single-site level.
+    otherwise the system is unstable at the single-site level.  The form
+    takes a Hessian's generators; a bare matrix has none.
     """
-    mat = hessian.matrix if isinstance(hessian, Hessian) else np.asarray(hessian)
+    if isinstance(hessian, Hessian):
+        mat, generators = hessian.matrix, hessian.generators
+    else:
+        mat, generators = np.asarray(hessian), ()
     omega_bare = np.asarray(omega_bare, dtype=float)
     if np.any(omega_bare <= 0.0):
         raise BareInstabilityError(
@@ -99,7 +105,7 @@ def build_quadratic_form(hessian: Hessian | np.ndarray,
     denom = 2.0 * np.sqrt(np.outer(omega_bare, omega_bare))
     g = mat / denom
     np.fill_diagonal(g, 0.0)
-    return QuadraticForm(g, omega_bare)
+    return QuadraticForm(g, omega_bare, generators)
 
 
 @dataclass
@@ -254,12 +260,11 @@ def symplectic_diagonalize(form: QuadraticForm,
         Its g must be Hermitian (``form.validate``); the diagonal block
         h = diag(omega_bare) + g is implied.
     axis_map : ndarray, optional
-        Axis label (0, 1, 2) per flat index.  It places the symmetry
-        generators: every generator t with s K s t = 0 (s = Omega^(1/2))
-        gives one zero pair, "longitudinal" for the x translation and
-        "radial" for the rotation about the trap axis.  The rotation is a
-        candidate only when the y and z blocks of K differ.  Without an
-        axis_map a form has no zero pairs.
+        Axis label (0, 1, 2) per flat index.  It places the generators that
+        the form names (``form.generators``): the x translation moves every
+        axis-0 entry by 1, the rotation about the trap axis the axis-2
+        entries by (-1)^l in order.  Each gives one zero pair, labelled by
+        ``chain.GENERATORS``.  Without an axis_map a form has no zero pairs.
     p_norm : float, optional
         Target p^dag p for zero pairs (the ion number for chain problems).
         Defaults to the block dimension.
@@ -270,7 +275,8 @@ def symplectic_diagonalize(form: QuadraticForm,
         If any squared frequency is negative beyond tolerance; the error
         carries the offending imaginary frequencies.
     ZeroModeToleranceError
-        If a zero frequency remains that no symmetry generator explains.
+        If s K s (s = Omega^(1/2)) does not annihilate a generator the form
+        names, or a zero frequency remains that no generator explains.
     """
     form.validate()
     omega_bare = form.omega_bare
@@ -283,21 +289,19 @@ def symplectic_diagonalize(form: QuadraticForm,
     kernel_tol = _zero_threshold(bound, omega_scale)
     c = np.sqrt((dim if p_norm is None else p_norm) / 2.0)
     zero_pairs: list[ZeroModePair] = []
-    # the x translation moves every x entry by 1, the rotation about the trap
-    # axis ion l along z by its y offset delta0 (-1)^l
-    for axis, label in () if axis_map is None else ((0, "longitudinal"), (2, "radial")):
+    for axis in () if axis_map is None else form.generators:
+        label = GENERATORS[axis][0]
         rows = np.flatnonzero(axis_map == axis)
         if not len(rows):
-            continue
-        # y and z alike (linear chain, alpha = 1): the rotation moves no ion
-        y = np.flatnonzero(axis_map == 1)
-        if axis == 2 and np.array_equal(k_mat[np.ix_(rows, rows)], k_mat[np.ix_(y, y)]):
-            continue
+            raise ValueError(f"axis_map places the {label} generator on no entry")
         t = np.zeros(dim)
         sign = 1.0 if axis == 0 else (-1.0) ** np.arange(len(rows))
         t[rows] = sign / np.sqrt(len(rows))
-        if np.linalg.norm(s * (k_mat @ (s * t))) > kernel_tol:
-            continue
+        defect = np.linalg.norm(s * (k_mat @ (s * t)))
+        if defect > kernel_tol:
+            raise ZeroModeToleranceError(
+                f"the {label} generator is no zero mode: |s K s t| = {defect:.3g} "
+                f"> {kernel_tol:.3g} (is the chain at its equilibrium?)")
         # s K s gains 2 bound t t^T, far above the spectrum; the axis classes
         # are disjoint, so the next generator's test still sees K
         shift = t[rows] / s[rows]

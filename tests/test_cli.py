@@ -549,16 +549,18 @@ def test_heat_capacity_at_a_tiny_temperature_is_zero(capsys):
 
 def test_modes_at_a_rings_own_transition_exits_3(tmp_path, capsys):
     # at kappa_c of a 4-ion ring (0.5) the soft zone-edge y and z modes are
-    # exact zeros; the linear chain at alpha = 1 breaks no rotation, so no
-    # symmetry explains either, and no free-particle sector describes them
-    out_path = tmp_path / "modes.json"
-    code, _, err = run_cli(["modes", "--kappa", "0.5", "--n-ions", "4",
-                            "--format", "json", "--output", str(out_path)], capsys)
-    assert code == 3
-    assert "2 zero mode(s) that no symmetry generator explains" in err
-    sidecar = json.loads((tmp_path / "modes.json.error.json").read_text())
-    assert sidecar["error"] == "ZeroModeToleranceError"
-    assert not out_path.exists()
+    # exact zeros, and at alpha = 0.7 its z-buckling point 0.35 makes the z
+    # one a zero; the linear chain breaks no rotation, so no symmetry
+    # explains them, and no free-particle sector describes them
+    for kappa, alpha, zeros in (("0.5", "1", 2), ("0.35", "0.7", 1)):
+        out_path = tmp_path / f"modes-{kappa}.json"
+        code, _, err = run_cli(["modes", "--kappa", kappa, "--alpha", alpha, "--n-ions", "4",
+                                "--format", "json", "--output", str(out_path)], capsys)
+        assert code == 3
+        assert f"{zeros} zero mode(s) that no symmetry generator explains" in err
+        sidecar = json.loads((tmp_path / f"modes-{kappa}.json.error.json").read_text())
+        assert sidecar["error"] == "ZeroModeToleranceError"
+        assert not out_path.exists()
 
 
 # ---------------------------------------------------------------------------

@@ -10,8 +10,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ionphonon.chain import (
+    GENERATORS,
     Boundary,
     ChainConfig,
+    Equilibrium,
+    broken_symmetries,
     build_hessian,
     critical_kappa_classical,
     omega_from_hessian,
@@ -97,12 +100,12 @@ class TestSmallBlocks:
         # K = h+g = W [[1, -1], [-1, 1]] has kernel (1,1)/sqrt(2) and the
         # finite mode omega = sqrt(2) W.  Hand algebra for the pair with
         # p^dag p = 2: p = i (1,1,1,1)/sqrt(2), q = (1,1,-1,-1)/(2 sqrt(2)),
-        # Sigma H q = -(i/m) p with m = 2/W, and q^dag q = 1/2.  Both sites
-        # on axis 0 make (1, 1) the translation generator.
+        # Sigma H q = -(i/m) p with m = 2/W, and q^dag q = 1/2.  The form
+        # names the translation, which both sites on axis 0 place at (1, 1).
         w_bare = 0.8
         f = -w_bare / 2.0
         g = np.array([[0.0, f], [f, 0.0]])
-        form = QuadraticForm(g, np.array([w_bare, w_bare]))
+        form = QuadraticForm(g, np.array([w_bare, w_bare]), generators=(0,))
         nf = symplectic_diagonalize(form, axis_map=np.array([0, 0]), p_norm=2.0)
         assert len(nf.modes) == 1 and len(nf.zero_pairs) == 1
         assert nf.modes[0].omega == pytest.approx(np.sqrt(2.0) * w_bare, rel=1e-13)
@@ -125,6 +128,11 @@ class TestSmallBlocks:
         form = QuadraticForm(g, np.array([w_bare, w_bare]))
         with pytest.raises(ZeroModeToleranceError):
             symplectic_diagonalize(form, axis_map=np.array([0, 1]), p_norm=2.0)
+
+    def test_a_named_generator_needs_its_axis_in_the_axis_map(self):
+        form = QuadraticForm(np.zeros((2, 2)), np.array([1.0, 1.0]), generators=(2,))
+        with pytest.raises(ValueError, match="radial generator"):
+            symplectic_diagonalize(form, axis_map=np.array([0, 0]))
 
 
 class TestRandomFormProperties:
@@ -249,20 +257,94 @@ def test_full_space_beside_own_transition(boundary, n, alpha, offset):
 
 
 @pytest.mark.parametrize("boundary", [Boundary.RING, Boundary.BULK])
-@pytest.mark.parametrize("n", [4, 8, 16, 32])
-def test_linear_chain_below_own_transition_has_no_radial_pair(boundary, n):
-    """Within 1e-12 below kappa_c at alpha = 1 the soft z zone-edge mode has
-    the rotation's pattern, but the linear chain breaks no rotation (its y
-    and z blocks are equal): the translation is the one zero pair, or the
-    soft y and z modes raise together."""
+@pytest.mark.parametrize("n, alpha", [
+    *(pytest.param(n, 1.0, id=str(n)) for n in (4, 8, 16, 32)),
+    *(pytest.param(n, alpha, id=f"{alpha}-{n}")
+      for alpha in (0.7, 0.8, 0.9) for n in range(4, 33, 4)),
+])
+def test_linear_chain_below_own_transition_has_no_radial_pair(boundary, n, alpha):
+    """Within 1e-12 below its z-buckling point alpha kappa_c the soft z
+    zone-edge mode has the rotation's pattern, but the linear chain breaks
+    no rotation: the translation is the one zero pair, or the soft modes
+    raise (at alpha = 1 the y and z ones together)."""
     kappa_c = critical_kappa_classical(ChainConfig(kappa=0.3, n_ions=n, boundary=boundary))
     for offset in np.linspace(2e-13, 1e-12, 9):
         try:
-            nf, _ = chain_normal_form(kappa_c - offset, n, boundary)
+            nf, _ = chain_normal_form(alpha * kappa_c - offset, n, boundary, alpha)
         except ZeroModeToleranceError as exc:
-            assert "2 zero mode(s)" in str(exc)
+            assert f"{2 if alpha == 1.0 else 1} zero mode(s)" in str(exc)
             continue
         assert [zp.label for zp in nf.zero_pairs] == ["longitudinal"]
+
+
+@pytest.mark.parametrize("boundary", [Boundary.RING, Boundary.BULK])
+def test_off_equilibrium_zigzag_fails_on_its_radial_generator(boundary):
+    """1e-9 off the zigzag's delta0 the rotation is no zero mode of the
+    Hessian; both paths name the generator instead of dropping its pair."""
+    from ionphonon.freeparticle import effective_masses
+
+    cfg = ChainConfig(kappa=0.6, n_ions=16, boundary=boundary)
+    off = Equilibrium(solve_delta0(cfg).delta0 * (1.0 + 1e-9))
+    hess = build_hessian(cfg, off)
+    form = build_quadratic_form(hess, omega_from_hessian(hess))
+    with pytest.raises(ZeroModeToleranceError, match="the radial generator"):
+        symplectic_diagonalize(form, axis_map=hess.axis_map, p_norm=16)
+    with pytest.raises(ZeroModeToleranceError, match="the radial generator"):
+        effective_masses(cfg, off)
+
+
+@st.composite
+def configs_near_transitions(draw):
+    """Chain configs, half of them within 1e-14 to 1e-2 of kappa_c or
+    alpha kappa_c (where the linear chain buckles along y or along z)."""
+    boundary = draw(st.sampled_from([Boundary.RING, Boundary.BULK]))
+    n = 2 * draw(st.integers(2, 16))
+    alpha = draw(st.sampled_from([1.0, 1.0 + 5e-13, 0.7, 0.9, 1.5])
+                 | st.floats(min_value=0.5, max_value=3.0))
+    if draw(st.booleans()):
+        kappa = draw(st.floats(min_value=0.05, max_value=1.2))
+    else:
+        kappa_c = critical_kappa_classical(
+            ChainConfig(kappa=0.3, alpha=alpha, n_ions=n, boundary=boundary))
+        centre = draw(st.sampled_from([kappa_c, alpha * kappa_c]))
+        offset = 10.0 ** draw(st.floats(min_value=-14.0, max_value=-2.0))
+        kappa = centre + draw(st.sampled_from([-1.0, 1.0])) * offset
+    return ChainConfig(kappa=kappa, alpha=alpha, n_ions=n, boundary=boundary)
+
+
+@settings(deadline=None, max_examples=100)
+@given(configs_near_transitions())
+# just below a chain's z-buckling point the soft z zone-edge mode once
+# passed as the rotation on both paths
+@example(ChainConfig(kappa=0.35, alpha=0.7, n_ions=4))
+@example(ChainConfig(kappa=0.3339846068369559, alpha=0.7, n_ions=16))
+@example(ChainConfig(kappa=0.332762949032083, alpha=0.7, n_ions=32, boundary=Boundary.BULK))
+def test_zero_pairs_are_the_owners_generators(cfg):
+    """The full-space path and the k = 0 cell block each end in a named
+    PhysicsError, or hold one zero pair per broken symmetry, labelled as
+    ``chain.broken_symmetries`` names them."""
+    from ionphonon.bloch import CellCouplings
+
+    def labels(build):
+        try:
+            return sorted(zp.label for zp in build().zero_pairs)
+        except PhysicsError:
+            return None
+
+    def full_space():
+        hess = build_hessian(cfg, eq)
+        form = build_quadratic_form(hess, omega_from_hessian(hess))
+        nf = symplectic_diagonalize(form, axis_map=hess.axis_map, p_norm=cfg.n_ions)
+        assemble_W(nf)
+        return nf
+
+    try:
+        eq = solve_delta0(cfg)
+    except PhysicsError:
+        return
+    owner = sorted(GENERATORS[axis][0] for axis in broken_symmetries(cfg, eq))
+    for found in (labels(full_space), labels(lambda: CellCouplings(cfg, eq).normal_form(0.0))):
+        assert found is None or found == owner
 
 
 class TestAssembleW:
