@@ -17,6 +17,8 @@ RING (:func:`pair_offsets`): the minimal image, with the antipodal partner
 each pair block's power laws summed in closed form (:func:`power_law_sums`)
 plus a short remainder over the odd |m| <= M (:func:`half_pair_blocks`); M
 and the certified error (:func:`bulk_sum_bound`) follow from kappa, delta.
+The bulk root search reads that remainder's zz entries alone, to the bit the
+odd zz sum of :func:`k0_pair_sums` that the on-site blocks read.
 
 The runtime needs numpy alone: the few special values the spectra use
 (zeta(3), zeta(5), zeta(7), the Bernoulli numbers of :func:`even_bernoulli`,
@@ -279,22 +281,24 @@ def equilibrium_positions(config: ChainConfig, delta0: float) -> np.ndarray:
 # pair geometry
 
 
-def pair_dyadic(dx: np.ndarray, dy: np.ndarray,
-                kappa: float | np.ndarray) -> np.ndarray:
+def pair_dyadic(dx: np.ndarray, dy: np.ndarray, kappa: float | np.ndarray,
+                rows: slice = slice(None)) -> np.ndarray:
     """Entries xx, yy, zz, xy of the off-diagonal Coulomb Hessian blocks.
 
     The block ``d^2 phi / dR_l dR_l'`` for the pair potential ``phi = kappa /
     (2 r)`` at separation (dx, dy, 0) (kappa may be per pair) is symmetric
     and has no xz or yz entry, so these four hold it; shape (4, n), units
-    m_I omega_I^2.  The same-site contribution of each pair is its negative.
+    m_I omega_I^2, or the ``rows`` of them alone.  The same-site
+    contribution of each pair is its negative.
     """
     dx = np.asarray(dx, dtype=float)
     r2 = dx * dx + dy * dy
     if np.any(r2 < 1e-18):
         raise PhysicsError("overlapping equilibrium positions: singular geometry")
     pref = -0.5 * kappa * r2 ** -2.5
-    return np.stack([pref * (3.0 * dx * dx - r2), pref * (3.0 * dy * dy - r2),
-                     pref * (-r2), pref * (3.0 * dx * dy)])
+    # entry ab is pref (3 a b - [a = b] r^2), with z = 0
+    terms = ((dx, dx, r2), (dy, dy, r2), (0.0, 0.0, r2), (dx, dy, 0.0))[rows]
+    return np.array([pref * (3.0 * a * b - diag) for a, b, diag in terms])
 
 
 def pair_offsets(config: ChainConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -329,29 +333,31 @@ def pair_dy(m: np.ndarray, delta0: float) -> np.ndarray:
     return np.where(m % 2 != 0, -2.0 * delta0, 0.0)
 
 
-def half_pair_blocks(config: ChainConfig, delta0: float) -> tuple[np.ndarray, np.ndarray]:
+def half_pair_blocks(config: ChainConfig, delta0: float,
+                     rows: slice = slice(None)) -> tuple[np.ndarray, np.ndarray]:
     """Offsets m > 0 summed directly and their pair blocks' entries, shape (4, n).
 
     RING: the pair set of :func:`pair_offsets`.  BULK: the odd m <= M, each
     block less the power laws that :func:`power_law_sums` adds in closed
     form.  The partner at -m mirrors the one at +m (xy odd in m, the rest
     even), so this half stands for the whole set in :func:`fold_pair_blocks`.
+    ``rows`` (a slice of xx, yy, zz, xy) keeps those entries alone, each the
+    same to the bit: the bulk root search reads zz (:func:`_odd_zz_sum`).
     """
     if config.boundary is Boundary.BULK:
         c = 4.0 * delta0 * delta0  # M >= 2 delta0, each tail bound below _TAIL
         top = max(2.0 * delta0, (35 / 32 * c**3 / _TAIL) ** (1 / 8),
                   (15 / 8 * delta0 * c * c / _TAIL) ** (1 / 7))
         m = np.arange(1, 2 * math.ceil((top + 1.0) / 2.0) if delta0 else 1, 2)
-        entries = pair_dyadic(m, pair_dy(m, delta0), config.kappa)
+        entries = pair_dyadic(m, -2.0 * delta0, config.kappa, rows)  # pair_dy at odd m
         inv = 1.0 / m
         laws = config.kappa * (c * inv * inv)[:, None] ** np.arange(3) * (inv**3)[:, None]
-        entries[:3] -= (laws @ _SERIES).T
-        entries[3] -= delta0 * inv * (laws[:, :2] @ _SERIES_XY)
+        entries -= [*(laws @ _SERIES).T, delta0 * inv * (laws[:, :2] @ _SERIES_XY)][rows]
         return m, entries
     m, w = pair_offsets(config)
     half = len(m) // 2
     m, w = m[half:], w[half:]
-    return m, pair_dyadic(m, pair_dy(m, delta0), config.kappa * w)
+    return m, pair_dyadic(m, pair_dy(m, delta0), config.kappa * w, rows)
 
 
 def fold_pair_blocks(m: np.ndarray, entries: np.ndarray, n_sites: int,
@@ -429,12 +435,17 @@ def power_law_sums(config: ChainConfig, delta: float, k) -> np.ndarray:
     """
     even, odd, odd_signed = _k0_lattice_sums() if np.size(k) == 1 and k == 0.0 \
         else _lattice_sums(k)
-    c = (4.0 * delta * delta) ** np.arange(3)[:, None]
     out = np.zeros((len(even), 2, 3, 3), dtype=complex)
     out[:, 0, [0, 1, 2], [0, 1, 2]] = even[:, :1] * _SERIES[0]
-    out[:, 1, [0, 1, 2], [0, 1, 2]] = odd[:, 0::2] @ (c * _SERIES)
-    out[:, 1, 0, 1] = out[:, 1, 1, 0] = delta * (odd_signed[:, 1::2] @ (c[:2, 0] * _SERIES_XY))
+    out[:, 1, [0, 1, 2], [0, 1, 2]] = _odd_power_laws(delta, odd)
+    xy = [1.0, 4.0 * delta * delta] * _SERIES_XY
+    out[:, 1, 0, 1] = out[:, 1, 1, 0] = delta * (odd_signed[:, 1::2] @ xy)
     return config.kappa * out
+
+
+def _odd_power_laws(delta: float, odd: np.ndarray) -> np.ndarray:
+    """Odd-m power-law sums xx, yy, zz per unit kappa, (n_k, 3), from ``odd`` (n_k, 5)."""
+    return odd[:, 0::2] @ ((4.0 * delta * delta) ** np.arange(3)[:, None] * _SERIES)
 
 
 def _lattice_sums(k) -> tuple[np.ndarray, ...]:
@@ -470,6 +481,16 @@ def k0_pair_sums(config: ChainConfig, delta: float, sites: np.ndarray | None = N
     return sites
 
 
+def _odd_zz_sum(config: ChainConfig, delta: float) -> float:
+    """``k0_pair_sums(config, delta)[1, 2, 2]`` in bulk, to the bit, without blocks:
+    the remainder's zz entries added in the fold's order (-m from the top,
+    then +m), then the odd power laws' zz sum."""
+    _, (zz,) = half_pair_blocks(config, delta, slice(2, 3))
+    both = np.concatenate([zz[::-1], zz])
+    remainder = np.bincount(np.zeros(len(both), int), both, minlength=1)[0]
+    return remainder + config.kappa * _odd_power_laws(delta, _k0_lattice_sums()[1])[0, 2]
+
+
 def bulk_sum_bound(config: ChainConfig, delta: float) -> float:
     """Certified error of every pair-block sum at delta (0 on a ring), m_I omega_I^2.
 
@@ -491,10 +512,10 @@ def bulk_sum_bound(config: ChainConfig, delta: float) -> float:
 
 
 def _odd_neighbor_sum(delta: float, config: ChainConfig) -> float:
-    """sum over the odd partner offsets m of w (m^2 + 4 delta^2)^(-3/2)."""
+    """sum over the odd partner offsets m of w (m^2 + 4 delta^2)^(-3/2); in bulk
+    2 / kappa times the odd zz sum (kappa / 2) sum r^-3 of :func:`_odd_zz_sum`."""
     if config.boundary is Boundary.BULK:
-        # the odd-offset zz sum (kappa / 2) sum r^-3 that the on-site blocks read
-        return 2.0 * k0_pair_sums(config, delta)[1, 2, 2] / config.kappa
+        return 2.0 * _odd_zz_sum(config, delta) / config.kappa
     m2, w = _ring_pairs(config.n_ions)[2:]
     return float(np.sum(w * (m2 + 4.0 * delta * delta) ** -1.5))
 
@@ -505,7 +526,8 @@ def zigzag_root_gap(delta: float, config: ChainConfig) -> float:
     Differentiating the classical potential over the pair set gives
     ``G = 1 - kappa sum_m w (m^2 + 4 delta^2)^(-3/2)`` over the odd offsets m,
     the pairs the zigzag stretches; in bulk G(0) = 0 at kappa_c =
-    4 / (7 zeta(3)), where the transverse zone-edge mode softens.
+    4 / (7 zeta(3)), where the transverse zone-edge mode softens.  In bulk
+    the sum is the on-site blocks', to the bit, read without pair blocks.
     """
     return 1.0 - config.kappa * _odd_neighbor_sum(delta, config)
 

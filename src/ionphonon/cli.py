@@ -192,15 +192,15 @@ def _file_tokens(path: str) -> list[str]:
 def parse_config(argv: list[str]) -> RunConfig:
     """Resolve flags and optional config file into a RunConfig.
 
-    The file's tokens go in front of the flags, so one parser checks both
-    and flags override file values, which override defaults.  Raises
-    UsageError (or SystemExit(2) from argparse) on malformed input.
+    The flags are parsed once; with ``--config`` they are parsed again
+    behind the file's tokens, so one parser checks both and flags override
+    file values, which override defaults.  Raises UsageError (or
+    SystemExit(2) from argparse) on malformed input.
     """
     parser = _parser()
-    config = parser.parse_known_args(argv)[0].config
-    if config:
-        argv = _file_tokens(config) + argv
     rc = parser.parse_args(argv, namespace=RunConfig())
+    if rc.config:
+        rc = parser.parse_args(_file_tokens(rc.config) + argv, namespace=RunConfig())
     if rc.kappa is None:
         parser.error("--kappa is required (set it on the command line or in the config file)")
     rc.validate()

@@ -4,6 +4,8 @@ import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import zeta
 
 from ionphonon.bloch import (
@@ -35,6 +37,7 @@ from ionphonon.chain import (
     pair_offsets,
     polylog,
     solve_delta0,
+    zigzag_root_gap,
 )
 from ionphonon.errors import BareInstabilityError, DynamicalInstabilityError, PhysicsError
 from ionphonon.observables import PhononField
@@ -325,8 +328,9 @@ def mpmath_bloch_sums(kappa, delta0, k):
     Every m carries the power law kappa diag(-1, 1/2, 1/2) |m|^-3, whose
     sums are mpmath polylogarithms: Re Li3(e^{-2ik}) / 4 over the even m,
     2 Re Li3(e^{-ik}) less that over the odd m.  The rest of each odd-m
-    block, below 3 kappa c |m|^-5 (c = 4 delta0^2), is summed directly over
-    the pairs at +-m up to the |m| past which it adds below 1e-18.
+    block, below 3 kappa c |m|^-5 (c = 4 delta0^2) on the diagonal and
+    3 kappa delta0 |m|^-4 in xy, is summed directly over the pairs at +-m up
+    to the |m| past which both add below 1e-18.
     (mpmath's nsum of these slowly oscillating sums stops early at 20
     digits: off by 5.6e-11 at k = 0.224.)
     """
@@ -335,7 +339,7 @@ def mpmath_bloch_sums(kappa, delta0, k):
         even = float(mpmath.re(mpmath.polylog(3, mpmath.exp(-2j * k))) / 4)
         odd = float(2 * mpmath.re(mpmath.polylog(3, mpmath.exp(-1j * k)))) - even
     power = np.diag([-1.0, 0.5, 0.5]) * kappa
-    top = (0.75 * kappa * 4.0 * delta0**2 / 1e-18) ** 0.25
+    top = (max(0.75 * kappa * 4.0 * delta0**2, 3.0 * kappa * delta0) / 1e-18) ** 0.25
     m = np.arange(1.0, max(top, 9.0) + 2.0, 2.0)
     rest = pair_block(m, pair_dy(m, delta0), kappa) - power / m[:, None, None] ** 3
     diag = np.eye(3)
@@ -541,6 +545,27 @@ def test_bulk_lattice_sums_certify_their_tail():
     assert bulk_sum_bound(cfg, eq.delta0) > BULK_SUM_BUDGET
     with pytest.raises(ConvergenceError, match="certified to 2.48e-08"):
         CellCouplings(cfg, eq)
+
+
+@settings(deadline=None, max_examples=20)
+@given(kappa=st.floats(min_value=0.05, max_value=20.0), delta=st.floats(min_value=0.0, max_value=2.5),
+       k=st.floats(min_value=0.0, max_value=np.pi, exclude_min=True))
+def test_closed_form_bulk_sums_match_a_long_direct_sum(kappa, delta, k):
+    # the power laws in closed form plus the short remainder, at k = 0 and
+    # at a drawn k, within their certificate of mpmath_bloch_sums; and the
+    # root search's G, from the zz-only path, within twice it
+    from ionphonon.chain import bulk_sum_bound, fold_pair_blocks, half_pair_blocks, power_law_sums
+
+    cfg = ChainConfig(kappa=kappa, n_ions=8, boundary=Boundary.BULK)
+    bound = bulk_sum_bound(cfg, delta)
+    for twist in (0.0, k):
+        sums = fold_pair_blocks(*half_pair_blocks(cfg, delta), 2, twist=twist) \
+            + power_law_sums(cfg, delta, twist)[0]
+        oracle = mpmath_bloch_sums(kappa, delta, twist)
+        assert np.max(np.abs(sums - oracle)) <= bound
+    gap = zigzag_root_gap(delta, cfg)
+    assert abs(gap - (1.0 - 2.0 * mpmath_bloch_sums(kappa, delta, 0.0)[1][2, 2])) \
+        <= 2.0 * bound + np.finfo(float).eps
 
 
 @pytest.mark.xfail(strict=True, reason=(

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq, minimize_scalar
 from scipy.special import zeta
@@ -501,6 +501,40 @@ def test_bulk_remainder_is_short_and_set_by_delta0():
         assert 15 / 8 * delta * c**2 * top**-7 <= 2.0**-56
 
 
+@settings(deadline=None, max_examples=100)
+@given(kappa=st.floats(min_value=0.0, max_value=20.0, exclude_min=True),
+       alpha=st.sampled_from([0.7, 1.0, 1.5, 3.0]), delta=st.floats(min_value=0.0, max_value=64.0))
+@example(kappa=0.25, alpha=1.0, delta=0.0)
+# the bulk delta0 of the catalogue's zigzag couplings 0.5, 0.55, 0.65, 0.75
+@example(kappa=0.5, alpha=1.0, delta=0.09476186539392205)
+@example(kappa=0.55, alpha=1.5, delta=0.16392538961263456)
+@example(kappa=0.65, alpha=1.0, delta=0.24795827839490092)
+@example(kappa=0.75, alpha=1.5, delta=0.3079384061615133)
+def test_root_search_reads_the_odd_zz_sum_of_k0_pair_sums(kappa, alpha, delta):
+    # the zz-only path sums what the fold and the closed form add, in their
+    # order, so G and the bulk delta0 are those of the on-site blocks' sums
+    cfg = bulk(kappa, alpha=alpha)
+    assert chain._odd_zz_sum(cfg, delta) == chain.k0_pair_sums(cfg, delta)[1, 2, 2]
+
+
+def test_bulk_root_search_builds_no_pair_blocks(monkeypatch):
+    # solve_delta0 and the other readers of the root gap take the odd zz sum
+    # without 3 x 3 blocks or the closed-form block sums
+    calls = []
+    for name in ("fold_pair_blocks", "power_law_sums"):
+        def counted(*args, _name=name, _original=getattr(chain, name)):
+            calls.append(_name)
+            return _original(*args)
+        monkeypatch.setattr(chain, name, counted)
+    cfg = bulk(0.65)
+    eq = solve_delta0(cfg)
+    assert eq.is_zigzag and equilibrium_residual(cfg, eq) < 1e-12
+    assert critical_kappa_classical(cfg) == pytest.approx(KAPPA_C, rel=1e-15)
+    assert calls == []
+    chain.k0_pair_sums(cfg, eq.delta0)
+    assert calls == ["fold_pair_blocks", "power_law_sums"]  # the blocks' path is counted
+
+
 @settings(deadline=None, max_examples=20)
 @given(kappa=st.floats(min_value=KAPPA_C + 1e-3, max_value=1.5),
        alpha=st.sampled_from([1.0, 1.5]), n=st.integers(2, 32).map(lambda h: 2 * h))
@@ -550,6 +584,7 @@ def test_pair_dyadic_holds_the_entries_of_the_pair_block():
         block = pair_block(m, pair_dy(m, delta), kappa)
         assert entries.shape == (4, len(m))
         assert np.array_equal(entries, block[:, [0, 1, 2, 0], [0, 1, 2, 1]].T)
+        assert np.array_equal(pair_dyadic(m, pair_dy(m, delta), kappa, slice(2, 3)), entries[2:3])
         assert not np.any(block[:, :2, 2]) and not np.any(block[:, 2, :2])
 
 

@@ -154,6 +154,24 @@ class TestParsing:
             cli._parser.cache_clear()
         assert builds == ["ionphonon"]
 
+    def test_flags_are_parsed_once_without_a_config_file(self, monkeypatch, tmp_path):
+        # parse_args goes through parse_known_args; a config file adds the
+        # one parse of the flags behind its tokens
+        parser, calls = cli._parser(), []
+        original = parser.parse_known_args
+
+        def counting(*args, **kwargs):
+            calls.append(args[0])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(parser, "parse_known_args", counting)
+        assert parse_config(["equilibrium", "--kappa", "0.3"]).chain.kappa == 0.3
+        assert len(calls) == 1
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("kappa = 0.3\n", encoding="utf-8")
+        assert parse_config(["equilibrium", "--config", str(cfg)]).chain.kappa == 0.3
+        assert len(calls) == 3 and calls[-1][0] == "--kappa=0.3"
+
     @pytest.mark.parametrize("argv", [
         ["heat-capacity", "--t-steps", "-1"],
         ["susceptibility", "--omega-steps", "-3"],
