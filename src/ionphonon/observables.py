@@ -48,8 +48,8 @@ from .freeparticle import (
 
 
 # complex entries per chunk of a correlator table or susceptibility: their
-# temporaries stay under glibc's 128 KiB mmap threshold (16384 made a
-# 1024-ion ring's susceptibility 1.7x slower)
+# temporaries stay under glibc's 128 KiB mmap threshold (16384 runs a 1024-ion
+# ring's 601-point susceptibility 2.3x slower, 4000 1.3x)
 _CHUNK_ELEMENTS = 8000
 
 
@@ -275,16 +275,16 @@ def susceptibility(omega_grid: np.ndarray, component: tuple[str, int],
                    field: PhononField, eta: float = 1e-2) -> np.recarray:
     """Local dynamical susceptibility chi(omega) at T = 0, units d^2/omega_I.
 
-    Returns one record per grid point, fields ``omega`` and ``chi``.
-
-    chi(omega) = (1 / (2 lam^2 Omega_nu N_c)) sum_{k,gamma} |u - v|^2
-    [1/(omega + w + i eta) - 1/(omega - w + i eta)] evaluated at the driven
-    component (nu, s); |u - v|^2 is the squared position matrix element in
-    local-oscillator units (= Omega_nu / omega for the decoupled branches,
-    giving the exact static compliance).  The sign convention is the response
-    of the coordinate to the driving force: below the phonon band the ion
-    moves in phase (chi real positive) and above it in antiphase, so arg chi
-    steps from 0 to +-pi across the band.
+    One record per grid point, fields ``omega`` and ``chi``.  With z = omega
+    + i eta, a sum over the distinct poles w of the grid, one division each:
+    chi = (1 / (2 lam^2 Omega_nu N_k)) sum m W [1/(z + w) - 1/(z - w)]
+        = -(1 / (lam^2 Omega_nu N_k)) sum m W w / (z^2 - w^2).
+    W = |u - v|^2 at the driven component (nu, s), the squared position
+    matrix element in local-oscillator units (Omega_nu / w on decoupled
+    branches: the exact static compliance), is 0 outside its sector and
+    drops out; bitwise-equal (w, W), such as each -k row's copy of its +k
+    row, merge into one pole of multiplicity m.  arg chi steps from 0 (in
+    phase with the force, below the band) to +-pi (antiphase, above it).
     """
     nu, s = component
     if nu not in AXES or s not in (0, 1):
@@ -292,21 +292,20 @@ def susceptibility(omega_grid: np.ndarray, component: tuple[str, int],
     if not 0.0 < eta < np.inf:
         raise ValueError(f"eta must be positive and finite, got {eta}")
     i = _cell_index(s, AXES[nu])
-    weight = np.abs(field.u[:, :, i] - field.v[:, :, i]) ** 2 * field.mask
-    pref = weight / (
-        2.0 * field.config.lam**2 * field.couplings.omega_bare[i]
-    ) / len(field.k)
+    weight = np.abs((field.u[:, :, i] - field.v[:, :, i])[field.mask]) ** 2
+    # the key w + i W compares (w, W) bitwise and sorts faster than axis=0
+    poles, m = np.unique((field.omega[field.mask] + 1j * weight)[weight != 0.0],
+                         return_counts=True)
+    w = poles.real
+    residue = -m * poles.imag * w / (
+        field.config.lam**2 * field.couplings.omega_bare[i] * len(field.k))
     omega_grid = np.asarray(omega_grid, dtype=float)
-    w = field.omega
-    # omega chunks broadcast over (omega, k, mode) in a fixed element budget;
-    # each row is summed flat, bitwise as one omega's (k, mode) array was
-    step = max(1, _CHUNK_ELEMENTS // w.size)
+    # omega chunks in a fixed element budget; each row sums bitwise as alone
+    step = max(1, _CHUNK_ELEMENTS // max(1, len(w)))
     chi = np.empty(len(omega_grid), dtype=complex)
     for start in range(0, len(omega_grid), step):
-        om = omega_grid[start:start + step, None, None]
-        terms = 1.0 / (om + w + 1j * eta) - 1.0 / (om - w + 1j * eta)
-        chi[start:start + step] = np.sum(
-            (pref * terms * field.mask).reshape(len(om), -1), axis=1)
+        z = omega_grid[start:start + step, None] + 1j * eta
+        chi[start:start + step] = np.sum(residue / (z * z - w * w), axis=1)
     return np.rec.fromarrays([omega_grid, chi], names="omega,chi")
 
 

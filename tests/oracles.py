@@ -6,8 +6,9 @@ blocks whose four entries ``pair_dyadic`` keeps, the dense
 2D x 2D form behind the Hermitian reduction of ``symplectic``, the four
 ladder correlators that ``spatial_correlator`` combines in one sum, the
 one-request sum that ``correlator_table`` takes for many separations at
-once, and the explicit per-ion sums of a ring that ``heat_capacity`` and
-``correlation_energy`` take as zone averages.  The package itself never
+once, the explicit per-ion sums of a ring that ``heat_capacity`` and
+``correlation_energy`` take as zone averages, and the per-term sum that
+``susceptibility`` takes over distinct poles.  The package itself never
 calls them.
 """
 
@@ -25,7 +26,12 @@ from ionphonon.freeparticle import (
     thermal_p_squared,
     zero_mode_normal_form,
 )
-from ionphonon.observables import _bose, _einstein_heat, _enabled_sectors
+from ionphonon.observables import (
+    _CHUNK_ELEMENTS,
+    _bose,
+    _einstein_heat,
+    _enabled_sectors,
+)
 from ionphonon.symplectic import sigma_apply
 
 
@@ -246,3 +252,33 @@ def ring_correlation_energy(field):
     bare = float(np.sum(field.couplings.omega_bare))
     total = float(field.omega[field.mask].sum())
     return 0.5 * (total - field.n_cells * bare) / field.config.n_ions
+
+
+# ---------------------------------------------------------------------------
+# susceptibility term by term
+
+
+def per_term_susceptibility(omega_grid, component, field, eta=1e-2):
+    """chi(omega) as two divisions for every (omega, k, mode) of the field.
+
+    (1 / (2 lam^2 Omega_nu N_k)) sum_{k,gamma} |u - v|^2 [1/(omega + w +
+    i eta) - 1/(omega - w + i eta)], with the masked slots and the zero
+    weights multiplied in, in omega chunks of ``_CHUNK_ELEMENTS`` terms.
+    No validation; returns the chi array.
+    """
+    nu, s = component
+    i = _cell_index(s, AXES[nu])
+    weight = np.abs(field.u[:, :, i] - field.v[:, :, i]) ** 2 * field.mask
+    pref = weight / (
+        2.0 * field.config.lam**2 * field.couplings.omega_bare[i]
+    ) / len(field.k)
+    omega_grid = np.asarray(omega_grid, dtype=float)
+    w = field.omega
+    step = max(1, _CHUNK_ELEMENTS // w.size)
+    chi = np.empty(len(omega_grid), dtype=complex)
+    for start in range(0, len(omega_grid), step):
+        om = omega_grid[start:start + step, None, None]
+        terms = 1.0 / (om + w + 1j * eta) - 1.0 / (om - w + 1j * eta)
+        chi[start:start + step] = np.sum(
+            (pref * terms * field.mask).reshape(len(om), -1), axis=1)
+    return chi

@@ -43,6 +43,7 @@ from ionphonon.symplectic import build_quadratic_form, symplectic_diagonalize
 from oracles import (
     one_correlator,
     pair_correlators_k,
+    per_term_susceptibility,
     ring_correlation_energy,
     ring_heat_capacity,
     sectors,
@@ -840,3 +841,64 @@ def test_ring_zone_averages_are_the_per_ion_sums(n_ions, kappa, alpha, temperatu
         return
     assert heat == pytest.approx(ring_heat_capacity(temperature, field), rel=1e-14, abs=0.0)
     assert energy == pytest.approx(ring_correlation_energy(field), rel=1e-14, abs=0.0)
+
+
+@settings(deadline=None, max_examples=25)
+@given(boundary=st.sampled_from([Boundary.RING, Boundary.BULK]),
+       size=st.integers(2, 128),
+       kappa=st.floats(min_value=1e-6, max_value=1.0),
+       alpha=st.sampled_from([1.0, 1.5]),
+       nu=st.sampled_from(list(AXES)),
+       s=st.sampled_from([0, 1]),
+       eta=st.floats(min_value=1e-4, max_value=0.5))
+# the smallest ring, and a nearly flat band where many poles nearly coincide
+@example(boundary=Boundary.RING, size=2, kappa=0.3, alpha=1.0, nu="y", s=0, eta=1e-2)
+@example(boundary=Boundary.RING, size=16, kappa=1e-6, alpha=1.0, nu="y", s=0, eta=1e-3)
+@example(boundary=Boundary.BULK, size=64, kappa=1e-6, alpha=1.5, nu="z", s=1, eta=1e-3)
+def test_susceptibility_matches_the_per_term_sum(boundary, size, kappa, alpha, nu, s, eta):
+    # size is a ring's N / 2 or a bulk grid's n_k
+    if boundary is Boundary.RING:
+        field = PhononField(ring(kappa, 2 * size, alpha=alpha))
+    else:
+        field = PhononField(bulk(kappa, alpha=alpha), n_k=size)
+    grid = np.linspace(-0.5, 3.0, 71)
+    chi = susceptibility(grid, (nu, s), field, eta=eta).chi
+    oracle = per_term_susceptibility(grid, (nu, s), field, eta=eta)
+    assert np.max(np.abs(chi - oracle)) <= 1e-12 * np.max(np.abs(oracle))
+
+
+GLIDE_SIGN = {"x": 1.0, "y": -1.0, "z": 1.0}
+
+
+@settings(deadline=None, max_examples=20)
+@given(n_ions=st.integers(4, 64).map(lambda h: 2 * h),
+       kappa=st.floats(min_value=0.2, max_value=0.9),
+       alpha=st.sampled_from([1.0, 1.5]),
+       temperature=st.sampled_from([0.0, 0.4]))
+@example(n_ions=64, kappa=0.6, alpha=1.0, temperature=0.0)
+def test_ring_correlators_obey_exchange_and_the_glide_mirror(n_ions, kappa, alpha, temperature):
+    # exchange: <R_a(j) R_b(j - dj)> = <R_b(j) R_a(j + dj)>; glide (shift
+    # by one ion, then y -> -y): the s = 1 same-sublattice correlators are
+    # the s = 0 ones times sigma_nu sigma_nu'
+    try:
+        field = PhononField(ring(kappa, n_ions, alpha=alpha))
+        field.sectors()
+    except PhysicsError:
+        return
+
+    def table(s, sp, nu, nup, separations):
+        req = CorrelatorRequest(0, s, sp, nu, nup, temperature, True, True)
+        return correlator_table(req, field, separations)
+
+    # |C_ab| <= sqrt(C_aa C_bb): the largest same-site variance bounds them all
+    scale = max(table(0, 0, nu, nu, [0])[0] for nu in AXES)
+    separations = np.arange(field.n_cells)
+    for nu, nup in AXIS_PAIRS:
+        for s, sp in ((0, 0), (0, 1), (1, 0), (1, 1)):
+            exchanged = table(sp, s, nup, nu, separations)
+            assert np.max(np.abs(table(s, sp, nu, nup, -separations) - exchanged)) \
+                <= 1e-13 * scale, (nu, nup, s, sp)
+        sign = GLIDE_SIGN[nu] * GLIDE_SIGN[nup]
+        mirrored = sign * table(0, 0, nu, nup, separations)
+        assert np.max(np.abs(table(1, 1, nu, nup, separations) - mirrored)) \
+            <= 1e-13 * scale, (nu, nup)
