@@ -55,12 +55,15 @@ class QuadraticForm:
     Hamiltonian; its diagonal block is h = diag(omega_bare) + g.
 
     ``g`` is D x D Hermitian (real symmetric for real-space forms).  A
-    generic form has no ``generators`` (axes of ``chain.GENERATORS``).
+    generic form has no ``generators`` (axes of ``chain.GENERATORS``) and
+    no ``sectors``: ascending index arrays that partition range(D), between
+    which g is exactly zero (none: one sector of all D entries).
     """
 
     g: np.ndarray
     omega_bare: np.ndarray
     generators: tuple[int, ...] = ()
+    sectors: tuple[np.ndarray, ...] = ()
 
     @property
     def dimension(self) -> int:
@@ -69,6 +72,33 @@ class QuadraticForm:
     def validate(self) -> None:
         if not is_hermitian(self.g):
             raise ValueError("g is not Hermitian")
+        if not self.sectors:
+            return
+        if not (all(np.all(np.diff(i) > 0) for i in self.sectors) and np.array_equal(
+                np.sort(np.concatenate(self.sectors)), np.arange(self.dimension))):
+            raise ValueError("the sectors do not partition the entries in ascending order")
+        if len(_decoupled_sectors(self.g, _sector_labels(self))) < len(self.sectors):
+            raise ValueError("g couples two sectors of the form")
+
+
+def _sector_labels(form: QuadraticForm) -> np.ndarray:
+    """The sector of every entry of a form with sectors."""
+    labels = np.zeros(form.dimension, dtype=int)
+    for j, i in enumerate(form.sectors):
+        labels[i] = j
+    return labels
+
+
+def _decoupled_sectors(mat: np.ndarray, labels: np.ndarray) -> list[np.ndarray]:
+    """Ascending index sets of the classes of ``labels`` that ``mat`` leaves
+    uncoupled, in the order of their smallest class: classes joined by a
+    nonzero entry, directly or through other classes, share a sector."""
+    classes = (labels[:, None] == np.unique(labels)).astype(float)
+    links = classes.T @ np.abs(mat) @ classes != 0  # a sum of |entries| is 0 only if each is
+    reach = links | links.T | np.eye(len(links), dtype=bool)
+    for _ in range(len(links)):
+        reach = reach @ reach
+    return [np.flatnonzero(classes @ r) for a, r in enumerate(reach) if np.argmax(r) == a]
 
 
 def is_hermitian(g: np.ndarray) -> np.ndarray:
@@ -91,12 +121,15 @@ def build_quadratic_form(hessian: Hessian | np.ndarray,
     ``g = (1 - delta) V / (2 sqrt(Omega Omega'))`` (units m_I = 1).
     ``omega_bare`` is per flat index; every entry must be positive,
     otherwise the system is unstable at the single-site level.  The form
-    takes a Hessian's generators; a bare matrix has none.
+    takes a Hessian's generators, and its sectors from the exact zero
+    pattern of the matrix between the axis classes of ``axis_map``; a bare
+    matrix has neither.
     """
     if isinstance(hessian, Hessian):
         mat, generators = hessian.matrix, hessian.generators
+        sectors = _decoupled_sectors(mat, hessian.axis_map)
     else:
-        mat, generators = np.asarray(hessian), ()
+        mat, generators, sectors = np.asarray(hessian), (), []
     omega_bare = np.asarray(omega_bare, dtype=float)
     if np.any(omega_bare <= 0.0):
         raise BareInstabilityError(
@@ -105,7 +138,7 @@ def build_quadratic_form(hessian: Hessian | np.ndarray,
     denom = 2.0 * np.sqrt(np.outer(omega_bare, omega_bare))
     g = mat / denom
     np.fill_diagonal(g, 0.0)
-    return QuadraticForm(g, omega_bare, generators)
+    return QuadraticForm(g, omega_bare, generators, tuple(sectors) if len(sectors) > 1 else ())
 
 
 @dataclass
@@ -143,8 +176,9 @@ class ZeroModePair:
 @dataclass(frozen=True, eq=False)
 class NormalForm:
     """Result of a symplectic diagonalization: the modes at ``omega``
-    (ascending) with amplitudes ``u[m]``, ``v[m]`` (shape (M, D)), and the
-    zero pairs.  Read-only, so the cached certificate cannot go stale.
+    (ascending) with amplitudes ``u[m]``, ``v[m]`` (shape (M, D); on a form
+    with sectors, zero outside the mode's sector), and the zero pairs.
+    Read-only, so the cached certificate cannot go stale.
     """
 
     omega: np.ndarray
@@ -173,26 +207,42 @@ class NormalForm:
 
     @functools.cached_property
     def _residual(self) -> float:
-        """max |W Sigma_tilde W^dag Sigma - 1| from D x D blocks.
+        """max |W Sigma_tilde W^dag Sigma - 1| from D x D blocks, per sector.
 
         With x = (u, -v), y = (-v, u) the modes add [[P, Q], [Q, P]], P =
         sum u u^dag - v v^dag, Q = sum u v^dag - v u^dag; a zero pair p =
         (i a, i a), q = (b, -b) (a, b real) adds X + X^T to P and X - X^T to
         Q, X = a b^T.  The residual is max(|P - 1|, |Q|), real on real forms.
+        When each mode and zero pair lies in one sector, P and Q vanish
+        between sectors: each sector's block takes its own rows alone.
         """
         dim = self.dimension
         u, v = self.u, self.v
-        p_blk = u.T @ u.conj() - v.T @ v.conj()
-        x = u.T @ v.conj()
-        if self.zero_pairs:
-            a = np.array([zp.p[:dim].imag for zp in self.zero_pairs])
-            b = np.array([zp.q[:dim].real for zp in self.zero_pairs])
-            pairs = a.T @ b
-            p_blk += pairs + pairs.T
-            x += pairs
-        p_blk[np.diag_indices(dim)] -= 1.0
-        q_blk = x - x.conj().T
-        return float(max(np.max(np.abs(p_blk)), np.max(np.abs(q_blk))))
+        a = np.array([zp.p[:dim].imag for zp in self.zero_pairs]).reshape(-1, dim)
+        b = np.array([zp.q[:dim].real for zp in self.zero_pairs]).reshape(-1, dim)
+        if not self.form.sectors:
+            return _completeness_block(u, v, a, b)
+        labels = _sector_labels(self.form)
+        support = np.vstack([(u != 0) | (v != 0), (a != 0) | (b != 0)])
+        home = labels[np.argmax(support, axis=1)]
+        if np.any(support & (labels != home[:, None])):
+            return _completeness_block(u, v, a, b)
+        home = home[:len(u)]
+        return max(_completeness_block(u[home == j][:, i], v[home == j][:, i], a[:, i], b[:, i])
+                   for j, i in enumerate(self.form.sectors))
+
+
+def _completeness_block(u, v, a, b) -> float:
+    """max(|P - 1|, |Q|) of :attr:`NormalForm._residual` on one block."""
+    p_blk = u.T @ u.conj() - v.T @ v.conj()
+    x = u.T @ v.conj()
+    if len(a):
+        pairs = a.T @ b
+        p_blk += pairs + pairs.T
+        x += pairs
+    p_blk[np.diag_indices(len(p_blk))] -= 1.0
+    q_blk = x - x.conj().T
+    return float(max(np.max(np.abs(p_blk)), np.max(np.abs(q_blk))))
 
 
 def _zero_threshold(lam_scale, omega_scale: float):
@@ -254,6 +304,10 @@ def symplectic_diagonalize(form: QuadraticForm,
                            p_norm: float | None = None) -> NormalForm:
     """Full normal form of a quadratic bosonic coupling matrix.
 
+    One ``bogoliubov_stack`` per sector of the form (one of all D entries
+    without ``form.sectors``); the modes of all sectors come out together,
+    in ascending omega, with dense (M, D) ``u`` and ``v``.
+
     Parameters
     ----------
     form : QuadraticForm
@@ -264,13 +318,17 @@ def symplectic_diagonalize(form: QuadraticForm,
         the form names (``form.generators``): the x translation moves every
         axis-0 entry by 1, the rotation about the trap axis the axis-2
         entries by (-1)^l in order.  Each gives one zero pair, labelled by
-        ``chain.GENERATORS``.  Without an axis_map a form has no zero pairs.
+        ``chain.GENERATORS``, and is shifted out of the sector that holds
+        it.  Without an axis_map a form has no zero pairs.
     p_norm : float, optional
         Target p^dag p for zero pairs (the ion number for chain problems).
         Defaults to the block dimension.
 
     Raises
     ------
+    ValueError
+        If the axis_map places a generator on no entry, or on entries of
+        more than one sector.
     DynamicalInstabilityError
         If any squared frequency is negative beyond tolerance; the error
         carries the offending imaginary frequencies.
@@ -283,21 +341,35 @@ def symplectic_diagonalize(form: QuadraticForm,
     dim = form.dimension
     omega_scale = float(np.max(omega_bare))
     s = np.sqrt(omega_bare)
-    k_mat = k_matrix(form.g, omega_bare)
-    # Gershgorin bound on the spectrum of s K s
-    bound = float(np.max(s * (np.abs(k_mat) @ s)))
-    kernel_tol = _zero_threshold(bound, omega_scale)
+    sectors = form.sectors or (slice(None),)
+    k_mats = ([k_matrix(form.g[i][:, i], omega_bare[i]) for i in form.sectors]
+              or [k_matrix(form.g, omega_bare)])
+    generators = () if axis_map is None else form.generators
+    if generators:
+        # Gershgorin bound on the spectrum of s K s
+        bound = max(float(np.max(s[i] * (np.abs(k) @ s[i]))) for i, k in zip(sectors, k_mats))
+        kernel_tol = _zero_threshold(bound, omega_scale)
+    labels = _sector_labels(form) if form.sectors else None
     c = np.sqrt((dim if p_norm is None else p_norm) / 2.0)
     zero_pairs: list[ZeroModePair] = []
-    for axis in () if axis_map is None else form.generators:
+    shifted = [0] * len(sectors)
+    for axis in generators:
         label = GENERATORS[axis][0]
-        rows = np.flatnonzero(axis_map == axis)
+        rows = local = np.flatnonzero(axis_map == axis)
         if not len(rows):
             raise ValueError(f"axis_map places the {label} generator on no entry")
+        j = 0
+        if labels is not None:
+            j = labels[rows[0]]
+            if np.any(labels[rows] != j):
+                raise ValueError(f"axis_map places the {label} generator in more than one sector")
+            local = np.searchsorted(sectors[j], rows)
+        i, k_mat = sectors[j], k_mats[j]
         t = np.zeros(dim)
         sign = 1.0 if axis == 0 else (-1.0) ** np.arange(len(rows))
         t[rows] = sign / np.sqrt(len(rows))
-        defect = np.linalg.norm(s * (k_mat @ (s * t)))
+        st = s * t
+        defect = np.linalg.norm(s[i] * (k_mat @ st[i]))
         if defect > kernel_tol:
             raise ZeroModeToleranceError(
                 f"the {label} generator is no zero mode: |s K s t| = {defect:.3g} "
@@ -305,8 +377,9 @@ def symplectic_diagonalize(form: QuadraticForm,
         # s K s gains 2 bound t t^T, far above the spectrum; the axis classes
         # are disjoint, so the next generator's test still sees K
         shift = t[rows] / s[rows]
-        k_mat[np.ix_(rows, rows)] += 2.0 * bound * np.outer(shift, shift)
-        w = s * t / np.linalg.norm(s * t)  # a unit kernel vector of K
+        k_mat[np.ix_(local, local)] += 2.0 * bound * np.outer(shift, shift)
+        shifted[j] += 1
+        w = st / np.linalg.norm(st)  # a unit kernel vector of K
         u0 = 1j * c * w
         p = np.concatenate([u0, u0])  # (u0, -u0*) with u0 purely imaginary
         mu = 2.0 * c * c * float(np.sum(w * w / omega_bare))
@@ -319,9 +392,13 @@ def symplectic_diagonalize(form: QuadraticForm,
             )
         zero_pairs.append(ZeroModePair(p, q, mu, label))
 
-    lam, _, omega, u, v = (a[0] for a in bogoliubov_stack(k_mat[None], omega_bare))
-    n_modes = dim - len(zero_pairs)  # the shifted generators are the top columns
-    lam = lam[:n_modes]
+    parts = []
+    for i, k_mat, n_shifted in zip(sectors, k_mats, shifted):
+        lam, _, omega, u, v = (a[0] for a in bogoliubov_stack(k_mat[None], omega_bare[i]))
+        n_modes = len(lam) - n_shifted  # the shifted generators are the top columns
+        parts.append((lam[:n_modes], omega[:n_modes], u[:n_modes], v[:n_modes]))
+    del k_mats, k_mat
+    lam, omega, u, v = parts[0] if len(parts) == 1 else _merge_sectors(form.sectors, parts, dim)
     lam_tol = _zero_threshold(np.max(np.abs(lam)), omega_scale)
     if lam[0] < -lam_tol:
         bad = np.sqrt(-lam[lam < -lam_tol])
@@ -334,7 +411,19 @@ def symplectic_diagonalize(form: QuadraticForm,
         raise ZeroModeToleranceError(
             f"{np.sum(lam <= lam_tol)} zero mode(s) that no symmetry generator "
             f"explains (ZERO_MODE_TOL = {ZERO_MODE_TOL:g}): a soft mode at a transition")
-    return NormalForm(omega[:n_modes], u[:n_modes], v[:n_modes], zero_pairs, form)
+    return NormalForm(omega, u, v, zero_pairs, form)
+
+
+def _merge_sectors(sectors, parts, dim):
+    """lam, omega, u and v of every sector's modes in ascending lam, each
+    sector's amplitudes in its columns of dense (M, D) arrays."""
+    lam, omega = (np.concatenate([part[n] for part in parts]) for n in (0, 1))
+    order = np.argsort(lam, kind="stable")
+    rows = np.split(np.argsort(order), np.cumsum([len(part[0]) for part in parts[:-1]]))
+    u, v = (np.zeros((len(lam), dim), dtype=parts[0][2].dtype) for _ in range(2))
+    for i, r, (_, _, u_sec, v_sec) in zip(sectors, rows, parts):
+        u[r[:, None], i], v[r[:, None], i] = u_sec, v_sec
+    return lam[order], omega[order], u, v
 
 
 def sigma_apply(vec: np.ndarray) -> np.ndarray:

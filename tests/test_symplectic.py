@@ -569,3 +569,126 @@ def test_ring_full_space_invariants(kappa, alpha, n):
         assert axis is not None and (zp.label == "longitudinal") == (axis == 0)
     full = np.sort(np.concatenate([nf.omega, np.zeros(len(nf.zero_pairs))]))
     assert np.max(np.abs(full - np.sort(bands.omega.ravel()))) <= 1e-10
+
+
+class TestSectors:
+    """A full-space form carries the sectors its Hessian leaves uncoupled;
+    each is diagonalized and certified on its own."""
+
+    @pytest.mark.parametrize("boundary", [Boundary.RING, Boundary.BULK])
+    @pytest.mark.parametrize("kappa, axes", [(0.3, [[0], [1], [2]]), (0.6, [[0, 1], [2]])])
+    def test_linear_chain_has_three_sectors_and_the_zigzag_two(self, boundary, kappa, axes):
+        cfg = ChainConfig(kappa=kappa, n_ions=16, boundary=boundary)
+        hess = build_hessian(cfg, solve_delta0(cfg))
+        form = build_quadratic_form(hess, omega_from_hessian(hess))
+        assert [sorted(set(hess.axis_map[i])) for i in form.sectors] == axes
+        form.validate()
+
+    def test_bare_matrix_and_cell_blocks_carry_none(self):
+        from ionphonon.bloch import CellCouplings, ring_momenta
+
+        assert build_quadratic_form(np.eye(3), np.ones(3)).sectors == ()
+        cfg = ChainConfig(kappa=0.3, n_ions=16)
+        couplings = CellCouplings(cfg, solve_delta0(cfg))
+        assert couplings.block(float(ring_momenta(16)[-3])).sectors == ()
+        assert couplings.normal_form(0.0).form.sectors == ()
+
+    @pytest.mark.parametrize("sectors", [
+        (np.array([0, 1]), np.array([1, 2])),   # overlap
+        (np.array([0]), np.array([2])),         # a gap
+        (np.array([1, 0]), np.array([2])),      # not ascending
+    ])
+    def test_validate_rejects_sectors_that_are_no_partition(self, sectors):
+        form = QuadraticForm(np.zeros((3, 3)), np.ones(3), sectors=sectors)
+        with pytest.raises(ValueError, match="partition"):
+            form.validate()
+
+    def test_validate_rejects_g_between_sectors(self):
+        g = np.zeros((3, 3))
+        g[0, 2] = g[2, 0] = 1e-300
+        form = QuadraticForm(g, np.ones(3), sectors=(np.array([0, 1]), np.array([2])))
+        with pytest.raises(ValueError, match="couples two sectors"):
+            form.validate()
+
+    def test_a_generator_split_across_sectors_is_named(self):
+        cfg = ChainConfig(kappa=0.3, n_ions=8)
+        hess = build_hessian(cfg, solve_delta0(cfg))
+        form = build_quadratic_form(hess, omega_from_hessian(hess))
+        axis_map = hess.axis_map.copy()
+        axis_map[1] = 0  # a y entry joins the x translation
+        with pytest.raises(ValueError, match="longitudinal generator in more than one sector"):
+            symplectic_diagonalize(form, axis_map=axis_map, p_norm=8)
+
+    @pytest.mark.parametrize("kappa", [0.3, 0.6])
+    def test_completeness_flags_a_missing_mode(self, kappa):
+        nf, _ = chain_normal_form(kappa, 8)
+        assert nf.form.sectors
+        assert completeness_residual(without_rows(nf, slice(1, None))) > 0.1
+
+    def test_rows_mixed_across_sectors_take_the_whole_block(self):
+        # rotating two mode rows of different sectors leaves P and Q as
+        # they are, but puts entries between the sectors
+        nf, _ = chain_normal_form(0.6, 16)
+        rows = [int(np.flatnonzero(np.any(nf.u[:, i] != 0, axis=1))[0]) for i in nf.form.sectors]
+        rot = np.eye(len(nf.omega))
+        rot[np.ix_(rows, rows)] = [[0.6, 0.8], [-0.8, 0.6]]
+        mixed = NormalForm(nf.omega, rot @ nf.u, rot @ nf.v, nf.zero_pairs, nf.form)
+        assert completeness_residual(mixed) <= 1e-13
+        missing = without_rows(mixed, slice(1, None))
+        whole = dataclasses.replace(nf.form, sectors=())
+        assert completeness_residual(missing) == completeness_residual(
+            NormalForm(missing.omega, missing.u, missing.v, nf.zero_pairs, whole)) > 0.01
+
+
+@settings(deadline=None, max_examples=100)
+@given(kappa=st.floats(min_value=0.2, max_value=0.9),
+       alpha=st.sampled_from([1.0, 1.5]), n=st.integers(2, 24).map(lambda h: 2 * h),
+       boundary=st.sampled_from([Boundary.RING, Boundary.BULK]), linear=st.booleans())
+# 1e-10 below and above the 16-ion ring's kappa_c, and at it (a PhysicsError)
+@example(kappa=0.47712086681022276, alpha=1.0, n=16, boundary=Boundary.RING, linear=False)
+@example(kappa=0.47712086701022277, alpha=1.0, n=16, boundary=Boundary.RING, linear=False)
+@example(kappa=0.47712086691022276, alpha=1.0, n=16, boundary=Boundary.RING, linear=False)
+@example(kappa=0.47712086701022277, alpha=1.5, n=16, boundary=Boundary.RING, linear=False)
+# the same beside the bulk kappa_c
+@example(kappa=0.47537564137468997, alpha=1.0, n=16, boundary=Boundary.BULK, linear=False)
+@example(kappa=0.47537564157468997, alpha=1.0, n=16, boundary=Boundary.BULK, linear=False)
+@example(kappa=0.47537564147468997, alpha=1.5, n=8, boundary=Boundary.BULK, linear=False)
+# the linear configuration above kappa_c: imaginary frequencies
+@example(kappa=0.6, alpha=1.0, n=32, boundary=Boundary.RING, linear=True)
+def test_sectors_match_the_one_eigh_path(kappa, alpha, n, boundary, linear):
+    """The sectors give the one-``eigh`` path's normal form: omega^2 within
+    1e-12 of the largest, the same zero pairs and masses, both complete; or
+    the same PhysicsError, with the same imaginary frequencies.  ``linear``
+    expands around delta0 = 0, which is unstable above kappa_c.
+
+    omega^2 is what both paths compute to rounding; omega = sqrt(omega^2)
+    magnifies that rounding at a soft mode: 1e-10 above the bulk kappa_c,
+    omega^2 = 4.2e-10 agrees to 4.7e-16 and omega = 2.05e-5 to 1.2e-11."""
+    cfg = ChainConfig(kappa=kappa, alpha=alpha, n_ions=n, boundary=boundary)
+    try:
+        hess = build_hessian(cfg, Equilibrium(0.0) if linear else solve_delta0(cfg))
+        form = build_quadratic_form(hess, omega_from_hessian(hess))
+    except PhysicsError:
+        return
+    assert len(form.sectors) in (2, 3)
+    outcomes = []
+    for f in (form, dataclasses.replace(form, sectors=())):
+        try:
+            outcomes.append(symplectic_diagonalize(f, axis_map=hess.axis_map, p_norm=n))
+        except PhysicsError as exc:
+            outcomes.append(exc)
+    split, whole = outcomes
+    assert type(split) is type(whole)
+    if isinstance(whole, DynamicalInstabilityError):
+        squares = [np.sort(np.square(np.imag(e.frequencies))) for e in outcomes]
+        assert len(squares[0]) == len(squares[1])
+        assert np.max(np.abs(squares[0] - squares[1])) <= 1e-12
+    if isinstance(whole, PhysicsError):
+        return
+    squares = [np.square(nf.omega) for nf in outcomes]
+    assert np.max(np.abs(squares[0] - squares[1])) <= 1e-12 * np.max(squares[1])
+    assert [zp.label for zp in split.zero_pairs] == [zp.label for zp in whole.zero_pairs]
+    for zp, zp_whole in zip(split.zero_pairs, whole.zero_pairs):
+        assert zp.m_tilde == pytest.approx(zp_whole.m_tilde, rel=1e-12)
+    assert completeness_residual(split) <= W_RESIDUAL_TOL
+    assert completeness_residual(whole) <= W_RESIDUAL_TOL
