@@ -360,14 +360,13 @@ def half_pair_blocks(config: ChainConfig, delta0: float,
     return m, pair_dyadic(m, pair_dy(m, delta0), config.kappa * w, rows)
 
 
-def fold_pair_blocks(m: np.ndarray, entries: np.ndarray, n_sites: int,
-                     twist: float = 0.0) -> np.ndarray:
-    """sum_m B(m) e^{-i twist m} over each offset class m mod n_sites.
+def fold_pair_entries(m: np.ndarray, entries: np.ndarray, n_sites: int,
+                      twist: float = 0.0) -> np.ndarray:
+    """sum_m B(m) e^{-i twist m} over each offset class m mod n_sites, per entry.
 
     ``(m, entries)`` is the m > 0 half of :func:`half_pair_blocks`, mirrored
     here to -m.  The sum runs over the pair blocks seen from an even ion;
-    shape (n_sites, 3, 3), complex when twisted: the one place 3 x 3 pair
-    blocks are built.
+    shape (4, n_sites) in the entries xx, yy, zz, xy, complex when twisted.
     """
     signed = np.concatenate([-m[::-1], m])
     both = np.concatenate([entries[:, ::-1] * [[1], [1], [1], [-1]], entries], axis=1)
@@ -378,8 +377,15 @@ def fold_pair_blocks(m: np.ndarray, entries: np.ndarray, n_sites: int,
     # m, the pair set's order
     bins = np.mod(signed, n_sites) + n_sites * np.arange(len(both))[:, None]
     sums = np.bincount(bins.ravel(), both.ravel(), minlength=len(both) * n_sites)
-    sums = sums.reshape(-1, n_sites)
-    sums = sums[:4] + 1j * sums[4:] if twist else sums
+    sums = sums.astype(float, copy=False).reshape(-1, n_sites)  # float with no pairs too
+    return sums[:4] + 1j * sums[4:] if twist else sums
+
+
+def fold_pair_blocks(m: np.ndarray, entries: np.ndarray, n_sites: int,
+                     twist: float = 0.0) -> np.ndarray:
+    """The 3 x 3 blocks of :func:`fold_pair_entries`, shape (n_sites, 3, 3):
+    the one place 3 x 3 pair blocks are built."""
+    sums = fold_pair_entries(m, entries, n_sites, twist)
     out = np.zeros((n_sites, 3, 3), dtype=sums.dtype)
     rows, cols = [0, 1, 2, 0], [0, 1, 2, 1]  # xx, yy, zz, xy; xy is odd in m
     out[:, rows, cols] = out[:, cols, rows] = sums.T

@@ -70,15 +70,25 @@ class QuadraticForm:
         return len(self.omega_bare)
 
     def validate(self) -> None:
-        if not is_hermitian(self.g):
-            raise ValueError("g is not Hermitian")
+        """Raise ValueError unless g is Hermitian and zero between sectors.
+
+        With sectors, g vanishes between them once the coupling check has
+        passed, so Hermiticity is checked on each sector's diagonal block,
+        against the scale of the whole g (``is_hermitian``).
+        """
         if not self.sectors:
+            if not is_hermitian(self.g):
+                raise ValueError("g is not Hermitian")
             return
         if not (all(np.all(np.diff(i) > 0) for i in self.sectors) and np.array_equal(
                 np.sort(np.concatenate(self.sectors)), np.arange(self.dimension))):
             raise ValueError("the sectors do not partition the entries in ascending order")
-        if len(_decoupled_sectors(self.g, _sector_labels(self))) < len(self.sectors):
+        magnitude = np.abs(self.g)
+        if len(_decoupled_sectors(magnitude, _sector_labels(self))) < len(self.sectors):
             raise ValueError("g couples two sectors of the form")
+        scale = max(1.0, float(np.max(magnitude)))
+        if not all(is_hermitian(self.g[i][:, i], scale) for i in self.sectors):
+            raise ValueError("g is not Hermitian")
 
 
 def _sector_labels(form: QuadraticForm) -> np.ndarray:
@@ -89,22 +99,24 @@ def _sector_labels(form: QuadraticForm) -> np.ndarray:
     return labels
 
 
-def _decoupled_sectors(mat: np.ndarray, labels: np.ndarray) -> list[np.ndarray]:
-    """Ascending index sets of the classes of ``labels`` that ``mat`` leaves
-    uncoupled, in the order of their smallest class: classes joined by a
-    nonzero entry, directly or through other classes, share a sector."""
+def _decoupled_sectors(magnitude: np.ndarray, labels: np.ndarray) -> list[np.ndarray]:
+    """Ascending index sets of the classes of ``labels`` that a matrix of
+    entry magnitudes ``magnitude`` leaves uncoupled, in the order of their
+    smallest class: classes joined by a nonzero entry, directly or through
+    other classes, share a sector."""
     classes = (labels[:, None] == np.unique(labels)).astype(float)
-    links = classes.T @ np.abs(mat) @ classes != 0  # a sum of |entries| is 0 only if each is
+    links = classes.T @ magnitude @ classes != 0  # a sum of |entries| is 0 only if each is
     reach = links | links.T | np.eye(len(links), dtype=bool)
     for _ in range(len(links)):
         reach = reach @ reach
     return [np.flatnonzero(classes @ r) for a, r in enumerate(reach) if np.argmax(r) == a]
 
 
-def is_hermitian(g: np.ndarray) -> np.ndarray:
+def is_hermitian(g: np.ndarray, scale: float | None = None) -> np.ndarray:
     """Whether each form of a stack (the last two axes) has a Hermitian g,
-    within ``HERMITIAN_TOL * max(1, max|g|)``."""
-    scale = np.maximum(1.0, np.max(np.abs(g), axis=(-2, -1)))
+    within ``HERMITIAN_TOL * scale``; the scale defaults to max(1, max|g|)."""
+    if scale is None:
+        scale = np.maximum(1.0, np.max(np.abs(g), axis=(-2, -1)))
     defect = np.max(np.abs(g - np.swapaxes(g, -2, -1).conj()), axis=(-2, -1))
     return defect <= HERMITIAN_TOL * scale
 
@@ -127,7 +139,7 @@ def build_quadratic_form(hessian: Hessian | np.ndarray,
     """
     if isinstance(hessian, Hessian):
         mat, generators = hessian.matrix, hessian.generators
-        sectors = _decoupled_sectors(mat, hessian.axis_map)
+        sectors = _decoupled_sectors(np.abs(mat), hessian.axis_map)
     else:
         mat, generators, sectors = np.asarray(hessian), (), []
     omega_bare = np.asarray(omega_bare, dtype=float)
@@ -245,7 +257,7 @@ def _completeness_block(u, v, a, b) -> float:
     return float(max(np.max(np.abs(p_blk)), np.max(np.abs(q_blk))))
 
 
-def _zero_threshold(lam_scale, omega_scale: float):
+def zero_threshold(lam_scale, omega_scale: float):
     """``lam_tol`` of forms whose |lam| reach ``lam_scale``."""
     # a defective zero pair splits as sqrt(roundoff) under assembly noise, so
     # the omega^2 threshold needs a generous machine floor; it stays several
@@ -254,40 +266,40 @@ def _zero_threshold(lam_scale, omega_scale: float):
     return np.maximum((ZERO_MODE_TOL * omega_scale) ** 2, lam_floor)
 
 
-def bogoliubov_stack(k_mat: np.ndarray,
-                     omega_bare: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Bogoliubov step of a stack of forms that share ``omega_bare``.
-
-    ``k_mat`` holds ``K = k_matrix(g, omega_bare)`` per form, shape
-    (n, D, D).  One stacked ``eigh`` of ``Omega^(1/2) K Omega^(1/2)`` gives
-    per form the ascending ``lam = omega^2`` and the zero threshold
-    ``lam_tol = (ZERO_MODE_TOL max(omega_bare))^2`` with a machine-precision
-    floor.  Every column with ``lam > lam_tol`` is a mode: ``omega[i, m] =
-    sqrt(lam[i, m])`` and Sigma-normalized amplitudes ``u[i, m]``,
-    ``v[i, m]``, phased so that the largest entry of u is real and positive.
-    Columns with ``lam <= 0`` hold omega = 0 and u = v = 0.
-
-    Returns ``lam, lam_tol, omega, u, v``.
-    """
+def _bogoliubov(k_mat: np.ndarray, omega_bare: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Ascending ``lam = omega^2`` and the modes of one form: one ``eigh`` of
+    ``Omega^(1/2) K Omega^(1/2)`` (``K = k_matrix(g, omega_bare)``), then
+    :func:`bogoliubov_amplitudes`.  Returns ``lam, omega, u, v``."""
     s = np.sqrt(omega_bare)
     lam, phi = np.linalg.eigh(s[:, None] * k_mat * s[None, :])
-    omega_scale = float(np.max(omega_bare))
-    lam_tol = _zero_threshold(np.max(np.abs(lam), axis=-1), omega_scale)
-    # amplitudes for every lam > 0, not only above lam_tol: a caller that
-    # shifted columns out takes lam_tol from the rest; lam <= 0 gets a
-    # placeholder omega = 1, cleared below
+    return (lam, *bogoliubov_amplitudes(lam, phi.T, omega_bare))
+
+
+def bogoliubov_amplitudes(lam: np.ndarray, phi: np.ndarray,
+                          omega_bare: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Modes of unit eigenvectors ``phi[..., m, :]`` of ``Omega^(1/2) K
+    Omega^(1/2)`` with eigenvalues ``lam[..., m]``.
+
+    Every column with ``lam > 0`` gets ``omega = sqrt(lam)`` and
+    Sigma-normalized amplitudes ``u[..., m, :]``, ``v[..., m, :]``, phased
+    so that the largest entry of u is real and positive; columns with
+    ``lam <= 0`` hold omega = 0 and u = v = 0.  ``phi`` is overwritten.
+    Returns ``omega, u, v``.
+    """
+    s = np.sqrt(omega_bare)
+    # amplitudes for every lam > 0, not only above a zero threshold: a
+    # caller that shifted columns out takes its threshold from the rest;
+    # lam <= 0 gets a placeholder omega = 1, cleared below
     positive = lam > 0.0
     omega = np.sqrt(np.where(positive, lam, 1.0))[..., None]
-    phi_hat = np.swapaxes(phi, -2, -1)  # [form, mode, component]
     # u = (x + p) / 2 sqrt(omega), v = (p - x) / 2 sqrt(omega) with x = s phi
     # and p = omega phi / s, in place: full-space forms are 3N x 3N
-    x_part = s * phi_hat
-    u = omega * phi_hat
-    del phi, phi_hat
+    u = omega * phi
     u /= s
+    x_part = phi
+    x_part *= s
     v = u - x_part
     u += x_part
-    del x_part
     u /= 2.0 * np.sqrt(omega)
     v /= 2.0 * np.sqrt(omega)
     u_max = np.take_along_axis(u, np.argmax(np.abs(u), axis=-1)[..., None], axis=-1)
@@ -296,7 +308,40 @@ def bogoliubov_stack(k_mat: np.ndarray,
     v *= phase
     u[~positive] = 0.0
     v[~positive] = 0.0
-    return lam, lam_tol, np.where(positive, omega[..., 0], 0.0), u, v
+    return np.where(positive, omega[..., 0], 0.0), u, v
+
+
+def generator_pair(axis: int, axis_map: np.ndarray, omega_bare: np.ndarray,
+                   p_norm: float) -> tuple[np.ndarray, ZeroModePair]:
+    """The unit generator t of ``axis`` (``chain.GENERATORS``) on the
+    entries of ``axis_map``, and its zero pair with p^dag p = ``p_norm``.
+
+    The x translation moves every axis-0 entry by 1, the rotation about the
+    trap axis the axis-2 entries by (-1)^l in order.  The pair reads t and
+    ``omega_bare`` alone: p = (i c w, i c w) with w the unit kernel vector
+    Omega^(1/2) t of K, and q = c (w / Omega, -w / Omega) / m_tilde.
+    """
+    label = GENERATORS[axis][0]
+    rows = np.flatnonzero(axis_map == axis)
+    if not len(rows):
+        raise ValueError(f"axis_map places the {label} generator on no entry")
+    t = np.zeros(len(omega_bare))
+    sign = 1.0 if axis == 0 else (-1.0) ** np.arange(len(rows))
+    t[rows] = sign / np.sqrt(len(rows))
+    c = np.sqrt(p_norm / 2.0)
+    st = np.sqrt(omega_bare) * t
+    w = st / np.linalg.norm(st)  # a unit kernel vector of K
+    u0 = 1j * c * w
+    p = np.concatenate([u0, u0])  # (u0, -u0*) with u0 purely imaginary
+    mu = 2.0 * c * c * float(np.sum(w * w / omega_bare))
+    q_top = c * (w / omega_bare) / mu
+    q = np.concatenate([q_top, -q_top]).astype(complex)
+    overlap = np.vdot(q, sigma_apply(p))
+    if abs(overlap - 1j) > 1e-9:
+        raise InternalConsistencyError(
+            f"zero-pair scalar product (q|p) = {overlap}, expected i"
+        )
+    return t, ZeroModePair(p, q, mu, label)
 
 
 def symplectic_diagonalize(form: QuadraticForm,
@@ -304,9 +349,9 @@ def symplectic_diagonalize(form: QuadraticForm,
                            p_norm: float | None = None) -> NormalForm:
     """Full normal form of a quadratic bosonic coupling matrix.
 
-    One ``bogoliubov_stack`` per sector of the form (one of all D entries
-    without ``form.sectors``); the modes of all sectors come out together,
-    in ascending omega, with dense (M, D) ``u`` and ``v``.
+    One ``eigh`` per sector of the form (one of all D entries without
+    ``form.sectors``); the modes of all sectors come out together, in
+    ascending omega, with dense (M, D) ``u`` and ``v``.
 
     Parameters
     ----------
@@ -348,58 +393,42 @@ def symplectic_diagonalize(form: QuadraticForm,
     if generators:
         # Gershgorin bound on the spectrum of s K s
         bound = max(float(np.max(s[i] * (np.abs(k) @ s[i]))) for i, k in zip(sectors, k_mats))
-        kernel_tol = _zero_threshold(bound, omega_scale)
+        kernel_tol = zero_threshold(bound, omega_scale)
     labels = _sector_labels(form) if form.sectors else None
-    c = np.sqrt((dim if p_norm is None else p_norm) / 2.0)
     zero_pairs: list[ZeroModePair] = []
     shifted = [0] * len(sectors)
     for axis in generators:
-        label = GENERATORS[axis][0]
-        rows = local = np.flatnonzero(axis_map == axis)
-        if not len(rows):
-            raise ValueError(f"axis_map places the {label} generator on no entry")
+        t, pair = generator_pair(axis, axis_map, omega_bare,
+                                 dim if p_norm is None else p_norm)
+        rows = local = np.flatnonzero(t)
         j = 0
         if labels is not None:
             j = labels[rows[0]]
             if np.any(labels[rows] != j):
-                raise ValueError(f"axis_map places the {label} generator in more than one sector")
+                raise ValueError(
+                    f"axis_map places the {pair.label} generator in more than one sector")
             local = np.searchsorted(sectors[j], rows)
         i, k_mat = sectors[j], k_mats[j]
-        t = np.zeros(dim)
-        sign = 1.0 if axis == 0 else (-1.0) ** np.arange(len(rows))
-        t[rows] = sign / np.sqrt(len(rows))
-        st = s * t
-        defect = np.linalg.norm(s[i] * (k_mat @ st[i]))
+        defect = np.linalg.norm(s[i] * (k_mat @ (s * t)[i]))
         if defect > kernel_tol:
             raise ZeroModeToleranceError(
-                f"the {label} generator is no zero mode: |s K s t| = {defect:.3g} "
+                f"the {pair.label} generator is no zero mode: |s K s t| = {defect:.3g} "
                 f"> {kernel_tol:.3g} (is the chain at its equilibrium?)")
         # s K s gains 2 bound t t^T, far above the spectrum; the axis classes
         # are disjoint, so the next generator's test still sees K
         shift = t[rows] / s[rows]
         k_mat[np.ix_(local, local)] += 2.0 * bound * np.outer(shift, shift)
         shifted[j] += 1
-        w = st / np.linalg.norm(st)  # a unit kernel vector of K
-        u0 = 1j * c * w
-        p = np.concatenate([u0, u0])  # (u0, -u0*) with u0 purely imaginary
-        mu = 2.0 * c * c * float(np.sum(w * w / omega_bare))
-        q_top = c * (w / omega_bare) / mu
-        q = np.concatenate([q_top, -q_top]).astype(complex)
-        overlap = np.vdot(q, sigma_apply(p))
-        if abs(overlap - 1j) > 1e-9:
-            raise InternalConsistencyError(
-                f"zero-pair scalar product (q|p) = {overlap}, expected i"
-            )
-        zero_pairs.append(ZeroModePair(p, q, mu, label))
+        zero_pairs.append(pair)
 
     parts = []
     for i, k_mat, n_shifted in zip(sectors, k_mats, shifted):
-        lam, _, omega, u, v = (a[0] for a in bogoliubov_stack(k_mat[None], omega_bare[i]))
+        lam, omega, u, v = _bogoliubov(k_mat, omega_bare[i])
         n_modes = len(lam) - n_shifted  # the shifted generators are the top columns
         parts.append((lam[:n_modes], omega[:n_modes], u[:n_modes], v[:n_modes]))
     del k_mats, k_mat
     lam, omega, u, v = parts[0] if len(parts) == 1 else _merge_sectors(form.sectors, parts, dim)
-    lam_tol = _zero_threshold(np.max(np.abs(lam)), omega_scale)
+    lam_tol = zero_threshold(np.max(np.abs(lam)), omega_scale)
     if lam[0] < -lam_tol:
         bad = np.sqrt(-lam[lam < -lam_tol])
         raise DynamicalInstabilityError(

@@ -1,7 +1,10 @@
-"""The stacked band core (``CellCouplings.bands``) against per-k oracles."""
+"""The band core (``CellCouplings.bands``: closed-form screw blocks) against
+per-k and full-space oracles."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ionphonon import bloch
 from ionphonon.bloch import (
@@ -16,10 +19,16 @@ from ionphonon.chain import (
     Boundary,
     ChainConfig,
     Equilibrium,
+    build_hessian,
     k0_pair_sums,
     solve_delta0,
 )
-from ionphonon.errors import BareInstabilityError, DynamicalInstabilityError, PhysicsError
+from ionphonon.errors import (
+    BareInstabilityError,
+    DynamicalInstabilityError,
+    PhysicsError,
+    ZeroModeToleranceError,
+)
 
 
 def couplings(kappa, alpha=1.0, n=64, boundary=Boundary.RING):
@@ -40,11 +49,21 @@ def test_negative_onsite_curvature_is_a_bare_instability():
 
 
 def assert_matches_per_k_oracle(cc, grid):
-    """bands(grid) against one normal form per k of the same raw table.
+    """bands(grid) against one 6 x 6 normal form per k of the same raw table.
 
     The per-k oracle is the path of ``normal_form(k)`` applied to the grid's
     raw couplings (``normal_form(k)`` itself evaluates k as a grid of one,
-    which a uniform grid's FFT rounds differently).
+    which a uniform grid's FFT rounds differently).  The band core solves
+    the screw blocks in closed form instead, so:
+    - omega agrees within 1e-12, and the zero slots and zero pairs to the bit;
+    - the amplitudes agree up to each mode's phase, and inside a group of
+      modes degenerate within 1e-9 up to a rotation of the group: per group,
+      sum u u^dag, sum v v^dag and sum u v^dag agree within 1e-12 (1 + 1 /
+      gap + 1 / omega^2) relative to their largest entry.  Eigenvectors are
+      known to roundoff over gap, the distance to the row's nearest other
+      frequency, and omega^2 to roundoff of the block's scale, which a soft
+      mode's u ~ omega^-1/2 amplifies;
+    - a -k row is the conjugate of its +k row to the bit.
     """
     bands = cc.bands(grid)
     raw = cc.raw_coupling(grid)
@@ -52,23 +71,40 @@ def assert_matches_per_k_oracle(cc, grid):
     for i, k in enumerate(grid):
         mirrored = k < -1e-12 and abs(k + np.pi / 2.0) >= 1e-12 \
             and np.min(np.abs(grid + k)) < 1e-9
-        # a -k row is the conjugate of its +k partner's normal form
-        j = int(np.argmin(np.abs(grid + k))) if mirrored else i
-        nf = cc._normal_form(cc._block(float(grid[j]), raw[j]))
-        n_modes = len(nf.modes)
-        assert np.array_equal(bands.omega[i, :n_modes], nf.frequencies())
-        assert np.array_equal(bands.omega[i, n_modes:], np.zeros(6 - n_modes))
+        if mirrored:
+            j = int(np.argmin(np.abs(grid + k)))
+            assert np.array_equal(bands.omega[i], bands.omega[j])
+            assert np.array_equal(bands.mask[i], bands.mask[j])
+            assert np.array_equal(bands.u[i], bands.u[j].conj())
+            assert np.array_equal(bands.v[i], bands.v[j].conj())
+            continue
+        nf = cc._normal_form(cc._block(float(k), raw[i]))
+        n_modes = len(nf.omega)
         assert np.array_equal(bands.mask[i], np.arange(6) < n_modes)
-        for slot, mode in enumerate(nf.modes):
-            u, v = (mode.u.conj(), mode.v.conj()) if mirrored else (mode.u, mode.v)
-            assert np.max(np.abs(bands.u[i, slot] - u)) <= 1e-14
-            assert np.max(np.abs(bands.v[i, slot] - v)) <= 1e-14
-        if not mirrored:
-            zero_pairs.extend(nf.zero_pairs)
+        assert np.max(np.abs(bands.omega[i, :n_modes] - nf.omega)) <= 1e-12
+        assert np.array_equal(bands.omega[i, n_modes:], np.zeros(6 - n_modes))
+        assert not np.any(bands.u[i, n_modes:]) and not np.any(bands.v[i, n_modes:])
+        for group, gap in degenerate_groups(nf.omega):
+            for a, b in (("u", "u"), ("v", "v"), ("u", "v")):
+                got = getattr(bands, a)[i, group].T @ getattr(bands, b)[i, group].conj()
+                want = getattr(nf, a)[group].T @ getattr(nf, b)[group].conj()
+                tol = 1e-12 * (1.0 + 1.0 / gap + nf.omega[group[0]] ** -2) \
+                    * max(1.0, np.max(np.abs(want)))
+                assert np.max(np.abs(got - want)) <= tol
+        zero_pairs.extend(nf.zero_pairs)
     assert len(bands.zero_pairs) == len(zero_pairs)
     for got, want in zip(bands.zero_pairs, zero_pairs):
         assert np.array_equal(got.p, want.p) and np.array_equal(got.q, want.q)
         assert got.m_tilde == want.m_tilde and got.label == want.label
+
+
+def degenerate_groups(omega):
+    """Runs of ascending ``omega`` within 1e-9, each with its distance to
+    the nearest frequency outside it (inf for a single run)."""
+    runs = np.split(np.arange(len(omega)), np.flatnonzero(np.diff(omega) > 1e-9) + 1)
+    for run in runs:
+        others = np.delete(omega, run)
+        yield run, np.min(np.abs(others - omega[run[0]]), initial=np.inf)
 
 
 class TestStackedCoreAgainstPerK:
@@ -93,7 +129,25 @@ class TestStackedCoreAgainstPerK:
         bands = cc.bands(grid)
         for i in (0, 2, 3, 6):
             nf = cc.normal_form(float(grid[i]))
-            assert np.array_equal(bands.omega[i, :len(nf.modes)], nf.frequencies())
+            assert np.max(np.abs(bands.omega[i, :len(nf.omega)] - nf.omega)) <= 1e-12
+
+
+def inject_screw_defects(monkeypatch, cc, defects):
+    """Add ``defects[row]`` to Re D_xy of both screw blocks of each row.
+
+    The screw path reads no 6 x 6 block, and its blocks have no xz entry
+    for a z defect to sit in: a broken Hermiticity of the same size is what
+    it certifies against, and it sends the row to the 6 x 6 path.
+    """
+    screw_table = cc._screw_table
+
+    def defective(k0, n):
+        table = screw_table(k0, n)
+        for i, size in defects.items():
+            table[i, :, 3] += size
+        return table
+
+    monkeypatch.setattr(cc, "_screw_table", defective)
 
 
 class TestFallback:
@@ -141,10 +195,45 @@ class TestFallback:
                 expected = exc
                 break
         assert expected is not None
+        inject_screw_defects(monkeypatch, cc, {i: size for i, (_, size) in defects.items()})
         monkeypatch.setattr(cc, "raw_coupling", lambda k: raw)
         with pytest.raises(type(expected)) as err:
             cc.bands(grid)
         assert str(err.value) == str(expected)
+
+    def test_generator_off_its_zero_names_the_k0_block(self):
+        # off equilibrium the helical generator is no zero mode: D(pi)_zz
+        # exceeds lam_tol, and the k = 0 row ends in the 6 x 6 path's error
+        cfg = ChainConfig(kappa=0.6, n_ions=64)
+        cc = CellCouplings(cfg, Equilibrium(solve_delta0(cfg).delta0 * (1.0 + 1e-4)))
+        grid = ring_momenta(64)
+        i = int(np.argmin(np.abs(grid)))
+        with pytest.raises(ZeroModeToleranceError, match="radial generator") as expected:
+            cc._normal_form(cc._block(0.0, cc.raw_coupling(grid)[i]))
+        with pytest.raises(ZeroModeToleranceError) as err:
+            cc.bands(grid)
+        assert str(err.value) == str(expected.value)
+
+    def test_uncertified_row_takes_the_six_by_six_path(self, monkeypatch):
+        # a defect the 6 x 6 checks pass (|Re D_xy| of the screw blocks
+        # alone): the row's modes are its normal form's, the rest stay
+        cc = couplings(0.6, n=32, boundary=Boundary.BULK)
+        grid = reduced_zone_grid(64, include_edge=False)
+        sound = cc.bands(grid)
+        inject_screw_defects(monkeypatch, cc, {40: 1e-6})
+        calls = []
+        original = bloch.symplectic_diagonalize
+        monkeypatch.setattr(bloch, "symplectic_diagonalize",
+                            lambda *args, **kwargs: calls.append(args) or original(*args, **kwargs))
+        bands = cc.bands(grid)
+        assert len(calls) == 1
+        nf = cc._normal_form(cc._block(float(grid[40]), cc.raw_coupling(grid)[40]))
+        assert np.array_equal(bands.omega[40], nf.omega)
+        assert np.array_equal(bands.u[40], nf.u) and np.array_equal(bands.v[40], nf.v)
+        assert np.array_equal(bands.omega[23], nf.omega)  # its -k row
+        rest = np.setdiff1d(np.arange(len(grid)), [23, 40])
+        assert np.array_equal(bands.omega[rest], sound.omega[rest])
+        assert np.array_equal(bands.u[rest], sound.u[rest])
 
     def test_stable_linear_chain_bands_match_per_k(self):
         # below kappa_c the folded linear chain has regular blocks only
@@ -157,24 +246,25 @@ class TestDiagonalizationCount:
     @pytest.fixture
     def count(self, monkeypatch):
         calls = []
-        original = bloch.symplectic_diagonalize
+        for owner, name in ((bloch, "symplectic_diagonalize"), (np.linalg, "eigh")):
+            original = getattr(owner, name)
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return original(*args, **kwargs)
+            def counted(*args, _original=original, _name=name, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
 
-        monkeypatch.setattr(bloch, "symplectic_diagonalize", counted)
+            monkeypatch.setattr(owner, name, counted)
         return calls
 
-    def test_ring_diagonalizes_only_the_self_paired_blocks(self, count):
-        # k = 0 and the zone edge; the regular blocks go through one stack
-        couplings(0.6, n=64).bands(ring_momenta(64))
-        assert len(count) == 2
-
-    def test_bulk_midpoint_grid_is_one_stack(self, count):
-        couplings(0.6, n=32, boundary=Boundary.BULK).bands(
-            reduced_zone_grid(64, include_edge=False))
-        assert len(count) == 0
+    @pytest.mark.parametrize("n, boundary, grid", [
+        (64, Boundary.RING, ring_momenta(64)),
+        (32, Boundary.BULK, reduced_zone_grid(64, include_edge=False)),
+        (32, Boundary.BULK, reduced_zone_grid(64, include_edge=True)),
+    ], ids=["ring", "bulk", "bulk-edge"])
+    def test_sound_grid_runs_no_eigh(self, count, n, boundary, grid):
+        # k = 0 and the zone edge included: every block in closed form
+        couplings(0.6, n=n, boundary=boundary).bands(grid)
+        assert count == []
 
 
 @pytest.mark.parametrize("n, boundary", [
@@ -197,6 +287,87 @@ def test_k0_block_is_the_cell_table_of_k0_pair_sums(n, boundary):
     omega = cc.omega_bare
     expected = (cells / (2.0 * np.sqrt(np.outer(omega, omega)))).real
     assert np.array_equal(cc.block(0.0).g, expected)
+
+
+@pytest.mark.parametrize("boundary", [Boundary.RING, Boundary.BULK])
+@pytest.mark.parametrize("n", [16, 64])
+@pytest.mark.parametrize("kappa", [0.3, 0.6], ids=["linear", "zigzag"])
+@pytest.mark.parametrize("alpha", [1.0, 1.5])
+def test_screw_blocks_hold_the_full_space_spectrum(alpha, kappa, n, boundary):
+    # the N screw blocks D(p), p = k and k + pi over a ring's N / 2 reduced
+    # momenta, split the 3N x 3N Hessian: their closed-form roots are its
+    # eigenvalues (in bulk, those of its N-site fold)
+    cfg = ChainConfig(kappa=kappa, alpha=alpha, n_ions=n, boundary=boundary)
+    eq = solve_delta0(cfg)
+    cc = CellCouplings(cfg, eq)
+    grid = ring_momenta(n)
+    lam, *_, sound = cc._screw_modes(grid, cc._screw_table(grid[0], len(grid)))
+    assert sound.all()
+    full = np.linalg.eigvalsh(build_hessian(cfg, eq).matrix)
+    assert np.max(np.abs(np.sort(lam.ravel()) - full)) <= 1e-13
+
+
+def glide(k, c):
+    """The glide (one site along the chain, then y -> -y) on cell vectors
+    c[..., 6] of momentum k: ion 0 takes e^{-2ik} M times ion 1's entries,
+    ion 1 M times ion 0's."""
+    mirror = np.array([1.0, 1.0, -1.0, -1.0, 1.0, 1.0])
+    out = np.empty_like(c)
+    out[..., 0::2] = np.exp(-2j * k) * c[..., 1::2]
+    out[..., 1::2] = c[..., 0::2]
+    return out * mirror
+
+
+@settings(deadline=None, max_examples=30)
+@given(kappa=st.floats(min_value=0.1, max_value=1.2),
+       alpha=st.sampled_from([1.0, 1.5, 3.0]),
+       n=st.integers(min_value=2, max_value=20).map(lambda h: 2 * h),
+       boundary=st.sampled_from(list(Boundary)),
+       include_edge=st.booleans())
+def test_band_modes_have_a_glide_parity_and_one_sector(kappa, alpha, n, boundary, include_edge):
+    """Untracked bands: every mode is a glide eigenvector, e^{-ik} times a
+    parity of +-1, lies in the z or the in-plane sector, and each -k row
+    has its +k row's frequencies to the bit."""
+    cfg = ChainConfig(kappa=kappa, alpha=alpha, n_ions=n, boundary=boundary)
+    grid = ring_momenta(n) if boundary is Boundary.RING \
+        else reduced_zone_grid(n, include_edge=include_edge)
+    try:
+        bands = CellCouplings(cfg, solve_delta0(cfg)).bands(grid)
+    except PhysicsError:
+        return
+    for i, k in enumerate(grid):
+        for u, v in zip(bands.u[i, bands.mask[i]], bands.v[i, bands.mask[i]]):
+            modes = np.stack([u, v])
+            parity = np.real(np.exp(1j * k) * np.vdot(u, glide(k, u))) / np.vdot(u, u).real
+            assert abs(abs(parity) - 1.0) <= 1e-12
+            sign = np.sign(parity) * np.exp(-1j * k)
+            scale = np.max(np.abs(modes))
+            assert np.max(np.abs(glide(k, modes) - sign * modes)) <= 1e-12 * scale
+            in_plane, z = np.max(np.abs(modes[:, :4])), np.max(np.abs(modes[:, 4:]))
+            assert min(in_plane, z) <= 1e-13 * scale
+    for i, k in enumerate(grid):
+        if 1e-12 < k < np.pi / 2.0 - 1e-12:
+            j = int(np.argmin(np.abs(grid + k)))
+            if abs(grid[j] + k) < 1e-12:
+                assert np.array_equal(bands.omega[j], bands.omega[i])
+
+
+@pytest.mark.parametrize("kappa, alpha", [(0.3, 1.5), (0.6, 1.0)])
+@pytest.mark.parametrize("boundary, grid", [
+    (Boundary.RING, ring_momenta(64)),
+    (Boundary.BULK, reduced_zone_grid(64)),
+], ids=["ring", "bulk"])
+def test_zone_edge_modes_are_pairs_of_glide_partners(kappa, alpha, boundary, grid):
+    # the real cell block at the edge holds D(-pi/2) and its conjugate
+    # D(pi/2): every frequency twice, to the bit, the odd glide parity's
+    # mode first, so the tracker starts from the same order every time
+    # (alpha = 1.5: at alpha = 1 the linear chain's y and z pairs coincide)
+    bands = couplings(kappa, alpha, n=64, boundary=boundary).bands(grid)
+    i = int(np.argmin(np.abs(grid + np.pi / 2.0)))
+    k, omega, u = grid[i], bands.omega[i], bands.u[i]
+    assert np.array_equal(omega[0::2], omega[1::2])
+    parity = [np.real(np.exp(1j * k) * np.vdot(m, glide(k, m))) / np.vdot(m, m).real for m in u]
+    assert np.allclose(parity, [-1.0, 1.0] * 3, rtol=0.0, atol=1e-12)
 
 
 def sorted_tracker(bands):

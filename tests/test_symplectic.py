@@ -610,6 +610,19 @@ class TestSectors:
         with pytest.raises(ValueError, match="couples two sectors"):
             form.validate()
 
+    @pytest.mark.parametrize("entry", [(0, 1), (2, 2)])
+    def test_validate_rejects_a_non_hermitian_sector(self, entry):
+        # Hermiticity is checked per sector, against the scale of the whole g
+        g = np.zeros((3, 3), dtype=complex)
+        g[0, 1] = g[1, 0] = 5.0
+        g[entry] += 1e-6j
+        form = QuadraticForm(g, np.ones(3), sectors=(np.array([0, 1]), np.array([2])))
+        with pytest.raises(ValueError, match="not Hermitian"):
+            form.validate()
+        g[entry] -= 1e-6j
+        g[entry] += 1e-10j  # within HERMITIAN_TOL * max(1, max|g|) = 5e-10
+        form.validate()
+
     def test_a_generator_split_across_sectors_is_named(self):
         cfg = ChainConfig(kappa=0.3, n_ions=8)
         hess = build_hessian(cfg, solve_delta0(cfg))
