@@ -20,7 +20,11 @@ checks of ``CellCouplings.normal_form`` through that 6 x 6 path one by one
 (on the grid's :meth:`CellCouplings.raw_coupling`, the cell blocks from the
 same fold and one FFT), and fills each -k row by conjugation;
 ``observables.PhononField`` reads its :class:`Bands`, and
-:func:`dispersion_zigzag` returns them in branch order.
+:func:`dispersion_zigzag` returns them in branch order.  The glide also
+labels every mode exactly: its parity, its sector (z or in-plane), and
+whether it is the upper or the lower root of its 2 x 2 block (on the
+linear chain, where D_xy vanishes, x or y); a branch is one label across
+the grid, so omega_b(-k) = omega_b(k).
 
 Axis convention (fixed throughout the package): the zigzag displacement is
 along y, so the in-plane sector is {x, y} and the gapless helical motion is
@@ -474,7 +478,8 @@ class Bands:
 
     Row i holds the modes of block k[i] where ``mask`` is set: in ascending
     omega from :meth:`CellCouplings.bands`, in branch order (column b is
-    branch b) from :func:`dispersion_zigzag`.  Unset slots stand for the
+    branch b, one symmetry label of ``_mode_labels`` across the grid) from
+    :func:`dispersion_zigzag`.  Unset slots stand for the
     zero pairs (listed in ``zero_pairs``; only k = 0 has any) and carry
     omega = u = v = 0, so their mixing angle and collectivity are NaN.
     ``u[i, g]``, ``v[i, g]`` are mode g's cell amplitudes.
@@ -526,166 +531,71 @@ def collectivities(u: np.ndarray, v: np.ndarray) -> np.ndarray:
         return np.linalg.norm(v, axis=-1) / np.linalg.norm(u, axis=-1)
 
 
-# rows per chunk of the stacked slot overlaps: each complex (rows, 6, 6)
-# temporary stays under glibc's 128 KiB mmap threshold
-_TRACK_CHUNK_ROWS = 200
+# rows per chunk of _mode_labels: its (rows, 6) temporaries of a few KiB
+# leave no mid-sized free chunk in the heap, where a long-lived allocation
+# that follows could pin a hole of several 100 KiB (see the perf notes in
+# ROADMAP.md)
+_LABEL_CHUNK_ROWS = 64
 
 
-def _track_branches(bands: Bands) -> tuple[np.ndarray, list]:
-    """Band slot that continues each of the six branches, per momentum.
+def _mode_labels(bands: Bands, polarized: bool) -> np.ndarray:
+    """Symmetry label of every slot: 3 (odd glide parity) + (upper 0, lower 1, z 2).
 
-    Each branch takes, greedily in descending overlap, the mode with the
-    largest Sigma-overlap |U_prev* U^T - V_prev* V^T| with the branch's last
-    mode; overlaps below 0.5 are recorded as warnings.  Ties go to the lower
-    branch, then the lower slot (the first maximum in row-major order).  The
-    modes left over (at the first momentum, all of them, in ascending omega),
-    then the zero-pair slots, fill the remaining branches in order.
-
-    Where the previous row has all six slots set, it holds every branch's
-    last mode, so the greedy runs on the raw slot-to-slot overlaps of all
-    such rows at once (one stacked matmul, ``_slot_greedy``) and the slot
-    maps compose, perm_i = R_i[perm_{i-1}].  Slot order and branch order
-    break a tie differently only where one pass's maximum lies in two
-    previous slots.  So three kinds of rows take the greedy in branch order,
-    one row at a time (``_greedy_row``): the first row, the rows after a
-    row with unset slots (next to the k = 0 zero pairs, where a branch's
-    last mode lies further back), and the rows with such a tie (which also
-    fixes the order of tied warnings below 0.5).
+    Each mode's amplitudes give its glide parity sigma (ion 1 carries
+    sigma e^{ik} M times ion 0's entries) and its sector (z or in-plane, by
+    weight); an in-plane mode is the upper or the lower root of its
+    parity's 2 x 2 block by omega, or, where ``polarized`` (the linear
+    chain, whose D_xy vanishes on every row), x or y by weight.  The zero
+    pair slots, and a mode whose label an earlier slot of its row holds,
+    take the labels left over, in ascending order.
     """
-    k, u, v, mask = bands.k, bands.u, bands.v, bands.mask
-    n_k = len(k)
-    slot_map = np.full((n_k, 6), -1)
-    pick_slot = np.full((n_k, 6), -1)
-    pick_value = np.full((n_k, 6), np.inf)
-    by_row = np.zeros(n_k, dtype=bool)
-    for start in range(1, n_k, _TRACK_CHUNK_ROWS):
-        now = slice(start, min(start + _TRACK_CHUNK_ROWS, n_k))
-        before = slice(start - 1, now.stop - 1)
-        overlap = np.abs(np.conj(u[before]) @ u[now].transpose(0, 2, 1)
-                         - np.conj(v[before]) @ v[now].transpose(0, 2, 1))
-        (slot_map[now], pick_slot[now], pick_value[now],
-         by_row[now]) = _slot_greedy(overlap, mask[now])
-    by_row[0] = True
-    by_row[1:] |= ~mask[:-1].all(axis=1)
-    warned = (pick_value < 0.5).any(axis=1).tolist()
-    maps = slot_map.tolist()
-    slots: list[list[int]] = []
-    warn_records: list = []
-    for i, alone in enumerate(by_row.tolist()):
-        if alone:
-            perm = _greedy_row(bands, slots, warn_records)
+    labels = np.empty(bands.mask.shape, dtype=int)
+    for start in range(0, len(bands.k), _LABEL_CHUNK_ROWS):
+        at = slice(start, start + _LABEL_CHUNK_ROWS)
+        u, mask, omega = bands.u[at], bands.mask[at], bands.omega[at]
+        # <ion 0, M ion 1> = sigma e^{ik} |ion 0|^2
+        glide = (u[..., 0].conj() * u[..., 1] - u[..., 2].conj() * u[..., 3]
+                 + u[..., 4].conj() * u[..., 5])
+        odd = (np.exp(-1j * bands.k[at])[:, None] * glide).real < 0.0
+        w_x, w_y, w_z = (np.abs(u[..., 2 * axis]) ** 2 for axis in range(3))
+        z = w_z > w_x + w_y
+        if polarized:
+            lower = w_y > w_x
         else:
-            prev, step = perm, maps[i]
-            perm = [step[p] for p in prev]
-            if -1 in perm:  # the row's unset slots go to the untracked branches
-                free = iter(sorted(set(range(6)).difference(perm)))
-                perm = [j if j >= 0 else next(free) for j in perm]
-            if warned[i]:
-                for p, value in zip(pick_slot[i].tolist(), pick_value[i].tolist()):
-                    if value < 0.5:
-                        warn_records.append((float(k[i]), prev.index(p), value))
-        slots.append(perm)
-    return np.array(slots, dtype=int).reshape(n_k, 6), warn_records
-
-
-def _slot_greedy(overlap: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, ...]:
-    """The greedy on raw slot-to-slot overlaps of a stack of rows at once.
-
-    ``overlap[i, p, j]`` joins slot p of the previous row to slot j of row
-    i, whose set slots are ``mask[i]``.  Each of at most six passes takes
-    every row's first maximum over the open (p, j) in row-major order.
-    Returns the slot map R (R[i, p] = j, -1 where unassigned), each pass's
-    previous slot and overlap (-1 and inf once a row has no open pair), and
-    whether a row has a tie that the branch order may break otherwise.
-    """
-    n = len(overlap)
-    rows = np.arange(n)
-    # overlaps are >= 0, so -1 marks a slot of either row already taken
-    open_pairs = np.where(mask[:, None, :], overlap, -1.0)
-    flat = open_pairs.reshape(n, 36)
-    slot_map = np.full((n, 6), -1)
-    pick_slot = np.full((n, 6), -1)
-    pick_value = np.full((n, 6), np.inf)
-    tie = np.zeros(n, dtype=bool)
-    for step in range(6):
-        best = flat.argmax(axis=1)
-        value = flat[rows, best]
-        live = value >= 0.0
-        p, j = np.divmod(best, 6)
-        at = rows
-        if not live.all():
-            if not live.any():
-                break
-            at, p, j, value = rows[live], p[live], j[live], value[live]
-        # this pass's maximum in two previous slots: the branch order picks
-        # differently if they compete for one slot, and warns in another
-        # order if it is below 0.5
-        same = flat[at] == value[:, None]
-        several = np.count_nonzero(same, axis=1) > 1
-        if several.any():
-            same = same[several].reshape(-1, 6, 6)
-            compete = (np.count_nonzero(same, axis=1) > 1).any(axis=1)
-            spread = np.count_nonzero(same.any(axis=2), axis=1) > 1
-            tie[at[several]] |= compete | ((value[several] < 0.5) & spread)
-        slot_map[at, p] = j
-        pick_slot[at, step], pick_value[at, step] = p, value
-        open_pairs[at, p] = -1.0
-        open_pairs[at, :, j] = -1.0
-    return slot_map, pick_slot, pick_value, tie
-
-
-def _greedy_row(bands: Bands, slots: list, warn_records: list) -> list[int]:
-    """The greedy in branch order for row ``len(slots)``, one row alone.
-
-    Each branch's last mode is its slot in the latest row before (``slots``)
-    where that slot is set; a branch with none is not yet tracked.  Appends
-    the row's warnings and returns its slots in branch order.
-    """
-    i = len(slots)
-    prev_u = np.zeros((6, 6), dtype=complex)
-    prev_v = np.zeros((6, 6), dtype=complex)
-    seen = np.zeros(6, dtype=bool)
-    for b in range(6):
-        for r in range(i - 1, -1, -1):
-            j = slots[r][b]
-            if bands.mask[r, j]:
-                prev_u[b], prev_v[b], seen[b] = bands.u[r, j], bands.v[r, j], True
-                break
-    overlap = np.abs(prev_u.conj() @ bands.u[i].T - prev_v.conj() @ bands.v[i].T)
-    # overlaps are >= 0, so -1 marks a branch or slot already taken
-    open_pairs = np.where(seen[:, None] & bands.mask[i][None, :], overlap, -1.0)
-    row = np.full(6, -1)
-    free = np.ones(6, dtype=bool)
-    for _ in range(min(int(seen.sum()), int(bands.mask[i].sum()))):
-        b, j = divmod(int(open_pairs.argmax()), 6)
-        row[b], free[j] = j, False
-        if open_pairs[b, j] < 0.5:
-            warn_records.append((float(bands.k[i]), b, float(open_pairs[b, j])))
-        open_pairs[b, :] = open_pairs[:, j] = -1.0
-    row[row < 0] = np.flatnonzero(free)
-    return row.tolist()
+            # a higher in-plane mode of the same parity in the row
+            partner = (mask & ~z)[:, None, :] & (odd[:, None, :] == odd[:, :, None])
+            lower = (partner & (omega[:, None, :] > omega[:, :, None])).any(axis=2)
+        labels[at] = np.where(mask, 3 * odd + np.where(z, 2, lower), 6)
+    for i in np.flatnonzero((np.sort(labels, axis=1) != np.arange(6)).any(axis=1)):
+        row = labels[i].tolist()
+        kept = [None if label == 6 or label in row[:j] else label
+                for j, label in enumerate(row)]
+        left = iter(sorted(set(range(6)).difference(kept)))
+        labels[i] = [next(left) if label is None else label for label in kept]
+    return labels
 
 
 def dispersion_zigzag(k_grid: np.ndarray, config: ChainConfig,
-                      eq: Equilibrium | None = None) -> tuple[Bands, list]:
-    """Diagonalize the cell blocks on a momentum grid and track branches.
+                      eq: Equilibrium | None = None) -> Bands:
+    """The :class:`Bands` of a momentum grid with column b of every row on branch b.
 
-    Returns the :class:`Bands` of the grid with column b of every row on
-    branch b, and the (k, branch, overlap) warnings of :func:`_track_branches`.
-    Branches are continued in k by greedy maximal Sigma-overlap of the
-    eigenvectors between neighboring grid points (ambiguous assignments with
-    overlap below 0.5 are recorded as warnings).  At k = 0 in the zigzag
-    phase the two gapless directions appear as zero pairs and fill the
-    remaining branch slots, with ``mask`` unset and omega = 0.
+    Branches are numbered by symmetry (``_mode_labels``): branch b is the
+    label of slot b of the first row, whose slots are in ascending omega
+    with the zero slots last, and in every row it takes the slot with that
+    label.  So omega_b(-k) = omega_b(k) to the bit, and each branch keeps
+    one glide parity wherever that parity is sharp.  At k = 0 in the zigzag phase the two gapless
+    directions appear as zero pairs, with ``mask`` unset and omega = 0.
     """
     if eq is None:
         eq = solve_delta0(config)
     bands = CellCouplings(config, eq).bands(k_grid)
-    slots, warn_records = _track_branches(bands)
+    labels = _mode_labels(bands, polarized=eq.delta0 == 0.0)
+    # each row's labels are a permutation, so its argsort is the slot of
+    # each label
+    slots = np.argsort(labels, axis=1)[:, labels[0]]
     rows = np.arange(len(bands.k))[:, None]
     return Bands(bands.k, bands.omega[rows, slots], bands.mask[rows, slots],
-                 bands.u[rows, slots], bands.v[rows, slots],
-                 bands.zero_pairs), warn_records
+                 bands.u[rows, slots], bands.v[rows, slots], bands.zero_pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -244,7 +244,7 @@ def _run_dispersion(rc: RunConfig):
         grid = ring_momenta(rc.chain.n_ions)  # finite rings have only these
     else:
         grid = reduced_zone_grid(rc.k_points)
-    bands, warnings = dispersion_zigzag(grid, rc.chain, eq)
+    bands = dispersion_zigzag(grid, rc.chain, eq)
     header = ["k[1/d]", "branch", "omega[omega_I]", "theta_xy[rad]",
               "collectivity[1]", "is_zero_mode"]
     rows = list(zip(
@@ -256,7 +256,6 @@ def _run_dispersion(rc: RunConfig):
     ))
     meta = _meta(rc)
     meta["delta0"] = eq.delta0
-    meta["tracking_warnings"] = len(warnings)
     return meta, header, rows
 
 

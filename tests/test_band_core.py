@@ -3,14 +3,13 @@ per-k and full-space oracles."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ionphonon import bloch
 from ionphonon.bloch import (
-    Bands,
     CellCouplings,
-    _track_branches,
+    dispersion_zigzag,
     reduced_zone_grid,
     ring_momenta,
 )
@@ -132,22 +131,23 @@ class TestStackedCoreAgainstPerK:
             assert np.max(np.abs(bands.omega[i, :len(nf.omega)] - nf.omega)) <= 1e-12
 
 
-def inject_screw_defects(monkeypatch, cc, defects):
-    """Add ``defects[row]`` to Re D_xy of both screw blocks of each row.
+def inject_screw_defects(monkeypatch, defects):
+    """Add ``defects[row]`` to Re D_xy of both screw blocks of each row, in
+    every ``CellCouplings``.
 
     The screw path reads no 6 x 6 block, and its blocks have no xz entry
     for a z defect to sit in: a broken Hermiticity of the same size is what
     it certifies against, and it sends the row to the 6 x 6 path.
     """
-    screw_table = cc._screw_table
+    screw_table = CellCouplings._screw_table
 
-    def defective(k0, n):
-        table = screw_table(k0, n)
+    def defective(self, k0, n):
+        table = screw_table(self, k0, n)
         for i, size in defects.items():
             table[i, :, 3] += size
         return table
 
-    monkeypatch.setattr(cc, "_screw_table", defective)
+    monkeypatch.setattr(CellCouplings, "_screw_table", defective)
 
 
 class TestFallback:
@@ -195,7 +195,7 @@ class TestFallback:
                 expected = exc
                 break
         assert expected is not None
-        inject_screw_defects(monkeypatch, cc, {i: size for i, (_, size) in defects.items()})
+        inject_screw_defects(monkeypatch, {i: size for i, (_, size) in defects.items()})
         monkeypatch.setattr(cc, "raw_coupling", lambda k: raw)
         with pytest.raises(type(expected)) as err:
             cc.bands(grid)
@@ -220,7 +220,7 @@ class TestFallback:
         cc = couplings(0.6, n=32, boundary=Boundary.BULK)
         grid = reduced_zone_grid(64, include_edge=False)
         sound = cc.bands(grid)
-        inject_screw_defects(monkeypatch, cc, {40: 1e-6})
+        inject_screw_defects(monkeypatch, {40: 1e-6})
         calls = []
         original = bloch.symplectic_diagonalize
         monkeypatch.setattr(bloch, "symplectic_diagonalize",
@@ -234,6 +234,21 @@ class TestFallback:
         rest = np.setdiff1d(np.arange(len(grid)), [23, 40])
         assert np.array_equal(bands.omega[rest], sound.omega[rest])
         assert np.array_equal(bands.u[rest], sound.u[rest])
+
+    def test_fallback_row_keeps_its_branch_columns(self, monkeypatch):
+        # the labels read the 6 x 6 normal form's amplitudes as they read
+        # the screw modes': row 40 (and its -k row 23) keep every branch
+        cfg = ChainConfig(kappa=0.6, n_ions=32, boundary=Boundary.BULK)
+        grid = reduced_zone_grid(64, include_edge=False)
+        sound = dispersion_zigzag(grid, cfg)
+        assert not np.all(np.diff(sound.omega[40]) > 0.0)  # not in ascending omega
+        inject_screw_defects(monkeypatch, {40: 1e-6})
+        bands = dispersion_zigzag(grid, cfg)
+        for i in (40, 23):
+            assert not np.array_equal(bands.omega[i], sound.omega[i])
+            np.testing.assert_allclose(bands.omega[i], sound.omega[i], rtol=0.0, atol=1e-12)
+        rest = np.setdiff1d(np.arange(len(grid)), [23, 40])
+        assert np.array_equal(bands.omega[rest], sound.omega[rest])
 
     def test_stable_linear_chain_bands_match_per_k(self):
         # below kappa_c the folded linear chain has regular blocks only
@@ -324,27 +339,36 @@ def glide(k, c):
        n=st.integers(min_value=2, max_value=20).map(lambda h: 2 * h),
        boundary=st.sampled_from(list(Boundary)),
        include_edge=st.booleans())
+# the golden dispersion's config, whose branches 1 and 5 the overlap
+# tracker swapped at k > 0
+@example(kappa=0.6, alpha=1.0, n=16, boundary=Boundary.RING, include_edge=True)
 def test_band_modes_have_a_glide_parity_and_one_sector(kappa, alpha, n, boundary, include_edge):
-    """Untracked bands: every mode is a glide eigenvector, e^{-ik} times a
-    parity of +-1, lies in the z or the in-plane sector, and each -k row
-    has its +k row's frequencies to the bit."""
+    """Every mode of the bands (here in ``dispersion_zigzag``'s branch
+    order) is a glide eigenvector, e^{-ik} times a parity of +-1, and lies
+    in the z or the in-plane sector; each branch keeps one parity, and
+    omega_b(-k) = omega_b(k) to the bit on every mirrored pair."""
     cfg = ChainConfig(kappa=kappa, alpha=alpha, n_ions=n, boundary=boundary)
     grid = ring_momenta(n) if boundary is Boundary.RING \
         else reduced_zone_grid(n, include_edge=include_edge)
     try:
-        bands = CellCouplings(cfg, solve_delta0(cfg)).bands(grid)
+        bands = dispersion_zigzag(grid, cfg)
     except PhysicsError:
         return
+    parities = np.zeros((len(grid), 6))
     for i, k in enumerate(grid):
-        for u, v in zip(bands.u[i, bands.mask[i]], bands.v[i, bands.mask[i]]):
+        for b in np.flatnonzero(bands.mask[i]):
+            u, v = bands.u[i, b], bands.v[i, b]
             modes = np.stack([u, v])
             parity = np.real(np.exp(1j * k) * np.vdot(u, glide(k, u))) / np.vdot(u, u).real
             assert abs(abs(parity) - 1.0) <= 1e-12
+            parities[i, b] = np.sign(parity)
             sign = np.sign(parity) * np.exp(-1j * k)
             scale = np.max(np.abs(modes))
             assert np.max(np.abs(glide(k, modes) - sign * modes)) <= 1e-12 * scale
             in_plane, z = np.max(np.abs(modes[:, :4])), np.max(np.abs(modes[:, 4:]))
             assert min(in_plane, z) <= 1e-13 * scale
+    for b in range(6):
+        assert len(set(parities[bands.mask[:, b], b])) == 1
     for i, k in enumerate(grid):
         if 1e-12 < k < np.pi / 2.0 - 1e-12:
             j = int(np.argmin(np.abs(grid + k)))
@@ -360,7 +384,8 @@ def test_band_modes_have_a_glide_parity_and_one_sector(kappa, alpha, n, boundary
 def test_zone_edge_modes_are_pairs_of_glide_partners(kappa, alpha, boundary, grid):
     # the real cell block at the edge holds D(-pi/2) and its conjugate
     # D(pi/2): every frequency twice, to the bit, the odd glide parity's
-    # mode first, so the tracker starts from the same order every time
+    # mode first, so a grid that starts at the edge numbers its branches
+    # from the same order every time
     # (alpha = 1.5: at alpha = 1 the linear chain's y and z pairs coincide)
     bands = couplings(kappa, alpha, n=64, boundary=boundary).bands(grid)
     i = int(np.argmin(np.abs(grid + np.pi / 2.0)))
@@ -371,28 +396,26 @@ def test_zone_edge_modes_are_pairs_of_glide_partners(kappa, alpha, boundary, gri
 
 
 def sorted_tracker(bands):
-    """Reference branch tracker: one sorted() of the candidate pairs per k."""
+    """Branch slots by greedy eigenvector overlap, one sorted() of the
+    candidate pairs per k: the numbering that symmetry labels replaced."""
     slots = np.zeros((len(bands.k), 6), dtype=int)
     prev_u = np.zeros((6, 6), dtype=complex)
     prev_v = np.zeros((6, 6), dtype=complex)
     seen = np.zeros(6, dtype=bool)
-    warn_records = []
-    for i, k in enumerate(bands.k):
+    for i in range(len(bands.k)):
         overlap = np.abs(prev_u.conj() @ bands.u[i].T - prev_v.conj() @ bands.v[i].T)
         row = np.full(6, -1)
-        for neg, b, j in sorted((-overlap[b, j], b, j) for b in np.flatnonzero(seen)
-                                for j in np.flatnonzero(bands.mask[i])):
+        for _, b, j in sorted((-overlap[b, j], b, j) for b in np.flatnonzero(seen)
+                              for j in np.flatnonzero(bands.mask[i])):
             if row[b] < 0 and j not in row:
                 row[b] = j
-                if -neg < 0.5:
-                    warn_records.append((float(k), int(b), float(-neg)))
         row[row < 0] = [j for j in range(6) if j not in row]
         tracked = bands.mask[i, row]
         prev_u[tracked] = bands.u[i, row[tracked]]
         prev_v[tracked] = bands.v[i, row[tracked]]
         seen |= tracked
         slots[i] = row
-    return slots, warn_records
+    return slots
 
 
 @pytest.mark.parametrize("kappa", [0.25, 0.5, 0.6, 0.75])
@@ -400,112 +423,21 @@ def sorted_tracker(bands):
 @pytest.mark.parametrize("case", ["ring64", "ring256", "ring1024", "bulk401",
                                   "bulk64", "bulk128"])
 def test_branch_tracker_matches_sorted_greedy(kappa, alpha, case):
+    # on grids this fine the symmetry labels number the branches as the
+    # greedy overlap tracker did, slot for slot, so the benchmark's
+    # dispersion tables keep their branch column (its reference check
+    # merges the labels of degenerate modes; this does not)
     if case.startswith("bulk"):
-        cc = couplings(kappa, alpha, n=32, boundary=Boundary.BULK)
+        cfg = ChainConfig(kappa=kappa, alpha=alpha, n_ions=32, boundary=Boundary.BULK)
         grid = reduced_zone_grid(int(case[4:]))
     else:
-        n = int(case[4:])
-        cc = couplings(kappa, alpha, n=n)
-        grid = ring_momenta(n)
-    bands = cc.bands(grid)
-    slots, warn_records = _track_branches(bands)
-    ref_slots, ref_warnings = sorted_tracker(bands)
-    assert np.array_equal(slots, ref_slots)
-    assert [(k, b) for k, b, _ in warn_records] == [(k, b) for k, b, _ in ref_warnings]
-    assert warn_records == ref_warnings
-
-
-@pytest.mark.parametrize("seed", range(5))
-def test_branch_tracker_matches_sorted_greedy_on_scrambled_bands(seed):
-    # the physical grids above never warn; random amplitudes give low
-    # overlaps (warnings), exact ties (repeated modes) and zero-pair slots
-    rng = np.random.default_rng(seed)
-    n_k = 40
-    u = rng.normal(size=(n_k, 6, 6)) + 1j * rng.normal(size=(n_k, 6, 6))
-    u /= np.linalg.norm(u, axis=-1, keepdims=True)
-    v = 0.3 * (rng.normal(size=(n_k, 6, 6)) + 1j * rng.normal(size=(n_k, 6, 6)))
-    u[::4, 1] = u[::4, 0]
-    v[::4, 1] = v[::4, 0]
-    mask = np.ones((n_k, 6), dtype=bool)
-    mask[::5, 4:] = False
-    u[~mask] = v[~mask] = 0.0
-    bands = Bands(np.linspace(-1.5, 1.5, n_k), np.ones((n_k, 6)), mask, u, v, [])
-    slots, warn_records = _track_branches(bands)
-    ref_slots, ref_warnings = sorted_tracker(bands)
-    assert warn_records
-    assert np.array_equal(slots, ref_slots)
-    assert warn_records == ref_warnings
-
-
-def scrambled_bands(seed, n_k=12):
-    """Random unit-norm amplitudes with every slot set."""
-    rng = np.random.default_rng(seed)
-    u = rng.normal(size=(n_k, 6, 6)) + 1j * rng.normal(size=(n_k, 6, 6))
-    u /= np.linalg.norm(u, axis=-1, keepdims=True)
-    v = 0.3 * (rng.normal(size=(n_k, 6, 6)) + 1j * rng.normal(size=(n_k, 6, 6)))
-    return Bands(np.linspace(-1.5, 1.5, n_k), np.ones((n_k, 6)),
-                 np.ones((n_k, 6), dtype=bool), u, v, [])
-
-
-def unset(bands, row, slots):
-    bands.mask[row, slots] = False
-    bands.u[row, slots] = bands.v[row, slots] = 0.0
-
-
-def masked_middle(bands):
-    unset(bands, 5, [2, 3])
-    return [6]
-
-
-def masked_first_row(bands):
-    unset(bands, 0, [1, 4])
-    return [0, 1]
-
-
-def two_masked_rows(bands):
-    unset(bands, 4, [0, 5])
-    unset(bands, 5, [2])
-    return [5, 6]
-
-
-def competing_duplicates(bands):
-    # two equal modes in row 6 tie for whichever slot of row 7 is their best
-    bands.u[6, 3], bands.v[6, 3] = bands.u[6, 1], bands.v[6, 1]
-    return [7]
-
-
-def tied_low_overlaps(bands):
-    # row 8 holds row 7's modes, shuffled and at 0.4 times their norm: six
-    # tied picks below 0.5, warned in branch order
-    rng = np.random.default_rng(0)
-    order = rng.permutation(6)
-    bands.u[7] = np.eye(6)
-    bands.v[7] = 0.0
-    bands.u[8] = 0.4 * np.eye(6)[order]
-    bands.v[8] = 0.0
-    return [8]
-
-
-@pytest.mark.parametrize("seed", range(3))
-@pytest.mark.parametrize("case", [masked_middle, masked_first_row, two_masked_rows,
-                                  competing_duplicates, tied_low_overlaps])
-def test_branch_tracker_row_classes_match_sorted_greedy(monkeypatch, case, seed):
-    # each case makes rows that the tracker must take in branch order, one
-    # at a time; the others follow from the stacked slot overlaps
-    bands = scrambled_bands(seed)
-    rows_expected = case(bands)
-    by_row = []
-    greedy_row = bloch._greedy_row
-
-    def spy(bands, slots, warn_records):
-        by_row.append(len(slots))
-        return greedy_row(bands, slots, warn_records)
-
-    monkeypatch.setattr(bloch, "_greedy_row", spy)
-    slots, warn_records = _track_branches(bands)
-    ref_slots, ref_warnings = sorted_tracker(bands)
-    assert set(rows_expected) <= set(by_row)
-    assert np.array_equal(slots, ref_slots)
-    assert warn_records == ref_warnings
-    if case is tied_low_overlaps:
-        assert [w[0] for w in warn_records].count(float(bands.k[8])) == 6
+        cfg = ChainConfig(kappa=kappa, alpha=alpha, n_ions=int(case[4:]))
+        grid = ring_momenta(cfg.n_ions)
+    eq = solve_delta0(cfg)
+    bands = CellCouplings(cfg, eq).bands(grid)
+    slots = sorted_tracker(bands)
+    rows = np.arange(len(grid))[:, None]
+    tracked = dispersion_zigzag(grid, cfg, eq)
+    assert np.array_equal(tracked.omega, bands.omega[rows, slots])
+    assert np.array_equal(tracked.mask, bands.mask[rows, slots])
+    assert np.array_equal(tracked.u, bands.u[rows, slots])

@@ -352,7 +352,7 @@ class TestDispersionZigzag:
     def test_linear_side_pairwise_degenerate_at_edge(self):
         cfg = ChainConfig(kappa=0.3, n_ions=64, boundary=Boundary.BULK)
         grid = np.array([-np.pi / 2.0, 0.3])
-        bands, _ = dispersion_zigzag(grid, cfg)
+        bands = dispersion_zigzag(grid, cfg)
         edge = np.sort(bands.omega[0])
         assert np.max(np.abs(edge[0::2] - edge[1::2])) < 1e-10
 
@@ -360,7 +360,7 @@ class TestDispersionZigzag:
         cfg = ChainConfig(kappa=0.6, n_ions=64, boundary=Boundary.BULK)
         eq = solve_delta0(cfg)
         k1, k2 = 0.004, 0.008
-        bands, _ = dispersion_zigzag(np.array([k1, k2]), cfg, eq)
+        bands = dispersion_zigzag(np.array([k1, k2]), cfg, eq)
         low1, low2 = bands.omega[0].min(), bands.omega[1].min()
         assert low2 / low1 == pytest.approx(k2 / k1, rel=2e-3)
 
@@ -382,25 +382,24 @@ class TestDispersionZigzag:
 
     def test_branch_tracking_is_continuous(self):
         cfg = ChainConfig(kappa=0.6, n_ions=64, boundary=Boundary.BULK)
-        bands, warnings = dispersion_zigzag(reduced_zone_grid(81), cfg)
+        bands = dispersion_zigzag(reduced_zone_grid(81), cfg)
         jumps = np.abs(np.diff(bands.omega, axis=0))
         assert np.nanmax(jumps) < 0.12  # continuous branches, no swaps
-        assert not warnings
 
     def test_zero_slots_at_k0(self):
         cfg = ChainConfig(kappa=0.6, n_ions=32, boundary=Boundary.RING)
         eq = solve_delta0(cfg)
-        bands, _ = dispersion_zigzag(ring_momenta(cfg.n_ions), cfg, eq)
+        bands = dispersion_zigzag(ring_momenta(cfg.n_ions), cfg, eq)
         i0 = int(np.argmin(np.abs(bands.k)))
         assert (~bands.mask[i0]).sum() == 2
         assert len(bands.zero_pairs) == 2
 
     @pytest.mark.parametrize("kappa", [0.3, 0.6])
     def test_same_band_core_as_phonon_field(self, kappa):
-        # the dispersion tracks branches over the very modes the observables
+        # the dispersion numbers branches over the very modes the observables
         # sum over: identical frequencies and zero slots, not merely close
         cfg = ChainConfig(kappa=kappa, n_ions=64, boundary=Boundary.RING)
-        bands, _ = dispersion_zigzag(ring_momenta(cfg.n_ions), cfg)
+        bands = dispersion_zigzag(ring_momenta(cfg.n_ions), cfg)
         field = PhononField(cfg)
         assert np.array_equal(np.sort(bands.omega, axis=1),
                               np.sort(field.omega, axis=1))
@@ -412,7 +411,7 @@ class TestDispersionZigzag:
         # spectrum equals the +k one exactly
         cfg = ChainConfig(kappa=0.6, alpha=1.5, n_ions=64, boundary=boundary)
         grid = ring_momenta(64) if boundary is Boundary.RING else reduced_zone_grid(33)
-        bands, _ = dispersion_zigzag(grid, cfg)
+        bands = dispersion_zigzag(grid, cfg)
         pairs = [(i, int(np.argmin(np.abs(grid + k)))) for i, k in enumerate(grid)
                  if 1e-12 < k < np.pi / 2.0]
         assert pairs

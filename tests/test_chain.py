@@ -302,7 +302,7 @@ class TestSolveDelta0:
         threshold = 0.5 * critical_kappa_classical(make(0.3))
         below = make(0.99 * threshold)
         assert solve_delta0(below).delta0 == 0.0
-        bands, _ = dispersion_zigzag(np.array([0.0]), below)
+        bands = dispersion_zigzag(np.array([0.0]), below)
         soft = np.sqrt(0.5 * 0.01)
         assert np.min(np.abs(bands.omega[0] - soft)) < 1e-8 * soft
         with pytest.raises(DynamicalInstabilityError, match="buckles along z") as err:

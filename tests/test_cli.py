@@ -230,7 +230,7 @@ class TestCommands:
         columns = dict(zip(header, np.array(rows).T))
         cfg = ChainConfig(kappa=0.6, n_ions=16, boundary=Boundary(boundary))
         grid = ring_momenta(16) if boundary == "ring" else reduced_zone_grid(16)
-        bands, _ = dispersion_zigzag(grid, cfg)
+        bands = dispersion_zigzag(grid, cfg)
         np.testing.assert_array_equal(columns["omega[omega_I]"], bands.omega.ravel())
         np.testing.assert_array_equal(columns["theta_xy[rad]"],
                                       mixing_angles(bands.u, bands.v).ravel())
