@@ -81,7 +81,10 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--t-min", type=float, default=0.01)
     parser.add_argument("--t-max", type=float, default=50.0)
     parser.add_argument("--t-steps", type=int, default=50)
-    parser.add_argument("--k-points", type=int, default=401)
+    parser.add_argument("--k-points", type=int, default=401,
+                        help="bulk grid size; heat-capacity, susceptibility and "
+                             "energy-reduction sum over max(k_points, 64) rounded up to "
+                             "even, so no momentum is k = 0; correlations over twice that")
     parser.add_argument("--eta", type=float, default=1e-2)
     parser.add_argument("--component", choices=["x", "y", "z"], default="",
                         help="default: all pairs (correlations), y (susceptibility)")

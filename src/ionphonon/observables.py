@@ -7,9 +7,10 @@ frequencies stay in omega_I with k_B = 1.
 
 Mode data comes from the band core of ``bloch`` (``CellCouplings.bands``,
 held by ``PhononField``) on a momentum grid: the exact discrete ring momenta
-for ``Boundary.RING`` and a midpoint quadrature of the reduced zone (k = 0
-excluded) for ``Boundary.BULK``, where a correlator diverges exactly when a
-Goldstone branch carries both of its components (``check_convergent``).
+for ``Boundary.RING`` and a midpoint quadrature of the reduced zone on an
+even number of momenta (so k = 0 excluded) for ``Boundary.BULK``, where a
+correlator diverges exactly when a Goldstone branch carries both of its
+components (``check_convergent``).
 All ladder averages close over each block's own amplitudes (the
 negative-norm directions of block k are exactly the -k creation operators),
 so every sum is invariant under the arbitrary per-mode phases; the band core
@@ -66,7 +67,9 @@ class PhononField:
     """The cell bands (``CellCouplings.bands``) of a grid, ready for k sums.
 
     A ring's grid is its own momenta; bulk takes a midpoint grid of ``n_k``
-    momenta.  Every k sum is the plain average over the grid (divided by
+    momenta, an odd ``n_k`` rounded up to the next even count: an odd grid
+    puts its middle node on k = 0, where the Goldstone slots would drop out
+    of every sum.  Every k sum is the plain average over the grid (divided by
     ``len(k)``).  Every observable reads its config and equilibrium from here.
     """
 
@@ -80,7 +83,7 @@ class PhononField:
         if config.boundary is Boundary.RING:
             grid = ring_momenta(config.n_ions)
         else:
-            grid = reduced_zone_grid(n_k, include_edge=False)
+            grid = reduced_zone_grid(n_k + n_k % 2, include_edge=False)
         bands = self.couplings.bands(grid)
         self.k, self.omega, self.mask = bands.k, bands.omega, bands.mask
         self.u, self.v, self.zero_pairs = bands.u, bands.v, bands.zero_pairs
@@ -92,7 +95,7 @@ class PhononField:
 
     def sectors(self) -> list[FreeParticleSector]:
         if self._sectors is None:
-            # bulk grids have no k = 0 point, where the zero pairs live
+            # bulk grids are even, so no row is k = 0, where the zero pairs live
             zero_pairs = self.zero_pairs or self.couplings.normal_form(0.0).zero_pairs
             self._sectors = build_sectors(self.config, self.eq, zero_pairs,
                                           self.couplings.omega_bare)

@@ -70,33 +70,28 @@ class QuadraticForm:
         return len(self.omega_bare)
 
     def validate(self) -> None:
-        """Raise ValueError unless g is Hermitian and zero between sectors.
+        """Raise ValueError unless the sectors (``_sector_entries``) partition
+        the entries in ascending order, g has no nonzero entry between two of
+        them, and g is Hermitian.
 
-        With sectors, g vanishes between them once the coupling check has
-        passed, so Hermiticity is checked on each sector's diagonal block,
-        against the scale of the whole g (``is_hermitian``).
+        Hermiticity is then checked on each sector's diagonal block, against
+        the scale of the whole g (``is_hermitian``).
         """
-        if not self.sectors:
-            if not is_hermitian(self.g):
-                raise ValueError("g is not Hermitian")
-            return
-        if not (all(np.all(np.diff(i) > 0) for i in self.sectors) and np.array_equal(
-                np.sort(np.concatenate(self.sectors)), np.arange(self.dimension))):
+        sectors = _sector_entries(self)
+        if not (all(np.all(np.diff(i) > 0) for i in sectors) and np.array_equal(
+                np.sort(np.concatenate(sectors)), np.arange(self.dimension))):
             raise ValueError("the sectors do not partition the entries in ascending order")
-        magnitude = np.abs(self.g)
-        if len(_decoupled_sectors(magnitude, _sector_labels(self))) < len(self.sectors):
+        blocks = [self.g[i[:, None], i] for i in sectors]
+        if sum(map(np.count_nonzero, blocks)) < np.count_nonzero(self.g):
             raise ValueError("g couples two sectors of the form")
-        scale = max(1.0, float(np.max(magnitude)))
-        if not all(is_hermitian(self.g[i][:, i], scale) for i in self.sectors):
+        scale = max(float(np.max(np.abs(blk), initial=1.0)) for blk in blocks)
+        if not all(is_hermitian(blk, scale) for blk in blocks):
             raise ValueError("g is not Hermitian")
 
 
-def _sector_labels(form: QuadraticForm) -> np.ndarray:
-    """The sector of every entry of a form with sectors."""
-    labels = np.zeros(form.dimension, dtype=int)
-    for j, i in enumerate(form.sectors):
-        labels[i] = j
-    return labels
+def _sector_entries(form: QuadraticForm) -> tuple[np.ndarray, ...]:
+    """The sectors of a form; one sector of all D entries when it has none."""
+    return form.sectors or (np.arange(form.dimension),)
 
 
 def _decoupled_sectors(magnitude: np.ndarray, labels: np.ndarray) -> list[np.ndarray]:
@@ -188,9 +183,12 @@ class ZeroModePair:
 @dataclass(frozen=True, eq=False)
 class NormalForm:
     """Result of a symplectic diagonalization: the modes at ``omega``
-    (ascending) with amplitudes ``u[m]``, ``v[m]`` (shape (M, D); on a form
-    with sectors, zero outside the mode's sector), and the zero pairs.
-    Read-only, so the cached certificate cannot go stale.
+    (ascending) with amplitudes ``u[m]``, ``v[m]`` (shape (M, D)), and the
+    zero pairs.  ``sector_rows[j]`` holds the ascending rows of the modes
+    that sector j of the form (``_sector_entries``) gave, whose u and v
+    vanish outside it; a normal form built by hand holds no record and is
+    one sector of all rows and entries.  Read-only, so the cached
+    certificate cannot go stale.
     """
 
     omega: np.ndarray
@@ -198,10 +196,11 @@ class NormalForm:
     v: np.ndarray
     zero_pairs: tuple[ZeroModePair, ...]
     form: QuadraticForm = field(repr=False)
+    sector_rows: tuple[np.ndarray, ...] = field(default=(), repr=False)
 
     def __post_init__(self):
         object.__setattr__(self, "zero_pairs", tuple(self.zero_pairs))
-        for arr in (self.omega, self.u, self.v,
+        for arr in (self.omega, self.u, self.v, *self.sector_rows,
                     *(a for zp in self.zero_pairs for a in (zp.p, zp.q))):
             arr.flags.writeable = False
 
@@ -225,23 +224,18 @@ class NormalForm:
         sum u u^dag - v v^dag, Q = sum u v^dag - v u^dag; a zero pair p =
         (i a, i a), q = (b, -b) (a, b real) adds X + X^T to P and X - X^T to
         Q, X = a b^T.  The residual is max(|P - 1|, |Q|), real on real forms.
-        When each mode and zero pair lies in one sector, P and Q vanish
-        between sectors: each sector's block takes its own rows alone.
+        Each recorded mode and each zero pair (its generator's entries) lies
+        in one sector, so P and Q vanish between sectors: each sector's
+        block takes its recorded rows and its entries of the zero pairs.
+        Without a record the whole D x D block is the one sector.
         """
         dim = self.dimension
-        u, v = self.u, self.v
         a = np.array([zp.p[:dim].imag for zp in self.zero_pairs]).reshape(-1, dim)
         b = np.array([zp.q[:dim].real for zp in self.zero_pairs]).reshape(-1, dim)
-        if not self.form.sectors:
-            return _completeness_block(u, v, a, b)
-        labels = _sector_labels(self.form)
-        support = np.vstack([(u != 0) | (v != 0), (a != 0) | (b != 0)])
-        home = labels[np.argmax(support, axis=1)]
-        if np.any(support & (labels != home[:, None])):
-            return _completeness_block(u, v, a, b)
-        home = home[:len(u)]
-        return max(_completeness_block(u[home == j][:, i], v[home == j][:, i], a[:, i], b[:, i])
-                   for j, i in enumerate(self.form.sectors))
+        sectors = (zip(_sector_entries(self.form), self.sector_rows, strict=True)
+                   if self.sector_rows else [(slice(None), slice(None))])
+        return max(_completeness_block(self.u[r][:, i], self.v[r][:, i], a[:, i], b[:, i])
+                   for i, r in sectors)
 
 
 def _completeness_block(u, v, a, b) -> float:
@@ -351,7 +345,8 @@ def symplectic_diagonalize(form: QuadraticForm,
 
     One ``eigh`` per sector of the form (one of all D entries without
     ``form.sectors``); the modes of all sectors come out together, in
-    ascending omega, with dense (M, D) ``u`` and ``v``.
+    ascending omega, with dense (M, D) ``u`` and ``v`` and the rows of each
+    sector's modes (``NormalForm.sector_rows``).
 
     Parameters
     ----------
@@ -386,29 +381,28 @@ def symplectic_diagonalize(form: QuadraticForm,
     dim = form.dimension
     omega_scale = float(np.max(omega_bare))
     s = np.sqrt(omega_bare)
-    sectors = form.sectors or (slice(None),)
-    k_mats = ([k_matrix(form.g[i][:, i], omega_bare[i]) for i in form.sectors]
-              or [k_matrix(form.g, omega_bare)])
+    sectors = _sector_entries(form)
+    k_mats = [k_matrix(form.g[i[:, None], i], omega_bare[i]) for i in sectors]
     generators = () if axis_map is None else form.generators
     if generators:
         # Gershgorin bound on the spectrum of s K s
         bound = max(float(np.max(s[i] * (np.abs(k) @ s[i]))) for i, k in zip(sectors, k_mats))
         kernel_tol = zero_threshold(bound, omega_scale)
-    labels = _sector_labels(form) if form.sectors else None
+        labels = np.zeros(dim, dtype=int)  # the sector of every entry
+        for j, i in enumerate(sectors):
+            labels[i] = j
     zero_pairs: list[ZeroModePair] = []
     shifted = [0] * len(sectors)
     for axis in generators:
         t, pair = generator_pair(axis, axis_map, omega_bare,
                                  dim if p_norm is None else p_norm)
-        rows = local = np.flatnonzero(t)
-        j = 0
-        if labels is not None:
-            j = labels[rows[0]]
-            if np.any(labels[rows] != j):
-                raise ValueError(
-                    f"axis_map places the {pair.label} generator in more than one sector")
-            local = np.searchsorted(sectors[j], rows)
+        rows = np.flatnonzero(t)
+        j = labels[rows[0]]
+        if np.any(labels[rows] != j):
+            raise ValueError(
+                f"axis_map places the {pair.label} generator in more than one sector")
         i, k_mat = sectors[j], k_mats[j]
+        local = np.searchsorted(i, rows)
         defect = np.linalg.norm(s[i] * (k_mat @ (s * t)[i]))
         if defect > kernel_tol:
             raise ZeroModeToleranceError(
@@ -427,7 +421,7 @@ def symplectic_diagonalize(form: QuadraticForm,
         n_modes = len(lam) - n_shifted  # the shifted generators are the top columns
         parts.append((lam[:n_modes], omega[:n_modes], u[:n_modes], v[:n_modes]))
     del k_mats, k_mat
-    lam, omega, u, v = parts[0] if len(parts) == 1 else _merge_sectors(form.sectors, parts, dim)
+    lam, omega, u, v, sector_rows = _merge_sectors(sectors, parts, dim)
     lam_tol = zero_threshold(np.max(np.abs(lam)), omega_scale)
     if lam[0] < -lam_tol:
         bad = np.sqrt(-lam[lam < -lam_tol])
@@ -440,19 +434,20 @@ def symplectic_diagonalize(form: QuadraticForm,
         raise ZeroModeToleranceError(
             f"{np.sum(lam <= lam_tol)} zero mode(s) that no symmetry generator "
             f"explains (ZERO_MODE_TOL = {ZERO_MODE_TOL:g}): a soft mode at a transition")
-    return NormalForm(omega, u, v, zero_pairs, form)
+    return NormalForm(omega, u, v, zero_pairs, form, sector_rows)
 
 
 def _merge_sectors(sectors, parts, dim):
     """lam, omega, u and v of every sector's modes in ascending lam, each
-    sector's amplitudes in its columns of dense (M, D) arrays."""
+    sector's amplitudes in its columns of dense (M, D) arrays, and the rows
+    that hold each sector's modes."""
     lam, omega = (np.concatenate([part[n] for part in parts]) for n in (0, 1))
     order = np.argsort(lam, kind="stable")
     rows = np.split(np.argsort(order), np.cumsum([len(part[0]) for part in parts[:-1]]))
     u, v = (np.zeros((len(lam), dim), dtype=parts[0][2].dtype) for _ in range(2))
     for i, r, (_, _, u_sec, v_sec) in zip(sectors, rows, parts):
         u[r[:, None], i], v[r[:, None], i] = u_sec, v_sec
-    return lam[order], omega[order], u, v
+    return lam[order], omega[order], u, v, tuple(rows)
 
 
 def sigma_apply(vec: np.ndarray) -> np.ndarray:

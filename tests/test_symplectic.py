@@ -347,6 +347,35 @@ def test_zero_pairs_are_the_owners_generators(cfg):
         assert found is None or found == owner
 
 
+@settings(deadline=None, max_examples=30)
+@given(configs_near_transitions())
+def test_normal_form_keeps_each_mode_in_its_sector(cfg):
+    """Each mode's u and v vanish outside the sector it is recorded in, each
+    zero pair lies in one sector, and the per-sector certificate is the
+    whole-block one: to 1e-14 of the largest |u|^2, since a soft mode's
+    amplitudes grow as omega^(-1/2) and the two certificates round their
+    sums in different orders."""
+    try:
+        hess = build_hessian(cfg, solve_delta0(cfg))
+        form = build_quadratic_form(hess, omega_from_hessian(hess))
+        nf = symplectic_diagonalize(form, axis_map=hess.axis_map, p_norm=cfg.n_ions)
+    except PhysicsError:
+        return
+    entries = form.sectors or (np.arange(form.dimension),)
+    assert len(nf.sector_rows) == len(entries)
+    assert np.array_equal(np.sort(np.concatenate(nf.sector_rows)), np.arange(len(nf.omega)))
+    for i, rows in zip(entries, nf.sector_rows):
+        outside = np.ones(form.dimension, dtype=bool)
+        outside[i] = False
+        assert not np.any(nf.u[rows][:, outside]) and not np.any(nf.v[rows][:, outside])
+    for zp in nf.zero_pairs:
+        support = np.flatnonzero(np.any(np.vstack([zp.p, zp.q]).reshape(4, -1) != 0, axis=0))
+        assert any(np.all(np.isin(support, i)) for i in entries), zp.label
+    whole = NormalForm(nf.omega, nf.u, nf.v, nf.zero_pairs, dataclasses.replace(form, sectors=()))
+    scale = max(1.0, float(np.max(np.abs(nf.u))) ** 2)
+    assert abs(completeness_residual(nf) - completeness_residual(whole)) <= 1e-14 * scale
+
+
 class TestAssembleW:
     def test_single_oscillator_identity(self):
         form = QuadraticForm(np.zeros((1, 1)), np.array([1.0]))
