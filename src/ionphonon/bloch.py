@@ -15,11 +15,9 @@ blocks summed directly (``chain.fold_pair_entries``, shared with the
 full-space Hessian) and one FFT, plus in bulk the closed-form sums of
 ``chain.power_law_sums`` at each k; it solves each in closed form, takes
 the amplitudes from ``symplectic.bogoliubov_amplitudes`` and the k = 0 zero
-pairs from ``symplectic.generator_pair``, sends any row that fails the
-checks of ``CellCouplings.normal_form`` through that 6 x 6 path one by one
-(on the grid's :meth:`CellCouplings.raw_coupling`, the cell blocks from the
-same fold and one FFT), and fills each -k row by conjugation;
-``observables.PhononField`` reads its :class:`Bands`, and
+pairs from ``symplectic.generator_pair``, raises the error of the first
+failing row in descending k, and fills each -k row by conjugation; the
+phonon fields and the k = 0 normal form read its :class:`Bands`, and
 :func:`dispersion_zigzag` returns them in branch order.  The glide also
 labels every mode exactly: its parity, its sector (z or in-plane), and
 whether it is the upper or the lower root of its 2 x 2 block (on the
@@ -40,6 +38,7 @@ import numpy as np
 
 from .chain import (
     _SERIES,
+    GENERATORS,
     SUBLATTICE_MIRROR,
     ZETA3,
     Boundary,
@@ -62,6 +61,7 @@ from .errors import (
     ConvergenceError,
     DynamicalInstabilityError,
     PhysicsError,
+    ZeroModeToleranceError,
 )
 from .symplectic import (
     HERMITIAN_TOL,
@@ -290,20 +290,17 @@ class CellCouplings:
 
         Each block is an in-plane 2 x 2, [[a, ib], [-ib, d]], real under
         y -> iy, and a z scalar.  The larger in-plane root is taken first,
-        the smaller as det / larger, and the eigenvector of the larger is
-        (cos t, i sin t) with t = atan2(-2b, a - d) / 2; a diagonal block
-        keeps x and y.  At the zone edge D(k + pi) is set to the conjugate
-        of D(k), as the real cell block there has it; at k = 0 both blocks
-        are diagonal and the generators (``chain.GENERATORS``) are their x
-        and z entries.
+        the smaller as det / larger (directly if the larger is not positive),
+        the eigenvector of the larger as (cos t, i sin t), t = atan2(-2b,
+        a - d) / 2; a diagonal block keeps x and y.  At the zone edge
+        D(k + pi) is set to the conjugate of D(k), as the real cell block
+        there has it; at k = 0 both blocks are diagonal and the generators
+        (``chain.GENERATORS``) are their x and z entries.
 
         Returns per row the six lam = omega^2 (D(k + pi)'s in-plane roots
         and z, then D(k)'s); ion 0's entries ``phi[row, mode, axis]`` of
         their unit cell vectors, whose ion 1 carries ``twist[row, mode]``
-        (sigma e^{ik}) times M times them; which modes are generators; and
-        whether the row passes the checks of :meth:`normal_form` (no zero
-        that no generator explains, no lam < -lam_tol, generator entries
-        within lam_tol, and |Re D_xy| within ``HERMITIAN_TOL``).
+        (sigma e^{ik}) times M times them; and which modes are generators.
         """
         table = table[:, ::-1]  # D(k + pi) first: it breaks ties at the edge
         diag = table[..., :3].real + self._onsite
@@ -314,9 +311,10 @@ class CellCouplings:
             c[edge] = 0.5 * (c[edge] - c[edge, ::-1])
         a, d = diag[..., 0], diag[..., 1]
         half_diff = 0.5 * (a - d)
-        upper = 0.5 * (a + d) + np.hypot(half_diff, c)
+        mean, radius = 0.5 * (a + d), np.hypot(half_diff, c)
+        upper = mean + radius
         with np.errstate(divide="ignore", invalid="ignore"):
-            lower = np.where(upper > 0.0, (a * d - c * c) / upper, -np.inf)
+            lower = np.where(upper > 0.0, (a * d - c * c) / upper, mean - radius)
         angle = 0.5 * np.arctan2(c, half_diff)
         origin = np.abs(k) < 1e-12
         # diagonal blocks (k = 0, and the linear chain's xy = 0) keep their
@@ -327,14 +325,7 @@ class CellCouplings:
 
         generator = np.zeros(lam.shape, dtype=bool)
         generator[np.ix_(origin, [_SCREW_GENERATOR_SLOT[axis] for axis in self._generators])] = True
-        lam_tol = zero_threshold(np.max(np.where(generator, 0.0, np.abs(lam)), axis=1),
-                                  float(np.max(self.omega_bare)))
-        scale = np.maximum(1.0, np.max(np.abs(table), axis=(1, 2)))
-        sound = (np.all((lam > lam_tol[:, None]) | generator, axis=1)
-                 & (np.max(np.abs(table[..., 3].real), axis=1) <= HERMITIAN_TOL * scale))
-        for i in np.flatnonzero(origin):
-            entries = np.concatenate([lam[i, generator[i]], table[i, :, 3]])
-            sound[i] &= np.max(np.abs(entries)) <= lam_tol[i]
+        self._check_rows(k, lam, generator, table)
 
         half = np.sqrt(0.5)
         cos, sin = half * np.cos(angle), half * np.sin(angle)
@@ -343,7 +334,42 @@ class CellCouplings:
         phi[:, :, 1, 0], phi[:, :, 1, 1] = -sin, 1j * cos
         phi[:, :, 2, 2] = half
         twist = np.repeat(np.exp(1j * k)[:, None] * [-1.0, 1.0], 3, axis=1)
-        return lam, phi.reshape(-1, 6, 3), twist, generator, sound
+        return lam, phi.reshape(-1, 6, 3), twist, generator
+
+    def _check_rows(self, k, lam, generator, table) -> None:
+        """Raise the error of :meth:`normal_form` for the first row, in descending
+        k, that fails its checks in their order: |Re D_xy| within ``HERMITIAN_TOL``
+        of the row's scale (the blocks are real under y -> iy); at k = 0 the
+        generators' entries and D_xy within lam_tol; no other lam below -lam_tol,
+        and none within lam_tol of zero (lam_tol: the row's ``zero_threshold``)."""
+        lam_tol = zero_threshold(np.max(np.where(generator, 0.0, np.abs(lam)), axis=1),
+                                  float(np.max(self.omega_bare)))
+        skew = np.max(np.abs(table[..., 3].real), axis=1)
+        hermitian = skew <= HERMITIAN_TOL * np.maximum(1.0, np.max(np.abs(table), axis=(1, 2)))
+        xy = np.where(np.abs(k) < 1e-12, np.max(np.abs(table[..., 3]), axis=1), 0.0)
+        sound = hermitian & np.all((lam > lam_tol[:, None]) | generator, axis=1) & (
+            np.maximum(np.max(np.where(generator, np.abs(lam), 0.0), axis=1), xy) <= lam_tol)
+        if sound.all():
+            return
+        i = max(np.flatnonzero(~sound), key=k.__getitem__)  # the first of the largest k
+        tol, modes = lam_tol[i], np.sort(lam[i, ~generator[i]])
+        if not hermitian[i]:
+            raise PhysicsError(f"screw blocks at k={k[i]} not Hermitian (|Re D_xy| {skew[i]:.2e})")
+        at_zero = [(f"{GENERATORS[axis][0]} generator", lam[i, _SCREW_GENERATOR_SLOT[axis]])
+                   for axis in self._generators if generator[i].any()] + [("D_xy", xy[i])]
+        for name, entry in at_zero:
+            if abs(entry) > tol:
+                raise ZeroModeToleranceError(f"the {name} entry at k = 0 is {entry:.3g}, beyond "
+                                             f"lam_tol = {tol:.3g} (is the chain at equilibrium?)")
+        bad = np.sqrt(-modes[modes < -tol])
+        if bad.size:
+            raise DynamicalInstabilityError(f"dynamically unstable: {bad.size} imaginary mode "
+                                            f"frequencies (largest {bad.max():.6g} i)",
+                                            frequencies=list(1j * bad))
+        raise ZeroModeToleranceError(
+            f"{np.sum(modes <= tol)} zero mode(s) that no symmetry generator explains at "
+            f"k = {k[i]:.6g}: the smallest lam = omega^2 there is {modes[0]:.3g}, within "
+            f"lam_tol = {tol:.3g} of zero")
 
     def block(self, k: float) -> QuadraticForm:
         """The 6 x 6 cell coupling form at quasi-momentum k."""
@@ -365,28 +391,25 @@ class CellCouplings:
         return (np.abs(k) < 1e-12) | (np.abs(np.abs(k) - edge) < 1e-12)
 
     def normal_form(self, k: float) -> NormalForm:
-        """Normal form of the block at k; zero pairs carry p^dag p = N."""
-        return self._normal_form(self.block(k))
-
-    def _normal_form(self, form: QuadraticForm) -> NormalForm:
-        return symplectic_diagonalize(form, axis_map=CELL_AXIS_MAP,
+        """Normal form of the 6 x 6 block at k (p^dag p = N), the tests' oracle."""
+        return symplectic_diagonalize(self.block(k), axis_map=CELL_AXIS_MAP,
                                       p_norm=self.config.n_ions)
 
     def bands(self, k_grid: np.ndarray) -> Bands:
-        """Normal modes of every block on a momentum grid.
+        """Normal modes of every block on a 1-D, non-empty, finite momentum grid.
 
         The 6 x 6 block at reduced k holds the screw blocks D(k) and
         D(k + pi) (:meth:`_screw_table`), which :meth:`_screw_modes`
-        diagonalizes in closed form; ``symplectic.bogoliubov_amplitudes``
-        turns ion 0's entries of their cell vectors into modes (ion 1
-        carries sigma e^{ik} M times them), and at k = 0 the zero pairs are
-        ``symplectic.generator_pair``'s.  A row that fails the checks of
-        :meth:`normal_form` goes through its path, on the grid's
-        :meth:`raw_coupling`, one by one in descending k, so errors name the
-        first failing block in that order.  Each -k row is the conjugate of
-        its +k partner, so that u(-k) = u(k)* across the grid.
+        checks (:meth:`_check_rows`) and diagonalizes in closed form;
+        ``symplectic.bogoliubov_amplitudes`` turns ion 0's entries of their
+        cell vectors into modes (ion 1 carries sigma e^{ik} M times them),
+        and at k = 0 the zero pairs are ``symplectic.generator_pair``'s.
+        Each -k row is the conjugate of its +k partner, so that u(-k) =
+        u(k)* across the grid.
         """
         k = np.asarray(k_grid, dtype=float)
+        if k.ndim != 1 or not k.size or not np.all(np.isfinite(k)):
+            raise ValueError(f"k_grid must be a 1-D, non-empty and finite array, got {k_grid!r}")
         n_k = len(k)
         omega = np.zeros((n_k, 6))
         mask = np.zeros((n_k, 6), dtype=bool)
@@ -395,38 +418,21 @@ class CellCouplings:
         partner = _mirror_partners(k)
         mirrored = (k < -1e-12) & ~self._self_paired(k) & (np.abs(k[partner] + k) < 1e-9)
         rows = np.flatnonzero(~mirrored)
-        lam, phi, twist, generator, sound = self._screw_modes(
+        lam, phi, twist, generator = self._screw_modes(
             k[rows], self._on_grid(k, self._screw_table)[rows])
-        at = np.flatnonzero(sound)[:, None]
-        screw = rows[sound]
+        at = np.arange(len(rows))[:, None]
         # ascending omega, the generators' empty slots last
-        order = np.argsort(np.where(generator, np.inf, lam)[sound], axis=1, kind="stable")
+        order = np.argsort(np.where(generator, np.inf, lam), axis=1, kind="stable")
         lam, generator = lam[at, order], generator[at, order]
-        omega[screw], u_0, v_0 = bogoliubov_amplitudes(
+        omega[rows], u_0, v_0 = bogoliubov_amplitudes(
             np.where(generator, 0.0, lam), phi[at, order], self.omega_bare[0::2])
-        mask[screw] = ~generator
+        mask[rows] = ~generator
         # ion 0's amplitudes, and sigma e^{ik} M times them on ion 1
         twist = twist[at, order][..., None] * SUBLATTICE_MIRROR[0]
-        u[screw, :, 0::2], v[screw, :, 0::2] = u_0, v_0
-        u[screw, :, 1::2], v[screw, :, 1::2] = u_0 * twist, v_0 * twist
-        one_by_one = np.zeros(n_k, dtype=bool)
-        one_by_one[rows[~sound]] = True
-        with_pairs = np.zeros(n_k, dtype=bool)
-        with_pairs[screw[generator.any(axis=1)]] = True
-        zero_pairs: list = []
-        raw = None
-        descending = np.argsort(-k, kind="stable")
-        for i in descending[(one_by_one | with_pairs)[descending]]:
-            if with_pairs[i]:
-                zero_pairs.extend(generator_pair(axis, CELL_AXIS_MAP, self.omega_bare,
-                                                 self.config.n_ions)[1]
-                                  for axis in self._generators)
-                continue
-            raw = self.raw_coupling(k) if raw is None else raw
-            nf = self._normal_form(self._block(float(k[i]), raw[i]))
-            n = len(nf.omega)
-            omega[i, :n], u[i, :n], v[i, :n], mask[i, :n] = nf.omega, nf.u, nf.v, True
-            zero_pairs.extend(nf.zero_pairs)
+        u[rows, :, 0::2], v[rows, :, 0::2] = u_0, v_0
+        u[rows, :, 1::2], v[rows, :, 1::2] = u_0 * twist, v_0 * twist
+        zero_pairs = [generator_pair(axis, CELL_AXIS_MAP, self.omega_bare, self.config.n_ions)[1]
+                      for _ in np.flatnonzero(generator.any(axis=1)) for axis in self._generators]
         mirror = partner[mirrored]
         omega[mirrored], mask[mirrored] = omega[mirror], mask[mirror]
         u[mirrored], v[mirrored] = u[mirror].conj(), v[mirror].conj()

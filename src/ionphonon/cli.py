@@ -265,7 +265,7 @@ def _run_dispersion(rc: RunConfig):
 def _run_modes(rc: RunConfig):
     eq = solve_delta0(rc.chain)
     nf = zero_mode_normal_form(rc.chain, eq)
-    sectors = build_sectors(rc.chain, eq, nf.zero_pairs, nf.form.omega_bare)
+    sectors = build_sectors(rc.chain, eq, nf.form.omega_bare)
     header = ["kind", "label", "omega[omega_I]", "m_tilde[1/omega_I]",
               "theta_xy[rad]", "collectivity[1]"]
     rows = []

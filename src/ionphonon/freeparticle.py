@@ -22,9 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import CellCouplings, _cell_index
+from .bloch import CELL_AXIS_MAP, CellCouplings, _cell_index
 from .chain import GENERATORS, Boundary, ChainConfig, Equilibrium, broken_symmetries, solve_delta0
-from .symplectic import NormalForm, ZeroModePair
+from .symplectic import NormalForm, ZeroModePair, generator_pair
 
 
 @dataclass
@@ -58,10 +58,15 @@ def goldstone_branches(config: ChainConfig, eq: Equilibrium) -> dict[str, str]:
 
 def zero_mode_normal_form(config: ChainConfig,
                           eq: Equilibrium | None = None) -> NormalForm:
-    """Normal form of the k = 0 cell block, where all zero pairs live."""
+    """Normal form of the k = 0 cell block, where all zero pairs live: the
+    modes and zero pairs of ``CellCouplings.bands`` on the block's form."""
     if eq is None:
         eq = solve_delta0(config)
-    return CellCouplings(config, eq).normal_form(0.0)
+    couplings = CellCouplings(config, eq)
+    bands = couplings.bands(np.zeros(1))
+    mask = bands.mask[0]
+    return NormalForm(bands.omega[0, mask], bands.u[0, mask], bands.v[0, mask],
+                      bands.zero_pairs, couplings.block(0.0))
 
 
 def effective_masses(config: ChainConfig,
@@ -71,37 +76,27 @@ def effective_masses(config: ChainConfig,
     One per broken symmetry: {'longitudinal': ...}, and {'radial': ...} in
     the zigzag phase with alpha = 1 (``chain.broken_symmetries``).
     """
-    if eq is None:
-        eq = solve_delta0(config)
     return {zp.label: zp.m_tilde for zp in zero_mode_normal_form(config, eq).zero_pairs}
 
 
 def build_sectors(config: ChainConfig, eq: Equilibrium,
-                  zero_pairs: list[ZeroModePair],
                   omega_bare: np.ndarray) -> list[FreeParticleSector]:
-    """Free-particle sectors present for this configuration.
-
-    One sector per zero pair, except that the longitudinal sector (chain
-    sliding around the ring) exists only with periodic-ring boundaries; the
-    radial sector (zigzag plane rotation) exists wherever its pair does.
-    ``zero_pairs`` and ``omega_bare`` are those of the k = 0 cell block,
-    whose form holds one zero pair per broken symmetry
-    (``chain.broken_symmetries``) or raises ZeroModeToleranceError.
-    """
-    omega_x = omega_bare[_cell_index(0, 0)]
-    omega_z = omega_bare[_cell_index(0, 2)]
-    masses = {zp.label: zp for zp in zero_pairs}
+    """Free-particle sectors: one per broken symmetry (``chain.broken_symmetries``)
+    but the chain sliding round the ring in bulk.  Each takes its generator's
+    zero pair (``symplectic.generator_pair`` on the cell entries, bitwise the
+    k = 0 block's) and the Omega, c0 and circumference of its axis: x and the
+    ring, or z and the zigzag's circle of radius delta0."""
     sectors: list[FreeParticleSector] = []
-    if config.boundary is Boundary.RING and "longitudinal" in masses:
-        zp = masses["longitudinal"]
-        c0 = config.n_ions * config.lam * np.sqrt(omega_x) / (2.0 * np.pi)
-        sectors.append(FreeParticleSector(
-            "longitudinal", zp.m_tilde, float(c0), float(config.n_ions), zp))
-    if "radial" in masses:
-        zp = masses["radial"]
-        c0 = eq.delta0 * config.lam * np.sqrt(omega_z)
-        sectors.append(FreeParticleSector(
-            "radial", zp.m_tilde, float(c0), float(2.0 * np.pi * eq.delta0), zp))
+    for axis in broken_symmetries(config, eq):
+        if axis == 0 and config.boundary is Boundary.BULK:
+            continue
+        root = np.sqrt(omega_bare[_cell_index(0, axis)])
+        if axis == 0:  # the chain sliding round the ring
+            length, c0 = config.n_ions, config.n_ions * config.lam * root / (2.0 * np.pi)
+        else:  # the zigzag plane turning about the trap axis
+            length, c0 = 2.0 * np.pi * eq.delta0, eq.delta0 * config.lam * root
+        zp = generator_pair(axis, CELL_AXIS_MAP, omega_bare, config.n_ions)[1]
+        sectors.append(FreeParticleSector(zp.label, zp.m_tilde, float(c0), float(length), zp))
     return sectors
 
 

@@ -95,10 +95,7 @@ class PhononField:
 
     def sectors(self) -> list[FreeParticleSector]:
         if self._sectors is None:
-            # bulk grids are even, so no row is k = 0, where the zero pairs live
-            zero_pairs = self.zero_pairs or self.couplings.normal_form(0.0).zero_pairs
-            self._sectors = build_sectors(self.config, self.eq, zero_pairs,
-                                          self.couplings.omega_bare)
+            self._sectors = build_sectors(self.config, self.eq, self.couplings.omega_bare)
         return self._sectors
 
     def min_gap(self) -> float:

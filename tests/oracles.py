@@ -2,8 +2,9 @@
 
 Each one reaches a number the package computes another way: the classical
 potential that the equilibrium condition differentiates, the 3 x 3 pair
-blocks whose four entries ``pair_dyadic`` keeps, the dense
-2D x 2D form behind the Hermitian reduction of ``symplectic``, the four
+blocks whose four entries ``pair_dyadic`` keeps, the per-k 6 x 6 normal
+form whose screw blocks ``CellCouplings.bands`` solves in closed form, the
+dense 2D x 2D form behind the Hermitian reduction of ``symplectic``, the four
 ladder correlators that ``spatial_correlator`` combines in one sum, the
 one-request sum that ``correlator_table`` takes for many separations at
 once, the explicit per-ion sums of a ring that ``heat_capacity`` and
@@ -16,7 +17,7 @@ import math
 
 import numpy as np
 
-from ionphonon.bloch import AXES, _cell_index
+from ionphonon.bloch import AXES, CELL_AXIS_MAP, CellCouplings, _cell_index
 from ionphonon.chain import ZETA3, _TAIL, Boundary, pair_dy, pair_offsets, solve_delta0
 from ionphonon.errors import ConvergenceError, InternalConsistencyError
 from ionphonon.freeparticle import (
@@ -24,7 +25,6 @@ from ionphonon.freeparticle import (
     q_variance,
     thermal_energy_and_heat,
     thermal_p_squared,
-    zero_mode_normal_form,
 )
 from ionphonon.observables import (
     _CHUNK_ELEMENTS,
@@ -32,16 +32,25 @@ from ionphonon.observables import (
     _einstein_heat,
     _enabled_sectors,
 )
-from ionphonon.symplectic import sigma_apply
+from ionphonon.symplectic import sigma_apply, symplectic_diagonalize
 
 
 def sectors(config, eq=None):
-    """``build_sectors`` on the zero pairs and bare frequencies of the k = 0
-    cell block, as ``PhononField.sectors`` passes them."""
+    """``build_sectors`` on the bare frequencies of the cell blocks, as
+    ``PhononField.sectors`` passes them."""
     if eq is None:
         eq = solve_delta0(config)
-    nf0 = zero_mode_normal_form(config, eq)
-    return build_sectors(config, eq, nf0.zero_pairs, nf0.form.omega_bare)
+    return build_sectors(config, eq, CellCouplings(config, eq).omega_bare)
+
+
+def cell_normal_form(couplings, k, raw=None):
+    """The per-k 6 x 6 oracle of ``CellCouplings.bands``: the normal form of
+    the block at k, built from ``raw`` (that k's row of the grid's
+    ``raw_coupling``) when given, else ``couplings.normal_form(k)``."""
+    if raw is None:
+        return couplings.normal_form(k)
+    return symplectic_diagonalize(couplings._block(float(k), raw), axis_map=CELL_AXIS_MAP,
+                                  p_norm=couplings.config.n_ions)
 
 
 # ---------------------------------------------------------------------------

@@ -1,12 +1,15 @@
 """The band core (``CellCouplings.bands``: closed-form screw blocks) against
 per-k and full-space oracles."""
 
+import re
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ionphonon import bloch
+from ionphonon import bloch, cli
 from ionphonon.bloch import (
     CellCouplings,
     dispersion_zigzag,
@@ -28,6 +31,10 @@ from ionphonon.errors import (
     PhysicsError,
     ZeroModeToleranceError,
 )
+from ionphonon.freeparticle import build_sectors, zero_mode_normal_form
+from ionphonon.symplectic import W_RESIDUAL_TOL, assemble_W, completeness_residual
+from oracles import cell_normal_form
+from test_symplectic import configs_near_transitions
 
 
 def couplings(kappa, alpha=1.0, n=64, boundary=Boundary.RING):
@@ -50,9 +57,9 @@ def test_negative_onsite_curvature_is_a_bare_instability():
 def assert_matches_per_k_oracle(cc, grid):
     """bands(grid) against one 6 x 6 normal form per k of the same raw table.
 
-    The per-k oracle is the path of ``normal_form(k)`` applied to the grid's
-    raw couplings (``normal_form(k)`` itself evaluates k as a grid of one,
-    which a uniform grid's FFT rounds differently).  The band core solves
+    The per-k oracle is ``cell_normal_form`` on the grid's raw couplings
+    (``normal_form(k)`` itself evaluates k as a grid of one, which a uniform
+    grid's FFT rounds differently).  The band core solves
     the screw blocks in closed form instead, so:
     - omega agrees within 1e-12, and the zero slots and zero pairs to the bit;
     - the amplitudes agree up to each mode's phase, and inside a group of
@@ -77,7 +84,7 @@ def assert_matches_per_k_oracle(cc, grid):
             assert np.array_equal(bands.u[i], bands.u[j].conj())
             assert np.array_equal(bands.v[i], bands.v[j].conj())
             continue
-        nf = cc._normal_form(cc._block(float(k), raw[i]))
+        nf = cell_normal_form(cc, k, raw[i])
         n_modes = len(nf.omega)
         assert np.array_equal(bands.mask[i], np.arange(6) < n_modes)
         assert np.max(np.abs(bands.omega[i, :n_modes] - nf.omega)) <= 1e-12
@@ -137,7 +144,7 @@ def inject_screw_defects(monkeypatch, defects):
 
     The screw path reads no 6 x 6 block, and its blocks have no xz entry
     for a z defect to sit in: a broken Hermiticity of the same size is what
-    it certifies against, and it sends the row to the 6 x 6 path.
+    it certifies against.
     """
     screw_table = CellCouplings._screw_table
 
@@ -150,26 +157,43 @@ def inject_screw_defects(monkeypatch, defects):
     monkeypatch.setattr(CellCouplings, "_screw_table", defective)
 
 
+def oracle_error(cc, grid, raw):
+    """The error of the first block, in descending k, whose per-k 6 x 6
+    normal form fails, with that block's k; (None, None) when none does."""
+    for i in np.argsort(-grid, kind="stable"):
+        try:
+            cell_normal_form(cc, grid[i], raw[i])
+        except (PhysicsError, ValueError) as exc:
+            return exc, float(grid[i])
+    return None, None
+
+
+def assert_same_instability(got, want):
+    """The same count of imaginary frequencies f, each within 1e-12 (1 +
+    1 / |f|): both paths know f^2 to roundoff of the block's scale, which
+    moves f by that over 2 |f| (2.4e-12 at |f| = 4.6e-5, on a 10-ion ring
+    just past kappa_c)."""
+    assert len(got.frequencies) == len(want.frequencies) > 0
+    f = np.abs(want.frequencies)
+    assert np.all(np.abs(np.subtract(got.frequencies, want.frequencies)) <= 1e-12 * (1.0 + 1.0 / f))
+
+
 class TestFallback:
+    """The screw checks raise the error class of the per-k 6 x 6 oracle for
+    the first failing block in descending k, the block whose 6 x 6 normal
+    form the band path once fell back to."""
+
     @pytest.mark.parametrize("boundary, grid", [
         (Boundary.RING, ring_momenta(64)),
         (Boundary.BULK, reduced_zone_grid(64, include_edge=False)),
     ])
     def test_instability_names_the_first_failing_block(self, boundary, grid):
         cc = linear_couplings(0.6, 64, boundary)
-        raw = cc.raw_coupling(grid)
-        expected = None
-        for i in np.argsort(-grid, kind="stable"):
-            try:
-                cc._normal_form(cc._block(float(grid[i]), raw[i]))
-            except DynamicalInstabilityError as exc:
-                expected = exc
-                break
-        assert expected is not None
+        expected, _ = oracle_error(cc, grid, cc.raw_coupling(grid))
+        assert isinstance(expected, DynamicalInstabilityError)
         with pytest.raises(DynamicalInstabilityError) as err:
             cc.bands(grid)
-        assert str(err.value) == str(expected)
-        assert err.value.frequencies == expected.frequencies
+        assert_same_instability(err.value, expected)
 
     @pytest.mark.parametrize("defects", [
         {40: ("herm", 1e-6)},                    # Bloch Hermiticity check
@@ -187,68 +211,25 @@ class TestFallback:
             else:
                 raw[i, 4, 0] += size
                 raw[i, 0, 4] += size
-        expected = None
-        for i in np.argsort(-grid, kind="stable"):
-            try:
-                cc._normal_form(cc._block(float(grid[i]), raw[i]))
-            except (PhysicsError, ValueError) as exc:
-                expected = exc
-                break
-        assert expected is not None
+        expected, k = oracle_error(cc, grid, raw)
+        assert type(expected) is PhysicsError
         inject_screw_defects(monkeypatch, {i: size for i, (_, size) in defects.items()})
-        monkeypatch.setattr(cc, "raw_coupling", lambda k: raw)
-        with pytest.raises(type(expected)) as err:
+        with pytest.raises(PhysicsError) as err:
             cc.bands(grid)
-        assert str(err.value) == str(expected)
+        assert type(err.value) is PhysicsError
+        assert f"k={k} " in str(err.value)
 
     def test_generator_off_its_zero_names_the_k0_block(self):
         # off equilibrium the helical generator is no zero mode: D(pi)_zz
-        # exceeds lam_tol, and the k = 0 row ends in the 6 x 6 path's error
+        # exceeds lam_tol, and both paths name the radial generator
         cfg = ChainConfig(kappa=0.6, n_ions=64)
         cc = CellCouplings(cfg, Equilibrium(solve_delta0(cfg).delta0 * (1.0 + 1e-4)))
         grid = ring_momenta(64)
         i = int(np.argmin(np.abs(grid)))
-        with pytest.raises(ZeroModeToleranceError, match="radial generator") as expected:
-            cc._normal_form(cc._block(0.0, cc.raw_coupling(grid)[i]))
-        with pytest.raises(ZeroModeToleranceError) as err:
+        with pytest.raises(ZeroModeToleranceError, match="radial generator"):
+            cell_normal_form(cc, 0.0, cc.raw_coupling(grid)[i])
+        with pytest.raises(ZeroModeToleranceError, match="the radial generator entry at k = 0"):
             cc.bands(grid)
-        assert str(err.value) == str(expected.value)
-
-    def test_uncertified_row_takes_the_six_by_six_path(self, monkeypatch):
-        # a defect the 6 x 6 checks pass (|Re D_xy| of the screw blocks
-        # alone): the row's modes are its normal form's, the rest stay
-        cc = couplings(0.6, n=32, boundary=Boundary.BULK)
-        grid = reduced_zone_grid(64, include_edge=False)
-        sound = cc.bands(grid)
-        inject_screw_defects(monkeypatch, {40: 1e-6})
-        calls = []
-        original = bloch.symplectic_diagonalize
-        monkeypatch.setattr(bloch, "symplectic_diagonalize",
-                            lambda *args, **kwargs: calls.append(args) or original(*args, **kwargs))
-        bands = cc.bands(grid)
-        assert len(calls) == 1
-        nf = cc._normal_form(cc._block(float(grid[40]), cc.raw_coupling(grid)[40]))
-        assert np.array_equal(bands.omega[40], nf.omega)
-        assert np.array_equal(bands.u[40], nf.u) and np.array_equal(bands.v[40], nf.v)
-        assert np.array_equal(bands.omega[23], nf.omega)  # its -k row
-        rest = np.setdiff1d(np.arange(len(grid)), [23, 40])
-        assert np.array_equal(bands.omega[rest], sound.omega[rest])
-        assert np.array_equal(bands.u[rest], sound.u[rest])
-
-    def test_fallback_row_keeps_its_branch_columns(self, monkeypatch):
-        # the labels read the 6 x 6 normal form's amplitudes as they read
-        # the screw modes': row 40 (and its -k row 23) keep every branch
-        cfg = ChainConfig(kappa=0.6, n_ions=32, boundary=Boundary.BULK)
-        grid = reduced_zone_grid(64, include_edge=False)
-        sound = dispersion_zigzag(grid, cfg)
-        assert not np.all(np.diff(sound.omega[40]) > 0.0)  # not in ascending omega
-        inject_screw_defects(monkeypatch, {40: 1e-6})
-        bands = dispersion_zigzag(grid, cfg)
-        for i in (40, 23):
-            assert not np.array_equal(bands.omega[i], sound.omega[i])
-            np.testing.assert_allclose(bands.omega[i], sound.omega[i], rtol=0.0, atol=1e-12)
-        rest = np.setdiff1d(np.arange(len(grid)), [23, 40])
-        assert np.array_equal(bands.omega[rest], sound.omega[rest])
 
     def test_stable_linear_chain_bands_match_per_k(self):
         # below kappa_c the folded linear chain has regular blocks only
@@ -280,6 +261,113 @@ class TestDiagonalizationCount:
         # k = 0 and the zone edge included: every block in closed form
         couplings(0.6, n=n, boundary=boundary).bands(grid)
         assert count == []
+
+    @pytest.mark.parametrize("boundary", ["ring", "bulk"])
+    @pytest.mark.parametrize("kappa", ["0.3", "0.6"], ids=["linear", "zigzag"])
+    @pytest.mark.parametrize("command", sorted(cli._RUNNERS))
+    def test_no_command_diagonalizes_a_cell_block(self, monkeypatch, capsys, tmp_path,
+                                                  command, kappa, boundary):
+        # every import site of symplectic_diagonalize in the package refuses
+        # it: the bands, the k = 0 normal form, the free-particle sectors and
+        # the band errors all come from the screw blocks
+        def refuse(*args, **kwargs):
+            raise AssertionError("symplectic_diagonalize on a runtime path")
+
+        sites = [module for name, module in sorted(sys.modules.items())
+                 if name.startswith("ionphonon.") and hasattr(module, "symplectic_diagonalize")]
+        assert bloch in sites
+        for module in sites:
+            monkeypatch.setattr(module, "symplectic_diagonalize", refuse)
+        argv = [command, "--kappa", kappa, "--boundary", boundary, "--n-ions", "16",
+                "--k-points", "16", "--n-list", "16,32", "--t-steps", "3",
+                "--omega-steps", "5", "--max-separation", "2", "--component", "y",
+                "--output", str(tmp_path / "out.csv")]
+        # the linear chain has no zigzag order parameter
+        assert cli.main(argv) == (3 if (command, kappa) == ("ginzburg", "0.3") else 0)
+        capsys.readouterr()
+
+
+@pytest.mark.parametrize("boundary", list(Boundary))
+@pytest.mark.parametrize("kappa, alpha", [(0.3, 1.0), (0.6, 1.0), (0.6, 1.5)],
+                         ids=["linear", "zigzag", "zigzag-a1.5"])
+def test_k0_normal_form_is_the_six_by_six_one(kappa, alpha, boundary):
+    # the screw modes at k = 0 and the generator pairs against the 6 x 6
+    # path: omega within 1e-12, the same form and zero pairs to the bit, and
+    # a certificate within the bound assemble_W keeps; the free-particle
+    # sectors carry those zero pairs
+    cfg = ChainConfig(kappa=kappa, alpha=alpha, n_ions=16, boundary=boundary)
+    eq = solve_delta0(cfg)
+    nf = zero_mode_normal_form(cfg, eq)
+    oracle = CellCouplings(cfg, eq).normal_form(0.0)
+    assert len(nf.omega) == len(oracle.omega)
+    assert np.max(np.abs(nf.omega - oracle.omega)) <= 1e-12
+    assert np.array_equal(nf.form.g, oracle.form.g)
+    assert np.array_equal(nf.form.omega_bare, oracle.form.omega_bare)
+    assert len(nf.zero_pairs) == len(oracle.zero_pairs) > 0
+    for got, want in zip(nf.zero_pairs, oracle.zero_pairs):
+        assert np.array_equal(got.p, want.p) and np.array_equal(got.q, want.q)
+        assert got.m_tilde == want.m_tilde and got.label == want.label
+    assert completeness_residual(nf) <= W_RESIDUAL_TOL
+    assemble_W(nf)
+    sectors = build_sectors(cfg, eq, nf.form.omega_bare)
+    pairs = {zp.label: zp for zp in oracle.zero_pairs}
+    for sector in sectors:
+        want = pairs[sector.label]
+        assert np.array_equal(sector.pair.p, want.p) and np.array_equal(sector.pair.q, want.q)
+        assert sector.m_tilde == want.m_tilde
+    assert len(sectors) == len(pairs) - (boundary is Boundary.BULK)
+
+
+@pytest.mark.parametrize("grid", [
+    np.array([]), 0.3, np.zeros((2, 4)), np.array([0.1, np.nan]), [0.0, np.inf],
+], ids=["empty", "scalar", "2-D", "nan", "inf"])
+def test_malformed_grid_is_a_value_error(grid):
+    cfg = ChainConfig(kappa=0.6, n_ions=16, boundary=Boundary.BULK)
+    cc = CellCouplings(cfg, solve_delta0(cfg))
+    for call in (lambda: cc.bands(grid), lambda: dispersion_zigzag(grid, cfg)):
+        with pytest.raises(ValueError, match="k_grid must be a 1-D, non-empty and finite"):
+            call()
+
+
+def test_soft_mode_error_states_its_k_and_lam():
+    # far from any transition, at k = 2e-6 the softer gapless root of the
+    # bulk zigzag (0.1387 k^2) falls below lam_tol: the error says where,
+    # and by how much
+    cfg = ChainConfig(kappa=0.6, n_ions=32, boundary=Boundary.BULK)
+    with pytest.raises(ZeroModeToleranceError) as err:
+        dispersion_zigzag(np.array([2e-6]), cfg)
+    text = str(err.value)
+    assert text.startswith("1 zero mode(s) that no symmetry generator explains at k = 2e-06: ")
+    found = re.search(r"smallest lam = omega\^2 there is (\S+), within lam_tol = (\S+) of zero$",
+                      text)
+    lam, lam_tol = float(found[1]), float(found[2])
+    assert 0.0 < lam < lam_tol and lam == pytest.approx(0.1387 * 2e-6**2, rel=0.01)
+    assert lam_tol == pytest.approx(1.43e-12, rel=0.01)
+    assert "transition" not in text
+
+
+@settings(deadline=None, max_examples=100)
+@given(cfg=configs_near_transitions(), linear=st.booleans(), include_edge=st.booleans())
+def test_bands_end_in_the_oracles_outcome_class(cfg, linear, include_edge):
+    """``bands`` and the per-k 6 x 6 oracle, run in descending k, both
+    succeed or both raise the same class, an instability with the same
+    imaginary frequencies; ``linear`` expands around the linear chain,
+    unstable past kappa_c."""
+    try:
+        cc = CellCouplings(cfg, Equilibrium(0.0) if linear else solve_delta0(cfg))
+    except PhysicsError:
+        return
+    grid = ring_momenta(cfg.n_ions) if cfg.boundary is Boundary.RING \
+        else reduced_zone_grid(cfg.n_ions, include_edge=include_edge)
+    expected, _ = oracle_error(cc, grid, cc.raw_coupling(grid))
+    try:
+        cc.bands(grid)
+        got = None
+    except (PhysicsError, ValueError) as exc:
+        got = exc
+    assert type(got) is type(expected), (got, expected)
+    if isinstance(expected, DynamicalInstabilityError):
+        assert_same_instability(got, expected)
 
 
 @pytest.mark.parametrize("n, boundary", [
@@ -316,8 +404,7 @@ def test_screw_blocks_hold_the_full_space_spectrum(alpha, kappa, n, boundary):
     eq = solve_delta0(cfg)
     cc = CellCouplings(cfg, eq)
     grid = ring_momenta(n)
-    lam, *_, sound = cc._screw_modes(grid, cc._screw_table(grid[0], len(grid)))
-    assert sound.all()
+    lam = cc._screw_modes(grid, cc._screw_table(grid[0], len(grid)))[0]
     full = np.linalg.eigvalsh(build_hessian(cfg, eq).matrix)
     assert np.max(np.abs(np.sort(lam.ravel()) - full)) <= 1e-13
 
