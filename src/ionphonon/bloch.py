@@ -190,7 +190,9 @@ class CellCouplings:
     blocks and the equilibrium condition read
     :func:`~ionphonon.chain.k0_pair_sums`, and the k = 0 block, a grid of
     one, equals the cell table of those sums to the bit, so its
-    translational and helical zero modes vanish at machine precision.
+    translational and helical zero modes vanish at machine precision.  Those
+    (2, 3, 3) sums are kept: the k = 0 normal form's block (:meth:`k0_block`)
+    and the generator check of a grid without k = 0 read them.
     """
 
     def __init__(self, config: ChainConfig, eq: Equilibrium):
@@ -208,9 +210,9 @@ class CellCouplings:
         # sites as the k = 0 block does, the same on both sublattices, so
         # its zero modes are exact; the mirrored +-m partners cancel its
         # cross terms
-        sites_k0 = k0_pair_sums(config, eq.delta0,
-                                fold_pair_blocks(self._m, self._pairs, 2))
-        pairs = sites_k0.sum(axis=0)
+        self._k0_sums = k0_pair_sums(config, eq.delta0,
+                                     fold_pair_blocks(self._m, self._pairs, 2))
+        pairs = self._k0_sums.sum(axis=0)
         self._onsite = np.array([0.0, 1.0, config.alpha]) - np.diag(pairs)
         omega_sq = np.repeat(self._onsite, 2)
         if np.any(omega_sq <= 0.0):
@@ -227,17 +229,16 @@ class CellCouplings:
         sites and one FFT (plus, in bulk, the closed-form sums at each k_j);
         any other k is evaluated point by point as a grid of one.
         """
-        return self._on_grid(k, self._zone_table)
+        return self._on_grid(_momenta(np.atleast_1d(k)), self._zone_table)
 
-    def _on_grid(self, k, table) -> np.ndarray:
-        """``table(k_0, n)`` of a uniform zone grid k, else ``table(k, 1)`` per k."""
-        k_arr = np.atleast_1d(np.asarray(k, dtype=float))
+    def _on_grid(self, k_arr: np.ndarray, table) -> np.ndarray:
+        """``table(k_0, n)`` of a uniform zone grid k_arr, else ``table(k, 1)`` per k."""
         if self.config.boundary is Boundary.RING:
             n = self.config.n_ions
             steps = k_arr * n / (2.0 * np.pi)  # ring momenta: multiples of 2 pi / N
             if np.any(np.abs(steps - np.round(steps)) > 1e-9):
                 raise ValueError(
-                    f"k = {k} holds a momentum that the {n}-ion ring does not "
+                    f"k = {k_arr} holds a momentum that the {n}-ion ring does not "
                     f"allow; use ring_momenta({n}) or bulk boundaries"
                 )
         step = 2.0 * np.pi / (self.cell_length * len(k_arr))
@@ -375,6 +376,21 @@ class CellCouplings:
         """The 6 x 6 cell coupling form at quasi-momentum k."""
         return self._block(k, self.raw_coupling(k)[0])
 
+    def k0_block(self) -> QuadraticForm:
+        """``block(0.0)`` to the bit, from the stored k = 0 sums: no fold, no FFT."""
+        even, odd = self._k0_sums[:1], self._k0_sums[1:]
+        return self._block(0.0, _cells(even, odd, odd, 0.0)[0])
+
+    def check_generators(self) -> None:
+        """:meth:`_check_rows` on a k = 0 row, for grids that hold none: the screw
+        blocks D(pi) = even - M odd and D(0) = even + M odd of the stored k = 0
+        sums, whose roots are their diagonal entries (see :meth:`_screw_modes`)."""
+        even, odd = self._k0_sums[:, [0, 1, 2, 0], [0, 1, 2, 1]]  # xx, yy, zz, xy
+        table = (even + np.outer([-1.0, 1.0], odd * [1.0, -1.0, 1.0, 1.0]))[None]  # D(pi), D(0)
+        slots = [_SCREW_GENERATOR_SLOT[axis] for axis in self._generators]
+        lam = (table[..., :3] + self._onsite).reshape(1, 6)
+        self._check_rows(np.zeros(1), lam, np.isin(np.arange(6), slots)[None], table)
+
     def _block(self, k: float, raw: np.ndarray) -> QuadraticForm:
         g = raw / (2.0 * np.sqrt(np.outer(self.omega_bare, self.omega_bare)))
         if self._self_paired(k):
@@ -407,9 +423,7 @@ class CellCouplings:
         Each -k row is the conjugate of its +k partner, so that u(-k) =
         u(k)* across the grid.
         """
-        k = np.asarray(k_grid, dtype=float)
-        if k.ndim != 1 or not k.size or not np.all(np.isfinite(k)):
-            raise ValueError(f"k_grid must be a 1-D, non-empty and finite array, got {k_grid!r}")
+        k = _momenta(k_grid)
         n_k = len(k)
         omega = np.zeros((n_k, 6))
         mask = np.zeros((n_k, 6), dtype=bool)
@@ -437,6 +451,14 @@ class CellCouplings:
         omega[mirrored], mask[mirrored] = omega[mirror], mask[mirror]
         u[mirrored], v[mirrored] = u[mirror].conj(), v[mirror].conj()
         return Bands(k, omega, mask, u, v, zero_pairs)
+
+
+def _momenta(k_grid) -> np.ndarray:
+    """``k_grid`` as a float array; it must be 1-D, non-empty and finite."""
+    k = np.asarray(k_grid, dtype=float)
+    if k.ndim != 1 or not k.size or not np.all(np.isfinite(k)):
+        raise ValueError(f"k_grid must be a 1-D, non-empty and finite array, got {k_grid!r}")
+    return k
 
 
 def _cells(even, odd, odd_prev, k) -> np.ndarray:

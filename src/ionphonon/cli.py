@@ -6,7 +6,7 @@ with the imaginary parts of a dynamical instability's frequencies or the
 interval a failed root bracketing scanned), 4 I/O failure.  Outputs are
 deterministic: identical configurations produce byte-identical files, with
 floats at full double precision so golden files double as numeric
-regressions.
+regressions; runs in one process share each configuration's equilibrium.
 """
 
 from __future__ import annotations
@@ -32,6 +32,7 @@ from .bloch import (
 from .chain import (
     Boundary,
     ChainConfig,
+    Equilibrium,
     bare_frequencies,
     critical_kappa_classical,
     equilibrium_residual,
@@ -226,8 +227,19 @@ def _meta(rc: RunConfig) -> dict:
     return meta
 
 
+@functools.lru_cache(maxsize=64)
+def _delta0(chain: ChainConfig) -> float:
+    """``solve_delta0``'s delta0 once per config per process: no mutable
+    ``Equilibrium`` is kept, and no ``PhysicsError`` (it is raised each time)."""
+    return solve_delta0(chain).delta0
+
+
+def _equilibrium(rc: RunConfig) -> Equilibrium:
+    return Equilibrium(_delta0(rc.chain))
+
+
 def _run_equilibrium(rc: RunConfig):
-    eq = solve_delta0(rc.chain)
+    eq = _equilibrium(rc)
     omegas = bare_frequencies(rc.chain, eq)
     header = [
         "kappa[1]", "delta0[d]", "residual[m_I*omega_I^2*d]",
@@ -242,7 +254,7 @@ def _run_equilibrium(rc: RunConfig):
 
 
 def _run_dispersion(rc: RunConfig):
-    eq = solve_delta0(rc.chain)
+    eq = _equilibrium(rc)
     if rc.chain.boundary is Boundary.RING:
         grid = ring_momenta(rc.chain.n_ions)  # finite rings have only these
     else:
@@ -263,7 +275,7 @@ def _run_dispersion(rc: RunConfig):
 
 
 def _run_modes(rc: RunConfig):
-    eq = solve_delta0(rc.chain)
+    eq = _equilibrium(rc)
     nf = zero_mode_normal_form(rc.chain, eq)
     sectors = build_sectors(rc.chain, eq, nf.form.omega_bare)
     header = ["kind", "label", "omega[omega_I]", "m_tilde[1/omega_I]",
@@ -293,7 +305,7 @@ def _field_k_points(rc: RunConfig) -> int:
 
 
 def _run_correlations(rc: RunConfig):
-    eq = solve_delta0(rc.chain)
+    eq = _equilibrium(rc)
     temperature = rc.temperature if rc.temperature is not None else 0.0
     if rc.component:
         pairs = [(rc.component, rc.component)]
@@ -318,7 +330,7 @@ def _run_correlations(rc: RunConfig):
 
 
 def _run_heat_capacity(rc: RunConfig):
-    field = PhononField(rc.chain, n_k=_field_k_points(rc))
+    field = PhononField(rc.chain, _equilibrium(rc), n_k=_field_k_points(rc))
     if rc.temperature is not None:
         temps = [rc.temperature]
     else:
@@ -329,7 +341,7 @@ def _run_heat_capacity(rc: RunConfig):
 
 
 def _run_susceptibility(rc: RunConfig):
-    field = PhononField(rc.chain, n_k=_field_k_points(rc))
+    field = PhononField(rc.chain, _equilibrium(rc), n_k=_field_k_points(rc))
     grid = np.linspace(rc.omega_min, rc.omega_max, rc.omega_steps)
     component = rc.component or "y"
     chi = susceptibility(grid, (component, rc.sublattice), field, eta=rc.eta).chi
@@ -341,14 +353,14 @@ def _run_susceptibility(rc: RunConfig):
 
 
 def _run_energy_reduction(rc: RunConfig):
-    field = PhononField(rc.chain, n_k=_field_k_points(rc))
+    field = PhononField(rc.chain, _equilibrium(rc), n_k=_field_k_points(rc))
     header = ["kappa[1]", "delta0[d]", "dE0_per_ion[omega_I]"]
     rows = [(rc.chain.kappa, field.eq.delta0, correlation_energy(field))]
     return _meta(rc), header, rows
 
 
 def _run_ginzburg(rc: RunConfig):
-    eq = solve_delta0(rc.chain)
+    eq = _equilibrium(rc)
     values = ginzburg_parameter(rc.chain, eq, rc.n_list)
     header = ["n_ions[1]", "ginzburg[1]"]
     rows = [(n, g) for n, g in values]

@@ -58,15 +58,15 @@ def goldstone_branches(config: ChainConfig, eq: Equilibrium) -> dict[str, str]:
 
 def zero_mode_normal_form(config: ChainConfig,
                           eq: Equilibrium | None = None) -> NormalForm:
-    """Normal form of the k = 0 cell block, where all zero pairs live: the
-    modes and zero pairs of ``CellCouplings.bands`` on the block's form."""
+    """Normal form of the k = 0 cell block, where all zero pairs live: the modes and
+    zero pairs of ``CellCouplings.bands`` on ``k0_block``'s form (the kept k = 0 sums)."""
     if eq is None:
         eq = solve_delta0(config)
     couplings = CellCouplings(config, eq)
     bands = couplings.bands(np.zeros(1))
     mask = bands.mask[0]
     return NormalForm(bands.omega[0, mask], bands.u[0, mask], bands.v[0, mask],
-                      bands.zero_pairs, couplings.block(0.0))
+                      bands.zero_pairs, couplings.k0_block())
 
 
 def effective_masses(config: ChainConfig,

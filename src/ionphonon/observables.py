@@ -69,8 +69,9 @@ class PhononField:
     A ring's grid is its own momenta; bulk takes a midpoint grid of ``n_k``
     momenta, an odd ``n_k`` rounded up to the next even count: an odd grid
     puts its middle node on k = 0, where the Goldstone slots would drop out
-    of every sum.  Every k sum is the plain average over the grid (divided by
-    ``len(k)``).  Every observable reads its config and equilibrium from here.
+    of every sum, so a bulk field checks its generators by ``check_generators``.
+    Every k sum is the plain average over the grid (divided by ``len(k)``).
+    Every observable reads its config and equilibrium from here.
     """
 
     def __init__(self, config: ChainConfig, eq: Equilibrium | None = None,
@@ -85,6 +86,8 @@ class PhononField:
         else:
             grid = reduced_zone_grid(n_k + n_k % 2, include_edge=False)
         bands = self.couplings.bands(grid)
+        if config.boundary is Boundary.BULK:  # no k = 0 row: check the generators
+            self.couplings.check_generators()
         self.k, self.omega, self.mask = bands.k, bands.omega, bands.mask
         self.u, self.v, self.zero_pairs = bands.u, bands.v, bands.zero_pairs
         self._sectors: list[FreeParticleSector] | None = None

@@ -32,6 +32,7 @@ from ionphonon.errors import (
     ZeroModeToleranceError,
 )
 from ionphonon.freeparticle import build_sectors, zero_mode_normal_form
+from ionphonon.observables import PhononField
 from ionphonon.symplectic import W_RESIDUAL_TOL, assemble_W, completeness_residual
 from oracles import cell_normal_form
 from test_symplectic import configs_near_transitions
@@ -286,6 +287,22 @@ class TestDiagonalizationCount:
         assert cli.main(argv) == (3 if (command, kappa) == ("ginzburg", "0.3") else 0)
         capsys.readouterr()
 
+    @pytest.mark.parametrize("boundary", ["ring", "bulk"])
+    def test_no_command_builds_a_cell_table(self, monkeypatch, capsys, tmp_path, boundary):
+        # the bands read the screw table, the k = 0 form the stored k = 0
+        # sums: the 6 x 6 raw table is the tests' oracle alone
+        def refuse(*args, **kwargs):
+            raise AssertionError("CellCouplings.raw_coupling on a runtime path")
+
+        monkeypatch.setattr(CellCouplings, "raw_coupling", refuse)
+        for command in sorted(cli._RUNNERS):
+            argv = [command, "--kappa", "0.6", "--boundary", boundary, "--n-ions", "16",
+                    "--k-points", "16", "--n-list", "16", "--t-steps", "3",
+                    "--omega-steps", "5", "--max-separation", "2", "--component", "y",
+                    "--output", str(tmp_path / "out.csv")]
+            assert cli.main(argv) == 0
+        capsys.readouterr()
+
 
 @pytest.mark.parametrize("boundary", list(Boundary))
 @pytest.mark.parametrize("kappa, alpha", [(0.3, 1.0), (0.6, 1.0), (0.6, 1.5)],
@@ -319,12 +336,17 @@ def test_k0_normal_form_is_the_six_by_six_one(kappa, alpha, boundary):
 
 
 @pytest.mark.parametrize("grid", [
-    np.array([]), 0.3, np.zeros((2, 4)), np.array([0.1, np.nan]), [0.0, np.inf],
-], ids=["empty", "scalar", "2-D", "nan", "inf"])
+    np.array([]), 0.3, np.nan, np.zeros((2, 4)), np.array([0.1, np.nan]), [0.0, np.inf],
+], ids=["empty", "scalar", "nan-scalar", "2-D", "nan", "inf"])
 def test_malformed_grid_is_a_value_error(grid):
+    # raw_coupling (and so block and the per-k oracle) takes one finite
+    # momentum as a scalar; every other malformed grid fails there as in bands
     cfg = ChainConfig(kappa=0.6, n_ions=16, boundary=Boundary.BULK)
     cc = CellCouplings(cfg, solve_delta0(cfg))
-    for call in (lambda: cc.bands(grid), lambda: dispersion_zigzag(grid, cfg)):
+    calls = [lambda: cc.bands(grid), lambda: dispersion_zigzag(grid, cfg)]
+    if np.ndim(grid) or not np.isfinite(grid):
+        calls += [lambda: cc.raw_coupling(grid), lambda: cc.block(grid)]
+    for call in calls:
         with pytest.raises(ValueError, match="k_grid must be a 1-D, non-empty and finite"):
             call()
 
@@ -390,6 +412,53 @@ def test_k0_block_is_the_cell_table_of_k0_pair_sums(n, boundary):
     omega = cc.omega_bare
     expected = (cells / (2.0 * np.sqrt(np.outer(omega, omega)))).real
     assert np.array_equal(cc.block(0.0).g, expected)
+    # the k = 0 normal form's block comes from the stored sums, to the bit
+    form, want = cc.k0_block(), cc.block(0.0)
+    assert np.array_equal(form.g, want.g) and np.array_equal(form.omega_bare, want.omega_bare)
+    assert form.sectors == want.sectors and form.g.dtype == want.g.dtype
+
+
+def test_k0_form_and_generator_check_run_no_fold_or_fft(monkeypatch):
+    # both read the k = 0 sums that CellCouplings.__init__ folded already
+    cc = couplings(0.6, n=32, boundary=Boundary.BULK)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a fold or an FFT")
+
+    for owner, name in ((np.fft, "fft"), (bloch, "fold_pair_blocks"),
+                        (bloch, "fold_pair_entries"), (bloch, "power_law_sums")):
+        monkeypatch.setattr(owner, name, refuse)
+    cc.k0_block()
+    cc.check_generators()
+
+
+@pytest.mark.parametrize("kappa, alpha", [(0.3, 1.0), (0.6, 1.0), (0.6, 1.5)],
+                         ids=["linear", "zigzag", "zigzag-a1.5"])
+@pytest.mark.parametrize("n, boundary", [(16, Boundary.RING), (32, Boundary.BULK)],
+                         ids=["ring", "bulk"])
+def test_generator_check_reads_the_k0_screw_row(monkeypatch, kappa, alpha, n, boundary):
+    # the row the check hands _check_rows holds the screw path's k = 0 roots
+    # and generators, to rounding; at equilibrium it passes
+    cc = couplings(kappa, alpha, n, boundary)
+    seen, check = [], CellCouplings._check_rows
+    monkeypatch.setattr(CellCouplings, "_check_rows",
+                        lambda self, *args: seen.append(args) or check(self, *args))
+    cc._screw_modes(np.zeros(1), cc._screw_table(0.0, 1))
+    cc.check_generators()
+    (k, lam, generator, table), (k0, lam0, generator0, table0) = seen
+    assert np.array_equal(k0, k) and np.array_equal(generator0, generator)
+    assert np.max(np.abs(lam0 - lam)) <= 1e-15
+    assert np.max(np.abs(table0 - table)) <= 1e-15  # D(pi), then D(0)
+
+
+@pytest.mark.parametrize("offset", [1e-4, 1e-9])
+def test_off_equilibrium_bulk_field_names_the_radial_generator(offset):
+    # a bulk grid holds no k = 0 row; the field checks its generators on the
+    # k = 0 sums, so off delta0 the helical zero is named, not summed over
+    cfg = ChainConfig(kappa=0.6, boundary=Boundary.BULK)
+    off = Equilibrium(solve_delta0(cfg).delta0 * (1.0 + offset))
+    with pytest.raises(ZeroModeToleranceError, match="the radial generator entry at k = 0"):
+        PhononField(cfg, off)
 
 
 @pytest.mark.parametrize("boundary", [Boundary.RING, Boundary.BULK])

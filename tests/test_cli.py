@@ -582,6 +582,81 @@ def test_modes_at_a_rings_own_transition_exits_3(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+# one equilibrium per configuration per process
+
+
+@pytest.fixture
+def count_solves(monkeypatch):
+    """Empty the equilibrium memo and record every ``cli.solve_delta0`` call."""
+    calls = []
+    original = cli.solve_delta0
+
+    def counted(config):
+        calls.append(config)
+        return original(config)
+
+    monkeypatch.setattr(cli, "solve_delta0", counted)
+    cli._delta0.cache_clear()
+    yield calls
+    cli._delta0.cache_clear()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("boundary", ["ring", "bulk"])
+def test_runs_on_one_config_solve_its_equilibrium_once(count_solves, tmp_path, capsys,
+                                                       boundary, fmt):
+    flags = ["--kappa", "0.6", "--n-ions", "16", "--boundary", boundary, "--k-points", "16",
+             "--t-steps", "3", "--omega-steps", "5", "--max-separation", "2",
+             "--component", "y", "--n-list", "16", "--format", fmt]
+    texts = []
+    for command in sorted(cli._RUNNERS) * 2:
+        path = tmp_path / f"{command}-{len(texts)}.{fmt}"
+        code, _, _ = run_cli([command, *flags, "--output", str(path)], capsys)
+        assert code == 0
+        texts.append(path.read_bytes())
+    assert count_solves == [ChainConfig(0.6, n_ions=16, boundary=Boundary(boundary))]
+    half = len(texts) // 2
+    assert texts[:half] == texts[half:]
+
+
+def test_a_failing_config_is_not_stored(count_solves, tmp_path, capsys):
+    # alpha = 0.8 buckles along z past alpha kappa_c = 0.38 (N = 16 ring)
+    sidecars = []
+    for run in range(2):
+        out_path = tmp_path / f"eq{run}.csv"
+        code, _, err = run_cli(["equilibrium", "--kappa", "0.45", "--alpha", "0.8",
+                                "--n-ions", "16", "--output", str(out_path)], capsys)
+        assert code == 3 and "buckles along z" in err
+        assert not out_path.exists()
+        sidecars.append((tmp_path / f"eq{run}.csv.error.json").read_bytes())
+    assert sidecars[0] == sidecars[1]
+    assert json.loads(sidecars[0])["error"] == "DynamicalInstabilityError"
+    assert len(count_solves) == 2
+    assert cli._delta0.cache_info().currsize == 0
+
+
+def test_a_runs_equilibrium_is_its_own(count_solves, monkeypatch, capsys):
+    # each run gets a fresh Equilibrium: one run's change reaches no other
+    seen = []
+
+    def mutating(chain, eq, n_list):
+        seen.append(eq.delta0)
+        eq.delta0 = -1.0
+        return [(n, 0.0) for n in n_list]
+
+    monkeypatch.setattr(cli, "ginzburg_parameter", mutating)
+    for _ in range(2):
+        assert run_cli(["ginzburg", "--kappa", "0.6", "--n-ions", "16"], capsys)[0] == 0
+    assert len(count_solves) == 1
+    assert seen[0] == seen[1] == cli.solve_delta0(ChainConfig(0.6, n_ions=16)).delta0 > 0.0
+
+
+def test_equilibrium_memo_is_bounded():
+    maxsize = cli._delta0.cache_info().maxsize
+    assert maxsize is not None and 0 < maxsize <= 1024
+
+
+# ---------------------------------------------------------------------------
 # JSON writer against the stdlib encoder
 
 
