@@ -19,10 +19,10 @@ pairs from ``symplectic.generator_pair``, raises the error of the first
 failing row in descending k, and fills each -k row by conjugation; the
 phonon fields and the k = 0 normal form read its :class:`Bands`, and
 :func:`dispersion_zigzag` returns them in branch order.  The glide also
-labels every mode exactly: its parity, its sector (z or in-plane), and
-whether it is the upper or the lower root of its 2 x 2 block (on the
-linear chain, where D_xy vanishes, x or y); a branch is one label across
-the grid, so omega_b(-k) = omega_b(k).
+labels every mode exactly by its screw slot (``Bands.labels``): its parity,
+its sector (z or in-plane), and whether it is the upper or the lower root of
+its 2 x 2 block (on the linear chain, where D_xy vanishes, x or y); a branch
+is one label across the grid, so omega_b(-k) = omega_b(k).
 
 Axis convention (fixed throughout the package): the zigzag displacement is
 along y, so the in-plane sector is {x, y} and the gapless helical motion is
@@ -82,6 +82,11 @@ CELL_AXIS_MAP = np.array([0, 0, 1, 1, 2, 2])
 # column of each generator's mode at k = 0 among CellCouplings._screw_modes'
 # six: the x entry of D(0), the z entry of D(pi)
 _SCREW_GENERATOR_SLOT = {0: 3, 2: 2}
+
+# symmetry label of each of those six columns, 3 (odd glide parity: D(k + pi))
+# + root (upper 0, lower 1, z 2), and its change where a block's roots swap
+_SLOT_LABELS = np.array([3, 4, 5, 0, 1, 2])
+_SWAP_SHIFT = np.array([1, -1, 0])
 
 
 def _cell_index(s: int, axis: int) -> int:
@@ -301,7 +306,10 @@ class CellCouplings:
         Returns per row the six lam = omega^2 (D(k + pi)'s in-plane roots
         and z, then D(k)'s); ion 0's entries ``phi[row, mode, axis]`` of
         their unit cell vectors, whose ion 1 carries ``twist[row, mode]``
-        (sigma e^{ik}) times M times them; and which modes are generators.
+        (sigma e^{ik}) times M times them; which modes are generators; and
+        their labels (``_SLOT_LABELS``): in the zigzag the larger in-plane lam
+        is the upper root, on a diagonal block too (the x generator is D(0)'s
+        lower root); on the linear chain the axis, x or y, is the root.
         """
         table = table[:, ::-1]  # D(k + pi) first: it breaks ties at the edge
         diag = table[..., :3].real + self._onsite
@@ -323,6 +331,8 @@ class CellCouplings:
         axes = origin[:, None] | (c == 0.0)
         upper[axes], lower[axes], angle[axes] = a[axes], d[axes], 0.0
         lam = np.stack([upper, lower, diag[..., 2]], axis=-1).reshape(-1, 6)
+        swap = (lower > upper) if self._delta0 != 0.0 else np.zeros_like(axes)
+        label = _SLOT_LABELS + (swap[..., None] * _SWAP_SHIFT).reshape(-1, 6)
 
         generator = np.zeros(lam.shape, dtype=bool)
         generator[np.ix_(origin, [_SCREW_GENERATOR_SLOT[axis] for axis in self._generators])] = True
@@ -335,7 +345,7 @@ class CellCouplings:
         phi[:, :, 1, 0], phi[:, :, 1, 1] = -sin, 1j * cos
         phi[:, :, 2, 2] = half
         twist = np.repeat(np.exp(1j * k)[:, None] * [-1.0, 1.0], 3, axis=1)
-        return lam, phi.reshape(-1, 6, 3), twist, generator
+        return lam, phi.reshape(-1, 6, 3), twist, generator, label
 
     def _check_rows(self, k, lam, generator, table) -> None:
         """Raise the error of :meth:`normal_form` for the first row, in descending
@@ -421,7 +431,7 @@ class CellCouplings:
         cell vectors into modes (ion 1 carries sigma e^{ik} M times them),
         and at k = 0 the zero pairs are ``symplectic.generator_pair``'s.
         Each -k row is the conjugate of its +k partner, so that u(-k) =
-        u(k)* across the grid.
+        u(k)* across the grid, and keeps its labels.
         """
         k = _momenta(k_grid)
         n_k = len(k)
@@ -429,15 +439,17 @@ class CellCouplings:
         mask = np.zeros((n_k, 6), dtype=bool)
         u = np.zeros((n_k, 6, 6), dtype=complex)
         v = np.zeros((n_k, 6, 6), dtype=complex)
+        labels = np.empty((n_k, 6), dtype=int)
         partner = _mirror_partners(k)
         mirrored = (k < -1e-12) & ~self._self_paired(k) & (np.abs(k[partner] + k) < 1e-9)
         rows = np.flatnonzero(~mirrored)
-        lam, phi, twist, generator = self._screw_modes(
+        lam, phi, twist, generator, label = self._screw_modes(
             k[rows], self._on_grid(k, self._screw_table)[rows])
         at = np.arange(len(rows))[:, None]
         # ascending omega, the generators' empty slots last
         order = np.argsort(np.where(generator, np.inf, lam), axis=1, kind="stable")
         lam, generator = lam[at, order], generator[at, order]
+        labels[rows] = label[at, order]
         omega[rows], u_0, v_0 = bogoliubov_amplitudes(
             np.where(generator, 0.0, lam), phi[at, order], self.omega_bare[0::2])
         mask[rows] = ~generator
@@ -449,8 +461,9 @@ class CellCouplings:
                       for _ in np.flatnonzero(generator.any(axis=1)) for axis in self._generators]
         mirror = partner[mirrored]
         omega[mirrored], mask[mirrored] = omega[mirror], mask[mirror]
+        labels[mirrored] = labels[mirror]
         u[mirrored], v[mirrored] = u[mirror].conj(), v[mirror].conj()
-        return Bands(k, omega, mask, u, v, zero_pairs)
+        return Bands(k, omega, mask, labels, u, v, zero_pairs)
 
 
 def _momenta(k_grid) -> np.ndarray:
@@ -506,16 +519,21 @@ class Bands:
 
     Row i holds the modes of block k[i] where ``mask`` is set: in ascending
     omega from :meth:`CellCouplings.bands`, in branch order (column b is
-    branch b, one symmetry label of ``_mode_labels`` across the grid) from
-    :func:`dispersion_zigzag`.  Unset slots stand for the
-    zero pairs (listed in ``zero_pairs``; only k = 0 has any) and carry
-    omega = u = v = 0, so their mixing angle and collectivity are NaN.
-    ``u[i, g]``, ``v[i, g]`` are mode g's cell amplitudes.
+    branch b, one label across the grid) from :func:`dispersion_zigzag`.
+    Unset slots stand for the zero pairs (listed in ``zero_pairs``; only
+    k = 0 has any) and carry omega = u = v = 0, so their mixing angle and
+    collectivity are NaN.  ``labels[i, g]`` is slot g's symmetry label, 3
+    (odd glide parity) + its screw-block root (upper 0, lower 1, z 2; on the
+    linear chain x 0, y 1), a permutation of range(6) in every row; a zero
+    slot keeps its generator's, 5 for the rotation and 1 for the x
+    translation (0 on the linear chain).  ``u[i, g]``, ``v[i, g]`` are mode
+    g's cell amplitudes.
     """
 
     k: np.ndarray
     omega: np.ndarray   # (n_k, 6)
     mask: np.ndarray    # (n_k, 6) bool
+    labels: np.ndarray  # (n_k, 6) int
     u: np.ndarray       # (n_k, 6, 6)
     v: np.ndarray       # (n_k, 6, 6)
     zero_pairs: list
@@ -528,7 +546,9 @@ def ring_momenta(n_ions: int) -> np.ndarray:
 
 
 def reduced_zone_grid(n_k: int, include_edge: bool = True) -> np.ndarray:
-    """n_k momenta spanning the reduced zone [-pi/2d, pi/2d)."""
+    """n_k >= 1 momenta spanning the reduced zone [-pi/2d, pi/2d)."""
+    if n_k < 1:
+        raise ValueError(f"n_k must be at least 1, got {n_k}")
     edge = np.pi / 2.0
     if include_edge:
         return np.linspace(-edge, edge, n_k, endpoint=False)
@@ -559,71 +579,27 @@ def collectivities(u: np.ndarray, v: np.ndarray) -> np.ndarray:
         return np.linalg.norm(v, axis=-1) / np.linalg.norm(u, axis=-1)
 
 
-# rows per chunk of _mode_labels: its (rows, 6) temporaries of a few KiB
-# leave no mid-sized free chunk in the heap, where a long-lived allocation
-# that follows could pin a hole of several 100 KiB (see the perf notes in
-# ROADMAP.md)
-_LABEL_CHUNK_ROWS = 64
-
-
-def _mode_labels(bands: Bands, polarized: bool) -> np.ndarray:
-    """Symmetry label of every slot: 3 (odd glide parity) + (upper 0, lower 1, z 2).
-
-    Each mode's amplitudes give its glide parity sigma (ion 1 carries
-    sigma e^{ik} M times ion 0's entries) and its sector (z or in-plane, by
-    weight); an in-plane mode is the upper or the lower root of its
-    parity's 2 x 2 block by omega, or, where ``polarized`` (the linear
-    chain, whose D_xy vanishes on every row), x or y by weight.  The zero
-    pair slots, and a mode whose label an earlier slot of its row holds,
-    take the labels left over, in ascending order.
-    """
-    labels = np.empty(bands.mask.shape, dtype=int)
-    for start in range(0, len(bands.k), _LABEL_CHUNK_ROWS):
-        at = slice(start, start + _LABEL_CHUNK_ROWS)
-        u, mask, omega = bands.u[at], bands.mask[at], bands.omega[at]
-        # <ion 0, M ion 1> = sigma e^{ik} |ion 0|^2
-        glide = (u[..., 0].conj() * u[..., 1] - u[..., 2].conj() * u[..., 3]
-                 + u[..., 4].conj() * u[..., 5])
-        odd = (np.exp(-1j * bands.k[at])[:, None] * glide).real < 0.0
-        w_x, w_y, w_z = (np.abs(u[..., 2 * axis]) ** 2 for axis in range(3))
-        z = w_z > w_x + w_y
-        if polarized:
-            lower = w_y > w_x
-        else:
-            # a higher in-plane mode of the same parity in the row
-            partner = (mask & ~z)[:, None, :] & (odd[:, None, :] == odd[:, :, None])
-            lower = (partner & (omega[:, None, :] > omega[:, :, None])).any(axis=2)
-        labels[at] = np.where(mask, 3 * odd + np.where(z, 2, lower), 6)
-    for i in np.flatnonzero((np.sort(labels, axis=1) != np.arange(6)).any(axis=1)):
-        row = labels[i].tolist()
-        kept = [None if label == 6 or label in row[:j] else label
-                for j, label in enumerate(row)]
-        left = iter(sorted(set(range(6)).difference(kept)))
-        labels[i] = [next(left) if label is None else label for label in kept]
-    return labels
-
-
 def dispersion_zigzag(k_grid: np.ndarray, config: ChainConfig,
                       eq: Equilibrium | None = None) -> Bands:
     """The :class:`Bands` of a momentum grid with column b of every row on branch b.
 
-    Branches are numbered by symmetry (``_mode_labels``): branch b is the
-    label of slot b of the first row, whose slots are in ascending omega
-    with the zero slots last, and in every row it takes the slot with that
-    label.  So omega_b(-k) = omega_b(k) to the bit, and each branch keeps
-    one glide parity wherever that parity is sharp.  At k = 0 in the zigzag phase the two gapless
-    directions appear as zero pairs, with ``mask`` unset and omega = 0.
+    Branches are numbered by symmetry (``Bands.labels``, each mode's screw
+    slot): branch b is the label of slot b of the first row, whose slots are
+    in ascending omega with the zero slots last, and in every row it takes
+    the slot with that label, so ``labels`` is the same in every row.  So
+    omega_b(-k) = omega_b(k) to the bit, and each branch keeps one glide
+    parity wherever that parity is sharp.  At k = 0 in the zigzag phase the
+    two gapless directions appear as zero pairs, ``mask`` unset, omega = 0.
     """
     if eq is None:
         eq = solve_delta0(config)
     bands = CellCouplings(config, eq).bands(k_grid)
-    labels = _mode_labels(bands, polarized=eq.delta0 == 0.0)
-    # each row's labels are a permutation, so its argsort is the slot of
-    # each label
-    slots = np.argsort(labels, axis=1)[:, labels[0]]
+    # a row's labels are a permutation: its argsort is the slot of each label
+    slots = np.argsort(bands.labels, axis=1)[:, bands.labels[0]]
     rows = np.arange(len(bands.k))[:, None]
     return Bands(bands.k, bands.omega[rows, slots], bands.mask[rows, slots],
-                 bands.u[rows, slots], bands.v[rows, slots], bands.zero_pairs)
+                 bands.labels[rows, slots], bands.u[rows, slots], bands.v[rows, slots],
+                 bands.zero_pairs)
 
 
 # ---------------------------------------------------------------------------

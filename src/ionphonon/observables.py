@@ -165,7 +165,7 @@ def correlator_table(req: CorrelatorRequest, field: PhononField,
     first.
     """
     dj = np.asarray(separations)
-    if dj.ndim != 1 or dj.dtype.kind not in "iu":
+    if dj.ndim != 1 or (dj.size and dj.dtype.kind not in "iu"):
         raise ValueError(f"separations must be a list of integers, got {separations!r}")
     i = _cell_index(req.s, AXES[req.nu])
     j = _cell_index(req.sp, AXES[req.nup])
@@ -294,6 +294,9 @@ def susceptibility(omega_grid: np.ndarray, component: tuple[str, int],
         raise ValueError(f"component must be (x|y|z, 0|1), got {component}")
     if not 0.0 < eta < np.inf:
         raise ValueError(f"eta must be positive and finite, got {eta}")
+    omega_grid = np.asarray(omega_grid, dtype=float)
+    if omega_grid.ndim != 1 or not np.all(np.isfinite(omega_grid)):
+        raise ValueError(f"omega_grid must be a 1-D and finite array, got {omega_grid!r}")
     i = _cell_index(s, AXES[nu])
     weight = np.abs((field.u[:, :, i] - field.v[:, :, i])[field.mask]) ** 2
     # the key w + i W compares (w, W) bitwise and sorts faster than axis=0
@@ -302,7 +305,6 @@ def susceptibility(omega_grid: np.ndarray, component: tuple[str, int],
     w = poles.real
     residue = -m * poles.imag * w / (
         field.config.lam**2 * field.couplings.omega_bare[i] * len(field.k))
-    omega_grid = np.asarray(omega_grid, dtype=float)
     # omega chunks in a fixed element budget; each row sums bitwise as alone
     step = max(1, _CHUNK_ELEMENTS // max(1, len(w)))
     chi = np.empty(len(omega_grid), dtype=complex)

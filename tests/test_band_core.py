@@ -21,6 +21,7 @@ from ionphonon.chain import (
     Boundary,
     ChainConfig,
     Equilibrium,
+    broken_symmetries,
     build_hessian,
     k0_pair_sums,
     solve_delta0,
@@ -351,6 +352,16 @@ def test_malformed_grid_is_a_value_error(grid):
             call()
 
 
+@pytest.mark.parametrize("n_k", [0, -4])
+def test_empty_zone_grid_is_a_value_error(n_k):
+    cfg = ChainConfig(kappa=0.6, n_ions=16, boundary=Boundary.BULK)
+    calls = [lambda: reduced_zone_grid(n_k), lambda: reduced_zone_grid(n_k, include_edge=False),
+             lambda: PhononField(cfg, n_k=n_k)]
+    for call in calls:
+        with pytest.raises(ValueError, match="n_k must be at least 1"):
+            call()
+
+
 def test_soft_mode_error_states_its_k_and_lam():
     # far from any transition, at k = 2e-6 the softer gapless root of the
     # bulk zigzag (0.1387 k^2) falls below lam_tol: the error says where,
@@ -501,17 +512,24 @@ def glide(k, c):
 def test_band_modes_have_a_glide_parity_and_one_sector(kappa, alpha, n, boundary, include_edge):
     """Every mode of the bands (here in ``dispersion_zigzag``'s branch
     order) is a glide eigenvector, e^{-ik} times a parity of +-1, and lies
-    in the z or the in-plane sector; each branch keeps one parity, and
-    omega_b(-k) = omega_b(k) to the bit on every mirrored pair."""
+    in the z or the in-plane sector; its label states both, and its root:
+    upper or lower by omega in the zigzag, x or y on the linear chain.  Each
+    branch keeps one label and one parity, the zero slots carry their
+    generators' labels, and omega_b(-k) = omega_b(k) to the bit on every
+    mirrored pair."""
     cfg = ChainConfig(kappa=kappa, alpha=alpha, n_ions=n, boundary=boundary)
     grid = ring_momenta(n) if boundary is Boundary.RING \
         else reduced_zone_grid(n, include_edge=include_edge)
     try:
-        bands = dispersion_zigzag(grid, cfg)
+        eq = solve_delta0(cfg)
+        bands = dispersion_zigzag(grid, cfg, eq)
     except PhysicsError:
         return
+    assert np.array_equal(bands.labels, np.broadcast_to(bands.labels[0], bands.labels.shape))
+    assert np.array_equal(np.sort(bands.labels[0]), np.arange(6))
     parities = np.zeros((len(grid), 6))
     for i, k in enumerate(grid):
+        in_plane_modes = []
         for b in np.flatnonzero(bands.mask[i]):
             u, v = bands.u[i, b], bands.v[i, b]
             modes = np.stack([u, v])
@@ -523,6 +541,25 @@ def test_band_modes_have_a_glide_parity_and_one_sector(kappa, alpha, n, boundary
             assert np.max(np.abs(glide(k, modes) - sign * modes)) <= 1e-12 * scale
             in_plane, z = np.max(np.abs(modes[:, :4])), np.max(np.abs(modes[:, 4:]))
             assert min(in_plane, z) <= 1e-13 * scale
+            label = bands.labels[i, b]
+            assert label // 3 == (parity < 0.0)
+            assert (label % 3 == 2) == (z > in_plane)
+            if z < in_plane:
+                in_plane_modes.append((b, parity < 0.0))
+        for b, odd in in_plane_modes:
+            if eq.delta0 == 0.0:
+                w = np.abs(bands.u[i, b]) ** 2
+                lower = w[2] + w[3] > w[0] + w[1]
+            else:
+                lower = any(bands.omega[i, c] > bands.omega[i, b]
+                            for c, odd_c in in_plane_modes if odd_c == odd)
+            assert bands.labels[i, b] % 3 == lower
+        zero_labels = {int(label) for label in bands.labels[i, ~bands.mask[i]]}
+        generators = broken_symmetries(cfg, eq) if abs(k) < 1e-12 else ()
+        # the x translation is D(0)'s lower root in the zigzag, its x root on
+        # the linear chain
+        translation = 0 if eq.delta0 == 0.0 else 1
+        assert zero_labels == {translation if axis == 0 else 5 for axis in generators}
     for b in range(6):
         assert len(set(parities[bands.mask[:, b], b])) == 1
     for i, k in enumerate(grid):
@@ -530,6 +567,27 @@ def test_band_modes_have_a_glide_parity_and_one_sector(kappa, alpha, n, boundary
             j = int(np.argmin(np.abs(grid + k)))
             if abs(grid[j] + k) < 1e-12:
                 assert np.array_equal(bands.omega[j], bands.omega[i])
+
+
+@pytest.mark.parametrize("boundary", list(Boundary))
+def test_grid_from_k0_numbers_the_helical_branch_by_its_generator(boundary):
+    # isotropic zigzag on a grid whose first row is k = 0: the zero slots,
+    # last in that row, keep their generators' labels, the rotation's 5
+    # (odd, z) before the x translation's 1 (even, lower in-plane root), so
+    # branch 4 is the gapless helical z branch at every k > 0
+    cfg = ChainConfig(kappa=0.6, alpha=1.0, n_ions=16, boundary=boundary)
+    grid = np.roll(ring_momenta(16), -4)
+    assert grid[0] == 0.0
+    bands = dispersion_zigzag(grid, cfg)
+    assert not bands.mask[0, 4:].any()
+    assert bands.labels[0, 4:].tolist() == [5, 1]
+    for i, k in enumerate(grid[1:], start=1):
+        u = bands.u[i, 4]
+        assert np.max(np.abs(u[:4])) == 0.0
+        parity = np.real(np.exp(1j * k) * np.vdot(u, glide(k, u))) / np.vdot(u, u).real
+        assert parity == pytest.approx(-1.0, abs=1e-12)
+    omega_z = bands.omega[1, bands.labels[1] % 3 == 2]
+    assert bands.omega[1, 4] == omega_z.min()
 
 
 @pytest.mark.parametrize("kappa, alpha", [(0.3, 1.5), (0.6, 1.0)])

@@ -379,6 +379,10 @@ class TestCorrelatorTable:
         with pytest.raises(ValueError, match="separations"):
             correlator_table(CorrelatorRequest(0), table_fields["ring64"], separations)
 
+    def test_no_separations_is_an_empty_table(self, table_fields):
+        table = correlator_table(CorrelatorRequest(0), table_fields["ring64"], [])
+        assert table.shape == (0,)
+
 
 @pytest.mark.parametrize("temperature", [1e-320, 1e-300, 1e-160])
 def test_tiny_temperatures_are_frozen(temperature):
@@ -573,6 +577,12 @@ class TestSusceptibility:
     def test_rejects_infinite_eta(self, linear_field):
         with pytest.raises(ValueError, match="eta"):
             susceptibility([0.1], ("y", 0), linear_field[2], eta=np.inf)
+
+    @pytest.mark.parametrize("grid", [np.zeros((2, 3)), 0.3, [0.1, np.nan], [np.inf]],
+                             ids=["2-D", "scalar", "nan", "inf"])
+    def test_rejects_malformed_omega_grid(self, linear_field, grid):
+        with pytest.raises(ValueError, match="omega_grid must be a 1-D and finite"):
+            susceptibility(grid, ("y", 0), linear_field[2])
 
 
 class TestCorrelationEnergy:
