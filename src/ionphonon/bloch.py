@@ -14,10 +14,10 @@ builds them for a whole uniform grid from one twisted fold of the pair
 blocks summed directly (``chain.fold_pair_entries``, shared with the
 full-space Hessian) and one FFT, plus in bulk the closed-form sums of
 ``chain.power_law_sums`` at each k; it solves each in closed form, takes
-the amplitudes from ``symplectic.bogoliubov_amplitudes`` and the k = 0 zero
-pairs from ``symplectic.generator_pair``, raises the error of the first
-failing row in descending k, and fills each -k row by conjugation; the
-phonon fields and the k = 0 normal form read its :class:`Bands`, and
+the amplitudes from ``symplectic.bogoliubov_amplitudes`` (the generators'
+slots unset at k = 0), raises the error of the first failing row in
+descending k, and fills each -k row by conjugation; the phonon fields and the
+k = 0 normal form read its :class:`Bands`, and
 :func:`dispersion_zigzag` returns them in branch order.  The glide also
 labels every mode exactly by its screw slot (``Bands.labels``): its parity,
 its sector (z or in-plane), and whether it is the upper or the lower root of
@@ -68,7 +68,6 @@ from .symplectic import (
     NormalForm,
     QuadraticForm,
     bogoliubov_amplitudes,
-    generator_pair,
     is_hermitian,
     symplectic_diagonalize,
     zero_threshold,
@@ -429,9 +428,9 @@ class CellCouplings:
         checks (:meth:`_check_rows`) and diagonalizes in closed form;
         ``symplectic.bogoliubov_amplitudes`` turns ion 0's entries of their
         cell vectors into modes (ion 1 carries sigma e^{ik} M times them),
-        and at k = 0 the zero pairs are ``symplectic.generator_pair``'s.
-        Each -k row is the conjugate of its +k partner, so that u(-k) =
-        u(k)* across the grid, and keeps its labels.
+        and at k = 0 each generator's slot stays unset.  Each -k row is the
+        conjugate of its +k partner, so that u(-k) = u(k)* across the grid,
+        and keeps its labels.
         """
         k = _momenta(k_grid)
         n_k = len(k)
@@ -457,13 +456,11 @@ class CellCouplings:
         twist = twist[at, order][..., None] * SUBLATTICE_MIRROR[0]
         u[rows, :, 0::2], v[rows, :, 0::2] = u_0, v_0
         u[rows, :, 1::2], v[rows, :, 1::2] = u_0 * twist, v_0 * twist
-        zero_pairs = [generator_pair(axis, CELL_AXIS_MAP, self.omega_bare, self.config.n_ions)[1]
-                      for _ in np.flatnonzero(generator.any(axis=1)) for axis in self._generators]
         mirror = partner[mirrored]
         omega[mirrored], mask[mirrored] = omega[mirror], mask[mirror]
         labels[mirrored] = labels[mirror]
         u[mirrored], v[mirrored] = u[mirror].conj(), v[mirror].conj()
-        return Bands(k, omega, mask, labels, u, v, zero_pairs)
+        return Bands(k, omega, mask, labels, u, v)
 
 
 def _momenta(k_grid) -> np.ndarray:
@@ -520,8 +517,8 @@ class Bands:
     Row i holds the modes of block k[i] where ``mask`` is set: in ascending
     omega from :meth:`CellCouplings.bands`, in branch order (column b is
     branch b, one label across the grid) from :func:`dispersion_zigzag`.
-    Unset slots stand for the zero pairs (listed in ``zero_pairs``; only
-    k = 0 has any) and carry omega = u = v = 0, so their mixing angle and
+    Unset slots stand for the zero pairs (only k = 0 has any; the pairs are
+    ``freeparticle``'s) and carry omega = u = v = 0, so their mixing angle and
     collectivity are NaN.  ``labels[i, g]`` is slot g's symmetry label, 3
     (odd glide parity) + its screw-block root (upper 0, lower 1, z 2; on the
     linear chain x 0, y 1), a permutation of range(6) in every row; a zero
@@ -536,7 +533,6 @@ class Bands:
     labels: np.ndarray  # (n_k, 6) int
     u: np.ndarray       # (n_k, 6, 6)
     v: np.ndarray       # (n_k, 6, 6)
-    zero_pairs: list
 
 
 def ring_momenta(n_ions: int) -> np.ndarray:
@@ -546,9 +542,9 @@ def ring_momenta(n_ions: int) -> np.ndarray:
 
 
 def reduced_zone_grid(n_k: int, include_edge: bool = True) -> np.ndarray:
-    """n_k >= 1 momenta spanning the reduced zone [-pi/2d, pi/2d)."""
-    if n_k < 1:
-        raise ValueError(f"n_k must be at least 1, got {n_k}")
+    """n_k >= 1 momenta (an int, not a float) spanning the reduced zone [-pi/2d, pi/2d)."""
+    if not isinstance(n_k, (int, np.integer)) or n_k < 1:
+        raise ValueError(f"n_k must be at least 1 and an integer, got {n_k!r}")
     edge = np.pi / 2.0
     if include_edge:
         return np.linspace(-edge, edge, n_k, endpoint=False)
@@ -589,7 +585,8 @@ def dispersion_zigzag(k_grid: np.ndarray, config: ChainConfig,
     the slot with that label, so ``labels`` is the same in every row.  So
     omega_b(-k) = omega_b(k) to the bit, and each branch keeps one glide
     parity wherever that parity is sharp.  At k = 0 in the zigzag phase the
-    two gapless directions appear as zero pairs, ``mask`` unset, omega = 0.
+    two gapless directions are zero slots (``mask`` unset, omega = 0), whose
+    pairs ``freeparticle.zero_mode_normal_form`` builds.
     """
     if eq is None:
         eq = solve_delta0(config)
@@ -598,8 +595,7 @@ def dispersion_zigzag(k_grid: np.ndarray, config: ChainConfig,
     slots = np.argsort(bands.labels, axis=1)[:, bands.labels[0]]
     rows = np.arange(len(bands.k))[:, None]
     return Bands(bands.k, bands.omega[rows, slots], bands.mask[rows, slots],
-                 bands.labels[rows, slots], bands.u[rows, slots], bands.v[rows, slots],
-                 bands.zero_pairs)
+                 bands.labels[rows, slots], bands.u[rows, slots], bands.v[rows, slots])
 
 
 # ---------------------------------------------------------------------------

@@ -58,15 +58,16 @@ def goldstone_branches(config: ChainConfig, eq: Equilibrium) -> dict[str, str]:
 
 def zero_mode_normal_form(config: ChainConfig,
                           eq: Equilibrium | None = None) -> NormalForm:
-    """Normal form of the k = 0 cell block, where all zero pairs live: the modes and
-    zero pairs of ``CellCouplings.bands`` on ``k0_block``'s form (the kept k = 0 sums)."""
+    """The k = 0 cell block's normal form: ``CellCouplings.bands``' modes and each generator's
+    zero pair (``symplectic.generator_pair``) on ``k0_block``'s form (the kept k = 0 sums)."""
     if eq is None:
         eq = solve_delta0(config)
     couplings = CellCouplings(config, eq)
     bands = couplings.bands(np.zeros(1))
     mask = bands.mask[0]
     return NormalForm(bands.omega[0, mask], bands.u[0, mask], bands.v[0, mask],
-                      bands.zero_pairs, couplings.k0_block())
+                      [generator_pair(axis, CELL_AXIS_MAP, couplings.omega_bare, config.n_ions)[1]
+                       for axis in broken_symmetries(config, eq)], couplings.k0_block())
 
 
 def effective_masses(config: ChainConfig,
@@ -107,8 +108,8 @@ def thermal_p_squared(sector: FreeParticleSector, temperature: float) -> float:
     the exact moments of ``_winding_moments`` (Poisson dual series below
     E_1 / T = pi), so no winding-number truncation remains.
     """
-    if temperature < 0.0:
-        raise ValueError("temperature must be non-negative")
+    if not 0.0 <= temperature < np.inf:  # NaN fails too
+        raise ValueError(f"temperature must be non-negative and finite, got {temperature!r}")
     if temperature == 0.0:
         return 0.0
     m2_mean, _ = _winding_moments(sector.level_unit / temperature)
@@ -164,7 +165,9 @@ def thermal_energy_and_heat(sector: FreeParticleSector,
     winding-number truncation remains, and the cost depends on neither N
     nor T.
     """
-    if temperature <= 0.0:
+    if not 0.0 <= temperature < np.inf:  # NaN fails too
+        raise ValueError(f"temperature must be non-negative and finite, got {temperature!r}")
+    if temperature == 0.0:
         return 0.0, 0.0
     # Python floats: a turns inf (frozen) once T < E_1 * 5.6e-309, silently
     a = float(sector.level_unit) / float(temperature)

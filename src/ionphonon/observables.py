@@ -89,7 +89,7 @@ class PhononField:
         if config.boundary is Boundary.BULK:  # no k = 0 row: check the generators
             self.couplings.check_generators()
         self.k, self.omega, self.mask = bands.k, bands.omega, bands.mask
-        self.u, self.v, self.zero_pairs = bands.u, bands.v, bands.zero_pairs
+        self.u, self.v = bands.u, bands.v
         self._sectors: list[FreeParticleSector] | None = None
 
     @property

@@ -63,7 +63,7 @@ def assert_matches_per_k_oracle(cc, grid):
     (``normal_form(k)`` itself evaluates k as a grid of one, which a uniform
     grid's FFT rounds differently).  The band core solves
     the screw blocks in closed form instead, so:
-    - omega agrees within 1e-12, and the zero slots and zero pairs to the bit;
+    - omega agrees within 1e-12, and the zero slots to the bit;
     - the amplitudes agree up to each mode's phase, and inside a group of
       modes degenerate within 1e-9 up to a rotation of the group: per group,
       sum u u^dag, sum v v^dag and sum u v^dag agree within 1e-12 (1 + 1 /
@@ -75,7 +75,6 @@ def assert_matches_per_k_oracle(cc, grid):
     """
     bands = cc.bands(grid)
     raw = cc.raw_coupling(grid)
-    zero_pairs = []
     for i, k in enumerate(grid):
         mirrored = k < -1e-12 and abs(k + np.pi / 2.0) >= 1e-12 \
             and np.min(np.abs(grid + k)) < 1e-9
@@ -99,11 +98,6 @@ def assert_matches_per_k_oracle(cc, grid):
                 tol = 1e-12 * (1.0 + 1.0 / gap + nf.omega[group[0]] ** -2) \
                     * max(1.0, np.max(np.abs(want)))
                 assert np.max(np.abs(got - want)) <= tol
-        zero_pairs.extend(nf.zero_pairs)
-    assert len(bands.zero_pairs) == len(zero_pairs)
-    for got, want in zip(bands.zero_pairs, zero_pairs):
-        assert np.array_equal(got.p, want.p) and np.array_equal(got.q, want.q)
-        assert got.m_tilde == want.m_tilde and got.label == want.label
 
 
 def degenerate_groups(omega):
@@ -305,6 +299,38 @@ class TestDiagonalizationCount:
         capsys.readouterr()
 
 
+class TestZeroPairsLeaveTheBandCore:
+    @pytest.fixture
+    def refused(self, monkeypatch):
+        # every import site of generator_pair in the package refuses it: the
+        # band core's account of the generators is its zero slots alone
+        def refuse(*args, **kwargs):
+            raise AssertionError("generator_pair in the band core")
+
+        sites = [module for name, module in sorted(sys.modules.items())
+                 if name.startswith("ionphonon.") and hasattr(module, "generator_pair")]
+        assert sites
+        for module in sites:
+            monkeypatch.setattr(module, "generator_pair", refuse)
+
+    @pytest.mark.parametrize("n, boundary, grid", [
+        (64, Boundary.RING, ring_momenta(64)),
+        (32, Boundary.BULK, reduced_zone_grid(65, include_edge=False)),
+        (32, Boundary.BULK, reduced_zone_grid(64, include_edge=True)),
+    ], ids=["ring", "bulk", "bulk-edge"])
+    def test_bands_build_no_zero_pair(self, refused, n, boundary, grid):
+        assert np.min(np.abs(grid)) < 1e-12  # each grid holds k = 0
+        bands = couplings(0.6, n=n, boundary=boundary).bands(grid)
+        assert (~bands.mask).sum() == 2
+        assert not hasattr(bands, "zero_pairs")
+
+    @pytest.mark.parametrize("boundary", list(Boundary))
+    @pytest.mark.parametrize("kappa", [0.3, 0.6], ids=["linear", "zigzag"])
+    def test_phonon_field_builds_no_zero_pair(self, refused, kappa, boundary):
+        field = PhononField(ChainConfig(kappa=kappa, n_ions=16, boundary=boundary), n_k=16)
+        assert not hasattr(field, "zero_pairs")
+
+
 @pytest.mark.parametrize("boundary", list(Boundary))
 @pytest.mark.parametrize("kappa, alpha", [(0.3, 1.0), (0.6, 1.0), (0.6, 1.5)],
                          ids=["linear", "zigzag", "zigzag-a1.5"])
@@ -352,8 +378,10 @@ def test_malformed_grid_is_a_value_error(grid):
             call()
 
 
-@pytest.mark.parametrize("n_k", [0, -4])
+@pytest.mark.parametrize("n_k", [0, -4, 2.5, 64.5])
 def test_empty_zone_grid_is_a_value_error(n_k):
+    # a non-integral n_k would put a node on +pi/2 (2.5) or, rounded up in
+    # bulk to 65, on k = 0 (64.5)
     cfg = ChainConfig(kappa=0.6, n_ions=16, boundary=Boundary.BULK)
     calls = [lambda: reduced_zone_grid(n_k), lambda: reduced_zone_grid(n_k, include_edge=False),
              lambda: PhononField(cfg, n_k=n_k)]

@@ -121,6 +121,18 @@ class TestThermalMoments:
         sector = sectors(bulk(0.6))[0]
         assert thermal_p_squared(sector, 0.0) == 0.0
 
+    @pytest.mark.parametrize("temperature", [-1.0, np.nan, np.inf, -np.inf])
+    def test_bad_temperature_is_a_value_error(self, temperature):
+        # NaN once returned NaN, inf divided by zero in _winding_moments, and
+        # the energy took a negative T for frozen
+        sector = sectors(bulk(0.6))[0]
+        for thermal in (thermal_p_squared, thermal_energy_and_heat):
+            with pytest.raises(ValueError, match="non-negative and finite"):
+                thermal(sector, temperature)
+
+    def test_zero_temperature_energy_and_heat(self):
+        assert thermal_energy_and_heat(sectors(bulk(0.6))[0], 0.0) == (0.0, 0.0)
+
     def test_monotone_in_temperature(self):
         sector = sectors(bulk(0.6))[0]
         temps = [0.05, 0.1, 0.3, 0.6]
