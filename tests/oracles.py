@@ -18,7 +18,16 @@ import math
 import numpy as np
 
 from ionphonon.bloch import AXES, CELL_AXIS_MAP, CellCouplings, _cell_index
-from ionphonon.chain import ZETA3, _TAIL, Boundary, pair_dy, pair_offsets, solve_delta0
+from ionphonon.chain import (
+    ZETA3,
+    _TAIL,
+    Boundary,
+    build_hessian,
+    omega_from_hessian,
+    pair_dy,
+    pair_offsets,
+    solve_delta0,
+)
 from ionphonon.errors import ConvergenceError, InternalConsistencyError
 from ionphonon.freeparticle import (
     build_sectors,
@@ -32,7 +41,7 @@ from ionphonon.observables import (
     _einstein_heat,
     _enabled_sectors,
 )
-from ionphonon.symplectic import sigma_apply, symplectic_diagonalize
+from ionphonon.symplectic import build_quadratic_form, sigma_apply, symplectic_diagonalize
 
 
 def sectors(config, eq=None):
@@ -291,3 +300,73 @@ def per_term_susceptibility(omega_grid, component, field, eta=1e-2):
         chi[start:start + step] = np.sum(
             (pref * terms * field.mask).reshape(len(om), -1), axis=1)
     return chi
+
+
+# ---------------------------------------------------------------------------
+# the full-space normal form of a ring
+
+
+def full_space_normal_form(cfg, eq):
+    """The 3N x 3N normal form of a chain, one zero pair per broken symmetry,
+    and its per-(l, nu) bare frequencies (flat index 3 l + nu)."""
+    hess = build_hessian(cfg, eq)
+    omegas = omega_from_hessian(hess)
+    nf = symplectic_diagonalize(build_quadratic_form(hess, omegas), axis_map=hess.axis_map,
+                                p_norm=cfg.n_ions)
+    return nf, omegas
+
+
+def full_space_sectors(cfg, eq, nf, omegas):
+    """The free-particle sector of each full-space zero pair, by label:
+    ``build_sectors`` on ion 0's bare frequencies of the full space."""
+    cell = np.repeat(omegas[:3], 2)  # the _cell_index layout: (s, nu) -> 2 nu + s
+    found = {sector.label: sector for sector in build_sectors(cfg, eq, cell)}
+    return {zp.label: found[zp.label] for zp in nf.zero_pairs}
+
+
+def full_space_correlation_matrix(cfg, eq, temperature=0.0, radial=True,
+                                  longitudinal=False, full=None):
+    """Every <dR_a dR_b> in d^2 from the full-space normal form (``full``:
+    ``full_space_normal_form``'s pair), without the Bloch decomposition.
+
+    Each mode adds (2 n + 1) w w^dag, w = u - v*, with n its Bose factor;
+    each enabled zero pair adds 4 Im(u0) Im(u0)^T <Q^2>, since v0 = i q[:D]
+    is imaginary and positions decouple from P.
+    """
+    nf, omegas = full_space_normal_form(cfg, eq) if full is None else full
+    w = nf.u - nf.v.conj()
+    weight = 2.0 * _bose(nf.omega, temperature) + 1.0
+    total = np.real((weight[:, None] * w).T @ w.conj())
+    enabled = {"radial": radial, "longitudinal": longitudinal}
+    sectors_by_label = full_space_sectors(cfg, eq, nf, omegas)
+    for zp in nf.zero_pairs:
+        if enabled[zp.label]:
+            total += 4.0 * np.outer(zp.u0.imag, zp.u0.imag) * q_variance(sectors_by_label[zp.label])
+    return total / (2.0 * cfg.lam**2 * np.sqrt(np.outer(omegas, omegas)))
+
+
+def full_space_heat_capacity(temperature, cfg, eq, full):
+    """(Einstein heat of every full-space mode + each zero pair's sector) / N."""
+    nf, omegas = full
+    c = float(_einstein_heat(nf.omega, temperature).sum())
+    for sector in full_space_sectors(cfg, eq, nf, omegas).values():
+        c += thermal_energy_and_heat(sector, temperature)[1]
+    return c / cfg.n_ions
+
+
+def full_space_correlation_energy(cfg, full):
+    """(1/2N) (sum of the full-space omega - sum of the 3N Omega)."""
+    nf, omegas = full
+    return 0.5 * (float(nf.omega.sum()) - float(omegas.sum())) / cfg.n_ions
+
+
+def full_space_susceptibility(omega_grid, component, cfg, full, eta):
+    """chi(omega) of ion ``s``'s axis ``nu`` as the per-mode sum over the full
+    space: (1 / (2 lam^2 Omega_a)) sum_m |u_a - v_a|^2 [1/(z + w) - 1/(z - w)]."""
+    nf, omegas = full
+    nu, s = component
+    a = 3 * s + AXES[nu]
+    weight = np.abs(nf.u[:, a] - nf.v[:, a]) ** 2
+    z = np.asarray(omega_grid, dtype=float)[:, None] + 1j * eta
+    terms = weight * (1.0 / (z + nf.omega) - 1.0 / (z - nf.omega))
+    return terms.sum(axis=1) / (2.0 * cfg.lam**2 * omegas[a])

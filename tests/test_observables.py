@@ -41,6 +41,12 @@ from ionphonon.observables import (
 )
 from ionphonon.symplectic import build_quadratic_form, symplectic_diagonalize
 from oracles import (
+    full_space_correlation_energy,
+    full_space_correlation_matrix,
+    full_space_heat_capacity,
+    full_space_normal_form,
+    full_space_sectors,
+    full_space_susceptibility,
     one_correlator,
     pair_correlators_k,
     per_term_susceptibility,
@@ -48,6 +54,7 @@ from oracles import (
     ring_heat_capacity,
     sectors,
 )
+from test_symplectic import configs_near_transitions
 
 
 def ring(kappa, n=32, **kw):
@@ -70,35 +77,6 @@ def zigzag_field():
     cfg = ring(0.6, 64)
     eq = solve_delta0(cfg)
     return cfg, eq, PhononField(cfg, eq)
-
-
-def full_space_correlation_matrix(cfg, eq, include_radial=True):
-    """Independent oracle: T = 0 correlators from the 3N x 3N normal form.
-
-    Every <dR_a dR_b> in d^2 from the full-space modes and zero pairs,
-    without the Bloch decomposition."""
-    hess = build_hessian(cfg, eq)
-    omegas = omega_from_hessian(hess)
-    nf = symplectic_diagonalize(
-        build_quadratic_form(hess, omegas), axis_map=hess.axis_map,
-        p_norm=cfg.n_ions,
-    )
-    total = np.zeros((3 * cfg.n_ions, 3 * cfg.n_ions))
-    for mode in nf.modes:
-        w = mode.u - np.conj(mode.v)  # real-space forms are real
-        total += np.real(np.outer(w, np.conj(w)))
-    if include_radial:
-        for sector in sectors(cfg, eq):
-            if sector.label != "radial":
-                continue
-            # full-space radial pair: p = i sqrt(N/2) w with w the unit
-            # staggered-z pattern, so Im(u0) = (+-1)/sqrt(2) on z components
-            pattern = np.zeros(3 * cfg.n_ions)
-            pattern[2::3] = (-1.0) ** np.arange(cfg.n_ions)
-            u0_imag = pattern / np.sqrt(2.0)
-            q2 = sector.c0**2 * np.pi**2 / 3.0
-            total += 4.0 * np.outer(u0_imag, u0_imag) * q2
-    return total / (2.0 * cfg.lam**2 * np.sqrt(np.outer(omegas, omegas)))
 
 
 class TestPairCorrelators:
@@ -653,13 +631,7 @@ class TestGinzburg:
 def small_zigzag():
     cfg = ring(0.6, 8)
     eq = solve_delta0(cfg)
-    hess = build_hessian(cfg, eq)
-    omegas = omega_from_hessian(hess)
-    nf = symplectic_diagonalize(
-        build_quadratic_form(hess, omegas), axis_map=hess.axis_map,
-        p_norm=cfg.n_ions,
-    )
-    return cfg, eq, nf, omegas
+    return (cfg, eq, *full_space_normal_form(cfg, eq))
 
 
 class TestFullSpaceOracles:
@@ -692,20 +664,7 @@ class TestFullSpaceOracles:
     def test_finite_temperature_correlators(self, small_zigzag):
         cfg, eq, nf, omegas = small_zigzag
         t = 0.3
-        total = np.zeros((24, 24))
-        for mode in nf.modes:
-            n_b = 1.0 / np.expm1(mode.omega / t)
-            w = np.real(mode.u - mode.v)
-            total += (2.0 * n_b + 1.0) * np.outer(w, w)
-        for sector in sectors(cfg, eq):
-            if sector.label != "radial":
-                continue
-            pattern = np.zeros(24)
-            pattern[2::3] = (-1.0) ** np.arange(8)
-            u0_imag = pattern / np.sqrt(2.0)
-            total += 4.0 * np.outer(u0_imag, u0_imag) * (
-                sector.c0**2 * np.pi**2 / 3.0)
-        oracle = total / (2.0 * cfg.lam**2 * np.sqrt(np.outer(omegas, omegas)))
+        oracle = full_space_correlation_matrix(cfg, eq, t, full=(nf, omegas))
         field = PhononField(cfg, eq)
         for dj, s, sp, nu, nup in ((0, 0, 0, "y", "y"), (1, 0, 1, "x", "x"),
                                    (2, 1, 1, "z", "z"), (1, 0, 1, "x", "y")):
@@ -714,6 +673,89 @@ class TestFullSpaceOracles:
             a = 3 * (2 * dj + s) + AXES[nu]
             b = 3 * sp + AXES[nup]
             assert mine == pytest.approx(oracle[a, b], abs=1e-12)
+
+
+@settings(deadline=None, max_examples=50)
+@given(cfg=configs_near_transitions().filter(
+           lambda c: c.boundary is Boundary.RING and c.n_ions <= 24),
+       temperature=st.floats(min_value=1e-3, max_value=10.0),
+       eta=st.floats(min_value=1e-3, max_value=0.5))
+def test_ring_observables_match_the_full_space_normal_form(cfg, temperature, eta):
+    """Every ring observable of the band path against the paper's 3N x 3N
+    normal form, which shares no Bloch or glide structure with it: both
+    paths end in the same PhysicsError class, or they agree.
+
+    The tolerance is 1e-12 of each observable's scale, widened by the
+    softest mode's conditioning.  Either path gives each lam = omega^2 to a
+    backward error of about N eps lam_max (a sum of N pair terms; 16 N eps
+    here), so whatever the softest mode dominates holds to that error over
+    lam_min, and a pole at w moves by that error over 2 w, which a line of
+    width eta resolves.
+    """
+    try:
+        eq = solve_delta0(cfg)
+    except PhysicsError:
+        return
+    def outcome(build):
+        try:
+            return build()
+        except PhysicsError as exc:
+            return type(exc)
+
+    def band():
+        field = PhononField(cfg, eq)
+        field.sectors()
+        return field
+
+    def full_space():
+        full = full_space_normal_form(cfg, eq)
+        full_space_sectors(cfg, eq, *full)
+        return full
+
+    field, full = outcome(band), outcome(full_space)
+    if isinstance(field, type) or isinstance(full, type):
+        assert field is full
+        return
+    nf, omegas = full
+    lam = np.sort(field.omega[field.mask]) ** 2
+    assert len(lam) == len(nf.omega)
+    assert np.max(np.abs(lam - nf.omega**2)) <= 1e-12 * lam[-1]
+    backward = 16 * cfg.n_ions * np.finfo(float).eps * lam[-1]
+    rtol = 1e-12 + backward / lam[0]
+
+    separations = np.arange(field.n_cells)
+    cells = 3 * (2 * separations)
+    for t in (0.0, temperature):
+        for offsets in (True, False):
+            oracle = full_space_correlation_matrix(cfg, eq, t, offsets, offsets, full)
+            variance = np.diag(oracle)
+            for nu in AXES:
+                for nup in AXES:
+                    # |C_ab| <= sqrt(C_aa C_bb): the block's largest entry
+                    scale = np.sqrt(variance[AXES[nu]::3].max() * variance[AXES[nup]::3].max())
+                    for s in (0, 1):
+                        for sp in (0, 1):
+                            req = CorrelatorRequest(0, s, sp, nu, nup, t, offsets, offsets)
+                            table = correlator_table(req, field, separations)
+                            expected = oracle[cells + 3 * s + AXES[nu], 3 * sp + AXES[nup]]
+                            assert np.max(np.abs(table - expected)) <= rtol * scale, \
+                                (t, offsets, nu, nup, s, sp)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ResolutionWarning)
+        heat = heat_capacity(temperature, field)
+    # c <= 3, its Dulong-Petit value
+    assert abs(heat - full_space_heat_capacity(temperature, cfg, eq, full)) <= 3.0 * rtol
+    bare = float(np.sum(omegas)) / (2 * cfg.n_ions)
+    assert abs(correlation_energy(field) - full_space_correlation_energy(cfg, full)) \
+        <= rtol * bare
+    grid = np.array([0.0, 0.4, 1.1, 2.5])
+    for nu in AXES:
+        for s in (0, 1):
+            chi = susceptibility(grid, (nu, s), field, eta=eta).chi
+            expected = full_space_susceptibility(grid, (nu, s), cfg, full, eta)
+            tol = rtol + backward / (2.0 * nf.omega[0] * eta)
+            assert np.max(np.abs(chi - expected)) <= tol * np.max(np.abs(expected)), (nu, s)
 
 
 def test_longitudinal_offset_closed_form(linear_field):
