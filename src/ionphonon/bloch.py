@@ -13,16 +13,17 @@ D(p) = sum_m M^m B(m) e^{-ipm} at p = k and p = k + pi, each an in-plane
 builds them for a whole uniform grid from one twisted fold of the pair
 blocks summed directly (``chain.fold_pair_entries``, shared with the
 full-space Hessian) and one FFT, plus in bulk the closed-form sums of
-``chain.power_law_sums`` at each k; it solves each in closed form, takes
-the amplitudes from ``symplectic.bogoliubov_amplitudes`` (the generators'
-slots unset at k = 0), raises the error of the first failing row in
-descending k, and fills each -k row by conjugation; the phonon fields and the
-k = 0 normal form read its :class:`Bands`, and
-:func:`dispersion_zigzag` returns them in branch order.  The glide also
-labels every mode exactly by its screw slot (``Bands.labels``): its parity,
-its sector (z or in-plane), and whether it is the upper or the lower root of
-its 2 x 2 block (on the linear chain, where D_xy vanishes, x or y); a branch
-is one label across the grid, so omega_b(-k) = omega_b(k).
+``chain.power_law_sums`` at each k; it solves each in closed form, keeps
+each mode's screw vector (the generators' slots unset at k = 0), raises the
+error of the first failing row in descending k, and fills each -k row by
+conjugation; the phonon fields and the k = 0 normal form read its
+:class:`Bands`, and :func:`dispersion_zigzag` returns them in branch order.
+The cell amplitudes are real factors of the screw vectors, entry by entry
+(:func:`cell_amplitudes`), built only when read.  The glide also labels
+every mode exactly by its screw slot (``Bands.labels``): its parity, its
+sector (z or in-plane), and whether it is the upper or the lower root of its
+2 x 2 block (on the linear chain, where D_xy vanishes, x or y); a branch is
+one label across the grid, so omega_b(-k) = omega_b(k).
 
 Axis convention (fixed throughout the package): the zigzag displacement is
 along y, so the in-plane sector is {x, y} and the gapless helical motion is
@@ -32,6 +33,7 @@ along z.  Block basis ordering: (s=0,x), (s=1,x), (s=0,y), (s=1,y),
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,7 +69,6 @@ from .symplectic import (
     HERMITIAN_TOL,
     NormalForm,
     QuadraticForm,
-    bogoliubov_amplitudes,
     is_hermitian,
     symplectic_diagonalize,
     zero_threshold,
@@ -425,42 +426,24 @@ class CellCouplings:
 
         The 6 x 6 block at reduced k holds the screw blocks D(k) and
         D(k + pi) (:meth:`_screw_table`), which :meth:`_screw_modes`
-        checks (:meth:`_check_rows`) and diagonalizes in closed form;
-        ``symplectic.bogoliubov_amplitudes`` turns ion 0's entries of their
-        cell vectors into modes (ion 1 carries sigma e^{ik} M times them),
-        and at k = 0 each generator's slot stays unset.  Each -k row is the
-        conjugate of its +k partner, so that u(-k) = u(k)* across the grid,
-        and keeps its labels.
+        checks (:meth:`_check_rows`) and diagonalizes in closed form into
+        omega, labels and screw vectors (no cell amplitude); at k = 0 each
+        generator's slot stays unset.  Each -k row is the conjugate of its
+        +k partner, phi(-k) = phi(k)*, and keeps its labels.
         """
         k = _momenta(k_grid)
-        n_k = len(k)
-        omega = np.zeros((n_k, 6))
-        mask = np.zeros((n_k, 6), dtype=bool)
-        u = np.zeros((n_k, 6, 6), dtype=complex)
-        v = np.zeros((n_k, 6, 6), dtype=complex)
-        labels = np.empty((n_k, 6), dtype=int)
         partner = _mirror_partners(k)
         mirrored = (k < -1e-12) & ~self._self_paired(k) & (np.abs(k[partner] + k) < 1e-9)
         rows = np.flatnonzero(~mirrored)
-        lam, phi, twist, generator, label = self._screw_modes(
-            k[rows], self._on_grid(k, self._screw_table)[rows])
-        at = np.arange(len(rows))[:, None]
+        modes = self._screw_modes(k[rows], self._on_grid(k, self._screw_table)[rows])
         # ascending omega, the generators' empty slots last
-        order = np.argsort(np.where(generator, np.inf, lam), axis=1, kind="stable")
-        lam, generator = lam[at, order], generator[at, order]
-        labels[rows] = label[at, order]
-        omega[rows], u_0, v_0 = bogoliubov_amplitudes(
-            np.where(generator, 0.0, lam), phi[at, order], self.omega_bare[0::2])
-        mask[rows] = ~generator
-        # ion 0's amplitudes, and sigma e^{ik} M times them on ion 1
-        twist = twist[at, order][..., None] * SUBLATTICE_MIRROR[0]
-        u[rows, :, 0::2], v[rows, :, 0::2] = u_0, v_0
-        u[rows, :, 1::2], v[rows, :, 1::2] = u_0 * twist, v_0 * twist
-        mirror = partner[mirrored]
-        omega[mirrored], mask[mirrored] = omega[mirror], mask[mirror]
-        labels[mirrored] = labels[mirror]
-        u[mirrored], v[mirrored] = u[mirror].conj(), v[mirror].conj()
-        return Bands(k, omega, mask, labels, u, v)
+        order = np.argsort(np.where(modes[3], np.inf, modes[0]), axis=1, kind="stable")
+        # every row takes its solved row: its own, or its +k partner's
+        source = np.searchsorted(rows, np.where(mirrored, partner, np.arange(len(k))))
+        lam, phi, twist, generator, labels = (a[source[:, None], order[source]] for a in modes)
+        phi[mirrored], twist[mirrored] = phi[mirrored].conj(), twist[mirrored].conj()
+        return Bands(k, np.sqrt(np.where(generator, 0.0, lam)), ~generator, labels, phi, twist,
+                     self.omega_bare)
 
 
 def _momenta(k_grid) -> np.ndarray:
@@ -510,7 +493,27 @@ def _mirror_partners(k: np.ndarray) -> np.ndarray:
     return np.where(np.abs(k[below] + k) <= np.abs(k[above] + k), below, above)
 
 
-@dataclass
+def cell_entry(phi: np.ndarray, twist: np.ndarray, s: int, axis: int) -> np.ndarray:
+    """Ion s's ``axis`` entry of each mode's unit cell vector e: ion 0's
+    ``phi[..., axis]``, and on ion 1 the ``twist`` times M times it."""
+    return phi[..., axis] * (twist * SUBLATTICE_MIRROR[0, axis]) if s else phi[..., axis]
+
+
+def cell_amplitudes(omega: np.ndarray, phi: np.ndarray, twist: np.ndarray,
+                    omega_bare: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sigma-normalized cell amplitudes ``u``, ``v`` (..., 6, 6) of modes at ``omega``
+    (..., 6) with unit cell vectors e of ``phi`` (..., 6, 3) and ``twist`` (..., 6)
+    (:func:`cell_entry`): entry by entry u - v = sqrt(Omega_a / omega) e_a and
+    u + v = sqrt(omega / Omega_a) e_a, with no phase convention; an unset slot
+    (omega = 0) stays zero."""
+    e = np.stack([cell_entry(phi, twist, s, axis) for axis in range(3) for s in (0, 1)], axis=-1)
+    root = np.sqrt(omega[..., None] / omega_bare)  # sqrt(omega / Omega_a), 0 where unset
+    with np.errstate(divide="ignore", invalid="ignore"):
+        minus = np.where(root > 0.0, e / root, 0.0)  # u - v
+    return 0.5 * (root * e + minus), 0.5 * (root * e - minus)
+
+
+@dataclass(eq=False)
 class Bands:
     """Normal modes of the cell blocks on a momentum grid.
 
@@ -523,16 +526,26 @@ class Bands:
     (odd glide parity) + its screw-block root (upper 0, lower 1, z 2; on the
     linear chain x 0, y 1), a permutation of range(6) in every row; a zero
     slot keeps its generator's, 5 for the rotation and 1 for the x
-    translation (0 on the linear chain).  ``u[i, g]``, ``v[i, g]`` are mode
-    g's cell amplitudes.
+    translation (0 on the linear chain).  Mode g's unit cell vector holds
+    ``phi[i, g]`` on ion 0 and ``twist[i, g]`` (sigma e^{ik}) times M times it
+    on ion 1; its cell amplitudes ``u[i, g]``, ``v[i, g]`` are built on the
+    first read (:func:`cell_amplitudes`).
     """
 
     k: np.ndarray
-    omega: np.ndarray   # (n_k, 6)
-    mask: np.ndarray    # (n_k, 6) bool
-    labels: np.ndarray  # (n_k, 6) int
-    u: np.ndarray       # (n_k, 6, 6)
-    v: np.ndarray       # (n_k, 6, 6)
+    omega: np.ndarray       # (n_k, 6)
+    mask: np.ndarray        # (n_k, 6) bool
+    labels: np.ndarray      # (n_k, 6) int
+    phi: np.ndarray         # (n_k, 6, 3) complex
+    twist: np.ndarray       # (n_k, 6) complex
+    omega_bare: np.ndarray  # (6,), the cell's Omega
+
+    @functools.cached_property
+    def _amplitudes(self) -> tuple[np.ndarray, np.ndarray]:
+        return cell_amplitudes(self.omega, self.phi, self.twist, self.omega_bare)
+
+    u = property(lambda self: self._amplitudes[0])
+    v = property(lambda self: self._amplitudes[1])
 
 
 def ring_momenta(n_ions: int) -> np.ndarray:
@@ -541,10 +554,16 @@ def ring_momenta(n_ions: int) -> np.ndarray:
     return np.sort((k + np.pi / 2.0) % np.pi - np.pi / 2.0)
 
 
-def reduced_zone_grid(n_k: int, include_edge: bool = True) -> np.ndarray:
-    """n_k >= 1 momenta (an int, not a float) spanning the reduced zone [-pi/2d, pi/2d)."""
+def _zone_count(n_k: int) -> int:
+    """``n_k`` if it is an int (not a float) of at least 1, else ValueError."""
     if not isinstance(n_k, (int, np.integer)) or n_k < 1:
         raise ValueError(f"n_k must be at least 1 and an integer, got {n_k!r}")
+    return n_k
+
+
+def reduced_zone_grid(n_k: int, include_edge: bool = True) -> np.ndarray:
+    """n_k >= 1 momenta (``_zone_count``) spanning the reduced zone [-pi/2d, pi/2d)."""
+    n_k = _zone_count(n_k)
     edge = np.pi / 2.0
     if include_edge:
         return np.linspace(-edge, edge, n_k, endpoint=False)
@@ -594,8 +613,8 @@ def dispersion_zigzag(k_grid: np.ndarray, config: ChainConfig,
     # a row's labels are a permutation: its argsort is the slot of each label
     slots = np.argsort(bands.labels, axis=1)[:, bands.labels[0]]
     rows = np.arange(len(bands.k))[:, None]
-    return Bands(bands.k, bands.omega[rows, slots], bands.mask[rows, slots],
-                 bands.labels[rows, slots], bands.u[rows, slots], bands.v[rows, slots])
+    return Bands(bands.k, *(getattr(bands, name)[rows, slots] for name in
+                            ("omega", "mask", "labels", "phi", "twist")), bands.omega_bare)
 
 
 # ---------------------------------------------------------------------------

@@ -10,12 +10,13 @@ held by ``PhononField``) on a momentum grid: the exact discrete ring momenta
 for ``Boundary.RING`` and a midpoint quadrature of the reduced zone on an
 even number of momenta (so k = 0 excluded) for ``Boundary.BULK``, where a
 correlator diverges exactly when a Goldstone branch carries both of its
-components (``check_convergent``).
-All ladder averages close over each block's own amplitudes (the
-negative-norm directions of block k are exactly the -k creation operators),
-so every sum is invariant under the arbitrary per-mode phases; the band core
-uses time reversal only to fill the -k grid points by conjugation instead of
-re-diagonalizing.
+components (``check_convergent``).  Each mode enters through omega and
+its unit cell vector e (``bloch.cell_entry``), of which its amplitudes are
+real factors, so every ladder average closes over one block's own modes
+(the negative-norm directions of block k are exactly the -k creation
+operators) as a real function of (omega, n) times conj(e_i) e_j, invariant
+under the arbitrary per-mode phases; the band core uses time reversal only
+to fill the -k grid points by conjugation.
 """
 
 from __future__ import annotations
@@ -27,8 +28,11 @@ import numpy as np
 
 from .bloch import (
     AXES,
+    Bands,
     CellCouplings,
     _cell_index,
+    _zone_count,
+    cell_entry,
     reduced_zone_grid,
     ring_momenta,
 )
@@ -63,7 +67,7 @@ def _bose(omega: np.ndarray, temperature: float) -> np.ndarray:
     return 1.0 / np.expm1(x)
 
 
-class PhononField:
+class PhononField(Bands):
     """The cell bands (``CellCouplings.bands``) of a grid, ready for k sums.
 
     A ring's grid is its own momenta; bulk takes a midpoint grid of ``n_k``
@@ -71,25 +75,23 @@ class PhononField:
     puts its middle node on k = 0, where the Goldstone slots would drop out
     of every sum, so a bulk field checks its generators by ``check_generators``.
     Every k sum is the plain average over the grid (divided by ``len(k)``).
-    Every observable reads its config and equilibrium from here.
+    Every observable reads its config and equilibrium from here, and the
+    modes as omega, mask and the screw vectors phi and twist, never ``u``
+    and ``v``.
     """
 
     def __init__(self, config: ChainConfig, eq: Equilibrium | None = None,
                  n_k: int = 512):
-        if eq is None:
-            eq = solve_delta0(config)
-        self.config = config
-        self.eq = eq
-        self.couplings = CellCouplings(config, eq)
+        self.config, self.eq = config, solve_delta0(config) if eq is None else eq
+        self.couplings = CellCouplings(config, self.eq)
         if config.boundary is Boundary.RING:
             grid = ring_momenta(config.n_ions)
         else:
+            n_k = _zone_count(n_k)  # checked before it is rounded up to even
             grid = reduced_zone_grid(n_k + n_k % 2, include_edge=False)
-        bands = self.couplings.bands(grid)
+        super().__init__(**vars(self.couplings.bands(grid)))
         if config.boundary is Boundary.BULK:  # no k = 0 row: check the generators
             self.couplings.check_generators()
-        self.k, self.omega, self.mask = bands.k, bands.omega, bands.mask
-        self.u, self.v = bands.u, bands.v
         self._sectors: list[FreeParticleSector] | None = None
 
     @property
@@ -100,9 +102,6 @@ class PhononField:
         if self._sectors is None:
             self._sectors = build_sectors(self.config, self.eq, self.couplings.omega_bare)
         return self._sectors
-
-    def min_gap(self) -> float:
-        return float(self.omega[self.mask].min()) if self.mask.any() else 0.0
 
 
 @dataclass
@@ -161,31 +160,29 @@ def correlator_table(req: CorrelatorRequest, field: PhononField,
     The Bose factors, the two per-k mode sums and the sector terms are
     built once, and all separations take one (n_dj, n_k) phase product, in
     chunks of ``_CHUNK_ELEMENTS``; each value is bitwise the one-request
-    sum.  There is no divergence check: callers run ``check_convergent``
-    first.
+    sum.  Each mode enters through its frequency and the two entries e_i,
+    e_j of its unit cell vector (``bloch.cell_entry``).  There is no
+    divergence check: callers run ``check_convergent`` first.
     """
     dj = np.asarray(separations)
     if dj.ndim != 1 or (dj.size and dj.dtype.kind not in "iu"):
         raise ValueError(f"separations must be a list of integers, got {separations!r}")
     i = _cell_index(req.s, AXES[req.nu])
     j = _cell_index(req.sp, AXES[req.nup])
-    omega_i = field.couplings.omega_bare[i]
-    omega_j = field.couplings.omega_bare[j]
+    omega_i = field.omega_bare[i]
     lam = field.config.lam
-    pref = 1.0 / (2.0 * lam**2 * np.sqrt(omega_i * omega_j))
 
-    # combine the normal (k' = k) and anomalous (k' = -k) ladder averages of
-    # one block: C = sum_k e^{-iak dj} conj(n u_i - (n+1) v_i) (u_j - v_j)
-    #                 + e^{+iak dj} ((n+1) u_i - n v_i) conj(u_j - v_j);
-    # each gamma term is invariant under the mode's arbitrary phase
-    n = _bose(field.omega, req.temperature) * field.mask
-    u_i, v_i = field.u[:, :, i], field.v[:, :, i]
-    u_j, v_j = field.u[:, :, j], field.v[:, :, j]
-    a_i = np.conj(n * u_i - (n + 1.0) * v_i)
-    b_j = (u_j - v_j) * field.mask
-    c_i = (n + 1.0) * u_i - n * v_i
-    sum_minus = np.sum(a_i * b_j, axis=1)
-    sum_plus = np.sum(c_i * np.conj(b_j), axis=1)
+    # u -+ v = sqrt(Omega / omega)^(+-1) e turn the normal (k' = k) and
+    # anomalous (k' = -k) ladder averages of one block into C = (1 / 4 lam^2)
+    # sum_k e^{-iak dj} sum (w - 1/Omega_i) conj(e_i) e_j + e^{+iak dj} sum
+    # (w + 1/Omega_i) e_i conj(e_j), w = (2n + 1) / omega; the 1/Omega_i
+    # parts (the commutator) cancel over the grid
+    n = _bose(field.omega, req.temperature)
+    w = np.divide(2.0 * n + 1.0, field.omega, out=np.zeros_like(n), where=field.mask)
+    pair = np.conj(cell_entry(field.phi, field.twist, req.s, AXES[req.nu])) \
+        * cell_entry(field.phi, field.twist, req.sp, AXES[req.nup]) * field.mask
+    sum_minus = np.sum((w - 1.0 / omega_i) * pair, axis=1)
+    sum_plus = np.conj(np.sum((w + 1.0 / omega_i) * pair, axis=1))
     k_phase = -1j * field.couplings.cell_length * field.k
     total = np.empty(len(dj), dtype=complex)
     step = max(1, _CHUNK_ELEMENTS // len(field.k))
@@ -193,17 +190,15 @@ def correlator_table(req: CorrelatorRequest, field: PhononField,
         phase = np.exp(k_phase * dj[start:start + step, None])
         total[start:start + step] = np.sum(
             sum_minus * phase + sum_plus * np.conj(phase), axis=1)
-    total /= len(field.k)
+    values = total / (4.0 * lam**2 * len(field.k))
 
+    pref = 1.0 / (2.0 * lam**2 * np.sqrt(omega_i * field.omega_bare[j]) * field.n_cells)
     for sector in _enabled_sectors(field, req.include_radial_zero_mode,
                                    req.include_longitudinal_zero_mode):
-        zp = sector.pair
-        q2 = q_variance(sector)
         # the <P^2> terms carry 4 Re(v0) Re(v0'), and v0 = i q[:D] is
         # imaginary: positions decouple from P
-        coeff = 4.0 * np.imag(zp.u0[i]) * np.imag(zp.u0[j])
-        total += coeff * q2 / field.n_cells
-    values = pref * total
+        u0 = sector.pair.u0
+        values += pref * 4.0 * u0[i].imag * u0[j].imag * q_variance(sector)
     leaks = np.abs(values.imag) > 1e-9 * np.maximum(1.0, np.abs(values.real))
     if leaks.any():
         raise InternalConsistencyError(
@@ -223,11 +218,9 @@ def check_convergent(req: CorrelatorRequest, config: ChainConfig,
         return
     branch = goldstone_branches(config, eq).get(req.nu)
     if branch is not None:
-        raise DivergenceError(
-            f"the {req.nu}{req.nup} correlator diverges in the thermodynamic "
-            f"limit: the gapless {branch} branch carries {req.nu} at k -> 0 "
-            f"-- use a finite ring instead"
-        )
+        raise DivergenceError(f"the {req.nu}{req.nup} correlator diverges in the thermodynamic "
+                              f"limit: the gapless {branch} branch carries {req.nu} at k -> 0 "
+                              f"-- use a finite ring instead")
 
 
 # ---------------------------------------------------------------------------
@@ -258,13 +251,10 @@ def heat_capacity(temperature: float, field: PhononField) -> float:
     if not 0.0 < temperature < np.inf:
         raise ValueError("temperature must be positive and finite")
     ring = field.config.boundary is Boundary.RING
-    gap = field.min_gap()
+    gap = float(field.omega[field.mask].min(initial=np.inf))
     if ring and temperature < gap / 50.0:
-        warnings.warn(
-            f"T = {temperature} is far below the smallest resolvable mode "
-            f"({gap:.3g}) on this k grid",
-            ResolutionWarning,
-        )
+        warnings.warn(f"T = {temperature} is far below the smallest resolvable mode "
+                      f"({gap:.3g}) on this k grid", ResolutionWarning)
     per_mode = _einstein_heat(field.omega[field.mask], temperature)
     # two ions per cell; in bulk the free-particle weight vanishes
     c = 0.5 * float(per_mode.sum()) / len(field.k)
@@ -281,13 +271,14 @@ def susceptibility(omega_grid: np.ndarray, component: tuple[str, int],
     One record per grid point, fields ``omega`` and ``chi``.  With z = omega
     + i eta, a sum over the distinct poles w of the grid, one division each:
     chi = (1 / (2 lam^2 Omega_nu N_k)) sum m W [1/(z + w) - 1/(z - w)]
-        = -(1 / (lam^2 Omega_nu N_k)) sum m W w / (z^2 - w^2).
-    W = |u - v|^2 at the driven component (nu, s), the squared position
-    matrix element in local-oscillator units (Omega_nu / w on decoupled
-    branches: the exact static compliance), is 0 outside its sector and
-    drops out; bitwise-equal (w, W), such as each -k row's copy of its +k
-    row, merge into one pole of multiplicity m.  arg chi steps from 0 (in
-    phase with the force, below the band) to +-pi (antiphase, above it).
+        = -(1 / (lam^2 N_k)) sum m |e|^2 / (z^2 - w^2),
+    W = |u - v|^2 = Omega_nu |e|^2 / w the squared position matrix element in
+    local-oscillator units (the exact static compliance on decoupled
+    branches), e the driven component (nu, s) of the mode's unit cell vector
+    (``bloch.cell_entry``), 0 outside its sector.  Bitwise-equal (w, |e|^2),
+    such as each -k row's copy of its +k row, merge into one pole of
+    multiplicity m.  arg chi steps from 0 (in phase with the force, below the
+    band) to +-pi (antiphase, above it).
     """
     nu, s = component
     if nu not in AXES or s not in (0, 1):
@@ -297,14 +288,12 @@ def susceptibility(omega_grid: np.ndarray, component: tuple[str, int],
     omega_grid = np.asarray(omega_grid, dtype=float)
     if omega_grid.ndim != 1 or not np.all(np.isfinite(omega_grid)):
         raise ValueError(f"omega_grid must be a 1-D and finite array, got {omega_grid!r}")
-    i = _cell_index(s, AXES[nu])
-    weight = np.abs((field.u[:, :, i] - field.v[:, :, i])[field.mask]) ** 2
-    # the key w + i W compares (w, W) bitwise and sorts faster than axis=0
+    weight = np.abs(cell_entry(field.phi, field.twist, s, AXES[nu])[field.mask]) ** 2
+    # the key w + i |e|^2 compares (w, |e|^2) bitwise and sorts faster than axis=0
     poles, m = np.unique((field.omega[field.mask] + 1j * weight)[weight != 0.0],
                          return_counts=True)
     w = poles.real
-    residue = -m * poles.imag * w / (
-        field.config.lam**2 * field.couplings.omega_bare[i] * len(field.k))
+    residue = -m * poles.imag / (field.config.lam**2 * len(field.k))
     # omega chunks in a fixed element budget; each row sums bitwise as alone
     step = max(1, _CHUNK_ELEMENTS // max(1, len(w)))
     chi = np.empty(len(omega_grid), dtype=complex)
@@ -340,10 +329,8 @@ def ginzburg_parameter(config: ChainConfig, eq: Equilibrium | None = None,
     if eq is None:
         eq = solve_delta0(config)
     if not eq.is_zigzag:
-        raise NoOrderParameterError(
-            f"kappa = {config.kappa} is at or below the transition: "
-            f"no zigzag order parameter"
-        )
+        raise NoOrderParameterError(f"kappa = {config.kappa} is at or below the transition: "
+                                    f"no zigzag order parameter")
     out = []
     for n in n_list:
         cfg_n = replace(config, n_ions=int(n), boundary=Boundary.RING)

@@ -262,28 +262,17 @@ def zero_threshold(lam_scale, omega_scale: float):
 
 def _bogoliubov(k_mat: np.ndarray, omega_bare: np.ndarray) -> tuple[np.ndarray, ...]:
     """Ascending ``lam = omega^2`` and the modes of one form: one ``eigh`` of
-    ``Omega^(1/2) K Omega^(1/2)`` (``K = k_matrix(g, omega_bare)``), then
-    :func:`bogoliubov_amplitudes`.  Returns ``lam, omega, u, v``."""
+    ``Omega^(1/2) K Omega^(1/2)`` (``K = k_matrix(g, omega_bare)``), whose
+    unit eigenvectors phi give every column with ``lam > 0`` omega =
+    sqrt(lam) and Sigma-normalized amplitudes ``u[m]``, ``v[m]``, phased so
+    that the largest entry of u is real and positive; columns with ``lam <=
+    0`` hold omega = 0 and u = v = 0.  Returns ``lam, omega, u, v``."""
     s = np.sqrt(omega_bare)
     lam, phi = np.linalg.eigh(s[:, None] * k_mat * s[None, :])
-    return (lam, *bogoliubov_amplitudes(lam, phi.T, omega_bare))
-
-
-def bogoliubov_amplitudes(lam: np.ndarray, phi: np.ndarray,
-                          omega_bare: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Modes of unit eigenvectors ``phi[..., m, :]`` of ``Omega^(1/2) K
-    Omega^(1/2)`` with eigenvalues ``lam[..., m]``.
-
-    Every column with ``lam > 0`` gets ``omega = sqrt(lam)`` and
-    Sigma-normalized amplitudes ``u[..., m, :]``, ``v[..., m, :]``, phased
-    so that the largest entry of u is real and positive; columns with
-    ``lam <= 0`` hold omega = 0 and u = v = 0.  ``phi`` is overwritten.
-    Returns ``omega, u, v``.
-    """
-    s = np.sqrt(omega_bare)
-    # amplitudes for every lam > 0, not only above a zero threshold: a
-    # caller that shifted columns out takes its threshold from the rest;
-    # lam <= 0 gets a placeholder omega = 1, cleared below
+    phi = phi.T
+    # amplitudes for every lam > 0, not only above a zero threshold: the
+    # caller takes its threshold from the columns it keeps; lam <= 0 gets a
+    # placeholder omega = 1, cleared below
     positive = lam > 0.0
     omega = np.sqrt(np.where(positive, lam, 1.0))[..., None]
     # u = (x + p) / 2 sqrt(omega), v = (p - x) / 2 sqrt(omega) with x = s phi
@@ -302,7 +291,7 @@ def bogoliubov_amplitudes(lam: np.ndarray, phi: np.ndarray,
     v *= phase
     u[~positive] = 0.0
     v[~positive] = 0.0
-    return np.where(positive, omega[..., 0], 0.0), u, v
+    return lam, np.where(positive, omega[..., 0], 0.0), u, v
 
 
 def generator_pair(axis: int, axis_map: np.ndarray, omega_bare: np.ndarray,

@@ -17,7 +17,7 @@ import math
 
 import numpy as np
 
-from ionphonon.bloch import AXES, CELL_AXIS_MAP, CellCouplings, _cell_index
+from ionphonon.bloch import AXES, CELL_AXIS_MAP, CellCouplings, _cell_index, cell_entry
 from ionphonon.chain import (
     ZETA3,
     _TAIL,
@@ -230,24 +230,22 @@ def one_correlator(req, field):
     """
     i = _cell_index(req.s, AXES[req.nu])
     j = _cell_index(req.sp, AXES[req.nup])
-    omega_i = field.couplings.omega_bare[i]
-    omega_j = field.couplings.omega_bare[j]
-    pref = 1.0 / (2.0 * field.config.lam**2 * np.sqrt(omega_i * omega_j))
-    n = _bose(field.omega, req.temperature) * field.mask
-    u_i, v_i = field.u[:, :, i], field.v[:, :, i]
-    u_j, v_j = field.u[:, :, j], field.v[:, :, j]
-    a_i = np.conj(n * u_i - (n + 1.0) * v_i)
-    b_j = (u_j - v_j) * field.mask
-    c_i = (n + 1.0) * u_i - n * v_i
+    omega_i = field.omega_bare[i]
+    omega_j = field.omega_bare[j]
+    lam = field.config.lam
+    n = _bose(field.omega, req.temperature)
+    w = np.divide(2.0 * n + 1.0, field.omega, out=np.zeros_like(n), where=field.mask)
+    pair = np.conj(cell_entry(field.phi, field.twist, req.s, AXES[req.nu])) \
+        * cell_entry(field.phi, field.twist, req.sp, AXES[req.nup]) * field.mask
     phase = np.exp(-1j * field.couplings.cell_length * field.k * req.delta_j)
-    term_minus = np.sum(a_i * b_j, axis=1) * phase
-    term_plus = np.sum(c_i * np.conj(b_j), axis=1) * np.conj(phase)
-    total = np.sum(term_minus + term_plus) / len(field.k)
+    term_minus = np.sum((w - 1.0 / omega_i) * pair, axis=1) * phase
+    term_plus = np.conj(np.sum((w + 1.0 / omega_i) * pair, axis=1)) * np.conj(phase)
+    value = np.sum(term_minus + term_plus) / (4.0 * lam**2 * len(field.k))
+    pref = 1.0 / (2.0 * lam**2 * np.sqrt(omega_i * omega_j) * field.n_cells)
     for sector in _enabled_sectors(field, req.include_radial_zero_mode,
                                    req.include_longitudinal_zero_mode):
-        coeff = 4.0 * np.imag(sector.pair.u0[i]) * np.imag(sector.pair.u0[j])
-        total += coeff * q_variance(sector) / field.n_cells
-    value = pref * total
+        u0 = sector.pair.u0
+        value += pref * 4.0 * u0[i].imag * u0[j].imag * q_variance(sector)
     if abs(value.imag) > 1e-9 * max(1.0, abs(value.real)):
         raise InternalConsistencyError(f"correlator not real: {value}")
     return float(value.real)

@@ -283,6 +283,34 @@ class TestDiagonalizationCount:
         capsys.readouterr()
 
     @pytest.mark.parametrize("boundary", ["ring", "bulk"])
+    @pytest.mark.parametrize("kappa", ["0.3", "0.6"], ids=["linear", "zigzag"])
+    def test_field_commands_build_no_cell_amplitudes(self, monkeypatch, capsys, tmp_path,
+                                                     kappa, boundary):
+        # every import site of cell_amplitudes in the package refuses it: the
+        # bands, the fields and their observables read omega and the screw
+        # vectors alone; the modes table reads the amplitudes, so it fails
+        def refuse(*args, **kwargs):
+            raise AssertionError("cell_amplitudes on a field command")
+
+        sites = [module for name, module in sorted(sys.modules.items())
+                 if name.startswith("ionphonon.") and hasattr(module, "cell_amplitudes")]
+        assert bloch in sites
+        for module in sites:
+            monkeypatch.setattr(module, "cell_amplitudes", refuse)
+        for command in ("heat-capacity", "energy-reduction", "correlations", "susceptibility",
+                        "modes"):
+            argv = [command, "--kappa", kappa, "--boundary", boundary, "--n-ions", "16",
+                    "--k-points", "16", "--t-steps", "3", "--omega-steps", "5",
+                    "--max-separation", "2", "--component", "y",
+                    "--output", str(tmp_path / "out.csv")]
+            if command == "modes":
+                with pytest.raises(AssertionError, match="cell_amplitudes"):
+                    cli.main(argv)
+            else:
+                assert cli.main(argv) == 0
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("boundary", ["ring", "bulk"])
     def test_no_command_builds_a_cell_table(self, monkeypatch, capsys, tmp_path, boundary):
         # the bands read the screw table, the k = 0 form the stored k = 0
         # sums: the 6 x 6 raw table is the tests' oracle alone
@@ -378,15 +406,17 @@ def test_malformed_grid_is_a_value_error(grid):
             call()
 
 
-@pytest.mark.parametrize("n_k", [0, -4, 2.5, 64.5])
+@pytest.mark.parametrize("n_k", [0, -4, -3, 2.5, 64.5])
 def test_empty_zone_grid_is_a_value_error(n_k):
     # a non-integral n_k would put a node on +pi/2 (2.5) or, rounded up in
-    # bulk to 65, on k = 0 (64.5)
+    # bulk to 65, on k = 0 (64.5); a bulk field checks n_k before it rounds
+    # an odd count up to even, so every message names the argument
     cfg = ChainConfig(kappa=0.6, n_ions=16, boundary=Boundary.BULK)
     calls = [lambda: reduced_zone_grid(n_k), lambda: reduced_zone_grid(n_k, include_edge=False),
              lambda: PhononField(cfg, n_k=n_k)]
     for call in calls:
-        with pytest.raises(ValueError, match="n_k must be at least 1"):
+        with pytest.raises(ValueError, match=re.escape(f"n_k must be at least 1 and an integer, "
+                                                       f"got {n_k!r}")):
             call()
 
 

@@ -819,16 +819,17 @@ def test_thermal_correlators_match_textbook_coth_formula():
 
 
 def test_correlators_invariant_under_mode_phase_rotations(zigzag_field):
-    """Every ladder average closes over one block's own amplitudes, so the
-    arbitrary per-mode eigenvector phases must drop out of all k sums."""
+    """Every ladder average closes over one block's own modes, so the
+    arbitrary per-mode eigenvector phases must drop out of all k sums.  The
+    observables read each mode's screw vector (ion 0's phi, which the twist
+    carries to ion 1), so rotating phi rotates the whole mode."""
     import copy
 
     cfg, eq, field = zigzag_field
     rotated = copy.copy(field)
     rng = np.random.default_rng(99)
     phases = np.exp(2j * np.pi * rng.random(field.omega.shape))
-    rotated.u = field.u * phases[:, :, None]
-    rotated.v = field.v * phases[:, :, None]
+    rotated.phi = field.phi * phases[:, :, None]
     for dj, s, sp, nu, nup, t in ((0, 0, 0, "z", "z", 0.0),
                                   (2, 0, 1, "x", "y", 0.3),
                                   (4, 1, 1, "y", "y", 0.1)):
