@@ -696,6 +696,7 @@ def test_ring_observables_match_the_full_space_normal_form(cfg, temperature, eta
         eq = solve_delta0(cfg)
     except PhysicsError:
         return
+
     def outcome(build):
         try:
             return build()
