@@ -149,24 +149,21 @@ def dispersion_linear(k, nu: str, kappa: float, alpha: float = 1.0):
 def mode_vectors_linear(k: float, nu: str, kappa: float, alpha: float = 1.0):
     """Sigma-normalized (u, v) of the 1 x 1 linear-chain block at (k, nu).
 
-    u = sqrt((Omega+f)/2w + 1/2), |v| = sqrt((Omega+f)/2w - 1/2); v carries
-    the sign of f(k), the convention the generic diagonalizer produces.
-    Omega is the bulk linear chain's ``bare_frequencies``, so any axis with
-    Omega^2 <= 0 raises BareInstabilityError.
+    As in ``cell_amplitudes``, u +- v = sqrt(omega / Omega)^(+-1), so v < 0
+    exactly where omega < Omega: the convention the generic diagonalizer
+    produces.  Omega is the bulk linear chain's ``bare_frequencies``, so any
+    axis with Omega^2 <= 0 raises BareInstabilityError.
     """
     _coulomb_coefficient(nu)  # an unknown axis raises ValueError here
     config = ChainConfig(kappa, alpha, boundary=Boundary.BULK)
     omega_nu = float(bare_frequencies(config, Equilibrium(0.0))[AXES[nu]])
-    f = coupling_f(k, nu, kappa, omega_nu)
     omega = dispersion_linear(k, nu, kappa, alpha)
     if omega < 1e-12 * omega_nu:
         raise PhysicsError(
             f"(k={k}, {nu}) is a zero mode; use the zero-subspace path"
         )
-    a = omega_nu + f
-    u = np.sqrt(a / (2.0 * omega) + 0.5)
-    v = np.sign(f) * np.sqrt(max(a / (2.0 * omega) - 0.5, 0.0))
-    return float(u), float(v)
+    root = np.sqrt(omega / omega_nu)
+    return float(0.5 * (root + 1.0 / root)), float(0.5 * (root - 1.0 / root))
 
 
 def softening_kappa_c() -> float:

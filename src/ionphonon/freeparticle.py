@@ -24,12 +24,12 @@ import numpy as np
 
 from .bloch import CELL_AXIS_MAP, CellCouplings, _cell_index
 from .chain import GENERATORS, Boundary, ChainConfig, Equilibrium, broken_symmetries, solve_delta0
-from .symplectic import NormalForm, ZeroModePair, generator_pair
+from .symplectic import NormalForm, generator_mass, generator_move, generator_pair
 
 
 @dataclass
 class FreeParticleSector:
-    """One effective free particle on a ring.
+    """One effective free particle on a circle of length L (``circumference``).
 
     c0 fixes both the position scale (Q = c0 phi, phi in [-pi, pi)) and,
     with m_tilde, the level spectrum E_m = m^2 / (2 m_tilde c0^2).
@@ -38,8 +38,8 @@ class FreeParticleSector:
     label: str            # 'longitudinal' or 'radial'
     m_tilde: float        # mass-like constant, units 1/omega_I
     c0: float             # dimensionless Q scale
-    circumference: float  # ring length in units of d
-    pair: ZeroModePair | None = None
+    circumference: float  # length L of the circle in units of d
+    move: np.ndarray | None = None  # its generator's move on the cell entries
 
     @property
     def level_unit(self) -> float:
@@ -83,21 +83,20 @@ def effective_masses(config: ChainConfig,
 def build_sectors(config: ChainConfig, eq: Equilibrium,
                   omega_bare: np.ndarray) -> list[FreeParticleSector]:
     """Free-particle sectors: one per broken symmetry (``chain.broken_symmetries``)
-    but the chain sliding round the ring in bulk.  Each takes its generator's
-    zero pair (``symplectic.generator_pair`` on the cell entries, bitwise the
-    k = 0 block's) and the Omega, c0 and circumference of its axis: x and the
-    ring, or z and the zigzag's circle of radius delta0."""
+    but the chain sliding round the ring in bulk, in closed form with no zero
+    pair: the generator's move on the cell entries, m_tilde = N / Omega_a
+    (bitwise the k = 0 pair's), its circle's length L (N for the ring, 2 pi
+    delta0 for the zigzag plane turning about the trap axis), c0 = L lam Omega_a^(1/2) / 2 pi."""
     sectors: list[FreeParticleSector] = []
     for axis in broken_symmetries(config, eq):
         if axis == 0 and config.boundary is Boundary.BULK:
             continue
-        root = np.sqrt(omega_bare[_cell_index(0, axis)])
-        if axis == 0:  # the chain sliding round the ring
-            length, c0 = config.n_ions, config.n_ions * config.lam * root / (2.0 * np.pi)
-        else:  # the zigzag plane turning about the trap axis
-            length, c0 = 2.0 * np.pi * eq.delta0, eq.delta0 * config.lam * root
-        zp = generator_pair(axis, CELL_AXIS_MAP, omega_bare, config.n_ions)[1]
-        sectors.append(FreeParticleSector(zp.label, zp.m_tilde, float(c0), float(length), zp))
+        move = generator_move(axis, CELL_AXIS_MAP)
+        length = config.n_ions if axis == 0 else 2.0 * np.pi * eq.delta0
+        c0 = length * config.lam * np.sqrt(omega_bare[_cell_index(0, axis)]) / (2.0 * np.pi)
+        sectors.append(FreeParticleSector(GENERATORS[axis][0],
+                                          generator_mass(move, omega_bare, config.n_ions),
+                                          float(c0), float(length), move))
     return sectors
 
 

@@ -121,8 +121,8 @@ class CorrelatorRequest:
         if not isinstance(self.delta_j, (int, np.integer)) or self.delta_j < 0:
             raise ValueError(f"delta_j must be an integer >= 0 (symmetry covers "
                              f"negatives), got {self.delta_j!r}")
-        if self.s not in (0, 1) or self.sp not in (0, 1):
-            raise ValueError("sublattices must be 0 or 1")
+        if not all(isinstance(s, (int, np.integer)) and s in (0, 1) for s in (self.s, self.sp)):
+            raise ValueError(f"sublattices must be integers 0 or 1: s={self.s!r}, sp={self.sp!r}")
         if self.nu not in AXES or self.nup not in AXES:
             raise ValueError("axes must be one of x, y, z")
         if not 0.0 <= self.temperature < np.inf:
@@ -192,13 +192,11 @@ def correlator_table(req: CorrelatorRequest, field: PhononField,
             sum_minus * phase + sum_plus * np.conj(phase), axis=1)
     values = total / (4.0 * lam**2 * len(field.k))
 
-    pref = 1.0 / (2.0 * lam**2 * np.sqrt(omega_i * field.omega_bare[j]) * field.n_cells)
     for sector in _enabled_sectors(field, req.include_radial_zero_mode,
                                    req.include_longitudinal_zero_mode):
-        # the <P^2> terms carry 4 Re(v0) Re(v0'), and v0 = i q[:D] is
-        # imaginary: positions decouple from P
-        u0 = sector.pair.u0
-        values += pref * 4.0 * u0[i].imag * u0[j].imag * q_variance(sector)
+        # entry i moves by move_i Q / (lam Omega_a^(1/2)), Q spread evenly over a circle
+        # of length L: move_i move_j <Q^2> / (lam^2 Omega_a) = move_i move_j L^2 / 12
+        values += sector.move[i] * sector.move[j] * q_variance(sector) / (lam**2 * omega_i)
     leaks = np.abs(values.imag) > 1e-9 * np.maximum(1.0, np.abs(values.real))
     if leaks.any():
         raise InternalConsistencyError(

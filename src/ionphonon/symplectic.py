@@ -294,29 +294,38 @@ def _bogoliubov(k_mat: np.ndarray, omega_bare: np.ndarray) -> tuple[np.ndarray, 
     return lam, np.where(positive, omega[..., 0], 0.0), u, v
 
 
-def generator_pair(axis: int, axis_map: np.ndarray, omega_bare: np.ndarray,
-                   p_norm: float) -> tuple[np.ndarray, ZeroModePair]:
-    """The unit generator t of ``axis`` (``chain.GENERATORS``) on the
-    entries of ``axis_map``, and its zero pair with p^dag p = ``p_norm``.
-
-    The x translation moves every axis-0 entry by 1, the rotation about the
-    trap axis the axis-2 entries by (-1)^l in order.  The pair reads t and
-    ``omega_bare`` alone: p = (i c w, i c w) with w the unit kernel vector
-    Omega^(1/2) t of K, and q = c (w / Omega, -w / Omega) / m_tilde.
-    """
-    label = GENERATORS[axis][0]
+def generator_move(axis: int, axis_map: np.ndarray) -> np.ndarray:
+    """How the generator of ``axis`` (``chain.GENERATORS``) moves each entry of ``axis_map``:
+    the x translation every axis-0 entry by 1, the rotation the axis-2 ones by (-1)^l."""
     rows = np.flatnonzero(axis_map == axis)
     if not len(rows):
-        raise ValueError(f"axis_map places the {label} generator on no entry")
-    t = np.zeros(len(omega_bare))
-    sign = 1.0 if axis == 0 else (-1.0) ** np.arange(len(rows))
-    t[rows] = sign / np.sqrt(len(rows))
+        raise ValueError(f"axis_map places the {GENERATORS[axis][0]} generator on no entry")
+    move = np.zeros(len(axis_map))
+    move[rows] = 1.0 if axis == 0 else (-1.0) ** np.arange(len(rows))
+    return move
+
+
+def generator_mass(move: np.ndarray, omega_bare: np.ndarray, p_norm: float) -> float:
+    """m_tilde of a zero pair with p^dag p = ``p_norm``: p_norm / mean Omega on moved entries."""
+    return p_norm / float(np.mean(omega_bare[move != 0.0]))
+
+
+def generator_pair(axis: int, axis_map: np.ndarray, omega_bare: np.ndarray,
+                   p_norm: float) -> tuple[np.ndarray, ZeroModePair]:
+    """The unit generator t (``generator_move``, normalized) of ``axis`` on the
+    entries of ``axis_map``, and its zero pair with p^dag p = ``p_norm``: p =
+    (i c w, i c w) with w the unit kernel vector Omega^(1/2) t of K, c^2 =
+    p_norm / 2, and q = c (w / Omega, -w / Omega) / m_tilde, where m_tilde =
+    2 c^2 sum w^2 / Omega is ``generator_mass``.
+    """
+    move = generator_move(axis, axis_map)
+    t = move / np.sqrt(np.count_nonzero(move))
     c = np.sqrt(p_norm / 2.0)
     st = np.sqrt(omega_bare) * t
     w = st / np.linalg.norm(st)  # a unit kernel vector of K
     u0 = 1j * c * w
     p = np.concatenate([u0, u0])  # (u0, -u0*) with u0 purely imaginary
-    mu = 2.0 * c * c * float(np.sum(w * w / omega_bare))
+    mu = generator_mass(move, omega_bare, p_norm)
     q_top = c * (w / omega_bare) / mu
     q = np.concatenate([q_top, -q_top]).astype(complex)
     overlap = np.vdot(q, sigma_apply(p))
@@ -324,7 +333,7 @@ def generator_pair(axis: int, axis_map: np.ndarray, omega_bare: np.ndarray,
         raise InternalConsistencyError(
             f"zero-pair scalar product (q|p) = {overlap}, expected i"
         )
-    return t, ZeroModePair(p, q, mu, label)
+    return t, ZeroModePair(p, q, mu, GENERATORS[axis][0])
 
 
 def symplectic_diagonalize(form: QuadraticForm,
@@ -344,9 +353,8 @@ def symplectic_diagonalize(form: QuadraticForm,
         h = diag(omega_bare) + g is implied.
     axis_map : ndarray, optional
         Axis label (0, 1, 2) per flat index.  It places the generators that
-        the form names (``form.generators``): the x translation moves every
-        axis-0 entry by 1, the rotation about the trap axis the axis-2
-        entries by (-1)^l in order.  Each gives one zero pair, labelled by
+        the form names (``form.generators``) by ``generator_move``.  Each
+        gives one zero pair (``generator_pair``), labelled by
         ``chain.GENERATORS``, and is shifted out of the sector that holds
         it.  Without an axis_map a form has no zero pairs.
     p_norm : float, optional

@@ -19,6 +19,7 @@ import numpy as np
 
 from ionphonon.bloch import AXES, CELL_AXIS_MAP, CellCouplings, _cell_index, cell_entry
 from ionphonon.chain import (
+    GENERATORS,
     ZETA3,
     _TAIL,
     Boundary,
@@ -41,7 +42,12 @@ from ionphonon.observables import (
     _einstein_heat,
     _enabled_sectors,
 )
-from ionphonon.symplectic import build_quadratic_form, sigma_apply, symplectic_diagonalize
+from ionphonon.symplectic import (
+    build_quadratic_form,
+    generator_pair,
+    sigma_apply,
+    symplectic_diagonalize,
+)
 
 
 def sectors(config, eq=None):
@@ -171,6 +177,9 @@ def v0(zp):
     return 1j * zp.q[: len(zp.q) // 2]
 
 
+_GENERATOR_AXIS = {label: axis for axis, (label, _) in GENERATORS.items()}
+
+
 def pair_correlators_k(field, k, kp, s, sp, nu, nup, temperature,
                        include_radial_zero_mode=True,
                        include_longitudinal_zero_mode=False):
@@ -179,7 +188,9 @@ def pair_correlators_k(field, k, kp, s, sp, nu, nup, temperature,
     Normal terms require k' = k, anomalous ones k' = -k; all other pairings
     vanish because thermal states are diagonal in the phonon numbers.  At
     k = k' = 0 the enabled free-particle sectors contribute their <Q^2> and
-    <P^2> moments with the phase-fixed (p, q) sign structure.
+    <P^2> moments with the phase-fixed (p, q) sign structure of a zero pair
+    built here (``symplectic.generator_pair`` of the sector's generator), so
+    the sectors' closed forms are checked against the pairs.
     """
     if temperature < 0.0:
         raise ValueError("temperature must be non-negative")
@@ -209,7 +220,8 @@ def pair_correlators_k(field, k, kp, s, sp, nu, nup, temperature,
     if abs(k) < 1e-12 and abs(kp) < 1e-12:
         for sector in _enabled_sectors(field, include_radial_zero_mode,
                                        include_longitudinal_zero_mode):
-            zp = sector.pair
+            zp = generator_pair(_GENERATOR_AXIS[sector.label], CELL_AXIS_MAP,
+                                field.omega_bare, field.config.n_ions)[1]
             u0_i, u0_j = zp.u0[i], zp.u0[j]
             v0_i, v0_j = v0(zp)[[i, j]]
             q2 = q_variance(sector)
@@ -231,7 +243,6 @@ def one_correlator(req, field):
     i = _cell_index(req.s, AXES[req.nu])
     j = _cell_index(req.sp, AXES[req.nup])
     omega_i = field.omega_bare[i]
-    omega_j = field.omega_bare[j]
     lam = field.config.lam
     n = _bose(field.omega, req.temperature)
     w = np.divide(2.0 * n + 1.0, field.omega, out=np.zeros_like(n), where=field.mask)
@@ -241,11 +252,9 @@ def one_correlator(req, field):
     term_minus = np.sum((w - 1.0 / omega_i) * pair, axis=1) * phase
     term_plus = np.conj(np.sum((w + 1.0 / omega_i) * pair, axis=1)) * np.conj(phase)
     value = np.sum(term_minus + term_plus) / (4.0 * lam**2 * len(field.k))
-    pref = 1.0 / (2.0 * lam**2 * np.sqrt(omega_i * omega_j) * field.n_cells)
     for sector in _enabled_sectors(field, req.include_radial_zero_mode,
                                    req.include_longitudinal_zero_mode):
-        u0 = sector.pair.u0
-        value += pref * 4.0 * u0[i].imag * u0[j].imag * q_variance(sector)
+        value += sector.move[i] * sector.move[j] * q_variance(sector) / (lam**2 * omega_i)
     if abs(value.imag) > 1e-9 * max(1.0, abs(value.real)):
         raise InternalConsistencyError(f"correlator not real: {value}")
     return float(value.real)

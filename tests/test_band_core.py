@@ -1,15 +1,17 @@
 """The band core (``CellCouplings.bands``: closed-form screw blocks) against
 per-k and full-space oracles."""
 
+import ast
 import re
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ionphonon import bloch, cli
+from ionphonon import bloch, cli, symplectic
 from ionphonon.bloch import (
     CellCouplings,
     dispersion_zigzag,
@@ -359,6 +361,52 @@ class TestZeroPairsLeaveTheBandCore:
         assert not hasattr(field, "zero_pairs")
 
 
+class TestZeroPairsStayInTheNormalForms:
+    """Only the full-space solve and the k = 0 form build zero pairs; the
+    free-particle sectors are closed forms."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        # every import site of generator_pair in the package records the axis
+        # of each call
+        axes = []
+        original = symplectic.generator_pair
+
+        def counting(axis, *args, **kwargs):
+            axes.append(axis)
+            return original(axis, *args, **kwargs)
+
+        for name, module in sorted(sys.modules.items()):
+            if name.startswith("ionphonon.") and hasattr(module, "generator_pair"):
+                monkeypatch.setattr(module, "generator_pair", counting)
+        return axes
+
+    def test_modes_builds_each_pair_once(self, calls, capsys, tmp_path):
+        argv = ["modes", "--kappa", "0.6", "--n-ions", "16", "--output", str(tmp_path / "m.csv")]
+        assert cli.main(argv) == 0
+        capsys.readouterr()
+        cfg = ChainConfig(kappa=0.6, n_ions=16)
+        assert calls == list(broken_symmetries(cfg, solve_delta0(cfg))) == [0, 2]
+
+    @pytest.mark.parametrize("kappa", [0.3, 0.6], ids=["linear", "zigzag"])
+    def test_ring_sectors_build_no_pair(self, calls, kappa):
+        field = PhononField(ChainConfig(kappa=kappa, n_ions=16, boundary=Boundary.RING))
+        assert field.sectors()
+        assert calls == []
+
+    def test_two_package_callers(self):
+        # the functions of the package whose bodies call generator_pair
+        callers = set()
+        for path in sorted(Path(symplectic.__file__).parent.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.FunctionDef) and any(
+                        isinstance(call, ast.Call) and isinstance(call.func, ast.Name)
+                        and call.func.id == "generator_pair" for call in ast.walk(node)):
+                    callers.add(f"{path.stem}.{node.name}")
+        assert callers == {"symplectic.symplectic_diagonalize",
+                           "freeparticle.zero_mode_normal_form"}
+
+
 @pytest.mark.parametrize("boundary", list(Boundary))
 @pytest.mark.parametrize("kappa, alpha", [(0.3, 1.0), (0.6, 1.0), (0.6, 1.5)],
                          ids=["linear", "zigzag", "zigzag-a1.5"])
@@ -366,7 +414,7 @@ def test_k0_normal_form_is_the_six_by_six_one(kappa, alpha, boundary):
     # the screw modes at k = 0 and the generator pairs against the 6 x 6
     # path: omega within 1e-12, the same form and zero pairs to the bit, and
     # a certificate within the bound assemble_W keeps; the free-particle
-    # sectors carry those zero pairs
+    # sectors carry those pairs' generator moves and masses
     cfg = ChainConfig(kappa=kappa, alpha=alpha, n_ions=16, boundary=boundary)
     eq = solve_delta0(cfg)
     nf = zero_mode_normal_form(cfg, eq)
@@ -385,7 +433,7 @@ def test_k0_normal_form_is_the_six_by_six_one(kappa, alpha, boundary):
     pairs = {zp.label: zp for zp in oracle.zero_pairs}
     for sector in sectors:
         want = pairs[sector.label]
-        assert np.array_equal(sector.pair.p, want.p) and np.array_equal(sector.pair.q, want.q)
+        assert np.array_equal(sector.move, np.sign(want.u0.imag))
         assert sector.m_tilde == want.m_tilde
     assert len(sectors) == len(pairs) - (boundary is Boundary.BULK)
 

@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,10 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ionphonon.bloch import CellCouplings, _cell_index
-from ionphonon.chain import Boundary, ChainConfig, solve_delta0
+from ionphonon.chain import GENERATORS, Boundary, ChainConfig, solve_delta0
 from ionphonon.freeparticle import (
     FreeParticleSector,
     _winding_moments,
+    build_sectors,
     effective_masses,
     goldstone_branches,
     phase_operator,
@@ -22,6 +24,7 @@ from ionphonon.freeparticle import (
     thermal_p_squared,
     zero_mode_normal_form,
 )
+from ionphonon.observables import CorrelatorRequest, PhononField, correlator_table
 from oracles import sectors
 
 
@@ -114,6 +117,63 @@ class TestSectors:
         for zp in nf.zero_pairs:
             overlap = np.vdot(zp.q, np.concatenate([zp.p[:6], -zp.p[6:]]))
             assert overlap == pytest.approx(1j, abs=1e-10)
+
+
+GENERATOR_AXIS = {label: axis for axis, (label, _) in GENERATORS.items()}
+
+
+class TestClosedForms:
+    """A sector is its generator's move, m_tilde = N / Omega_a and its circle
+    of length L; it holds no zero pair."""
+
+    @pytest.mark.parametrize("boundary", list(Boundary))
+    @pytest.mark.parametrize("kappa", [0.3, 0.6], ids=["linear", "zigzag"])
+    @pytest.mark.parametrize("alpha", [1.0, 1.5])
+    def test_mass_is_the_k0_pairs_to_the_bit(self, kappa, alpha, boundary):
+        cfg = ChainConfig(kappa=kappa, alpha=alpha, n_ions=24, boundary=boundary)
+        eq = solve_delta0(cfg)
+        nf = zero_mode_normal_form(cfg, eq)
+        pairs = {zp.label: zp for zp in nf.zero_pairs}
+        found = build_sectors(cfg, eq, nf.form.omega_bare)
+        assert len(found) == len(pairs) - (boundary is Boundary.BULK)
+        for sector in found:
+            omega_a = nf.form.omega_bare[_cell_index(0, GENERATOR_AXIS[sector.label])]
+            assert sector.m_tilde == pairs[sector.label].m_tilde
+            assert sector.m_tilde == cfg.n_ions / omega_a
+            assert not hasattr(sector, "pair")
+
+    @pytest.mark.parametrize("boundary", list(Boundary))
+    @pytest.mark.parametrize("kappa, alpha", [(0.3, 1.0), (0.6, 1.0), (0.7, 1.3)])
+    def test_level_unit(self, kappa, alpha, boundary):
+        # E_1 = 1 / (2 m_tilde c0^2) = 2 pi^2 / (N lam^2 L^2) on both circles
+        cfg = ChainConfig(kappa=kappa, alpha=alpha, n_ions=64, boundary=boundary)
+        eq = solve_delta0(cfg)
+        for sector in sectors(cfg, eq):
+            length = cfg.n_ions if sector.label == "longitudinal" else 2.0 * np.pi * eq.delta0
+            want = 2.0 * np.pi**2 / (cfg.n_ions * cfg.lam**2 * length**2)
+            assert sector.level_unit == pytest.approx(want, rel=8 * np.finfo(float).eps)
+
+    @pytest.mark.parametrize("kappa, alpha", [(0.3, 1.0), (0.6, 1.0), (0.6, 1.5)])
+    def test_ring_offsets_are_the_circle_variance(self, kappa, alpha):
+        # a coordinate spread evenly over a circle of length L has variance
+        # L^2 / 12: xx gains N^2 / 12, zz (2 pi delta0)^2 / 12 with the
+        # rotation's sign (-1)^s on each ion
+        cfg = ChainConfig(kappa=kappa, alpha=alpha, n_ions=24, boundary=Boundary.RING)
+        field = PhononField(cfg)
+        assert field.sectors()
+        for sector in field.sectors():
+            axis = GENERATOR_AXIS[sector.label]
+            nu = "xyz"[axis]
+            length = cfg.n_ions if axis == 0 else 2.0 * np.pi * field.eq.delta0
+            flag = f"include_{sector.label}_zero_mode"
+            for s in (0, 1):
+                for sp in (0, 1):
+                    off = CorrelatorRequest(0, s, sp, nu, nu, 0.1, False, False)
+                    on = replace(off, **{flag: True})
+                    offset = correlator_table(on, field, [0, 1, 5]) \
+                        - correlator_table(off, field, [0, 1, 5])
+                    sign = 1.0 if axis == 0 else (-1.0) ** (s + sp)
+                    np.testing.assert_allclose(offset, sign * length**2 / 12.0, rtol=4e-15)
 
 
 class TestThermalMoments:

@@ -286,6 +286,13 @@ class TestSpatialCorrelator:
         with pytest.raises(ValueError, match="integer"):
             CorrelatorRequest(delta_j)
 
+    @pytest.mark.parametrize("s, sp", [(0.0, 0), (1.0, 0), (0, np.float64(1.0))],
+                             ids=["s=0.0", "s=1.0", "sp=float64(1.0)"])
+    def test_request_rejects_a_float_sublattice(self, s, sp):
+        # a float sublattice used to pass here and fail as an index in the sum
+        with pytest.raises(ValueError, match=r"sublattices must be integers 0 or 1: s="):
+            CorrelatorRequest(0, s, sp)
+
     @pytest.mark.parametrize("temperature", [np.nan, np.inf])
     def test_request_rejects_non_finite_temperature(self, temperature):
         with pytest.raises(ValueError, match="finite"):

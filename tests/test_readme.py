@@ -22,3 +22,16 @@ def test_cli_usage_block_lists_every_flag():
     documented = set(re.findall(r"--[a-z][a-z-]*", usage))
     defined = set(_parser()._option_string_actions) - {"-h", "--help"}
     assert documented == defined
+
+
+def test_every_public_name_is_in_the_readme():
+    import ast
+
+    import ionphonon
+
+    tree = ast.parse(Path(ionphonon.__file__).read_text(encoding="utf-8"))
+    names = [alias.asname or alias.name for node in ast.walk(tree)
+             if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert len(names) > 30
+    text = README.read_text(encoding="utf-8")
+    assert [name for name in names if not re.search(rf"\b{name}\b", text)] == []
