@@ -1,5 +1,7 @@
-"""The README's quickstart runs and its CLI synopsis matches the parser."""
+"""The README's quickstart runs, its CLI synopsis matches the parser and it names
+every public name of the package."""
 
+import ast
 import re
 from pathlib import Path
 
@@ -25,8 +27,6 @@ def test_cli_usage_block_lists_every_flag():
 
 
 def test_every_public_name_is_in_the_readme():
-    import ast
-
     import ionphonon
 
     tree = ast.parse(Path(ionphonon.__file__).read_text(encoding="utf-8"))
