@@ -48,6 +48,7 @@ from .chain import (
     Equilibrium,
     BULK_SUM_BUDGET,
     bare_frequencies,
+    bare_root,
     broken_symmetries,
     bulk_sum_bound,
     fold_pair_blocks,
@@ -58,17 +59,13 @@ from .chain import (
     power_law_sums,
     solve_delta0,
 )
-from .errors import (
-    BareInstabilityError,
-    ConvergenceError,
-    DynamicalInstabilityError,
-    PhysicsError,
-    ZeroModeToleranceError,
-)
+from .errors import ConvergenceError, DynamicalInstabilityError, PhysicsError
 from .symplectic import (
     HERMITIAN_TOL,
     NormalForm,
     QuadraticForm,
+    check_spectrum,
+    check_zero,
     is_hermitian,
     symplectic_diagonalize,
     zero_threshold,
@@ -91,6 +88,16 @@ _SWAP_SHIFT = np.array([1, -1, 0])
 
 def _cell_index(s: int, axis: int) -> int:
     return 2 * axis + s
+
+
+def _origin(k):
+    """Whether each reduced momentum k is 0."""
+    return np.abs(k) < 1e-12
+
+
+def _edge(k):
+    """Whether each reduced momentum k is on the zone edge, +-pi / 2d (cell length 2d)."""
+    return np.abs(np.abs(k) - np.pi / 2.0) < 1e-12
 
 
 def critical_kappa() -> float:
@@ -136,12 +143,12 @@ def dispersion_linear(k, nu: str, kappa: float, alpha: float = 1.0):
     re_li3 = np.real(polylog(3, k_arr))
     gap = ZETA3 - re_li3
     arg = np.asarray((0.0, 1.0, alpha)[AXES[nu]] - 2.0 * c * kappa * gap)
-    if np.any(arg < -1e-14):
-        bad = np.atleast_1d(k_arr)[np.atleast_1d(arg) < -1e-14]
+    # its own threshold: omega_x(0) = 0 is a true mode, no unexplained zero
+    unstable = arg < -1e-14
+    if np.any(unstable):
         raise DynamicalInstabilityError(
-            f"omega_{nu}(k)^2 < 0 at k = {bad[:3]}...: linear chain unstable "
-            f"towards zigzag formation at this kappa"
-        )
+            f"omega_{nu}(k)^2 < 0 at k = {k_arr[unstable][:3]}...: linear chain unstable "
+            f"towards zigzag formation at this kappa", frequencies=list(1j * np.sqrt(-arg[unstable])))
     omega = np.sqrt(np.clip(arg, 0.0, None))
     return float(omega) if np.isscalar(k) or k_arr.ndim == 0 else omega
 
@@ -216,12 +223,7 @@ class CellCouplings:
                                      fold_pair_blocks(self._m, self._pairs, 2))
         pairs = self._k0_sums.sum(axis=0)
         self._onsite = np.array([0.0, 1.0, config.alpha]) - np.diag(pairs)
-        omega_sq = np.repeat(self._onsite, 2)
-        if np.any(omega_sq <= 0.0):
-            raise BareInstabilityError(
-                f"cell on-site curvature not positive definite: {omega_sq}"
-            )
-        self.omega_bare = np.sqrt(omega_sq)
+        self.omega_bare = bare_root(np.repeat(self._onsite, 2), "the cell on-site curvature")
 
     def raw_coupling(self, k: float | np.ndarray) -> np.ndarray:
         """sum_p F[p] e^{-2ikp} at each k; shape (n_k, 6, 6).
@@ -311,7 +313,7 @@ class CellCouplings:
         table = table[:, ::-1]  # D(k + pi) first: it breaks ties at the edge
         diag = table[..., :3].real + self._onsite
         c = -table[..., 3].imag  # the off-diagonal entry under y -> iy
-        edge = np.abs(np.abs(k) - np.pi / self.cell_length) < 1e-12
+        edge = _edge(k)
         if edge.any():
             diag[edge] = diag[edge].mean(axis=1, keepdims=True)
             c[edge] = 0.5 * (c[edge] - c[edge, ::-1])
@@ -322,7 +324,7 @@ class CellCouplings:
         with np.errstate(divide="ignore", invalid="ignore"):
             lower = np.where(upper > 0.0, (a * d - c * c) / upper, mean - radius)
         angle = 0.5 * np.arctan2(c, half_diff)
-        origin = np.abs(k) < 1e-12
+        origin = _origin(k)
         # diagonal blocks (k = 0, and the linear chain's xy = 0) keep their
         # modes on the axes exactly: the x entry, then the y entry
         axes = origin[:, None] | (c == 0.0)
@@ -348,13 +350,14 @@ class CellCouplings:
         """Raise the error of :meth:`normal_form` for the first row, in descending
         k, that fails its checks in their order: |Re D_xy| within ``HERMITIAN_TOL``
         of the row's scale (the blocks are real under y -> iy); at k = 0 the
-        generators' entries and D_xy within lam_tol; no other lam below -lam_tol,
-        and none within lam_tol of zero (lam_tol: the row's ``zero_threshold``)."""
+        generators' entries and D_xy within lam_tol (``check_zero``); no other lam below
+        -lam_tol, and none within lam_tol of zero (``check_spectrum``, worded as the
+        6 x 6 path's with the row's k added; lam_tol: the row's ``zero_threshold``)."""
         lam_tol = zero_threshold(np.max(np.where(generator, 0.0, np.abs(lam)), axis=1),
                                   float(np.max(self.omega_bare)))
         skew = np.max(np.abs(table[..., 3].real), axis=1)
         hermitian = skew <= HERMITIAN_TOL * np.maximum(1.0, np.max(np.abs(table), axis=(1, 2)))
-        xy = np.where(np.abs(k) < 1e-12, np.max(np.abs(table[..., 3]), axis=1), 0.0)
+        xy = np.where(_origin(k), np.max(np.abs(table[..., 3]), axis=1), 0.0)
         sound = hermitian & np.all((lam > lam_tol[:, None]) | generator, axis=1) & (
             np.maximum(np.max(np.where(generator, np.abs(lam), 0.0), axis=1), xy) <= lam_tol)
         if sound.all():
@@ -363,21 +366,11 @@ class CellCouplings:
         tol, modes = lam_tol[i], np.sort(lam[i, ~generator[i]])
         if not hermitian[i]:
             raise PhysicsError(f"screw blocks at k={k[i]} not Hermitian (|Re D_xy| {skew[i]:.2e})")
-        at_zero = [(f"{GENERATORS[axis][0]} generator", lam[i, _SCREW_GENERATOR_SLOT[axis]])
-                   for axis in self._generators if generator[i].any()] + [("D_xy", xy[i])]
-        for name, entry in at_zero:
-            if abs(entry) > tol:
-                raise ZeroModeToleranceError(f"the {name} entry at k = 0 is {entry:.3g}, beyond "
-                                             f"lam_tol = {tol:.3g} (is the chain at equilibrium?)")
-        bad = np.sqrt(-modes[modes < -tol])
-        if bad.size:
-            raise DynamicalInstabilityError(f"dynamically unstable: {bad.size} imaginary mode "
-                                            f"frequencies (largest {bad.max():.6g} i)",
-                                            frequencies=list(1j * bad))
-        raise ZeroModeToleranceError(
-            f"{np.sum(modes <= tol)} zero mode(s) that no symmetry generator explains at "
-            f"k = {k[i]:.6g}: the smallest lam = omega^2 there is {modes[0]:.3g}, within "
-            f"lam_tol = {tol:.3g} of zero")
+        for axis in self._generators if generator[i].any() else ():
+            check_zero(f"the {GENERATORS[axis][0]} generator entry at k = 0",
+                       lam[i, _SCREW_GENERATOR_SLOT[axis]], tol)
+        check_zero("the D_xy entry at k = 0", xy[i], tol)
+        check_spectrum(modes, tol, f" at k = {k[i]:.6g}")
 
     def block(self, k: float) -> QuadraticForm:
         """The 6 x 6 cell coupling form at quasi-momentum k."""
@@ -400,18 +393,13 @@ class CellCouplings:
 
     def _block(self, k: float, raw: np.ndarray) -> QuadraticForm:
         g = raw / (2.0 * np.sqrt(np.outer(self.omega_bare, self.omega_bare)))
-        if self._self_paired(k):
-            g = g.real.astype(float)  # self-paired momenta have real blocks
+        if _origin(k) | _edge(k):
+            g = g.real.astype(float)  # self-paired momenta (their own -k) have real blocks
         fault = _cell_fault(k, g)
         if fault:
             raise PhysicsError(fault)
         # the generators are uniform over the cells: zero pairs at k = 0 alone
-        return QuadraticForm(g, self.omega_bare, self._generators if abs(k) < 1e-12 else ())
-
-    def _self_paired(self, k):
-        """k = 0 and the zone edge, the momenta that are their own -k."""
-        edge = np.pi / self.cell_length
-        return (np.abs(k) < 1e-12) | (np.abs(np.abs(k) - edge) < 1e-12)
+        return QuadraticForm(g, self.omega_bare, self._generators if _origin(k) else ())
 
     def normal_form(self, k: float) -> NormalForm:
         """Normal form of the 6 x 6 block at k (p^dag p = N), the tests' oracle."""
@@ -430,7 +418,7 @@ class CellCouplings:
         """
         k = _momenta(k_grid)
         partner = _mirror_partners(k)
-        mirrored = (k < -1e-12) & ~self._self_paired(k) & (np.abs(k[partner] + k) < 1e-9)
+        mirrored = (k < -1e-12) & ~(_origin(k) | _edge(k)) & (np.abs(k[partner] + k) < 1e-9)
         rows = np.flatnonzero(~mirrored)
         modes = self._screw_modes(k[rows], self._on_grid(k, self._screw_table)[rows])
         # ascending omega, the generators' empty slots last

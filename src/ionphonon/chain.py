@@ -383,8 +383,7 @@ def fold_pair_entries(m: np.ndarray, entries: np.ndarray, n_sites: int,
 
 def fold_pair_blocks(m: np.ndarray, entries: np.ndarray, n_sites: int,
                      twist: float = 0.0) -> np.ndarray:
-    """The 3 x 3 blocks of :func:`fold_pair_entries`, shape (n_sites, 3, 3):
-    the one place 3 x 3 pair blocks are built."""
+    """The 3 x 3 blocks of :func:`fold_pair_entries`, shape (n_sites, 3, 3)."""
     sums = fold_pair_entries(m, entries, n_sites, twist)
     out = np.zeros((n_sites, 3, 3), dtype=sums.dtype)
     rows, cols = [0, 1, 2, 0], [0, 1, 2, 1]  # xx, yy, zz, xy; xy is odd in m
@@ -602,14 +601,17 @@ def bare_frequencies(config: ChainConfig, eq: Equilibrium) -> np.ndarray:
         arg = np.array([0.0, 1.0, config.alpha]) - 2.0 * config.kappa * ZETA3 * _SERIES[0]
     else:
         arg = np.diag(_site_blocks(config, eq.delta0)[0, 0]).copy()
-    if np.any(arg <= 0.0):
-        bad = "xyz"[int(np.argmin(arg))]
-        raise BareInstabilityError(
-            f"bare Omega_{bad}^2 = {arg.min():.6g} <= 0 at kappa = {config.kappa}; "
-            f"the linear-phase single-site bound is kappa_tilde_c = 1/zeta(3) "
-            f"= {1.0 / ZETA3:.6f}"
-        )
-    return np.sqrt(arg)
+    return bare_root(arg, f"the bare Omega^2 of (x, y, z) at kappa = {config.kappa} (linear-phase "
+                          f"single-site bound kappa_tilde_c = 1/zeta(3) = {1 / ZETA3:.6f})")
+
+
+def bare_root(omega_sq: np.ndarray, what: str) -> np.ndarray:
+    """The bare frequencies sqrt(``omega_sq``); BareInstabilityError, naming
+    ``what``, unless every entry is positive (else the site is unstable)."""
+    if not np.all(omega_sq > 0.0):
+        raise BareInstabilityError(f"{what} is not positive (min {np.min(omega_sq):.6g} at "
+                                   f"entry {np.argmin(omega_sq)})")
+    return np.sqrt(omega_sq)
 
 
 def build_hessian(config: ChainConfig, eq: Equilibrium) -> Hessian:
@@ -643,9 +645,4 @@ def equilibrium_residual(config: ChainConfig, eq: Equilibrium) -> float:
 
 def omega_from_hessian(hess: Hessian) -> np.ndarray:
     """Per-(l, nu) bare frequencies from the Hessian diagonal, shape (3N,)."""
-    diag = np.diag(hess.matrix)
-    if np.any(diag <= 0.0):
-        raise BareInstabilityError(
-            f"Hessian diagonal has non-positive entries (min {diag.min():.6g})"
-        )
-    return np.sqrt(diag)
+    return bare_root(np.diag(hess.matrix), "the Hessian diagonal")

@@ -208,8 +208,8 @@ def phase_operator(m_max: int) -> PhaseOperatorBasis:
     the closed form i pi (-1)^Delta / [(2M+1) sin(pi Delta / (2M+1))] for
     Delta = l - l' != 0 and zero on the diagonal.
     """
-    if m_max < 1:
-        raise ValueError("m_max must be >= 1")
+    if not isinstance(m_max, (int, np.integer)) or m_max < 1:
+        raise ValueError(f"m_max must be at least 1 and an integer, got {m_max!r}")
     dim = 2 * m_max + 1
     l_idx = np.arange(-m_max, m_max + 1)
     delta = l_idx[:, None] - l_idx[None, :]

@@ -260,6 +260,32 @@ def zero_threshold(lam_scale, omega_scale: float):
     return np.maximum((ZERO_MODE_TOL * omega_scale) ** 2, lam_floor)
 
 
+def check_spectrum(lam: np.ndarray, lam_tol: float, where: str = "") -> None:
+    """Raise unless every ``lam = omega^2`` (ascending) of the modes that no
+    generator explains lies above ``lam_tol``: DynamicalInstabilityError,
+    with the imaginary frequencies, for any below -lam_tol, else
+    ZeroModeToleranceError for those within lam_tol of zero (NaN among
+    them, so that every unsound spectrum ends in a named error)."""
+    bad = np.sqrt(-lam[lam < -lam_tol])
+    if bad.size:
+        raise DynamicalInstabilityError(f"dynamically unstable{where}: {bad.size} imaginary mode "
+                                        f"frequencies (largest {bad.max():.6g} i)",
+                                        frequencies=list(1j * bad))
+    soft = ~(lam > lam_tol)
+    if soft.any():
+        raise ZeroModeToleranceError(
+            f"{np.sum(soft)} zero mode(s) that no symmetry generator explains{where}: the "
+            f"smallest lam = omega^2 there is {lam[0]:.3g}, within lam_tol = {lam_tol:.3g} of zero")
+
+
+def check_zero(name: str, value: float, tol: float) -> None:
+    """Raise ZeroModeToleranceError unless ``name``, zero on a sound form (a
+    generator's defect, D_xy at k = 0), lies within ``tol`` of zero (NaN does not)."""
+    if not abs(value) <= tol:
+        raise ZeroModeToleranceError(f"{name} is {value:.3g}, beyond lam_tol = {tol:.3g} "
+                                     f"(is the chain at equilibrium?)")
+
+
 def _bogoliubov(k_mat: np.ndarray, omega_bare: np.ndarray) -> tuple[np.ndarray, ...]:
     """Ascending ``lam = omega^2`` and the modes of one form: one ``eigh`` of
     ``Omega^(1/2) K Omega^(1/2)`` (``K = k_matrix(g, omega_bare)``), whose
@@ -400,11 +426,8 @@ def symplectic_diagonalize(form: QuadraticForm,
                 f"axis_map places the {pair.label} generator in more than one sector")
         i, k_mat = sectors[j], k_mats[j]
         local = np.searchsorted(i, rows)
-        defect = np.linalg.norm(s[i] * (k_mat @ (s * t)[i]))
-        if defect > kernel_tol:
-            raise ZeroModeToleranceError(
-                f"the {pair.label} generator is no zero mode: |s K s t| = {defect:.3g} "
-                f"> {kernel_tol:.3g} (is the chain at its equilibrium?)")
+        check_zero(f"the {pair.label} generator's |s K s t|",
+                   np.linalg.norm(s[i] * (k_mat @ (s * t)[i])), kernel_tol)
         # s K s gains 2 bound t t^T, far above the spectrum; the axis classes
         # are disjoint, so the next generator's test still sees K
         shift = t[rows] / s[rows]
@@ -419,18 +442,7 @@ def symplectic_diagonalize(form: QuadraticForm,
         parts.append((lam[:n_modes], omega[:n_modes], u[:n_modes], v[:n_modes]))
     del k_mats, k_mat
     lam, omega, u, v, sector_rows = _merge_sectors(sectors, parts, dim)
-    lam_tol = zero_threshold(np.max(np.abs(lam)), omega_scale)
-    if lam[0] < -lam_tol:
-        bad = np.sqrt(-lam[lam < -lam_tol])
-        raise DynamicalInstabilityError(
-            f"dynamically unstable: {bad.size} imaginary mode frequencies "
-            f"(largest {bad.max():.6g} i)",
-            frequencies=[1j * b for b in bad],
-        )
-    if lam[0] <= lam_tol:
-        raise ZeroModeToleranceError(
-            f"{np.sum(lam <= lam_tol)} zero mode(s) that no symmetry generator "
-            f"explains (ZERO_MODE_TOL = {ZERO_MODE_TOL:g}): a soft mode at a transition")
+    check_spectrum(lam, zero_threshold(np.max(np.abs(lam)), omega_scale))
     return NormalForm(omega, u, v, zero_pairs, form, sector_rows)
 
 

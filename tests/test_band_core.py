@@ -229,6 +229,35 @@ class TestFallback:
         with pytest.raises(ZeroModeToleranceError, match="the radial generator entry at k = 0"):
             cc.bands(grid)
 
+    @staticmethod
+    def verdict(exc):
+        """The text of an error up to its first ':', without the band path's ``at k = ...``."""
+        return re.sub(r" at k = [^:]*", "", str(exc)).split(":")[0]
+
+    @pytest.mark.parametrize("boundary, grid", [
+        (Boundary.RING, ring_momenta(64)),
+        (Boundary.BULK, reduced_zone_grid(64, include_edge=False)),
+    ])
+    def test_instability_reads_as_the_oracles(self, boundary, grid):
+        cc = linear_couplings(0.6, 64, boundary)
+        expected, k = oracle_error(cc, grid, cc.raw_coupling(grid))
+        with pytest.raises(DynamicalInstabilityError) as err:
+            cc.bands(grid)
+        assert f" at k = {k:.6g}:" in str(err.value)
+        assert self.verdict(err.value) == self.verdict(expected) == "dynamically unstable"
+
+    def test_unexplained_zero_reads_as_the_oracles(self):
+        # at k = 3e-6 the softer gapless root of the bulk zigzag falls below
+        # lam_tol on both paths; one check_spectrum words both errors
+        cfg = ChainConfig(kappa=0.6, n_ions=32, boundary=Boundary.BULK)
+        eq = solve_delta0(cfg)
+        with pytest.raises(ZeroModeToleranceError) as band:
+            dispersion_zigzag(np.array([3e-6]), cfg, eq)
+        with pytest.raises(ZeroModeToleranceError) as oracle:
+            cell_normal_form(CellCouplings(cfg, eq), 3e-6)
+        assert self.verdict(band.value) == self.verdict(oracle.value) == (
+            "1 zero mode(s) that no symmetry generator explains")
+
     def test_stable_linear_chain_bands_match_per_k(self):
         # below kappa_c the folded linear chain has regular blocks only
         # (bulk) or the rigid-translation zero pair at k = 0 (ring)

@@ -144,6 +144,19 @@ class TestDispersionLinear:
             dispersion_linear(np.pi, "y", 0.6)
         assert "k =" in str(err.value)
 
+    def test_instability_carries_the_imaginary_frequencies(self):
+        # i sqrt(-omega_y^2) at each unstable momentum, omega_y^2 = 1 - kappa
+        # (zeta(3) - Re Li3), from a direct sum Re Li3 = sum_m cos(m k) / m^3
+        # (tail below 2e-11); the stable k = 0 and +-pi/4 carry none
+        k = np.linspace(-np.pi, np.pi, 9)
+        m = np.arange(1, 200_001)
+        omega_sq = 1.0 - (ZETA3 - np.cos(np.outer(k, m)) @ m**-3.0)
+        with pytest.raises(DynamicalInstabilityError) as err:
+            dispersion_linear(k, "y", 1.0)
+        want = 1j * np.sqrt(-omega_sq[omega_sq < 0.0])
+        assert len(err.value.frequencies) == len(want) == 6
+        assert np.max(np.abs(np.subtract(err.value.frequencies, want))) < 1e-9
+
     def test_transverse_monotone_in_k_below_transition(self):
         # open question probe: omega_y decreases monotonically towards the
         # zone edge for every kappa below the transition we sample

@@ -1,6 +1,7 @@
 """Zero-mode sector: effective masses, phase operator, thermal moments."""
 
 import math
+import re
 import tracemalloc
 import warnings
 from dataclasses import replace
@@ -370,6 +371,12 @@ class TestPhaseOperator:
     def test_rejects_tiny_space(self):
         with pytest.raises(ValueError):
             phase_operator(0)
+
+    @pytest.mark.parametrize("m_max", [1.5, 2.0, np.float64(3.0), "4", -2])
+    def test_rejects_a_non_integer_or_tiny_m_max(self, m_max):
+        with pytest.raises(ValueError, match=re.escape(f"m_max must be at least 1 and an "
+                                                       f"integer, got {m_max!r}")):
+            phase_operator(m_max)
 
 
 def test_longitudinal_mass_has_minimum_at_transition():
