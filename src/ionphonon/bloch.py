@@ -16,8 +16,8 @@ full-space Hessian) and one FFT, plus in bulk the closed-form sums of
 ``chain.power_law_sums`` at each k; it solves each in closed form, keeps
 each mode's screw vector (the generators' slots unset at k = 0), raises the
 error of the first failing row in descending k, and fills each -k row by
-conjugation; the phonon fields and the k = 0 normal form read its
-:class:`Bands`, and :func:`dispersion_zigzag` returns them in branch order.
+conjugation, with column b of every row on branch b; the phonon fields, the
+k = 0 normal form and :func:`dispersion_zigzag` read its :class:`Bands`.
 The cell amplitudes are real factors of the screw vectors, entry by entry
 (:func:`cell_amplitudes`), built only when read.  The glide also labels
 every mode exactly by its screw slot (``Bands.labels``): its parity, its
@@ -28,7 +28,7 @@ one label across the grid, so omega_b(-k) = omega_b(k).
 Axis convention (fixed throughout the package): the zigzag displacement is
 along y, so the in-plane sector is {x, y} and the gapless helical motion is
 along z.  Block basis ordering: (s=0,x), (s=1,x), (s=0,y), (s=1,y),
-(s=0,z), (s=1,z); the reduced-zone cell length is ``2d``.
+(s=0,z), (s=1,z); the reduced-zone cell length is ``CELL_LENGTH`` = 2d.
 """
 
 from __future__ import annotations
@@ -76,6 +76,10 @@ AXES = {"x": 0, "y": 1, "z": 2}
 # axis label of each entry in the 6-dimensional cell basis
 CELL_AXIS_MAP = np.array([0, 0, 1, 1, 2, 2])
 
+# the reduced zone's cell, two ion spacings d, and its zone edge pi / 2d
+CELL_LENGTH = 2.0
+ZONE_EDGE = np.pi / CELL_LENGTH
+
 # column of each generator's mode at k = 0 among CellCouplings._screw_modes'
 # six: the x entry of D(0), the z entry of D(pi)
 _SCREW_GENERATOR_SLOT = {0: 3, 2: 2}
@@ -96,8 +100,8 @@ def _origin(k):
 
 
 def _edge(k):
-    """Whether each reduced momentum k is on the zone edge, +-pi / 2d (cell length 2d)."""
-    return np.abs(np.abs(k) - np.pi / 2.0) < 1e-12
+    """Whether each reduced momentum k is on the zone edge, +-``ZONE_EDGE``."""
+    return np.abs(np.abs(k) - ZONE_EDGE) < 1e-12
 
 
 def critical_kappa() -> float:
@@ -206,7 +210,6 @@ class CellCouplings:
 
     def __init__(self, config: ChainConfig, eq: Equilibrium):
         self.config = config
-        self.cell_length = 2.0  # in units of d
         self._delta0 = eq.delta0
         self._generators = broken_symmetries(config, eq)
         self._m, self._pairs = half_pair_blocks(config, eq.delta0)
@@ -245,7 +248,7 @@ class CellCouplings:
                     f"k = {k_arr} holds a momentum that the {n}-ion ring does not "
                     f"allow; use ring_momenta({n}) or bulk boundaries"
                 )
-        step = 2.0 * np.pi / (self.cell_length * len(k_arr))
+        step = 2.0 * np.pi / (CELL_LENGTH * len(k_arr))
         if np.max(np.abs(k_arr - k_arr[0] - step * np.arange(len(k_arr)))) < 1e-12:
             return table(k_arr[0], len(k_arr))
         return np.concatenate([table(kk, 1) for kk in k_arr])
@@ -413,19 +416,24 @@ class CellCouplings:
         D(k + pi) (:meth:`_screw_table`), which :meth:`_screw_modes`
         checks (:meth:`_check_rows`) and diagonalizes in closed form into
         omega, labels and screw vectors (no cell amplitude); at k = 0 each
-        generator's slot stays unset.  Each -k row is the conjugate of its
-        +k partner, phi(-k) = phi(k)*, and keeps its labels.
+        generator's slot stays unset.  Column b of every row is the slot of
+        branch b: the label of the first row's slot b, its slots in ascending
+        omega with the unset ones last.  Each -k row is the conjugate of its
+        +k partner, phi(-k) = phi(k)*, so omega_b(-k) = omega_b(k) to the bit.
         """
         k = _momenta(k_grid)
         partner = _mirror_partners(k)
         mirrored = (k < -1e-12) & ~(_origin(k) | _edge(k)) & (np.abs(k[partner] + k) < 1e-9)
         rows = np.flatnonzero(~mirrored)
         modes = self._screw_modes(k[rows], self._on_grid(k, self._screw_table)[rows])
-        # ascending omega, the generators' empty slots last
-        order = np.argsort(np.where(modes[3], np.inf, modes[0]), axis=1, kind="stable")
+        lam, _, _, generator, labels = modes
         # every row takes its solved row: its own, or its +k partner's
-        source = np.searchsorted(rows, np.where(mirrored, partner, np.arange(len(k))))
-        lam, phi, twist, generator, labels = (a[source[:, None], order[source]] for a in modes)
+        source = np.searchsorted(rows, np.where(mirrored, partner, np.arange(len(k))))[:, None]
+        first = source[0, 0]
+        ascending = np.argsort(np.where(generator[first], np.inf, lam[first]), kind="stable")
+        # a row's labels are a permutation: its argsort is the slot of each label
+        order = np.argsort(labels, axis=1)[source, labels[first, ascending]]
+        lam, phi, twist, generator, labels = (a[source, order] for a in modes)
         phi[mirrored], twist[mirrored] = phi[mirrored].conj(), twist[mirrored].conj()
         return Bands(k, np.sqrt(np.where(generator, 0.0, lam)), ~generator, labels, phi, twist,
                      self.omega_bare)
@@ -502,16 +510,15 @@ def cell_amplitudes(omega: np.ndarray, phi: np.ndarray, twist: np.ndarray,
 class Bands:
     """Normal modes of the cell blocks on a momentum grid.
 
-    Row i holds the modes of block k[i] where ``mask`` is set: in ascending
-    omega from :meth:`CellCouplings.bands`, in branch order (column b is
-    branch b, one label across the grid) from :func:`dispersion_zigzag`.
-    Unset slots stand for the zero pairs (only k = 0 has any; the pairs are
-    ``freeparticle``'s) and carry omega = u = v = 0, so their mixing angle and
-    collectivity are NaN.  ``labels[i, g]`` is slot g's symmetry label, 3
+    Row i holds the modes of block k[i] where ``mask`` is set, column b on
+    branch b (:meth:`CellCouplings.bands`), so ``labels`` is the same in every
+    row.  Unset slots stand for the zero pairs (only k = 0 has any; the pairs
+    are ``freeparticle``'s) and carry omega = u = v = 0, so their mixing angle
+    and collectivity are NaN.  ``labels[i, g]`` is slot g's symmetry label, 3
     (odd glide parity) + its screw-block root (upper 0, lower 1, z 2; on the
-    linear chain x 0, y 1), a permutation of range(6) in every row; a zero
-    slot keeps its generator's, 5 for the rotation and 1 for the x
-    translation (0 on the linear chain).  Mode g's unit cell vector holds
+    linear chain x 0, y 1), a permutation of range(6); a zero slot keeps its
+    generator's, 5 for the rotation and 1 for the x translation (0 on the
+    linear chain).  Mode g's unit cell vector holds
     ``phi[i, g]`` on ion 0 and ``twist[i, g]`` (sigma e^{ik}) times M times it
     on ion 1; its cell amplitudes ``u[i, g]``, ``v[i, g]`` are built on the
     first read (:func:`cell_amplitudes`).
@@ -536,12 +543,17 @@ class Bands:
 def ring_momenta(n_ions: int) -> np.ndarray:
     """Sorted discrete momenta of an n_ions ring, in [-pi/2d, pi/2d)."""
     k = 2.0 * np.pi * np.arange(n_ions // 2) / n_ions
-    return np.sort((k + np.pi / 2.0) % np.pi - np.pi / 2.0)
+    return np.sort((k + ZONE_EDGE) % (2.0 * ZONE_EDGE) - ZONE_EDGE)
+
+
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an int or a numpy integer, and not a bool (an int too)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _zone_count(n_k: int) -> int:
-    """``n_k`` if it is an int (not a float) of at least 1, else ValueError."""
-    if not isinstance(n_k, (int, np.integer)) or n_k < 1:
+    """``n_k`` if it is an integer (``_is_integer``) of at least 1, else ValueError."""
+    if not _is_integer(n_k) or n_k < 1:
         raise ValueError(f"n_k must be at least 1 and an integer, got {n_k!r}")
     return n_k
 
@@ -549,11 +561,10 @@ def _zone_count(n_k: int) -> int:
 def reduced_zone_grid(n_k: int, include_edge: bool = True) -> np.ndarray:
     """n_k >= 1 momenta (``_zone_count``) spanning the reduced zone [-pi/2d, pi/2d)."""
     n_k = _zone_count(n_k)
-    edge = np.pi / 2.0
     if include_edge:
-        return np.linspace(-edge, edge, n_k, endpoint=False)
-    step = 2.0 * edge / n_k
-    return -edge + (np.arange(n_k) + 0.5) * step
+        return np.linspace(-ZONE_EDGE, ZONE_EDGE, n_k, endpoint=False)
+    step = 2.0 * ZONE_EDGE / n_k
+    return -ZONE_EDGE + (np.arange(n_k) + 0.5) * step
 
 
 def mixing_angles(u: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -581,25 +592,12 @@ def collectivities(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 def dispersion_zigzag(k_grid: np.ndarray, config: ChainConfig,
                       eq: Equilibrium | None = None) -> Bands:
-    """The :class:`Bands` of a momentum grid with column b of every row on branch b.
-
-    Branches are numbered by symmetry (``Bands.labels``, each mode's screw
-    slot): branch b is the label of slot b of the first row, whose slots are
-    in ascending omega with the zero slots last, and in every row it takes
-    the slot with that label, so ``labels`` is the same in every row.  So
-    omega_b(-k) = omega_b(k) to the bit, and each branch keeps one glide
-    parity wherever that parity is sharp.  At k = 0 in the zigzag phase the
-    two gapless directions are zero slots (``mask`` unset, omega = 0), whose
-    pairs ``freeparticle.zero_mode_normal_form`` builds.
-    """
+    """``CellCouplings.bands`` of a momentum grid at ``eq`` (by default ``solve_delta0``'s),
+    column b on branch b; at k = 0 in the zigzag phase the two gapless directions are
+    unset slots, whose pairs ``freeparticle.zero_mode_normal_form`` builds."""
     if eq is None:
         eq = solve_delta0(config)
-    bands = CellCouplings(config, eq).bands(k_grid)
-    # a row's labels are a permutation: its argsort is the slot of each label
-    slots = np.argsort(bands.labels, axis=1)[:, bands.labels[0]]
-    rows = np.arange(len(bands.k))[:, None]
-    return Bands(bands.k, *(getattr(bands, name)[rows, slots] for name in
-                            ("omega", "mask", "labels", "phi", "twist")), bands.omega_bare)
+    return CellCouplings(config, eq).bands(k_grid)
 
 
 # ---------------------------------------------------------------------------

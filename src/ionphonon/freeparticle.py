@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import CELL_AXIS_MAP, CellCouplings, _cell_index
+from .bloch import CELL_AXIS_MAP, CellCouplings, _cell_index, _is_integer
 from .chain import GENERATORS, Boundary, ChainConfig, Equilibrium, broken_symmetries, solve_delta0
 from .symplectic import NormalForm, generator_mass, generator_move, generator_pair
 
@@ -63,7 +63,7 @@ def zero_mode_normal_form(config: ChainConfig,
     if eq is None:
         eq = solve_delta0(config)
     couplings = CellCouplings(config, eq)
-    bands = couplings.bands(np.zeros(1))
+    bands = couplings.bands(np.zeros(1))  # one row: ascending omega, as NormalForm needs
     mask = bands.mask[0]
     return NormalForm(bands.omega[0, mask], bands.u[0, mask], bands.v[0, mask],
                       [generator_pair(axis, CELL_AXIS_MAP, couplings.omega_bare, config.n_ions)[1]
@@ -208,7 +208,7 @@ def phase_operator(m_max: int) -> PhaseOperatorBasis:
     the closed form i pi (-1)^Delta / [(2M+1) sin(pi Delta / (2M+1))] for
     Delta = l - l' != 0 and zero on the diagonal.
     """
-    if not isinstance(m_max, (int, np.integer)) or m_max < 1:
+    if not _is_integer(m_max) or m_max < 1:
         raise ValueError(f"m_max must be at least 1 and an integer, got {m_max!r}")
     dim = 2 * m_max + 1
     l_idx = np.arange(-m_max, m_max + 1)

@@ -28,9 +28,11 @@ import numpy as np
 
 from .bloch import (
     AXES,
+    CELL_LENGTH,
     Bands,
     CellCouplings,
     _cell_index,
+    _is_integer,
     _zone_count,
     cell_entry,
     reduced_zone_grid,
@@ -68,7 +70,7 @@ def _bose(omega: np.ndarray, temperature: float) -> np.ndarray:
 
 
 class PhononField(Bands):
-    """The cell bands (``CellCouplings.bands``) of a grid, ready for k sums.
+    """The cell bands of a grid (``CellCouplings.bands``: column b on branch b), for k sums.
 
     A ring's grid is its own momenta; bulk takes a midpoint grid of ``n_k``
     momenta, an odd ``n_k`` rounded up to the next even count: an odd grid
@@ -83,15 +85,15 @@ class PhononField(Bands):
     def __init__(self, config: ChainConfig, eq: Equilibrium | None = None,
                  n_k: int = 512):
         self.config, self.eq = config, solve_delta0(config) if eq is None else eq
-        self.couplings = CellCouplings(config, self.eq)
+        couplings = CellCouplings(config, self.eq)
         if config.boundary is Boundary.RING:
             grid = ring_momenta(config.n_ions)
         else:
             n_k = _zone_count(n_k)  # checked before it is rounded up to even
             grid = reduced_zone_grid(n_k + n_k % 2, include_edge=False)
-        super().__init__(**vars(self.couplings.bands(grid)))
+        super().__init__(**vars(couplings.bands(grid)))
         if config.boundary is Boundary.BULK:  # no k = 0 row: check the generators
-            self.couplings.check_generators()
+            couplings.check_generators()
         self._sectors: list[FreeParticleSector] | None = None
 
     @property
@@ -100,7 +102,7 @@ class PhononField(Bands):
 
     def sectors(self) -> list[FreeParticleSector]:
         if self._sectors is None:
-            self._sectors = build_sectors(self.config, self.eq, self.couplings.omega_bare)
+            self._sectors = build_sectors(self.config, self.eq, self.omega_bare)
         return self._sectors
 
 
@@ -118,10 +120,10 @@ class CorrelatorRequest:
     include_longitudinal_zero_mode: bool = False
 
     def __post_init__(self):
-        if not isinstance(self.delta_j, (int, np.integer)) or self.delta_j < 0:
+        if not _is_integer(self.delta_j) or self.delta_j < 0:
             raise ValueError(f"delta_j must be an integer >= 0 (symmetry covers "
                              f"negatives), got {self.delta_j!r}")
-        if not all(isinstance(s, (int, np.integer)) and s in (0, 1) for s in (self.s, self.sp)):
+        if not all(_is_integer(s) and s in (0, 1) for s in (self.s, self.sp)):
             raise ValueError(f"sublattices must be integers 0 or 1: s={self.s!r}, sp={self.sp!r}")
         if self.nu not in AXES or self.nup not in AXES:
             raise ValueError("axes must be one of x, y, z")
@@ -183,7 +185,7 @@ def correlator_table(req: CorrelatorRequest, field: PhononField,
         * cell_entry(field.phi, field.twist, req.sp, AXES[req.nup]) * field.mask
     sum_minus = np.sum((w - 1.0 / omega_i) * pair, axis=1)
     sum_plus = np.conj(np.sum((w + 1.0 / omega_i) * pair, axis=1))
-    k_phase = -1j * field.couplings.cell_length * field.k
+    k_phase = -1j * CELL_LENGTH * field.k
     total = np.empty(len(dj), dtype=complex)
     step = max(1, _CHUNK_ELEMENTS // len(field.k))
     for start in range(0, len(dj), step):
@@ -313,7 +315,7 @@ def correlation_energy(field: PhononField) -> float:
     against the bare diagonal), with a kink at the structural transition.
     """
     avg_modes = float(field.omega[field.mask].sum()) / len(field.k)
-    return 0.25 * (avg_modes - float(np.sum(field.couplings.omega_bare)))
+    return 0.25 * (avg_modes - float(np.sum(field.omega_bare)))
 
 
 def ginzburg_parameter(config: ChainConfig, eq: Equilibrium | None = None,

@@ -17,7 +17,15 @@ import math
 
 import numpy as np
 
-from ionphonon.bloch import AXES, CELL_AXIS_MAP, CellCouplings, _cell_index, cell_entry
+from ionphonon.bloch import (
+    AXES,
+    CELL_AXIS_MAP,
+    CELL_LENGTH,
+    ZONE_EDGE,
+    CellCouplings,
+    _cell_index,
+    cell_entry,
+)
 from ionphonon.chain import (
     GENERATORS,
     ZETA3,
@@ -213,7 +221,7 @@ def pair_correlators_k(field, k, kp, s, sp, nu, nup, temperature,
     # anomalous averages close over block-k amplitudes alone and are
     # invariant under each mode's arbitrary phase.
     ksum = field.k[ki] + field.k[kj]
-    if abs((ksum + np.pi / 2.0) % np.pi - np.pi / 2.0) < 1e-9:
+    if abs((ksum + ZONE_EDGE) % (2.0 * ZONE_EDGE) - ZONE_EDGE) < 1e-9:
         u_j, v_j = field.u[ki, :, j], field.v[ki, :, j]
         adad += -np.sum(np.conj(u_i) * v_j * n + np.conj(v_i) * u_j * (n + 1.0))
         aa += -np.sum(u_i * np.conj(v_j) * (n + 1.0) + v_i * np.conj(u_j) * n)
@@ -248,7 +256,7 @@ def one_correlator(req, field):
     w = np.divide(2.0 * n + 1.0, field.omega, out=np.zeros_like(n), where=field.mask)
     pair = np.conj(cell_entry(field.phi, field.twist, req.s, AXES[req.nu])) \
         * cell_entry(field.phi, field.twist, req.sp, AXES[req.nup]) * field.mask
-    phase = np.exp(-1j * field.couplings.cell_length * field.k * req.delta_j)
+    phase = np.exp(-1j * CELL_LENGTH * field.k * req.delta_j)
     term_minus = np.sum((w - 1.0 / omega_i) * pair, axis=1) * phase
     term_plus = np.conj(np.sum((w + 1.0 / omega_i) * pair, axis=1)) * np.conj(phase)
     value = np.sum(term_minus + term_plus) / (4.0 * lam**2 * len(field.k))
@@ -274,7 +282,7 @@ def ring_heat_capacity(temperature, field):
 
 def ring_correlation_energy(field):
     """(1/2N) (sum_m omega_m - (N/2) sum of a cell's six Omega)."""
-    bare = float(np.sum(field.couplings.omega_bare))
+    bare = float(np.sum(field.omega_bare))
     total = float(field.omega[field.mask].sum())
     return 0.5 * (total - field.n_cells * bare) / field.config.n_ions
 
@@ -295,7 +303,7 @@ def per_term_susceptibility(omega_grid, component, field, eta=1e-2):
     i = _cell_index(s, AXES[nu])
     weight = np.abs(field.u[:, :, i] - field.v[:, :, i]) ** 2 * field.mask
     pref = weight / (
-        2.0 * field.config.lam**2 * field.couplings.omega_bare[i]
+        2.0 * field.config.lam**2 * field.omega_bare[i]
     ) / len(field.k)
     omega_grid = np.asarray(omega_grid, dtype=float)
     w = field.omega

@@ -58,8 +58,17 @@ def test_negative_onsite_curvature_is_a_bare_instability():
         linear_couplings(0.9, 64, Boundary.BULK)
 
 
+def ascending(bands):
+    """omega, mask, u and v of ``bands`` with each row in ascending omega and
+    the unset slots last, the order of the per-k 6 x 6 oracle's modes."""
+    order = np.argsort(np.where(bands.mask, bands.omega, np.inf), axis=1, kind="stable")
+    rows = np.arange(len(bands.k))[:, None]
+    return [a[rows, order] for a in (bands.omega, bands.mask, bands.u, bands.v)]
+
+
 def assert_matches_per_k_oracle(cc, grid):
-    """bands(grid) against one 6 x 6 normal form per k of the same raw table.
+    """bands(grid), each row sorted (``ascending``), against one 6 x 6
+    normal form per k of the same raw table.
 
     The per-k oracle is ``cell_normal_form`` on the grid's raw couplings
     (``normal_form(k)`` itself evaluates k as a grid of one, which a uniform
@@ -75,27 +84,28 @@ def assert_matches_per_k_oracle(cc, grid):
       mode's u ~ omega^-1/2 amplifies;
     - a -k row is the conjugate of its +k row to the bit.
     """
-    bands = cc.bands(grid)
+    omega, mask, u, v = ascending(cc.bands(grid))
+    amplitudes = {"u": u, "v": v}
     raw = cc.raw_coupling(grid)
     for i, k in enumerate(grid):
         mirrored = k < -1e-12 and abs(k + np.pi / 2.0) >= 1e-12 \
             and np.min(np.abs(grid + k)) < 1e-9
         if mirrored:
             j = int(np.argmin(np.abs(grid + k)))
-            assert np.array_equal(bands.omega[i], bands.omega[j])
-            assert np.array_equal(bands.mask[i], bands.mask[j])
-            assert np.array_equal(bands.u[i], bands.u[j].conj())
-            assert np.array_equal(bands.v[i], bands.v[j].conj())
+            assert np.array_equal(omega[i], omega[j])
+            assert np.array_equal(mask[i], mask[j])
+            assert np.array_equal(u[i], u[j].conj())
+            assert np.array_equal(v[i], v[j].conj())
             continue
         nf = cell_normal_form(cc, k, raw[i])
         n_modes = len(nf.omega)
-        assert np.array_equal(bands.mask[i], np.arange(6) < n_modes)
-        assert np.max(np.abs(bands.omega[i, :n_modes] - nf.omega)) <= 1e-12
-        assert np.array_equal(bands.omega[i, n_modes:], np.zeros(6 - n_modes))
-        assert not np.any(bands.u[i, n_modes:]) and not np.any(bands.v[i, n_modes:])
+        assert np.array_equal(mask[i], np.arange(6) < n_modes)
+        assert np.max(np.abs(omega[i, :n_modes] - nf.omega)) <= 1e-12
+        assert np.array_equal(omega[i, n_modes:], np.zeros(6 - n_modes))
+        assert not np.any(u[i, n_modes:]) and not np.any(v[i, n_modes:])
         for group, gap in degenerate_groups(nf.omega):
             for a, b in (("u", "u"), ("v", "v"), ("u", "v")):
-                got = getattr(bands, a)[i, group].T @ getattr(bands, b)[i, group].conj()
+                got = amplitudes[a][i, group].T @ amplitudes[b][i, group].conj()
                 want = getattr(nf, a)[group].T @ getattr(nf, b)[group].conj()
                 tol = 1e-12 * (1.0 + 1.0 / gap + nf.omega[group[0]] ** -2) \
                     * max(1.0, np.max(np.abs(want)))
@@ -130,10 +140,10 @@ class TestStackedCoreAgainstPerK:
         cc = couplings(0.6, n=32, boundary=Boundary.BULK)
         grid = np.array([0.3, -0.3, 0.1, 0.0, -1.2, 1.2, np.pi / 2.0 - 0.01, -np.pi / 2.0])
         assert_matches_per_k_oracle(cc, grid)
-        bands = cc.bands(grid)
+        omega = ascending(cc.bands(grid))[0]
         for i in (0, 2, 3, 6):
             nf = cc.normal_form(float(grid[i]))
-            assert np.max(np.abs(bands.omega[i, :len(nf.omega)] - nf.omega)) <= 1e-12
+            assert np.max(np.abs(omega[i, :len(nf.omega)] - nf.omega)) <= 1e-12
 
 
 def inject_screw_defects(monkeypatch, defects):
@@ -483,10 +493,11 @@ def test_malformed_grid_is_a_value_error(grid):
             call()
 
 
-@pytest.mark.parametrize("n_k", [0, -4, -3, 2.5, 64.5])
+@pytest.mark.parametrize("n_k", [0, -4, -3, 2.5, 64.5, True])
 def test_empty_zone_grid_is_a_value_error(n_k):
     # a non-integral n_k would put a node on +pi/2 (2.5) or, rounded up in
-    # bulk to 65, on k = 0 (64.5); a bulk field checks n_k before it rounds
+    # bulk to 65, on k = 0 (64.5), and True (a bool is an int) would be one
+    # momentum or a 2-point field; a bulk field checks n_k before it rounds
     # an odd count up to even, so every message names the argument
     cfg = ChainConfig(kappa=0.6, n_ions=16, boundary=Boundary.BULK)
     calls = [lambda: reduced_zone_grid(n_k), lambda: reduced_zone_grid(n_k, include_edge=False),
@@ -742,6 +753,20 @@ def test_zone_edge_modes_are_pairs_of_glide_partners(kappa, alpha, boundary, gri
     assert np.array_equal(omega[0::2], omega[1::2])
     parity = [np.real(np.exp(1j * k) * np.vdot(m, glide(k, m))) / np.vdot(m, m).real for m in u]
     assert np.allclose(parity, [-1.0, 1.0] * 3, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("kappa, alpha, boundary", [
+    (0.6, 1.0, Boundary.RING), (0.3, 1.0, Boundary.RING), (0.6, 1.5, Boundary.BULK),
+], ids=["ring-zigzag", "ring-linear", "bulk-a1.5"])
+def test_field_columns_are_the_branches(kappa, alpha, boundary):
+    # one column order: every row of a field carries the first row's labels,
+    # and the field is dispersion_zigzag of its own grid to the bit
+    cfg = ChainConfig(kappa=kappa, alpha=alpha, n_ions=64, boundary=boundary)
+    field = PhononField(cfg, n_k=64)
+    assert np.array_equal(field.labels, np.broadcast_to(field.labels[0], field.labels.shape))
+    bands = dispersion_zigzag(field.k, cfg, field.eq)
+    for name in ("omega", "mask", "labels", "phi", "twist"):
+        assert np.array_equal(getattr(field, name), getattr(bands, name))
 
 
 def sorted_tracker(bands):

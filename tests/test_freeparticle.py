@@ -372,7 +372,7 @@ class TestPhaseOperator:
         with pytest.raises(ValueError):
             phase_operator(0)
 
-    @pytest.mark.parametrize("m_max", [1.5, 2.0, np.float64(3.0), "4", -2])
+    @pytest.mark.parametrize("m_max", [1.5, 2.0, np.float64(3.0), "4", -2, True])
     def test_rejects_a_non_integer_or_tiny_m_max(self, m_max):
         with pytest.raises(ValueError, match=re.escape(f"m_max must be at least 1 and an "
                                                        f"integer, got {m_max!r}")):

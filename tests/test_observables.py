@@ -123,7 +123,7 @@ def test_spatial_correlator_matches_ladder_sums(kappa, temperature):
     # pref sum_k [e^{-2ik dj} (ada + adad) + e^{+2ik dj} (aad + aa)] / n_k
     cfg = ring(kappa, 16)
     field = PhononField(cfg, solve_delta0(cfg))
-    omega_bare = field.couplings.omega_bare
+    omega_bare = field.omega_bare
     for nu, nup in (("x", "x"), ("y", "y"), ("z", "z"), ("x", "y"), ("y", "z")):
         for s, sp in ((0, 0), (0, 1)):
             i, j = _cell_index(s, AXES[nu]), _cell_index(sp, AXES[nup])
@@ -281,15 +281,17 @@ class TestSpatialCorrelator:
         with pytest.raises(ValueError):
             CorrelatorRequest(0, temperature=-1.0)
 
-    @pytest.mark.parametrize("delta_j", [np.nan, 1.5, 2.0])
+    @pytest.mark.parametrize("delta_j", [np.nan, 1.5, 2.0, True])
     def test_request_rejects_non_integer_separation(self, delta_j):
         with pytest.raises(ValueError, match="integer"):
             CorrelatorRequest(delta_j)
 
-    @pytest.mark.parametrize("s, sp", [(0.0, 0), (1.0, 0), (0, np.float64(1.0))],
-                             ids=["s=0.0", "s=1.0", "sp=float64(1.0)"])
+    @pytest.mark.parametrize("s, sp", [(0.0, 0), (1.0, 0), (0, np.float64(1.0)), (True, 0),
+                                       (0, False)],
+                             ids=["s=0.0", "s=1.0", "sp=float64(1.0)", "s=True", "sp=False"])
     def test_request_rejects_a_float_sublattice(self, s, sp):
-        # a float sublattice used to pass here and fail as an index in the sum
+        # a float sublattice used to pass here and fail as an index in the sum;
+        # a bool (an int) would pass as sublattice 0 or 1
         with pytest.raises(ValueError, match=r"sublattices must be integers 0 or 1: s="):
             CorrelatorRequest(0, s, sp)
 
