@@ -19,7 +19,8 @@ error of the first failing row in descending k, and fills each -k row by
 conjugation, with column b of every row on branch b; the phonon fields, the
 k = 0 normal form and :func:`dispersion_zigzag` read its :class:`Bands`.
 The cell amplitudes are real factors of the screw vectors, entry by entry
-(:func:`cell_amplitudes`), built only when read.  The glide also labels
+(:func:`cell_amplitudes`, through ``symplectic.bogoliubov_amplitudes``), built
+only when read.  The glide also labels
 every mode exactly by its screw slot (``Bands.labels``): its parity, its
 sector (z or in-plane), and whether it is the upper or the lower root of its
 2 x 2 block (on the linear chain, where D_xy vanishes, x or y); a branch is
@@ -64,6 +65,7 @@ from .symplectic import (
     HERMITIAN_TOL,
     NormalForm,
     QuadraticForm,
+    bogoliubov_amplitudes,
     check_spectrum,
     check_zero,
     is_hermitian,
@@ -160,10 +162,10 @@ def dispersion_linear(k, nu: str, kappa: float, alpha: float = 1.0):
 def mode_vectors_linear(k: float, nu: str, kappa: float, alpha: float = 1.0):
     """Sigma-normalized (u, v) of the 1 x 1 linear-chain block at (k, nu).
 
-    As in ``cell_amplitudes``, u +- v = sqrt(omega / Omega)^(+-1), so v < 0
-    exactly where omega < Omega: the convention the generic diagonalizer
-    produces.  Omega is the bulk linear chain's ``bare_frequencies``, so any
-    axis with Omega^2 <= 0 raises BareInstabilityError.
+    ``symplectic.bogoliubov_amplitudes`` of e = 1 at root = sqrt(omega / Omega),
+    u +- v = root^(+-1), so v < 0 exactly where omega < Omega: the convention
+    the generic diagonalizer produces.  Omega is the bulk linear chain's
+    ``bare_frequencies``, so any axis with Omega^2 <= 0 raises BareInstabilityError.
     """
     _coulomb_coefficient(nu)  # an unknown axis raises ValueError here
     config = ChainConfig(kappa, alpha, boundary=Boundary.BULK)
@@ -173,8 +175,8 @@ def mode_vectors_linear(k: float, nu: str, kappa: float, alpha: float = 1.0):
         raise PhysicsError(
             f"(k={k}, {nu}) is a zero mode; use the zero-subspace path"
         )
-    root = np.sqrt(omega / omega_nu)
-    return float(0.5 * (root + 1.0 / root)), float(0.5 * (root - 1.0 / root))
+    u, v = bogoliubov_amplitudes(1.0, np.sqrt(omega / omega_nu))
+    return float(u), float(v)
 
 
 def softening_kappa_c() -> float:
@@ -248,8 +250,7 @@ class CellCouplings:
                     f"k = {k_arr} holds a momentum that the {n}-ion ring does not "
                     f"allow; use ring_momenta({n}) or bulk boundaries"
                 )
-        step = 2.0 * np.pi / (CELL_LENGTH * len(k_arr))
-        if np.max(np.abs(k_arr - k_arr[0] - step * np.arange(len(k_arr)))) < 1e-12:
+        if np.max(np.abs(k_arr - _zone_steps(k_arr[0], len(k_arr)))) < 1e-12:
             return table(k_arr[0], len(k_arr))
         return np.concatenate([table(kk, 1) for kk in k_arr])
 
@@ -266,7 +267,7 @@ class CellCouplings:
         odd = sites[1::2]
         table = np.fft.fft(_cells(sites[0::2], odd, np.roll(odd, 1, axis=0), k0), axis=0)
         if self.config.boundary is Boundary.BULK:
-            k = k0 + np.pi * np.arange(n) / n
+            k = _zone_steps(k0, n)
             sums = power_law_sums(self.config, self._delta0, k)
             table += _cells(sums[:, 0], sums[:, 1], sums[:, 1], k[:, None, None])
         return table
@@ -286,11 +287,8 @@ class CellCouplings:
         sums[1, 1::2] *= -1.0
         table = np.fft.fft(sums, axis=1).reshape(4, 2, n).T
         if self.config.boundary is Boundary.BULK:
-            laws = power_law_sums(self.config, self._delta0, k0 + np.pi * np.arange(n) / n)
-            even, odd = np.moveaxis(laws[:, :, [0, 1, 2, 0], [0, 1, 2, 1]], 1, 0)
-            odd *= [1.0, -1.0, 1.0, 1.0]
-            table[:, 0] += even + odd
-            table[:, 1] += even - odd
+            laws = power_law_sums(self.config, self._delta0, _zone_steps(k0, n))
+            table += _screw_pair(*np.moveaxis(laws[:, :, [0, 1, 2, 0], [0, 1, 2, 1]], 1, 0))
         return table
 
     def _screw_modes(self, k: np.ndarray, table: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -385,14 +383,11 @@ class CellCouplings:
         return self._block(0.0, _cells(even, odd, odd, 0.0)[0])
 
     def check_generators(self) -> None:
-        """:meth:`_check_rows` on a k = 0 row, for grids that hold none: the screw
-        blocks D(pi) = even - M odd and D(0) = even + M odd of the stored k = 0
-        sums, whose roots are their diagonal entries (see :meth:`_screw_modes`)."""
-        even, odd = self._k0_sums[:, [0, 1, 2, 0], [0, 1, 2, 1]]  # xx, yy, zz, xy
-        table = (even + np.outer([-1.0, 1.0], odd * [1.0, -1.0, 1.0, 1.0]))[None]  # D(pi), D(0)
-        slots = [_SCREW_GENERATOR_SLOT[axis] for axis in self._generators]
-        lam = (table[..., :3] + self._onsite).reshape(1, 6)
-        self._check_rows(np.zeros(1), lam, np.isin(np.arange(6), slots)[None], table)
+        """:meth:`_screw_modes`, and so :meth:`_check_rows`, on a k = 0 row for
+        grids that hold none: the screw blocks (``_screw_pair``) of the stored
+        k = 0 sums."""
+        even, odd = self._k0_sums[:, None, [0, 1, 2, 0], [0, 1, 2, 1]]  # xx, yy, zz, xy
+        self._screw_modes(np.zeros(1), _screw_pair(even, odd))
 
     def _block(self, k: float, raw: np.ndarray) -> QuadraticForm:
         g = raw / (2.0 * np.sqrt(np.outer(self.omega_bare, self.omega_bare)))
@@ -437,6 +432,18 @@ class CellCouplings:
         phi[mirrored], twist[mirrored] = phi[mirrored].conj(), twist[mirrored].conj()
         return Bands(k, np.sqrt(np.where(generator, 0.0, lam)), ~generator, labels, phi, twist,
                      self.omega_bare)
+
+
+def _zone_steps(k0: float, n: int) -> np.ndarray:
+    """The uniform zone grid k_j = k0 + j 2 ``ZONE_EDGE`` / n, j < n."""
+    return k0 + 2.0 * ZONE_EDGE * np.arange(n) / n
+
+
+def _screw_pair(even: np.ndarray, odd: np.ndarray) -> np.ndarray:
+    """The screw blocks D(k) and D(k + pi) = even +- M odd of an even ion's
+    even- and odd-offset sums at each k (n, 4: xx, yy, zz, xy): shape (n, 2, 4)."""
+    odd = odd * [1.0, -1.0, 1.0, 1.0]  # M flips yy
+    return np.stack([even + odd, even - odd], axis=1)
 
 
 def _momenta(k_grid) -> np.ndarray:
@@ -496,14 +503,11 @@ def cell_amplitudes(omega: np.ndarray, phi: np.ndarray, twist: np.ndarray,
                     omega_bare: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Sigma-normalized cell amplitudes ``u``, ``v`` (..., 6, 6) of modes at ``omega``
     (..., 6) with unit cell vectors e of ``phi`` (..., 6, 3) and ``twist`` (..., 6)
-    (:func:`cell_entry`): entry by entry u - v = sqrt(Omega_a / omega) e_a and
-    u + v = sqrt(omega / Omega_a) e_a, with no phase convention; an unset slot
-    (omega = 0) stays zero."""
+    (:func:`cell_entry`): ``symplectic.bogoliubov_amplitudes`` of the stacked
+    entries e_a at root = sqrt(omega / Omega_a), with no phase convention; an
+    unset slot (omega = 0) stays zero."""
     e = np.stack([cell_entry(phi, twist, s, axis) for axis in range(3) for s in (0, 1)], axis=-1)
-    root = np.sqrt(omega[..., None] / omega_bare)  # sqrt(omega / Omega_a), 0 where unset
-    with np.errstate(divide="ignore", invalid="ignore"):
-        minus = np.where(root > 0.0, e / root, 0.0)  # u - v
-    return 0.5 * (root * e + minus), 0.5 * (root * e - minus)
+    return bogoliubov_amplitudes(e, np.sqrt(omega[..., None] / omega_bare))
 
 
 @dataclass(eq=False)
@@ -542,7 +546,7 @@ class Bands:
 
 def ring_momenta(n_ions: int) -> np.ndarray:
     """Sorted discrete momenta of an n_ions ring, in [-pi/2d, pi/2d)."""
-    k = 2.0 * np.pi * np.arange(n_ions // 2) / n_ions
+    k = _zone_steps(0.0, n_ions // 2)  # multiples of 2 pi / N
     return np.sort((k + ZONE_EDGE) % (2.0 * ZONE_EDGE) - ZONE_EDGE)
 
 

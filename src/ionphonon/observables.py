@@ -86,10 +86,10 @@ class PhononField(Bands):
                  n_k: int = 512):
         self.config, self.eq = config, solve_delta0(config) if eq is None else eq
         couplings = CellCouplings(config, self.eq)
+        n_k = _zone_count(n_k)  # on both boundaries, before bulk rounds it up to even
         if config.boundary is Boundary.RING:
             grid = ring_momenta(config.n_ions)
         else:
-            n_k = _zone_count(n_k)  # checked before it is rounded up to even
             grid = reduced_zone_grid(n_k + n_k % 2, include_edge=False)
         super().__init__(**vars(couplings.bands(grid)))
         if config.boundary is Boundary.BULK:  # no k = 0 row: check the generators
@@ -123,12 +123,18 @@ class CorrelatorRequest:
         if not _is_integer(self.delta_j) or self.delta_j < 0:
             raise ValueError(f"delta_j must be an integer >= 0 (symmetry covers "
                              f"negatives), got {self.delta_j!r}")
-        if not all(_is_integer(s) and s in (0, 1) for s in (self.s, self.sp)):
-            raise ValueError(f"sublattices must be integers 0 or 1: s={self.s!r}, sp={self.sp!r}")
+        _check_sublattices(s=self.s, sp=self.sp)
         if self.nu not in AXES or self.nup not in AXES:
             raise ValueError("axes must be one of x, y, z")
         if not 0.0 <= self.temperature < np.inf:
             raise ValueError("temperature must be non-negative and finite")
+
+
+def _check_sublattices(**sublattices) -> None:
+    """ValueError naming the values unless each is an integer (``_is_integer``) 0 or 1."""
+    if not all(_is_integer(s) and s in (0, 1) for s in sublattices.values()):
+        raise ValueError("sublattices must be integers 0 or 1: "
+                         + ", ".join(f"{name}={s!r}" for name, s in sublattices.items()))
 
 
 def _enabled_sectors(field: PhononField, radial: bool, longitudinal: bool):
@@ -281,8 +287,9 @@ def susceptibility(omega_grid: np.ndarray, component: tuple[str, int],
     band) to +-pi (antiphase, above it).
     """
     nu, s = component
-    if nu not in AXES or s not in (0, 1):
-        raise ValueError(f"component must be (x|y|z, 0|1), got {component}")
+    if nu not in AXES:
+        raise ValueError(f"component must be (x|y|z, 0|1), got {component!r}")
+    _check_sublattices(s=s)
     if not 0.0 < eta < np.inf:
         raise ValueError(f"eta must be positive and finite, got {eta}")
     omega_grid = np.asarray(omega_grid, dtype=float)

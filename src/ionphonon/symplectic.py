@@ -286,38 +286,32 @@ def check_zero(name: str, value: float, tol: float) -> None:
                                      f"(is the chain at equilibrium?)")
 
 
+def bogoliubov_amplitudes(e: np.ndarray, root: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sigma-normalized u, v of unit eigenvectors ``e`` at ``root`` = (omega / Omega)^(1/2)
+    per entry: u +- v = root^(+-1) e, and 0 where root = 0.  Every path's Bogoliubov map."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        minus = np.where(root > 0.0, e / root, 0.0)  # u - v
+    return 0.5 * (root * e + minus), 0.5 * (root * e - minus)
+
+
 def _bogoliubov(k_mat: np.ndarray, omega_bare: np.ndarray) -> tuple[np.ndarray, ...]:
     """Ascending ``lam = omega^2`` and the modes of one form: one ``eigh`` of
-    ``Omega^(1/2) K Omega^(1/2)`` (``K = k_matrix(g, omega_bare)``), whose
-    unit eigenvectors phi give every column with ``lam > 0`` omega =
-    sqrt(lam) and Sigma-normalized amplitudes ``u[m]``, ``v[m]``, phased so
-    that the largest entry of u is real and positive; columns with ``lam <=
-    0`` hold omega = 0 and u = v = 0.  Returns ``lam, omega, u, v``."""
+    ``Omega^(1/2) K Omega^(1/2)`` (``K = k_matrix(g, omega_bare)``), whose unit
+    eigenvectors give omega (0 where lam <= 0) and ``bogoliubov_amplitudes`` at
+    root = (omega / Omega)^(1/2), phased so that the largest entry of each u is
+    real and positive.  Returns ``lam, omega, u, v``."""
     s = np.sqrt(omega_bare)
     lam, phi = np.linalg.eigh(s[:, None] * k_mat * s[None, :])
-    phi = phi.T
     # amplitudes for every lam > 0, not only above a zero threshold: the
-    # caller takes its threshold from the columns it keeps; lam <= 0 gets a
-    # placeholder omega = 1, cleared below
-    positive = lam > 0.0
-    omega = np.sqrt(np.where(positive, lam, 1.0))[..., None]
-    # u = (x + p) / 2 sqrt(omega), v = (p - x) / 2 sqrt(omega) with x = s phi
-    # and p = omega phi / s, in place: full-space forms are 3N x 3N
-    u = omega * phi
-    u /= s
-    x_part = phi
-    x_part *= s
-    v = u - x_part
-    u += x_part
-    u /= 2.0 * np.sqrt(omega)
-    v /= 2.0 * np.sqrt(omega)
+    # caller takes its threshold from the columns it keeps
+    omega = np.sqrt(np.where(lam > 0.0, lam, 0.0))
+    u, v = bogoliubov_amplitudes(phi.T, np.sqrt(omega)[:, None] / s)
     u_max = np.take_along_axis(u, np.argmax(np.abs(u), axis=-1)[..., None], axis=-1)
-    phase = np.conj(u_max / np.abs(u_max))
+    # a zero column keeps phase 1: no 0 / 0
+    phase = np.conj(np.divide(u_max, np.abs(u_max), out=np.ones_like(u_max), where=u_max != 0.0))
     u *= phase
     v *= phase
-    u[~positive] = 0.0
-    v[~positive] = 0.0
-    return lam, np.where(positive, omega[..., 0], 0.0), u, v
+    return lam, omega, u, v
 
 
 def generator_move(axis: int, axis_map: np.ndarray) -> np.ndarray:

@@ -498,10 +498,12 @@ def test_empty_zone_grid_is_a_value_error(n_k):
     # a non-integral n_k would put a node on +pi/2 (2.5) or, rounded up in
     # bulk to 65, on k = 0 (64.5), and True (a bool is an int) would be one
     # momentum or a 2-point field; a bulk field checks n_k before it rounds
-    # an odd count up to even, so every message names the argument
+    # an odd count up to even, so every message names the argument; a ring
+    # field, whose grid is its own momenta, checks it too
     cfg = ChainConfig(kappa=0.6, n_ions=16, boundary=Boundary.BULK)
+    ring = ChainConfig(kappa=0.6, n_ions=16, boundary=Boundary.RING)
     calls = [lambda: reduced_zone_grid(n_k), lambda: reduced_zone_grid(n_k, include_edge=False),
-             lambda: PhononField(cfg, n_k=n_k)]
+             lambda: PhononField(cfg, n_k=n_k), lambda: PhononField(ring, n_k=n_k)]
     for call in calls:
         with pytest.raises(ValueError, match=re.escape(f"n_k must be at least 1 and an integer, "
                                                        f"got {n_k!r}")):

@@ -1,5 +1,6 @@
 """Correlators, heat capacity, susceptibility, energy reduction, Ginzburg."""
 
+import re
 import warnings
 from dataclasses import replace
 
@@ -560,6 +561,14 @@ class TestSusceptibility:
             susceptibility([0.1], ("y", 2), field)
         with pytest.raises(ValueError):
             susceptibility([0.1], ("y", 0), field, eta=0.0)
+
+    @pytest.mark.parametrize("s", [True, False, 1.0, np.float64(0.0)],
+                             ids=["True", "False", "1.0", "float64(0.0)"])
+    def test_rejects_a_non_integer_sublattice(self, linear_field, s):
+        # as CorrelatorRequest does: a bool or a float used to pass as sublattice 0 or 1
+        with pytest.raises(ValueError, match=re.escape(f"sublattices must be integers 0 or 1: "
+                                                       f"s={s!r}")):
+            susceptibility([0.1], ("y", s), linear_field[2])
 
     def test_rejects_infinite_eta(self, linear_field):
         with pytest.raises(ValueError, match="eta"):

@@ -1,6 +1,7 @@
 """Symplectic diagonalization, zero-mode completion, certificates."""
 
 import dataclasses
+import sys
 import tracemalloc
 
 import numpy as np
@@ -9,6 +10,8 @@ import scipy.linalg
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ionphonon import bloch, symplectic
+from ionphonon.bloch import dispersion_zigzag, mode_vectors_linear, ring_momenta
 from ionphonon.chain import (
     GENERATORS,
     Boundary,
@@ -31,7 +34,9 @@ from ionphonon.symplectic import (
     W_RESIDUAL_TOL,
     NormalForm,
     QuadraticForm,
+    _bogoliubov,
     assemble_W,
+    bogoliubov_amplitudes,
     build_quadratic_form,
     completeness_residual,
     k_matrix,
@@ -734,3 +739,59 @@ def test_sectors_match_the_one_eigh_path(kappa, alpha, n, boundary, linear):
         assert zp.m_tilde == pytest.approx(zp_whole.m_tilde, rel=1e-12)
     assert completeness_residual(split) <= W_RESIDUAL_TOL
     assert completeness_residual(whole) <= W_RESIDUAL_TOL
+
+
+class TestOneBogoliubovMap:
+    """``symplectic.bogoliubov_amplitudes`` builds u and v on every path."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        # every import site of bogoliubov_amplitudes in the package records the
+        # shape of each call's root
+        shapes = []
+
+        def counting(e, root):
+            shapes.append(np.shape(root))
+            return bogoliubov_amplitudes(e, root)
+
+        sites = [module for name, module in sorted(sys.modules.items())
+                 if name.startswith("ionphonon.") and hasattr(module, "bogoliubov_amplitudes")]
+        assert symplectic in sites and bloch in sites
+        for module in sites:
+            monkeypatch.setattr(module, "bogoliubov_amplitudes", counting)
+        return shapes
+
+    def test_the_full_space_solve_reads_it(self, calls):
+        # the 16-ion zigzag ring has two sectors, xy (32 entries) and z (16)
+        nf, _ = chain_normal_form(0.6, 16)
+        assert [len(i) for i in nf.form.sectors] == [32, 16]
+        assert calls == [(32, 32), (16, 16)]
+
+    def test_the_cell_bands_read_it(self, calls):
+        cfg = ChainConfig(kappa=0.6, n_ions=16)
+        bands = dispersion_zigzag(ring_momenta(16), cfg)
+        assert calls == []  # built on the first read of u or v
+        bands.u, bands.v
+        assert calls == [(8, 6, 6)]
+
+    def test_the_linear_chain_reads_it(self, calls):
+        u, v = mode_vectors_linear(1.0, "y", 0.3)
+        assert calls == [()]
+        assert u * u - v * v == pytest.approx(1.0, abs=1e-14)
+
+    @pytest.mark.parametrize("k_mat", [
+        np.diag([-0.5, 0.0, 1.0]),
+        np.array([[2.0, 1j, 0.0], [-1j, 2.0, 0.0], [0.0, 0.0, -1.0]]),
+    ], ids=["real", "complex"])
+    def test_a_column_without_a_mode_is_exactly_zero(self, k_mat):
+        # lam <= 0 gives omega = 0, so root = 0 and u = v = 0 there, and the
+        # phase step divides no zero column by its own modulus
+        with np.errstate(all="raise"):
+            lam, omega, u, v = _bogoliubov(k_mat, np.array([1.0, 2.0, 3.0]))
+        empty = lam <= 0.0
+        assert empty.sum() == (2 if np.isrealobj(k_mat) else 1)
+        assert np.all(omega[empty] == 0.0) and np.all(omega[~empty] > 0.0)
+        assert np.all(u[empty] == 0.0) and np.all(v[empty] == 0.0)
+        assert np.all(np.isfinite(u)) and np.all(np.isfinite(v))
+        norms = np.sum(np.abs(u[~empty]) ** 2 - np.abs(v[~empty]) ** 2, axis=1)
+        assert np.allclose(norms, 1.0, atol=1e-14)

@@ -1,10 +1,12 @@
 """The reduced zone's cell length has one owner.
 
 ``bloch.CELL_LENGTH`` (2d) and ``bloch.ZONE_EDGE`` (pi / 2d) are the only
-spellings of the cell length and the zone edge in the package.  This walks
-each package module's AST and records every place that writes the edge as
-``pi / 2`` (or ``pi / 2.0``) or names an attribute ``cell_length``, leaving
-out the owners' own definitions.
+spellings of the cell length and the zone edge in the package, and
+``bloch._zone_steps`` the only spelling of a zone grid in ``bloch``.  This
+walks each package module's AST and records every place that writes the
+edge as ``pi / 2`` (or ``pi / 2.0``) or names an attribute ``cell_length``,
+leaving out the owners' own definitions, and in ``bloch`` every product of
+pi and an ``arange`` (``np.pi * np.arange(n)``, ``2.0 * np.pi * np.arange(n)``).
 """
 
 import ast
@@ -26,15 +28,30 @@ def is_zone_edge(node) -> bool:
             and isinstance(node.right, ast.Constant) and node.right.value == 2)
 
 
+def factors(node) -> list:
+    """The factors of a product ``a * b * ...``; ``[node]`` if it is no product."""
+    if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Mult):
+        return factors(node.left) + factors(node.right)
+    return [node]
+
+
+def is_zone_grid(node) -> bool:
+    """Whether ``node`` is a product of pi and an ``arange`` call, as a name or an attribute."""
+    names = {getattr(f, "attr", getattr(f, "id", None))
+             for f in (getattr(f, "func", f) for f in factors(node))}
+    return {"pi", "arange"} <= names
+
+
 def second_owners(source: str, module: str) -> list[str]:
-    """``module:line`` of every zone edge or ``cell_length`` outside the owners' definitions."""
+    """``module:line`` of every zone edge or ``cell_length`` outside the owners' definitions,
+    and of every bare zone grid (:func:`is_zone_grid`) in ``bloch``."""
     tree = ast.parse(source)
     owned = {id(node) for statement in tree.body if isinstance(statement, ast.Assign)
              and any((module, getattr(target, "id", None)) in OWNERS
                      for target in statement.targets)
              for node in ast.walk(statement)}
     return [f"{module}:{node.lineno}" for node in ast.walk(tree) if id(node) not in owned
-            and (is_zone_edge(node)
+            and (is_zone_edge(node) or module == "bloch" and is_zone_grid(node)
                  or isinstance(node, ast.Attribute) and node.attr == "cell_length")]
 
 
@@ -67,4 +84,15 @@ def test_only_bloch_may_define_the_edge(module):
     # the owners' own definitions are left out in bloch alone
     planted = "\n\nZONE_EDGE = np.pi / 2.0\n"
     want = [] if module == "bloch" else [planted_line(module, 3)]
+    assert package_second_owners({module: planted}) == want
+
+
+@pytest.mark.parametrize("module", ["bloch", "observables"])
+@pytest.mark.parametrize("copy", ["k0 + np.pi * np.arange(n) / n", "2.0 * np.pi * np.arange(n) / n",
+                                  "np.arange(n) * math.pi"])
+def test_a_planted_zone_grid_is_caught_in_bloch(module, copy):
+    # a bare zone grid beside bloch._zone_steps; other modules keep their own
+    # (chain's full-zone site momenta)
+    planted = f"\n\ndef planted(k0, n):\n    return {copy}\n"
+    want = [planted_line("bloch", 4)] if module == "bloch" else []
     assert package_second_owners({module: planted}) == want
