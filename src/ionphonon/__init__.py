@@ -41,15 +41,12 @@ from .bloch import (
     dispersion_zigzag,
     mixing_angles,
     mode_vectors_linear,
-    verify_f_diagonality,
 )
 from .freeparticle import (
     FreeParticleSector,
     PhaseOperatorBasis,
-    effective_masses,
     phase_operator,
     q_variance,
-    thermal_p_squared,
 )
 from .observables import (
     CorrelatorRequest,

@@ -24,7 +24,8 @@ only when read.  The glide also labels
 every mode exactly by its screw slot (``Bands.labels``): its parity, its
 sector (z or in-plane), and whether it is the upper or the lower root of its
 2 x 2 block (on the linear chain, where D_xy vanishes, x or y); a branch is
-one label across the grid, so omega_b(-k) = omega_b(k).
+one label across the grid, so omega_b(-k) = omega_b(k).  The tests' per-k
+6 x 6 normal form and Fourier-diagonality check live in ``tests/oracles.py``.
 
 Axis convention (fixed throughout the package): the zigzag displacement is
 along y, so the in-plane sector is {x, y} and the gapless helical motion is
@@ -48,6 +49,8 @@ from .chain import (
     ChainConfig,
     Equilibrium,
     BULK_SUM_BUDGET,
+    _ion_count,
+    _is_integer,
     bare_frequencies,
     bare_root,
     broken_symmetries,
@@ -63,13 +66,11 @@ from .chain import (
 from .errors import ConvergenceError, DynamicalInstabilityError, PhysicsError
 from .symplectic import (
     HERMITIAN_TOL,
-    NormalForm,
     QuadraticForm,
     bogoliubov_amplitudes,
     check_spectrum,
     check_zero,
     is_hermitian,
-    symplectic_diagonalize,
     zero_threshold,
 )
 
@@ -177,16 +178,6 @@ def mode_vectors_linear(k: float, nu: str, kappa: float, alpha: float = 1.0):
         )
     u, v = bogoliubov_amplitudes(1.0, np.sqrt(omega / omega_nu))
     return float(u), float(v)
-
-
-def softening_kappa_c() -> float:
-    """kappa_c where the transverse zone-edge mode softens, from Li3(-1).
-
-    omega_y(pi)^2 = 1 - kappa (zeta(3) - Re Li3(-1)) is linear in kappa, so
-    its root is 1 / (zeta(3) - Re Li3(-1)); it checks :func:`critical_kappa`
-    through the polylogarithm rather than the eta(3) identity.
-    """
-    return 1.0 / (ZETA3 - float(np.real(polylog(3, np.pi))))
 
 
 # ---------------------------------------------------------------------------
@@ -348,11 +339,11 @@ class CellCouplings:
         return lam, phi.reshape(-1, 6, 3), twist, generator, label
 
     def _check_rows(self, k, lam, generator, table) -> None:
-        """Raise the error of :meth:`normal_form` for the first row, in descending
-        k, that fails its checks in their order: |Re D_xy| within ``HERMITIAN_TOL``
-        of the row's scale (the blocks are real under y -> iy); at k = 0 the
-        generators' entries and D_xy within lam_tol (``check_zero``); no other lam below
-        -lam_tol, and none within lam_tol of zero (``check_spectrum``, worded as the
+        """Raise the error of the per-k 6 x 6 normal form (``tests/oracles.py``) for the
+        first row, in descending k, that fails its checks in their order: |Re D_xy| within
+        ``HERMITIAN_TOL`` of the row's scale (the blocks are real under y -> iy); at k = 0
+        the generators' entries and D_xy within lam_tol (``check_zero``); no other lam
+        below -lam_tol, and none within lam_tol of zero (``check_spectrum``, worded as the
         6 x 6 path's with the row's k added; lam_tol: the row's ``zero_threshold``)."""
         lam_tol = zero_threshold(np.max(np.where(generator, 0.0, np.abs(lam)), axis=1),
                                   float(np.max(self.omega_bare)))
@@ -398,11 +389,6 @@ class CellCouplings:
             raise PhysicsError(fault)
         # the generators are uniform over the cells: zero pairs at k = 0 alone
         return QuadraticForm(g, self.omega_bare, self._generators if _origin(k) else ())
-
-    def normal_form(self, k: float) -> NormalForm:
-        """Normal form of the 6 x 6 block at k (p^dag p = N), the tests' oracle."""
-        return symplectic_diagonalize(self.block(k), axis_map=CELL_AXIS_MAP,
-                                      p_norm=self.config.n_ions)
 
     def bands(self, k_grid: np.ndarray) -> Bands:
         """Normal modes of every block on a 1-D, non-empty, finite momentum grid.
@@ -545,14 +531,9 @@ class Bands:
 
 
 def ring_momenta(n_ions: int) -> np.ndarray:
-    """Sorted discrete momenta of an n_ions ring, in [-pi/2d, pi/2d)."""
-    k = _zone_steps(0.0, n_ions // 2)  # multiples of 2 pi / N
+    """Sorted discrete momenta of an n_ions ring (``chain._ion_count``), in [-pi/2d, pi/2d)."""
+    k = _zone_steps(0.0, _ion_count(n_ions) // 2)  # multiples of 2 pi / N
     return np.sort((k + ZONE_EDGE) % (2.0 * ZONE_EDGE) - ZONE_EDGE)
-
-
-def _is_integer(value) -> bool:
-    """Whether ``value`` is an int or a numpy integer, and not a bool (an int too)."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
 def _zone_count(n_k: int) -> int:
@@ -602,42 +583,3 @@ def dispersion_zigzag(k_grid: np.ndarray, config: ChainConfig,
     if eq is None:
         eq = solve_delta0(config)
     return CellCouplings(config, eq).bands(k_grid)
-
-
-# ---------------------------------------------------------------------------
-# Fourier diagonality of distance kernels
-
-
-def _kernel_array(n: int, f) -> np.ndarray:
-    """Kernel f[p], p < n, from a callable on PBC separations or an array.
-
-    Rejects odd n and arrays without f[0] = 0 and f[p] = f[n-p], on which
-    the transform is not diagonal.
-    """
-    if n % 2 != 0:
-        raise ValueError("n must be even")
-    p = np.arange(n)
-    if callable(f):
-        dist = np.minimum(p, n - p)
-        return np.array([f(int(d)) if d > 0 else 0.0 for d in dist])
-    f_arr = np.asarray(f, dtype=float)
-    if f_arr.shape != (n,) or f_arr[0] != 0.0 or not np.allclose(f_arr, f_arr[-p]):
-        raise ValueError("kernel must have length n, f(0) = 0 and f(p) = f(N-p)")
-    return f_arr
-
-
-def verify_f_diagonality(n: int, f) -> float:
-    """Max |f_{m,m'}|, m != m', of the Fourier-transformed distance kernel.
-
-    ``f`` may be a callable on PBC separations or an array of length n with
-    f[0] = 0 and f[p] = f[n-p]; translational symmetry makes the transform
-    exactly diagonal, which this evaluates numerically.
-    """
-    f_arr = _kernel_array(n, f)
-    l_idx = np.arange(n)
-    kernel = f_arr[(l_idx[:, None] - l_idx[None, :]) % n]
-    kernel = kernel * np.exp(1j * np.pi * (l_idx[:, None] - l_idx[None, :]))
-    phase = np.exp(2j * np.pi * np.outer(l_idx, np.arange(n)) / n)
-    f_mat = phase.conj().T @ kernel @ phase / n
-    off = f_mat - np.diag(np.diag(f_mat))
-    return float(np.max(np.abs(off)))

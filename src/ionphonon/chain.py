@@ -187,6 +187,18 @@ class Boundary(enum.Enum):
     BULK = "bulk"
 
 
+def _is_integer(value) -> bool:
+    """Whether ``value`` is an int or a numpy integer, and not a bool (an int too)."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
+def _ion_count(n_ions: int) -> int:
+    """``n_ions`` if it is an even integer (``_is_integer``) of at least 4, else ValueError."""
+    if not _is_integer(n_ions) or n_ions < 4 or n_ions % 2 != 0:
+        raise ValueError(f"n_ions must be an even integer >= 4, got {n_ions!r}")
+    return n_ions
+
+
 @dataclass(frozen=True)
 class ChainConfig:
     """Dimensionless parameters that fully specify the chain.
@@ -219,9 +231,7 @@ class ChainConfig:
                             ("lambda", self.lam)):
             if not 0.0 < value < math.inf:
                 raise ValueError(f"{name} must be positive, got {value}")
-        n = self.n_ions
-        if n < 4 or n % 2 != 0:
-            raise ValueError(f"n_ions must be even and >= 4, got {n}")
+        _ion_count(self.n_ions)
 
 
 @dataclass

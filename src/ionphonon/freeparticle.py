@@ -22,8 +22,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import CELL_AXIS_MAP, CellCouplings, _cell_index, _is_integer
-from .chain import GENERATORS, Boundary, ChainConfig, Equilibrium, broken_symmetries, solve_delta0
+from .bloch import CELL_AXIS_MAP, CellCouplings, _cell_index
+from .chain import (
+    GENERATORS,
+    Boundary,
+    ChainConfig,
+    Equilibrium,
+    _is_integer,
+    broken_symmetries,
+    solve_delta0,
+)
 from .symplectic import NormalForm, generator_mass, generator_move, generator_pair
 
 
@@ -68,16 +76,6 @@ def zero_mode_normal_form(config: ChainConfig,
     return NormalForm(bands.omega[0, mask], bands.u[0, mask], bands.v[0, mask],
                       [generator_pair(axis, CELL_AXIS_MAP, couplings.omega_bare, config.n_ions)[1]
                        for axis in broken_symmetries(config, eq)], couplings.k0_block())
-
-
-def effective_masses(config: ChainConfig,
-                     eq: Equilibrium | None = None) -> dict[str, float]:
-    """Effective mass-like constants per zero pair, in 1/omega_I.
-
-    One per broken symmetry: {'longitudinal': ...}, and {'radial': ...} in
-    the zigzag phase with alpha = 1 (``chain.broken_symmetries``).
-    """
-    return {zp.label: zp.m_tilde for zp in zero_mode_normal_form(config, eq).zero_pairs}
 
 
 def build_sectors(config: ChainConfig, eq: Equilibrium,

@@ -32,13 +32,12 @@ from .bloch import (
     Bands,
     CellCouplings,
     _cell_index,
-    _is_integer,
     _zone_count,
     cell_entry,
     reduced_zone_grid,
     ring_momenta,
 )
-from .chain import Boundary, ChainConfig, Equilibrium, solve_delta0
+from .chain import Boundary, ChainConfig, Equilibrium, _is_integer, solve_delta0
 from .errors import (
     DivergenceError,
     InternalConsistencyError,
@@ -95,10 +94,6 @@ class PhononField(Bands):
         if config.boundary is Boundary.BULK:  # no k = 0 row: check the generators
             couplings.check_generators()
         self._sectors: list[FreeParticleSector] | None = None
-
-    @property
-    def n_cells(self) -> int:
-        return self.config.n_ions // 2
 
     def sectors(self) -> list[FreeParticleSector]:
         if self._sectors is None:

@@ -157,9 +157,6 @@ class BogoliubovMode:
     u: np.ndarray
     v: np.ndarray
 
-    def sigma_norm(self) -> float:
-        return float(np.vdot(self.u, self.u).real - np.vdot(self.v, self.v).real)
-
 
 @dataclass(frozen=True)
 class ZeroModePair:
@@ -174,10 +171,6 @@ class ZeroModePair:
     q: np.ndarray
     m_tilde: float
     label: str
-
-    @property
-    def u0(self) -> np.ndarray:
-        return self.p[: len(self.p) // 2]
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,9 +205,6 @@ class NormalForm:
     def modes(self) -> list[BogoliubovMode]:
         """One :class:`BogoliubovMode` per row, built on each access."""
         return [BogoliubovMode(float(w), u, v) for w, u, v in zip(self.omega, self.u, self.v)]
-
-    def frequencies(self) -> np.ndarray:
-        return self.omega.copy()
 
     @functools.cached_property
     def _residual(self) -> float:

@@ -9,7 +9,9 @@ ladder correlators that ``spatial_correlator`` combines in one sum, the
 one-request sum that ``correlator_table`` takes for many separations at
 once, the explicit per-ion sums of a ring that ``heat_capacity`` and
 ``correlation_energy`` take as zone averages, and the per-term sum that
-``susceptibility`` takes over distinct poles.  The package itself never
+``susceptibility`` takes over distinct poles.  It also keeps two checks
+that compute no result of their own: the k = 0 pairs' masses by label, and
+the Fourier diagonality of a distance kernel.  The package itself never
 calls them.
 """
 
@@ -43,6 +45,7 @@ from ionphonon.freeparticle import (
     q_variance,
     thermal_energy_and_heat,
     thermal_p_squared,
+    zero_mode_normal_form,
 )
 from ionphonon.observables import (
     _CHUNK_ELEMENTS,
@@ -67,13 +70,16 @@ def sectors(config, eq=None):
 
 
 def cell_normal_form(couplings, k, raw=None):
-    """The per-k 6 x 6 oracle of ``CellCouplings.bands``: the normal form of
-    the block at k, built from ``raw`` (that k's row of the grid's
-    ``raw_coupling``) when given, else ``couplings.normal_form(k)``."""
-    if raw is None:
-        return couplings.normal_form(k)
-    return symplectic_diagonalize(couplings._block(float(k), raw), axis_map=CELL_AXIS_MAP,
-                                  p_norm=couplings.config.n_ions)
+    """The per-k 6 x 6 oracle of ``CellCouplings.bands``: the normal form (p^dag p = N)
+    of ``couplings.block(k)``, or of the block built from ``raw`` (that k's row of
+    the grid's ``raw_coupling``) when given."""
+    form = couplings.block(k) if raw is None else couplings._block(float(k), raw)
+    return symplectic_diagonalize(form, axis_map=CELL_AXIS_MAP, p_norm=couplings.config.n_ions)
+
+
+def effective_masses(cfg, eq=None):
+    """m_tilde of each k = 0 zero pair (``zero_mode_normal_form``), by label."""
+    return {zp.label: zp.m_tilde for zp in zero_mode_normal_form(cfg, eq).zero_pairs}
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +236,8 @@ def pair_correlators_k(field, k, kp, s, sp, nu, nup, temperature,
                                        include_longitudinal_zero_mode):
             zp = generator_pair(_GENERATOR_AXIS[sector.label], CELL_AXIS_MAP,
                                 field.omega_bare, field.config.n_ions)[1]
-            u0_i, u0_j = zp.u0[i], zp.u0[j]
+            u0 = zp.p[: len(zp.p) // 2]
+            u0_i, u0_j = u0[i], u0[j]
             v0_i, v0_j = v0(zp)[[i, j]]
             q2 = q_variance(sector)
             p2 = thermal_p_squared(sector, temperature)
@@ -284,7 +291,7 @@ def ring_correlation_energy(field):
     """(1/2N) (sum_m omega_m - (N/2) sum of a cell's six Omega)."""
     bare = float(np.sum(field.omega_bare))
     total = float(field.omega[field.mask].sum())
-    return 0.5 * (total - field.n_cells * bare) / field.config.n_ions
+    return 0.5 * (total - field.config.n_ions // 2 * bare) / field.config.n_ions
 
 
 # ---------------------------------------------------------------------------
@@ -356,7 +363,8 @@ def full_space_correlation_matrix(cfg, eq, temperature=0.0, radial=True,
     sectors_by_label = full_space_sectors(cfg, eq, nf, omegas)
     for zp in nf.zero_pairs:
         if enabled[zp.label]:
-            total += 4.0 * np.outer(zp.u0.imag, zp.u0.imag) * q_variance(sectors_by_label[zp.label])
+            u0 = zp.p[: len(zp.p) // 2]
+            total += 4.0 * np.outer(u0.imag, u0.imag) * q_variance(sectors_by_label[zp.label])
     return total / (2.0 * cfg.lam**2 * np.sqrt(np.outer(omegas, omegas)))
 
 
@@ -385,3 +393,42 @@ def full_space_susceptibility(omega_grid, component, cfg, full, eta):
     z = np.asarray(omega_grid, dtype=float)[:, None] + 1j * eta
     terms = weight * (1.0 / (z + nf.omega) - 1.0 / (z - nf.omega))
     return terms.sum(axis=1) / (2.0 * cfg.lam**2 * omegas[a])
+
+
+# ---------------------------------------------------------------------------
+# Fourier diagonality of distance kernels
+
+
+def _kernel_array(n: int, f) -> np.ndarray:
+    """Kernel f[p], p < n, from a callable on PBC separations or an array.
+
+    Rejects odd n and arrays without f[0] = 0 and f[p] = f[n-p], on which
+    the transform is not diagonal.
+    """
+    if n % 2 != 0:
+        raise ValueError("n must be even")
+    p = np.arange(n)
+    if callable(f):
+        dist = np.minimum(p, n - p)
+        return np.array([f(int(d)) if d > 0 else 0.0 for d in dist])
+    f_arr = np.asarray(f, dtype=float)
+    if f_arr.shape != (n,) or f_arr[0] != 0.0 or not np.allclose(f_arr, f_arr[-p]):
+        raise ValueError("kernel must have length n, f(0) = 0 and f(p) = f(N-p)")
+    return f_arr
+
+
+def verify_f_diagonality(n: int, f) -> float:
+    """Max |f_{m,m'}|, m != m', of the Fourier-transformed distance kernel.
+
+    ``f`` may be a callable on PBC separations or an array of length n with
+    f[0] = 0 and f[p] = f[n-p]; translational symmetry makes the transform
+    exactly diagonal, which this evaluates numerically.
+    """
+    f_arr = _kernel_array(n, f)
+    l_idx = np.arange(n)
+    kernel = f_arr[(l_idx[:, None] - l_idx[None, :]) % n]
+    kernel = kernel * np.exp(1j * np.pi * (l_idx[:, None] - l_idx[None, :]))
+    phase = np.exp(2j * np.pi * np.outer(l_idx, np.arange(n)) / n)
+    f_mat = phase.conj().T @ kernel @ phase / n
+    off = f_mat - np.diag(np.diag(f_mat))
+    return float(np.max(np.abs(off)))

@@ -71,8 +71,8 @@ def assert_matches_per_k_oracle(cc, grid):
     normal form per k of the same raw table.
 
     The per-k oracle is ``cell_normal_form`` on the grid's raw couplings
-    (``normal_form(k)`` itself evaluates k as a grid of one, which a uniform
-    grid's FFT rounds differently).  The band core solves
+    (without them it evaluates k as a grid of one, which a uniform grid's FFT
+    rounds differently).  The band core solves
     the screw blocks in closed form instead, so:
     - omega agrees within 1e-12, and the zero slots to the bit;
     - the amplitudes agree up to each mode's phase, and inside a group of
@@ -136,13 +136,13 @@ class TestStackedCoreAgainstPerK:
 
     def test_non_uniform_grid(self):
         # not a uniform zone grid: raw_coupling evaluates it point by point,
-        # so the oracle is normal_form(k) itself
+        # so the oracle is cell_normal_form of k alone
         cc = couplings(0.6, n=32, boundary=Boundary.BULK)
         grid = np.array([0.3, -0.3, 0.1, 0.0, -1.2, 1.2, np.pi / 2.0 - 0.01, -np.pi / 2.0])
         assert_matches_per_k_oracle(cc, grid)
         omega = ascending(cc.bands(grid))[0]
         for i in (0, 2, 3, 6):
-            nf = cc.normal_form(float(grid[i]))
+            nf = cell_normal_form(cc, float(grid[i]))
             assert np.max(np.abs(omega[i, :len(nf.omega)] - nf.omega)) <= 1e-12
 
 
@@ -279,7 +279,7 @@ class TestDiagonalizationCount:
     @pytest.fixture
     def count(self, monkeypatch):
         calls = []
-        for owner, name in ((bloch, "symplectic_diagonalize"), (np.linalg, "eigh")):
+        for owner, name in ((symplectic, "symplectic_diagonalize"), (np.linalg, "eigh")):
             original = getattr(owner, name)
 
             def counted(*args, _original=original, _name=name, **kwargs):
@@ -305,14 +305,15 @@ class TestDiagonalizationCount:
     def test_no_command_diagonalizes_a_cell_block(self, monkeypatch, capsys, tmp_path,
                                                   command, kappa, boundary):
         # every import site of symplectic_diagonalize in the package refuses
-        # it: the bands, the k = 0 normal form, the free-particle sectors and
-        # the band errors all come from the screw blocks
+        # it, and no module but its owner holds it: the bands, the k = 0 normal
+        # form, the free-particle sectors and the band errors all come from
+        # the screw blocks
         def refuse(*args, **kwargs):
             raise AssertionError("symplectic_diagonalize on a runtime path")
 
         sites = [module for name, module in sorted(sys.modules.items())
                  if name.startswith("ionphonon.") and hasattr(module, "symplectic_diagonalize")]
-        assert bloch in sites
+        assert sites == [symplectic]
         for module in sites:
             monkeypatch.setattr(module, "symplectic_diagonalize", refuse)
         argv = [command, "--kappa", kappa, "--boundary", boundary, "--n-ions", "16",
@@ -457,7 +458,7 @@ def test_k0_normal_form_is_the_six_by_six_one(kappa, alpha, boundary):
     cfg = ChainConfig(kappa=kappa, alpha=alpha, n_ions=16, boundary=boundary)
     eq = solve_delta0(cfg)
     nf = zero_mode_normal_form(cfg, eq)
-    oracle = CellCouplings(cfg, eq).normal_form(0.0)
+    oracle = cell_normal_form(CellCouplings(cfg, eq), 0.0)
     assert len(nf.omega) == len(oracle.omega)
     assert np.max(np.abs(nf.omega - oracle.omega)) <= 1e-12
     assert np.array_equal(nf.form.g, oracle.form.g)
@@ -472,7 +473,7 @@ def test_k0_normal_form_is_the_six_by_six_one(kappa, alpha, boundary):
     pairs = {zp.label: zp for zp in oracle.zero_pairs}
     for sector in sectors:
         want = pairs[sector.label]
-        assert np.array_equal(sector.move, np.sign(want.u0.imag))
+        assert np.array_equal(sector.move, np.sign(want.p[: len(want.p) // 2].imag))
         assert sector.m_tilde == want.m_tilde
     assert len(sectors) == len(pairs) - (boundary is Boundary.BULK)
 

@@ -1,6 +1,7 @@
 """Polylogarithm, analytic dispersions, zigzag blocks and mode descriptors."""
 
 import functools
+import re
 
 import numpy as np
 import pytest
@@ -22,8 +23,6 @@ from ionphonon.bloch import (
     mode_vectors_linear,
     reduced_zone_grid,
     ring_momenta,
-    softening_kappa_c,
-    verify_f_diagonality,
 )
 from ionphonon.chain import (
     SUBLATTICE_MIRROR,
@@ -42,7 +41,7 @@ from ionphonon.chain import (
 from ionphonon.errors import BareInstabilityError, DynamicalInstabilityError, PhysicsError
 from ionphonon.observables import PhononField
 from ionphonon.symplectic import QuadraticForm, build_quadratic_form, symplectic_diagonalize
-from oracles import pair_block, zero_pair_axis
+from oracles import pair_block, verify_f_diagonality, zero_pair_axis
 
 ZETA3 = float(zeta(3.0))
 BULK_ZIGZAG = ChainConfig(kappa=0.6, n_ions=32, boundary=Boundary.BULK)
@@ -224,7 +223,9 @@ class TestCriticalKappa:
         assert 1.0 - kc * gap == pytest.approx(0.0, abs=1e-14)
 
     def test_softening_scan_agrees(self):
-        assert softening_kappa_c() == pytest.approx(critical_kappa(), rel=1e-14)
+        # omega_y(pi)^2 = 1 - kappa (zeta(3) - Re Li3(-1)) is linear in kappa
+        kappa_c = 1.0 / (ZETA3 - float(np.real(polylog(3, np.pi))))
+        assert kappa_c == pytest.approx(critical_kappa(), rel=1e-14)
 
     def test_bare_bound_ratio(self):
         assert critical_kappa() / bare_critical_kappa() == pytest.approx(4.0 / 7.0, abs=1e-15)
@@ -242,7 +243,7 @@ class TestZigzagBlocks:
             block = CellCouplings(cfg, eq).block(k)
             nf = symplectic_diagonalize(block, axis_map=CELL_AXIS_MAP,
                                         p_norm=cfg.n_ions)
-            got = np.sort(nf.frequencies())
+            got = np.sort(nf.omega)
             folded = sorted(
                 dispersion_linear(kk, nu, kappa)
                 for nu in "xyz" for kk in (k, k - np.pi)
@@ -276,7 +277,7 @@ class TestZigzagBlocks:
             build_quadratic_form(hess, omega_from_hessian(hess)),
             axis_map=hess.axis_map, p_norm=16,
         )
-        full = np.sort(np.concatenate([nf_full.frequencies(),
+        full = np.sort(np.concatenate([nf_full.omega,
                                        np.zeros(len(nf_full.zero_pairs))]))
         couplings = CellCouplings(cfg, eq)
         freqs = []
@@ -385,10 +386,10 @@ class TestDispersionZigzag:
             build_quadratic_form(hess, omega_from_hessian(hess)),
             axis_map=hess.axis_map, p_norm=32,
         )
-        full = np.sort(nf_full.frequencies())
+        full = np.sort(nf_full.omega)
         block = CellCouplings(cfg, eq).block(0.0)
         nf0 = symplectic_diagonalize(block, axis_map=CELL_AXIS_MAP, p_norm=32)
-        got = np.sort(nf0.frequencies())
+        got = np.sort(nf0.omega)
         # the four k=0 nonzero modes are a subset of the full spectrum
         for omega in got:
             assert np.min(np.abs(full - omega)) < 1e-8
@@ -512,6 +513,17 @@ class TestZoneEdgeLoops:
                 assert ta == pytest.approx(tb, abs=1e-6)
 
 
+@pytest.mark.parametrize("n_ions", [5, 2.5, True, 0, -4, 64.0, "64"])
+def test_ring_momenta_refuses_what_chain_config_refuses(n_ions):
+    # one check of the ion-count rule: an odd count used to give a smaller
+    # ring's momenta, 2.5 the grid [0.], and True, 0 and -4 an empty grid
+    with pytest.raises(ValueError) as refused:
+        ChainConfig(kappa=0.3, n_ions=n_ions)
+    with pytest.raises(ValueError, match=re.escape(repr(n_ions))) as grid:
+        ring_momenta(n_ions)
+    assert str(grid.value) == str(refused.value)
+
+
 class TestFDiagonality:
     def test_coulomb_kernel(self):
         assert verify_f_diagonality(16, lambda p: 1.0 / p**3) < 1e-12
@@ -627,7 +639,7 @@ def test_antipodal_parity_rings_consistent(n):
         build_quadratic_form(hess, omega_from_hessian(hess)),
         axis_map=hess.axis_map, p_norm=n,
     )
-    full = np.sort(np.concatenate([nf.frequencies(),
+    full = np.sort(np.concatenate([nf.omega,
                                    np.zeros(len(nf.zero_pairs))]))
     couplings = CellCouplings(cfg, eq)
     freqs = []

@@ -1,5 +1,7 @@
 """Chain geometry, equilibrium and Hessian construction."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -86,6 +88,15 @@ class TestConfigValidation:
             ChainConfig(kappa=0.3, n_ions=7)
         with pytest.raises(ValueError):
             ChainConfig(kappa=0.3, n_ions=2)  # unit-cell logic needs N >= 4
+
+    @pytest.mark.parametrize("n_ions", [64.0, np.float64(16.0), True, "64"],
+                             ids=["float", "float64", "bool", "str"])
+    def test_rejects_a_non_integer_ion_count(self, n_ions):
+        # each used to pass or fail deep inside numpy (a ring field's
+        # bincount, build_hessian) or in a str < int comparison
+        message = f"n_ions must be an even integer >= 4, got {n_ions!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ChainConfig(kappa=0.3, n_ions=n_ions)
 
     @pytest.mark.parametrize("field", ["kappa", "alpha", "lam"])
     def test_rejects_infinite_parameters(self, field):

@@ -624,7 +624,7 @@ class TestCorrelationEnergy:
         omegas = omega_from_hessian(hess)
         nf = symplectic_diagonalize(build_quadratic_form(hess, omegas),
                                     axis_map=hess.axis_map, p_norm=16)
-        expected = 0.5 * (nf.frequencies().sum() - omegas.sum()) / cfg.n_ions
+        expected = 0.5 * (nf.omega.sum() - omegas.sum()) / cfg.n_ions
         assert correlation_energy(PhononField(cfg, eq)) == pytest.approx(expected, rel=1e-10)
 
 
@@ -658,7 +658,7 @@ class TestFullSpaceOracles:
     def test_heat_capacity(self, small_zigzag):
         cfg, eq, nf, _ = small_zigzag
         t = 0.7
-        per_mode = _einstein_heat(nf.frequencies(), t)
+        per_mode = _einstein_heat(nf.omega, t)
         oracle = float(per_mode.sum())
         for sector in sectors(cfg, eq):
             oracle += thermal_energy_and_heat(sector, t)[1]
@@ -742,7 +742,7 @@ def test_ring_observables_match_the_full_space_normal_form(cfg, temperature, eta
     backward = 16 * cfg.n_ions * np.finfo(float).eps * lam[-1]
     rtol = 1e-12 + backward / lam[0]
 
-    separations = np.arange(field.n_cells)
+    separations = np.arange(field.config.n_ions // 2)
     cells = 3 * (2 * separations)
     for t in (0.0, temperature):
         for offsets in (True, False):
@@ -996,7 +996,7 @@ def test_ring_correlators_obey_exchange_and_the_glide_mirror(n_ions, kappa, alph
 
     # |C_ab| <= sqrt(C_aa C_bb): the largest same-site variance bounds them all
     scale = max(table(0, 0, nu, nu, [0])[0] for nu in AXES)
-    separations = np.arange(field.n_cells)
+    separations = np.arange(field.config.n_ions // 2)
     for nu, nup in AXIS_PAIRS:
         for s, sp in ((0, 0), (0, 1), (1, 0), (1, 1)):
             exchanged = table(sp, s, nup, nu, separations)
