@@ -31,6 +31,7 @@ from __future__ import annotations
 import enum
 import functools
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -199,6 +200,13 @@ def _ion_count(n_ions: int) -> int:
     return n_ions
 
 
+def _check_positive_real(name: str, value) -> None:
+    """ValueError naming ``value`` unless it is a real number (``numbers.Real``,
+    numpy reals too, not a bool) in (0, inf)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0.0 < value < math.inf:
+        raise ValueError(f"{name} must be positive and real, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ChainConfig:
     """Dimensionless parameters that fully specify the chain.
@@ -229,9 +237,10 @@ class ChainConfig:
     def __post_init__(self):
         for name, value in (("kappa", self.kappa), ("alpha", self.alpha),
                             ("lambda", self.lam)):
-            if not 0.0 < value < math.inf:
-                raise ValueError(f"{name} must be positive, got {value}")
+            _check_positive_real(name, value)
         _ion_count(self.n_ions)
+        if not isinstance(self.boundary, Boundary):
+            raise ValueError(f"boundary must be a Boundary, got {self.boundary!r}")
 
 
 @dataclass

@@ -217,15 +217,17 @@ class NormalForm:
         Each recorded mode and each zero pair (its generator's entries) lies
         in one sector, so P and Q vanish between sectors: each sector's
         block takes its recorded rows and its entries of the zero pairs.
-        Without a record the whole D x D block is the one sector.
         """
         dim = self.dimension
         a = np.array([zp.p[:dim].imag for zp in self.zero_pairs]).reshape(-1, dim)
         b = np.array([zp.q[:dim].real for zp in self.zero_pairs]).reshape(-1, dim)
-        sectors = (zip(_sector_entries(self.form), self.sector_rows, strict=True)
-                   if self.sector_rows else [(slice(None), slice(None))])
         return max(_completeness_block(self.u[r][:, i], self.v[r][:, i], a[:, i], b[:, i])
-                   for i, r in sectors)
+                   for i, r in self._sectors())
+
+    def _sectors(self) -> list[tuple[np.ndarray, np.ndarray]]:
+        """(entries, mode rows) of each sector; one of all entries and rows without a record."""
+        return (list(zip(_sector_entries(self.form), self.sector_rows, strict=True))
+                if self.sector_rows else [(np.arange(self.dimension), np.arange(len(self.omega)))])
 
 
 def _completeness_block(u, v, a, b) -> float:
@@ -288,15 +290,17 @@ def _bogoliubov(k_mat: np.ndarray, omega_bare: np.ndarray) -> tuple[np.ndarray, 
     """Ascending ``lam = omega^2`` and the modes of one form: one ``eigh`` of
     ``Omega^(1/2) K Omega^(1/2)`` (``K = k_matrix(g, omega_bare)``), whose unit
     eigenvectors give omega (0 where lam <= 0) and ``bogoliubov_amplitudes`` at
-    root = (omega / Omega)^(1/2), phased so that the largest entry of each u is
-    real and positive.  Returns ``lam, omega, u, v``."""
+    root = (omega / Omega)^(1/2), phased so that the lowest-index entry of each u within a
+    relative 1e-9 of its largest |u| is real and positive.  Returns ``lam, omega, u, v``."""
     s = np.sqrt(omega_bare)
     lam, phi = np.linalg.eigh(s[:, None] * k_mat * s[None, :])
     # amplitudes for every lam > 0, not only above a zero threshold: the
     # caller takes its threshold from the columns it keeps
     omega = np.sqrt(np.where(lam > 0.0, lam, 0.0))
     u, v = bogoliubov_amplitudes(phi.T, np.sqrt(omega)[:, None] / s)
-    u_max = np.take_along_axis(u, np.argmax(np.abs(u), axis=-1)[..., None], axis=-1)
+    mag = np.abs(u)  # lowest-index entry within 1e-9 of the largest: ties in rounding flip no sign
+    first = np.argmax(mag >= (1.0 - 1e-9) * np.max(mag, axis=-1, keepdims=True), axis=-1)
+    u_max = np.take_along_axis(u, first[..., None], axis=-1)
     # a zero column keeps phase 1: no 0 / 0
     phase = np.conj(np.divide(u_max, np.abs(u_max), out=np.ones_like(u_max), where=u_max != 0.0))
     u *= phase
@@ -384,8 +388,7 @@ def symplectic_diagonalize(form: QuadraticForm,
         names, or a zero frequency remains that no generator explains.
     """
     form.validate()
-    omega_bare = form.omega_bare
-    dim = form.dimension
+    omega_bare, dim = form.omega_bare, form.dimension
     omega_scale = float(np.max(omega_bare))
     s = np.sqrt(omega_bare)
     sectors = _sector_entries(form)
@@ -395,19 +398,14 @@ def symplectic_diagonalize(form: QuadraticForm,
         # Gershgorin bound on the spectrum of s K s
         bound = max(float(np.max(s[i] * (np.abs(k) @ s[i]))) for i, k in zip(sectors, k_mats))
         kernel_tol = zero_threshold(bound, omega_scale)
-        labels = np.zeros(dim, dtype=int)  # the sector of every entry
-        for j, i in enumerate(sectors):
-            labels[i] = j
     zero_pairs: list[ZeroModePair] = []
     shifted = [0] * len(sectors)
     for axis in generators:
-        t, pair = generator_pair(axis, axis_map, omega_bare,
-                                 dim if p_norm is None else p_norm)
+        t, pair = generator_pair(axis, axis_map, omega_bare, dim if p_norm is None else p_norm)
         rows = np.flatnonzero(t)
-        j = labels[rows[0]]
-        if np.any(labels[rows] != j):
-            raise ValueError(
-                f"axis_map places the {pair.label} generator in more than one sector")
+        j = next(j for j, i in enumerate(sectors) if rows[0] in i)
+        if not np.all(np.isin(rows, sectors[j])):
+            raise ValueError(f"axis_map places the {pair.label} generator in more than one sector")
         i, k_mat = sectors[j], k_mats[j]
         local = np.searchsorted(i, rows)
         check_zero(f"the {pair.label} generator's |s K s t|",
@@ -462,36 +460,49 @@ def completeness_residual(nf: NormalForm) -> float:
     return nf._residual
 
 
-def assemble_W(nf: NormalForm) -> tuple[np.ndarray, np.ndarray]:
-    """Transformation matrix W = [x.., i p.., y.., i q..] and its inverse.
+@dataclass(frozen=True, eq=False)
+class WBlock:
+    """One sector's blocks of W and W^-1 (``assemble_W``), read-only: ``w`` sits at
+    ``np.ix_(rows, columns)`` of W and ``w_inv`` at ``np.ix_(columns, rows)`` of W^-1."""
 
-    The inverse is obtained without numerical inversion as
-    ``W^-1 = Sigma_tilde W^dag Sigma`` where ``Sigma_tilde = W^dag Sigma W``
-    is Hermitian and unitary (squares to the identity); W W^-1 = 1 is
-    certified by the completeness certificate, up to ``W_RESIDUAL_TOL``.
-    """
-    dim = nf.dimension
-    n_m, n_z = len(nf.omega), len(nf.zero_pairs)
+    rows: np.ndarray
+    columns: np.ndarray
+    w: np.ndarray
+    w_inv: np.ndarray
+
+    def __post_init__(self):
+        for arr in (self.rows, self.columns, self.w, self.w_inv):
+            arr.flags.writeable = False
+
+
+def assemble_W(nf: NormalForm) -> list[WBlock]:
+    """W = [x.., i p.., y.., i q..] and W^-1 = Sigma_tilde W^dag Sigma (no numerical
+    inversion: Sigma_tilde = W^dag Sigma W squares to 1), certified up to ``W_RESIDUAL_TOL``,
+    as one :class:`WBlock` per sector (``NormalForm._sectors``); both vanish between sectors.
+    The sector of entries e, mode rows r and the zero pairs j whose p meets e has rows
+    (e, D + e) and columns (r, M + j, D + r, D + M + j): x, i p, y and i q."""
+    dim, n_m, n_z = nf.dimension, len(nf.omega), len(nf.zero_pairs)
     if n_m + n_z != dim:
-        raise InternalConsistencyError(
-            f"mode count {n_m} + zero pairs {n_z} != dimension {dim}"
-        )
-    residual = nf._residual
-    if residual > W_RESIDUAL_TOL:
-        raise InternalConsistencyError(
-            f"||W W^-1 - 1|| = {residual:.3e} > {W_RESIDUAL_TOL:.1e}")
-    p = np.array([zp.p for zp in nf.zero_pairs], dtype=complex).reshape(-1, 2 * dim)
-    q = np.array([zp.q for zp in nf.zero_pairs], dtype=complex).reshape(-1, 2 * dim)
-    x, ip, y, iq = (slice(0, n_m), slice(n_m, dim),
-                    slice(dim, dim + n_m), slice(dim + n_m, 2 * dim))
-    top, bottom = slice(0, dim), slice(dim, 2 * dim)
-    w = np.empty((2 * dim, 2 * dim), dtype=complex)
-    w[top, x], w[bottom, x], w[:, ip] = nf.u.T, -nf.v.T, 1j * p.T
-    w[top, y], w[bottom, y], w[:, iq] = -nf.v.T, nf.u.T, 1j * q.T
-    # rows x^dag, -q^dag, -y^dag, p^dag, each right-multiplied by Sigma
-    w_inv = np.empty_like(w)
-    w_inv[x, top], w_inv[x, bottom] = nf.u.conj(), nf.v.conj()
-    w_inv[ip, top], w_inv[ip, bottom] = -q[:, top].conj(), q[:, bottom].conj()
-    w_inv[y, top], w_inv[y, bottom] = nf.v.conj(), nf.u.conj()
-    w_inv[iq, top], w_inv[iq, bottom] = p[:, top].conj(), -p[:, bottom].conj()
-    return w, w_inv
+        raise InternalConsistencyError(f"mode count {n_m} + zero pairs {n_z} != dimension {dim}")
+    if nf._residual > W_RESIDUAL_TOL:
+        raise InternalConsistencyError(f"||W W^-1 - 1|| = {nf._residual:.3e} > {W_RESIDUAL_TOL:.1e}")
+    pairs = np.array([(zp.p, zp.q) for zp in nf.zero_pairs], dtype=complex).reshape(-1, 2, 2 * dim)
+    blocks = []
+    for e, r in nf._sectors():
+        j = np.flatnonzero(np.any(pairs[:, 0, e] != 0.0, axis=1))
+        rows, d, n_r = np.concatenate([e, dim + e]), len(e), len(r)
+        u, v = nf.u[np.ix_(r, e)], nf.v[np.ix_(r, e)]
+        p, q = pairs[j][:, :, rows].transpose(1, 0, 2)
+        x, ip, y, iq = (slice(0, n_r), slice(n_r, d), slice(d, d + n_r), slice(d + n_r, 2 * d))
+        w = np.empty((2 * d, 2 * d), dtype=complex)  # rows (top, bottom) = (:d, d:)
+        w[:d, x], w[d:, x], w[:, ip] = u.T, -v.T, 1j * p.T
+        w[:d, y], w[d:, y], w[:, iq] = -v.T, u.T, 1j * q.T
+        # rows x^dag, -q^dag, -y^dag, p^dag, each right-multiplied by Sigma
+        w_inv = np.empty_like(w)
+        w_inv[x, :d], w_inv[x, d:] = u.conj(), v.conj()
+        w_inv[ip, :d], w_inv[ip, d:] = -q[:, :d].conj(), q[:, d:].conj()
+        w_inv[y, :d], w_inv[y, d:] = v.conj(), u.conj()
+        w_inv[iq, :d], w_inv[iq, d:] = p[:, :d].conj(), -p[:, d:].conj()
+        columns = np.concatenate([r, n_m + j, dim + r, dim + n_m + j])
+        blocks.append(WBlock(rows, columns, w, w_inv))
+    return blocks

@@ -4,7 +4,8 @@ Each one reaches a number the package computes another way: the classical
 potential that the equilibrium condition differentiates, the 3 x 3 pair
 blocks whose four entries ``pair_dyadic`` keeps, the per-k 6 x 6 normal
 form whose screw blocks ``CellCouplings.bands`` solves in closed form, the
-dense 2D x 2D form behind the Hermitian reduction of ``symplectic``, the four
+dense 2D x 2D form behind the Hermitian reduction of ``symplectic``, the
+dense W and W^-1 whose sector blocks ``assemble_W`` returns, the four
 ladder correlators that ``spatial_correlator`` combines in one sum, the
 one-request sum that ``correlator_table`` takes for many separations at
 once, the explicit per-ion sums of a ring that ``heat_capacity`` and
@@ -173,6 +174,40 @@ def eigen_residual(form, mode):
     """|| Sigma H x - omega x ||_max for one mode."""
     x = x_vector(mode)
     return float(np.max(np.abs(sigma_apply(full_matrix(form) @ x) - mode.omega * x)))
+
+
+def dense_W(nf):
+    """W = [x.., i p.., y.., i q..] and W^-1 = Sigma_tilde W^dag Sigma of a
+    ``NormalForm`` as two dense 2D x 2D arrays, written column class by column
+    class: the reference for the sector blocks of ``assemble_W``."""
+    dim = nf.dimension
+    n_m = len(nf.omega)
+    p = np.array([zp.p for zp in nf.zero_pairs], dtype=complex).reshape(-1, 2 * dim)
+    q = np.array([zp.q for zp in nf.zero_pairs], dtype=complex).reshape(-1, 2 * dim)
+    x, ip, y, iq = (slice(0, n_m), slice(n_m, dim),
+                    slice(dim, dim + n_m), slice(dim + n_m, 2 * dim))
+    top, bottom = slice(0, dim), slice(dim, 2 * dim)
+    w = np.empty((2 * dim, 2 * dim), dtype=complex)
+    w[top, x], w[bottom, x], w[:, ip] = nf.u.T, -nf.v.T, 1j * p.T
+    w[top, y], w[bottom, y], w[:, iq] = -nf.v.T, nf.u.T, 1j * q.T
+    # rows x^dag, -q^dag, -y^dag, p^dag, each right-multiplied by Sigma
+    w_inv = np.empty_like(w)
+    w_inv[x, top], w_inv[x, bottom] = nf.u.conj(), nf.v.conj()
+    w_inv[ip, top], w_inv[ip, bottom] = -q[:, top].conj(), q[:, bottom].conj()
+    w_inv[y, top], w_inv[y, bottom] = nf.v.conj(), nf.u.conj()
+    w_inv[iq, top], w_inv[iq, bottom] = p[:, top].conj(), -p[:, bottom].conj()
+    return w, w_inv
+
+
+def place_W(blocks, dim):
+    """Dense W and W^-1 of dimension 2 ``dim`` from the sector blocks of
+    ``assemble_W``: each ``w`` at ``np.ix_(rows, columns)``, each ``w_inv`` at
+    ``np.ix_(columns, rows)``, zero elsewhere."""
+    w, w_inv = (np.zeros((2 * dim, 2 * dim), dtype=complex) for _ in range(2))
+    for block in blocks:
+        w[np.ix_(block.rows, block.columns)] = block.w
+        w_inv[np.ix_(block.columns, block.rows)] = block.w_inv
+    return w, w_inv
 
 
 def zero_pair_axis(zp, axis_map):

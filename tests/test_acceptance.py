@@ -39,7 +39,7 @@ from ionphonon.symplectic import (
     symplectic_diagonalize,
 )
 
-from oracles import verify_f_diagonality
+from oracles import place_W, verify_f_diagonality
 
 ZETA3 = float(zeta(3.0))
 
@@ -122,7 +122,7 @@ def test_criterion_04_normal_form_certificates():
         nf, cfg = full_space_normal_form(kappa, n)
         comp = completeness_residual(nf)
         assert comp < 1e-10
-        w, w_inv = assemble_W(nf)
+        w, w_inv = place_W(assemble_W(nf), nf.dimension)
         winv_res = float(np.max(np.abs(w @ w_inv - np.eye(2 * nf.dimension))))
         assert winv_res < 1e-10
         for mode in nf.modes:

@@ -104,6 +104,27 @@ class TestConfigValidation:
         with pytest.raises(ValueError, match=f"{name} must be positive"):
             ChainConfig(**{"kappa": 0.3, field: np.inf})
 
+    @pytest.mark.parametrize("field, value", [
+        ("kappa", True), ("alpha", True), ("kappa", "0.6"), ("lam", "50"), ("kappa", 0.6 + 0j),
+    ])
+    def test_rejects_a_non_real_parameter(self, field, value):
+        # a bool used to pass as 1 and a str to end in a str < float TypeError
+        name = "lambda" if field == "lam" else field
+        message = f"{name} must be positive and real, got {value!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ChainConfig(**{"kappa": 0.3, field: value})
+
+    def test_accepts_numpy_reals(self):
+        cfg = ChainConfig(np.float64(0.6), alpha=np.float32(1.5), lam=np.int64(50))
+        assert (cfg.kappa, cfg.alpha, cfg.lam) == (0.6, 1.5, 50)
+
+    @pytest.mark.parametrize("boundary", ["ring", "bulk", None])
+    def test_rejects_a_boundary_that_is_not_a_boundary(self, boundary):
+        # a str used to pass and read as bulk in every ``is Boundary.RING`` test
+        message = f"boundary must be a Boundary, got {boundary!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            ChainConfig(kappa=0.6, n_ions=16, boundary=boundary)
+
 
 class TestClassicalPotential:
     def test_bulk_matches_brute_force_pair_sum(self):

@@ -45,9 +45,11 @@ from ionphonon.symplectic import (
 )
 from oracles import (
     cell_normal_form,
+    dense_W,
     effective_masses,
     eigen_residual,
     full_matrix,
+    place_W,
     sigma_matrix,
     x_vector,
     y_vector,
@@ -382,16 +384,34 @@ def test_normal_form_keeps_each_mode_in_its_sector(cfg):
     assert abs(completeness_residual(nf) - completeness_residual(whole)) <= 1e-14 * scale
 
 
+# ring and bulk, linear and zigzag, alpha 1 and 1.5: (boundary, kappa, alpha, n, zero pairs)
+FULL_SPACE_CASES = [
+    (Boundary.RING, 0.3, 1.0, 32, 1),
+    (Boundary.RING, 0.6, 1.0, 64, 2),
+    (Boundary.RING, 0.6, 1.5, 16, 1),
+    (Boundary.BULK, 0.3, 1.5, 64, 1),
+    (Boundary.BULK, 0.6, 1.0, 32, 2),
+    (Boundary.BULK, 0.75, 1.0, 64, 2),
+]
+
+
+def placed_W(nf):
+    """Dense W and W^-1 placed from the sector blocks of ``assemble_W``."""
+    return place_W(assemble_W(nf), nf.dimension)
+
+
 class TestAssembleW:
     def test_single_oscillator_identity(self):
         form = QuadraticForm(np.zeros((1, 1)), np.array([1.0]))
-        w, w_inv = assemble_W(symplectic_diagonalize(form))
+        blocks = assemble_W(symplectic_diagonalize(form))
+        assert len(blocks) == 1
+        w, w_inv = place_W(blocks, 1)
         assert np.max(np.abs(w - np.eye(2))) < 1e-14
         assert np.max(np.abs(w_inv - np.eye(2))) < 1e-14
 
     def test_inverse_without_inversion(self):
         nf, _ = chain_normal_form(0.3, 8)
-        w, w_inv = assemble_W(nf)
+        w, w_inv = placed_W(nf)
         dim = nf.dimension
         assert np.max(np.abs(w @ w_inv - np.eye(2 * dim))) < 1e-11
         sigma = sigma_matrix(dim)
@@ -401,10 +421,68 @@ class TestAssembleW:
 
     def test_sigma_tilde_squares_to_identity_with_zero_pairs(self):
         nf, _ = chain_normal_form(0.6, 8)
-        w, _ = assemble_W(nf)
+        w, _ = placed_W(nf)
         sigma = sigma_matrix(nf.dimension)
         sigma_tilde = w.conj().T @ sigma @ w
         assert np.max(np.abs(sigma_tilde @ sigma_tilde - np.eye(2 * nf.dimension))) < 1e-10
+
+    @pytest.mark.parametrize("boundary, kappa, alpha, n, pairs", FULL_SPACE_CASES)
+    def test_blocks_are_the_dense_reference(self, boundary, kappa, alpha, n, pairs):
+        nf, _ = chain_normal_form(kappa, n, boundary, alpha)
+        dim = nf.dimension
+        blocks = assemble_W(nf)
+        assert len(blocks) == len(nf.form.sectors) and sum(len(b.rows) for b in blocks) == 2 * dim
+        for index in ("rows", "columns"):
+            every = np.concatenate([getattr(b, index) for b in blocks])
+            assert np.array_equal(np.sort(every), np.arange(2 * dim))
+        w_ref, w_inv_ref = dense_W(nf)
+        inside = np.zeros((2 * dim, 2 * dim), dtype=bool)
+        for b in blocks:
+            assert np.all(np.diff(b.rows) > 0) and np.all(np.diff(b.columns) > 0)
+            # bitwise, block by block; the reference holds -0.0 where -v
+            # vanishes outside the blocks, which placing writes as 0.0
+            assert b.w.tobytes() == w_ref[np.ix_(b.rows, b.columns)].tobytes()
+            assert b.w_inv.tobytes() == w_inv_ref[np.ix_(b.columns, b.rows)].tobytes()
+            assert np.max(np.abs(b.w @ b.w_inv - np.eye(len(b.rows)))) < 1e-11
+            inside[np.ix_(b.rows, b.columns)] = True
+        assert np.all(w_ref[~inside] == 0.0) and np.all(w_inv_ref[~inside.T] == 0.0)
+        w, w_inv = place_W(blocks, dim)
+        assert np.array_equal(w, w_ref) and np.array_equal(w_inv, w_inv_ref)
+
+    def test_a_normal_form_built_by_hand_is_one_block(self):
+        nf, _ = chain_normal_form(0.6, 8)
+        by_hand = NormalForm(nf.omega, nf.u, nf.v, nf.zero_pairs, nf.form)
+        (block,) = assemble_W(by_hand)
+        everything = np.arange(2 * nf.dimension)
+        assert np.array_equal(block.rows, everything) and np.array_equal(block.columns, everything)
+        w_ref, w_inv_ref = dense_W(by_hand)
+        assert block.w.tobytes() == w_ref.tobytes()
+        assert block.w_inv.tobytes() == w_inv_ref.tobytes()
+
+    def test_blocks_are_read_only(self):
+        nf, _ = chain_normal_form(0.6, 8)
+        block = assemble_W(nf)[0]
+        for arr in (block.rows, block.columns, block.w, block.w_inv):
+            with pytest.raises(ValueError):
+                arr[0] = 0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            block.w = np.zeros_like(block.w)
+
+    def test_allocates_little_beyond_its_blocks(self):
+        # two dense 2D x 2D arrays were 1.8 times the blocks of a zigzag
+        # (sectors xy and z); the blocks alone are the floor
+        nf, _ = chain_normal_form(0.6, 64)
+        assert len(nf.form.sectors) == 2
+        completeness_residual(nf)  # cached, as assemble_W reads it
+        tracemalloc.start()
+        try:
+            blocks = assemble_W(nf)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        kept = sum(b.w.nbytes + b.w_inv.nbytes for b in blocks)
+        assert kept == 2 * 16 * (256**2 + 128**2)
+        assert peak < 1.25 * kept
 
 
 class TestBuildQuadraticForm:
@@ -505,17 +583,10 @@ class TestBlockCertificate:
 
     @staticmethod
     def dense_residual(nf):
-        w, w_inv = assemble_W(nf)
+        w, w_inv = placed_W(nf)
         return float(np.max(np.abs(w @ w_inv - np.eye(2 * nf.dimension))))
 
-    @pytest.mark.parametrize("boundary, kappa, alpha, n, pairs", [
-        (Boundary.RING, 0.3, 1.0, 32, 1),
-        (Boundary.RING, 0.6, 1.0, 64, 2),
-        (Boundary.RING, 0.6, 1.5, 16, 1),
-        (Boundary.BULK, 0.3, 1.5, 64, 1),
-        (Boundary.BULK, 0.6, 1.0, 32, 2),
-        (Boundary.BULK, 0.75, 1.0, 64, 2),
-    ])
+    @pytest.mark.parametrize("boundary, kappa, alpha, n, pairs", FULL_SPACE_CASES)
     def test_full_space_equals_dense_product(self, boundary, kappa, alpha, n, pairs):
         nf, _ = chain_normal_form(kappa, n, boundary, alpha)
         assert len(nf.zero_pairs) == pairs
@@ -796,3 +867,27 @@ class TestOneBogoliubovMap:
         assert np.all(np.isfinite(u)) and np.all(np.isfinite(v))
         norms = np.sum(np.abs(u[~empty]) ** 2 - np.abs(v[~empty]) ** 2, axis=1)
         assert np.allclose(norms, 1.0, atol=1e-14)
+
+
+def test_phase_survives_a_one_ulp_nudge_of_tied_entries():
+    """An open chain of equal oscillators is symmetric under reflection, so
+    the largest |u| of each mode sits on two entries that tie within rounding.
+    Phasing by the largest entry flipped some modes' signs under a one-ulp
+    nudge of any Omega or of g[0, 1]; the lowest-index entry within 1e-9 of
+    the largest does not."""
+    n = 6
+    g = np.zeros((n, n))
+    g[np.arange(n - 1), np.arange(1, n)] = g[np.arange(1, n), np.arange(n - 1)] = 0.1
+    base = symplectic_diagonalize(QuadraticForm(g, np.ones(n))).u
+    for direction in (-1.0, 1.0):
+        forms = []
+        for j in range(n):
+            omega = np.ones(n)
+            omega[j] = np.nextafter(1.0, 1.0 + direction)
+            forms.append(QuadraticForm(g, omega))
+        nudged = g.copy()
+        nudged[0, 1] = nudged[1, 0] = np.nextafter(0.1, 0.1 + direction)
+        forms.append(QuadraticForm(nudged, np.ones(n)))
+        for form in forms:
+            u = symplectic_diagonalize(form).u
+            assert np.max(np.abs(u - base)) < 1e-12
