@@ -397,9 +397,11 @@ class CellCouplings:
         D(k + pi) (:meth:`_screw_table`), which :meth:`_screw_modes`
         checks (:meth:`_check_rows`) and diagonalizes in closed form into
         omega, labels and screw vectors (no cell amplitude); at k = 0 each
-        generator's slot stays unset.  Column b of every row is the slot of
-        branch b: the label of the first row's slot b, its slots in ascending
-        omega with the unset ones last.  Each -k row is the conjugate of its
+        generator's slot stays unset, and a grid without k = 0 has its
+        generators checked once its rows pass (:meth:`check_generators`).
+        Column b of every row is the slot of branch b: the label of the
+        first row's slot b, its slots in ascending omega with the unset ones
+        last.  Each -k row is the conjugate of its
         +k partner, phi(-k) = phi(k)*, so omega_b(-k) = omega_b(k) to the bit.
         """
         k = _momenta(k_grid)
@@ -407,6 +409,8 @@ class CellCouplings:
         mirrored = (k < -1e-12) & ~(_origin(k) | _edge(k)) & (np.abs(k[partner] + k) < 1e-9)
         rows = np.flatnonzero(~mirrored)
         modes = self._screw_modes(k[rows], self._on_grid(k, self._screw_table)[rows])
+        if not _origin(k).any():  # after the grid's own rows, as in descending k
+            self.check_generators()
         lam, _, _, generator, labels = modes
         # every row takes its solved row: its own, or its +k partner's
         source = np.searchsorted(rows, np.where(mirrored, partner, np.arange(len(k))))[:, None]
@@ -575,11 +579,8 @@ def collectivities(u: np.ndarray, v: np.ndarray) -> np.ndarray:
         return np.linalg.norm(v, axis=-1) / np.linalg.norm(u, axis=-1)
 
 
-def dispersion_zigzag(k_grid: np.ndarray, config: ChainConfig,
-                      eq: Equilibrium | None = None) -> Bands:
-    """``CellCouplings.bands`` of a momentum grid at ``eq`` (by default ``solve_delta0``'s),
-    column b on branch b; at k = 0 in the zigzag phase the two gapless directions are
-    unset slots, whose pairs ``freeparticle.zero_mode_normal_form`` builds."""
-    if eq is None:
-        eq = solve_delta0(config)
-    return CellCouplings(config, eq).bands(k_grid)
+def dispersion_zigzag(k_grid: np.ndarray, config: ChainConfig) -> Bands:
+    """``CellCouplings.bands`` of a momentum grid at ``solve_delta0(config)``, column b on
+    branch b; at k = 0 in the zigzag phase the two gapless directions are unset slots,
+    whose pairs ``freeparticle.zero_mode_normal_form`` builds."""
+    return CellCouplings(config, solve_delta0(config)).bands(k_grid)

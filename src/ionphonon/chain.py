@@ -243,9 +243,12 @@ class ChainConfig:
             raise ValueError(f"boundary must be a Boundary, got {self.boundary!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Equilibrium:
-    """Classical equilibrium: the zigzag amplitude (ions at :func:`equilibrium_positions`)."""
+    """Classical equilibrium: the zigzag amplitude delta0, ion l at l e_x + delta0 (-1)^l e_y.
+
+    Frozen: :func:`solve_delta0` hands every caller of one config the same instance.
+    """
 
     delta0: float
 
@@ -285,15 +288,6 @@ class Hessian:
     def axis_map(self) -> np.ndarray:
         """Axis label (0=x, 1=y, 2=z) of every flat index."""
         return np.tile(np.arange(3), self.n_ions)
-
-
-def equilibrium_positions(config: ChainConfig, delta0: float) -> np.ndarray:
-    """Positions l*e_x + delta0*(-1)^l*e_y for l = 0..N-1."""
-    n = config.n_ions
-    pos = np.zeros((n, 3))
-    pos[:, 0] = np.arange(n, dtype=float)
-    pos[:, 1] = delta0 * (-1.0) ** np.arange(n)
-    return pos
 
 
 # ---------------------------------------------------------------------------
@@ -560,8 +554,13 @@ def zigzag_root_gap(delta: float, config: ChainConfig) -> float:
 EQUILIBRIUM_TOL = 1e-12
 
 
+@functools.lru_cache(maxsize=64)
 def solve_delta0(config: ChainConfig) -> Equilibrium:
-    """Solve the classical zigzag equilibrium.
+    """Solve the classical zigzag equilibrium: the one owner of the ground state.
+
+    Kept for the 64 configs used last, so every reader of one config gets
+    one frozen ``Equilibrium``; a ``PhysicsError`` is not kept but raised on
+    every call.
 
     Returns delta0 = 0 when the derivative has no positive root (kappa at or
     below the classical transition) and otherwise the largest root of

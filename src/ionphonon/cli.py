@@ -6,7 +6,8 @@ with the imaginary parts of a dynamical instability's frequencies or the
 interval a failed root bracketing scanned), 4 I/O failure.  Outputs are
 deterministic: identical configurations produce byte-identical files, with
 floats at full double precision so golden files double as numeric
-regressions; runs in one process share each configuration's equilibrium.
+regressions.  Runs in one process share each configuration's equilibrium:
+``chain.solve_delta0`` keeps one per configuration per process.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .bloch import (
 from .chain import (
     Boundary,
     ChainConfig,
-    Equilibrium,
     bare_frequencies,
     critical_kappa_classical,
     equilibrium_residual,
@@ -227,19 +227,8 @@ def _meta(rc: RunConfig) -> dict:
     return meta
 
 
-@functools.lru_cache(maxsize=64)
-def _delta0(chain: ChainConfig) -> float:
-    """``solve_delta0``'s delta0 once per config per process: no mutable
-    ``Equilibrium`` is kept, and no ``PhysicsError`` (it is raised each time)."""
-    return solve_delta0(chain).delta0
-
-
-def _equilibrium(rc: RunConfig) -> Equilibrium:
-    return Equilibrium(_delta0(rc.chain))
-
-
 def _run_equilibrium(rc: RunConfig):
-    eq = _equilibrium(rc)
+    eq = solve_delta0(rc.chain)
     omegas = bare_frequencies(rc.chain, eq)
     header = [
         "kappa[1]", "delta0[d]", "residual[m_I*omega_I^2*d]",
@@ -254,12 +243,11 @@ def _run_equilibrium(rc: RunConfig):
 
 
 def _run_dispersion(rc: RunConfig):
-    eq = _equilibrium(rc)
     if rc.chain.boundary is Boundary.RING:
         grid = ring_momenta(rc.chain.n_ions)  # finite rings have only these
     else:
         grid = reduced_zone_grid(rc.k_points)
-    bands = dispersion_zigzag(grid, rc.chain, eq)
+    bands = dispersion_zigzag(grid, rc.chain)
     header = ["k[1/d]", "branch", "omega[omega_I]", "theta_xy[rad]",
               "collectivity[1]", "is_zero_mode"]
     rows = list(zip(
@@ -270,13 +258,13 @@ def _run_dispersion(rc: RunConfig):
         (~bands.mask).ravel().astype(int).tolist(),
     ))
     meta = _meta(rc)
-    meta["delta0"] = eq.delta0
+    meta["delta0"] = solve_delta0(rc.chain).delta0
     return meta, header, rows
 
 
 def _run_modes(rc: RunConfig):
-    eq = _equilibrium(rc)
-    nf = zero_mode_normal_form(rc.chain, eq)
+    eq = solve_delta0(rc.chain)
+    nf = zero_mode_normal_form(rc.chain)
     sectors = build_sectors(rc.chain, eq, nf.form.omega_bare)
     header = ["kind", "label", "omega[omega_I]", "m_tilde[1/omega_I]",
               "theta_xy[rad]", "collectivity[1]"]
@@ -305,7 +293,6 @@ def _field_k_points(rc: RunConfig) -> int:
 
 
 def _run_correlations(rc: RunConfig):
-    eq = _equilibrium(rc)
     temperature = rc.temperature if rc.temperature is not None else 0.0
     if rc.component:
         pairs = [(rc.component, rc.component)]
@@ -318,8 +305,8 @@ def _run_correlations(rc: RunConfig):
                                   rc.include_longitudinal_zero_mode)
                 for nu, nup in pairs]
     for req in requests:  # a divergent pair fails before any band is built
-        check_convergent(req, rc.chain, eq)
-    field = PhononField(rc.chain, eq, n_k=2 * _field_k_points(rc))
+        check_convergent(req, rc.chain)
+    field = PhononField(rc.chain, n_k=2 * _field_k_points(rc))
     separations = range(rc.max_separation + 1)
     tables = [correlator_table(req, field, separations).tolist() for req in requests]
     header = ["delta_j[cells]", "s", "s_prime", "nu", "nu_prime", "T[omega_I]",
@@ -330,7 +317,7 @@ def _run_correlations(rc: RunConfig):
 
 
 def _run_heat_capacity(rc: RunConfig):
-    field = PhononField(rc.chain, _equilibrium(rc), n_k=_field_k_points(rc))
+    field = PhononField(rc.chain, n_k=_field_k_points(rc))
     if rc.temperature is not None:
         temps = [rc.temperature]
     else:
@@ -341,7 +328,7 @@ def _run_heat_capacity(rc: RunConfig):
 
 
 def _run_susceptibility(rc: RunConfig):
-    field = PhononField(rc.chain, _equilibrium(rc), n_k=_field_k_points(rc))
+    field = PhononField(rc.chain, n_k=_field_k_points(rc))
     grid = np.linspace(rc.omega_min, rc.omega_max, rc.omega_steps)
     component = rc.component or "y"
     chi = susceptibility(grid, (component, rc.sublattice), field, eta=rc.eta).chi
@@ -353,15 +340,14 @@ def _run_susceptibility(rc: RunConfig):
 
 
 def _run_energy_reduction(rc: RunConfig):
-    field = PhononField(rc.chain, _equilibrium(rc), n_k=_field_k_points(rc))
+    field = PhononField(rc.chain, n_k=_field_k_points(rc))
     header = ["kappa[1]", "delta0[d]", "dE0_per_ion[omega_I]"]
     rows = [(rc.chain.kappa, field.eq.delta0, correlation_energy(field))]
     return _meta(rc), header, rows
 
 
 def _run_ginzburg(rc: RunConfig):
-    eq = _equilibrium(rc)
-    values = ginzburg_parameter(rc.chain, eq, rc.n_list)
+    values = ginzburg_parameter(rc.chain, rc.n_list)
     header = ["n_ions[1]", "ginzburg[1]"]
     rows = [(n, g) for n, g in values]
     return _meta(rc), header, rows

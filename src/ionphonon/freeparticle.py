@@ -64,12 +64,11 @@ def goldstone_branches(config: ChainConfig, eq: Equilibrium) -> dict[str, str]:
     return {"xyz"[axis]: GENERATORS[axis][1] for axis in broken_symmetries(config, eq)}
 
 
-def zero_mode_normal_form(config: ChainConfig,
-                          eq: Equilibrium | None = None) -> NormalForm:
-    """The k = 0 cell block's normal form: ``CellCouplings.bands``' modes and each generator's
-    zero pair (``symplectic.generator_pair``) on ``k0_block``'s form (the kept k = 0 sums)."""
-    if eq is None:
-        eq = solve_delta0(config)
+def zero_mode_normal_form(config: ChainConfig) -> NormalForm:
+    """The k = 0 cell block's normal form at ``solve_delta0(config)``: ``CellCouplings.bands``'
+    modes and each generator's zero pair (``symplectic.generator_pair``) on ``k0_block``'s form
+    (the kept k = 0 sums)."""
+    eq = solve_delta0(config)
     couplings = CellCouplings(config, eq)
     bands = couplings.bands(np.zeros(1))  # one row: ascending omega, as NormalForm needs
     mask = bands.mask[0]

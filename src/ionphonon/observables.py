@@ -37,7 +37,7 @@ from .bloch import (
     reduced_zone_grid,
     ring_momenta,
 )
-from .chain import Boundary, ChainConfig, Equilibrium, _is_integer, solve_delta0
+from .chain import Boundary, ChainConfig, _is_integer, solve_delta0
 from .errors import (
     DivergenceError,
     InternalConsistencyError,
@@ -74,25 +74,21 @@ class PhononField(Bands):
     A ring's grid is its own momenta; bulk takes a midpoint grid of ``n_k``
     momenta, an odd ``n_k`` rounded up to the next even count: an odd grid
     puts its middle node on k = 0, where the Goldstone slots would drop out
-    of every sum, so a bulk field checks its generators by ``check_generators``.
+    of every sum (``bands`` checks the generators of a grid without k = 0).
     Every k sum is the plain average over the grid (divided by ``len(k)``).
-    Every observable reads its config and equilibrium from here, and the
-    modes as omega, mask and the screw vectors phi and twist, never ``u``
-    and ``v``.
+    Every observable reads its config and equilibrium (``solve_delta0``'s)
+    from here, and the modes as omega, mask and the screw vectors phi and
+    twist, never ``u`` and ``v``.
     """
 
-    def __init__(self, config: ChainConfig, eq: Equilibrium | None = None,
-                 n_k: int = 512):
-        self.config, self.eq = config, solve_delta0(config) if eq is None else eq
-        couplings = CellCouplings(config, self.eq)
+    def __init__(self, config: ChainConfig, n_k: int = 512):
+        self.config, self.eq = config, solve_delta0(config)
         n_k = _zone_count(n_k)  # on both boundaries, before bulk rounds it up to even
         if config.boundary is Boundary.RING:
             grid = ring_momenta(config.n_ions)
         else:
             grid = reduced_zone_grid(n_k + n_k % 2, include_edge=False)
-        super().__init__(**vars(couplings.bands(grid)))
-        if config.boundary is Boundary.BULK:  # no k = 0 row: check the generators
-            couplings.check_generators()
+        super().__init__(**vars(CellCouplings(config, self.eq).bands(grid)))
         self._sectors: list[FreeParticleSector] | None = None
 
     def sectors(self) -> list[FreeParticleSector]:
@@ -149,7 +145,7 @@ def spatial_correlator(req: CorrelatorRequest, field: PhononField) -> float:
     sets the accuracy (bulk yy, dj = 1, kappa_c - 1e-4: 4.2893e-4, 4.3076e-4
     and 4.3077e-4 on 64, 128 and 256 momenta).
     """
-    check_convergent(req, field.config, field.eq)
+    check_convergent(req, field.config)
     return float(correlator_table(req, field, [req.delta_j])[0])
 
 
@@ -207,17 +203,17 @@ def correlator_table(req: CorrelatorRequest, field: PhononField,
     return values.real
 
 
-def check_convergent(req: CorrelatorRequest, config: ChainConfig,
-                     eq: Equilibrium) -> None:
+def check_convergent(req: CorrelatorRequest, config: ChainConfig) -> None:
     """Raise DivergenceError if a Goldstone branch makes ``req`` infinite in bulk.
 
-    Such a branch (``goldstone_branches``) is pure motion along its axis at
-    k -> 0 with position weight ~ 1/omega_k ~ 1/|k|, so same-axis requests
-    (nu = nu') on that axis diverge, as ln k_min at T = 0 and 1/k_min above.
+    Such a branch (``goldstone_branches`` at ``solve_delta0(config)``) is pure
+    motion along its axis at k -> 0 with position weight ~ 1/omega_k ~ 1/|k|,
+    so same-axis requests (nu = nu') on that axis diverge, as ln k_min at
+    T = 0 and 1/k_min above.
     """
     if config.boundary is not Boundary.BULK or req.nu != req.nup:
         return
-    branch = goldstone_branches(config, eq).get(req.nu)
+    branch = goldstone_branches(config, solve_delta0(config)).get(req.nu)
     if branch is not None:
         raise DivergenceError(f"the {req.nu}{req.nup} correlator diverges in the thermodynamic "
                               f"limit: the gapless {branch} branch carries {req.nu} at k -> 0 "
@@ -320,24 +316,19 @@ def correlation_energy(field: PhononField) -> float:
     return 0.25 * (avg_modes - float(np.sum(field.omega_bare)))
 
 
-def ginzburg_parameter(config: ChainConfig, eq: Equilibrium | None = None,
-                       n_list=(50, 100, 200, 400)) -> list[tuple[int, float]]:
+def ginzburg_parameter(config: ChainConfig, n_list=(50, 100, 200, 400)) -> list[tuple[int, float]]:
     """Same-site helical-axis variance over the squared zigzag circumference.
 
     Evaluated on finite rings of the requested sizes; grows with ln N
     because the gapless helical branch contributes a 1/omega_k sum.  Requires
     a zigzag order parameter (kappa above the transition).
     """
-    if eq is None:
-        eq = solve_delta0(config)
-    if not eq.is_zigzag:
+    if not solve_delta0(config).is_zigzag:
         raise NoOrderParameterError(f"kappa = {config.kappa} is at or below the transition: "
                                     f"no zigzag order parameter")
     out = []
     for n in n_list:
-        cfg_n = replace(config, n_ions=int(n), boundary=Boundary.RING)
-        eq_n = solve_delta0(cfg_n)
-        req = CorrelatorRequest(0, 0, 0, "z", "z", 0.0)
-        value = spatial_correlator(req, PhononField(cfg_n, eq_n))
-        out.append((int(n), value / (2.0 * np.pi * eq_n.delta0) ** 2))
+        field = PhononField(replace(config, n_ions=int(n), boundary=Boundary.RING))
+        value = spatial_correlator(CorrelatorRequest(0, 0, 0, "z", "z", 0.0), field)
+        out.append((int(n), value / (2.0 * np.pi * field.eq.delta0) ** 2))
     return out

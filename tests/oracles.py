@@ -78,9 +78,9 @@ def cell_normal_form(couplings, k, raw=None):
     return symplectic_diagonalize(form, axis_map=CELL_AXIS_MAP, p_norm=couplings.config.n_ions)
 
 
-def effective_masses(cfg, eq=None):
+def effective_masses(cfg):
     """m_tilde of each k = 0 zero pair (``zero_mode_normal_form``), by label."""
-    return {zp.label: zp.m_tilde for zp in zero_mode_normal_form(cfg, eq).zero_pairs}
+    return {zp.label: zp.m_tilde for zp in zero_mode_normal_form(cfg).zero_pairs}
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from ionphonon.bloch import bare_critical_kappa, critical_kappa, dispersion_line
 from ionphonon.chain import (
     Boundary,
     ChainConfig,
+    Equilibrium,
     bare_frequencies,
     build_hessian,
     omega_from_hessian,
@@ -72,8 +73,7 @@ def test_criterion_02_bare_instability_bound():
     # locate the onset of the bare-frequency error by bisection
     def bare_ok(kappa):
         cfg = ChainConfig(kappa=kappa, boundary=Boundary.BULK)
-        eq = solve_delta0(cfg)
-        eq.delta0 = 0.0
+        eq = Equilibrium(0.0)
         try:
             bare_frequencies(cfg, eq)
             return True
@@ -152,7 +152,7 @@ def test_criterion_06_zero_mode_count_scan():
     for kappa in np.linspace(0.1, 1.0, 50):
         cfg = ChainConfig(kappa=float(kappa), n_ions=32, boundary=Boundary.BULK)
         eq = solve_delta0(cfg)
-        nf = zero_mode_normal_form(cfg, eq)
+        nf = zero_mode_normal_form(cfg)
         expected = 2 if eq.delta0 > 0.0 else 1
         if len(nf.zero_pairs) != expected:
             miscount += 1
@@ -165,8 +165,7 @@ def test_criterion_07_dulong_petit_and_low_t_enhancement():
     values = {}
     for kappa in (0.2, 0.6):
         cfg = ChainConfig(kappa=kappa, n_ions=64, boundary=Boundary.RING)
-        eq = solve_delta0(cfg)
-        values[kappa] = heat_capacity(50.0, PhononField(cfg, eq))
+        values[kappa] = heat_capacity(50.0, PhononField(cfg))
         assert values[kappa] == pytest.approx(3.0, rel=0.01)
     kappa_c = critical_kappa()
     low = {}
@@ -209,8 +208,7 @@ def test_criterion_09_phase_operator_moments():
 
 def test_criterion_10_susceptibility_structure():
     cfg = ChainConfig(kappa=0.3, n_ions=64, boundary=Boundary.RING)
-    eq = solve_delta0(cfg)
-    field = PhononField(cfg, eq)
+    field = PhononField(cfg)
     eta = 1e-2
     y_sel = field.mask & (np.abs(field.u[:, :, 2]) ** 2
                           + np.abs(field.u[:, :, 3]) ** 2 > 1e-6)
@@ -288,8 +286,7 @@ def test_criterion_12_ginzburg_logarithm():
 
 def test_criterion_13_correlator_symmetries():
     cfg = ChainConfig(kappa=0.3, n_ions=64, boundary=Boundary.RING)
-    eq = solve_delta0(cfg)
-    field = PhononField(cfg, eq)
+    field = PhononField(cfg)
     worst = 0.0
     for dj in range(11):
         yy = spatial_correlator(CorrelatorRequest(dj, 0, 0, "y", "y"), field)
@@ -299,8 +296,7 @@ def test_criterion_13_correlator_symmetries():
         assert xy == 0.0
     assert worst < 1e-12
     cfg6 = ChainConfig(kappa=0.6, n_ions=64, boundary=Boundary.RING)
-    eq6 = solve_delta0(cfg6)
-    field6 = PhononField(cfg6, eq6)
+    field6 = PhononField(cfg6)
     xy6 = spatial_correlator(CorrelatorRequest(2, 0, 0, "x", "y"), field6)
     assert abs(xy6) > 1e-8
     passline(13, f"linear yy == zz to {worst:.1e} over separations 0..10; "

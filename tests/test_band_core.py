@@ -167,12 +167,18 @@ def inject_screw_defects(monkeypatch, defects):
 
 def oracle_error(cc, grid, raw):
     """The error of the first block, in descending k, whose per-k 6 x 6
-    normal form fails, with that block's k; (None, None) when none does."""
+    normal form fails, with that block's k; (None, None) when none does.
+    A grid without k = 0 has the k = 0 block checked after its own."""
     for i in np.argsort(-grid, kind="stable"):
         try:
             cell_normal_form(cc, grid[i], raw[i])
         except (PhysicsError, ValueError) as exc:
             return exc, float(grid[i])
+    if not np.any(np.abs(grid) < 1e-12):
+        try:
+            cell_normal_form(cc, 0.0)
+        except (PhysicsError, ValueError) as exc:
+            return exc, 0.0
     return None, None
 
 
@@ -262,7 +268,7 @@ class TestFallback:
         cfg = ChainConfig(kappa=0.6, n_ions=32, boundary=Boundary.BULK)
         eq = solve_delta0(cfg)
         with pytest.raises(ZeroModeToleranceError) as band:
-            dispersion_zigzag(np.array([3e-6]), cfg, eq)
+            dispersion_zigzag(np.array([3e-6]), cfg)
         with pytest.raises(ZeroModeToleranceError) as oracle:
             cell_normal_form(CellCouplings(cfg, eq), 3e-6)
         assert self.verdict(band.value) == self.verdict(oracle.value) == (
@@ -457,7 +463,7 @@ def test_k0_normal_form_is_the_six_by_six_one(kappa, alpha, boundary):
     # sectors carry those pairs' generator moves and masses
     cfg = ChainConfig(kappa=kappa, alpha=alpha, n_ions=16, boundary=boundary)
     eq = solve_delta0(cfg)
-    nf = zero_mode_normal_form(cfg, eq)
+    nf = zero_mode_normal_form(cfg)
     oracle = cell_normal_form(CellCouplings(cfg, eq), 0.0)
     assert len(nf.omega) == len(oracle.omega)
     assert np.max(np.abs(nf.omega - oracle.omega)) <= 1e-12
@@ -611,14 +617,28 @@ def test_generator_check_reads_the_k0_screw_row(monkeypatch, kappa, alpha, n, bo
     assert np.max(np.abs(table0 - table)) <= 1e-15  # D(pi), then D(0)
 
 
+@pytest.mark.parametrize("grid", [reduced_zone_grid(512, include_edge=False),
+                                  reduced_zone_grid(401), reduced_zone_grid(402)],
+                         ids=["field", "dispersion-odd", "dispersion-even"])
 @pytest.mark.parametrize("offset", [1e-4, 1e-9])
-def test_off_equilibrium_bulk_field_names_the_radial_generator(offset):
-    # a bulk grid holds no k = 0 row; the field checks its generators on the
-    # k = 0 sums, so off delta0 the helical zero is named, not summed over
+def test_off_equilibrium_bulk_grid_names_the_radial_generator(offset, grid):
+    # a bulk field's midpoint grid and an odd dispersion grid (the CLI's
+    # default 401) hold no k = 0 row; bands checks the generators on the
+    # k = 0 sums, so off delta0 the helical zero is named, not summed over,
+    # as on an even dispersion grid's own k = 0 row
     cfg = ChainConfig(kappa=0.6, boundary=Boundary.BULK)
     off = Equilibrium(solve_delta0(cfg).delta0 * (1.0 + offset))
     with pytest.raises(ZeroModeToleranceError, match="the radial generator entry at k = 0"):
-        PhononField(cfg, off)
+        CellCouplings(cfg, off).bands(grid)
+
+
+def test_grid_rows_fail_before_the_generator_check():
+    # off delta0 and past the linear chain's stability, on a grid without
+    # k = 0: the unstable k > 0 rows raise first, as in descending k
+    cfg = ChainConfig(kappa=0.6, n_ions=16, boundary=Boundary.BULK)
+    cc = CellCouplings(cfg, Equilibrium(0.0))
+    with pytest.raises(DynamicalInstabilityError, match=r"at k = 1\.07992:"):
+        cc.bands(reduced_zone_grid(16, include_edge=False))
 
 
 @pytest.mark.parametrize("boundary", [Boundary.RING, Boundary.BULK])
@@ -671,7 +691,7 @@ def test_band_modes_have_a_glide_parity_and_one_sector(kappa, alpha, n, boundary
         else reduced_zone_grid(n, include_edge=include_edge)
     try:
         eq = solve_delta0(cfg)
-        bands = dispersion_zigzag(grid, cfg, eq)
+        bands = dispersion_zigzag(grid, cfg)
     except PhysicsError:
         return
     assert np.array_equal(bands.labels, np.broadcast_to(bands.labels[0], bands.labels.shape))
@@ -767,7 +787,7 @@ def test_field_columns_are_the_branches(kappa, alpha, boundary):
     cfg = ChainConfig(kappa=kappa, alpha=alpha, n_ions=64, boundary=boundary)
     field = PhononField(cfg, n_k=64)
     assert np.array_equal(field.labels, np.broadcast_to(field.labels[0], field.labels.shape))
-    bands = dispersion_zigzag(field.k, cfg, field.eq)
+    bands = dispersion_zigzag(field.k, cfg)
     for name in ("omega", "mask", "labels", "phi", "twist"):
         assert np.array_equal(getattr(field, name), getattr(bands, name))
 
@@ -814,7 +834,7 @@ def test_branch_tracker_matches_sorted_greedy(kappa, alpha, case):
     bands = CellCouplings(cfg, eq).bands(grid)
     slots = sorted_tracker(bands)
     rows = np.arange(len(grid))[:, None]
-    tracked = dispersion_zigzag(grid, cfg, eq)
+    tracked = dispersion_zigzag(grid, cfg)
     assert np.array_equal(tracked.omega, bands.omega[rows, slots])
     assert np.array_equal(tracked.mask, bands.mask[rows, slots])
     assert np.array_equal(tracked.u, bands.u[rows, slots])

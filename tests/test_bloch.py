@@ -372,9 +372,8 @@ class TestDispersionZigzag:
 
     def test_gapless_linear_branch_in_zigzag(self):
         cfg = ChainConfig(kappa=0.6, n_ions=64, boundary=Boundary.BULK)
-        eq = solve_delta0(cfg)
         k1, k2 = 0.004, 0.008
-        bands = dispersion_zigzag(np.array([k1, k2]), cfg, eq)
+        bands = dispersion_zigzag(np.array([k1, k2]), cfg)
         low1, low2 = bands.omega[0].min(), bands.omega[1].min()
         assert low2 / low1 == pytest.approx(k2 / k1, rel=2e-3)
 
@@ -402,8 +401,7 @@ class TestDispersionZigzag:
 
     def test_zero_slots_at_k0(self):
         cfg = ChainConfig(kappa=0.6, n_ions=32, boundary=Boundary.RING)
-        eq = solve_delta0(cfg)
-        bands = dispersion_zigzag(ring_momenta(cfg.n_ions), cfg, eq)
+        bands = dispersion_zigzag(ring_momenta(cfg.n_ions), cfg)
         i0 = int(np.argmin(np.abs(bands.k)))
         assert (~bands.mask[i0]).sum() == 2
 

@@ -1,5 +1,6 @@
 """Chain geometry, equilibrium and Hessian construction."""
 
+import dataclasses
 import re
 
 import numpy as np
@@ -13,10 +14,10 @@ from ionphonon import chain
 from ionphonon.chain import (
     Boundary,
     ChainConfig,
+    Equilibrium,
     bare_frequencies,
     build_hessian,
     critical_kappa_classical,
-    equilibrium_positions,
     equilibrium_residual,
     even_bernoulli,
     omega_from_hessian,
@@ -207,7 +208,7 @@ class TestSolveDelta0:
             return gap(delta, config)
 
         monkeypatch.setattr(chain, "zigzag_root_gap", counted)
-        eq = solve_delta0(cfg)
+        eq = solve_delta0.__wrapped__(cfg)  # the solve itself, past the memo
         assert eq.is_zigzag and eq.delta0 in points
         assert len(points) == len(set(points)) > 5
 
@@ -228,7 +229,10 @@ class TestSolveDelta0:
     def test_positions_follow_staggered_pattern(self):
         cfg = ring(0.6, 8)
         eq = solve_delta0(cfg)
-        positions = equilibrium_positions(cfg, eq.delta0)
+        # ion l at l e_x + delta0 (-1)^l e_y
+        positions = np.zeros((8, 3))
+        positions[:, 0] = np.arange(8)
+        positions[:, 1] = eq.delta0 * (-1.0) ** np.arange(8)
         assert np.array_equal(positions[:, 0], np.arange(8))
         assert np.all(positions[::2, 1] == eq.delta0)
         assert np.all(positions[1::2, 1] == -eq.delta0)
@@ -344,6 +348,42 @@ class TestSolveDelta0:
         assert freq.real == 0.0 and freq.imag == pytest.approx(soft, rel=1e-8)
 
 
+class TestEquilibriumMemo:
+    """solve_delta0 keeps one frozen Equilibrium per config per process."""
+
+    @pytest.fixture
+    def memo(self):
+        solve_delta0.cache_clear()
+        yield solve_delta0
+        solve_delta0.cache_clear()
+
+    def test_one_config_is_solved_once(self, memo):
+        eq = memo(ring(0.6, 16))
+        assert memo(ring(0.6, 16)) is eq and memo(ring(0.6, 18)) is not eq
+        assert (memo.cache_info().misses, memo.cache_info().hits) == (2, 1)
+
+    def test_a_failing_config_is_not_stored(self, memo):
+        # alpha = 0.8 buckles along z past alpha kappa_c = 0.38 (N = 16 ring)
+        messages = []
+        for _ in range(2):
+            with pytest.raises(DynamicalInstabilityError, match="buckles along z") as err:
+                memo(ring(0.45, 16, alpha=0.8))
+            messages.append(str(err.value))
+        assert messages[0] == messages[1]
+        assert memo.cache_info().misses == 2 and memo.cache_info().currsize == 0
+
+    def test_equilibrium_memo_is_bounded(self, memo):
+        maxsize = memo.cache_info().maxsize
+        assert maxsize is not None and 0 < maxsize <= 1024
+
+    def test_equilibrium_is_frozen(self, memo):
+        # every reader of a config shares one instance: none can change it
+        eq = memo(ring(0.6, 16))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            eq.delta0 = 0.0
+        assert memo(ring(0.6, 16)).delta0 == eq.delta0 > 0.0
+
+
 class TestBareFrequencies:
     def test_isolated_ion_limit(self):
         cfg = bulk(1e-12)
@@ -371,8 +411,7 @@ class TestBareFrequencies:
 
     def test_imaginary_frequency_beyond_single_site_bound(self):
         cfg = bulk(1.0 / ZETA3 + 1e-6)
-        eq = solve_delta0(cfg)
-        eq.delta0 = 0.0  # force the (unstable) linear configuration
+        eq = Equilibrium(0.0)  # force the (unstable) linear configuration
         with pytest.raises(BareInstabilityError):
             bare_frequencies(cfg, eq)
 
@@ -471,8 +510,7 @@ class TestEquilibriumResidual:
 
     def test_perturbed_equilibrium_has_residual(self):
         for cfg in (ring(0.6, 16), ring(0.6, 10), bulk(0.6)):
-            eq = solve_delta0(cfg)
-            eq.delta0 += 0.01
+            eq = Equilibrium(solve_delta0(cfg).delta0 + 0.01)
             assert equilibrium_residual(cfg, eq) > 1e-3
 
 

@@ -57,7 +57,7 @@ class TestEffectiveMasses:
         cfg = bulk(0.6)
         eq = solve_delta0(cfg)
         couplings = CellCouplings(cfg, eq)
-        masses = effective_masses(cfg, eq)
+        masses = effective_masses(cfg)
         omega_x = couplings.omega_bare[_cell_index(0, 0)]
         omega_z = couplings.omega_bare[_cell_index(0, 2)]
         assert masses["longitudinal"] == pytest.approx(cfg.n_ions / omega_x, rel=1e-12)
@@ -132,7 +132,7 @@ class TestClosedForms:
     def test_mass_is_the_k0_pairs_to_the_bit(self, kappa, alpha, boundary):
         cfg = ChainConfig(kappa=kappa, alpha=alpha, n_ions=24, boundary=boundary)
         eq = solve_delta0(cfg)
-        nf = zero_mode_normal_form(cfg, eq)
+        nf = zero_mode_normal_form(cfg)
         pairs = {zp.label: zp for zp in nf.zero_pairs}
         found = build_sectors(cfg, eq, nf.form.omega_bare)
         assert len(found) == len(pairs) - (boundary is Boundary.BULK)

@@ -70,21 +70,20 @@ def bulk(kappa, n=64, **kw):
 def linear_field():
     cfg = ring(0.3, 64)
     eq = solve_delta0(cfg)
-    return cfg, eq, PhononField(cfg, eq)
+    return cfg, eq, PhononField(cfg)
 
 
 @pytest.fixture(scope="module")
 def zigzag_field():
     cfg = ring(0.6, 64)
     eq = solve_delta0(cfg)
-    return cfg, eq, PhononField(cfg, eq)
+    return cfg, eq, PhononField(cfg)
 
 
 class TestPairCorrelators:
     def test_decoupled_limit_has_no_occupation(self):
         cfg = ring(1e-8, 16)
-        eq = solve_delta0(cfg)
-        field = PhononField(cfg, eq)
+        field = PhononField(cfg)
         k = field.k[3]
         ada, aad, adad, aa = pair_correlators_k(field, k, k, 0, 0, "y", "y", 0.0)
         assert abs(ada) < 1e-12
@@ -115,6 +114,16 @@ class TestPairCorrelators:
             pair_correlators_k(field, 0.12345, 0.12345, 0, 0, "y", "y", 0.0)
 
 
+@pytest.mark.parametrize("boundary", list(Boundary))
+def test_a_field_reads_its_own_equilibrium(boundary):
+    # the field is given no ground state: it reads solve_delta0's of its config,
+    # and an equilibrium passed in its place is refused as a grid size
+    cfg = ChainConfig(kappa=0.6, n_ions=16, boundary=boundary)
+    assert PhononField(cfg, n_k=16).eq is solve_delta0(cfg)
+    with pytest.raises(ValueError, match="n_k must be at least 1 and an integer"):
+        PhononField(cfg, solve_delta0(ChainConfig(kappa=0.6, n_ions=16)))
+
+
 @pytest.mark.parametrize("temperature", [0.0, 0.3])
 @pytest.mark.parametrize("kappa", [0.3, 0.6])
 def test_spatial_correlator_matches_ladder_sums(kappa, temperature):
@@ -123,7 +132,7 @@ def test_spatial_correlator_matches_ladder_sums(kappa, temperature):
     # the oracle keeps every term of
     # pref sum_k [e^{-2ik dj} (ada + adad) + e^{+2ik dj} (aad + aa)] / n_k
     cfg = ring(kappa, 16)
-    field = PhononField(cfg, solve_delta0(cfg))
+    field = PhononField(cfg)
     omega_bare = field.omega_bare
     for nu, nup in (("x", "x"), ("y", "y"), ("z", "z"), ("x", "y"), ("y", "z")):
         for s, sp in ((0, 0), (0, 1)):
@@ -150,7 +159,7 @@ class TestSpatialCorrelator:
     def test_matches_full_space_oracle_everywhere(self):
         cfg = ring(0.6, 8)
         eq = solve_delta0(cfg)
-        field = PhononField(cfg, eq)
+        field = PhononField(cfg)
         oracle = full_space_correlation_matrix(cfg, eq)
         errs = []
         for dj in range(4):
@@ -167,9 +176,8 @@ class TestSpatialCorrelator:
 
     def test_decoupled_same_site_variance(self):
         cfg = ring(1e-8, 16, lam=50.0)
-        eq = solve_delta0(cfg)
         value = spatial_correlator(CorrelatorRequest(0, 0, 0, "y", "y"),
-                                   PhononField(cfg, eq))
+                                   PhononField(cfg))
         assert value == pytest.approx(1.0 / (2.0 * cfg.lam**2), rel=1e-7)
 
     def test_linear_phase_cross_correlator_vanishes(self, linear_field):
@@ -226,22 +234,19 @@ class TestSpatialCorrelator:
 
     def test_bulk_gapped_correlator_converges(self):
         cfg = bulk(0.3)
-        eq = solve_delta0(cfg)
         value = spatial_correlator(CorrelatorRequest(1, 0, 0, "y", "y"),
-                                   PhononField(cfg, eq, n_k=1024))
+                                   PhononField(cfg, n_k=1024))
         assert np.isfinite(value)
 
     def test_bulk_gapless_correlator_raises(self):
         cfg = bulk(0.3)
-        eq = solve_delta0(cfg)
         with pytest.raises(DivergenceError) as err:
-            check_convergent(CorrelatorRequest(0, 0, 0, "x", "x"), cfg, eq)
+            check_convergent(CorrelatorRequest(0, 0, 0, "x", "x"), cfg)
         assert "axial" in str(err.value)
 
     def test_bulk_divergence_is_checked_on_a_given_field(self):
         cfg = bulk(0.3)
-        eq = solve_delta0(cfg)
-        field = PhononField(cfg, eq, n_k=64)
+        field = PhononField(cfg, n_k=64)
         with pytest.raises(DivergenceError) as err:
             spatial_correlator(CorrelatorRequest(2, 0, 1, "x", "x"), field)
         assert "axial sound" in str(err.value)
@@ -250,27 +255,21 @@ class TestSpatialCorrelator:
         # the soft zone-edge mode sharpens the integrand, so the grid sets
         # the accuracy here, but no Goldstone branch carries y
         cfg = bulk(critical_kappa() - 1e-4)
-        eq = solve_delta0(cfg)
         req = CorrelatorRequest(1, 0, 0, "y", "y")
-        value = spatial_correlator(req, PhononField(cfg, eq, n_k=64))
+        value = spatial_correlator(req, PhononField(cfg, n_k=64))
         assert value == pytest.approx(4.2893e-4, rel=1e-4)
 
     def test_bulk_helical_correlator_raises(self):
         cfg = bulk(0.6)
-        eq = solve_delta0(cfg)
         with pytest.raises(DivergenceError):
             check_convergent(
-                CorrelatorRequest(0, 0, 0, "z", "z", include_radial_zero_mode=False),
-                cfg, eq)
+                CorrelatorRequest(0, 0, 0, "z", "z", include_radial_zero_mode=False), cfg)
 
     def test_bulk_longitudinal_offset_rejected(self):
         cfg = bulk(0.3)
-        eq = solve_delta0(cfg)
         with pytest.raises(DivergenceError):
             check_convergent(
-                CorrelatorRequest(0, 0, 0, "x", "x",
-                                  include_longitudinal_zero_mode=True),
-                cfg, eq)
+                CorrelatorRequest(0, 0, 0, "x", "x", include_longitudinal_zero_mode=True), cfg)
 
     def test_request_validation(self):
         with pytest.raises(ValueError):
@@ -311,7 +310,7 @@ def table_fields():
     fields = {}
     for name, cfg, n_k in (("ring64", ring(0.6, 64), 512), ("ring256", ring(0.6, 256), 512),
                            ("bulk128", bulk(0.6), 128)):
-        fields[name] = PhononField(cfg, solve_delta0(cfg), n_k=n_k)
+        fields[name] = PhononField(cfg, n_k=n_k)
     return fields
 
 
@@ -335,7 +334,7 @@ class TestCorrelatorTable:
         for nu, nup in AXIS_PAIRS:
             req = CorrelatorRequest(0, 0, sp, nu, nup, temperature, radial, longitudinal)
             try:
-                check_convergent(req, field.config, field.eq)
+                check_convergent(req, field.config)
             except DivergenceError:
                 continue
             assert_table_is_one_by_one(field, req, range(11))
@@ -376,7 +375,7 @@ class TestCorrelatorTable:
 def test_tiny_temperatures_are_frozen(temperature):
     # E_1 / T overflows: the winding sectors and every mode are frozen
     cfg = ring(0.6, 16)
-    field = PhononField(cfg, solve_delta0(cfg))
+    field = PhononField(cfg)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         c = heat_capacity(temperature, field)
@@ -407,8 +406,7 @@ class TestHeatCapacity:
 
     def test_vanishes_at_low_temperature_bulk(self):
         cfg = bulk(0.3)
-        eq = solve_delta0(cfg)
-        field = PhononField(cfg, eq, n_k=64)
+        field = PhononField(cfg, n_k=64)
         assert heat_capacity(1e-4, field) < 1e-10
 
     def test_free_particle_classical_plateau(self, linear_field):
@@ -424,8 +422,7 @@ class TestHeatCapacity:
         values = {}
         for kappa in (kc - 0.05, kc + 0.05):
             cfg = ring(kappa, 64)
-            eq = solve_delta0(cfg)
-            values[kappa] = heat_capacity(0.1, PhononField(cfg, eq))
+            values[kappa] = heat_capacity(0.1, PhononField(cfg))
         assert values[kc + 0.05] > values[kc - 0.05]
 
     def test_resolution_warning(self, linear_field):
@@ -495,8 +492,7 @@ class TestSusceptibility:
         # nearly flat band at the trap frequency: driving at its centroid is
         # a Lorentzian center and gives a phase of +pi/2
         cfg = ring(1e-6, 32)
-        eq = solve_delta0(cfg)
-        field = PhononField(cfg, eq)
+        field = PhononField(cfg)
         y_weight = np.abs(field.u[:, :, 2]) ** 2 > 0.1
         centroid = float(np.mean(field.omega[field.mask & y_weight]))
         res = susceptibility([centroid], ("y", 0), field, eta=1e-3)[0]
@@ -625,7 +621,7 @@ class TestCorrelationEnergy:
         nf = symplectic_diagonalize(build_quadratic_form(hess, omegas),
                                     axis_map=hess.axis_map, p_norm=16)
         expected = 0.5 * (nf.omega.sum() - omegas.sum()) / cfg.n_ions
-        assert correlation_energy(PhononField(cfg, eq)) == pytest.approx(expected, rel=1e-10)
+        assert correlation_energy(PhononField(cfg)) == pytest.approx(expected, rel=1e-10)
 
 
 class TestGinzburg:
@@ -663,13 +659,13 @@ class TestFullSpaceOracles:
         for sector in sectors(cfg, eq):
             oracle += thermal_energy_and_heat(sector, t)[1]
         oracle /= cfg.n_ions
-        assert heat_capacity(t, PhononField(cfg, eq)) == pytest.approx(oracle, rel=1e-10)
+        assert heat_capacity(t, PhononField(cfg)) == pytest.approx(oracle, rel=1e-10)
 
     def test_susceptibility(self, small_zigzag):
         cfg, eq, nf, omegas = small_zigzag
         eta, grid = 1e-2, np.array([0.0, 0.4, 0.9, 1.6])
         a = 1  # ion 0, axis y  <->  component (y, sublattice 0)
-        results = susceptibility(grid, ("y", 0), PhononField(cfg, eq), eta=eta)
+        results = susceptibility(grid, ("y", 0), PhononField(cfg), eta=eta)
         for res in results:
             oracle = 0.0 + 0.0j
             for mode in nf.modes:
@@ -683,7 +679,7 @@ class TestFullSpaceOracles:
         cfg, eq, nf, omegas = small_zigzag
         t = 0.3
         oracle = full_space_correlation_matrix(cfg, eq, t, full=(nf, omegas))
-        field = PhononField(cfg, eq)
+        field = PhononField(cfg)
         for dj, s, sp, nu, nup in ((0, 0, 0, "y", "y"), (1, 0, 1, "x", "x"),
                                    (2, 1, 1, "z", "z"), (1, 0, 1, "x", "y")):
             req = CorrelatorRequest(dj, s, sp, nu, nup, temperature=t)
@@ -722,7 +718,7 @@ def test_ring_observables_match_the_full_space_normal_form(cfg, temperature, eta
             return type(exc)
 
     def band():
-        field = PhononField(cfg, eq)
+        field = PhononField(cfg)
         field.sectors()
         return field
 
@@ -803,9 +799,8 @@ def test_out_of_plane_fluctuations_enhanced_by_soft_helical_mode():
     results = {}
     for kappa in (kc - 0.05, kc + 0.05):
         cfg = ring(kappa, 64)
-        eq = solve_delta0(cfg)
         req = CorrelatorRequest(0, 0, 0, "z", "z", include_radial_zero_mode=False)
-        results[kappa] = spatial_correlator(req, PhononField(cfg, eq))
+        results[kappa] = spatial_correlator(req, PhononField(cfg))
     assert results[kc + 0.05] > 1.5 * results[kc - 0.05]
 
 
@@ -825,7 +820,7 @@ def test_thermal_correlators_match_textbook_coth_formula():
         w = np.sqrt(evals[m])
         oracle += np.outer(evecs[:, m], evecs[:, m]) / np.tanh(w / (2 * t)) / (2 * w)
     oracle /= cfg.lam**2
-    field = PhononField(cfg, eq)
+    field = PhononField(cfg)
     for dj in range(3):
         for nu in AXES:
             for nup in AXES:
@@ -957,12 +952,12 @@ MIDPOINT_ERROR = {"heat": (1.2, 3), "energy": (0.16, 2), "chi": (0.4, 3)}
 def test_bulk_observables_agree_on_neighbouring_grids(kappa, alpha, n_k):
     cfg = bulk(kappa, alpha=alpha)
     try:
-        eq = solve_delta0(cfg)
+        solve_delta0(cfg)
     except PhysicsError:
         return
     values = {name: [] for name in MIDPOINT_ERROR}
     for n in (n_k, n_k + 1):
-        field = PhononField(cfg, eq, n_k=n)
+        field = PhononField(cfg, n_k=n)
         values["heat"].append(heat_capacity(0.1, field))
         values["energy"].append(correlation_energy(field))
         values["chi"].append(susceptibility([0.05], ("x", 0), field, eta=0.1).chi[0])

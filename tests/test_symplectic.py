@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ionphonon import bloch, symplectic
-from ionphonon.bloch import dispersion_zigzag, mode_vectors_linear, ring_momenta
+from ionphonon.bloch import CellCouplings, dispersion_zigzag, mode_vectors_linear, ring_momenta
 from ionphonon.chain import (
     GENERATORS,
     Boundary,
@@ -46,7 +46,6 @@ from ionphonon.symplectic import (
 from oracles import (
     cell_normal_form,
     dense_W,
-    effective_masses,
     eigen_residual,
     full_matrix,
     place_W,
@@ -222,7 +221,7 @@ class TestChainCertificates:
     def test_mass_extensivity(self):
         # N enters only through the zero-pair normalization when the bulk
         # (N-independent) cell couplings feed the diagonalizer
-        from ionphonon.bloch import CELL_AXIS_MAP, CellCouplings
+        from ionphonon.bloch import CELL_AXIS_MAP
 
         masses = {}
         for n in (16, 32):
@@ -297,7 +296,7 @@ def test_off_equilibrium_zigzag_fails_on_its_radial_generator(boundary):
     with pytest.raises(ZeroModeToleranceError, match="the radial generator"):
         symplectic_diagonalize(form, axis_map=hess.axis_map, p_norm=16)
     with pytest.raises(ZeroModeToleranceError, match="the radial generator"):
-        effective_masses(cfg, off)
+        CellCouplings(cfg, off).bands(np.zeros(1))  # the k = 0 normal form's modes
 
 
 @st.composite
@@ -539,8 +538,7 @@ def test_dynamical_instability_reports_imaginary_frequencies():
     # expand around the linear configuration above the transition: the
     # transverse zone-edge mode has omega^2 < 0
     cfg = ChainConfig(kappa=0.6, n_ions=32, boundary=Boundary.RING)
-    eq = solve_delta0(cfg)
-    eq.delta0 = 0.0
+    eq = Equilibrium(0.0)
     hess = build_hessian(cfg, eq)
     form = build_quadratic_form(hess, omega_from_hessian(hess))
     with pytest.raises(DynamicalInstabilityError) as err:
