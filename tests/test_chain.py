@@ -208,7 +208,7 @@ class TestSolveDelta0:
             return gap(delta, config)
 
         monkeypatch.setattr(chain, "zigzag_root_gap", counted)
-        eq = solve_delta0.__wrapped__(cfg)  # the solve itself, past the memo
+        eq = solve_delta0(cfg)
         assert eq.is_zigzag and eq.delta0 in points
         assert len(points) == len(set(points)) > 5
 
@@ -351,37 +351,31 @@ class TestSolveDelta0:
 class TestEquilibriumMemo:
     """solve_delta0 keeps one frozen Equilibrium per config per process."""
 
-    @pytest.fixture
-    def memo(self):
-        solve_delta0.cache_clear()
-        yield solve_delta0
-        solve_delta0.cache_clear()
+    def test_one_config_is_solved_once(self):
+        eq = solve_delta0(ring(0.6, 16))
+        assert solve_delta0(ring(0.6, 16)) is eq and solve_delta0(ring(0.6, 18)) is not eq
+        assert (solve_delta0.cache_info().misses, solve_delta0.cache_info().hits) == (2, 1)
 
-    def test_one_config_is_solved_once(self, memo):
-        eq = memo(ring(0.6, 16))
-        assert memo(ring(0.6, 16)) is eq and memo(ring(0.6, 18)) is not eq
-        assert (memo.cache_info().misses, memo.cache_info().hits) == (2, 1)
-
-    def test_a_failing_config_is_not_stored(self, memo):
+    def test_a_failing_config_is_not_stored(self):
         # alpha = 0.8 buckles along z past alpha kappa_c = 0.38 (N = 16 ring)
         messages = []
         for _ in range(2):
             with pytest.raises(DynamicalInstabilityError, match="buckles along z") as err:
-                memo(ring(0.45, 16, alpha=0.8))
+                solve_delta0(ring(0.45, 16, alpha=0.8))
             messages.append(str(err.value))
         assert messages[0] == messages[1]
-        assert memo.cache_info().misses == 2 and memo.cache_info().currsize == 0
+        assert solve_delta0.cache_info().misses == 2 and solve_delta0.cache_info().currsize == 0
 
-    def test_equilibrium_memo_is_bounded(self, memo):
-        maxsize = memo.cache_info().maxsize
+    def test_equilibrium_memo_is_bounded(self):
+        maxsize = solve_delta0.cache_info().maxsize
         assert maxsize is not None and 0 < maxsize <= 1024
 
-    def test_equilibrium_is_frozen(self, memo):
+    def test_equilibrium_is_frozen(self):
         # every reader of a config shares one instance: none can change it
-        eq = memo(ring(0.6, 16))
+        eq = solve_delta0(ring(0.6, 16))
         with pytest.raises(dataclasses.FrozenInstanceError):
             eq.delta0 = 0.0
-        assert memo(ring(0.6, 16)).delta0 == eq.delta0 > 0.0
+        assert solve_delta0(ring(0.6, 16)).delta0 == eq.delta0 > 0.0
 
 
 class TestBareFrequencies:

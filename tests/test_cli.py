@@ -584,18 +584,9 @@ def test_modes_at_a_rings_own_transition_exits_3(tmp_path, capsys):
 # one equilibrium per configuration per process
 
 
-@pytest.fixture
-def fresh_memo():
-    """``chain.solve_delta0`` with its memo emptied before and after the test."""
-    solve_delta0.cache_clear()
-    yield solve_delta0
-    solve_delta0.cache_clear()
-
-
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("boundary", ["ring", "bulk"])
-def test_runs_on_one_config_solve_its_equilibrium_once(fresh_memo, tmp_path, capsys,
-                                                       boundary, fmt):
+def test_runs_on_one_config_solve_its_equilibrium_once(tmp_path, capsys, boundary, fmt):
     flags = ["--kappa", "0.6", "--n-ions", "16", "--boundary", boundary, "--k-points", "16",
              "--t-steps", "3", "--omega-steps", "5", "--max-separation", "2",
              "--component", "y", "--n-list", "16", "--format", fmt]
@@ -605,10 +596,33 @@ def test_runs_on_one_config_solve_its_equilibrium_once(fresh_memo, tmp_path, cap
         code, _, _ = run_cli([command, *flags, "--output", str(path)], capsys)
         assert code == 0
         texts.append(path.read_bytes())
-    # the config, and in bulk the 16-ion ring of ginzburg too
-    assert fresh_memo.cache_info().misses == (1 if boundary == "ring" else 2)
     half = len(texts) // 2
     assert texts[:half] == texts[half:]
+    # the memo holds the run's config and, in bulk, the 16-ion ring of
+    # ginzburg, each solved once: asking for them again is all hits
+    held = {ChainConfig(0.6, n_ions=16, boundary=Boundary(boundary)),
+            ChainConfig(0.6, n_ions=16, boundary=Boundary.RING)}
+    info = solve_delta0.cache_info()
+    assert info.misses == info.currsize == len(held)
+    for config in held:
+        solve_delta0(config)
+    assert solve_delta0.cache_info().misses == info.misses
+
+
+def test_a_failing_config_is_not_stored(tmp_path, capsys):
+    # alpha = 0.8 buckles along z past alpha kappa_c = 0.38 (N = 16 ring)
+    sidecars = []
+    for run in range(2):
+        out_path = tmp_path / f"eq{run}.csv"
+        code, _, err = run_cli(["equilibrium", "--kappa", "0.45", "--alpha", "0.8",
+                                "--n-ions", "16", "--output", str(out_path)], capsys)
+        assert code == 3 and "buckles along z" in err
+        assert not out_path.exists()
+        sidecars.append((tmp_path / f"eq{run}.csv.error.json").read_bytes())
+    assert sidecars[0] == sidecars[1]
+    assert json.loads(sidecars[0])["error"] == "DynamicalInstabilityError"
+    assert solve_delta0.cache_info().misses == 2
+    assert solve_delta0.cache_info().currsize == 0
 
 
 # ---------------------------------------------------------------------------
