@@ -49,8 +49,8 @@ from .chain import (
     ChainConfig,
     Equilibrium,
     BULK_SUM_BUDGET,
+    _count,
     _ion_count,
-    _is_integer,
     bare_frequencies,
     bare_root,
     broken_symmetries,
@@ -540,20 +540,23 @@ def ring_momenta(n_ions: int) -> np.ndarray:
     return np.sort((k + ZONE_EDGE) % (2.0 * ZONE_EDGE) - ZONE_EDGE)
 
 
-def _zone_count(n_k: int) -> int:
-    """``n_k`` if it is an integer (``_is_integer``) of at least 1, else ValueError."""
-    if not _is_integer(n_k) or n_k < 1:
-        raise ValueError(f"n_k must be at least 1 and an integer, got {n_k!r}")
-    return n_k
-
-
 def reduced_zone_grid(n_k: int, include_edge: bool = True) -> np.ndarray:
-    """n_k >= 1 momenta (``_zone_count``) spanning the reduced zone [-pi/2d, pi/2d)."""
-    n_k = _zone_count(n_k)
+    """n_k >= 1 momenta (``chain._count``) spanning the reduced zone [-pi/2d, pi/2d)."""
+    n_k = _count("n_k", n_k, 1)
     if include_edge:
         return np.linspace(-ZONE_EDGE, ZONE_EDGE, n_k, endpoint=False)
     step = 2.0 * ZONE_EDGE / n_k
     return -ZONE_EDGE + (np.arange(n_k) + 0.5) * step
+
+
+def zone_grid(config: ChainConfig, n_k: int, include_edge: bool = True) -> np.ndarray:
+    """The momenta of ``config``'s k sums: a ring's own (``ring_momenta``), else
+    ``reduced_zone_grid`` of ``n_k``.  ``n_k`` is checked (``chain._count``) on both
+    boundaries; a midpoint grid rounds an odd count up to even, so no node sits on k = 0."""
+    n_k = _count("n_k", n_k, 1)
+    if config.boundary is Boundary.RING:
+        return ring_momenta(config.n_ions)
+    return reduced_zone_grid(n_k if include_edge else n_k + n_k % 2, include_edge)
 
 
 def mixing_angles(u: np.ndarray, v: np.ndarray) -> np.ndarray:

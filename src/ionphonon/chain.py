@@ -200,11 +200,21 @@ def _ion_count(n_ions: int) -> int:
     return n_ions
 
 
-def _check_positive_real(name: str, value) -> None:
-    """ValueError naming ``value`` unless it is a real number (``numbers.Real``,
-    numpy reals too, not a bool) in (0, inf)."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real) or not 0.0 < value < math.inf:
-        raise ValueError(f"{name} must be positive and real, got {value!r}")
+def _count(name: str, value, minimum: int) -> int:
+    """``value`` if it is an integer (``_is_integer``) of at least ``minimum``, else ValueError."""
+    if not _is_integer(value) or value < minimum:
+        raise ValueError(f"{name} must be at least {minimum} and an integer, got {value!r}")
+    return value
+
+
+def _check_positive_real(name: str, value, allow_zero: bool = False) -> None:
+    """ValueError naming ``name`` and ``value`` unless it is a real number (``numbers.Real``,
+    numpy reals too, not a bool) in (0, inf), or [0, inf) with ``allow_zero``.  A Python
+    float skips the ``numbers.Real`` check, which costs ten times the comparisons."""
+    if not ((type(value) is float or isinstance(value, numbers.Real) and not isinstance(value, bool))
+            and (0.0 <= value if allow_zero else 0.0 < value) and value < math.inf):
+        raise ValueError(f"{name} must be {'non-negative' if allow_zero else 'positive'} and "
+                         f"finite (a real number, not a bool), got {value!r}")
 
 
 @dataclass(frozen=True)

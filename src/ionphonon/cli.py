@@ -23,13 +23,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .bloch import (
-    collectivities,
-    dispersion_zigzag,
-    mixing_angles,
-    reduced_zone_grid,
-    ring_momenta,
-)
+from .bloch import collectivities, dispersion_zigzag, mixing_angles, zone_grid
 from .chain import (
     Boundary,
     ChainConfig,
@@ -243,11 +237,7 @@ def _run_equilibrium(rc: RunConfig):
 
 
 def _run_dispersion(rc: RunConfig):
-    if rc.chain.boundary is Boundary.RING:
-        grid = ring_momenta(rc.chain.n_ions)  # finite rings have only these
-    else:
-        grid = reduced_zone_grid(rc.k_points)
-    bands = dispersion_zigzag(grid, rc.chain)
+    bands = dispersion_zigzag(zone_grid(rc.chain, rc.k_points), rc.chain)
     header = ["k[1/d]", "branch", "omega[omega_I]", "theta_xy[rad]",
               "collectivity[1]", "is_zero_mode"]
     rows = list(zip(

@@ -28,7 +28,8 @@ from .chain import (
     Boundary,
     ChainConfig,
     Equilibrium,
-    _is_integer,
+    _check_positive_real,
+    _count,
     broken_symmetries,
     solve_delta0,
 )
@@ -104,8 +105,7 @@ def thermal_p_squared(sector: FreeParticleSector, temperature: float) -> float:
     the exact moments of ``_winding_moments`` (Poisson dual series below
     E_1 / T = pi), so no winding-number truncation remains.
     """
-    if not 0.0 <= temperature < np.inf:  # NaN fails too
-        raise ValueError(f"temperature must be non-negative and finite, got {temperature!r}")
+    _check_positive_real("temperature", temperature, allow_zero=True)
     if temperature == 0.0:
         return 0.0
     m2_mean, _ = _winding_moments(sector.level_unit / temperature)
@@ -161,8 +161,7 @@ def thermal_energy_and_heat(sector: FreeParticleSector,
     winding-number truncation remains, and the cost depends on neither N
     nor T.
     """
-    if not 0.0 <= temperature < np.inf:  # NaN fails too
-        raise ValueError(f"temperature must be non-negative and finite, got {temperature!r}")
+    _check_positive_real("temperature", temperature, allow_zero=True)
     if temperature == 0.0:
         return 0.0, 0.0
     # Python floats: a turns inf (frozen) once T < E_1 * 5.6e-309, silently
@@ -205,8 +204,7 @@ def phase_operator(m_max: int) -> PhaseOperatorBasis:
     the closed form i pi (-1)^Delta / [(2M+1) sin(pi Delta / (2M+1))] for
     Delta = l - l' != 0 and zero on the diagonal.
     """
-    if not _is_integer(m_max) or m_max < 1:
-        raise ValueError(f"m_max must be at least 1 and an integer, got {m_max!r}")
+    _count("m_max", m_max, 1)
     dim = 2 * m_max + 1
     l_idx = np.arange(-m_max, m_max + 1)
     delta = l_idx[:, None] - l_idx[None, :]

@@ -26,18 +26,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bloch import (
-    AXES,
-    CELL_LENGTH,
-    Bands,
-    CellCouplings,
-    _cell_index,
-    _zone_count,
-    cell_entry,
-    reduced_zone_grid,
-    ring_momenta,
-)
-from .chain import Boundary, ChainConfig, _is_integer, solve_delta0
+from .bloch import AXES, CELL_LENGTH, Bands, _cell_index, cell_entry, dispersion_zigzag, zone_grid
+from .chain import Boundary, ChainConfig, _check_positive_real, _count, _is_integer, solve_delta0
 from .errors import (
     DivergenceError,
     InternalConsistencyError,
@@ -69,12 +59,13 @@ def _bose(omega: np.ndarray, temperature: float) -> np.ndarray:
 
 
 class PhononField(Bands):
-    """The cell bands of a grid (``CellCouplings.bands``: column b on branch b), for k sums.
+    """The cell bands of a grid (``bloch.dispersion_zigzag``: column b on branch b), for k sums.
 
-    A ring's grid is its own momenta; bulk takes a midpoint grid of ``n_k``
-    momenta, an odd ``n_k`` rounded up to the next even count: an odd grid
-    puts its middle node on k = 0, where the Goldstone slots would drop out
-    of every sum (``bands`` checks the generators of a grid without k = 0).
+    The grid is ``bloch.zone_grid(config, n_k, include_edge=False)``: a ring's
+    own momenta, or in bulk a midpoint grid of ``n_k`` momenta, an odd
+    ``n_k`` rounded up to the next even count: an odd grid puts its middle
+    node on k = 0, where the Goldstone slots would drop out of every sum
+    (``bands`` checks the generators of a grid without k = 0).
     Every k sum is the plain average over the grid (divided by ``len(k)``).
     Every observable reads its config and equilibrium (``solve_delta0``'s)
     from here, and the modes as omega, mask and the screw vectors phi and
@@ -83,12 +74,8 @@ class PhononField(Bands):
 
     def __init__(self, config: ChainConfig, n_k: int = 512):
         self.config, self.eq = config, solve_delta0(config)
-        n_k = _zone_count(n_k)  # on both boundaries, before bulk rounds it up to even
-        if config.boundary is Boundary.RING:
-            grid = ring_momenta(config.n_ions)
-        else:
-            grid = reduced_zone_grid(n_k + n_k % 2, include_edge=False)
-        super().__init__(**vars(CellCouplings(config, self.eq).bands(grid)))
+        grid = zone_grid(config, n_k, include_edge=False)
+        super().__init__(**vars(dispersion_zigzag(grid, config)))
         self._sectors: list[FreeParticleSector] | None = None
 
     def sectors(self) -> list[FreeParticleSector]:
@@ -97,9 +84,10 @@ class PhononField(Bands):
         return self._sectors
 
 
-@dataclass
+@dataclass(frozen=True)
 class CorrelatorRequest:
-    """Specification of one spatial correlator <dR_{j,s,nu} dR_{j',s',nu'}>."""
+    """Specification of one spatial correlator <dR_{j,s,nu} dR_{j',s',nu'}>; frozen, so its
+    checks hold for its life (``correlator_table`` takes negative separations)."""
 
     delta_j: int
     s: int = 0
@@ -111,14 +99,11 @@ class CorrelatorRequest:
     include_longitudinal_zero_mode: bool = False
 
     def __post_init__(self):
-        if not _is_integer(self.delta_j) or self.delta_j < 0:
-            raise ValueError(f"delta_j must be an integer >= 0 (symmetry covers "
-                             f"negatives), got {self.delta_j!r}")
+        _count("delta_j", self.delta_j, 0)
         _check_sublattices(s=self.s, sp=self.sp)
         if self.nu not in AXES or self.nup not in AXES:
             raise ValueError("axes must be one of x, y, z")
-        if not 0.0 <= self.temperature < np.inf:
-            raise ValueError("temperature must be non-negative and finite")
+        _check_positive_real("temperature", self.temperature, allow_zero=True)
 
 
 def _check_sublattices(**sublattices) -> None:
@@ -245,8 +230,7 @@ def heat_capacity(temperature: float, field: PhononField) -> float:
     fluctuation form of dE/dT; the relative weight vanishes as N grows).
     Approaches the Dulong-Petit value c = 3 at high temperature.
     """
-    if not 0.0 < temperature < np.inf:
-        raise ValueError("temperature must be positive and finite")
+    _check_positive_real("temperature", temperature)
     ring = field.config.boundary is Boundary.RING
     gap = float(field.omega[field.mask].min(initial=np.inf))
     if ring and temperature < gap / 50.0:
@@ -277,12 +261,11 @@ def susceptibility(omega_grid: np.ndarray, component: tuple[str, int],
     multiplicity m.  arg chi steps from 0 (in phase with the force, below the
     band) to +-pi (antiphase, above it).
     """
-    nu, s = component
-    if nu not in AXES:
+    if len(component) != 2 or component[0] not in AXES:
         raise ValueError(f"component must be (x|y|z, 0|1), got {component!r}")
+    nu, s = component
     _check_sublattices(s=s)
-    if not 0.0 < eta < np.inf:
-        raise ValueError(f"eta must be positive and finite, got {eta}")
+    _check_positive_real("eta", eta)
     omega_grid = np.asarray(omega_grid, dtype=float)
     if omega_grid.ndim != 1 or not np.all(np.isfinite(omega_grid)):
         raise ValueError(f"omega_grid must be a 1-D and finite array, got {omega_grid!r}")
@@ -328,7 +311,7 @@ def ginzburg_parameter(config: ChainConfig, n_list=(50, 100, 200, 400)) -> list[
                                     f"no zigzag order parameter")
     out = []
     for n in n_list:
-        field = PhononField(replace(config, n_ions=int(n), boundary=Boundary.RING))
+        field = PhononField(replace(config, n_ions=n, boundary=Boundary.RING))
         value = spatial_correlator(CorrelatorRequest(0, 0, 0, "z", "z", 0.0), field)
         out.append((int(n), value / (2.0 * np.pi * field.eq.delta0) ** 2))
     return out

@@ -4,6 +4,7 @@ per-k and full-space oracles."""
 import ast
 import re
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +18,7 @@ from ionphonon.bloch import (
     dispersion_zigzag,
     reduced_zone_grid,
     ring_momenta,
+    zone_grid,
 )
 from ionphonon.chain import (
     SUBLATTICE_MIRROR,
@@ -510,11 +512,30 @@ def test_empty_zone_grid_is_a_value_error(n_k):
     cfg = ChainConfig(kappa=0.6, n_ions=16, boundary=Boundary.BULK)
     ring = ChainConfig(kappa=0.6, n_ions=16, boundary=Boundary.RING)
     calls = [lambda: reduced_zone_grid(n_k), lambda: reduced_zone_grid(n_k, include_edge=False),
-             lambda: PhononField(cfg, n_k=n_k), lambda: PhononField(ring, n_k=n_k)]
+             lambda: PhononField(cfg, n_k=n_k), lambda: PhononField(ring, n_k=n_k),
+             lambda: zone_grid(cfg, n_k), lambda: zone_grid(ring, n_k)]
     for call in calls:
         with pytest.raises(ValueError, match=re.escape(f"n_k must be at least 1 and an integer, "
                                                        f"got {n_k!r}")):
             call()
+
+
+@pytest.mark.parametrize("n_k", [1, 7, 8, 401])
+def test_zone_grid_is_a_configs_momenta(n_k):
+    # a ring's own momenta whatever n_k; in bulk the edge grid of n_k and the
+    # midpoint grid of n_k rounded up to even, so no midpoint node is k = 0
+    ring = ChainConfig(kappa=0.6, n_ions=16)
+    bulk = replace(ring, boundary=Boundary.BULK)
+    even = n_k + n_k % 2
+    for include_edge in (True, False):
+        assert np.array_equal(zone_grid(ring, n_k, include_edge), ring_momenta(16))
+    assert np.array_equal(zone_grid(bulk, n_k), reduced_zone_grid(n_k))
+    midpoints = zone_grid(bulk, n_k, include_edge=False)
+    assert np.array_equal(midpoints, reduced_zone_grid(even, include_edge=False))
+    assert len(midpoints) == even and not np.any(midpoints == 0.0)
+    for config in (ring, bulk):  # a field sums over the midpoint grid
+        assert np.array_equal(PhononField(config, n_k=n_k).k,
+                              zone_grid(config, n_k, include_edge=False))
 
 
 def test_soft_mode_error_states_its_k_and_lam():

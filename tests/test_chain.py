@@ -111,7 +111,7 @@ class TestConfigValidation:
     def test_rejects_a_non_real_parameter(self, field, value):
         # a bool used to pass as 1 and a str to end in a str < float TypeError
         name = "lambda" if field == "lam" else field
-        message = f"{name} must be positive and real, got {value!r}"
+        message = f"{name} must be positive and finite (a real number, not a bool), got {value!r}"
         with pytest.raises(ValueError, match=re.escape(message)):
             ChainConfig(**{"kappa": 0.3, field: value})
 

@@ -1,5 +1,6 @@
 """Correlators, heat capacity, susceptibility, energy reduction, Ginzburg."""
 
+import dataclasses
 import re
 import warnings
 from dataclasses import replace
@@ -219,8 +220,7 @@ class TestSpatialCorrelator:
                                    (3, 0, 0, "x", "x")):
             a = spatial_correlator(CorrelatorRequest(dj, s, sp, nu, nup), field)
             swapped = CorrelatorRequest(dj, sp, s, nup, nu)
-            swapped.delta_j = -dj  # bypasses validation; internal sums accept it
-            b = spatial_correlator(swapped, field)
+            b = correlator_table(swapped, field, [-dj])[0]  # the table takes negatives
             assert a == pytest.approx(b, abs=1e-13)
 
     def test_temperature_monotonicity(self, linear_field):
@@ -299,6 +299,15 @@ class TestSpatialCorrelator:
     def test_request_rejects_non_finite_temperature(self, temperature):
         with pytest.raises(ValueError, match="finite"):
             CorrelatorRequest(0, temperature=temperature)
+
+    @pytest.mark.parametrize("name, value", [("temperature", -5.0), ("nu", "q"), ("delta_j", -1)])
+    def test_a_request_is_frozen(self, name, value):
+        # its checks run once: a changed temperature of -5 used to read as T = 0,
+        # and nu = "q" to end in a bare KeyError
+        req = CorrelatorRequest(2, temperature=0.3)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(req, name, value)
+        assert replace(req, delta_j=3) == CorrelatorRequest(3, temperature=0.3)
 
 
 AXIS_PAIRS = [("x", "x"), ("y", "y"), ("z", "z"), ("x", "y"), ("x", "z"), ("y", "z")]

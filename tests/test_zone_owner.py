@@ -2,11 +2,15 @@
 
 ``bloch.CELL_LENGTH`` (2d) and ``bloch.ZONE_EDGE`` (pi / 2d) are the only
 spellings of the cell length and the zone edge in the package, and
-``bloch._zone_steps`` the only spelling of a zone grid in ``bloch``.  This
-walks each package module's AST and records every place that writes the
-edge as ``pi / 2`` (or ``pi / 2.0``) or names an attribute ``cell_length``,
-leaving out the owners' own definitions, and in ``bloch`` every product of
-pi and an ``arange`` (``np.pi * np.arange(n)``, ``2.0 * np.pi * np.arange(n)``).
+``bloch._zone_steps`` the only product of pi and an ``arange`` in ``bloch``.
+It is not the only zone grid there: ``reduced_zone_grid`` builds its edge
+grid with ``np.linspace`` and its midpoint grid from a step of ``ZONE_EDGE``,
+which this does not catch and which differ from ``_zone_steps`` in the last
+bit.  This walks each package module's AST and records every place that
+writes the edge as ``pi / 2`` (or ``pi / 2.0``) or names an attribute
+``cell_length``, leaving out the owners' own definitions, and in ``bloch``
+every product of pi and an ``arange`` (``np.pi * np.arange(n)``,
+``2.0 * np.pi * np.arange(n)``).
 """
 
 import ast
