@@ -36,7 +36,7 @@ along z.  Block basis ordering: (s=0,x), (s=1,x), (s=0,y), (s=1,y),
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -515,7 +515,9 @@ class Bands:
     linear chain).  Mode g's unit cell vector holds
     ``phi[i, g]`` on ion 0 and ``twist[i, g]`` (sigma e^{ik}) times M times it
     on ion 1; its cell amplitudes ``u[i, g]``, ``v[i, g]`` are built on the
-    first read (:func:`cell_amplitudes`).
+    first read (:func:`cell_amplitudes`).  Every array is read-only (a
+    read-only view: the arrays it was built from keep their flags), since
+    :func:`dispersion_zigzag` hands one instance to every reader of a grid.
     """
 
     k: np.ndarray
@@ -526,9 +528,17 @@ class Bands:
     twist: np.ndarray       # (n_k, 6) complex
     omega_bare: np.ndarray  # (6,), the cell's Omega
 
+    def __post_init__(self):
+        for field in fields(Bands):
+            view = getattr(self, field.name).view()
+            view.flags.writeable = False
+            setattr(self, field.name, view)
+
     @functools.cached_property
     def _amplitudes(self) -> tuple[np.ndarray, np.ndarray]:
-        return cell_amplitudes(self.omega, self.phi, self.twist, self.omega_bare)
+        u, v = cell_amplitudes(self.omega, self.phi, self.twist, self.omega_bare)
+        u.flags.writeable = v.flags.writeable = False
+        return u, v
 
     u = property(lambda self: self._amplitudes[0])
     v = property(lambda self: self._amplitudes[1])
@@ -585,5 +595,16 @@ def collectivities(u: np.ndarray, v: np.ndarray) -> np.ndarray:
 def dispersion_zigzag(k_grid: np.ndarray, config: ChainConfig) -> Bands:
     """``CellCouplings.bands`` of a momentum grid at ``solve_delta0(config)``, column b on
     branch b; at k = 0 in the zigzag phase the two gapless directions are unset slots,
-    whose pairs ``freeparticle.zero_mode_normal_form`` builds."""
-    return CellCouplings(config, solve_delta0(config)).bands(k_grid)
+    whose pairs ``freeparticle.zero_mode_normal_form`` builds.
+
+    The one owner of a config's bands: one read-only ``Bands`` per (config, grid), kept
+    for the 32 grids used last (``_bands``), so the fields, the dispersion table and the
+    rings of one config share it.  Grids are keyed by their bits; a ``PhysicsError`` is
+    not kept but raised on every call."""
+    return _bands(config, solve_delta0(config), _momenta(k_grid).tobytes())
+
+
+@functools.lru_cache(maxsize=32)
+def _bands(config: ChainConfig, eq: Equilibrium, grid: bytes) -> Bands:
+    """``CellCouplings(config, eq).bands`` of the momenta whose float64 bits are ``grid``."""
+    return CellCouplings(config, eq).bands(np.frombuffer(grid))

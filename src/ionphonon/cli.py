@@ -6,8 +6,10 @@ with the imaginary parts of a dynamical instability's frequencies or the
 interval a failed root bracketing scanned), 4 I/O failure.  Outputs are
 deterministic: identical configurations produce byte-identical files, with
 floats at full double precision so golden files double as numeric
-regressions.  Runs in one process share each configuration's equilibrium:
-``chain.solve_delta0`` keeps one per configuration per process.
+regressions.  Runs in one process share each configuration's equilibrium
+and bands: ``chain.solve_delta0`` keeps one equilibrium per configuration,
+and ``bloch.dispersion_zigzag`` one read-only ``Bands`` per (configuration,
+grid) for the 32 grids used last; ``cli`` keeps no memo of its own.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .bloch import collectivities, dispersion_zigzag, mixing_angles, zone_grid
+from .bloch import cell_amplitudes, collectivities, dispersion_zigzag, mixing_angles, zone_grid
 from .chain import (
     Boundary,
     ChainConfig,
@@ -238,13 +240,15 @@ def _run_equilibrium(rc: RunConfig):
 
 def _run_dispersion(rc: RunConfig):
     bands = dispersion_zigzag(zone_grid(rc.chain, rc.k_points), rc.chain)
+    # built here, not read as bands.u: the shared bands keep no amplitudes
+    u, v = cell_amplitudes(bands.omega, bands.phi, bands.twist, bands.omega_bare)
     header = ["k[1/d]", "branch", "omega[omega_I]", "theta_xy[rad]",
               "collectivity[1]", "is_zero_mode"]
     rows = list(zip(
         np.repeat(bands.k, 6).tolist(), list(range(6)) * len(bands.k),
         bands.omega.ravel().tolist(),
-        mixing_angles(bands.u, bands.v).ravel().tolist(),
-        collectivities(bands.u, bands.v).ravel().tolist(),
+        mixing_angles(u, v).ravel().tolist(),
+        collectivities(u, v).ravel().tolist(),
         (~bands.mask).ravel().astype(int).tolist(),
     ))
     meta = _meta(rc)

@@ -5,8 +5,9 @@ All position correlators and susceptibilities are reported in units of d^2
 ``delta R / d = (b + b^dag) / (lambda sqrt(2 Omega/omega_I))``.  Energies and
 frequencies stay in omega_I with k_B = 1.
 
-Mode data comes from the band core of ``bloch`` (``CellCouplings.bands``,
-held by ``PhononField``) on a momentum grid: the exact discrete ring momenta
+Mode data comes from the band core of ``bloch`` (the read-only ``Bands``
+that ``dispersion_zigzag`` keeps per config and grid, which ``PhononField``
+shares) on a momentum grid: the exact discrete ring momenta
 for ``Boundary.RING`` and a midpoint quadrature of the reduced zone on an
 even number of momenta (so k = 0 excluded) for ``Boundary.BULK``, where a
 correlator diverges exactly when a Goldstone branch carries both of its
@@ -22,7 +23,7 @@ to fill the -k grid points by conjugation.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -69,13 +70,16 @@ class PhononField(Bands):
     Every k sum is the plain average over the grid (divided by ``len(k)``).
     Every observable reads its config and equilibrium (``solve_delta0``'s)
     from here, and the modes as omega, mask and the screw vectors phi and
-    twist, never ``u`` and ``v``.
+    twist, never ``u`` and ``v``.  The field shares the read-only arrays of
+    the bands that ``dispersion_zigzag`` keeps (its fields, not their cached
+    amplitudes), so every field of one config and grid reads one band build.
     """
 
     def __init__(self, config: ChainConfig, n_k: int = 512):
         self.config, self.eq = config, solve_delta0(config)
         grid = zone_grid(config, n_k, include_edge=False)
-        super().__init__(**vars(dispersion_zigzag(grid, config)))
+        bands = dispersion_zigzag(grid, config)
+        super().__init__(**{field.name: getattr(bands, field.name) for field in fields(Bands)})
         self._sectors: list[FreeParticleSector] | None = None
 
     def sectors(self) -> list[FreeParticleSector]:
@@ -304,14 +308,23 @@ def ginzburg_parameter(config: ChainConfig, n_list=(50, 100, 200, 400)) -> list[
 
     Evaluated on finite rings of the requested sizes; grows with ln N
     because the gapless helical branch contributes a 1/omega_k sum.  Requires
-    a zigzag order parameter (kappa above the transition).
+    a zigzag order parameter (kappa above the transition) in ``config`` and on
+    every ring, whose transition lies above the bulk one (a bulk config just
+    past kappa_c has linear 50-ion rings); the first ring without one raises
+    before any is summed.
     """
     if not solve_delta0(config).is_zigzag:
         raise NoOrderParameterError(f"kappa = {config.kappa} is at or below the transition: "
                                     f"no zigzag order parameter")
+    rings = [replace(config, n_ions=n, boundary=Boundary.RING) for n in n_list]
+    for ring in rings:
+        if not solve_delta0(ring).is_zigzag:
+            raise NoOrderParameterError(f"the {ring.n_ions}-ion ring at kappa = {config.kappa} "
+                                        f"is at or below its transition: no zigzag order "
+                                        f"parameter")
     out = []
-    for n in n_list:
-        field = PhononField(replace(config, n_ions=n, boundary=Boundary.RING))
+    for ring in rings:
+        field = PhononField(ring)
         value = spatial_correlator(CorrelatorRequest(0, 0, 0, "z", "z", 0.0), field)
-        out.append((int(n), value / (2.0 * np.pi * field.eq.delta0) ** 2))
+        out.append((int(ring.n_ions), value / (2.0 * np.pi * field.eq.delta0) ** 2))
     return out

@@ -4,15 +4,19 @@ import pytest
 
 
 @pytest.fixture(autouse=True)
-def empty_equilibrium_memo():
-    """Start every test with ``solve_delta0``'s memo empty.
+def empty_memos():
+    """Start every test with the memos of ``solve_delta0`` and of the bands
+    (``bloch._bands``, behind ``dispersion_zigzag``) empty.
 
-    The memo lives for the process, so without this a test that patches a
-    step of the root search, or counts the memo's misses, would see a solve
-    only when no earlier test had solved the same config.
+    The memos live for the process, so without this a test that patches a
+    step of the root search or of the band core, or counts a memo's misses,
+    would see a solve or a band build only when no earlier test had made
+    the same one.
     """
     # imported here: the benchmark's tests put the package on the path
     # themselves, after conftest files load
+    from ionphonon.bloch import _bands
     from ionphonon.chain import solve_delta0
 
     solve_delta0.cache_clear()
+    _bands.cache_clear()

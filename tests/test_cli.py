@@ -359,6 +359,20 @@ class TestExitCodesAndFiles:
         code, _, err = run_cli(["ginzburg", "--kappa", "0.3"], capsys)
         assert code == 3
 
+    def test_ginzburg_with_a_linear_ring_exits_3(self, tmp_path, capsys):
+        # kappa 0.4754 is past the bulk transition, but the 50-ion ring is
+        # still linear: its (2 pi delta0)^2 = 0 used to end in a bare
+        # ZeroDivisionError, exit 1
+        out_path = tmp_path / "g.csv"
+        code, _, err = run_cli(["ginzburg", "--kappa", "0.4754", "--boundary", "bulk",
+                                "--output", str(out_path)], capsys)
+        assert code == 3 and not out_path.exists()
+        message = ("the 50-ion ring at kappa = 0.4754 is at or below its transition: "
+                   "no zigzag order parameter")
+        assert json.loads((tmp_path / "g.csv.error.json").read_text()) == {
+            "error": "NoOrderParameterError", "message": message}
+        assert err == f"physics error: {message}\n"
+
     def test_determinism_byte_identical(self, tmp_path):
         argvs = ["dispersion", "--kappa", "0.6", "--n-ions", "16",
                  "--format", "json"]

@@ -644,6 +644,15 @@ class TestGinzburg:
         with pytest.raises(NoOrderParameterError):
             ginzburg_parameter(ring(0.3), n_list=(50,))
 
+    def test_a_linear_ring_is_rejected_before_any_field(self, monkeypatch):
+        # past the bulk kappa_c the 200-ion ring is a zigzag, the 100-ion one
+        # still linear; no field is built before the check names it
+        built = []
+        monkeypatch.setattr(PhononField, "__init__", lambda self, *a: built.append(a))
+        with pytest.raises(NoOrderParameterError, match="the 100-ion ring at kappa = 0.4754 "):
+            ginzburg_parameter(bulk(0.4754), n_list=(200, 100))
+        assert built == []
+
     def test_semiclassical_regime_is_small(self):
         cfg = ring(0.7, lam=200.0)
         values = ginzburg_parameter(cfg, n_list=(50,))
