@@ -193,10 +193,10 @@ def _is_integer(value) -> bool:
     return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
 
 
-def _ion_count(n_ions: int) -> int:
-    """``n_ions`` if it is an even integer (``_is_integer``) of at least 4, else ValueError."""
+def _ion_count(n_ions: int, name: str = "n_ions") -> int:
+    """``n_ions`` if it is an even integer (``_is_integer``) of at least 4, else ValueError naming ``name``."""
     if not _is_integer(n_ions) or n_ions < 4 or n_ions % 2 != 0:
-        raise ValueError(f"n_ions must be an even integer >= 4, got {n_ions!r}")
+        raise ValueError(f"{name} must be an even integer >= 4, got {n_ions!r}")
     return n_ions
 
 

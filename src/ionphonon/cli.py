@@ -20,7 +20,6 @@ import functools
 import json
 import math
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -29,6 +28,9 @@ from .bloch import cell_amplitudes, collectivities, dispersion_zigzag, mixing_an
 from .chain import (
     Boundary,
     ChainConfig,
+    _check_positive_real,
+    _count,
+    _ion_count,
     bare_frequencies,
     critical_kappa_classical,
     equilibrium_residual,
@@ -79,7 +81,7 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--t-max", type=float, default=50.0)
     parser.add_argument("--t-steps", type=int, default=50)
     parser.add_argument("--k-points", type=int, default=401,
-                        help="bulk grid size; heat-capacity, susceptibility and "
+                        help="bulk grid size, at least 2; heat-capacity, susceptibility and "
                              "energy-reduction sum over max(k_points, 64) rounded up to "
                              "even, so no momentum is k = 0; correlations over twice that")
     parser.add_argument("--eta", type=float, default=1e-2)
@@ -107,47 +109,43 @@ class RunConfig(argparse.Namespace):
     chain: ChainConfig
 
     def validate(self) -> None:
-        """Resolve ``chain``; raise UsageError for any value the parser's
-        types and choices let through but the command cannot take."""
-        for dest, value in vars(self).items():
-            if isinstance(value, float) and not math.isfinite(value):
-                raise UsageError(f"{dest} must be finite, got {value}")
+        """Resolve ``chain``; raise UsageError for any value the command cannot take.
+
+        Each numeric flag goes, named as its flag, to ``chain``'s owner of its
+        rule, whose ValueError becomes a UsageError here.  The CLI owns only a
+        non-empty ``--n-list``, finite omega bounds (a frequency may be zero or
+        negative) and strictly increasing grids."""
         try:
             self.chain = ChainConfig(
                 kappa=self.kappa, alpha=self.alpha, lam=self.lam,
                 n_ions=self.n_ions, boundary=Boundary(self.boundary),
             )
+            if self.command == "ginzburg":  # the one command that reads the ring sizes
+                for n in self.n_list:
+                    _ion_count(n, "--n-list size")
+            if self.temperature is not None:
+                _check_positive_real("--temperature", self.temperature,
+                                     allow_zero=self.command != "heat-capacity")
+            _check_positive_real("--t-min", self.t_min)
+            _check_positive_real("--t-max", self.t_max)
+            _check_positive_real("--eta", self.eta)
+            _count("--t-steps", self.t_steps, 1)
+            _count("--omega-steps", self.omega_steps, 1)
+            _count("--k-points", self.k_points, 2)
+            _count("--max-separation", self.max_separation, 0)
         except ValueError as exc:
             raise UsageError(str(exc)) from exc
         if not self.n_list:
-            raise UsageError("--n-list needs at least one ring size")
-        if self.command == "ginzburg":
-            for n in self.n_list:  # each size is a ring of its own
-                try:
-                    replace(self.chain, n_ions=n)
-                except ValueError as exc:
-                    raise UsageError(f"--n-list: {exc}") from exc
-        if self.temperature is not None:
-            if not self.temperature >= 0.0:
-                raise UsageError("--temperature must be non-negative")
-            if self.command == "heat-capacity" and self.temperature == 0.0:
-                raise UsageError("heat-capacity needs --temperature > 0")
-        if not self.t_min > 0.0:
-            raise UsageError("--t-min must be positive")
-        if self.t_steps < 1:
-            raise UsageError("--t-steps must be at least 1")
-        if self.t_steps >= 2 and not self.t_min < self.t_max:
+            raise UsageError(f"--n-list must name at least one ring size, got {self.n_list!r}")
+        if not math.isfinite(self.omega_min):
+            raise UsageError(f"--omega-min must be finite, got {self.omega_min!r}")
+        if not math.isfinite(self.omega_max):
+            raise UsageError(f"--omega-max must be finite, got {self.omega_max!r}")
+        # a one-point grid is increasing; a longer one needs its bounds in order
+        if self.t_steps != 1 and not self.t_min < self.t_max:
             raise UsageError("temperature grid must be strictly increasing")
-        if self.omega_steps < 1:
-            raise UsageError("--omega-steps must be at least 1")
-        if self.omega_steps >= 2 and not self.omega_min < self.omega_max:
+        if self.omega_steps != 1 and not self.omega_min < self.omega_max:
             raise UsageError("omega grid must be strictly increasing")
-        if self.k_points < 2:
-            raise UsageError("--k-points must be at least 2")
-        if self.max_separation < 0:
-            raise UsageError("--max-separation must be non-negative")
-        if not self.eta > 0.0:
-            raise UsageError("--eta must be positive")
 
 
 def _file_tokens(path: str) -> list[str]:

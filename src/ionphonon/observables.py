@@ -308,14 +308,11 @@ def ginzburg_parameter(config: ChainConfig, n_list=(50, 100, 200, 400)) -> list[
 
     Evaluated on finite rings of the requested sizes; grows with ln N
     because the gapless helical branch contributes a 1/omega_k sum.  Requires
-    a zigzag order parameter (kappa above the transition) in ``config`` and on
-    every ring, whose transition lies above the bulk one (a bulk config just
-    past kappa_c has linear 50-ion rings); the first ring without one raises
+    a zigzag order parameter (kappa above the transition) on every ring, not
+    in ``config``: a ring's transition is its own (a bulk config just past
+    kappa_c has linear 50-ion rings); the first ring without one raises
     before any is summed.
     """
-    if not solve_delta0(config).is_zigzag:
-        raise NoOrderParameterError(f"kappa = {config.kappa} is at or below the transition: "
-                                    f"no zigzag order parameter")
     rings = [replace(config, n_ions=n, boundary=Boundary.RING) for n in n_list]
     for ring in rings:
         if not solve_delta0(ring).is_zigzag:

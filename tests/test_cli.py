@@ -1,17 +1,21 @@
 """Command-line interface: parsing, schemas, exit codes, determinism."""
 
 import argparse
+import contextlib
 import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ionphonon import cli
@@ -26,6 +30,8 @@ from ionphonon.chain import Boundary, ChainConfig, solve_delta0
 from ionphonon.cli import main, parse_config
 from ionphonon.errors import BracketingError, DynamicalInstabilityError, ResolutionWarning
 from ionphonon.observables import PhononField
+from test_input_owners import refused
+from test_symplectic import configs_near_transitions
 
 
 # every command at small sizes, without --kappa and --n-ions
@@ -172,25 +178,30 @@ class TestParsing:
         assert parse_config(["equilibrium", "--config", str(cfg)]).chain.kappa == 0.3
         assert len(calls) == 3 and calls[-1][0] == "--kappa=0.3"
 
-    @pytest.mark.parametrize("argv", [
-        ["heat-capacity", "--t-steps", "-1"],
-        ["susceptibility", "--omega-steps", "-3"],
-        ["heat-capacity", "--temperature", "0"],
-        ["heat-capacity", "--temperature", "-1"],
-        ["heat-capacity", "--t-min", "-1"],
-        ["correlations", "--temperature", "-1"],
-        ["ginzburg", "--n-list", "2,50"],
-        ["heat-capacity", "--temperature", "inf"],
-        ["susceptibility", "--omega-max", "inf"],
-        ["dispersion", "--boundary", "bulk", "--k-points", "1"],
-        ["correlations", "--max-separation", "-1"],
-        ["susceptibility", "--eta", "0"],
-        ["ginzburg", "--n-list", ","],
+    @pytest.mark.parametrize("argv, name, value", [
+        (["heat-capacity", "--t-steps", "-1"], "--t-steps", -1),
+        (["susceptibility", "--omega-steps", "-3"], "--omega-steps", -3),
+        (["heat-capacity", "--temperature", "0"], "--temperature", 0.0),
+        (["heat-capacity", "--temperature", "-1"], "--temperature", -1.0),
+        (["heat-capacity", "--t-min", "-1"], "--t-min", -1.0),
+        (["correlations", "--temperature", "-1"], "--temperature", -1.0),
+        (["ginzburg", "--n-list", "2,50"], "--n-list size", 2),
+        (["heat-capacity", "--temperature", "inf"], "--temperature", math.inf),
+        (["susceptibility", "--omega-max", "inf"], "--omega-max", math.inf),
+        (["dispersion", "--boundary", "bulk", "--k-points", "1"], "--k-points", 1),
+        (["correlations", "--max-separation", "-1"], "--max-separation", -1),
+        (["susceptibility", "--eta", "0"], "--eta", 0.0),
+        (["ginzburg", "--n-list", ","], "--n-list", ()),
+        # a one-point grid at T = -1 once ran, with exit 0, through log10
+        (["heat-capacity", "--t-max", "-1", "--t-steps", "1"], "--t-max", -1.0),
+        (["susceptibility", "--omega-min", "nan", "--omega-steps", "1"], "--omega-min", math.nan),
     ])
-    def test_out_of_range_flag_is_a_usage_error(self, argv, capsys):
+    def test_out_of_range_flag_is_a_usage_error(self, argv, name, value, capsys):
+        # each rule's owner names the flag and the value as its type parsed it
         code, _, err = run_cli(argv + ["--kappa", "0.6", "--n-ions", "8"], capsys)
         assert code == 2
         assert err.startswith("usage error: ")
+        assert re.match(refused(name, value), err.removeprefix("usage error: "))
 
     def test_grid_validation(self, capsys):
         code, _, err = run_cli(
@@ -740,3 +751,69 @@ def test_every_command_writes_the_stdlib_json(argv, tmp_path):
     meta, header, rows = cli._RUNNERS[rc.command](rc)
     assert_same_text(path.read_text(encoding="utf-8"),
                      stdlib_json(meta, header, rows))
+
+
+# ---------------------------------------------------------------------------
+# every request over the whole command surface ends in exit 0, 2 or 3
+
+COMMANDS = sorted(cli._RUNNERS)
+
+
+@st.composite
+def cli_requests(draw):
+    """The argv of one request: any command on a config near or away from a
+    transition, temperatures in [0, 1e8], grids mostly in order, and sizes
+    small enough for a fraction of a second (so none is left at its default).
+    Values go as ``--flag=value``: argparse takes ``-1e-05`` for a flag."""
+    cfg = draw(configs_near_transitions(max_ions=64))
+    temperatures = st.floats(min_value=0.0, max_value=1e8)
+    t_min, t_max = sorted(draw(st.tuples(temperatures, temperatures)))
+    omega_min, omega_max = sorted(draw(st.tuples(*[st.floats(min_value=-3.0, max_value=3.0)] * 2)))
+    values = {
+        "--kappa": float(cfg.kappa), "--alpha": float(cfg.alpha), "--n-ions": cfg.n_ions,
+        "--boundary": cfg.boundary.value, "--format": draw(st.sampled_from(["csv", "json"])),
+        "--k-points": draw(st.integers(2, 64)), "--t-steps": draw(st.integers(1, 4)),
+        "--omega-steps": draw(st.integers(1, 8)),
+        "--n-list": ",".join(str(2 * h) for h in draw(st.lists(st.integers(2, 32), min_size=1,
+                                                               max_size=3))),
+    }
+    optional = {
+        "--temperature": temperatures, "--t-min": st.just(t_min), "--t-max": st.just(t_max),
+        "--eta": st.floats(min_value=0.0, max_value=10.0),
+        "--omega-min": st.just(omega_min), "--omega-max": st.just(omega_max),
+        "--max-separation": st.integers(0, 4), "--component": st.sampled_from("xyz"),
+        "--sublattice": st.sampled_from("01"),
+    }
+    for flag in draw(st.sets(st.sampled_from(sorted(optional)))):
+        values[flag] = draw(optional[flag])
+    switches = ["--include-longitudinal-zero-mode", "--exclude-radial-zero-mode"]
+    return ([draw(st.sampled_from(COMMANDS))] + [f"{flag}={value}" for flag, value in values.items()]
+            + draw(st.lists(st.sampled_from(switches), unique=True)))
+
+
+def exit_code(argv) -> int:
+    """``main(argv)``'s exit code, argparse's SystemExit included, with
+    standard error kept out of the test's output."""
+    with contextlib.redirect_stderr(io.StringIO()), warnings.catch_warnings():
+        warnings.simplefilter("ignore", ResolutionWarning)
+        try:
+            return main(argv)
+        except SystemExit as exc:
+            return exc.code
+
+
+@settings(deadline=None, max_examples=150)
+@given(argv=cli_requests())
+# past the bulk kappa_c the 50-ion ring is still linear (once a bare
+# ZeroDivisionError); a one-point grid at T = -1 once ran through log10
+@example(argv=["ginzburg", "--kappa", "0.4754", "--boundary", "bulk"])
+@example(argv=["heat-capacity", "--kappa", "0.6", "--t-max", "-1", "--t-steps", "1"])
+def test_every_request_exits_0_2_or_3(argv):
+    """Exit 3 leaves a sidecar that names the error."""
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "out")
+        code = exit_code(argv + ["--output", out])
+        assert code in (0, 2, 3)
+        if code == 3:
+            with open(out + ".error.json", encoding="utf-8") as fh:
+                assert "error" in json.load(fh)

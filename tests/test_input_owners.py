@@ -6,8 +6,12 @@ the count rule (an integer, not a bool, of at least a minimum).  This walks
 each package module's AST and records every comparison against ``np.inf``
 or ``math.inf`` outside ``chain``, and every call of ``_is_integer`` outside
 ``chain`` and ``observables._check_sublattices`` (whose 0-or-1 rule names
-both sublattices at once).  The behaviour tests feed each public input a
-value the old copies let through or ended in a bare error.
+both sublattices at once).  In ``cli`` it also records every ``if`` that
+raises on a bound of its own: an ordering comparison of a ``RunConfig``
+attribute against a number, or ``isfinite`` of anything but the omega
+bounds (a frequency may be zero or negative, so no owner takes one).  The
+behaviour tests feed each public input a value the old copies let through
+or ended in a bare error.
 """
 
 import ast
@@ -18,6 +22,7 @@ import numpy as np
 import pytest
 
 import ionphonon
+from ionphonon import cli
 from ionphonon.chain import ChainConfig
 from ionphonon.freeparticle import thermal_energy_and_heat
 from ionphonon.observables import (
@@ -38,9 +43,36 @@ def is_inf(node) -> bool:
     return isinstance(node, ast.Attribute) and node.attr == "inf"
 
 
+# the RunConfig attributes: one per dest of the parser
+CLI_DESTS = {action.dest for action in cli._parser()._actions}
+ORDERINGS = (ast.Lt, ast.LtE, ast.Gt, ast.GtE)
+
+
+def is_number(node) -> bool:
+    """Whether ``node`` is a numeric literal (``2``, ``0.0``, ``-1``), not a bool."""
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+        node = node.operand
+    return (isinstance(node, ast.Constant) and isinstance(node.value, (int, float))
+            and not isinstance(node.value, bool))
+
+
+def is_cli_bound(node) -> bool:
+    """Whether ``node`` compares a ``RunConfig`` attribute with a number by
+    order, or takes ``isfinite`` of anything but an omega bound."""
+    if isinstance(node, ast.Compare) and any(isinstance(op, ORDERINGS) for op in node.ops):
+        operands = [node.left, *node.comparators]
+        return (any(map(is_number, operands))
+                and any(isinstance(o, ast.Attribute) and o.attr in CLI_DESTS for o in operands))
+    if isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) == "isfinite":
+        return not any(isinstance(a, ast.Attribute) and a.attr in ("omega_min", "omega_max")
+                       for a in node.args)
+    return False
+
+
 def second_owners(source: str, module: str) -> list[str]:
     """``module:line`` of every comparison against an ``inf`` attribute and every
-    ``_is_integer`` call that ``module`` makes outside the owners."""
+    ``_is_integer`` call that ``module`` makes outside the owners, and of every
+    bound (``is_cli_bound``) in the test of an ``if`` in ``cli`` that raises."""
     if module == "chain":
         return []
     found = []
@@ -50,6 +82,9 @@ def second_owners(source: str, module: str) -> list[str]:
             where = f"{module}.{node.name}"
         if isinstance(node, ast.Compare) and any(map(is_inf, [node.left, *node.comparators])):
             found.append(f"{module}:{node.lineno}")
+        if (module == "cli" and isinstance(node, ast.If)
+                and any(isinstance(s, ast.Raise) for s in node.body)):
+            found.extend(f"{module}:{n.lineno}" for n in ast.walk(node.test) if is_cli_bound(n))
         if (isinstance(node, ast.Call) and where not in INTEGER_READERS
                 and getattr(node.func, "attr", getattr(node.func, "id", None)) == "_is_integer"):
             found.append(f"{module}:{node.lineno}")
@@ -92,6 +127,31 @@ def test_only_observables_check_sublattices_may_test_integers(module):
     planted = "\n\ndef _check_sublattices(s):\n    return _is_integer(s)\n"
     want = [] if module == "observables" else [planted_line(module, 4)]
     assert package_second_owners({module: planted}) == want
+
+
+@pytest.mark.parametrize("copy", ["self.k_points < 2", "not rc.eta > 0.0", "1 > self.t_steps",
+                                  "self.max_separation <= -1", "0.0 < self.t_min < self.t_max",
+                                  "not math.isfinite(self.eta)", "not math.isfinite(value)",
+                                  "self.command == 'x' and not np.isfinite(self.lam)"])
+def test_a_planted_bound_is_caught_in_cli(copy):
+    # the bounds validate once spelled itself, and the loop that checked
+    # every float for finiteness
+    planted = f"\n\ndef planted(self, value):\n    if {copy}:\n        raise UsageError(value)\n"
+    assert package_second_owners({"cli": planted}) == [planted_line("cli", 4)]
+
+
+@pytest.mark.parametrize("test, body", [
+    ("not math.isfinite(self.omega_max)", "raise UsageError(rows)"),
+    ("self.t_min >= self.t_max", "raise UsageError(rows)"),
+    ("self.t_steps != 1 and not self.t_min < self.t_max", "raise UsageError(rows)"),
+    ("len(rows) > 256", "raise UsageError(rows)"),
+    ("self.k_points < 2", "return rows"),
+])
+def test_the_clis_own_rules_are_no_copies(test, body):
+    # finite omega bounds and increasing grids are the CLI's; so is any
+    # bound on a value that is no RunConfig attribute, or one that raises nothing
+    planted = f"\n\ndef planted(self, rows):\n    if {test}:\n        {body}\n"
+    assert package_second_owners({"cli": planted}) == []
 
 
 def test_other_uses_of_inf_are_no_copies():

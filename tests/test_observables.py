@@ -653,6 +653,13 @@ class TestGinzburg:
             ginzburg_parameter(bulk(0.4754), n_list=(200, 100))
         assert built == []
 
+    def test_only_the_rings_need_an_order_parameter(self):
+        # the 50-ion config at kappa 0.4754 is linear, its 400-ion ring a
+        # zigzag; the config's own order parameter once refused the request
+        assert not solve_delta0(ring(0.4754, 50)).is_zigzag
+        assert (ginzburg_parameter(ring(0.4754, 50), [400])
+                == ginzburg_parameter(ring(0.4754, 400), [400]))
+
     def test_semiclassical_regime_is_small(self):
         cfg = ring(0.7, lam=200.0)
         values = ginzburg_parameter(cfg, n_list=(50,))

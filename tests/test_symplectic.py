@@ -300,11 +300,12 @@ def test_off_equilibrium_zigzag_fails_on_its_radial_generator(boundary):
 
 
 @st.composite
-def configs_near_transitions(draw):
-    """Chain configs, half of them within 1e-14 to 1e-2 of kappa_c or
-    alpha kappa_c (where the linear chain buckles along y or along z)."""
+def configs_near_transitions(draw, max_ions=32):
+    """Chain configs of 4 to ``max_ions`` ions, half of them within 1e-14 to
+    1e-2 of kappa_c or alpha kappa_c (where the linear chain buckles along y
+    or along z)."""
     boundary = draw(st.sampled_from([Boundary.RING, Boundary.BULK]))
-    n = 2 * draw(st.integers(2, 16))
+    n = 2 * draw(st.integers(2, max_ions // 2))
     alpha = draw(st.sampled_from([1.0, 1.0 + 5e-13, 0.7, 0.9, 1.5])
                  | st.floats(min_value=0.5, max_value=3.0))
     if draw(st.booleans()):
