@@ -34,12 +34,11 @@ from .symplectic import (
 )
 from .bloch import (
     Bands,
-    collectivities,
     coupling_f,
     critical_kappa,
     dispersion_linear,
     dispersion_zigzag,
-    mixing_angles,
+    mode_shapes,
     mode_vectors_linear,
 )
 from .freeparticle import (

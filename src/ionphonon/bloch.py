@@ -19,13 +19,13 @@ error of the first failing row in descending k, and fills each -k row by
 conjugation, with column b of every row on branch b; the phonon fields, the
 k = 0 normal form and :func:`dispersion_zigzag` read its :class:`Bands`.
 The cell amplitudes are real factors of the screw vectors, entry by entry
-(:func:`cell_amplitudes`, through ``symplectic.bogoliubov_amplitudes``), built
-only when read.  The glide also labels
-every mode exactly by its screw slot (``Bands.labels``): its parity, its
-sector (z or in-plane), and whether it is the upper or the lower root of its
-2 x 2 block (on the linear chain, where D_xy vanishes, x or y); a branch is
-one label across the grid, so omega_b(-k) = omega_b(k).  The tests' per-k
-6 x 6 normal form and Fourier-diagonality check live in ``tests/oracles.py``.
+(:func:`cell_amplitudes`, through ``symplectic.bogoliubov_amplitudes``); only
+the k = 0 normal form builds them, as :func:`mode_shapes` reads |e|^2 alone.
+The glide also labels every mode exactly by its screw slot (``Bands.labels``):
+its parity, its sector (z or in-plane) and its root in its 2 x 2 block (upper
+or lower; x or y on the linear chain, where D_xy vanishes); a branch is one
+label across the grid, so omega_b(-k) = omega_b(k).  The tests' per-k 6 x 6
+normal form and Fourier-diagonality check live in ``tests/oracles.py``.
 
 Axis convention (fixed throughout the package): the zigzag displacement is
 along y, so the in-plane sector is {x, y} and the gapless helical motion is
@@ -495,7 +495,7 @@ def cell_amplitudes(omega: np.ndarray, phi: np.ndarray, twist: np.ndarray,
     (..., 6) with unit cell vectors e of ``phi`` (..., 6, 3) and ``twist`` (..., 6)
     (:func:`cell_entry`): ``symplectic.bogoliubov_amplitudes`` of the stacked
     entries e_a at root = sqrt(omega / Omega_a), with no phase convention; an
-    unset slot (omega = 0) stays zero."""
+    unset slot (omega = 0) stays zero.  Only the k = 0 normal form reads them."""
     e = np.stack([cell_entry(phi, twist, s, axis) for axis in range(3) for s in (0, 1)], axis=-1)
     return bogoliubov_amplitudes(e, np.sqrt(omega[..., None] / omega_bare))
 
@@ -507,16 +507,15 @@ class Bands:
     Row i holds the modes of block k[i] where ``mask`` is set, column b on
     branch b (:meth:`CellCouplings.bands`), so ``labels`` is the same in every
     row.  Unset slots stand for the zero pairs (only k = 0 has any; the pairs
-    are ``freeparticle``'s) and carry omega = u = v = 0, so their mixing angle
-    and collectivity are NaN.  ``labels[i, g]`` is slot g's symmetry label, 3
-    (odd glide parity) + its screw-block root (upper 0, lower 1, z 2; on the
-    linear chain x 0, y 1), a permutation of range(6); a zero slot keeps its
-    generator's, 5 for the rotation and 1 for the x translation (0 on the
-    linear chain).  Mode g's unit cell vector holds
+    are ``freeparticle``'s) and carry omega = 0, so their mixing angle and
+    collectivity are NaN (:func:`mode_shapes`).  ``labels[i, g]`` is slot g's
+    symmetry label, 3 (odd glide parity) + its screw-block root (upper 0,
+    lower 1, z 2; on the linear chain x 0, y 1), a permutation of range(6); a
+    zero slot keeps its generator's, 5 for the rotation and 1 for the x
+    translation (0 on the linear chain).  Mode g's unit cell vector holds
     ``phi[i, g]`` on ion 0 and ``twist[i, g]`` (sigma e^{ik}) times M times it
-    on ion 1; its cell amplitudes ``u[i, g]``, ``v[i, g]`` are built on the
-    first read (:func:`cell_amplitudes`).  Every array is read-only (a
-    read-only view: the arrays it was built from keep their flags), since
+    on ion 1; no cell amplitude is kept.  A plain record of read-only views
+    (the arrays it was built from keep their flags), since
     :func:`dispersion_zigzag` hands one instance to every reader of a grid.
     """
 
@@ -533,15 +532,6 @@ class Bands:
             view = getattr(self, field.name).view()
             view.flags.writeable = False
             setattr(self, field.name, view)
-
-    @functools.cached_property
-    def _amplitudes(self) -> tuple[np.ndarray, np.ndarray]:
-        u, v = cell_amplitudes(self.omega, self.phi, self.twist, self.omega_bare)
-        u.flags.writeable = v.flags.writeable = False
-        return u, v
-
-    u = property(lambda self: self._amplitudes[0])
-    v = property(lambda self: self._amplitudes[1])
 
 
 def ring_momenta(n_ions: int) -> np.ndarray:
@@ -569,27 +559,32 @@ def zone_grid(config: ChainConfig, n_k: int, include_edge: bool = True) -> np.nd
     return reduced_zone_grid(n_k if include_edge else n_k + n_k % 2, include_edge)
 
 
-def mixing_angles(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Spatial mixing angle in [0, pi/2] of each cell-basis mode (rows of u, v).
-
-    arctan of the y weight over the x weight summed over sublattices, using
-    the Sigma-weights |u|^2 - |v|^2 (= the polarization weights of the
-    underlying classical eigenvector, non-negative per component).  With
-    these weights the in-plane complementarity theta + theta' = pi/2 of
-    paired modes is exact; the naive particle-plus-hole weight violates it
-    at the percent level.  NaN for pure out-of-plane modes.
-    """
+def axis_weights(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Each cell-basis mode's Sigma weight |u_a|^2 - |v_a|^2 = |e_a|^2 on each axis
+    a, summed over the two ions: (..., 6) amplitudes to (..., 3) weights."""
     w = np.abs(u) ** 2 - np.abs(v) ** 2
-    w_x = w[..., 0] + w[..., 1]
-    w_y = w[..., 2] + w[..., 3]
-    return np.where(w_x + w_y < 1e-14, np.nan, np.arctan2(w_y, w_x))
+    return w[..., 0::2] + w[..., 1::2]  # ion 0's, then ion 1's entry of each axis
 
 
-def collectivities(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """|v| / |u| of each mode: particle-hole hybridization weight, in [0, 1)
-    when stable."""
-    with np.errstate(invalid="ignore"):  # NaN for an empty (zero-pair) slot
-        return np.linalg.norm(v, axis=-1) / np.linalg.norm(u, axis=-1)
+def mode_shapes(omega: np.ndarray, weight: np.ndarray,
+                omega_bare: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mixing angle theta and collectivity |v| / |u| of modes at ``omega`` whose unit
+    cell vectors weigh ``weight[..., a]`` = |e_a|^2 on axis a, both ions summed (a band
+    mode's is 2 |phi|^2: ion 1 holds phi times the unit twist), in a cell of Omega
+    ``omega_bare`` (6,).  u +- v = r^(+-1) e at r = sqrt(omega / Omega_a)
+    (``symplectic.bogoliubov_amplitudes``), so |u_a|^2 - |v_a|^2 = |e_a|^2: theta =
+    arctan(w_y / w_x), whose complementarity theta + theta' = pi/2 of paired in-plane
+    modes is exact, and |v|^2 / |u|^2 = sum w (r - 1/r)^2 / sum w (r + 1/r)^2, taken
+    as sum w (omega - Omega)^2 / Omega over sum w (omega + Omega)^2 / Omega.  Both are
+    NaN on an unset slot (omega = 0), theta also on a pure z mode (w_x + w_y < 1e-14)."""
+    w_x, w_y = weight[..., 0], weight[..., 1]
+    unset = omega == 0.0
+    theta = np.where((w_x + w_y < 1e-14) | unset, np.nan, np.arctan2(w_y, w_x))
+    omega_a = omega_bare[0::2]  # ion 0's entry of each axis
+    gap, total = omega[..., None] - omega_a, omega[..., None] + omega_a
+    ratio = np.sum(weight * gap * gap / omega_a, axis=-1) \
+        / np.sum(weight * total * total / omega_a, axis=-1)
+    return theta, np.where(unset, np.nan, np.sqrt(ratio))
 
 
 def dispersion_zigzag(k_grid: np.ndarray, config: ChainConfig) -> Bands:
@@ -599,8 +594,8 @@ def dispersion_zigzag(k_grid: np.ndarray, config: ChainConfig) -> Bands:
 
     The one owner of a config's bands: one read-only ``Bands`` per (config, grid), kept
     for the 32 grids used last (``_bands``), so the fields, the dispersion table and the
-    rings of one config share it.  Grids are keyed by their bits; a ``PhysicsError`` is
-    not kept but raised on every call."""
+    rings of one config share it, and no reader adds to it (no amplitude is cached).
+    Grids are keyed by their bits; a ``PhysicsError`` is raised on every call, never kept."""
     return _bands(config, solve_delta0(config), _momenta(k_grid).tobytes())
 
 

@@ -9,7 +9,8 @@ floats at full double precision so golden files double as numeric
 regressions.  Runs in one process share each configuration's equilibrium
 and bands: ``chain.solve_delta0`` keeps one equilibrium per configuration,
 and ``bloch.dispersion_zigzag`` one read-only ``Bands`` per (configuration,
-grid) for the 32 grids used last; ``cli`` keeps no memo of its own.
+grid) for the 32 grids used last; ``cli`` keeps no memo of its own.  The
+tables' mixing angles and collectivities are ``bloch.mode_shapes`` of |e|^2.
 """
 
 from __future__ import annotations
@@ -19,12 +20,13 @@ import contextlib
 import functools
 import json
 import math
+import re
 import sys
 
 import numpy as np
 
 from . import __version__
-from .bloch import cell_amplitudes, collectivities, dispersion_zigzag, mixing_angles, zone_grid
+from .bloch import axis_weights, dispersion_zigzag, mode_shapes, zone_grid
 from .chain import (
     Boundary,
     ChainConfig,
@@ -70,6 +72,8 @@ def _parser() -> argparse.ArgumentParser:
         prog="ionphonon",
         description="Phonon normal form and observables of a trapped-ion chain",
     )
+    # -1e-05 is a value too: argparse's pattern before Python 3.13 has no exponent
+    parser._negative_number_matcher = re.compile(r"-\.?\d")
     parser.add_argument("command", choices=_RUNNERS)
     parser.add_argument("--kappa", type=float, help="Coulomb coupling (required)")
     parser.add_argument("--alpha", type=float, default=1.0)
@@ -238,15 +242,12 @@ def _run_equilibrium(rc: RunConfig):
 
 def _run_dispersion(rc: RunConfig):
     bands = dispersion_zigzag(zone_grid(rc.chain, rc.k_points), rc.chain)
-    # built here, not read as bands.u: the shared bands keep no amplitudes
-    u, v = cell_amplitudes(bands.omega, bands.phi, bands.twist, bands.omega_bare)
+    theta, collectivity = mode_shapes(bands.omega, 2.0 * np.abs(bands.phi) ** 2, bands.omega_bare)
     header = ["k[1/d]", "branch", "omega[omega_I]", "theta_xy[rad]",
               "collectivity[1]", "is_zero_mode"]
     rows = list(zip(
         np.repeat(bands.k, 6).tolist(), list(range(6)) * len(bands.k),
-        bands.omega.ravel().tolist(),
-        mixing_angles(u, v).ravel().tolist(),
-        collectivities(u, v).ravel().tolist(),
+        bands.omega.ravel().tolist(), theta.ravel().tolist(), collectivity.ravel().tolist(),
         (~bands.mask).ravel().astype(int).tolist(),
     ))
     meta = _meta(rc)
@@ -260,14 +261,11 @@ def _run_modes(rc: RunConfig):
     sectors = build_sectors(rc.chain, eq, nf.form.omega_bare)
     header = ["kind", "label", "omega[omega_I]", "m_tilde[1/omega_I]",
               "theta_xy[rad]", "collectivity[1]"]
-    rows = []
-    angles = mixing_angles(nf.u, nf.v).tolist()
-    colls = collectivities(nf.u, nf.v).tolist()
-    for i, (omega, angle, coll) in enumerate(zip(nf.omega.tolist(), angles, colls)):
-        rows.append(("phonon", f"k0-{i}", omega, float("nan"), angle, coll))
-    for zp in nf.zero_pairs:
-        rows.append(("zero-pair", zp.label, 0.0, zp.m_tilde,
-                     float("nan"), float("nan")))
+    theta, collectivity = mode_shapes(nf.omega, axis_weights(nf.u, nf.v), nf.form.omega_bare)
+    rows = [("phonon", f"k0-{i}", omega, float("nan"), angle, coll) for i, (omega, angle, coll)
+            in enumerate(zip(nf.omega.tolist(), theta.tolist(), collectivity.tolist()))]
+    rows += [("zero-pair", zp.label, 0.0, zp.m_tilde, float("nan"), float("nan"))
+             for zp in nf.zero_pairs]
     meta = _meta(rc)
     meta["delta0"] = eq.delta0
     meta["completeness_residual"] = completeness_residual(nf)

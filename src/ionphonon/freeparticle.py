@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bloch import CELL_AXIS_MAP, CellCouplings, _cell_index
+from .bloch import CELL_AXIS_MAP, CellCouplings, _cell_index, cell_amplitudes
 from .chain import (
     GENERATORS,
     Boundary,
@@ -67,13 +67,16 @@ def goldstone_branches(config: ChainConfig, eq: Equilibrium) -> dict[str, str]:
 
 def zero_mode_normal_form(config: ChainConfig) -> NormalForm:
     """The k = 0 cell block's normal form at ``solve_delta0(config)``: ``CellCouplings.bands``'
-    modes and each generator's zero pair (``symplectic.generator_pair``) on ``k0_block``'s form
-    (the kept k = 0 sums)."""
+    modes with their cell amplitudes (``bloch.cell_amplitudes``, which its completeness
+    certificate reads) and each generator's zero pair (``symplectic.generator_pair``) on
+    ``k0_block``'s form (the kept k = 0 sums)."""
     eq = solve_delta0(config)
     couplings = CellCouplings(config, eq)
     bands = couplings.bands(np.zeros(1))  # one row: ascending omega, as NormalForm needs
     mask = bands.mask[0]
-    return NormalForm(bands.omega[0, mask], bands.u[0, mask], bands.v[0, mask],
+    u, v = cell_amplitudes(bands.omega[0, mask], bands.phi[0, mask], bands.twist[0, mask],
+                           bands.omega_bare)
+    return NormalForm(bands.omega[0, mask], u, v,
                       [generator_pair(axis, CELL_AXIS_MAP, couplings.omega_bare, config.n_ions)[1]
                        for axis in broken_symmetries(config, eq)], couplings.k0_block())
 

@@ -70,9 +70,9 @@ class PhononField(Bands):
     Every k sum is the plain average over the grid (divided by ``len(k)``).
     Every observable reads its config and equilibrium (``solve_delta0``'s)
     from here, and the modes as omega, mask and the screw vectors phi and
-    twist, never ``u`` and ``v``.  The field shares the read-only arrays of
-    the bands that ``dispersion_zigzag`` keeps (its fields, not their cached
-    amplitudes), so every field of one config and grid reads one band build.
+    twist: a field has no cell amplitudes.  It shares the read-only arrays of
+    the bands that ``dispersion_zigzag`` keeps, so every field of one config
+    and grid reads one band build.
     """
 
     def __init__(self, config: ChainConfig, n_k: int = 512):

@@ -4,9 +4,11 @@ Each one reaches a number the package computes another way: the classical
 potential that the equilibrium condition differentiates, the 3 x 3 pair
 blocks whose four entries ``pair_dyadic`` keeps, the per-k 6 x 6 normal
 form whose screw blocks ``CellCouplings.bands`` solves in closed form, the
-dense 2D x 2D form behind the Hermitian reduction of ``symplectic``, the
-dense W and W^-1 whose sector blocks ``assemble_W`` returns, the four
-ladder correlators that ``spatial_correlator`` combines in one sum, the
+mixing angles and collectivities of the cell amplitudes, which
+``bloch.mode_shapes`` takes in closed form from |e|^2, the dense 2D x 2D
+form behind the Hermitian reduction of ``symplectic``, the dense W and
+W^-1 whose sector blocks ``assemble_W`` returns, the four ladder
+correlators that ``spatial_correlator`` combines in one sum, the
 one-request sum that ``correlator_table`` takes for many separations at
 once, the explicit per-ion sums of a ring that ``heat_capacity`` and
 ``correlation_energy`` take as zone averages, and the per-term sum that
@@ -27,6 +29,7 @@ from ionphonon.bloch import (
     ZONE_EDGE,
     CellCouplings,
     _cell_index,
+    cell_amplitudes,
     cell_entry,
 )
 from ionphonon.chain import (
@@ -81,6 +84,38 @@ def cell_normal_form(couplings, k, raw=None):
 def effective_masses(cfg):
     """m_tilde of each k = 0 zero pair (``zero_mode_normal_form``), by label."""
     return {zp.label: zp.m_tilde for zp in zero_mode_normal_form(cfg).zero_pairs}
+
+
+# ---------------------------------------------------------------------------
+# cell amplitudes and the mode shapes they reduce to
+
+
+def amplitudes(bands):
+    """The cell amplitudes u, v (n_k, 6, 6) of a ``Bands`` or a field, which keeps
+    none: ``bloch.cell_amplitudes`` of its omega, screw vectors and Omega."""
+    return cell_amplitudes(bands.omega, bands.phi, bands.twist, bands.omega_bare)
+
+
+def mixing_angles(u, v):
+    """Spatial mixing angle in [0, pi/2] of each cell-basis mode (rows of u, v):
+    the reference of ``bloch.mode_shapes``' theta.
+
+    arctan of the y weight over the x weight summed over sublattices, using
+    the Sigma-weights |u|^2 - |v|^2 (the polarization weights of the
+    underlying classical eigenvector).  NaN for pure out-of-plane modes and
+    empty (u = v = 0) slots.
+    """
+    w = np.abs(u) ** 2 - np.abs(v) ** 2
+    w_x = w[..., 0] + w[..., 1]
+    w_y = w[..., 2] + w[..., 3]
+    return np.where(w_x + w_y < 1e-14, np.nan, np.arctan2(w_y, w_x))
+
+
+def collectivities(u, v):
+    """|v| / |u| of each mode, the norms of its amplitudes: the reference of
+    ``bloch.mode_shapes``' collectivity.  NaN for an empty slot."""
+    with np.errstate(invalid="ignore"):
+        return np.linalg.norm(v, axis=-1) / np.linalg.norm(u, axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -251,9 +286,10 @@ def pair_correlators_k(field, k, kp, s, sp, nu, nup, temperature,
         raise ValueError("momenta must lie on the field grid")
     ada = aad = adad = aa = 0.0 + 0.0j
     n = _bose(field.omega[ki], temperature) * field.mask[ki]
-    u_i, v_i = field.u[ki, :, i], field.v[ki, :, i]
+    u, v = amplitudes(field)
+    u_i, v_i = u[ki, :, i], v[ki, :, i]
     if ki == kj:
-        u_j, v_j = field.u[kj, :, j], field.v[kj, :, j]
+        u_j, v_j = u[kj, :, j], v[kj, :, j]
         ada += np.sum(np.conj(u_i) * u_j * n + np.conj(v_i) * v_j * (n + 1.0))
         aad += np.sum(u_i * np.conj(u_j) * (n + 1.0) + v_i * np.conj(v_j) * n)
     # anomalous pairing: k' = -k modulo a reciprocal lattice vector, which
@@ -263,7 +299,7 @@ def pair_correlators_k(field, k, kp, s, sp, nu, nup, temperature,
     # invariant under each mode's arbitrary phase.
     ksum = field.k[ki] + field.k[kj]
     if abs((ksum + ZONE_EDGE) % (2.0 * ZONE_EDGE) - ZONE_EDGE) < 1e-9:
-        u_j, v_j = field.u[ki, :, j], field.v[ki, :, j]
+        u_j, v_j = u[ki, :, j], v[ki, :, j]
         adad += -np.sum(np.conj(u_i) * v_j * n + np.conj(v_i) * u_j * (n + 1.0))
         aa += -np.sum(u_i * np.conj(v_j) * (n + 1.0) + v_i * np.conj(u_j) * n)
     if abs(k) < 1e-12 and abs(kp) < 1e-12:
@@ -343,7 +379,8 @@ def per_term_susceptibility(omega_grid, component, field, eta=1e-2):
     """
     nu, s = component
     i = _cell_index(s, AXES[nu])
-    weight = np.abs(field.u[:, :, i] - field.v[:, :, i]) ** 2 * field.mask
+    u, v = amplitudes(field)
+    weight = np.abs(u[:, :, i] - v[:, :, i]) ** 2 * field.mask
     pref = weight / (
         2.0 * field.config.lam**2 * field.omega_bare[i]
     ) / len(field.k)

@@ -39,7 +39,7 @@ from ionphonon.errors import (
 from ionphonon.freeparticle import build_sectors, zero_mode_normal_form
 from ionphonon.observables import PhononField
 from ionphonon.symplectic import W_RESIDUAL_TOL, assemble_W, completeness_residual
-from oracles import cell_normal_form
+from oracles import amplitudes, cell_normal_form
 from test_symplectic import configs_near_transitions
 
 
@@ -61,11 +61,11 @@ def test_negative_onsite_curvature_is_a_bare_instability():
 
 
 def ascending(bands):
-    """omega, mask, u and v of ``bands`` with each row in ascending omega and
-    the unset slots last, the order of the per-k 6 x 6 oracle's modes."""
+    """omega, mask, u and v (``oracles.amplitudes``) of ``bands`` with each row in
+    ascending omega and the unset slots last, the order of the per-k 6 x 6 oracle's modes."""
     order = np.argsort(np.where(bands.mask, bands.omega, np.inf), axis=1, kind="stable")
     rows = np.arange(len(bands.k))[:, None]
-    return [a[rows, order] for a in (bands.omega, bands.mask, bands.u, bands.v)]
+    return [a[rows, order] for a in (bands.omega, bands.mask, *amplitudes(bands))]
 
 
 def assert_matches_per_k_oracle(cc, grid):
@@ -358,6 +358,27 @@ class TestDiagonalizationCount:
                     cli.main(argv)
             else:
                 assert cli.main(argv) == 0
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("boundary", ["ring", "bulk"])
+    def test_the_dispersion_table_builds_no_amplitudes(self, monkeypatch, capsys, tmp_path,
+                                                       boundary, fmt):
+        # every import site of both amplitude builders refuses them: the
+        # table's angles and collectivities are closed forms of |e|^2
+        def refuse(*args, **kwargs):
+            raise AssertionError("amplitudes on the dispersion table")
+
+        for name in ("cell_amplitudes", "bogoliubov_amplitudes"):
+            sites = [module for key, module in sorted(sys.modules.items())
+                     if key.startswith("ionphonon.") and hasattr(module, name)]
+            assert bloch in sites
+            for module in sites:
+                monkeypatch.setattr(module, name, refuse)
+        for kappa in ("0.3", "0.6"):
+            argv = ["dispersion", "--kappa", kappa, "--boundary", boundary, "--n-ions", "16",
+                    "--k-points", "16", "--format", fmt, "--output", str(tmp_path / "out")]
+            assert cli.main(argv) == 0
         capsys.readouterr()
 
     @pytest.mark.parametrize("boundary", ["ring", "bulk"])
@@ -718,10 +739,11 @@ def test_band_modes_have_a_glide_parity_and_one_sector(kappa, alpha, n, boundary
     assert np.array_equal(bands.labels, np.broadcast_to(bands.labels[0], bands.labels.shape))
     assert np.array_equal(np.sort(bands.labels[0]), np.arange(6))
     parities = np.zeros((len(grid), 6))
+    band_u, band_v = amplitudes(bands)
     for i, k in enumerate(grid):
         in_plane_modes = []
         for b in np.flatnonzero(bands.mask[i]):
-            u, v = bands.u[i, b], bands.v[i, b]
+            u, v = band_u[i, b], band_v[i, b]
             modes = np.stack([u, v])
             parity = np.real(np.exp(1j * k) * np.vdot(u, glide(k, u))) / np.vdot(u, u).real
             assert abs(abs(parity) - 1.0) <= 1e-12
@@ -738,7 +760,7 @@ def test_band_modes_have_a_glide_parity_and_one_sector(kappa, alpha, n, boundary
                 in_plane_modes.append((b, parity < 0.0))
         for b, odd in in_plane_modes:
             if eq.delta0 == 0.0:
-                w = np.abs(bands.u[i, b]) ** 2
+                w = np.abs(band_u[i, b]) ** 2
                 lower = w[2] + w[3] > w[0] + w[1]
             else:
                 lower = any(bands.omega[i, c] > bands.omega[i, b]
@@ -771,8 +793,9 @@ def test_grid_from_k0_numbers_the_helical_branch_by_its_generator(boundary):
     bands = dispersion_zigzag(grid, cfg)
     assert not bands.mask[0, 4:].any()
     assert bands.labels[0, 4:].tolist() == [5, 1]
+    band_u = amplitudes(bands)[0]
     for i, k in enumerate(grid[1:], start=1):
-        u = bands.u[i, 4]
+        u = band_u[i, 4]
         assert np.max(np.abs(u[:4])) == 0.0
         parity = np.real(np.exp(1j * k) * np.vdot(u, glide(k, u))) / np.vdot(u, u).real
         assert parity == pytest.approx(-1.0, abs=1e-12)
@@ -793,7 +816,7 @@ def test_zone_edge_modes_are_pairs_of_glide_partners(kappa, alpha, boundary, gri
     # (alpha = 1.5: at alpha = 1 the linear chain's y and z pairs coincide)
     bands = couplings(kappa, alpha, n=64, boundary=boundary).bands(grid)
     i = int(np.argmin(np.abs(grid + np.pi / 2.0)))
-    k, omega, u = grid[i], bands.omega[i], bands.u[i]
+    k, omega, u = grid[i], bands.omega[i], amplitudes(bands)[0][i]
     assert np.array_equal(omega[0::2], omega[1::2])
     parity = [np.real(np.exp(1j * k) * np.vdot(m, glide(k, m))) / np.vdot(m, m).real for m in u]
     assert np.allclose(parity, [-1.0, 1.0] * 3, rtol=0.0, atol=1e-12)
@@ -820,8 +843,9 @@ def sorted_tracker(bands):
     prev_u = np.zeros((6, 6), dtype=complex)
     prev_v = np.zeros((6, 6), dtype=complex)
     seen = np.zeros(6, dtype=bool)
+    u, v = amplitudes(bands)
     for i in range(len(bands.k)):
-        overlap = np.abs(prev_u.conj() @ bands.u[i].T - prev_v.conj() @ bands.v[i].T)
+        overlap = np.abs(prev_u.conj() @ u[i].T - prev_v.conj() @ v[i].T)
         row = np.full(6, -1)
         for _, b, j in sorted((-overlap[b, j], b, j) for b in np.flatnonzero(seen)
                               for j in np.flatnonzero(bands.mask[i])):
@@ -829,8 +853,8 @@ def sorted_tracker(bands):
                 row[b] = j
         row[row < 0] = [j for j in range(6) if j not in row]
         tracked = bands.mask[i, row]
-        prev_u[tracked] = bands.u[i, row[tracked]]
-        prev_v[tracked] = bands.v[i, row[tracked]]
+        prev_u[tracked] = u[i, row[tracked]]
+        prev_v[tracked] = v[i, row[tracked]]
         seen |= tracked
         slots[i] = row
     return slots
@@ -858,4 +882,4 @@ def test_branch_tracker_matches_sorted_greedy(kappa, alpha, case):
     tracked = dispersion_zigzag(grid, cfg)
     assert np.array_equal(tracked.omega, bands.omega[rows, slots])
     assert np.array_equal(tracked.mask, bands.mask[rows, slots])
-    assert np.array_equal(tracked.u, bands.u[rows, slots])
+    assert np.array_equal(amplitudes(tracked)[0], amplitudes(bands)[0][rows, slots])

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 
 import ionphonon
-from ionphonon import cli
+from ionphonon import bloch, cli
 from ionphonon.bloch import (
     Bands,
     CellCouplings,
@@ -127,25 +127,34 @@ def test_every_bands_array_is_read_only(source):
     bands = {"memo": lambda: dispersion_zigzag(grid, cfg),
              "couplings": lambda: CellCouplings(cfg, solve_delta0(cfg)).bands(grid),
              "field": lambda: PhononField(cfg)}[source]()
-    names = [field.name for field in fields(Bands)] + ["u", "v"]
-    for name in names:
+    for name in (field.name for field in fields(Bands)):
         arr = getattr(bands, name)
         with pytest.raises(ValueError, match="read-only"):
             arr[(0,) * arr.ndim] = arr[(0,) * arr.ndim]
     grid[0] = grid[0]  # the caller's grid keeps its own flags
 
 
-def test_a_field_is_built_after_the_shared_amplitudes_are_read():
-    # a copy by vars() took the cached amplitudes along as a keyword
-    cfg = ChainConfig(0.6, n_ions=16)
-    shared = dispersion_zigzag(ring_momenta(16), cfg)
-    shared.u
-    field = PhononField(cfg)
-    assert _bands.cache_info().hits == 1
-    assert "_amplitudes" not in vars(field)
-    for name in (f.name for f in fields(Bands)):  # shared, not copied
-        assert np.shares_memory(getattr(field, name), getattr(shared, name))
-    np.testing.assert_array_equal(field.u, shared.u)
+def test_the_readers_leave_nothing_on_a_shared_bands(monkeypatch, tmp_path, capsys):
+    # every command on one ring and one bulk config; each memo entry they
+    # read keeps its fields alone, and Bands has no cache to fill
+    entries = []
+    original = bloch._bands
+
+    def recording(*args):
+        entries.append(original(*args))
+        return entries[-1]
+
+    monkeypatch.setattr(bloch, "_bands", recording)
+    for flags in (RING, BULK):
+        argv = [*flags, "--t-steps", "3", "--omega-steps", "5", "--max-separation", "2",
+                "--component", "y", "--n-list", "16"]
+        for command in sorted(cli._RUNNERS):
+            run([command, *argv], tmp_path, f"{command}.csv", capsys)
+    assert len({id(entry) for entry in entries}) >= 2  # the ring's grid and the bulk's
+    names = {field.name for field in fields(Bands)}
+    for entry in entries:
+        assert set(vars(entry)) == names
+    assert not any(hasattr(Bands, name) for name in ("u", "v", "_amplitudes"))
 
 
 # ---------------------------------------------------------------------------

@@ -9,20 +9,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import zeta
 
+from ionphonon import cli
 from ionphonon.bloch import (
     CELL_AXIS_MAP,
     CellCouplings,
     _cell_index,
-    collectivities,
+    axis_weights,
     coupling_f,
     critical_kappa,
     bare_critical_kappa,
     dispersion_linear,
     dispersion_zigzag,
-    mixing_angles,
+    mode_shapes,
     mode_vectors_linear,
     reduced_zone_grid,
     ring_momenta,
+    zone_grid,
 )
 from ionphonon.chain import (
     SUBLATTICE_MIRROR,
@@ -38,13 +40,27 @@ from ionphonon.chain import (
     solve_delta0,
     zigzag_root_gap,
 )
+from ionphonon.cli import parse_config
 from ionphonon.errors import BareInstabilityError, DynamicalInstabilityError, PhysicsError
+from ionphonon.freeparticle import zero_mode_normal_form
 from ionphonon.observables import PhononField
 from ionphonon.symplectic import QuadraticForm, build_quadratic_form, symplectic_diagonalize
-from oracles import pair_block, verify_f_diagonality, zero_pair_axis
+from oracles import (
+    amplitudes,
+    collectivities,
+    mixing_angles,
+    pair_block,
+    verify_f_diagonality,
+    zero_pair_axis,
+)
 
 ZETA3 = float(zeta(3.0))
 BULK_ZIGZAG = ChainConfig(kappa=0.6, n_ions=32, boundary=Boundary.BULK)
+
+
+def shapes(nf):
+    """``mode_shapes`` (theta, collectivity) of a cell normal form's modes."""
+    return mode_shapes(nf.omega, axis_weights(nf.u, nf.v), nf.form.omega_bare)
 
 
 class TestPolylog3:
@@ -436,7 +452,7 @@ class TestModeDescriptors:
         cfg = ChainConfig(kappa=0.3, n_ions=64, boundary=Boundary.BULK)
         block = CellCouplings(cfg, solve_delta0(cfg)).block(0.9)
         nf = symplectic_diagonalize(block, axis_map=CELL_AXIS_MAP, p_norm=64)
-        theta = mixing_angles(nf.u, nf.v)
+        theta = shapes(nf)[0]
         angles = np.sort(theta[~np.isnan(theta)])
         # two x-branches pinned to 0, two y-branches pinned to pi/2
         assert np.allclose(angles[:2], 0.0, atol=1e-12)
@@ -446,7 +462,7 @@ class TestModeDescriptors:
         cfg = ChainConfig(kappa=0.3, n_ions=64, boundary=Boundary.BULK)
         block = CellCouplings(cfg, solve_delta0(cfg)).block(0.9)
         nf = symplectic_diagonalize(block, axis_map=CELL_AXIS_MAP, p_norm=64)
-        nan_count = np.count_nonzero(np.isnan(mixing_angles(nf.u, nf.v)))
+        nan_count = np.count_nonzero(np.isnan(shapes(nf)[0]))
         assert nan_count == 2  # the two pure-z branches
 
     def test_paired_in_plane_angles_sum_to_quarter_turn(self):
@@ -455,7 +471,7 @@ class TestModeDescriptors:
         for k in (0.35, 0.9, 1.3):
             block = CellCouplings(cfg, eq).block(k)
             nf = symplectic_diagonalize(block, axis_map=CELL_AXIS_MAP, p_norm=64)
-            theta = mixing_angles(nf.u, nf.v)
+            theta = shapes(nf)[0]
             angles = np.sort(theta[~np.isnan(theta)])
             assert len(angles) == 4
             assert angles[0] + angles[3] == pytest.approx(np.pi / 2.0, abs=1e-9)
@@ -470,7 +486,7 @@ class TestModeDescriptors:
         nf = symplectic_diagonalize(block, axis_map=CELL_AXIS_MAP, p_norm=64)
         gapped = nf.omega > 0.5
         assert np.count_nonzero(gapped) == 4
-        assert np.all(collectivities(nf.u, nf.v)[gapped] < 1e-5)
+        assert np.all(shapes(nf)[1][gapped] < 1e-5)
 
     def test_collectivity_approaches_one_on_gapless_branch(self):
         cfg = ChainConfig(kappa=0.6, n_ions=64, boundary=Boundary.BULK)
@@ -478,15 +494,46 @@ class TestModeDescriptors:
         block = CellCouplings(cfg, eq).block(2e-3)
         nf = symplectic_diagonalize(block, axis_map=CELL_AXIS_MAP, p_norm=64)
         lowest = np.argmin(nf.omega)
-        assert collectivities(nf.u, nf.v)[lowest] > 0.95
+        assert shapes(nf)[1][lowest] > 0.95
 
     def test_norm_identity(self):
         cfg = ChainConfig(kappa=0.6, n_ions=64, boundary=Boundary.BULK)
         block = CellCouplings(cfg, solve_delta0(cfg)).block(0.5)
         nf = symplectic_diagonalize(block, axis_map=CELL_AXIS_MAP, p_norm=64)
-        for m, c in zip(nf.modes, collectivities(nf.u, nf.v)):
+        for m, c in zip(nf.modes, shapes(nf)[1]):
             norm_u = float(np.linalg.norm(m.u) ** 2)
             assert norm_u == pytest.approx(1.0 / (1.0 - c * c), rel=1e-10)
+
+
+def assert_close_by_position(got, want):
+    """Within 1e-14 absolute, with NaN in the same positions."""
+    got, want = np.asarray(got, dtype=float), np.asarray(want, dtype=float)
+    assert np.array_equal(np.isnan(got), np.isnan(want))
+    assert np.max(np.abs(got - want), where=~np.isnan(want), initial=0.0) <= 1e-14
+
+
+@pytest.mark.parametrize("kappa", [0.25, 0.5, 0.6, 0.75])
+@pytest.mark.parametrize("alpha", [1.0, 1.5])
+@pytest.mark.parametrize("case", ["ring16", "ring50", "ring64", "ring256", "ring1024",
+                                  "bulk64", "bulk128", "bulk401"])
+def test_mode_shapes_match_the_amplitude_reference(case, alpha, kappa):
+    # the dispersion and modes tables' theta and collectivity, closed forms
+    # of |e|^2, against the Sigma weights and norms of the cell amplitudes
+    # (oracles.mixing_angles, oracles.collectivities)
+    size = case[4:]
+    rc = parse_config(["dispersion", "--kappa", str(kappa), "--alpha", str(alpha),
+                       "--boundary", case[:4], "--n-ions" if case[:4] == "ring" else "--k-points",
+                       size])
+    rows = np.array(cli._RUNNERS["dispersion"](rc)[2], dtype=float)
+    u, v = amplitudes(dispersion_zigzag(zone_grid(rc.chain, rc.k_points), rc.chain))
+    assert_close_by_position(rows[:, 3], mixing_angles(u, v).ravel())
+    assert_close_by_position(rows[:, 4], collectivities(u, v).ravel())
+
+    rows = cli._RUNNERS["modes"](rc)[2]
+    nf = zero_mode_normal_form(rc.chain)
+    pairs = [np.nan] * len(nf.zero_pairs)
+    assert_close_by_position([row[4] for row in rows], [*mixing_angles(nf.u, nf.v), *pairs])
+    assert_close_by_position([row[5] for row in rows], [*collectivities(nf.u, nf.v), *pairs])
 
 
 class TestZoneEdgeLoops:
@@ -501,8 +548,7 @@ class TestZoneEdgeLoops:
         assert np.max(np.abs(omegas[0::2] - omegas[1::2])) < 1e-8
         # paired branches carry equal descriptors at the edge
         order = np.argsort(nf.omega, kind="stable")
-        colls = collectivities(nf.u, nf.v)[order]
-        angles = mixing_angles(nf.u, nf.v)[order]
+        angles, colls = (a[order] for a in shapes(nf))
         for ca, cb, ta, tb in zip(colls[0::2], colls[1::2], angles[0::2], angles[1::2]):
             assert ca == pytest.approx(cb, abs=1e-8)
             if np.isnan(ta) or np.isnan(tb):
@@ -619,7 +665,7 @@ def test_mixing_angles_pinned_at_zone_center_in_zigzag():
     eq = solve_delta0(cfg)
     block = CellCouplings(cfg, eq).block(0.0)
     nf = symplectic_diagonalize(block, axis_map=CELL_AXIS_MAP, p_norm=32)
-    for theta in mixing_angles(nf.u, nf.v):
+    for theta in shapes(nf)[0]:
         if np.isnan(theta):
             continue
         assert min(abs(theta), abs(theta - np.pi / 2.0)) < 1e-9

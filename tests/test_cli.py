@@ -20,9 +20,8 @@ from hypothesis import strategies as st
 
 from ionphonon import cli
 from ionphonon.bloch import (
-    collectivities,
     dispersion_zigzag,
-    mixing_angles,
+    mode_shapes,
     reduced_zone_grid,
     ring_momenta,
 )
@@ -242,11 +241,11 @@ class TestCommands:
         cfg = ChainConfig(kappa=0.6, n_ions=16, boundary=Boundary(boundary))
         grid = ring_momenta(16) if boundary == "ring" else reduced_zone_grid(16)
         bands = dispersion_zigzag(grid, cfg)
+        theta, collectivity = mode_shapes(bands.omega, 2.0 * np.abs(bands.phi) ** 2,
+                                          bands.omega_bare)
         np.testing.assert_array_equal(columns["omega[omega_I]"], bands.omega.ravel())
-        np.testing.assert_array_equal(columns["theta_xy[rad]"],
-                                      mixing_angles(bands.u, bands.v).ravel())
-        np.testing.assert_array_equal(columns["collectivity[1]"],
-                                      collectivities(bands.u, bands.v).ravel())
+        np.testing.assert_array_equal(columns["theta_xy[rad]"], theta.ravel())
+        np.testing.assert_array_equal(columns["collectivity[1]"], collectivity.ravel())
         np.testing.assert_array_equal(columns["is_zero_mode"], (~bands.mask).ravel())
 
     def test_correlations_component_selection(self, capsys):
@@ -764,7 +763,8 @@ def cli_requests(draw):
     """The argv of one request: any command on a config near or away from a
     transition, temperatures in [0, 1e8], grids mostly in order, and sizes
     small enough for a fraction of a second (so none is left at its default).
-    Values go as ``--flag=value``: argparse takes ``-1e-05`` for a flag."""
+    Each value goes as ``--flag=value`` or as the token after its flag, so a
+    negative float in exponent form (``-1e-05``) must be read as a value."""
     cfg = draw(configs_near_transitions(max_ions=64))
     temperatures = st.floats(min_value=0.0, max_value=1e8)
     t_min, t_max = sorted(draw(st.tuples(temperatures, temperatures)))
@@ -787,7 +787,9 @@ def cli_requests(draw):
     for flag in draw(st.sets(st.sampled_from(sorted(optional)))):
         values[flag] = draw(optional[flag])
     switches = ["--include-longitudinal-zero-mode", "--exclude-radial-zero-mode"]
-    return ([draw(st.sampled_from(COMMANDS))] + [f"{flag}={value}" for flag, value in values.items()]
+    tokens = [token for flag, value in values.items()
+              for token in draw(st.sampled_from([[f"{flag}={value}"], [flag, str(value)]]))]
+    return ([draw(st.sampled_from(COMMANDS))] + tokens
             + draw(st.lists(st.sampled_from(switches), unique=True)))
 
 
@@ -800,6 +802,19 @@ def exit_code(argv) -> int:
             return main(argv)
         except SystemExit as exc:
             return exc.code
+
+
+@pytest.mark.parametrize("flag, other", [("--omega-min", "--omega-max=1"),
+                                         ("--omega-max", "--omega-min=-1000")])
+@pytest.mark.parametrize("value", ["-1e-05", "-1E+2", "-.5e-3"])
+def test_a_negative_float_in_exponent_form_is_a_value(flag, other, value, tmp_path):
+    # argparse before Python 3.13 took a token such as -1e-05 for a flag
+    path = tmp_path / "out.json"
+    argv = ["susceptibility", "--kappa", "0.3", "--n-ions", "16", "--omega-steps", "3",
+            "--format", "json", other, flag, value, "--output", str(path)]
+    assert exit_code(argv) == 0
+    assert json.loads(path.read_text(encoding="utf-8"))["meta"][flag[2:].replace("-", "_")] \
+        == float(value)
 
 
 @settings(deadline=None, max_examples=150)

@@ -11,7 +11,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ionphonon import bloch, symplectic
-from ionphonon.bloch import CellCouplings, dispersion_zigzag, mode_vectors_linear, ring_momenta
+from ionphonon.bloch import (
+    CellCouplings,
+    cell_amplitudes,
+    dispersion_zigzag,
+    mode_vectors_linear,
+    ring_momenta,
+)
 from ionphonon.chain import (
     GENERATORS,
     Boundary,
@@ -30,6 +36,7 @@ from ionphonon.errors import (
     PhysicsError,
     ZeroModeToleranceError,
 )
+from ionphonon.freeparticle import zero_mode_normal_form
 from ionphonon.symplectic import (
     W_RESIDUAL_TOL,
     NormalForm,
@@ -838,12 +845,14 @@ class TestOneBogoliubovMap:
         assert [len(i) for i in nf.form.sectors] == [32, 16]
         assert calls == [(32, 32), (16, 16)]
 
-    def test_the_cell_bands_read_it(self, calls):
+    def test_the_cell_amplitudes_read_it(self, calls):
         cfg = ChainConfig(kappa=0.6, n_ions=16)
         bands = dispersion_zigzag(ring_momenta(16), cfg)
-        assert calls == []  # built on the first read of u or v
-        bands.u, bands.v
+        assert calls == []  # the bands build no amplitudes
+        cell_amplitudes(bands.omega, bands.phi, bands.twist, bands.omega_bare)
         assert calls == [(8, 6, 6)]
+        zero_mode_normal_form(cfg)  # the one runtime reader: its four set slots
+        assert calls == [(8, 6, 6), (4, 6)]
 
     def test_the_linear_chain_reads_it(self, calls):
         u, v = mode_vectors_linear(1.0, "y", 0.3)
