@@ -401,8 +401,8 @@ class CellCouplings:
         generators checked once its rows pass (:meth:`check_generators`).
         Column b of every row is the slot of branch b: the label of the
         first row's slot b, its slots in ascending omega with the unset ones
-        last.  Each -k row is the conjugate of its
-        +k partner, phi(-k) = phi(k)*, so omega_b(-k) = omega_b(k) to the bit.
+        last.  Each -k row is the conjugate of its +k partner, phi(-k) = phi(k)*,
+        so omega_b(-k) = omega_b(k) to the bit; ``solved`` names that partner.
         """
         k = _momenta(k_grid)
         partner = _mirror_partners(k)
@@ -413,7 +413,8 @@ class CellCouplings:
             self.check_generators()
         lam, _, _, generator, labels = modes
         # every row takes its solved row: its own, or its +k partner's
-        source = np.searchsorted(rows, np.where(mirrored, partner, np.arange(len(k))))[:, None]
+        solved = np.where(mirrored, partner, np.arange(len(k)))
+        source = np.searchsorted(rows, solved)[:, None]
         first = source[0, 0]
         ascending = np.argsort(np.where(generator[first], np.inf, lam[first]), kind="stable")
         # a row's labels are a permutation: its argsort is the slot of each label
@@ -421,7 +422,7 @@ class CellCouplings:
         lam, phi, twist, generator, labels = (a[source, order] for a in modes)
         phi[mirrored], twist[mirrored] = phi[mirrored].conj(), twist[mirrored].conj()
         return Bands(k, np.sqrt(np.where(generator, 0.0, lam)), ~generator, labels, phi, twist,
-                     self.omega_bare)
+                     self.omega_bare, solved)
 
 
 def _zone_steps(k0: float, n: int) -> np.ndarray:
@@ -514,7 +515,9 @@ class Bands:
     zero slot keeps its generator's, 5 for the rotation and 1 for the x
     translation (0 on the linear chain).  Mode g's unit cell vector holds
     ``phi[i, g]`` on ion 0 and ``twist[i, g]`` (sigma e^{ik}) times M times it
-    on ion 1; no cell amplitude is kept.  A plain record of read-only views
+    on ion 1; no cell amplitude is kept.  ``solved[i]`` is the row whose solved
+    modes row i holds: its +k partner for a -k row (same omega and |phi|^2 to the
+    bit, phi and twist conjugated), else i itself.  A plain record of read-only views
     (the arrays it was built from keep their flags), since
     :func:`dispersion_zigzag` hands one instance to every reader of a grid.
     """
@@ -526,6 +529,7 @@ class Bands:
     phi: np.ndarray         # (n_k, 6, 3) complex
     twist: np.ndarray       # (n_k, 6) complex
     omega_bare: np.ndarray  # (6,), the cell's Omega
+    solved: np.ndarray      # (n_k,) int
 
     def __post_init__(self):
         for field in fields(Bands):

@@ -11,6 +11,12 @@ and bands: ``chain.solve_delta0`` keeps one equilibrium per configuration,
 and ``bloch.dispersion_zigzag`` one read-only ``Bands`` per (configuration,
 grid) for the 32 grids used last; ``cli`` keeps no memo of its own.  The
 tables' mixing angles and collectivities are ``bloch.mode_shapes`` of |e|^2.
+
+Each runner returns a ``Table`` of columns, which reads as row tuples; the
+dispersion table keeps k once per momentum and the modes of its solved rows
+alone (``Factored`` columns: a -k row's are its +k partner's, ``Bands.solved``),
+so each is formatted once.  Both writers fill one row template, a block of
+``_BLOCK_ROWS`` rows per write.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import functools
+import itertools
 import json
 import math
 import re
@@ -210,7 +217,48 @@ def parse_config(argv: list[str]) -> RunConfig:
 
 
 # ---------------------------------------------------------------------------
-# command implementations: each returns (meta, header, rows)
+# tables: each runner's rows, kept by column
+
+
+class Factored:
+    """A column whose cell i is ``values[index[i]]``, so that each value a
+    table repeats (a dispersion's k on all six branches, the modes of a -k
+    row, which are its +k partner's) is kept, and formatted, once."""
+
+    def __init__(self, values: list, index: list[int]):
+        self.values, self.index = values, index
+
+    def __len__(self) -> int:
+        return len(self.index)
+
+    def __getitem__(self, row: int):
+        return self.values[self.index[row]]
+
+    def __iter__(self):
+        values = self.values
+        return iter([values[i] for i in self.index])
+
+
+class Table:
+    """A runner's rows as columns: lists of cells or ``Factored`` ones, of one
+    length, each of one kind (bool, int, float or str; the writers format a
+    column by its first cell).  It reads as a sequence of row tuples."""
+
+    def __init__(self, *columns):
+        self.columns = columns
+
+    def __len__(self) -> int:
+        return len(self.columns[0]) if self.columns else 0
+
+    def __getitem__(self, row: int) -> tuple:
+        return tuple(column[row] for column in self.columns)
+
+    def __iter__(self):
+        return zip(*self.columns)
+
+
+# ---------------------------------------------------------------------------
+# command implementations: each returns (meta, header, Table)
 
 # the JSON keys of the two dests that are not named after their flag
 _META_KEYS = {"lam": "lambda", "fmt": "format"}
@@ -227,29 +275,35 @@ def _meta(rc: RunConfig) -> dict:
 
 def _run_equilibrium(rc: RunConfig):
     eq = solve_delta0(rc.chain)
-    omegas = bare_frequencies(rc.chain, eq)
+    omegas = bare_frequencies(rc.chain, eq).tolist()
     header = [
         "kappa[1]", "delta0[d]", "residual[m_I*omega_I^2*d]",
         "kappa_c_classical[1]", "Omega_x[omega_I]", "Omega_y[omega_I]",
         "Omega_z[omega_I]",
     ]
-    rows = [(
+    rows = Table(*zip((
         rc.chain.kappa, eq.delta0, equilibrium_residual(rc.chain, eq),
         critical_kappa_classical(rc.chain), omegas[0], omegas[1], omegas[2],
-    )]
+    )))
     return _meta(rc), header, rows
 
 
 def _run_dispersion(rc: RunConfig):
     bands = dispersion_zigzag(zone_grid(rc.chain, rc.k_points), rc.chain)
-    theta, collectivity = mode_shapes(bands.omega, 2.0 * np.abs(bands.phi) ** 2, bands.omega_bare)
+    n_k = len(bands.k)
+    # the modes of the solved rows alone: a -k row's are its +k partner's to the bit
+    solved, position = np.unique(bands.solved, return_inverse=True)
+    omega = bands.omega[solved]
+    theta, collectivity = mode_shapes(omega, 2.0 * np.abs(bands.phi[solved]) ** 2,
+                                      bands.omega_bare)
+    mode = (6 * position[:, None] + np.arange(6)).ravel().tolist()
     header = ["k[1/d]", "branch", "omega[omega_I]", "theta_xy[rad]",
               "collectivity[1]", "is_zero_mode"]
-    rows = list(zip(
-        np.repeat(bands.k, 6).tolist(), list(range(6)) * len(bands.k),
-        bands.omega.ravel().tolist(), theta.ravel().tolist(), collectivity.ravel().tolist(),
-        (~bands.mask).ravel().astype(int).tolist(),
-    ))
+    rows = Table(
+        Factored(bands.k.tolist(), np.repeat(np.arange(n_k), 6).tolist()), list(range(6)) * n_k,
+        Factored(omega.ravel().tolist(), mode), Factored(theta.ravel().tolist(), mode),
+        Factored(collectivity.ravel().tolist(), mode), (~bands.mask).ravel().astype(int).tolist(),
+    )
     meta = _meta(rc)
     meta["delta0"] = solve_delta0(rc.chain).delta0
     return meta, header, rows
@@ -266,6 +320,7 @@ def _run_modes(rc: RunConfig):
             in enumerate(zip(nf.omega.tolist(), theta.tolist(), collectivity.tolist()))]
     rows += [("zero-pair", zp.label, 0.0, zp.m_tilde, float("nan"), float("nan"))
              for zp in nf.zero_pairs]
+    rows = Table(*zip(*rows))
     meta = _meta(rc)
     meta["delta0"] = eq.delta0
     meta["completeness_residual"] = completeness_residual(nf)
@@ -301,8 +356,8 @@ def _run_correlations(rc: RunConfig):
     tables = [correlator_table(req, field, separations).tolist() for req in requests]
     header = ["delta_j[cells]", "s", "s_prime", "nu", "nu_prime", "T[omega_I]",
               "value[d^2]"]
-    rows = [(dj, s, s, nu, nup, temperature, table[dj])
-            for dj in separations for (nu, nup), table in zip(pairs, tables)]
+    rows = Table(*zip(*[(dj, s, s, nu, nup, temperature, table[dj])
+                        for dj in separations for (nu, nup), table in zip(pairs, tables)]))
     return _meta(rc), header, rows
 
 
@@ -311,9 +366,9 @@ def _run_heat_capacity(rc: RunConfig):
     if rc.temperature is not None:
         temps = [rc.temperature]
     else:
-        temps = list(np.geomspace(rc.t_min, rc.t_max, rc.t_steps))
+        temps = np.geomspace(rc.t_min, rc.t_max, rc.t_steps).tolist()
     header = ["T[omega_I]", "c[k_B]"]
-    rows = [(t, heat_capacity(float(t), field)) for t in temps]
+    rows = Table(temps, [heat_capacity(t, field) for t in temps])
     return _meta(rc), header, rows
 
 
@@ -324,22 +379,21 @@ def _run_susceptibility(rc: RunConfig):
     chi = susceptibility(grid, (component, rc.sublattice), field, eta=rc.eta).chi
     header = ["omega[omega_I]", "chi_re[d^2/omega_I]", "chi_im[d^2/omega_I]",
               "phase[rad]"]
-    rows = list(zip(grid.tolist(), chi.real.tolist(), chi.imag.tolist(),
-                    np.angle(chi).tolist()))
+    rows = Table(grid.tolist(), chi.real.tolist(), chi.imag.tolist(), np.angle(chi).tolist())
     return _meta(rc), header, rows
 
 
 def _run_energy_reduction(rc: RunConfig):
     field = PhononField(rc.chain, n_k=_field_k_points(rc))
     header = ["kappa[1]", "delta0[d]", "dE0_per_ion[omega_I]"]
-    rows = [(rc.chain.kappa, field.eq.delta0, correlation_energy(field))]
+    rows = Table([rc.chain.kappa], [field.eq.delta0], [correlation_energy(field)])
     return _meta(rc), header, rows
 
 
 def _run_ginzburg(rc: RunConfig):
     values = ginzburg_parameter(rc.chain, rc.n_list)
     header = ["n_ions[1]", "ginzburg[1]"]
-    rows = [(n, g) for n, g in values]
+    rows = Table(*zip(*values))
     return _meta(rc), header, rows
 
 
@@ -355,24 +409,81 @@ _RUNNERS = {
 }
 
 
-def _cell_format(value) -> str:
-    """printf conversion of one CSV cell: integers (and flags) as digits,
-    floats at full double precision, anything else as its text."""
-    if isinstance(value, (bool, int, np.bool_, np.integer)):
-        return "%d"
+# rows per write: a block's text (~50 KB of JSON for six columns) and its
+# cells stay below glibc's 128 KiB mmap threshold, so freeing them never
+# raises that threshold for the rest of the process
+_BLOCK_ROWS = 256
+
+
+def _kind(value) -> type:
+    """The kind of a cell: bool, int, float or str (anything else); a numpy
+    scalar is of the kind of the number it holds."""
+    if isinstance(value, (bool, np.bool_)):
+        return bool
+    if isinstance(value, (int, np.integer)):
+        return int
     if isinstance(value, (float, np.floating)):
-        return "%.17g"
-    return "%s"
+        return float
+    return str
 
 
-def _write_csv(fh, header: list[str], rows: list[tuple]) -> None:
-    """Header and rows, one line at a time; every runner keeps one type per
-    column, so the first row fixes the format of all of them."""
+def _texts(text, values) -> list[str]:
+    """``text`` of each value: where the values of a ``Factored`` column are
+    formatted, once each, and a JSON float column that holds a NaN, an inf
+    or a numpy scalar."""
+    return list(map(text, values))
+
+
+def _filled(columns, conversions: dict) -> tuple[list[str], list]:
+    """Each column's printf conversion in a row template, and the cells that fill it.
+
+    ``conversions`` maps the kind of a column's first cell to its conversion
+    and to what its cells are mapped first (None: nothing): their texts, or
+    the cells themselves where the conversion takes them as they are.  A plain
+    column fills its conversion with those cells; a ``Factored`` one has each
+    of its values made text once, and fills a ``%s`` with those texts."""
+    formats, cells = [], []
+    for column in columns:
+        first = column[0]
+        conversion, prepare = conversions.get(type(first)) or conversions[_kind(first)]
+        if type(column) is Factored:
+            values = column.values
+            texts = values if prepare is None else prepare(values)
+            if texts is values:
+                texts = _texts(conversion.__mod__, values)
+            formats.append("%s")
+            cells.append(Factored(texts, column.index))
+        else:
+            formats.append(conversion)
+            cells.append(column if prepare is None else prepare(column))
+    return formats, cells
+
+
+def _write_rows(fh, template: str, sep: str, columns: list) -> None:
+    """The rows of the filled ``columns``, each in ``template``, joined by ``sep``:
+    one write per block of ``_BLOCK_ROWS`` rows, whose templates one ``%`` fills."""
+    n_rows = len(columns[0])
+    rows = zip(*columns)
+    for start in range(0, n_rows, _BLOCK_ROWS):
+        count = min(_BLOCK_ROWS, n_rows - start)
+        # inline, so that no block's text is alive while the next is filled
+        fh.write(((sep if start else "") + sep.join([template] * count))
+                 % tuple(itertools.chain.from_iterable(itertools.islice(rows, count))))
+
+
+# printf conversion of each kind of CSV cell: integers (and flags) as digits,
+# floats at full double precision, anything else as its text
+_CSV_CONVERSIONS = {bool: ("%d", None), int: ("%d", None), float: ("%.17g", None),
+                    str: ("%s", None)}
+
+
+def _write_csv(fh, header: list[str], rows: Table) -> None:
+    """Header and rows, the rows in blocks; every runner keeps one kind per
+    column, so its first cell fixes the conversion of all of them."""
     fh.write(",".join(header) + "\n")
     if rows:
-        line = ",".join(_cell_format(v) for v in rows[0]) + "\n"
-        for row in rows:
-            fh.write(line % row)
+        formats, cells = _filled(rows.columns, _CSV_CONVERSIONS)
+        _write_rows(fh, ",".join(formats) + "\n", "", cells)
 
 
 def _json_safe(value):
@@ -390,10 +501,6 @@ def _json_safe(value):
     return value
 
 
-# rows per write: a block's text (~50 KB for six columns) and its column
-# lists stay below glibc's 128 KiB mmap threshold, so freeing them never
-# raises that threshold for the rest of the process
-_JSON_BLOCK_ROWS = 256
 _NON_FINITE = ("nan", "inf", "-inf")
 
 
@@ -401,12 +508,14 @@ def _json_bools(values) -> list[str]:
     return ["true" if v else "false" for v in values]
 
 
-def _json_ints(values) -> list[str]:
-    return [str(int(v)) for v in values]
-
-
-def _json_floats(values) -> list[str]:
-    texts = list(map(float.__repr__, map(float, values)))
+def _json_floats(values):
+    """Cells whose ``%s`` is each float's JSON text: the floats themselves when
+    all are finite Python floats (their str is their repr; a NaN or an inf
+    leaves their sum not finite), else each one's repr as a Python float, with
+    null for NaN and inf."""
+    if set(map(type, values)) == {float} and math.isfinite(sum(values)):
+        return values
+    texts = _texts(float.__repr__, list(map(float, values)))
     if any(text in texts for text in _NON_FINITE):
         texts = ["null" if text in _NON_FINITE else text for text in texts]
     return texts
@@ -416,26 +525,20 @@ def _json_texts(values) -> list[str]:
     return list(map(json.dumps, values))
 
 
-def _json_column(value):
-    """Formatter of a JSON column whose cells are of ``value``'s kind: the
-    text ``json.dump`` gives each cell after ``_json_safe``."""
-    if isinstance(value, bool):
-        return _json_bools
-    if isinstance(value, (int, np.integer)):
-        return _json_ints
-    if isinstance(value, (float, np.floating)):
-        return _json_floats
-    return _json_texts
+# conversion of each kind of JSON cell, and what its cells are mapped to first,
+# so that each cell's text is the one json.dump gives it after _json_safe
+_JSON_CONVERSIONS = {bool: ("%s", _json_bools), int: ("%d", None),
+                     float: ("%s", _json_floats), str: ("%s", _json_texts)}
 
 
-def _write_json(fh, meta: dict, header: list[str], rows: list[tuple]) -> None:
+def _write_json(fh, meta: dict, header: list[str], rows: Table) -> None:
     """The bytes of ``json.dump({"meta": meta, "rows": [one dict per row]},
     sort_keys=True, indent=1, allow_nan=False)`` plus a newline, with numpy
     scalars as Python numbers and NaN and inf as null.
 
-    ``meta`` goes through ``json.dumps``; the rows fill one template of the
-    sorted keys, formatted a column at a time (like ``_write_csv``, the
-    first row fixes each column's kind) and written in blocks.
+    ``meta`` goes through ``json.dumps``; the columns, in the order of their
+    sorted keys, fill one row template (as in ``_write_csv``, a column's first
+    cell fixes its kind), written in blocks.
     """
     doc = json.dumps({"meta": _json_safe(meta), "rows": []},
                      sort_keys=True, indent=1, allow_nan=False)
@@ -443,16 +546,13 @@ def _write_json(fh, meta: dict, header: list[str], rows: list[tuple]) -> None:
         fh.write(doc + "\n")
         return
     order = sorted(range(len(header)), key=header.__getitem__)
+    formats, cells = _filled([rows.columns[j] for j in order], _JSON_CONVERSIONS)
     template = "  {\n" + ",\n".join(
-        "   " + json.dumps(header[j]).replace("%", "%%") + ": %s" for j in order
+        "   " + json.dumps(header[j]).replace("%", "%%") + ": " + conversion
+        for j, conversion in zip(order, formats)
     ) + "\n  }"
-    formats = [_json_column(rows[0][j]) for j in order]
     fh.write(doc[:-len("[]\n}")] + "[\n")  # the doc ends '"rows": []\n}'
-    for start in range(0, len(rows), _JSON_BLOCK_ROWS):
-        columns = list(zip(*rows[start:start + _JSON_BLOCK_ROWS]))
-        cells = zip(*[fmt(columns[j]) for fmt, j in zip(formats, order)])
-        fh.write((",\n" if start else "")
-                 + ",\n".join([template % row for row in cells]))
+    _write_rows(fh, template, ",\n", cells)
     fh.write("\n ]\n}\n")
 
 

@@ -883,3 +883,34 @@ def test_branch_tracker_matches_sorted_greedy(kappa, alpha, case):
     assert np.array_equal(tracked.omega, bands.omega[rows, slots])
     assert np.array_equal(tracked.mask, bands.mask[rows, slots])
     assert np.array_equal(amplitudes(tracked)[0], amplitudes(bands)[0][rows, slots])
+
+
+SOLVED_GRIDS = {f"ring{n}": (n, None) for n in (16, 50, 64, 256, 1024)} \
+    | {f"edge{n}": (n, True) for n in (8, 64, 401)} \
+    | {f"mid{n}": (n, False) for n in (64, 402)}
+
+
+@pytest.mark.parametrize("case", list(SOLVED_GRIDS))
+@pytest.mark.parametrize("kappa", [0.3, 0.6], ids=["linear", "zigzag"])
+@pytest.mark.parametrize("alpha", [1.0, 1.5])
+def test_each_row_holds_its_own_or_its_mirror_rows_modes(alpha, kappa, case):
+    # the dispersion table formats the solved rows alone, so a copied row
+    # must be its solved row's modes to the bit, phi conjugated
+    n, include_edge = SOLVED_GRIDS[case]
+    if include_edge is None:
+        cfg, grid = ChainConfig(kappa=kappa, alpha=alpha, n_ions=n), ring_momenta(n)
+    else:
+        cfg = ChainConfig(kappa=kappa, alpha=alpha, n_ions=32, boundary=Boundary.BULK)
+        grid = reduced_zone_grid(n, include_edge)
+    bands = dispersion_zigzag(grid, cfg)
+    solved = bands.solved
+    copied = solved != np.arange(len(grid))
+    assert copied.any() and np.array_equal(solved[solved], solved)
+    assert np.all(bands.k[copied] < 0.0)
+    assert np.max(np.abs(bands.k[solved[copied]] + bands.k[copied])) < 1e-9
+    j = solved[copied]
+    assert bands.omega[copied].tobytes() == bands.omega[j].tobytes()
+    assert np.array_equal(bands.mask[copied], bands.mask[j])
+    assert (np.abs(bands.phi[copied]) ** 2).tobytes() == (np.abs(bands.phi[j]) ** 2).tobytes()
+    assert bands.phi[copied].tobytes() == bands.phi[j].conj().tobytes()
+    assert bands.twist[copied].tobytes() == bands.twist[j].conj().tobytes()

@@ -134,6 +134,21 @@ def test_every_bands_array_is_read_only(source):
     grid[0] = grid[0]  # the caller's grid keeps its own flags
 
 
+@pytest.mark.parametrize("flags", [RING, BULK], ids=["ring", "bulk"])
+def test_the_solved_index_is_the_memos_and_read_only(flags):
+    # the dispersion table reads a grid's solved rows from the memo's Bands,
+    # and a field of the same grid shares that one index
+    cfg = cli.parse_config(["dispersion", *flags]).chain
+    grid = bloch.zone_grid(cfg, 16, include_edge=False)
+    memo, field = dispersion_zigzag(grid, cfg), PhononField(cfg, n_k=16)
+    assert np.shares_memory(field.solved, memo.solved)
+    for bands in (memo, field):
+        assert bands.solved.dtype.kind == "i" and not bands.solved.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            bands.solved[-1] = len(grid) - 1
+    assert np.array_equal(dispersion_zigzag(grid, cfg).solved, memo.solved)
+
+
 def test_the_readers_leave_nothing_on_a_shared_bands(monkeypatch, tmp_path, capsys):
     # every command on one ring and one bulk config; each memo entry they
     # read keeps its fields alone, and Bands has no cache to fill

@@ -24,6 +24,7 @@ from ionphonon.bloch import (
     mode_shapes,
     reduced_zone_grid,
     ring_momenta,
+    zone_grid,
 )
 from ionphonon.chain import Boundary, ChainConfig, solve_delta0
 from ionphonon.cli import main, parse_config
@@ -400,8 +401,8 @@ class TestExitCodesAndFiles:
 
         from ionphonon.cli import _write_csv
 
-        rows = [(0.001 * i, i % 6, 0.1234567890123 * i, 0.3, 0.9, 0)
-                for i in range(3072)]
+        rows = cli.Table(*zip(*[(0.001 * i, i % 6, 0.1234567890123 * i, 0.3, 0.9, 0)
+                                for i in range(3072)]))
         path = tmp_path / "big.csv"
         with open(path, "w", encoding="utf-8", newline="") as fh:
             tracemalloc.start()
@@ -411,6 +412,16 @@ class TestExitCodesAndFiles:
         size = path.stat().st_size
         assert size > 200_000
         assert peak < size / 4
+        # one write for the header and one per block of rows, each under 128 KiB;
+        # the factored table of a 1024-ion dispersion is written alike
+        for header, table in (["k", "branch", "omega", "theta", "coll", "zero"], rows), \
+                dispersion_table(["--n-ions", "1024"])[1:]:
+            sink = WriteSizes()
+            cli._write_csv(sink, header, table)
+            line = ",".join("%.17g" if isinstance(v, float) else "%d" for v in table[0]) + "\n"
+            assert sink.getvalue() == ",".join(header) + "\n" + "".join(line % r for r in table)
+            assert len(sink.writes) == 1 + 3072 // BLOCK
+            assert max(sink.writes) < 128 * 1024
 
     @pytest.mark.parametrize("argv", SMALL_RUNS, ids=lambda argv: argv[0])
     def test_csv_columns_keep_one_type(self, argv):
@@ -420,7 +431,7 @@ class TestExitCodesAndFiles:
         _, header, rows = cli._RUNNERS[rc.command](rc)
         assert rows
         for column in zip(*rows):
-            assert len({cli._cell_format(v) for v in column}) == 1
+            assert len({cli._CSV_CONVERSIONS[cli._kind(v)] for v in column}) == 1
 
     @pytest.mark.parametrize("argv", SMALL_RUNS, ids=lambda argv: argv[0])
     def test_json_columns_keep_one_kind(self, argv):
@@ -431,7 +442,20 @@ class TestExitCodesAndFiles:
         _, header, rows = cli._RUNNERS[rc.command](rc)
         assert rows
         for column in zip(*rows):
-            assert len({cli._json_column(v) for v in column}) == 1
+            assert len({cli._JSON_CONVERSIONS[cli._kind(v)] for v in column}) == 1
+
+    @pytest.mark.parametrize("argv", SMALL_RUNS + [
+        pytest.param(["heat-capacity", "--temperature", "0.5"], id="heat-capacity-at-T"),
+        pytest.param(["dispersion", "--boundary", "bulk", "--k-points", "8"],
+                     id="dispersion-bulk"),
+    ], ids=lambda argv: argv[0])
+    def test_every_runner_hands_the_writers_python_cells(self, argv):
+        # no numpy scalar reaches a writer; a column keeps one of four kinds
+        rc = parse_config(argv + ["--kappa", "0.6", "--n-ions", "16"])
+        _, header, rows = cli._RUNNERS[rc.command](rc)
+        for column in zip(*rows):
+            assert len({type(v) for v in column}) == 1
+            assert type(column[0]) in (bool, int, float, str)
 
     def test_csv_round_trip_full_precision(self, tmp_path):
         path = tmp_path / "eq.csv"
@@ -650,6 +674,85 @@ def test_a_failing_config_is_not_stored(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+# the writers of a factored table
+
+
+class WriteSizes(io.StringIO):
+    """A text sink that records the length of every write."""
+
+    def __init__(self):
+        super().__init__()
+        self.writes = []
+
+    def write(self, text):
+        self.writes.append(len(text))
+        return super().write(text)
+
+
+def dispersion_table(flags):
+    """(meta, header, rows) of the kappa 0.6 dispersion with ``flags``."""
+    rc = parse_config(["dispersion", "--kappa", "0.6", *flags])
+    return cli._RUNNERS["dispersion"](rc)
+
+
+@pytest.fixture
+def formatted(monkeypatch):
+    """The number of values of every call of ``cli._texts``, the one
+    formatter of a factored column's values; returns the growing list."""
+    counts = []
+    original = cli._texts
+
+    def counting(text, values):
+        counts.append(len(values))
+        return original(text, values)
+
+    monkeypatch.setattr(cli, "_texts", counting)
+    return counts
+
+
+def write(fmt, meta, header, rows):
+    sink = io.StringIO()
+    if fmt == "csv":
+        cli._write_csv(sink, header, rows)
+    else:
+        cli._write_json(sink, meta, header, rows)
+    return sink.getvalue()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("flags", [["--n-ions", "1024"], ["--boundary", "bulk"]],
+                         ids=["ring1024", "bulk401"])
+def test_a_dispersion_table_formats_each_solved_value_once(formatted, flags, fmt):
+    # k once per momentum; omega, theta and the collectivity once per mode of
+    # a solved row, so a -k row copies its +k partner's texts
+    meta, header, rows = dispersion_table(flags)
+    rc = parse_config(["dispersion", "--kappa", "0.6", *flags])
+    bands = dispersion_zigzag(zone_grid(rc.chain, rc.k_points), rc.chain)
+    n_k, n_solved = len(bands.k), len(np.unique(bands.solved))
+    assert n_solved < n_k and len(rows) == 6 * n_k
+    text = write(fmt, meta, header, rows)
+    assert sorted(formatted) == sorted([n_k] + [6 * n_solved] * 3)
+    assert text == write(fmt, meta, header, cli.Table(*zip(*rows)))  # the same rows, plain
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("argv", SMALL_RUNS, ids=lambda argv: argv[0])
+def test_only_the_dispersion_table_is_factored(formatted, argv, fmt):
+    # every other table's cells go into its row template as they are, with
+    # no pass over them first, but for a JSON float column that holds a NaN
+    # or an inf, whose cells are made text once (null for those)
+    rc = parse_config(argv + ["--kappa", "0.6", "--n-ions", "16"])
+    meta, header, rows = cli._RUNNERS[rc.command](rc)
+    write(fmt, meta, header, rows)
+    if rc.command == "dispersion":
+        assert formatted
+    else:
+        non_finite = [column for column in zip(*rows)
+                      if type(column[0]) is float and not all(map(math.isfinite, column))]
+        assert formatted == ([] if fmt == "csv" else [len(rows)] * len(non_finite))
+
+
+# ---------------------------------------------------------------------------
 # JSON writer against the stdlib encoder
 
 
@@ -665,7 +768,7 @@ def stdlib_json(meta, header, rows):
 
 def written_json(meta, header, rows):
     sink = io.StringIO()
-    cli._write_json(sink, meta, header, rows)
+    cli._write_json(sink, meta, header, cli.Table(*zip(*rows)))
     return sink.getvalue()
 
 
@@ -705,7 +808,7 @@ def json_tables(draw, n_rows):
     return header, rows
 
 
-BLOCK = cli._JSON_BLOCK_ROWS
+BLOCK = cli._BLOCK_ROWS
 
 
 @pytest.mark.parametrize("n_rows", [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 1])
@@ -718,32 +821,39 @@ def test_json_writer_matches_stdlib_encoder(n_rows, data):
     assert_same_text(written_json(meta, header, rows), stdlib_json(meta, header, rows))
 
 
+def test_a_float_column_whose_sum_overflows_is_written_alike():
+    # numpy floats whose sum overflows: each takes its repr, and no numpy
+    # arithmetic warns on the way
+    rows = [(np.float64(1.4e306),), (1.4e306,)] * 200
+    assert_same_text(written_json({}, ["x"], rows), stdlib_json({}, ["x"], rows))
+
+
 def test_json_writer_writes_in_blocks():
     # one write per block of rows, each under 128 KiB: freeing a larger
-    # temporary would raise glibc's mmap threshold for the whole process
-    writes = []
-
-    class Sink(io.StringIO):
-        def write(self, text):
-            writes.append(len(text))
-            return super().write(text)
-
+    # temporary would raise glibc's mmap threshold for the whole process;
+    # also for the factored table of a 1024-ion dispersion (zone edge, NaN theta)
     rows = [(0.001 * i, i % 6, 0.1234567890123 * i, math.nan, 0.9, 0)
             for i in range(3072)]
     header = ["k", "branch", "omega", "theta", "coll", "zero"]
-    sink = Sink()
-    cli._write_json(sink, {}, header, rows)
-    assert_same_text(sink.getvalue(), stdlib_json({}, header, rows))
-    assert len(writes) == 2 + 3072 // BLOCK
-    assert max(writes) < 128 * 1024
+    for meta, header, table in ({}, header, cli.Table(*zip(*rows))), \
+            dispersion_table(["--n-ions", "1024"]):
+        sink = WriteSizes()
+        cli._write_json(sink, meta, header, table)
+        assert_same_text(sink.getvalue(), stdlib_json(meta, header, table))
+        assert len(sink.writes) == 2 + 3072 // BLOCK
+        assert max(sink.writes) < 128 * 1024
 
 
 @pytest.mark.parametrize("argv", SMALL_RUNS + [
     ["dispersion", "--boundary", "bulk", "--k-points", "8"],
     ["heat-capacity", "--boundary", "bulk", "--k-points", "8", "--t-steps", "3"],
+    # rows at the zone edge and with NaN theta, most of them copies of another's
+    pytest.param(["dispersion", "--n-ions", "1024"], id="dispersion-ring1024"),
+    pytest.param(["dispersion", "--boundary", "bulk", "--k-points", "401"],
+                 id="dispersion-bulk401"),
 ], ids=lambda argv: argv[0] + ("-bulk" if "bulk" in argv else ""))
 def test_every_command_writes_the_stdlib_json(argv, tmp_path):
-    argv = argv + ["--kappa", "0.6", "--n-ions", "16", "--format", "json"]
+    argv = argv[:1] + ["--kappa", "0.6", "--n-ions", "16", "--format", "json"] + argv[1:]
     path = tmp_path / "out.json"
     assert main(argv + ["--output", str(path)]) == 0
     rc = parse_config(argv)
