@@ -16,11 +16,14 @@ full-space Hessian) and one FFT, plus in bulk the closed-form sums of
 ``chain.power_law_sums`` at each k; it solves each in closed form, keeps
 each mode's screw vector (the generators' slots unset at k = 0), raises the
 error of the first failing row in descending k, and fills each -k row by
-conjugation, with column b of every row on branch b; the phonon fields, the
-k = 0 normal form and :func:`dispersion_zigzag` read its :class:`Bands`.
-The cell amplitudes are real factors of the screw vectors, entry by entry
-(:func:`cell_amplitudes`, through ``symplectic.bogoliubov_amplitudes``); only
-the k = 0 normal form builds them, as :func:`mode_shapes` reads |e|^2 alone.
+conjugation, with column b of every row on branch b; the phonon fields and
+:func:`dispersion_zigzag` read its :class:`Bands`.  The k = 0 normal form
+reads the same closed-form solve of the k = 0 screw blocks that
+``CellCouplings.__init__`` keeps (:meth:`CellCouplings.k0_modes`), with no
+grid.  The cell amplitudes are real factors of the screw vectors, entry by
+entry (:func:`cell_amplitudes`, through ``symplectic.bogoliubov_amplitudes``);
+only the k = 0 normal form builds them, as :func:`mode_shapes` reads |e|^2
+alone.
 The glide also labels every mode exactly by its screw slot (``Bands.labels``):
 its parity, its sector (z or in-plane) and its root in its 2 x 2 block (upper
 or lower; x or y on the linear chain, where D_xy vanishes); a branch is one
@@ -197,8 +200,9 @@ class CellCouplings:
     :func:`~ionphonon.chain.k0_pair_sums`, and the k = 0 block, a grid of
     one, equals the cell table of those sums to the bit, so its
     translational and helical zero modes vanish at machine precision.  Those
-    (2, 3, 3) sums are kept: the k = 0 normal form's block (:meth:`k0_block`)
-    and the generator check of a grid without k = 0 read them.
+    (2, 3, 3) sums are kept: the k = 0 normal form reads its block
+    (:meth:`k0_block`) and its modes (:meth:`k0_modes`) from them, and a grid
+    without k = 0 has its generators checked by those modes.
     """
 
     def __init__(self, config: ChainConfig, eq: Equilibrium):
@@ -373,12 +377,13 @@ class CellCouplings:
         even, odd = self._k0_sums[:1], self._k0_sums[1:]
         return self._block(0.0, _cells(even, odd, odd, 0.0)[0])
 
-    def check_generators(self) -> None:
-        """:meth:`_screw_modes`, and so :meth:`_check_rows`, on a k = 0 row for
-        grids that hold none: the screw blocks (``_screw_pair``) of the stored
-        k = 0 sums."""
+    def k0_modes(self) -> tuple[np.ndarray, ...]:
+        """:meth:`_screw_modes` of a k = 0 row, checked by :meth:`_check_rows`: the
+        screw blocks (``_screw_pair``) of the stored k = 0 sums, with no fold or FFT.
+        The k = 0 normal form reads these modes; :meth:`bands` runs them as the
+        generator check of a grid that holds no k = 0."""
         even, odd = self._k0_sums[:, None, [0, 1, 2, 0], [0, 1, 2, 1]]  # xx, yy, zz, xy
-        self._screw_modes(np.zeros(1), _screw_pair(even, odd))
+        return self._screw_modes(np.zeros(1), _screw_pair(even, odd))
 
     def _block(self, k: float, raw: np.ndarray) -> QuadraticForm:
         g = raw / (2.0 * np.sqrt(np.outer(self.omega_bare, self.omega_bare)))
@@ -398,7 +403,7 @@ class CellCouplings:
         checks (:meth:`_check_rows`) and diagonalizes in closed form into
         omega, labels and screw vectors (no cell amplitude); at k = 0 each
         generator's slot stays unset, and a grid without k = 0 has its
-        generators checked once its rows pass (:meth:`check_generators`).
+        generators checked once its rows pass (:meth:`k0_modes`).
         Column b of every row is the slot of branch b: the label of the
         first row's slot b, its slots in ascending omega with the unset ones
         last.  Each -k row is the conjugate of its +k partner, phi(-k) = phi(k)*,
@@ -410,7 +415,7 @@ class CellCouplings:
         rows = np.flatnonzero(~mirrored)
         modes = self._screw_modes(k[rows], self._on_grid(k, self._screw_table)[rows])
         if not _origin(k).any():  # after the grid's own rows, as in descending k
-            self.check_generators()
+            self.k0_modes()
         lam, _, _, generator, labels = modes
         # every row takes its solved row: its own, or its +k partner's
         solved = np.where(mirrored, partner, np.arange(len(k)))

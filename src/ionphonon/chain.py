@@ -565,12 +565,27 @@ EQUILIBRIUM_TOL = 1e-12
 
 
 @functools.lru_cache(maxsize=64)
+def _root_gap(kappa: float, boundary: Boundary, n_ions: int):
+    """G (:func:`zigzag_root_gap`) of one root problem, each point evaluated once
+    (Brent's two ends and its root are points seen before).
+
+    G reads kappa, the boundary and a ring's N alone (``n_ions``: 4 in bulk,
+    where it reads none), so the configs that share them share this memo of
+    G's points, kept for the 64 problems used last; it holds no error.
+    """
+    problem = ChainConfig(kappa, boundary=boundary, n_ions=n_ions)
+    return functools.cache(lambda delta: zigzag_root_gap(delta, problem))
+
+
+@functools.lru_cache(maxsize=64)
 def solve_delta0(config: ChainConfig) -> Equilibrium:
     """Solve the classical zigzag equilibrium: the one owner of the ground state.
 
     Kept for the 64 configs used last, so every reader of one config gets
     one frozen ``Equilibrium``; a ``PhysicsError`` is not kept but raised on
-    every call.
+    every call.  The root search reads G through :func:`_root_gap`, so
+    configs whose G is one (alpha and lambda enter no root, a bulk config's
+    N neither) share one search: each point of G is evaluated once.
 
     Returns delta0 = 0 when the derivative has no positive root (kappa at or
     below the classical transition) and otherwise the largest root of
@@ -581,8 +596,8 @@ def solve_delta0(config: ChainConfig) -> Equilibrium:
     z zone-edge mode softens at kappa = alpha * kappa_c; past that point a
     DynamicalInstabilityError carries the mode's imaginary frequency.
     """
-    # one evaluation per point: Brent's two ends and its root are seen before
-    gap = functools.cache(lambda delta: zigzag_root_gap(delta, config))
+    ring = config.boundary is Boundary.RING
+    gap = _root_gap(config.kappa, config.boundary, config.n_ions if ring else 4)
     gap0 = gap(0.0)
     z_edge = gap0 - (1.0 - config.alpha)  # G(0) with trap alpha: omega_z(pi)^2
     if config.alpha < 1.0 and z_edge < 0.0:

@@ -8,15 +8,19 @@ deterministic: identical configurations produce byte-identical files, with
 floats at full double precision so golden files double as numeric
 regressions.  Runs in one process share each configuration's equilibrium
 and bands: ``chain.solve_delta0`` keeps one equilibrium per configuration,
-and ``bloch.dispersion_zigzag`` one read-only ``Bands`` per (configuration,
-grid) for the 32 grids used last; ``cli`` keeps no memo of its own.  The
-tables' mixing angles and collectivities are ``bloch.mode_shapes`` of |e|^2.
+whose root search the configurations of one (kappa, boundary, ring size)
+share, and ``bloch.dispersion_zigzag`` one read-only ``Bands`` per
+(configuration, grid) for the 32 grids used last; ``modes`` reads no bands
+but the k = 0 solve of ``bloch.CellCouplings.k0_modes``, and ``cli`` keeps no
+memo of its own.  The tables' mixing angles and collectivities are
+``bloch.mode_shapes`` of |e|^2.
 
 Each runner returns a ``Table`` of columns, which reads as row tuples; the
 dispersion table keeps k once per momentum and the modes of its solved rows
 alone (``Factored`` columns: a -k row's are its +k partner's, ``Bands.solved``),
 so each is formatted once.  Both writers fill one row template, a block of
-``_BLOCK_ROWS`` rows per write.
+``_BLOCK_ROWS`` rows per write; the JSON meta is indented in one pass
+(``_json_text``), not by json's pure-Python encoder.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ import json
 import math
 import re
 import sys
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -501,6 +506,35 @@ def _json_safe(value):
     return value
 
 
+# JSON text of each kind of leaf that a runner's meta holds (NaN and inf as null)
+_JSON_LEAVES = {str: encode_basestring_ascii, bool: lambda v: "true" if v else "false",
+                int: int.__repr__, type(None): lambda v: "null",
+                float: lambda v: float.__repr__(v) if math.isfinite(v) else "null"}
+
+
+def _json_text(value, indent: str = "\n") -> str:
+    """``json.dumps(_json_safe(value), sort_keys=True, indent=1, allow_nan=False)``,
+    its lines indented after ``indent``, in one pass: json indents with its
+    pure-Python encoder, which takes twice as long on a run's meta.  A leaf of
+    another kind (a numpy scalar) goes through ``_json_safe`` and ``json.dumps``."""
+    leaf = _JSON_LEAVES.get(type(value))
+    if leaf is not None:
+        return leaf(value)
+    inner = indent + " "
+    if type(value) is dict:
+        items = [encode_basestring_ascii(key) + ": " + _json_text(item, inner)
+                 for key, item in sorted(value.items())]
+        brackets = "{}"
+    elif type(value) in (list, tuple):
+        items = [_json_text(item, inner) for item in value]
+        brackets = "[]"
+    else:
+        return json.dumps(_json_safe(value), allow_nan=False)
+    if not items:
+        return brackets
+    return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1]
+
+
 _NON_FINITE = ("nan", "inf", "-inf")
 
 
@@ -536,12 +570,11 @@ def _write_json(fh, meta: dict, header: list[str], rows: Table) -> None:
     sort_keys=True, indent=1, allow_nan=False)`` plus a newline, with numpy
     scalars as Python numbers and NaN and inf as null.
 
-    ``meta`` goes through ``json.dumps``; the columns, in the order of their
+    ``meta`` goes through ``_json_text``; the columns, in the order of their
     sorted keys, fill one row template (as in ``_write_csv``, a column's first
     cell fixes its kind), written in blocks.
     """
-    doc = json.dumps({"meta": _json_safe(meta), "rows": []},
-                     sort_keys=True, indent=1, allow_nan=False)
+    doc = _json_text({"meta": meta, "rows": []})
     if not rows:
         fh.write(doc + "\n")
         return

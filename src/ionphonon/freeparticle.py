@@ -66,17 +66,20 @@ def goldstone_branches(config: ChainConfig, eq: Equilibrium) -> dict[str, str]:
 
 
 def zero_mode_normal_form(config: ChainConfig) -> NormalForm:
-    """The k = 0 cell block's normal form at ``solve_delta0(config)``: ``CellCouplings.bands``'
-    modes with their cell amplitudes (``bloch.cell_amplitudes``, which its completeness
-    certificate reads) and each generator's zero pair (``symplectic.generator_pair``) on
-    ``k0_block``'s form (the kept k = 0 sums)."""
+    """The k = 0 cell block's normal form at ``solve_delta0(config)``: the checked
+    closed-form modes of the kept k = 0 sums (``CellCouplings.k0_modes``) but the
+    generators', in ascending omega, with their cell amplitudes
+    (``bloch.cell_amplitudes``, which its completeness certificate reads), and each
+    generator's zero pair (``symplectic.generator_pair``) on ``k0_block``'s form of
+    the same sums: no grid, fold or FFT."""
     eq = solve_delta0(config)
     couplings = CellCouplings(config, eq)
-    bands = couplings.bands(np.zeros(1))  # one row: ascending omega, as NormalForm needs
-    mask = bands.mask[0]
-    u, v = cell_amplitudes(bands.omega[0, mask], bands.phi[0, mask], bands.twist[0, mask],
-                           bands.omega_bare)
-    return NormalForm(bands.omega[0, mask], u, v,
+    lam, phi, twist, generator, _ = (modes[0] for modes in couplings.k0_modes())
+    kept = np.flatnonzero(~generator)
+    kept = kept[np.argsort(lam[kept], kind="stable")]  # ascending omega, as NormalForm needs
+    omega = np.sqrt(lam[kept])
+    u, v = cell_amplitudes(omega, phi[kept], twist[kept], couplings.omega_bare)
+    return NormalForm(omega, u, v,
                       [generator_pair(axis, CELL_AXIS_MAP, couplings.omega_bare, config.n_ions)[1]
                        for axis in broken_symmetries(config, eq)], couplings.k0_block())
 

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from ionphonon import bloch, cli, symplectic
+from ionphonon import bloch, cli, freeparticle, symplectic
 from ionphonon.bloch import (
     CellCouplings,
     dispersion_zigzag,
@@ -627,17 +627,46 @@ def test_k0_block_is_the_cell_table_of_k0_pair_sums(n, boundary):
 
 
 def test_k0_form_and_generator_check_run_no_fold_or_fft(monkeypatch):
-    # both read the k = 0 sums that CellCouplings.__init__ folded already
+    # both read the k = 0 sums that CellCouplings.__init__ folded already,
+    # and so does the k = 0 normal form: no grid, no _screw_table, no bands
     cc = couplings(0.6, n=32, boundary=Boundary.BULK)
 
     def refuse(*args, **kwargs):
         raise AssertionError("a fold or an FFT")
 
     for owner, name in ((np.fft, "fft"), (bloch, "fold_pair_blocks"),
-                        (bloch, "fold_pair_entries"), (bloch, "power_law_sums")):
+                        (bloch, "fold_pair_entries"), (bloch, "power_law_sums"),
+                        (CellCouplings, "_screw_table"), (CellCouplings, "bands")):
         monkeypatch.setattr(owner, name, refuse)
     cc.k0_block()
-    cc.check_generators()
+    cc.k0_modes()
+    monkeypatch.setattr(freeparticle, "CellCouplings", lambda config, eq: cc)
+    zero_mode_normal_form(cc.config)
+
+
+@pytest.mark.parametrize("kappa, alpha", [(0.3, 1.0), (0.6, 1.0), (0.6, 1.5)],
+                         ids=["linear", "zigzag", "zigzag-a1.5"])
+@pytest.mark.parametrize("n, boundary", [(16, Boundary.RING), (64, Boundary.RING),
+                                         (1024, Boundary.RING), (32, Boundary.BULK)],
+                         ids=["ring16", "ring64", "ring1024", "bulk"])
+def test_k0_normal_form_modes_are_the_k0_row(kappa, alpha, n, boundary):
+    # the masked k = 0 row of a grid of one, in ascending omega: to the bit
+    # on a ring, whose grid of one is a two-site fold, and within 4 ulp in
+    # bulk, whose grid adds the power laws after its FFT, not before
+    cfg = ChainConfig(kappa=kappa, alpha=alpha, n_ions=n, boundary=boundary)
+    nf = zero_mode_normal_form(cfg)
+    bands = dispersion_zigzag(np.zeros(1), cfg)
+    u, v = (a[0, bands.mask[0]] for a in amplitudes(bands))
+    omega = bands.omega[0, bands.mask[0]]
+    assert np.all(np.diff(omega) >= 0.0)
+    if boundary is Boundary.RING:
+        assert np.array_equal(nf.omega, omega)
+        assert np.array_equal(nf.u, u) and np.array_equal(nf.v, v)
+    else:
+        ulp = 4.0 * np.finfo(float).eps
+        assert np.all(np.abs(nf.omega - omega) <= ulp * omega)
+        assert np.max(np.abs(nf.u - u)) <= ulp * np.max(np.abs(u))
+        assert np.max(np.abs(nf.v - v)) <= ulp * np.max(np.abs(u))
 
 
 @pytest.mark.parametrize("kappa, alpha", [(0.3, 1.0), (0.6, 1.0), (0.6, 1.5)],
@@ -652,7 +681,7 @@ def test_generator_check_reads_the_k0_screw_row(monkeypatch, kappa, alpha, n, bo
     monkeypatch.setattr(CellCouplings, "_check_rows",
                         lambda self, *args: seen.append(args) or check(self, *args))
     cc._screw_modes(np.zeros(1), cc._screw_table(0.0, 1))
-    cc.check_generators()
+    cc.k0_modes()
     (k, lam, generator, table), (k0, lam0, generator0, table0) = seen
     assert np.array_equal(k0, k) and np.array_equal(generator0, generator)
     assert np.max(np.abs(lam0 - lam)) <= 1e-15

@@ -366,6 +366,55 @@ class TestEquilibriumMemo:
         assert messages[0] == messages[1]
         assert solve_delta0.cache_info().misses == 2 and solve_delta0.cache_info().currsize == 0
 
+    @staticmethod
+    def _gap_calls(monkeypatch) -> list:
+        """The points of every G evaluation (``chain.zigzag_root_gap``)."""
+        points, gap = [], chain.zigzag_root_gap
+        monkeypatch.setattr(chain, "zigzag_root_gap",
+                            lambda delta, config: points.append(delta) or gap(delta, config))
+        return points
+
+    @pytest.mark.parametrize("first, second", [
+        (bulk(0.6), bulk(0.6, alpha=1.5)),
+        (ring(0.6, 16), ring(0.6, 16, alpha=1.5)),
+        (bulk(0.6), bulk(0.6, n_ions=16, lam=3.0)),
+    ], ids=["bulk-alpha", "ring-alpha", "bulk-n-lam"])
+    def test_configs_of_one_root_problem_share_one_search(self, first, second, monkeypatch):
+        # G reads kappa, the boundary and a ring's N alone
+        points = self._gap_calls(monkeypatch)
+        eq = solve_delta0(first)
+        searched = len(points)
+        assert eq.is_zigzag and searched > 5
+        assert solve_delta0(second) is not eq and solve_delta0(second).delta0 == eq.delta0
+        assert len(points) == searched
+
+    def test_rings_of_two_sizes_search_apart(self, monkeypatch):
+        points = self._gap_calls(monkeypatch)
+        small = solve_delta0(ring(0.6, 16))
+        searched = len(points)
+        assert solve_delta0(ring(0.6, 18)).delta0 != small.delta0
+        assert len(points) > searched
+
+    def test_buckling_is_raised_past_a_kept_root(self, monkeypatch):
+        # alpha = 0.8 buckles along z past alpha kappa_c = 0.38; kappa 0.6's
+        # root problem is searched and kept at alpha = 1 first
+        points = self._gap_calls(monkeypatch)
+        assert solve_delta0(bulk(0.6)).is_zigzag
+        searched = len(points)
+        for _ in range(2):
+            with pytest.raises(DynamicalInstabilityError, match="buckles along z"):
+                solve_delta0(bulk(0.6, alpha=0.8))
+        assert len(points) == searched
+
+    def test_a_failing_root_problem_raises_on_every_call(self):
+        messages = []
+        for cfg in (bulk(25000.0), bulk(25000.0), bulk(25000.0, alpha=1.5)):
+            with pytest.raises(BracketingError) as err:
+                solve_delta0(cfg)
+            messages.append((str(err.value), err.value.interval))
+        assert messages[0] == messages[1] == messages[2]
+        assert solve_delta0.cache_info().currsize == 0
+
     def test_equilibrium_memo_is_bounded(self):
         maxsize = solve_delta0.cache_info().maxsize
         assert maxsize is not None and 0 < maxsize <= 1024

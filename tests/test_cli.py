@@ -457,6 +457,25 @@ class TestExitCodesAndFiles:
             assert len({type(v) for v in column}) == 1
             assert type(column[0]) in (bool, int, float, str)
 
+    @pytest.mark.parametrize("argv", SMALL_RUNS + [
+        pytest.param(["modes", "--boundary", "bulk"], id="modes-bulk"),
+    ], ids=lambda argv: argv[0])
+    def test_every_runner_meta_holds_python_values(self, argv):
+        # so _write_json's one-pass encoder meets the leaf kinds it formats
+        # itself, never numpy's
+        rc = parse_config(argv + ["--kappa", "0.6", "--n-ions", "16"])
+        meta, _, _ = cli._RUNNERS[rc.command](rc)
+        values = [meta]
+        while values:
+            value = values.pop()
+            if type(value) is dict:
+                assert all(type(key) is str for key in value)
+                values += value.values()
+            elif type(value) in (list, tuple):
+                values += value
+            else:
+                assert type(value) in cli._JSON_LEAVES, value
+
     def test_csv_round_trip_full_precision(self, tmp_path):
         path = tmp_path / "eq.csv"
         assert main(["equilibrium", "--kappa", "0.6", "--n-ions", "16",

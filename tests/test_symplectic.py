@@ -303,7 +303,7 @@ def test_off_equilibrium_zigzag_fails_on_its_radial_generator(boundary):
     with pytest.raises(ZeroModeToleranceError, match="the radial generator"):
         symplectic_diagonalize(form, axis_map=hess.axis_map, p_norm=16)
     with pytest.raises(ZeroModeToleranceError, match="the radial generator"):
-        CellCouplings(cfg, off).bands(np.zeros(1))  # the k = 0 normal form's modes
+        CellCouplings(cfg, off).k0_modes()  # the k = 0 normal form's modes
 
 
 @st.composite
