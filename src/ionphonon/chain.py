@@ -543,7 +543,7 @@ def _odd_neighbor_sum(delta: float, config: ChainConfig) -> float:
     """sum over the odd partner offsets m of w (m^2 + 4 delta^2)^(-3/2); in bulk
     2 / kappa times the odd zz sum (kappa / 2) sum r^-3 of :func:`_odd_zz_sum`."""
     if config.boundary is Boundary.BULK:
-        return 2.0 * _odd_zz_sum(config, delta) / config.kappa
+        return float(2.0 * _odd_zz_sum(config, delta) / config.kappa)
     m2, w = _ring_pairs(config.n_ions)[2:]
     return float(np.sum(w * (m2 + 4.0 * delta * delta) ** -1.5))
 

@@ -15,12 +15,13 @@ but the k = 0 solve of ``bloch.CellCouplings.k0_modes``, and ``cli`` keeps no
 memo of its own.  The tables' mixing angles and collectivities are
 ``bloch.mode_shapes`` of |e|^2.
 
-Each runner returns a ``Table`` of columns, which reads as row tuples; the
-dispersion table keeps k once per momentum and the modes of its solved rows
-alone (``Factored`` columns: a -k row's are its +k partner's, ``Bands.solved``),
-so each is formatted once.  Both writers fill one row template, a block of
-``_BLOCK_ROWS`` rows per write; the JSON meta is indented in one pass
-(``_json_text``), not by json's pure-Python encoder.
+Each runner returns its table as a tuple of columns, each of Python cells of
+one type (int, float or str); the dispersion table keeps k once per momentum
+and the modes of its solved rows alone (``Factored`` columns: a -k row's are
+its +k partner's, ``Bands.solved``), so each is formatted once.  Both writers
+fill one row template, a block of ``_BLOCK_ROWS`` rows per write; the JSON
+meta is indented in one pass (``_json_text``), not by json's pure-Python
+encoder.
 """
 
 from __future__ import annotations
@@ -244,26 +245,8 @@ class Factored:
         return iter([values[i] for i in self.index])
 
 
-class Table:
-    """A runner's rows as columns: lists of cells or ``Factored`` ones, of one
-    length, each of one kind (bool, int, float or str; the writers format a
-    column by its first cell).  It reads as a sequence of row tuples."""
-
-    def __init__(self, *columns):
-        self.columns = columns
-
-    def __len__(self) -> int:
-        return len(self.columns[0]) if self.columns else 0
-
-    def __getitem__(self, row: int) -> tuple:
-        return tuple(column[row] for column in self.columns)
-
-    def __iter__(self):
-        return zip(*self.columns)
-
-
 # ---------------------------------------------------------------------------
-# command implementations: each returns (meta, header, Table)
+# command implementations: each returns (meta, header, columns)
 
 # the JSON keys of the two dests that are not named after their flag
 _META_KEYS = {"lam": "lambda", "fmt": "format"}
@@ -286,11 +269,11 @@ def _run_equilibrium(rc: RunConfig):
         "kappa_c_classical[1]", "Omega_x[omega_I]", "Omega_y[omega_I]",
         "Omega_z[omega_I]",
     ]
-    rows = Table(*zip((
+    columns = tuple(zip((
         rc.chain.kappa, eq.delta0, equilibrium_residual(rc.chain, eq),
         critical_kappa_classical(rc.chain), omegas[0], omegas[1], omegas[2],
     )))
-    return _meta(rc), header, rows
+    return _meta(rc), header, columns
 
 
 def _run_dispersion(rc: RunConfig):
@@ -304,14 +287,14 @@ def _run_dispersion(rc: RunConfig):
     mode = (6 * position[:, None] + np.arange(6)).ravel().tolist()
     header = ["k[1/d]", "branch", "omega[omega_I]", "theta_xy[rad]",
               "collectivity[1]", "is_zero_mode"]
-    rows = Table(
+    columns = (
         Factored(bands.k.tolist(), np.repeat(np.arange(n_k), 6).tolist()), list(range(6)) * n_k,
         Factored(omega.ravel().tolist(), mode), Factored(theta.ravel().tolist(), mode),
         Factored(collectivity.ravel().tolist(), mode), (~bands.mask).ravel().astype(int).tolist(),
     )
     meta = _meta(rc)
     meta["delta0"] = solve_delta0(rc.chain).delta0
-    return meta, header, rows
+    return meta, header, columns
 
 
 def _run_modes(rc: RunConfig):
@@ -325,7 +308,7 @@ def _run_modes(rc: RunConfig):
             in enumerate(zip(nf.omega.tolist(), theta.tolist(), collectivity.tolist()))]
     rows += [("zero-pair", zp.label, 0.0, zp.m_tilde, float("nan"), float("nan"))
              for zp in nf.zero_pairs]
-    rows = Table(*zip(*rows))
+    columns = tuple(zip(*rows))
     meta = _meta(rc)
     meta["delta0"] = eq.delta0
     meta["completeness_residual"] = completeness_residual(nf)
@@ -334,7 +317,7 @@ def _run_modes(rc: RunConfig):
         s.label: {"m_tilde": s.m_tilde, "c0": s.c0, "circumference": s.circumference}
         for s in sectors
     }
-    return meta, header, rows
+    return meta, header, columns
 
 
 def _field_k_points(rc: RunConfig) -> int:
@@ -361,9 +344,9 @@ def _run_correlations(rc: RunConfig):
     tables = [correlator_table(req, field, separations).tolist() for req in requests]
     header = ["delta_j[cells]", "s", "s_prime", "nu", "nu_prime", "T[omega_I]",
               "value[d^2]"]
-    rows = Table(*zip(*[(dj, s, s, nu, nup, temperature, table[dj])
-                        for dj in separations for (nu, nup), table in zip(pairs, tables)]))
-    return _meta(rc), header, rows
+    columns = tuple(zip(*[(dj, s, s, nu, nup, temperature, table[dj])
+                          for dj in separations for (nu, nup), table in zip(pairs, tables)]))
+    return _meta(rc), header, columns
 
 
 def _run_heat_capacity(rc: RunConfig):
@@ -373,8 +356,8 @@ def _run_heat_capacity(rc: RunConfig):
     else:
         temps = np.geomspace(rc.t_min, rc.t_max, rc.t_steps).tolist()
     header = ["T[omega_I]", "c[k_B]"]
-    rows = Table(temps, [heat_capacity(t, field) for t in temps])
-    return _meta(rc), header, rows
+    columns = temps, [heat_capacity(t, field) for t in temps]
+    return _meta(rc), header, columns
 
 
 def _run_susceptibility(rc: RunConfig):
@@ -384,22 +367,22 @@ def _run_susceptibility(rc: RunConfig):
     chi = susceptibility(grid, (component, rc.sublattice), field, eta=rc.eta).chi
     header = ["omega[omega_I]", "chi_re[d^2/omega_I]", "chi_im[d^2/omega_I]",
               "phase[rad]"]
-    rows = Table(grid.tolist(), chi.real.tolist(), chi.imag.tolist(), np.angle(chi).tolist())
-    return _meta(rc), header, rows
+    columns = grid.tolist(), chi.real.tolist(), chi.imag.tolist(), np.angle(chi).tolist()
+    return _meta(rc), header, columns
 
 
 def _run_energy_reduction(rc: RunConfig):
     field = PhononField(rc.chain, n_k=_field_k_points(rc))
     header = ["kappa[1]", "delta0[d]", "dE0_per_ion[omega_I]"]
-    rows = Table([rc.chain.kappa], [field.eq.delta0], [correlation_energy(field)])
-    return _meta(rc), header, rows
+    columns = [rc.chain.kappa], [field.eq.delta0], [correlation_energy(field)]
+    return _meta(rc), header, columns
 
 
 def _run_ginzburg(rc: RunConfig):
     values = ginzburg_parameter(rc.chain, rc.n_list)
     header = ["n_ions[1]", "ginzburg[1]"]
-    rows = Table(*zip(*values))
-    return _meta(rc), header, rows
+    columns = tuple(zip(*values))
+    return _meta(rc), header, columns
 
 
 _RUNNERS = {
@@ -420,37 +403,23 @@ _RUNNERS = {
 _BLOCK_ROWS = 256
 
 
-def _kind(value) -> type:
-    """The kind of a cell: bool, int, float or str (anything else); a numpy
-    scalar is of the kind of the number it holds."""
-    if isinstance(value, (bool, np.bool_)):
-        return bool
-    if isinstance(value, (int, np.integer)):
-        return int
-    if isinstance(value, (float, np.floating)):
-        return float
-    return str
-
-
 def _texts(text, values) -> list[str]:
     """``text`` of each value: where the values of a ``Factored`` column are
-    formatted, once each, and a JSON float column that holds a NaN, an inf
-    or a numpy scalar."""
+    formatted, once each, and a JSON float column that holds a NaN or an inf."""
     return list(map(text, values))
 
 
 def _filled(columns, conversions: dict) -> tuple[list[str], list]:
     """Each column's printf conversion in a row template, and the cells that fill it.
 
-    ``conversions`` maps the kind of a column's first cell to its conversion
+    ``conversions`` maps the type of a column's first cell to its conversion
     and to what its cells are mapped first (None: nothing): their texts, or
     the cells themselves where the conversion takes them as they are.  A plain
     column fills its conversion with those cells; a ``Factored`` one has each
     of its values made text once, and fills a ``%s`` with those texts."""
     formats, cells = [], []
     for column in columns:
-        first = column[0]
-        conversion, prepare = conversions.get(type(first)) or conversions[_kind(first)]
+        conversion, prepare = conversions[type(column[0])]
         if type(column) is Factored:
             values = column.values
             texts = values if prepare is None else prepare(values)
@@ -476,34 +445,18 @@ def _write_rows(fh, template: str, sep: str, columns: list) -> None:
                  % tuple(itertools.chain.from_iterable(itertools.islice(rows, count))))
 
 
-# printf conversion of each kind of CSV cell: integers (and flags) as digits,
-# floats at full double precision, anything else as its text
-_CSV_CONVERSIONS = {bool: ("%d", None), int: ("%d", None), float: ("%.17g", None),
-                    str: ("%s", None)}
+# printf conversion of each type of CSV cell: integers as digits, floats at
+# full double precision, strings as they are
+_CSV_CONVERSIONS = {int: ("%d", None), float: ("%.17g", None), str: ("%s", None)}
 
 
-def _write_csv(fh, header: list[str], rows: Table) -> None:
-    """Header and rows, the rows in blocks; every runner keeps one kind per
+def _write_csv(fh, header: list[str], columns: tuple) -> None:
+    """Header and rows, the rows in blocks; every runner keeps one type per
     column, so its first cell fixes the conversion of all of them."""
     fh.write(",".join(header) + "\n")
-    if rows:
-        formats, cells = _filled(rows.columns, _CSV_CONVERSIONS)
+    if columns:
+        formats, cells = _filled(columns, _CSV_CONVERSIONS)
         _write_rows(fh, ",".join(formats) + "\n", "", cells)
-
-
-def _json_safe(value):
-    """Plain JSON value: numpy scalars as Python numbers, NaN and inf as None."""
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        value = float(value)
-    if isinstance(value, dict):
-        return {k: _json_safe(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_json_safe(v) for v in value]
-    if isinstance(value, float) and not math.isfinite(value):
-        return None
-    return value
 
 
 # JSON text of each kind of leaf that a runner's meta holds (NaN and inf as null)
@@ -513,10 +466,10 @@ _JSON_LEAVES = {str: encode_basestring_ascii, bool: lambda v: "true" if v else "
 
 
 def _json_text(value, indent: str = "\n") -> str:
-    """``json.dumps(_json_safe(value), sort_keys=True, indent=1, allow_nan=False)``,
-    its lines indented after ``indent``, in one pass: json indents with its
-    pure-Python encoder, which takes twice as long on a run's meta.  A leaf of
-    another kind (a numpy scalar) goes through ``_json_safe`` and ``json.dumps``."""
+    """``json.dumps(value, sort_keys=True, indent=1, allow_nan=False)`` with
+    NaN and inf as null, its lines indented after ``indent``, in one pass: json
+    indents with its pure-Python encoder, which takes twice as long on a run's
+    meta.  A leaf of a type that ``_JSON_LEAVES`` lacks raises KeyError."""
     leaf = _JSON_LEAVES.get(type(value))
     if leaf is not None:
         return leaf(value)
@@ -529,7 +482,7 @@ def _json_text(value, indent: str = "\n") -> str:
         items = [_json_text(item, inner) for item in value]
         brackets = "[]"
     else:
-        return json.dumps(_json_safe(value), allow_nan=False)
+        return _JSON_LEAVES[type(value)](value)
     if not items:
         return brackets
     return brackets[0] + inner + ("," + inner).join(items) + indent + brackets[1]
@@ -538,18 +491,13 @@ def _json_text(value, indent: str = "\n") -> str:
 _NON_FINITE = ("nan", "inf", "-inf")
 
 
-def _json_bools(values) -> list[str]:
-    return ["true" if v else "false" for v in values]
-
-
 def _json_floats(values):
     """Cells whose ``%s`` is each float's JSON text: the floats themselves when
-    all are finite Python floats (their str is their repr; a NaN or an inf
-    leaves their sum not finite), else each one's repr as a Python float, with
-    null for NaN and inf."""
-    if set(map(type, values)) == {float} and math.isfinite(sum(values)):
+    all are finite (their str is their repr; a NaN or an inf leaves their sum
+    not finite), else each one's repr, with null for NaN and inf."""
+    if math.isfinite(sum(values)):
         return values
-    texts = _texts(float.__repr__, list(map(float, values)))
+    texts = _texts(float.__repr__, values)
     if any(text in texts for text in _NON_FINITE):
         texts = ["null" if text in _NON_FINITE else text for text in texts]
     return texts
@@ -559,27 +507,26 @@ def _json_texts(values) -> list[str]:
     return list(map(json.dumps, values))
 
 
-# conversion of each kind of JSON cell, and what its cells are mapped to first,
-# so that each cell's text is the one json.dump gives it after _json_safe
-_JSON_CONVERSIONS = {bool: ("%s", _json_bools), int: ("%d", None),
-                     float: ("%s", _json_floats), str: ("%s", _json_texts)}
+# conversion of each type of JSON cell, and what its cells are mapped to first,
+# so that each cell's text is the one json.dump gives it (null for NaN and inf)
+_JSON_CONVERSIONS = {int: ("%d", None), float: ("%s", _json_floats), str: ("%s", _json_texts)}
 
 
-def _write_json(fh, meta: dict, header: list[str], rows: Table) -> None:
+def _write_json(fh, meta: dict, header: list[str], columns: tuple) -> None:
     """The bytes of ``json.dump({"meta": meta, "rows": [one dict per row]},
-    sort_keys=True, indent=1, allow_nan=False)`` plus a newline, with numpy
-    scalars as Python numbers and NaN and inf as null.
+    sort_keys=True, indent=1, allow_nan=False)`` plus a newline, with NaN and
+    inf as null.
 
     ``meta`` goes through ``_json_text``; the columns, in the order of their
     sorted keys, fill one row template (as in ``_write_csv``, a column's first
-    cell fixes its kind), written in blocks.
+    cell fixes its conversion), written in blocks.
     """
     doc = _json_text({"meta": meta, "rows": []})
-    if not rows:
+    if not columns:
         fh.write(doc + "\n")
         return
     order = sorted(range(len(header)), key=header.__getitem__)
-    formats, cells = _filled([rows.columns[j] for j in order], _JSON_CONVERSIONS)
+    formats, cells = _filled([columns[j] for j in order], _JSON_CONVERSIONS)
     template = "  {\n" + ",\n".join(
         "   " + json.dumps(header[j]).replace("%", "%%") + ": " + conversion
         for j, conversion in zip(order, formats)
@@ -592,7 +539,7 @@ def _write_json(fh, meta: dict, header: list[str], rows: Table) -> None:
 def run(rc: RunConfig) -> int:
     """Execute one run and write its table; returns the process exit code."""
     try:
-        meta, header, rows = _RUNNERS[rc.command](rc)
+        meta, header, columns = _RUNNERS[rc.command](rc)
     except PhysicsError as exc:
         record = {"error": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, DynamicalInstabilityError):
@@ -614,9 +561,9 @@ def run(rc: RunConfig) -> int:
         with (open(rc.output, "w", encoding="utf-8", newline="") if rc.output
               else contextlib.nullcontext(sys.stdout)) as fh:
             if rc.fmt == "csv":
-                _write_csv(fh, header, rows)
+                _write_csv(fh, header, columns)
             else:
-                _write_json(fh, meta, header, rows)
+                _write_json(fh, meta, header, columns)
     except OSError as exc:
         sys.stderr.write(f"i/o error: {exc}\n")
         return 4

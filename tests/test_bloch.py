@@ -524,16 +524,16 @@ def test_mode_shapes_match_the_amplitude_reference(case, alpha, kappa):
     rc = parse_config(["dispersion", "--kappa", str(kappa), "--alpha", str(alpha),
                        "--boundary", case[:4], "--n-ions" if case[:4] == "ring" else "--k-points",
                        size])
-    rows = np.array(cli._RUNNERS["dispersion"](rc)[2], dtype=float)
+    rows = np.array(cli._RUNNERS["dispersion"](rc)[2], dtype=float).T
     u, v = amplitudes(dispersion_zigzag(zone_grid(rc.chain, rc.k_points), rc.chain))
     assert_close_by_position(rows[:, 3], mixing_angles(u, v).ravel())
     assert_close_by_position(rows[:, 4], collectivities(u, v).ravel())
 
-    rows = cli._RUNNERS["modes"](rc)[2]
+    columns = cli._RUNNERS["modes"](rc)[2]
     nf = zero_mode_normal_form(rc.chain)
     pairs = [np.nan] * len(nf.zero_pairs)
-    assert_close_by_position([row[4] for row in rows], [*mixing_angles(nf.u, nf.v), *pairs])
-    assert_close_by_position([row[5] for row in rows], [*collectivities(nf.u, nf.v), *pairs])
+    assert_close_by_position(columns[4], [*mixing_angles(nf.u, nf.v), *pairs])
+    assert_close_by_position(columns[5], [*collectivities(nf.u, nf.v), *pairs])
 
 
 class TestZoneEdgeLoops:
