@@ -437,6 +437,26 @@ class TestExitCodesAndFiles:
             assert len(sink.writes) == 1 + 3072 // BLOCK
             assert max(sink.writes) < 128 * 1024
 
+    @pytest.mark.parametrize("argv", SMALL_RUNS, ids=lambda argv: argv[0])
+    def test_csv_columns_keep_one_type(self, argv):
+        # _write_csv formats every cell of a column with its first cell's
+        # conversion: an int in a float column would print it with %d
+        rc = parse_config(argv + ["--kappa", "0.6", "--n-ions", "16"])
+        _, header, columns = cli._RUNNERS[rc.command](rc)
+        assert columns and len(columns[0]) > 0
+        for column in columns:
+            assert len({cli._CSV_CONVERSIONS[type(v)] for v in column}) == 1
+
+    @pytest.mark.parametrize("argv", SMALL_RUNS, ids=lambda argv: argv[0])
+    def test_json_columns_keep_one_kind(self, argv):
+        # _write_json formats every column by its first cell's type: an int
+        # in a float column would print 1 as 1.0
+        rc = parse_config(argv + ["--kappa", "0.6", "--n-ions", "16"])
+        _, header, columns = cli._RUNNERS[rc.command](rc)
+        assert columns and len(columns[0]) > 0
+        for column in columns:
+            assert len({cli._JSON_CONVERSIONS[type(v)] for v in column}) == 1
+
     @pytest.mark.parametrize("argv", SMALL_RUNS + BULK_RUNS + [
         pytest.param(["heat-capacity", "--temperature", "0.5"], id="heat-capacity-at-T"),
     ], ids=lambda argv: argv[0])
